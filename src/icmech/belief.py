@@ -1,0 +1,130 @@
+"""The belief-space structure shared by the IC, transport and additivity code.
+
+An agent's interim expectation of a mechanism is one of the agent's
+beliefs over the other agents' types, placed on the slice of profiles
+where the agent's own report is fixed.  ``lift`` does that placing, for any number of agents;
+``interim_rows`` and ``update_rows`` are the two row families built from
+it: the rows of the IC polytope and the IC checks, and the correlation-
+orthogonality rows of the transport criterion.  ``distinct_nonzero`` is
+the order-preserving dedupe every row builder applies.
+
+For two agents the same structure gives the additivity subspace
+U = col(pi) (x) R^n + R^m (x) row(pi), whose orthogonal complement is
+col(pi)^perp (x) row(pi)^perp; ``kronecker_residual`` projects onto that
+complement with r-dimensional bases of pi's column and row spaces,
+r = rank(pi).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import prod
+from typing import Iterable
+
+import numpy as np
+
+from .core import JointDist, two_agent
+
+ZERO = Fraction(0)
+
+
+def beliefs(dist: JointDist, i: int) -> list[list[Fraction]]:
+    """Row a: the belief of agent i's type a over the other agents' type
+    profiles, in row-major order."""
+    marg = dist.marginal(i)
+    return [[p / marg[a] for p in np.take(dist.p, a, axis=i).reshape(-1)]
+            for a in range(len(marg))]
+
+
+def lift(shape: tuple[int, ...], i: int, b: int, vec) -> list[Fraction]:
+    """Flat row over profiles (row-major) that carries ``vec`` on the slice
+    where agent i's type is at position b and is zero elsewhere.
+
+    ``vec`` runs over the other agents' type profiles in row-major order.
+    """
+    inner = prod(shape[i + 1:])
+    cells = ((outer * shape[i] + b) * inner + k
+             for outer in range(prod(shape[:i])) for k in range(inner))
+    row = [ZERO] * prod(shape)
+    for cell, v in zip(cells, vec):
+        row[cell] = v
+    return row
+
+
+def interim_rows(dist: JointDist, i: int):
+    """Yield (a, b, r) for every true type a and report b of agent i, a
+    outer, where r . x = E[x(b, theta_-i) | theta_i = a] for flat x."""
+    shape = dist.space.shape
+    for a, belief in enumerate(beliefs(dist, i)):
+        for b in range(shape[i]):
+            yield a, b, lift(shape, i, b, belief)
+
+
+def updates(dist: JointDist, i: int) -> list[list[Fraction]]:
+    """Row t: the other agent's belief update about agent i's type t,
+    pi(t | s) - pi_i(t), over the other agent's types s (two agents)."""
+    two_agent(dist.space)
+    prior = dist.marginal(i)
+    held = beliefs(dist, 1 - i)
+    return [[belief[t] - prior[t] for belief in held]
+            for t in range(len(prior))]
+
+
+def update_rows(dist: JointDist, i: int):
+    """Yield each update of ``updates(dist, i)`` placed on every own-type
+    slice of agent i, update outer."""
+    shape = dist.space.shape
+    for update in updates(dist, i):
+        for t in range(shape[i]):
+            yield lift(shape, i, t, update)
+
+
+def distinct_nonzero(rows: Iterable[list]) -> list[list]:
+    """The rows in first-seen order, without zero rows and repeats."""
+    out: list[list] = []
+    seen: set[tuple] = set()
+    for row in rows:
+        key = tuple(row)
+        if any(row) and key not in seen:
+            seen.add(key)
+            out.append(row)
+    return out
+
+
+def dot(row, values) -> Fraction:
+    """Exact dot product that skips the row's zero coefficients."""
+    return sum((c * v for c, v in zip(row, values) if c), ZERO)
+
+
+def _orthogonal_basis(vectors) -> list[tuple[np.ndarray, Fraction]]:
+    """Exact Gram-Schmidt: an orthogonal basis of span(vectors) with each
+    vector's squared norm; dependent vectors drop out."""
+    basis: list[tuple[np.ndarray, Fraction]] = []
+    for v in vectors:
+        for u, norm in basis:
+            v = v - u * (u.dot(v) / norm)
+        if any(v):
+            basis.append((v, v.dot(v)))
+    return basis
+
+
+def kronecker_residual(dist: JointDist, w: np.ndarray) -> np.ndarray:
+    """w_hat = (I - Q_col) w (I - Q_row): the component of the m x n array
+    w orthogonal to U = col(pi) (x) R^n + R^m (x) row(pi).
+
+    Q_col and Q_row are the orthogonal projectors onto pi's column and row
+    spaces, built from rank(pi) basis vectors.  The result is checked
+    exactly: every row of w_hat is orthogonal to row(pi) and every column
+    to col(pi).
+    """
+    two_agent(dist.space)
+    pi = dist.p
+    resid = np.array(w, dtype=object)
+    for u, norm in _orthogonal_basis(pi.T):
+        resid = resid - np.multiply.outer(u, u.dot(resid) / norm)
+    for u, norm in _orthogonal_basis(pi):
+        resid = resid - np.multiply.outer(resid.dot(u) / norm, u)
+    if any(pi.T.dot(resid).reshape(-1)) or any(resid.dot(pi.T).reshape(-1)):
+        raise RuntimeError("additivity residual is not orthogonal to the "
+                           "row and column spaces of pi")
+    return resid

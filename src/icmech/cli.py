@@ -148,9 +148,9 @@ def cmd_maximin(args) -> dict:
         data = load_json_dict(args.mechanism)
         if "x" not in data and isinstance(data.get("mechanism"), dict):
             data = data["mechanism"]
-        if "x" not in data or isinstance(data["x"], dict):
+        arr = data.get("x")
+        if not isinstance(arr, list) or not all(isinstance(row, list) for row in arr):
             raise SchemaError("maximin needs a two-option mechanism array")
-        arr = data["x"]
         m, n = len(arr), len(arr[0]) if arr else 0
         space = TypeSpace(("l", "r"), (tuple(range(m)), tuple(range(n))))
         mech = load_mechanism(data, space)

@@ -350,6 +350,8 @@ def make_instance(space: TypeSpace, pi, vL, vR=None, name=None, seed=None) -> In
 # ---------------------------------------------------------------------------
 
 def _parse_labels(raw) -> tuple:
+    if not isinstance(raw, list):
+        raise SchemaError(f"type labels must be given as a list, got {raw!r}")
     labels = []
     for v in raw:
         if isinstance(v, (int, str)):
@@ -384,6 +386,11 @@ def parse_rational_array(node, shape: tuple[int, ...], where: str) -> np.ndarray
 def parse_type_space(data: dict) -> TypeSpace:
     if "agents" not in data or "types" not in data:
         raise SchemaError("instance requires 'agents' and 'types'")
+    if not isinstance(data["agents"], list) or \
+            not all(isinstance(a, str) for a in data["agents"]):
+        raise SchemaError("'agents' must be a list of agent names")
+    if not isinstance(data["types"], dict):
+        raise SchemaError("'types' must map each agent to its type labels")
     agents = tuple(data["agents"])
     types_map = data["types"]
     missing = [a for a in agents if a not in types_map]
@@ -451,7 +458,11 @@ def load_mechanism(source, space: TypeSpace) -> Mechanism:
 def load_json_dict(source) -> dict:
     if isinstance(source, dict):
         return source
-    if isinstance(source, (str, Path)) and Path(source).exists():
+    try:
+        is_file = isinstance(source, (str, Path)) and Path(source).exists()
+    except OSError:  # JSON text longer than a file name may be
+        is_file = False
+    if is_file:
         text = Path(source).read_text()
     elif isinstance(source, str):
         text = source

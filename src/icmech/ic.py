@@ -20,13 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
+from .belief import distinct_nonzero, dot, interim_rows, lift
 from .core import (JointDist, Mechanism, PreconditionError, expectation,
                    two_agent)
 from .numerics import span_coefficients
-
-ZERO = Fraction(0)
 
 
 @dataclass
@@ -65,19 +62,10 @@ def interim_table(x: Mechanism, dist: JointDist) -> dict:
     """All interim expectations E[x(report, .) | true type], both agents."""
     two_agent(dist.space)
     space = dist.space
-    table: dict = {}
-    for i, agent in enumerate(space.agents):
-        cond = dist.conditional(i)
-        for a, true_t in enumerate(space.types[i]):
-            for b, rep_t in enumerate(space.types[i]):
-                if i == 0:
-                    val = sum(cond[a, s] * x.x[b, s]
-                              for s in range(space.shape[1]))
-                else:
-                    val = sum(cond[a, s] * x.x[s, b]
-                              for s in range(space.shape[0]))
-                table[(agent, true_t, rep_t)] = val
-    return table
+    values = list(x.x.reshape(-1))
+    return {(space.agents[i], space.types[i][a], space.types[i][b]):
+            dot(row, values)
+            for i in range(2) for a, b, row in interim_rows(dist, i)}
 
 
 def check_ic(x: Mechanism, dist: JointDist) -> ICReport:
@@ -106,32 +94,16 @@ def check_ic(x: Mechanism, dist: JointDist) -> ICReport:
 
     equalities_ok = all(val == ev for val in table.values())
 
-    # Ex-ante indifference: E[x(report, .)] identical across reports.
-    marg = dist.marginals()
-    ex_ante_ok = True
-    for i in range(2):
-        vals = []
-        for b in range(space.shape[i]):
-            if i == 0:
-                vals.append(sum(marg[1][s] * x.x[b, s]
-                                for s in range(space.shape[1])))
-            else:
-                vals.append(sum(marg[0][s] * x.x[s, b]
-                                for s in range(space.shape[0])))
-        if any(v != vals[0] for v in vals[1:]):
-            ex_ante_ok = False
-        if i == 0:
-            ex_ante_l = vals
-        else:
-            ex_ante_r = vals
-
-    uninformative_ok = True
-    for i, agent in enumerate(space.agents):
-        ex_ante = ex_ante_l if i == 0 else ex_ante_r
-        for true_t in space.types[i]:
-            for b, rep_t in enumerate(space.types[i]):
-                if table[(agent, true_t, rep_t)] != ex_ante[b]:
-                    uninformative_ok = False
+    # Ex-ante indifference: E[x(report, .)] under the prior belief is
+    # identical across reports.
+    values = list(x.x.reshape(-1))
+    ex_ante = [[dot(lift(space.shape, i, b, dist.marginal(1 - i)), values)
+                for b in range(space.shape[i])] for i in range(2)]
+    ex_ante_ok = all(v == vals[0] for vals in ex_ante for v in vals)
+    uninformative_ok = all(table[(agent, true_t, rep_t)] == ex_ante[i][b]
+                           for i, agent in enumerate(space.agents)
+                           for true_t in space.types[i]
+                           for b, rep_t in enumerate(space.types[i]))
 
     split_ok = ex_ante_ok and uninformative_ok
     assert raw_ok == equalities_ok == split_ok, "IC routes disagree (bug)"
@@ -150,26 +122,10 @@ def ic_polytope(dist: JointDist) -> list[list[Fraction]]:
     0 <= x <= 1 these rows cut out exactly the IC polytope.
     """
     two_agent(dist.space)
-    space = dist.space
-    n = space.n_profiles
-    shape = space.shape
-    pi_flat = [dist.p[np.unravel_index(k, shape)] for k in range(n)]
-    rows: list[list[Fraction]] = []
-    seen: set[tuple] = set()
-    for i in range(2):
-        cond = dist.conditional(i)
-        for a in range(shape[i]):
-            for b in range(shape[i]):
-                row = [-p for p in pi_flat]
-                for s in range(shape[1 - i]):
-                    idx = (b, s) if i == 0 else (s, b)
-                    flat = idx[0] * shape[1] + idx[1]
-                    row[flat] += cond[a, s]
-                key = tuple(row)
-                if any(v != 0 for v in row) and key not in seen:
-                    seen.add(key)
-                    rows.append(row)
-    return rows
+    pi_flat = list(dist.p.reshape(-1))
+    return distinct_nonzero([c - p for c, p in zip(row, pi_flat)]
+                            for i in range(2)
+                            for _, _, row in interim_rows(dist, i))
 
 
 @dataclass

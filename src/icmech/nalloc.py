@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .belief import beliefs, dot, lift
 from .core import (JointDist, NoneCertificate, PreconditionError, SchemaError,
                    TypeSpace, load_json_dict, constant_array, dumps_canonical,
                    parse_rational_array, parse_type_space, product_dist,
@@ -130,21 +131,6 @@ class AllocationICReport:
     violations: list = field(default_factory=list)
 
 
-def _interim_prob(inst: AllocationInstance, part: np.ndarray,
-                  agent: int, pos: int) -> Fraction:
-    """E[x_i(t, others)] with agent ``agent`` fixed to type position ``pos``."""
-    total = ZERO
-    for idx in np.ndindex(*inst.space.shape):
-        if idx[agent] != pos:
-            continue
-        weight = ONE
-        for j, p in enumerate(idx):
-            if j != agent:
-                weight *= inst.marginals[j][p]
-        total += weight * part[idx]
-    return total
-
-
 def check_ic_n(x: AllocationMechanism, inst: AllocationInstance) -> AllocationICReport:
     """IC test for allocation mechanisms: interim win probabilities must be
     report-independent for every agent.  Infeasible mechanisms are rejected."""
@@ -162,12 +148,15 @@ def check_ic_n(x: AllocationMechanism, inst: AllocationInstance) -> AllocationIC
     ex_ante: list[Fraction] = []
     violations = []
     verdict = True
+    shape = inst.space.shape
     for i, agent in enumerate(inst.space.agents):
-        vals = []
-        for pos, label in enumerate(inst.space.types[i]):
-            val = _interim_prob(inst, x.x[i], i, pos)
+        # Types are independent, so the interim win probability of type b is
+        # the same to every type: the truthful row of type b stands for all.
+        part = list(x.x[i].reshape(-1))
+        vals = [dot(lift(shape, i, b, belief), part)
+                for b, belief in enumerate(beliefs(inst.dist, i))]
+        for label, val in zip(inst.space.types[i], vals):
             interim[(agent, label)] = val
-            vals.append(val)
         ex_ante.append(sum(inst.marginals[i][pos] * vals[pos]
                            for pos in range(len(vals))))
         for pos, label in enumerate(inst.space.types[i]):
@@ -207,22 +196,17 @@ def _w_generators(inst: AllocationInstance) -> tuple[list[list[Fraction]], list[
     sign so the stored coefficient is u_n(t) itself."""
     n = inst.n
     shape = inst.space.shape
-    size = inst.space.n_profiles
-    prob = inst.dist.p
+    zero = [ZERO] * inst.space.n_profiles
     gens: list[list[Fraction]] = []
     keys: list[tuple] = []
     for j in range(n):
         for pos in range(shape[j]):
-            g = [ZERO] * ((n - 1) * size)
-            for flat, idx in enumerate(np.ndindex(*shape)):
-                if idx[j] != pos:
-                    continue
-                if j < n - 1:
-                    g[j * size + flat] = prob[idx]
-                else:
-                    for i in range(n - 1):
-                        g[i * size + flat] = -prob[idx]
-            gens.append(g)
+            g = lift(shape, j, pos, np.take(inst.dist.p, pos, axis=j).reshape(-1))
+            if j < n - 1:
+                blocks = [g if i == j else zero for i in range(n - 1)]
+            else:
+                blocks = [[-v for v in g]] * (n - 1)
+            gens.append([v for block in blocks for v in block])
             keys.append((inst.space.agents[j], inst.space.types[j][pos]))
     return gens, keys
 
@@ -424,19 +408,23 @@ def analyze_allocation(inst: AllocationInstance) -> dict:
     from .oracle import solve_principal_alloc  # deferred: oracle imports this module
 
     base = add_disposal_agent(inst) if inst.disposal else inst
-    rep = difference_additive(base)
     vbar = inst.vbar
-    floor = max(ZERO, vbar) if inst.disposal else vbar
-    if rep.holds:
-        return {"profitable": False, "method": "difference-additive",
-                "vbar": vbar, "u": rep.u, "exact_iff": True,
-                "certificate": "no IC mechanism beats a constant allocation"}
-    exact_regime = base.unbiased
-    if exact_regime:
+    # In the exact regime the construction runs the difference-additivity
+    # projection itself; elsewhere it is run here, so it runs once.
+    if base.unbiased:
         report = with_disposal(inst) if inst.disposal else construct_profitable_n(inst)
-        return {"profitable": True, "method": report.method, "vbar": vbar,
-                "payoff": report.payoff, "report": report, "exact_iff": True}
+        if not isinstance(report, NoneCertificate):
+            return {"profitable": True, "method": report.method, "vbar": vbar,
+                    "payoff": report.payoff, "report": report, "exact_iff": True}
+        u = report.details["u"]
+    else:
+        u = difference_additive(base).u
+    if u is not None:
+        return {"profitable": False, "method": "difference-additive",
+                "vbar": vbar, "u": u, "exact_iff": True,
+                "certificate": "no IC mechanism beats a constant allocation"}
     lp = solve_principal_alloc(inst)
+    floor = max(ZERO, vbar) if inst.disposal else vbar
     return {"profitable": lp.value > floor, "method": "ic-constraints-lp",
             "vbar": vbar, "payoff": lp.value, "report": lp,
             "exact_iff": False,

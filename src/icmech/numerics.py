@@ -335,16 +335,12 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     a_std: list[list[Fraction]] = []
     b_std: list[Fraction] = []
     row_sign: list[int] = []
-    slack_col_of_row: list[int | None] = []
     scol = ncols
     for (kind, _), (coeffs, rhs) in zip(row_specs, raw_rows):
         row = list(coeffs) + [ZERO] * nslack
         if kind != "eq":
             row[scol] = ONE
-            slack_col_of_row.append(scol)
             scol += 1
-        else:
-            slack_col_of_row.append(None)
         if rhs < 0:
             row = [-v for v in row]
             rhs = -rhs
@@ -386,10 +382,16 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     assert unb is None  # phase-1 objective is bounded above by 0
     if -obj1[-1] < 0:
         # Farkas certificate from the phase-1 duals.
-        y = _basis_duals(a_pristine_with_art(a_pristine, m), phase1_cost,
-                         tab.basis, width + m, list(range(m)))
-        cert = _farkas_in_original_terms(lp, y, row_specs, row_sign, var_map, col_of,
-                                         slack_col_of_row)
+        with_art = [row + [ONE if k == i else ZERO for k in range(m)]
+                    for i, row in enumerate(a_pristine)]
+        y = _basis_duals(with_art, phase1_cost, tab.basis, width + m, list(range(m)))
+        # The multipliers combine the constraints to the zero row while the
+        # same combination of right-hand sides is negative: 0 <= gap < 0.
+        dual_eq, dual_ub, mu, nu, gap = _fold_duals(
+            lp, y, row_specs, row_sign, [ZERO] * n)
+        assert gap < 0
+        cert = {"dual_eq": dual_eq, "dual_ub": dual_ub,
+                "upper_multipliers": mu, "lower_multipliers": nu, "gap": gap}
         return LPSolution(status="infeasible", certificate=cert)
 
     # Drive artificials out of the basis; drop redundant rows.
@@ -403,7 +405,6 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         keep.append(i)
     tab.rows = [tab.rows[i][:width] + [tab.rows[i][-1]] for i in keep]
     tab.basis = [tab.basis[i] for i in keep]
-    kept_rows = keep
 
     # --- phase 2 ----------------------------------------------------------
     obj2 = _reduced_objective(cost_std, tab, width)
@@ -424,21 +425,14 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     value = sum(c * v for c, v in zip(lp.objective, x))
     assert value == -obj2[-1] + const_term
 
-    y = _basis_duals(a_pristine, cost_std, tab.basis, width, kept_rows)
-    dual_eq, dual_ub, reduced = _duals_in_original_terms(
-        lp, y, row_specs, row_sign, kept_rows, x, value)
+    y = _basis_duals(a_pristine, cost_std, tab.basis, width, keep)
+    dual_eq, dual_ub, mu, nu, dual_value = _fold_duals(
+        lp, y, row_specs, row_sign, lp.objective)
+    assert dual_value == value  # strong duality
     _check_primal(lp, x)
     return LPSolution(status="optimal", value=value, x=x,
-                      dual_eq=dual_eq, dual_ub=dual_ub, reduced_costs=reduced)
-
-
-def a_pristine_with_art(a_pristine: list[list[Fraction]], m: int) -> list[list[Fraction]]:
-    rows = []
-    for i, row in enumerate(a_pristine):
-        art = [ZERO] * m
-        art[i] = ONE
-        rows.append(row + art)
-    return rows
+                      dual_eq=dual_eq, dual_ub=dual_ub,
+                      reduced_costs=[u - d for u, d in zip(mu, nu)])
 
 
 def _basis_duals(a: list[list[Fraction]], cost: list[Fraction],
@@ -509,9 +503,14 @@ def _check_ray(lp: LinearProgram, d: list[Fraction]) -> None:
     assert sum(c * v for c, v in zip(lp.objective, d)) > 0
 
 
-def _duals_in_original_terms(lp, y, row_specs, row_sign, kept_rows, x, value):
-    """Fold standard-form duals back onto the original constraints and verify
-    strong duality exactly."""
+def _fold_duals(lp, y, row_specs, row_sign, objective):
+    """Fold standard-form duals y back onto the original constraints.
+
+    Bound multipliers mu (upper) and nu (lower) absorb what the row duals
+    leave of ``objective``, so that A^T dual + mu - nu = objective.
+    Returns (dual_eq, dual_ub, mu, nu, dual objective value) after checking
+    the multipliers' signs exactly.
+    """
     dual_eq = [ZERO] * len(lp.a_eq)
     dual_ub = [ZERO] * len(lp.a_ub)
     mu = [ZERO] * lp.n   # upper-bound duals
@@ -527,66 +526,21 @@ def _duals_in_original_terms(lp, y, row_specs, row_sign, kept_rows, x, value):
     for j in range(lp.n):
         g = sum(dual_eq[i] * lp.a_eq[i][j] for i in range(len(lp.a_eq))) + \
             sum(dual_ub[i] * lp.a_ub[i][j] for i in range(len(lp.a_ub)))
-        r = lp.objective[j] - g - mu[j]
+        r = objective[j] - g - mu[j]
         if r > 0:
             mu[j] += r
         else:
             nu[j] = -r
-    reduced = [mu[j] - nu[j] for j in range(lp.n)]
-    # Dual feasibility and strong duality, all exact.
     assert all(v >= 0 for v in dual_ub)
     assert all(v >= 0 for v in mu) and all(v >= 0 for v in nu)
     for j in range(lp.n):
         assert mu[j] == 0 or lp.upper[j] is not None
         assert nu[j] == 0 or lp.lower[j] is not None
-    dual_value = sum(d * b for d, b in zip(dual_eq, lp.b_eq)) + \
+    value = sum(d * b for d, b in zip(dual_eq, lp.b_eq)) + \
         sum(d * b for d, b in zip(dual_ub, lp.b_ub)) + \
         sum(mu[j] * lp.upper[j] for j in range(lp.n) if mu[j] != 0) - \
         sum(nu[j] * lp.lower[j] for j in range(lp.n) if nu[j] != 0)
-    assert dual_value == value
-    return dual_eq, dual_ub, reduced
-
-
-def _farkas_in_original_terms(lp, y, row_specs, row_sign, var_map, col_of,
-                              slack_col_of_row):
-    """Build and verify an infeasibility certificate for the original LP.
-
-    The certificate combines constraints with multipliers (y_eq free,
-    y_ub <= 0-safe signs handled here) plus bound multipliers so that the
-    combination reads 0 <= negative.
-    """
-    dual_eq = [ZERO] * len(lp.a_eq)
-    dual_ub = [ZERO] * len(lp.a_ub)
-    mu = [ZERO] * lp.n
-    nu = [ZERO] * lp.n
-    for i, ((kind, idx), s) in enumerate(zip(row_specs, row_sign)):
-        yi = y[i] * s
-        if kind == "eq":
-            dual_eq[idx] = yi
-        elif kind == "ub":
-            dual_ub[idx] = yi
-        else:
-            mu[idx] += yi
-    for j in range(lp.n):
-        g = sum(dual_eq[i] * lp.a_eq[i][j] for i in range(len(lp.a_eq))) + \
-            sum(dual_ub[i] * lp.a_ub[i][j] for i in range(len(lp.a_ub))) + mu[j]
-        # Need g + mu_extra - nu = 0 with mu, nu >= 0 matched to finite bounds.
-        if g < 0:
-            mu[j] += -g
-        else:
-            nu[j] = g
-    gap = sum(d * b for d, b in zip(dual_eq, lp.b_eq)) + \
-        sum(d * b for d, b in zip(dual_ub, lp.b_ub)) + \
-        sum(mu[j] * lp.upper[j] for j in range(lp.n) if mu[j] != 0) - \
-        sum(nu[j] * lp.lower[j] for j in range(lp.n) if nu[j] != 0)
-    assert all(v >= 0 for v in dual_ub)
-    assert all(v >= 0 for v in mu) and all(v >= 0 for v in nu)
-    for j in range(lp.n):
-        assert mu[j] == 0 or lp.upper[j] is not None
-        assert nu[j] == 0 or lp.lower[j] is not None
-    assert gap < 0
-    return {"dual_eq": dual_eq, "dual_ub": dual_ub,
-            "upper_multipliers": mu, "lower_multipliers": nu, "gap": gap}
+    return dual_eq, dual_ub, mu, nu, value
 
 
 def enumerate_vertices(lp: LinearProgram) -> list[list[Fraction]]:

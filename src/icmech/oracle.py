@@ -17,13 +17,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from .belief import beliefs, distinct_nonzero, lift
 from .core import (Instance, JointDist, Mechanism, PreconditionError,
                    TypeSpace, constant_array, expectation, normalize,
                    product_dist)
 from .ic import check_ic, ic_polytope
 from .nalloc import (AllocationInstance, AllocationMechanism, add_disposal_agent,
                      check_ic_n)
-from .numerics import LinearProgram, solve_lp
+from .numerics import LinearProgram, rank, solve_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -73,42 +74,20 @@ def _interim_rows_alloc(inst: AllocationInstance) -> list[list[Fraction]]:
     """
     n = inst.n
     shape = inst.space.shape
-    size = inst.space.n_profiles
-    prob = inst.dist.p
-    idx_list = list(np.ndindex(*shape))
-
-    def others_weight(idx, agent):
-        w = ONE
-        for j, p in enumerate(idx):
-            if j != agent:
-                w *= inst.marginals[j][p]
-        return w
-
+    prob = list(inst.dist.p.reshape(-1))
+    zero = [ZERO] * inst.space.n_profiles
     rows: list[list[Fraction]] = []
-    seen: set[tuple] = set()
     for agent in range(n):
-        for pos in range(shape[agent]):
-            row = [ZERO] * ((n - 1) * size)
-            for flat, idx in enumerate(idx_list):
-                for block in range(n - 1):
-                    coeff = ZERO
-                    if agent < n - 1:
-                        if block == agent:
-                            if idx[agent] == pos:
-                                coeff += others_weight(idx, agent)
-                            coeff -= prob[idx]
-                    else:
-                        # Substituted agent: sign-flipped aggregate of all blocks.
-                        if idx[agent] == pos:
-                            coeff -= others_weight(idx, agent)
-                        coeff += prob[idx]
-                    if coeff != 0:
-                        row[block * size + flat] += coeff
-            key = tuple(row)
-            if any(c != 0 for c in row) and key not in seen:
-                seen.add(key)
-                rows.append(row)
-    return rows
+        # Types are independent, so type b's own belief gives the interim
+        # win probability of reporting b to every type.
+        for b, belief in enumerate(beliefs(inst.dist, agent)):
+            gap = [r - p for r, p in zip(lift(shape, agent, b, belief), prob)]
+            if agent < n - 1:
+                blocks = [gap if block == agent else zero for block in range(n - 1)]
+            else:
+                blocks = [[-g for g in gap]] * (n - 1)
+            rows.append([c for block in blocks for c in block])
+    return distinct_nonzero(rows)
 
 
 def solve_principal_alloc(inst: AllocationInstance) -> PrincipalSolution:
@@ -237,7 +216,7 @@ def generate(seed: int, shape, kind: str, *, k: int | None = None,
     elif kind == "full-rank":
         while True:
             pi = _joint(rng, shape)
-            if matrix_rank_of(pi) == min(shape):
+            if rank([list(row) for row in pi]) == min(shape):
                 break
     elif kind == "conditionally-independent":
         if not k or k < 1:
@@ -266,11 +245,6 @@ def _joint(rng: random.Random, shape) -> np.ndarray:
     total = sum(weights)
     return np.array([Fraction(w, total) for w in weights],
                     dtype=object).reshape(shape)
-
-
-def matrix_rank_of(pi: np.ndarray) -> int:
-    from .numerics import rank
-    return rank([list(row) for row in pi])
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 Four complementary tools for the two-option problem:
 
-* ``additivity_test`` projects the weighted objective w = v*pi onto the
-  subspace U spanned by the conditional-belief sections; w in U means every
-  IC mechanism earns exactly the best constant payoff.
+* ``additivity_test`` splits the weighted objective w = v*pi along the
+  subspace U = col(pi) (x) R^n + R^m (x) row(pi) spanned by the
+  conditional-belief sections: its residual is the Kronecker product
+  (I - Q_col) w (I - Q_row) of the projectors off pi's column and row
+  spaces.  w in U means every IC mechanism earns exactly the best constant
+  payoff.
 * ``construct_profitable`` turns a nonzero projection residual into an
   explicit IC mechanism with strictly positive payoff (valid when the
   principal is ex-ante indifferent; otherwise it defers to the direct LP).
@@ -24,11 +27,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from .belief import (distinct_nonzero, kronecker_residual, lift, update_rows,
+                     updates)
 from .core import (Instance, JointDist, Mechanism, NoneCertificate,
                    PreconditionError, arrays_equal, constant_array,
                    expectation, product_dist, two_agent)
 from .ic import ICReport, check_ic
-from .numerics import LinearProgram, orthogonal_projection, solve_lp
+from .numerics import LinearProgram, solve_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -40,64 +45,33 @@ ONE = Fraction(1)
 
 @dataclass
 class AdditivityReport:
-    """Projection of w = v*pi onto the conditional-section subspace U.
+    """Split of w = v*pi along U = col(pi) (x) R^n + R^m (x) row(pi).
 
-    ``u_hat`` is the projection, ``w_hat`` the residual (w = u_hat + w_hat,
-    w_hat orthogonal to every generator).  ``is_pi_additive`` iff the
-    residual vanishes.  Under independence an additive split of v itself is
-    returned whenever it exists.
+    ``w_hat`` is the residual (I - Q_col) w (I - Q_row), where Q_col and
+    Q_row project orthogonally onto pi's column and row spaces; ``u_hat``
+    is the projection w - w_hat onto U.  ``is_pi_additive`` iff the
+    residual vanishes.  Under independence an additive split of v itself
+    is returned whenever it exists.
     """
 
     w: np.ndarray
-    u_basis: list[list[Fraction]]
     u_hat: np.ndarray
     w_hat: np.ndarray
     is_pi_additive: bool
     additive_parts: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def conditional_section_basis(dist: JointDist) -> list[list[Fraction]]:
-    """Generators of U: indicator-of-own-type times a conditional belief.
-
-    One generator per (own type a, conditioning type b) and per agent:
-    theta |-> 1(theta_own = a) * pi(theta_other | b), flattened row-major.
-    """
-    two_agent(dist.space)
-    m, n = dist.space.shape
-    gens: list[list[Fraction]] = []
-    cond_l = dist.conditional(0)   # rows: pi(. | theta_l)
-    cond_r = dist.conditional(1)
-    for a in range(m):
-        for b in range(m):
-            g = [ZERO] * (m * n)
-            for s in range(n):
-                g[a * n + s] = cond_l[b, s]
-            gens.append(g)
-    for a in range(n):
-        for b in range(n):
-            g = [ZERO] * (m * n)
-            for s in range(m):
-                g[s * n + a] = cond_r[b, s]
-            gens.append(g)
-    return gens
-
-
 def additivity_test(instance: Instance) -> AdditivityReport:
     """Is the objective additive relative to the instance's distribution?"""
     two_agent(instance.space)
-    shape = instance.space.shape
     w = instance.v * instance.dist.p
-    gens = conditional_section_basis(instance.dist)
-    w_flat = [w[idx] for idx in np.ndindex(*shape)]
-    proj, resid = orthogonal_projection(w_flat, gens)
-    u_hat = np.array(proj, dtype=object).reshape(shape)
-    w_hat = np.array(resid, dtype=object).reshape(shape)
-    additive = all(v == 0 for v in resid)
+    w_hat = kronecker_residual(instance.dist, w)
+    additive = not any(w_hat.reshape(-1))
     parts = None
     if additive and instance.dist.is_independent():
         parts = _additive_split(instance.v)
         assert parts is not None  # pi-additive + independent => v additive
-    return AdditivityReport(w=w, u_basis=gens, u_hat=u_hat, w_hat=w_hat,
+    return AdditivityReport(w=w, u_hat=w - w_hat, w_hat=w_hat,
                             is_pi_additive=additive, additive_parts=parts)
 
 
@@ -209,29 +183,7 @@ def orthogonality_rows(pi: JointDist) -> list[list[Fraction]]:
 
     Zero and duplicate rows are dropped (independent pi yields none)."""
     two_agent(pi.space)
-    m, n = pi.space.shape
-    marg = pi.marginals()
-    rows: list[list[Fraction]] = []
-    seen: set[tuple] = set()
-    # Updates of the other agent's belief about agent i's types.
-    for i in range(2):
-        other = 1 - i
-        cond_other = pi.conditional(other)  # rows: beliefs of the other agent
-        k_i, k_other = pi.space.shape[i], pi.space.shape[other]
-        for t in range(k_i):
-            update = [cond_other[s, t] - marg[i][t] for s in range(k_other)]
-            if all(u == 0 for u in update):
-                continue
-            for t_prime in range(k_i):
-                row = [ZERO] * (m * n)
-                for s in range(k_other):
-                    idx = (t_prime, s) if i == 0 else (s, t_prime)
-                    row[idx[0] * n + idx[1]] = update[s]
-                key = tuple(row)
-                if key not in seen:
-                    seen.add(key)
-                    rows.append(row)
-    return rows
+    return distinct_nonzero(row for i in range(2) for row in update_rows(pi, i))
 
 
 def transport_criterion(instance: Instance) -> TransportResult:
@@ -244,20 +196,11 @@ def transport_criterion(instance: Instance) -> TransportResult:
     v_hat = instance.v * dist.p / np.multiply.outer(ml, mr)
 
     objective = [v_hat[i, j] for i in range(m) for j in range(n)]
-    a_eq: list[list[Fraction]] = []
-    b_eq: list[Fraction] = []
-    for i in range(m):
-        row = [ZERO] * (m * n)
-        for j in range(n):
-            row[i * n + j] = ONE
-        a_eq.append(row)
-        b_eq.append(ml[i])
-    for j in range(n):
-        row = [ZERO] * (m * n)
-        for i in range(m):
-            row[i * n + j] = ONE
-        a_eq.append(row)
-        b_eq.append(mr[j])
+    # Marginal rows: the mass on each own-type slice of each agent.
+    shape = instance.space.shape
+    a_eq = [lift(shape, i, t, [ONE] * shape[1 - i])
+            for i in range(2) for t in range(shape[i])]
+    b_eq = list(ml) + list(mr)
     ortho = [] if indep else orthogonality_rows(dist)
     a_eq.extend(ortho)
     b_eq.extend([ZERO] * len(ortho))
@@ -288,20 +231,12 @@ def orthogonal(pi: JointDist, pi_tilde: JointDist) -> bool:
     for i in range(2):
         if not arrays_equal(pi.marginal(i), pi_tilde.marginal(i)):
             raise PreconditionError("orthogonality requires equal marginals")
-    marg = pi.marginals()
     for i in range(2):
-        other = 1 - i
-        cond = pi.conditional(other)        # belief of `other` about agent i
-        cond_t = pi_tilde.conditional(other)
-        k_i = pi.space.shape[i]
-        k_other = pi.space.shape[other]
-        for t in range(k_i):
-            for t_prime in range(k_i):
-                cov = sum((cond[s, t] - marg[i][t])
-                          * (cond_t[s, t_prime] - marg[i][t_prime])
-                          * marg[other][s]
-                          for s in range(k_other))
-                if cov != 0:
+        weights = pi.marginal(1 - i)
+        for update in updates(pi, i):
+            for update_tilde in updates(pi_tilde, i):
+                if sum(u * ut * p for u, ut, p
+                       in zip(update, update_tilde, weights)) != 0:
                     return False
     return True
 
@@ -501,7 +436,6 @@ class MatchingReport:
     symmetric: bool
     diagonal_value: Fraction | None = None
     diagonal_sum: Fraction | None = None
-    all_values: dict | None = None
 
 
 def is_supermodular(v: np.ndarray) -> bool:
@@ -527,10 +461,9 @@ def match_your_opponent(instance: Instance) -> MatchingReport:
     v = instance.v
 
     if n <= 8:
-        best_perm, best_value, values = _best_matching_enumerate(v, ml, mr)
+        best_perm, best_value = _best_matching_enumerate(v, ml, mr)
     else:
         best_perm, best_value = _best_matching_lp(v, ml, mr)
-        values = None
 
     symmetric = arrays_equal(ml, mr) and \
         instance.space.types[0] == instance.space.types[1]
@@ -564,20 +497,18 @@ def match_your_opponent(instance: Instance) -> MatchingReport:
                           profitable=profitable, criterion=criterion,
                           supermodular=supermod, symmetric=symmetric,
                           diagonal_value=diagonal_value,
-                          diagonal_sum=diagonal_sum, all_values=values)
+                          diagonal_sum=diagonal_sum)
 
 
 def _best_matching_enumerate(v, ml, mr):
     n = v.shape[0]
     best_perm = None
     best_value = None
-    values = {}
     for perm in itertools.permutations(range(n)):
         val = sum(ml[t] * mr[perm[t]] * v[t, perm[t]] for t in range(n))
-        values[perm] = val
         if best_value is None or val > best_value:
             best_perm, best_value = perm, val
-    return best_perm, best_value, values
+    return best_perm, best_value
 
 
 def _best_matching_lp(v, ml, mr):
@@ -585,21 +516,9 @@ def _best_matching_lp(v, ml, mr):
     polytope; a basic optimal solution is a permutation."""
     n = v.shape[0]
     objective = [ml[i] * mr[j] * v[i, j] for i in range(n) for j in range(n)]
-    a_eq = []
-    b_eq = []
-    for i in range(n):
-        row = [ZERO] * (n * n)
-        for j in range(n):
-            row[i * n + j] = ONE
-        a_eq.append(row)
-        b_eq.append(ONE)
-    for j in range(n):
-        row = [ZERO] * (n * n)
-        for i in range(n):
-            row[i * n + j] = ONE
-        a_eq.append(row)
-        b_eq.append(ONE)
-    sol = solve_lp(LinearProgram(objective=objective, a_eq=a_eq, b_eq=b_eq))
+    a_eq = [lift((n, n), i, t, [ONE] * n) for i in range(2) for t in range(n)]
+    sol = solve_lp(LinearProgram(objective=objective, a_eq=a_eq,
+                                 b_eq=[ONE] * (2 * n)))
     assert sol.status == "optimal"
     perm = []
     for i in range(n):

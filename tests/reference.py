@@ -1,0 +1,123 @@
+"""Reference row and generator builders, written as explicit profile loops.
+
+These are the hand-rolled builders the library used before it built every
+row family on ``icmech.belief``; the property tests require the library's
+rows to equal them entry for entry and in order.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def conditional_section_basis(dist):
+    """Generators of U: indicator-of-own-type times a conditional belief,
+    one per (own type a, conditioning type b) and per agent, flattened
+    row-major."""
+    m, n = dist.space.shape
+    gens = []
+    cond_l = dist.conditional(0)
+    cond_r = dist.conditional(1)
+    for a in range(m):
+        for b in range(m):
+            g = [ZERO] * (m * n)
+            for s in range(n):
+                g[a * n + s] = cond_l[b, s]
+            gens.append(g)
+    for a in range(n):
+        for b in range(n):
+            g = [ZERO] * (m * n)
+            for s in range(m):
+                g[s * n + a] = cond_r[b, s]
+            gens.append(g)
+    return gens
+
+
+def ic_polytope(dist):
+    space = dist.space
+    n = space.n_profiles
+    shape = space.shape
+    pi_flat = [dist.p[np.unravel_index(k, shape)] for k in range(n)]
+    rows = []
+    seen = set()
+    for i in range(2):
+        cond = dist.conditional(i)
+        for a in range(shape[i]):
+            for b in range(shape[i]):
+                row = [-p for p in pi_flat]
+                for s in range(shape[1 - i]):
+                    idx = (b, s) if i == 0 else (s, b)
+                    row[idx[0] * shape[1] + idx[1]] += cond[a, s]
+                key = tuple(row)
+                if any(v != 0 for v in row) and key not in seen:
+                    seen.add(key)
+                    rows.append(row)
+    return rows
+
+
+def orthogonality_rows(pi):
+    m, n = pi.space.shape
+    marg = pi.marginals()
+    rows = []
+    seen = set()
+    for i in range(2):
+        other = 1 - i
+        cond_other = pi.conditional(other)
+        k_i, k_other = pi.space.shape[i], pi.space.shape[other]
+        for t in range(k_i):
+            update = [cond_other[s, t] - marg[i][t] for s in range(k_other)]
+            if all(u == 0 for u in update):
+                continue
+            for t_prime in range(k_i):
+                row = [ZERO] * (m * n)
+                for s in range(k_other):
+                    idx = (t_prime, s) if i == 0 else (s, t_prime)
+                    row[idx[0] * n + idx[1]] = update[s]
+                key = tuple(row)
+                if key not in seen:
+                    seen.add(key)
+                    rows.append(row)
+    return rows
+
+
+def interim_rows_alloc(inst):
+    n = inst.n
+    shape = inst.space.shape
+    size = inst.space.n_profiles
+    prob = inst.dist.p
+    idx_list = list(np.ndindex(*shape))
+
+    def others_weight(idx, agent):
+        w = ONE
+        for j, p in enumerate(idx):
+            if j != agent:
+                w *= inst.marginals[j][p]
+        return w
+
+    rows = []
+    seen = set()
+    for agent in range(n):
+        for pos in range(shape[agent]):
+            row = [ZERO] * ((n - 1) * size)
+            for flat, idx in enumerate(idx_list):
+                for block in range(n - 1):
+                    coeff = ZERO
+                    if agent < n - 1:
+                        if block == agent:
+                            if idx[agent] == pos:
+                                coeff += others_weight(idx, agent)
+                            coeff -= prob[idx]
+                    else:
+                        if idx[agent] == pos:
+                            coeff -= others_weight(idx, agent)
+                        coeff += prob[idx]
+                    if coeff != 0:
+                        row[block * size + flat] += coeff
+            key = tuple(row)
+            if any(c != 0 for c in row) and key not in seen:
+                seen.add(key)
+                rows.append(row)
+    return rows

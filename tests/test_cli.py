@@ -152,6 +152,31 @@ class TestContracts:
         code, out = run(capsys, "inspect", str(bad))
         assert code == 1 and out == ""
 
+    @pytest.mark.parametrize("command, data", [
+        ("maximin", {"x": 5}),
+        ("maximin", {"x": [5]}),
+        ("inspect", {"agents": "lr", "types": {"l": [0], "r": [0]},
+                     "pi": [["1"]], "vL": [["0"]]}),
+        ("inspect", {"agents": ["l", "r"], "types": {"l": "a", "r": [0]},
+                     "pi": [["1"]], "vL": [["0"]]}),
+    ])
+    def test_malformed_input_one_line_error(self, capsys, tmp_path, command, data):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code = main([command, str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_json_text_longer_than_a_path(self, capsys):
+        text = Path(FX1).read_text().replace("{", "{" + " " * 5000, 1)
+        code, rep = run_json(capsys, "inspect", text)
+        assert code == 0 and rep["rank"] == 1
+        code = main(["inspect", text[:-10]])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err.startswith("error: invalid JSON")
+
     def test_exit_code_missing_file(self, capsys):
         code, _ = run(capsys, "inspect", "/nonexistent/inst.json")
         assert code == 1

@@ -11,10 +11,13 @@ from icmech.ic import check_ic
 from icmech.numerics import LinearProgram, enumerate_vertices
 from icmech.oracle import (generate, sample_ic_combination, sample_ic_vertex,
                            solve_principal)
-from icmech.profit import (ConstructionResult, additivity_test,
+from icmech.profit import (ConstructionResult, _best_matching_enumerate,
+                           _best_matching_lp, additivity_test,
                            construct_profitable, decompose, is_supermodular,
                            match_your_opponent, orthogonal,
                            support_is_acyclic, transport_criterion)
+
+from . import reference
 
 F = Fraction
 
@@ -47,7 +50,7 @@ class TestAdditivity:
             rep = additivity_test(inst)
             assert (rep.u_hat + rep.w_hat == rep.w).all()
             flat = list(rep.w_hat.reshape(-1))
-            for g in rep.u_basis:
+            for g in reference.conditional_section_basis(inst.dist):
                 assert sum(a * b for a, b in zip(flat, g)) == 0
 
 
@@ -263,6 +266,17 @@ class TestMatchYourOpponent:
         inst = generate(0, (2, 3), "independent")
         with pytest.raises(PreconditionError):
             match_your_opponent(inst)
+
+    def test_assignment_lp_matches_enumeration(self):
+        for n in (4, 5, 6):
+            for seed in range(2):
+                inst = generate(seed, (n, n), "independent")
+                ml, mr = inst.dist.marginals()
+                perm, value = _best_matching_lp(inst.v, ml, mr)
+                assert sorted(perm) == list(range(n))
+                assert value == sum(ml[t] * mr[perm[t]] * inst.v[t, perm[t]]
+                                    for t in range(n))
+                assert value == _best_matching_enumerate(inst.v, ml, mr)[1]
 
     def test_supermodularity_detection(self):
         assert is_supermodular(np.array([[F(0), F(0)], [F(0), F(1)]],
