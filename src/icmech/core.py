@@ -464,8 +464,11 @@ def load_json_dict(source) -> dict:
         is_file = False
     if is_file:
         text = Path(source).read_text()
-    elif isinstance(source, str):
+    elif isinstance(source, str) and source.lstrip()[:1] in ("{", "["):
         text = source
+    elif isinstance(source, (str, Path)):
+        # Neither an existing file nor JSON text: most likely a mistyped path.
+        raise SchemaError(f"no such file: {source}")
     else:
         raise SchemaError(f"cannot load instance from {type(source).__name__}")
     try:

@@ -4,13 +4,24 @@ Everything in this module operates on ``fractions.Fraction`` values, so
 feasibility, optimality, rank and orthogonality are decided by exact
 equality instead of floating-point tolerances.  The LP solver is a
 two-phase tableau simplex with Bland's anti-cycling rule (lowest-index
-pivoting), which makes every answer deterministic and termination
-guaranteed.  Speed is a non-goal: the intended problems are small.
+pivoting), which makes every answer and every pivot count deterministic
+and termination guaranteed.
+
+Speed comes from doing less exact work, never from tolerances.  Before
+the tableau is built, a fraction-free integer presolve drops equality
+rows that earlier rows combine to.  Inequality rows start with their
+slack basic (a slack crash basis), so only equality rows and rows with a
+negative right-hand side carry an artificial, and phase 1 is skipped
+when that start is already feasible, as it is for every LP over the IC
+polytope, whose equality rows are homogeneous.  Every result is checked exactly before it is returned
+(primal feasibility, strong duality, the Farkas gap, an unbounded ray's
+direction), and a failed check raises ``RuntimeError``, also under
+``python -O``.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -193,6 +204,10 @@ class LPSolution:
 
     For "unbounded": ``ray`` is a feasible improving direction.
     For "infeasible": ``certificate`` is a Farkas combination proving it.
+
+    ``pivots`` counts the simplex pivots of every phase, drive-out
+    included.  Under Bland's rule it is a deterministic function of the
+    input, so a change to the engine that adds pivots shows without timing.
     """
 
     status: str
@@ -203,6 +218,7 @@ class LPSolution:
     reduced_costs: list[Fraction] | None = None
     ray: list[Fraction] | None = None
     certificate: dict | None = None
+    pivots: int = 0
 
 
 class _Tableau:
@@ -211,8 +227,10 @@ class _Tableau:
     def __init__(self, rows: list[list[Fraction]], basis: list[int]):
         self.rows = rows          # each row: coefficients + rhs (last entry)
         self.basis = basis
+        self.pivots = 0
 
     def pivot(self, r: int, c: int, obj: list[Fraction]) -> None:
+        self.pivots += 1
         prow = self.rows[r]
         piv = prow[c]
         if piv != 1:
@@ -260,6 +278,44 @@ def _reduced_objective(cost: list[Fraction], tab: _Tableau, width: int) -> list[
     return obj
 
 
+def _check(ok: bool, what: str) -> None:
+    """Raise unless an exact LP check holds; unlike ``assert``, this
+    survives ``python -O``."""
+    if not ok:
+        raise RuntimeError(f"exact LP check failed: {what}")
+
+
+def _independent_rows(rows: Sequence[Sequence[Fraction]],
+                      rhs: Sequence[Fraction]) -> list[int]:
+    """Indices of the rows of ``[rows | rhs]`` that no earlier rows combine to.
+
+    Fraction-free: each augmented row is scaled to integers by the lcm of
+    its denominators, then reduced against the rows kept so far by
+    cross-multiplication, dividing out the gcd after every step.  A row
+    that is inconsistent with earlier ones (its left side dependent, its
+    rhs not) is kept.
+    """
+    kept: list[int] = []
+    reduced: list[tuple[int, list[int]]] = []   # (leading column, integer row)
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        vals = list(row) + [b]
+        scale = math.lcm(*(v.denominator for v in vals))
+        vec = [v.numerator * (scale // v.denominator) for v in vals]
+        for lead, prow in reduced:
+            f = vec[lead]
+            if f:
+                p = prow[lead]
+                vec = [p * a - f * c if c else p * a for a, c in zip(vec, prow)]
+                g = math.gcd(*vec)
+                if g > 1:
+                    vec = [a // g for a in vec]
+        lead = next((c for c, a in enumerate(vec) if a), None)
+        if lead is not None:
+            reduced.append((lead, vec))
+            kept.append(i)
+    return kept
+
+
 def solve_lp(lp: LinearProgram) -> LPSolution:
     """Solve an LP exactly; deterministic for a given input.
 
@@ -293,7 +349,8 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 
     # Row bookkeeping: ("eq", i) / ("ub", i) / ("bnd", j) plus slack columns
     # for every inequality.  Bound rows encode x_j <= upper_j for variables
-    # that also carry a finite lower bound.
+    # that also carry a finite lower bound.  Equality rows that earlier ones
+    # combine to are left out; their duals are 0.
     row_specs: list[tuple[str, int]] = []
     raw_rows: list[tuple[list[Fraction], Fraction]] = []
 
@@ -316,8 +373,8 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
                 out[c1] -= coeff
         return out, r
 
-    for i, (row, rhs) in enumerate(zip(lp.a_eq, lp.b_eq)):
-        raw_rows.append(expand(row, rhs))
+    for i in _independent_rows(lp.a_eq, lp.b_eq):
+        raw_rows.append(expand(lp.a_eq[i], lp.b_eq[i]))
         row_specs.append(("eq", i))
     for i, (row, rhs) in enumerate(zip(lp.a_ub, lp.b_ub)):
         raw_rows.append(expand(row, rhs))
@@ -335,22 +392,29 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     a_std: list[list[Fraction]] = []
     b_std: list[Fraction] = []
     row_sign: list[int] = []
+    # Slack crash basis: a row whose slack keeps its +1 after the sign
+    # normalisation starts with that slack basic; the others need an
+    # artificial column.
+    crash: list[int | None] = []
     scol = ncols
     for (kind, _), (coeffs, rhs) in zip(row_specs, raw_rows):
         row = list(coeffs) + [ZERO] * nslack
+        start = None
         if kind != "eq":
             row[scol] = ONE
+            start = scol
             scol += 1
         if rhs < 0:
             row = [-v for v in row]
             rhs = -rhs
             row_sign.append(-1)
+            start = None
         else:
             row_sign.append(1)
         a_std.append(row)
         b_std.append(rhs)
+        crash.append(start)
 
-    m = len(a_std)
     cost_std = [ZERO] * width
     for j in range(n):
         kind, _ = var_map[j]
@@ -365,46 +429,49 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     const_term = sum(lp.objective[j] * var_map[j][1]
                      for j in range(n) if var_map[j][0] != "split")
 
-    a_pristine = [list(r) for r in a_std]
-
     # --- phase 1 ----------------------------------------------------------
-    tab_rows = [row + [ZERO] * m + [rhs] for row, rhs in zip(a_std, b_std)]
-    for i in range(m):
-        tab_rows[i][width + i] = ONE
-    basis = [width + i for i in range(m)]
+    art_rows = [i for i, start in enumerate(crash) if start is None]
+    nart = len(art_rows)
+    tab_rows = [row + [ZERO] * nart + [rhs] for row, rhs in zip(a_std, b_std)]
+    basis = list(crash)
+    for k, i in enumerate(art_rows):
+        tab_rows[i][width + k] = ONE
+        basis[i] = width + k
+    # Pivots replace tableau rows and never mutate them, so this shallow
+    # copy keeps the pristine rows for the dual recovery.
+    pristine = list(tab_rows)
     tab = _Tableau(tab_rows, basis)
-    phase1_cost = [ZERO] * width + [-ONE] * m
-    obj1 = _reduced_objective(phase1_cost, tab, width + m)
-    # Entering candidates exclude the artificial columns: once an artificial
-    # leaves the basis it stays out (it is only ever needed at level 0, and
-    # keeping it out makes redundant rows detectable after phase 1).
-    unb = tab.run(obj1, width)
-    assert unb is None  # phase-1 objective is bounded above by 0
+    phase1_cost = [ZERO] * width + [-ONE] * nart
+    obj1 = _reduced_objective(phase1_cost, tab, width + nart)
+    # obj1[-1] is the artificials' total.  At 0 the crash basis is already
+    # phase-1 optimal (every oracle LP: its equality rows are homogeneous).
+    # Entering candidates exclude the artificial columns: once an
+    # artificial leaves the basis it stays out.
+    if obj1[-1] != 0:
+        unb = tab.run(obj1, width)
+        assert unb is None  # phase-1 objective is bounded above by 0
     if -obj1[-1] < 0:
         # Farkas certificate from the phase-1 duals.
-        with_art = [row + [ONE if k == i else ZERO for k in range(m)]
-                    for i, row in enumerate(a_pristine)]
-        y = _basis_duals(with_art, phase1_cost, tab.basis, width + m, list(range(m)))
+        y = _basis_duals(pristine, phase1_cost, tab.basis)
         # The multipliers combine the constraints to the zero row while the
         # same combination of right-hand sides is negative: 0 <= gap < 0.
         dual_eq, dual_ub, mu, nu, gap = _fold_duals(
             lp, y, row_specs, row_sign, [ZERO] * n)
-        assert gap < 0
+        _check(gap < 0, "Farkas gap is negative")
         cert = {"dual_eq": dual_eq, "dual_ub": dual_ub,
                 "upper_multipliers": mu, "lower_multipliers": nu, "gap": gap}
-        return LPSolution(status="infeasible", certificate=cert)
+        return LPSolution(status="infeasible", certificate=cert,
+                          pivots=tab.pivots)
 
-    # Drive artificials out of the basis; drop redundant rows.
-    keep: list[int] = []
-    for i in range(m):
+    # Drive the artificials, all at level 0, out of the basis.  With the
+    # dependent equality rows gone and phase 1 feasible, the standard-form
+    # matrix has full row rank, so every such row has a pivot column.
+    for i in range(len(tab.rows)):
         if tab.basis[i] >= width:
             col = next((j for j in range(width) if tab.rows[i][j] != 0), None)
-            if col is None:
-                continue  # redundant row
+            _check(col is not None, "an artificial variable leaves the basis")
             tab.pivot(i, col, obj1)
-        keep.append(i)
-    tab.rows = [tab.rows[i][:width] + [tab.rows[i][-1]] for i in keep]
-    tab.basis = [tab.basis[i] for i in keep]
+    tab.rows = [row[:width] + [row[-1]] for row in tab.rows]
 
     # --- phase 2 ----------------------------------------------------------
     obj2 = _reduced_objective(cost_std, tab, width)
@@ -416,41 +483,37 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
             ray_std[b] = -row[unb]
         ray = _map_direction(ray_std, var_map, col_of, n)
         _check_ray(lp, ray)
-        return LPSolution(status="unbounded", ray=ray)
+        return LPSolution(status="unbounded", ray=ray, pivots=tab.pivots)
 
     x_std = [ZERO] * width
     for row, b in zip(tab.rows, tab.basis):
         x_std[b] = row[-1]
     x = _map_point(x_std, var_map, col_of, n)
     value = sum(c * v for c, v in zip(lp.objective, x))
-    assert value == -obj2[-1] + const_term
+    _check(value == -obj2[-1] + const_term, "objective value identity")
 
-    y = _basis_duals(a_pristine, cost_std, tab.basis, width, keep)
+    y = _basis_duals(pristine, cost_std, tab.basis)
     dual_eq, dual_ub, mu, nu, dual_value = _fold_duals(
         lp, y, row_specs, row_sign, lp.objective)
-    assert dual_value == value  # strong duality
+    _check(dual_value == value, "strong duality")
     _check_primal(lp, x)
     return LPSolution(status="optimal", value=value, x=x,
                       dual_eq=dual_eq, dual_ub=dual_ub,
-                      reduced_costs=[u - d for u, d in zip(mu, nu)])
+                      reduced_costs=[u - d for u, d in zip(mu, nu)],
+                      pivots=tab.pivots)
 
 
 def _basis_duals(a: list[list[Fraction]], cost: list[Fraction],
-                 basis: list[int], width: int, rows_kept: list[int]) -> list[Fraction]:
+                 basis: list[int]) -> list[Fraction]:
     """Dual vector y solving y . A_B = c_B for the final basis.
 
-    Rows dropped as redundant get dual 0.  ``a`` holds the pristine
-    (pre-pivot) standard-form rows.
+    ``a`` holds the pristine (pre-pivot) standard-form rows, which have
+    full row rank, so A_B is square and nonsingular.  Only the basis
+    columns are read, so the rows may carry artificial columns and the rhs.
     """
-    sub = [a[i] for i in rows_kept]
-    k = len(sub)
-    at = [[sub[i][b] for i in range(k)] for b in basis]
-    cb = [cost[b] for b in basis]
-    y_kept = solve_linear_system(at, cb)
-    assert y_kept is not None
-    y = [ZERO] * len(a)
-    for idx, i in enumerate(rows_kept):
-        y[i] = y_kept[idx]
+    at = [[row[b] for row in a] for b in basis]
+    y = solve_linear_system(at, [cost[b] for b in basis])
+    _check(y is not None, "the basis matrix is nonsingular")
     return y
 
 
@@ -483,24 +546,22 @@ def _map_direction(d_std: list[Fraction], var_map, col_of, n: int) -> list[Fract
 
 
 def _check_primal(lp: LinearProgram, x: list[Fraction]) -> None:
-    for row, rhs in zip(lp.a_eq, lp.b_eq):
-        assert sum(a * v for a, v in zip(row, x)) == rhs
-    for row, rhs in zip(lp.a_ub, lp.b_ub):
-        assert sum(a * v for a, v in zip(row, x)) <= rhs
-    for v, lo, up in zip(x, lp.lower, lp.upper):
-        assert lo is None or v >= lo
-        assert up is None or v <= up
+    _check(all(sum(a * v for a, v in zip(row, x)) == rhs
+               for row, rhs in zip(lp.a_eq, lp.b_eq)), "primal equality rows")
+    _check(all(sum(a * v for a, v in zip(row, x)) <= rhs
+               for row, rhs in zip(lp.a_ub, lp.b_ub)), "primal inequality rows")
+    _check(all((lo is None or v >= lo) and (up is None or v <= up)
+               for v, lo, up in zip(x, lp.lower, lp.upper)), "primal bounds")
 
 
 def _check_ray(lp: LinearProgram, d: list[Fraction]) -> None:
-    for row in lp.a_eq:
-        assert sum(a * v for a, v in zip(row, d)) == 0
-    for row in lp.a_ub:
-        assert sum(a * v for a, v in zip(row, d)) <= 0
-    for v, lo, up in zip(d, lp.lower, lp.upper):
-        assert lo is None or v >= 0
-        assert up is None or v <= 0
-    assert sum(c * v for c, v in zip(lp.objective, d)) > 0
+    _check(all(sum(a * v for a, v in zip(row, d)) == 0 for row in lp.a_eq),
+           "ray keeps the equality rows")
+    _check(all(sum(a * v for a, v in zip(row, d)) <= 0 for row in lp.a_ub),
+           "ray keeps the inequality rows")
+    _check(all((lo is None or v >= 0) and (up is None or v <= 0)
+               for v, lo, up in zip(d, lp.lower, lp.upper)), "ray keeps the bounds")
+    _check(sum(c * v for c, v in zip(lp.objective, d)) > 0, "ray improves")
 
 
 def _fold_duals(lp, y, row_specs, row_sign, objective):
@@ -509,7 +570,8 @@ def _fold_duals(lp, y, row_specs, row_sign, objective):
     Bound multipliers mu (upper) and nu (lower) absorb what the row duals
     leave of ``objective``, so that A^T dual + mu - nu = objective.
     Returns (dual_eq, dual_ub, mu, nu, dual objective value) after checking
-    the multipliers' signs exactly.
+    the multipliers' signs exactly.  Equality rows absent from
+    ``row_specs`` get dual 0.
     """
     dual_eq = [ZERO] * len(lp.a_eq)
     dual_ub = [ZERO] * len(lp.a_ub)
@@ -531,65 +593,14 @@ def _fold_duals(lp, y, row_specs, row_sign, objective):
             mu[j] += r
         else:
             nu[j] = -r
-    assert all(v >= 0 for v in dual_ub)
-    assert all(v >= 0 for v in mu) and all(v >= 0 for v in nu)
-    for j in range(lp.n):
-        assert mu[j] == 0 or lp.upper[j] is not None
-        assert nu[j] == 0 or lp.lower[j] is not None
+    _check(all(v >= 0 for v in dual_ub), "inequality duals are nonnegative")
+    _check(all(v >= 0 for v in mu) and all(v >= 0 for v in nu),
+           "bound multipliers are nonnegative")
+    _check(all((mu[j] == 0 or lp.upper[j] is not None) and
+               (nu[j] == 0 or lp.lower[j] is not None) for j in range(lp.n)),
+           "bound multipliers sit on finite bounds")
     value = sum(d * b for d, b in zip(dual_eq, lp.b_eq)) + \
         sum(d * b for d, b in zip(dual_ub, lp.b_ub)) + \
         sum(mu[j] * lp.upper[j] for j in range(lp.n) if mu[j] != 0) - \
         sum(nu[j] * lp.lower[j] for j in range(lp.n) if nu[j] != 0)
     return dual_eq, dual_ub, mu, nu, value
-
-
-def enumerate_vertices(lp: LinearProgram) -> list[list[Fraction]]:
-    """Brute-force vertex enumeration for small LPs (test oracle).
-
-    Tries every way of making n constraints active among equalities,
-    inequalities and bounds, solves the square system and keeps feasible
-    points.  Exponential; only for cross-checking the simplex on tiny
-    instances.
-    """
-    n = lp.n
-    cand_rows: list[tuple[list[Fraction], Fraction]] = []
-    for row, rhs in zip(lp.a_eq, lp.b_eq):
-        cand_rows.append((list(row), rhs))
-    n_eq = len(cand_rows)
-    optional: list[tuple[list[Fraction], Fraction]] = []
-    for row, rhs in zip(lp.a_ub, lp.b_ub):
-        optional.append((list(row), rhs))
-    for j in range(n):
-        if lp.lower[j] is not None:
-            unit = [ZERO] * n
-            unit[j] = ONE
-            optional.append((unit, lp.lower[j]))
-        if lp.upper[j] is not None:
-            unit = [ZERO] * n
-            unit[j] = ONE
-            optional.append((unit, lp.upper[j]))
-    vertices: list[list[Fraction]] = []
-    seen: set[tuple] = set()
-    rank_eq = rank([r for r, _ in cand_rows]) if cand_rows else 0
-    need = max(n - rank_eq, 0)
-    for combo in itertools.combinations(range(len(optional)), need):
-        rows = [r for r, _ in cand_rows] + [optional[i][0] for i in combo]
-        rhs = [b for _, b in cand_rows] + [optional[i][1] for i in combo]
-        if rank(rows) < n:
-            continue
-        x = solve_linear_system(rows, rhs)
-        if x is None:
-            continue
-        ok = all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(lp.a_eq, lp.b_eq))
-        ok = ok and all(sum(a * v for a, v in zip(row, x)) <= b
-                        for row, b in zip(lp.a_ub, lp.b_ub))
-        ok = ok and all((lp.lower[j] is None or x[j] >= lp.lower[j]) and
-                        (lp.upper[j] is None or x[j] <= lp.upper[j])
-                        for j in range(n))
-        if not ok:
-            continue
-        key = tuple(x)
-        if key not in seen:
-            seen.add(key)
-            vertices.append(x)
-    return vertices

@@ -1,13 +1,18 @@
-"""Reference row and generator builders, written as explicit profile loops.
+"""Reference implementations the tests compare the library against.
 
-These are the hand-rolled builders the library used before it built every
+The row and generator builders are written as explicit profile loops:
+they are the hand-rolled builders the library used before it built every
 row family on ``icmech.belief``; the property tests require the library's
-rows to equal them entry for entry and in order.
+rows to equal them entry for entry and in order.  ``enumerate_vertices``
+is a brute-force LP oracle for cross-checking the simplex.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
+
+from icmech.numerics import LinearProgram, rank, solve_linear_system
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -121,3 +126,54 @@ def interim_rows_alloc(inst):
                 seen.add(key)
                 rows.append(row)
     return rows
+
+
+def enumerate_vertices(lp: LinearProgram) -> list[list[Fraction]]:
+    """Brute-force vertex enumeration for small LPs (test oracle).
+
+    Tries every way of making n constraints active among equalities,
+    inequalities and bounds, solves the square system and keeps feasible
+    points.  Exponential; only for cross-checking the simplex on tiny
+    instances.
+    """
+    n = lp.n
+    cand_rows: list[tuple[list[Fraction], Fraction]] = []
+    for row, rhs in zip(lp.a_eq, lp.b_eq):
+        cand_rows.append((list(row), rhs))
+    optional: list[tuple[list[Fraction], Fraction]] = []
+    for row, rhs in zip(lp.a_ub, lp.b_ub):
+        optional.append((list(row), rhs))
+    for j in range(n):
+        if lp.lower[j] is not None:
+            unit = [ZERO] * n
+            unit[j] = ONE
+            optional.append((unit, lp.lower[j]))
+        if lp.upper[j] is not None:
+            unit = [ZERO] * n
+            unit[j] = ONE
+            optional.append((unit, lp.upper[j]))
+    vertices: list[list[Fraction]] = []
+    seen: set[tuple] = set()
+    rank_eq = rank([r for r, _ in cand_rows]) if cand_rows else 0
+    need = max(n - rank_eq, 0)
+    for combo in itertools.combinations(range(len(optional)), need):
+        rows = [r for r, _ in cand_rows] + [optional[i][0] for i in combo]
+        rhs = [b for _, b in cand_rows] + [optional[i][1] for i in combo]
+        if rank(rows) < n:
+            continue
+        x = solve_linear_system(rows, rhs)
+        if x is None:
+            continue
+        ok = all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(lp.a_eq, lp.b_eq))
+        ok = ok and all(sum(a * v for a, v in zip(row, x)) <= b
+                        for row, b in zip(lp.a_ub, lp.b_ub))
+        ok = ok and all((lp.lower[j] is None or x[j] >= lp.lower[j]) and
+                        (lp.upper[j] is None or x[j] <= lp.upper[j])
+                        for j in range(n))
+        if not ok:
+            continue
+        key = tuple(x)
+        if key not in seen:
+            seen.add(key)
+            vertices.append(x)
+    return vertices

@@ -181,6 +181,13 @@ class TestContracts:
         code, _ = run(capsys, "inspect", "/nonexistent/inst.json")
         assert code == 1
 
+    def test_missing_file_is_not_reported_as_bad_json(self, capsys, tmp_path):
+        missing = str(tmp_path / "nope" / "missing.json")
+        code = main(["inspect", missing])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: no such file: {missing}\n"
+
     def test_exit_code_precondition(self, capsys):
         # Matching analysis on a correlated instance is refused, not failed.
         code, _ = run(capsys, "myo", FX2)

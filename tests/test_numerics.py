@@ -1,11 +1,18 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from icmech.numerics import (LinearProgram, enumerate_vertices, frac, in_span,
+from icmech import numerics
+from icmech.numerics import (LinearProgram, frac, in_span,
                              orthogonal_projection, rank, solve_linear_system,
                              solve_lp, span_coefficients)
+
+from . import reference
 
 F = Fraction
 
@@ -224,7 +231,7 @@ class TestAgainstVertexEnumeration:
             # Mostly tiny LPs, with a tail of 5- and 6-variable ones.
             lp = random_lp(rng, max_vars=4 if trial < 100 else 6)
             sol = solve_lp(lp)
-            vertices = enumerate_vertices(lp)
+            vertices = reference.enumerate_vertices(lp)
             if sol.status == "infeasible":
                 assert vertices == []
                 continue
@@ -265,3 +272,169 @@ class TestAgainstVertexEnumeration:
             assert dual_value == sol.value
             verified += 1
         assert verified >= 30
+
+
+def dot(row, x):
+    return sum(a * v for a, v in zip(row, x))
+
+
+def assert_dual_certificate(lp: LinearProgram, sol) -> None:
+    """Recompute dual feasibility and strong duality from the LP data."""
+    assert all(d >= 0 for d in sol.dual_ub)
+    dual_value = dot(sol.dual_eq, lp.b_eq) + dot(sol.dual_ub, lp.b_ub)
+    for j in range(lp.n):
+        r = sol.reduced_costs[j]
+        if r > 0:
+            assert lp.upper[j] is not None
+            dual_value += r * lp.upper[j]
+        elif r < 0:
+            assert lp.lower[j] is not None
+            dual_value += r * lp.lower[j]
+        g = dot(sol.dual_eq, [row[j] for row in lp.a_eq]) + \
+            dot(sol.dual_ub, [row[j] for row in lp.a_ub])
+        assert lp.objective[j] - g == r
+    assert dual_value == sol.value
+
+
+def homogeneous_boxed_lp(rng: random.Random) -> LinearProgram:
+    """Equality rows through the origin (some of them combinations of
+    earlier ones), 0 <= x <= u and <= rows with nonnegative rhs: the slack
+    crash basis with every artificial at 0 is already phase-1 optimal."""
+    n = rng.randint(2, 5)
+    a_eq = [[F(rng.randint(-2, 2)) for _ in range(n)]
+            for _ in range(rng.randint(1, 2))]
+    for _ in range(rng.randint(0, 2)):
+        c1, c2 = F(rng.randint(-2, 2)), F(rng.randint(1, 3), 2)
+        r1, r2 = rng.choice(a_eq), rng.choice(a_eq)
+        a_eq.append([c1 * a + c2 * b for a, b in zip(r1, r2)])
+    m = rng.randint(0, 2)
+    return LinearProgram(
+        objective=[F(rng.randint(-4, 4)) for _ in range(n)],
+        a_eq=a_eq, b_eq=[F(0)] * len(a_eq),
+        a_ub=[[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)],
+        b_ub=[F(rng.randint(0, 4)) for _ in range(m)],
+        lower=[F(0)] * n, upper=[F(rng.randint(1, 3)) for _ in range(n)])
+
+
+class TestPhaseOneSetUp:
+    def test_feasible_start_skips_phase_one(self, monkeypatch):
+        # Phase 2 is the only simplex run; the answer still agrees with
+        # vertex enumeration and its dual certificate.
+        runs = []
+        run = numerics._Tableau.run
+
+        def counting_run(self, obj, ncols):
+            runs.append(ncols)
+            return run(self, obj, ncols)
+
+        monkeypatch.setattr(numerics._Tableau, "run", counting_run)
+        rng = random.Random(31)
+        for _ in range(60):
+            lp = homogeneous_boxed_lp(rng)
+            runs.clear()
+            sol = solve_lp(lp)
+            assert sol.status == "optimal"
+            assert len(runs) == 1
+            best = max(dot(lp.objective, x)
+                       for x in reference.enumerate_vertices(lp))
+            assert sol.value == best
+            assert_dual_certificate(lp, sol)
+
+    def test_infeasible_certificates_verify_from_the_data(self):
+        rng = random.Random(47)
+        checked = 0
+        for trial in range(80):
+            lp = random_lp(rng)
+            n = lp.n
+            if trial % 3 == 0:
+                # An inconsistent multiple of an equality row.
+                if not lp.a_eq:
+                    lp.a_eq.append([F(rng.randint(-2, 2)) for _ in range(n)])
+                    lp.b_eq.append(F(rng.randint(-2, 2)))
+                i = rng.randrange(len(lp.a_eq))
+                lp.a_eq.append([2 * a for a in lp.a_eq[i]])
+                lp.b_eq.append(2 * lp.b_eq[i] + rng.choice([-1, 1]))
+            elif trial % 3 == 1:
+                # A <= row with negative rhs that the box cannot meet.
+                lp.a_ub.append([F(-1)] * n)
+                lp.b_ub.append(-sum(lp.upper) - rng.randint(1, 3))
+            sol = solve_lp(lp)
+            if sol.status != "infeasible":
+                assert trial % 3 == 2
+                continue
+            assert reference.enumerate_vertices(lp) == []
+            cert = sol.certificate
+            y_eq, y_ub = cert["dual_eq"], cert["dual_ub"]
+            mu, nu = cert["upper_multipliers"], cert["lower_multipliers"]
+            assert all(v >= 0 for v in y_ub + mu + nu)
+            for j in range(n):
+                assert mu[j] == 0 or lp.upper[j] is not None
+                assert nu[j] == 0 or lp.lower[j] is not None
+                # A^T y + mu - nu = 0: the combination of the rows vanishes.
+                assert dot(y_eq, [row[j] for row in lp.a_eq]) + \
+                    dot(y_ub, [row[j] for row in lp.a_ub]) + mu[j] - nu[j] == 0
+            combined = dot(y_eq, lp.b_eq) + dot(y_ub, lp.b_ub) + \
+                sum(mu[j] * lp.upper[j] for j in range(n) if mu[j]) - \
+                sum(nu[j] * lp.lower[j] for j in range(n) if nu[j])
+            assert combined < 0 and combined == cert["gap"]
+            checked += 1
+        assert checked >= 50
+
+    def test_dependent_equality_rows_get_dual_zero(self):
+        rng = random.Random(53)
+        verified = 0
+        for _ in range(150):
+            lp = random_lp(rng)
+            if not lp.a_eq:
+                continue
+            # Append combinations of the existing equality rows.
+            k = len(lp.a_eq)
+            for _ in range(rng.randint(1, 3)):
+                c = [F(rng.randint(-2, 2)) for _ in range(k)]
+                lp.a_eq.append([dot(c, col) for col in zip(*lp.a_eq[:k])])
+                lp.b_eq.append(dot(c, lp.b_eq[:k]))
+            sol = solve_lp(lp)
+            if sol.status != "optimal":
+                continue
+            assert sol.dual_eq[k:] == [F(0)] * (len(lp.a_eq) - k)
+            assert_dual_certificate(lp, sol)
+            verified += 1
+        assert verified >= 30
+
+    def test_redundant_rows_do_not_reach_the_tableau(self):
+        # 60 interim rows of rank 19 in the oracle LP leave 19 equality
+        # rows plus one bound row per variable.
+        from icmech.ic import ic_polytope
+        from icmech.oracle import generate
+        rows = ic_polytope(generate(1001, (6, 6), "conditionally-independent",
+                                    k=2).dist)
+        kept = numerics._independent_rows(rows, [F(0)] * len(rows))
+        assert len(rows) == 60 and len(kept) == rank(rows) == 19
+        assert rank([rows[i] for i in kept]) == 19
+
+
+class TestChecksSurviveOptimize:
+    def test_perturbed_dual_raises_under_python_o(self):
+        # A corrupted dual must fail the strong-duality check even when
+        # the interpreter strips asserts.
+        script = (
+            "from fractions import Fraction as F\n"
+            "from icmech import numerics\n"
+            "good = numerics._basis_duals\n"
+            "def bad(*args):\n"
+            "    y = good(*args)\n"
+            "    y[0] += 1\n"
+            "    return y\n"
+            "numerics._basis_duals = bad\n"
+            "lp = numerics.LinearProgram(objective=[F(1)], a_ub=[[F(1)]],\n"
+            "                            b_ub=[F(3)])\n"
+            "try:\n"
+            "    numerics.solve_lp(lp)\n"
+            "except RuntimeError as e:\n"
+            "    print('debug' if __debug__ else 'optimized', e)\n")
+        src = Path(numerics.__file__).resolve().parent.parent
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "optimized exact LP check failed: strong duality\n"

@@ -6,6 +6,7 @@ import pytest
 from icmech.core import PreconditionError
 from icmech.ic import check_ic
 from icmech.nalloc import check_ic_n
+from icmech.numerics import solve_lp
 from icmech.oracle import (generate, random_transport_extreme,
                            sample_ic_combination, sample_ic_vertex,
                            solve_principal, solve_principal_alloc)
@@ -45,6 +46,26 @@ class TestSolvePrincipal:
                             disposal=(seed % 2 == 1))
             res = solve_principal_alloc(inst)
             assert check_ic_n(res.mechanism, inst).verdict
+
+    @pytest.mark.parametrize("shape, kind, k, pivots", [
+        ((6, 6), "conditionally-independent", 2, 96),
+        ((5, 5), "full-rank", None, 24),
+        ((3, 3, 3), "unbiased-n-alloc", None, 110),
+    ])
+    def test_pivot_counts(self, monkeypatch, shape, kind, k, pivots):
+        # Bland's rule makes the pivot count a deterministic function of
+        # the LP, so an engine change that adds pivots fails here.
+        solutions = []
+
+        def recording_solve_lp(lp):
+            solutions.append(solve_lp(lp))
+            return solutions[-1]
+
+        monkeypatch.setattr("icmech.oracle.solve_lp", recording_solve_lp)
+        inst = generate(1001, shape, kind, k=k)
+        solve = solve_principal_alloc if len(shape) == 3 else solve_principal
+        solve(inst)
+        assert [s.pivots for s in solutions] == [pivots]
 
 
 class TestGenerate:

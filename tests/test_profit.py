@@ -8,7 +8,7 @@ from icmech import (Mechanism, NoneCertificate, PreconditionError,
                     constant_mechanism, expectation, make_instance)
 from icmech.core import Instance, TypeSpace, constant_array, normalize
 from icmech.ic import check_ic
-from icmech.numerics import LinearProgram, enumerate_vertices
+from icmech.numerics import LinearProgram
 from icmech.oracle import (generate, sample_ic_combination, sample_ic_vertex,
                            solve_principal)
 from icmech.profit import (ConstructionResult, _best_matching_enumerate,
@@ -118,7 +118,7 @@ class TestTransport:
             b_eq.extend([F(0)] * len(extra))
         lp = LinearProgram(objective=obj, a_eq=a_eq, b_eq=b_eq,
                            lower=[F(0)] * (m * n), upper=[F(1)] * (m * n))
-        vertices = enumerate_vertices(lp)
+        vertices = reference.enumerate_vertices(lp)
         return max(sum(c * x for c, x in zip(obj, v)) for v in vertices)
 
     def test_product_objective_value(self, inst_fx1):
