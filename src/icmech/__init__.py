@@ -17,9 +17,8 @@ from .ic import (ICReport, SpanningVerdict, check_ic, classify_extremes,
 from .nalloc import (AllocationInstance, AllocationMechanism,
                      analyze_allocation, check_ic_n, construct_profitable_n,
                      difference_additive, load_allocation, with_disposal)
-from .numerics import (LinearProgram, LPSolution, in_span,
-                       orthogonal_projection, rank, solve_linear_system,
-                       solve_lp)
+from .numerics import (LinearProgram, LPSolution, in_span, rank,
+                       solve_linear_system, solve_lp)
 from .oracle import generate, solve_principal, solve_principal_alloc
 from .profit import (AdditivityReport, ConstructionResult, Decomposition,
                      MatchingReport, TransportResult, additivity_test,
@@ -37,8 +36,8 @@ __all__ = [
     "AllocationInstance", "AllocationMechanism", "analyze_allocation",
     "check_ic_n", "construct_profitable_n", "difference_additive",
     "load_allocation", "with_disposal",
-    "LinearProgram", "LPSolution", "in_span", "orthogonal_projection",
-    "rank", "solve_linear_system", "solve_lp",
+    "LinearProgram", "LPSolution", "in_span", "rank",
+    "solve_linear_system", "solve_lp",
     "generate", "solve_principal", "solve_principal_alloc",
     "AdditivityReport", "ConstructionResult", "Decomposition",
     "MatchingReport", "TransportResult", "additivity_test",

@@ -12,7 +12,9 @@ For two agents the same structure gives the additivity subspace
 U = col(pi) (x) R^n + R^m (x) row(pi), whose orthogonal complement is
 col(pi)^perp (x) row(pi)^perp; ``kronecker_residual`` projects onto that
 complement with r-dimensional bases of pi's column and row spaces,
-r = rank(pi).
+r = rank(pi).  ``difference_residual`` is its closed form for the splits
+u_i(theta_i) - u_n(theta_n) of n independent agents.  Both residuals are
+built from ``project_axis``, a projection along one axis.
 """
 
 from __future__ import annotations
@@ -108,6 +110,21 @@ def _orthogonal_basis(vectors) -> list[tuple[np.ndarray, Fraction]]:
     return basis
 
 
+def slice_sums(arr: np.ndarray, i: int) -> np.ndarray:
+    """Entry s: the sum of ``arr`` over the profiles where agent i has type s."""
+    return np.moveaxis(arr, i, 0).reshape(arr.shape[i], -1).sum(axis=1)
+
+
+def project_axis(arr: np.ndarray, axis: int, basis) -> np.ndarray:
+    """Project each fibre of ``arr`` along ``axis`` onto the span of
+    ``basis``, (vector, squared norm) pairs of orthogonal vectors."""
+    moved = np.moveaxis(arr, axis, -1)
+    proj = np.zeros_like(moved)
+    for u, norm in basis:
+        proj = proj + np.multiply.outer(moved.dot(u) / norm, u)
+    return np.moveaxis(proj, -1, axis)
+
+
 def kronecker_residual(dist: JointDist, w: np.ndarray) -> np.ndarray:
     """w_hat = (I - Q_col) w (I - Q_row): the component of the m x n array
     w orthogonal to U = col(pi) (x) R^n + R^m (x) row(pi).
@@ -120,11 +137,40 @@ def kronecker_residual(dist: JointDist, w: np.ndarray) -> np.ndarray:
     two_agent(dist.space)
     pi = dist.p
     resid = np.array(w, dtype=object)
-    for u, norm in _orthogonal_basis(pi.T):
-        resid = resid - np.multiply.outer(u, u.dot(resid) / norm)
-    for u, norm in _orthogonal_basis(pi):
-        resid = resid - np.multiply.outer(resid.dot(u) / norm, u)
+    resid = resid - project_axis(resid, 0, _orthogonal_basis(pi.T))
+    resid = resid - project_axis(resid, 1, _orthogonal_basis(pi))
     if any(pi.T.dot(resid).reshape(-1)) or any(resid.dot(pi.T).reshape(-1)):
         raise RuntimeError("additivity residual is not orthogonal to the "
                            "row and column spaces of pi")
     return resid
+
+
+def difference_residual(dist: JointDist, t: np.ndarray) -> np.ndarray:
+    """The component of t = (t_1, ..., t_{n-1}), shaped (n - 1,) + pi's
+    shape, orthogonal to W = {(pi * (a_i(theta_i) - b(theta_n)))_i}, for a
+    product distribution pi of n >= 2 agents.
+
+    With P_k projecting along axis k onto the marginal p_k, it is
+    eps_i = (I - P_Ai) t_i - (P_B - P_pi) sum_j t_j / (n - 1), where
+    P_Ai = prod_{k != i} P_k, P_B = prod_{k != n} P_k, P_pi = prod_k P_k;
+    for n = 2 it is the Kronecker residual (I - P_1)(I - P_2) t_1.  Checked
+    exactly: pi * eps_i sums to 0 on each slice of theta_i, and
+    pi * sum_i eps_i on each slice of theta_n.
+    """
+    n = dist.space.n_agents
+
+    def onto(arr, skip):
+        for k, p in enumerate(dist.marginals()):
+            if k != skip:
+                arr = project_axis(arr, k, [(p, p.dot(p))])
+        return arr
+
+    shared = onto(sum(t), n - 1)
+    shared = (shared - onto(shared, None)) / (n - 1)
+    eps = np.array([ti - onto(ti, i) - shared for i, ti in enumerate(t)],
+                   dtype=object)
+    if any(any(slice_sums(dist.p * e, i)) for i, e in enumerate(eps)) or \
+            any(slice_sums(dist.p * eps.sum(axis=0), n - 1)):
+        raise RuntimeError("difference residual is not orthogonal to the "
+                           "pi-weighted splits")
+    return eps

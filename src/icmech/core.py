@@ -12,6 +12,7 @@ in row-major agent order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -135,10 +136,7 @@ def constant_array(shape: tuple[int, ...], value) -> np.ndarray:
 
 
 def array_sum(arr: np.ndarray) -> Fraction:
-    total = ZERO
-    for v in arr.reshape(-1):
-        total += v
-    return total
+    return sum(arr.reshape(-1), ZERO)
 
 
 def arrays_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -155,6 +153,15 @@ def to_nested_strings(arr):
 # ---------------------------------------------------------------------------
 # Joint distributions
 # ---------------------------------------------------------------------------
+
+def axis_marginals(p: np.ndarray) -> list[np.ndarray]:
+    """Each agent's marginal of a joint probability array."""
+    out = []
+    for i in range(p.ndim):
+        axes = tuple(a for a in range(p.ndim) if a != i)
+        out.append(p.sum(axis=axes) if axes else p.copy())
+    return out
+
 
 class JointDist:
     """Joint type distribution with exact entries and positive marginals.
@@ -180,17 +187,12 @@ class JointDist:
             raise SchemaError("pi entries must sum to exactly 1")
         self.space = space
         self.p = probabilities
-        self._marginals = tuple(self._axis_marginal(i)
-                                for i in range(space.n_agents))
+        self._marginals = tuple(axis_marginals(probabilities))
         for agent, m in zip(space.agents, self._marginals):
             if any(v == 0 for v in m):
                 raise SchemaError(
                     f"agent {agent!r} has a zero-probability type; "
                     "drop it or pass drop_zero_types=True when loading")
-
-    def _axis_marginal(self, i: int) -> np.ndarray:
-        axes = tuple(a for a in range(self.space.n_agents) if a != i)
-        return self.p.sum(axis=axes) if axes else self.p.copy()
 
     def marginal(self, i: int) -> np.ndarray:
         return self._marginals[i]
@@ -229,14 +231,7 @@ class JointDist:
 
 def product_dist(space: TypeSpace, marginals: list[np.ndarray]) -> JointDist:
     """Independent joint distribution from per-agent marginals."""
-    p = constant_array(space.shape, ONE)
-    for profile_idx, profile in enumerate(space.profiles()):
-        idx = np.unravel_index(profile_idx, space.shape)
-        value = ONE
-        for ax, pos in enumerate(idx):
-            value *= marginals[ax][pos]
-        p[idx] = value
-    return JointDist(space, p)
+    return JointDist(space, functools.reduce(np.multiply.outer, marginals))
 
 
 def expectation(dist: JointDist, values: np.ndarray) -> Fraction:
@@ -361,12 +356,30 @@ def _parse_labels(raw) -> tuple:
     return tuple(labels)
 
 
+# Bounds an input number's length and decimal exponent: beyond them exact
+# parsing and printing do unbounded work.
+MAX_DIGITS = 1000
+_INT_LIMIT = 10 ** MAX_DIGITS
+
+
+def _too_large(node) -> bool:
+    if isinstance(node, int):
+        return abs(node) >= _INT_LIMIT
+    exponent = node.replace("_", "").lower().partition("e")[2].strip()
+    exponent = exponent.lstrip("+-")
+    return len(node) > MAX_DIGITS or \
+        (exponent.isdecimal() and int(exponent) > MAX_DIGITS)
+
+
 def _parse_rational_nested(node, shape, where: str):
     if len(shape) == 0:
         if isinstance(node, float):
             raise SchemaError(
                 f"{where}: floats are not exact; write rationals as strings "
                 "like \"1/4\" or \"0.25\"")
+        if isinstance(node, (int, str)) and _too_large(node):
+            raise SchemaError(f"{where}: a number has more than {MAX_DIGITS} "
+                              f"digits or an exponent beyond {MAX_DIGITS}")
         try:
             return frac(node)
         except (ValueError, TypeError, ZeroDivisionError) as e:
@@ -399,20 +412,19 @@ def parse_type_space(data: dict) -> TypeSpace:
     return TypeSpace(agents, tuple(_parse_labels(types_map[a]) for a in agents))
 
 
-def _drop_zero_types(space: TypeSpace, pi: np.ndarray,
-                     others: list[np.ndarray]) -> tuple[TypeSpace, np.ndarray, list[np.ndarray]]:
-    keep: list[list[int]] = []
-    for i in range(space.n_agents):
-        axes = tuple(a for a in range(space.n_agents) if a != i)
-        marg = pi.sum(axis=axes) if axes else pi
-        keep.append([k for k in range(space.shape[i]) if marg[k] != 0])
-        if not keep[-1]:
-            raise SchemaError(f"agent {space.agents[i]!r} has no positive-probability types")
+def without_zero_types(space: TypeSpace, marginals, arrays) -> tuple:
+    """Remove the types whose marginal probability is 0: the smaller type
+    space, the marginals on it and each full-profile array restricted to it."""
+    keep = [[k for k, p in enumerate(m) if p != 0] for m in marginals]
+    for agent, kept in zip(space.agents, keep):
+        if not kept:
+            raise SchemaError(f"agent {agent!r} has no positive-probability types")
     slicer = np.ix_(*keep)
     new_space = TypeSpace(space.agents,
-                          tuple(tuple(space.types[i][k] for k in keep[i])
-                                for i in range(space.n_agents)))
-    return new_space, pi[slicer], [arr[slicer] for arr in others]
+                          tuple(tuple(labels[k] for k in kept)
+                                for labels, kept in zip(space.types, keep)))
+    return (new_space, [m[kept] for m, kept in zip(marginals, keep)],
+            [arr[slicer] for arr in arrays])
 
 
 def load_instance(source, *, drop_zero_types: bool = False) -> Instance:
@@ -431,7 +443,8 @@ def load_instance(source, *, drop_zero_types: bool = False) -> Instance:
     vR = (parse_rational_array(data["vR"], space.shape, "vR")
           if "vR" in data else constant_array(space.shape, 0))
     if drop_zero_types:
-        space, pi, (vL, vR) = _drop_zero_types(space, pi, [vL, vR])
+        space, _, (pi, vL, vR) = without_zero_types(
+            space, axis_marginals(pi), [pi, vL, vR])
     dist = JointDist(space, pi)
     name = data.get("name")
     seed = data.get("seed")
@@ -473,7 +486,7 @@ def load_json_dict(source) -> dict:
         raise SchemaError(f"cannot load instance from {type(source).__name__}")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also an integer too long to convert
         raise SchemaError(f"invalid JSON: {e}") from None
     if not isinstance(data, dict):
         raise SchemaError("top-level JSON value must be an object")

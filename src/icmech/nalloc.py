@@ -6,8 +6,10 @@ agent's interim probability of receiving the good does not depend on his
 report.  When the principal is unbiased (equal expected values across
 agents), a profitable mechanism exists iff the values fail to be
 "difference-additive": v_i - v_j does not split as u_i(type_i) -
-u_j(type_j).  Free disposal reduces to the same analysis with an extra
-dummy agent holding a singleton type and zero value.
+u_j(type_j).  Independence gives that test a closed form built from
+projections onto the marginals (``belief.difference_residual``).  Free
+disposal reduces to the same analysis with an extra dummy agent holding a
+singleton type and zero value.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .belief import beliefs, dot, lift
+from .belief import difference_residual, slice_sums
 from .core import (JointDist, NoneCertificate, PreconditionError, SchemaError,
-                   TypeSpace, load_json_dict, constant_array, dumps_canonical,
+                   TypeSpace, array_sum, axis_marginals, constant_array,
+                   dumps_canonical, expectation, load_json_dict,
                    parse_rational_array, parse_type_space, product_dist,
-                   to_nested_strings)
-from .numerics import orthogonal_projection, span_coefficients
+                   to_nested_strings, without_zero_types)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -74,10 +76,7 @@ class AllocationInstance:
         return self.space.n_agents
 
     def expected_value(self, i: int) -> Fraction:
-        total = ZERO
-        for idx in np.ndindex(*self.space.shape):
-            total += self.dist.p[idx] * self.values[i][idx]
-        return total
+        return expectation(self.dist, self.values[i])
 
     @property
     def expected_values(self) -> list[Fraction]:
@@ -108,13 +107,12 @@ class AllocationMechanism:
                 if not isinstance(v, Fraction) or v < 0:
                     raise SchemaError("allocation probabilities must be "
                                       "nonnegative rationals")
-        for idx in np.ndindex(*space.shape):
-            total = sum(p[idx] for p in parts)
-            if disposal and total > 1:
-                raise SchemaError("allocation probabilities exceed 1")
-            if not disposal and total != 1:
-                raise SchemaError("allocation probabilities must sum to "
-                                  "exactly 1 at every profile")
+        totals = list(sum(parts).reshape(-1))
+        if disposal and max(totals) > 1:
+            raise SchemaError("allocation probabilities exceed 1")
+        if not disposal and any(t != 1 for t in totals):
+            raise SchemaError("allocation probabilities must sum to "
+                              "exactly 1 at every profile")
         self.space = space
         self.x = parts
         self.disposal = disposal
@@ -136,36 +134,27 @@ def check_ic_n(x: AllocationMechanism, inst: AllocationInstance) -> AllocationIC
     report-independent for every agent.  Infeasible mechanisms are rejected."""
     if x.space != inst.space:
         raise PreconditionError("mechanism and instance type spaces differ")
-    for idx in np.ndindex(*inst.space.shape):
-        total = sum(p[idx] for p in x.x)
-        if inst.disposal:
-            if total > 1:
-                raise PreconditionError("mechanism infeasible: total exceeds 1")
-        elif total != 1:
-            raise PreconditionError(
-                "mechanism infeasible: the good must always be allocated")
+    totals = list(sum(x.x).reshape(-1))
+    if inst.disposal and max(totals) > 1:
+        raise PreconditionError("mechanism infeasible: total exceeds 1")
+    if not inst.disposal and any(t != 1 for t in totals):
+        raise PreconditionError(
+            "mechanism infeasible: the good must always be allocated")
     interim: dict = {}
     ex_ante: list[Fraction] = []
     violations = []
-    verdict = True
-    shape = inst.space.shape
     for i, agent in enumerate(inst.space.agents):
-        # Types are independent, so the interim win probability of type b is
-        # the same to every type: the truthful row of type b stands for all.
-        part = list(x.x[i].reshape(-1))
-        vals = [dot(lift(shape, i, b, belief), part)
-                for b, belief in enumerate(beliefs(inst.dist, i))]
-        for label, val in zip(inst.space.types[i], vals):
+        # Types are independent, so every type holds the same belief about
+        # the others: type b's interim win probability is the same to all.
+        vals = list(slice_sums(inst.dist.p * x.x[i], i) / inst.marginals[i])
+        labels = inst.space.types[i]
+        for label, val in zip(labels, vals):
             interim[(agent, label)] = val
-        ex_ante.append(sum(inst.marginals[i][pos] * vals[pos]
-                           for pos in range(len(vals))))
-        for pos, label in enumerate(inst.space.types[i]):
-            for pos2, label2 in enumerate(inst.space.types[i]):
-                gain = vals[pos2] - vals[pos]
-                if gain > 0:
-                    verdict = False
-                    violations.append((agent, label, label2, gain))
-    return AllocationICReport(verdict=verdict, interim=interim,
+        ex_ante.append(inst.marginals[i].dot(vals))
+        violations += [(agent, label, label2, val2 - val)
+                       for label, val in zip(labels, vals)
+                       for label2, val2 in zip(labels, vals) if val2 > val]
+    return AllocationICReport(verdict=not violations, interim=interim,
                               ex_ante=ex_ante, violations=violations)
 
 
@@ -179,81 +168,65 @@ class DifferenceAdditiveReport:
 
     ``holds`` iff the weighted differences pi * (v_i - v_n) lie in the
     subspace W of functions pi * (u_i(type_i) - u_n(type_n)); then ``u``
-    realizes the split (pairwise splittings for all (i, j) follow).
-    Otherwise ``residual`` is the nonzero component orthogonal to W.
+    realizes the split (pairwise splittings for all (i, j) follow), with
+    u_n(last type) = 0.  Otherwise ``residual`` is the nonzero component
+    orthogonal to W, in the closed form of ``belief.difference_residual``.
     """
 
     holds: bool
     u: dict | None
     residual: np.ndarray | None
-    tilde_v: np.ndarray
-    projection: np.ndarray
-
-
-def _w_generators(inst: AllocationInstance) -> tuple[list[list[Fraction]], list[tuple]]:
-    """Generators of W, one per (agent j, type t), as flat vectors on
-    {1..n-1} x profiles.  The reference agent's generators carry the minus
-    sign so the stored coefficient is u_n(t) itself."""
-    n = inst.n
-    shape = inst.space.shape
-    zero = [ZERO] * inst.space.n_profiles
-    gens: list[list[Fraction]] = []
-    keys: list[tuple] = []
-    for j in range(n):
-        for pos in range(shape[j]):
-            g = lift(shape, j, pos, np.take(inst.dist.p, pos, axis=j).reshape(-1))
-            if j < n - 1:
-                blocks = [g if i == j else zero for i in range(n - 1)]
-            else:
-                blocks = [[-v for v in g]] * (n - 1)
-            gens.append([v for block in blocks for v in block])
-            keys.append((inst.space.agents[j], inst.space.types[j][pos]))
-    return gens, keys
 
 
 def difference_additive(inst: AllocationInstance) -> DifferenceAdditiveReport:
-    """Decide v_i(theta) - v_j(theta) = u_i(theta_i) - u_j(theta_j) by exact
-    projection of the weighted differences onto W."""
+    """Decide v_i(theta) - v_j(theta) = u_i(theta_i) - u_j(theta_j) by the
+    exact closed-form projection of the weighted differences onto W."""
     if inst.n < 2:
         raise PreconditionError("difference-additivity needs at least two agents")
+    t = np.array([inst.dist.p * (v - inst.values[-1])
+                  for v in inst.values[:-1]], dtype=object)
+    eps = difference_residual(inst.dist, t)
+    if any(eps.reshape(-1)):
+        return DifferenceAdditiveReport(holds=False, u=None, residual=eps)
+    u = _split(inst)
+    _verify_split(inst, u)
+    return DifferenceAdditiveReport(holds=True, u=u, residual=None)
+
+
+def _split(inst: AllocationInstance) -> dict:
+    """u read off d_i = v_i - v_n if it splits: u_i(s) is d_i where agent i
+    has type s, the reference agent n its last type and all others their
+    first; u_n(s) = u_1(first) - d_1(agent n at s, all others first)."""
     n = inst.n
-    shape = inst.space.shape
-    size = inst.space.n_profiles
-    prob = inst.dist.p
-    ref = inst.values[n - 1]
-    tilde = np.empty((n - 1,) + shape, dtype=object)
-    for i in range(n - 1):
-        tilde[i] = prob * (inst.values[i] - ref)
-    flat = [tilde[(i,) + idx] for i in range(n - 1)
-            for idx in np.ndindex(*shape)]
-    gens, keys = _w_generators(inst)
-    proj, resid = orthogonal_projection(flat, gens)
-    holds = all(v == 0 for v in resid)
-    u = None
-    residual = None
-    projection = np.array(proj, dtype=object).reshape((n - 1,) + shape)
-    if holds:
-        coeffs = span_coefficients(flat, gens)
-        assert coeffs is not None
-        u = {}
-        for (agent, label), c in zip(keys, coeffs):
-            u.setdefault(agent, {})[label] = c
-        _verify_split(inst, u)
-    else:
-        residual = np.array(resid, dtype=object).reshape((n - 1,) + shape)
-    return DifferenceAdditiveReport(holds=holds, u=u, residual=residual,
-                                    tilde_v=tilde, projection=projection)
+
+    def along(i, arr):
+        idx = [0] * (n - 1) + [-1]
+        idx[i] = slice(None)
+        return list(arr[tuple(idx)])
+
+    d = [v - inst.values[-1] for v in inst.values[:-1]]
+    cols = [along(i, di) for i, di in enumerate(d)]
+    cols.append([cols[0][0] - v for v in along(n - 1, d[0])])
+    return {agent: dict(zip(labels, col)) for agent, labels, col
+            in zip(inst.space.agents, inst.space.types, cols)}
 
 
 def _verify_split(inst: AllocationInstance, u: dict) -> None:
-    agents = inst.space.agents
-    for i in range(inst.n):
-        for j in range(inst.n):
-            for idx, profile in zip(np.ndindex(*inst.space.shape),
-                                    inst.space.profiles()):
-                lhs = inst.values[i][idx] - inst.values[j][idx]
-                rhs = u[agents[i]][profile[i]] - u[agents[j]][profile[j]]
-                assert lhs == rhs
+    """v_i - v_n = u_i(theta_i) - u_n(theta_n) at every profile, exactly;
+    the splits of every v_i - v_j follow."""
+    space = inst.space
+    terms = [np.array([u[agent][p[i]] for p in space.profiles()],
+                      dtype=object).reshape(space.shape)
+             for i, agent in enumerate(space.agents)]
+    for v, term in zip(inst.values, terms):
+        _check(((v - inst.values[-1]) == (term - terms[-1])).all(),
+               "the split reproduces v_i - v_n")
+
+
+def _check(ok: bool, what: str) -> None:
+    """Result-carrying checks raise, also under ``python -O``."""
+    if not ok:
+        raise RuntimeError(f"allocation check failed: {what}")
 
 
 @dataclass
@@ -297,44 +270,36 @@ def construct_profitable_n(inst: AllocationInstance):
             "values across agents); this instance is biased, so decide via "
             "the direct LP over the IC constraints")
     n = inst.n
-    shape = inst.space.shape
     eps = rep.residual
-    flat = [eps[(i,) + idx] for i in range(n - 1) for idx in np.ndindex(*shape)]
+    flat = list(eps.reshape(-1))
     emin = min(flat)
     assert emin < 0  # nonzero residual integrates to zero against pi
-    z = eps - constant_array(eps.shape, emin)
-    cap = max(sum(z[(i,) + idx] for i in range(n - 1))
-              for idx in np.ndindex(*shape))
+    z = eps - emin
+    cap = max(z.sum(axis=0).reshape(-1))
     assert cap > 0
     alpha = ONE / cap
-    parts = [z[i] * alpha for i in range(n - 1)]
-    last = constant_array(shape, 1)
-    for p in parts:
-        last = last - p
-    parts.append(last)
+    parts = list(z * alpha)
+    parts.append(ONE - sum(parts))
     mech = AllocationMechanism(inst.space, parts, disposal=False)
     icr = check_ic_n(mech, inst)
-    assert icr.verdict
+    _check(icr.verdict, "the constructed mechanism is IC")
     for i, agent in enumerate(inst.space.agents):
         expected = -alpha * emin if i < n - 1 else 1 + (n - 1) * alpha * emin
         for label in inst.space.types[i]:
-            assert icr.interim[(agent, label)] == expected
+            _check(icr.interim[(agent, label)] == expected,
+                   "interim win probabilities equal their closed form")
     payoff = _direct_payoff(inst, mech)
     claimed = alpha * sum(v * v for v in flat) + inst.vbar
-    assert payoff == claimed
-    assert payoff > inst.vbar
+    _check(payoff == claimed, "payoff = alpha * |eps|^2 + vbar")
+    _check(payoff > inst.vbar, "the constructed mechanism beats vbar")
     return NAllocReport(vbar=inst.vbar, condition_holds=False, profitable=True,
                         payoff=payoff, mechanism=mech, alpha=alpha,
                         residual=eps, z=z, ic_report=icr)
 
 
 def _direct_payoff(inst: AllocationInstance, mech: AllocationMechanism) -> Fraction:
-    total = ZERO
-    for idx in np.ndindex(*inst.space.shape):
-        p = inst.dist.p[idx]
-        for i in range(inst.n):
-            total += p * inst.values[i][idx] * mech.x[i][idx]
-    return total
+    return sum((expectation(inst.dist, v * x)
+                for v, x in zip(inst.values, mech.x)), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +325,9 @@ def add_disposal_agent(inst: AllocationInstance) -> AllocationInstance:
 
 def non_constant_witnesses(inst: AllocationInstance) -> list[str]:
     """Agents whose value depends on somebody else's type."""
-    out = []
-    for i, agent in enumerate(inst.space.agents):
-        v = inst.values[i]
-        moved = np.moveaxis(v, i, 0)
-        for own in range(inst.space.shape[i]):
-            sl = np.atleast_1d(np.asarray(moved[own], dtype=object)).reshape(-1)
-            if any(val != sl[0] for val in sl):
-                out.append(agent)
-                break
-    return out
+    return [agent for i, agent in enumerate(inst.space.agents)
+            if any(len(set(own)) > 1 for own in np.moveaxis(
+                inst.values[i], i, 0).reshape(inst.space.shape[i], -1))]
 
 
 def with_disposal(inst: AllocationInstance):
@@ -385,14 +343,12 @@ def with_disposal(inst: AllocationInstance):
     augmented = add_disposal_agent(inst)
     witnesses = non_constant_witnesses(inst)
     result = construct_profitable_n(augmented)
-    # The dummy-agent condition is exactly "no agent's value moves with the
-    # other agents' types".
+    _check(isinstance(result, NoneCertificate) == (not witnesses),
+           "the split exists iff no agent's value moves with others' types")
     if isinstance(result, NoneCertificate):
-        assert not witnesses
         return result
     # In the construction regime all expected values are 0, so beating the
     # dummy agent is the same as beating max(0, vbar).
-    assert witnesses
     result.witness = witnesses[0]
     return result
 
@@ -458,13 +414,9 @@ def load_allocation(source, *, drop_zero_types: bool = False) -> AllocationInsta
                                               (space.shape[i],), f"marginals[{a}]"))
     elif "pi" in data:
         pi = parse_rational_array(data["pi"], space.shape, "pi")
-        total = sum(pi[idx] for idx in np.ndindex(*space.shape))
-        if total != 1:
+        if array_sum(pi) != 1:
             raise SchemaError("pi must sum to exactly 1")
-        margs = []
-        for i in range(space.n_agents):
-            axes = tuple(a for a in range(space.n_agents) if a != i)
-            margs.append(pi.sum(axis=axes) if axes else pi)
+        margs = axis_marginals(pi)
         check = product_dist(space, margs).p
         if not (check == pi).all():
             raise SchemaError("pi is not a product of its marginals; "
@@ -477,14 +429,7 @@ def load_allocation(source, *, drop_zero_types: bool = False) -> AllocationInsta
     vals = [parse_rational_array(data["v"][a], space.shape, f"v[{a}]")
             for a in space.agents]
     if drop_zero_types:
-        keep = [[k for k in range(len(m)) if m[k] != 0] for m in margs]
-        if any(len(k) < len(m) for k, m in zip(keep, margs)):
-            slicer = np.ix_(*keep)
-            space = TypeSpace(space.agents,
-                              tuple(tuple(space.types[i][k] for k in keep[i])
-                                    for i in range(space.n_agents)))
-            margs = [m[k] for m, k in zip(margs, keep)]
-            vals = [v[slicer] for v in vals]
+        space, margs, vals = without_zero_types(space, margs, vals)
     return AllocationInstance(space, tuple(margs), tuple(vals),
                               bool(data["disposal"]),
                               name=data.get("name"), seed=data.get("seed"))

@@ -42,7 +42,7 @@ def frac(value) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Exact Gaussian elimination: rank, linear systems, span tests, projection
+# Exact Gaussian elimination: rank, linear systems, span tests
 # ---------------------------------------------------------------------------
 
 def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -102,11 +102,7 @@ def solve_linear_system(a: Sequence[Sequence[Fraction]],
 def in_span(vector: Sequence[Fraction],
             generators: Sequence[Sequence[Fraction]]) -> bool:
     """True iff ``vector`` is a linear combination of ``generators``."""
-    if not generators:
-        return all(v == 0 for v in vector)
-    cols = [list(g) for g in generators]
-    a = [[cols[j][i] for j in range(len(cols))] for i in range(len(vector))]
-    return solve_linear_system(a, list(vector)) is not None
+    return span_coefficients(vector, generators) is not None
 
 
 def span_coefficients(vector: Sequence[Fraction],
@@ -117,38 +113,6 @@ def span_coefficients(vector: Sequence[Fraction],
     a = [[generators[j][i] for j in range(len(generators))]
          for i in range(len(vector))]
     return solve_linear_system(a, list(vector))
-
-
-def orthogonal_projection(target: Sequence[Fraction],
-                          generators: Sequence[Sequence[Fraction]]
-                          ) -> tuple[list[Fraction], list[Fraction]]:
-    """Project ``target`` onto span(generators) under the standard dot product.
-
-    Returns (projection, residual) with ``target = projection + residual``
-    and ``residual . g = 0`` exactly for every generator g.  Rank-deficient
-    generator sets are fine: the normal equations are solved by elimination,
-    which never needs square roots.
-    """
-    target = list(target)
-    gens = [list(g) for g in generators]
-    for g in gens:
-        if len(g) != len(target):
-            raise ValueError("generator dimension mismatch")
-    if not gens:
-        return [ZERO] * len(target), target
-    k = len(gens)
-    gram = [[sum(gi * gj for gi, gj in zip(gens[i], gens[j])) for j in range(k)]
-            for i in range(k)]
-    beta = [sum(gi * t for gi, t in zip(gens[i], target)) for i in range(k)]
-    coeffs = solve_linear_system(gram, beta)
-    # The normal equations are always consistent (beta lies in range(gram)).
-    assert coeffs is not None
-    proj = [sum(coeffs[j] * gens[j][i] for j in range(k))
-            for i in range(len(target))]
-    resid = [t - p for t, p in zip(target, proj)]
-    for g in gens:
-        assert sum(r * gi for r, gi in zip(resid, g)) == 0
-    return proj, resid
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 The row and generator builders are written as explicit profile loops:
 they are the hand-rolled builders the library used before it built every
 row family on ``icmech.belief``; the property tests require the library's
-rows to equal them entry for entry and in order.  ``enumerate_vertices``
-is a brute-force LP oracle for cross-checking the simplex.
+rows to equal them entry for entry and in order.  ``w_generators`` and
+``orthogonal_projection`` are the generic Gram-matrix projection that the
+closed-form additivity residuals are checked against.
+``enumerate_vertices`` is a brute-force LP oracle for cross-checking the
+simplex.
 """
 
 import itertools
@@ -126,6 +129,62 @@ def interim_rows_alloc(inst):
                 seen.add(key)
                 rows.append(row)
     return rows
+
+
+def w_generators(inst):
+    """Generators of W for an allocation instance, one per (agent j, type
+    t), as flat vectors on {1..n-1} x profiles: pi on the profiles where
+    agent j has type t, in block j for j < n, and with a minus sign in
+    every block for the reference agent n.  Returns (generators, keys)
+    with keys (agent, type label), so that span coefficients are u_j(t)."""
+    n = inst.n
+    size = inst.space.n_profiles
+    idx_list = list(np.ndindex(*inst.space.shape))
+    gens, keys = [], []
+    for j in range(n):
+        for pos, label in enumerate(inst.space.types[j]):
+            g = [ZERO] * ((n - 1) * size)
+            for flat, idx in enumerate(idx_list):
+                if idx[j] != pos:
+                    continue
+                for block in range(n - 1):
+                    if j == n - 1:
+                        g[block * size + flat] = -inst.dist.p[idx]
+                    elif block == j:
+                        g[block * size + flat] = inst.dist.p[idx]
+            gens.append(g)
+            keys.append((inst.space.agents[j], label))
+    return gens, keys
+
+
+def orthogonal_projection(target, generators):
+    """Project ``target`` onto span(generators) under the standard dot product.
+
+    Returns (projection, residual) with ``target = projection + residual``
+    and ``residual . g = 0`` exactly for every generator g.  Rank-deficient
+    generator sets are fine: the normal equations are solved by elimination,
+    which never needs square roots.
+    """
+    target = list(target)
+    gens = [list(g) for g in generators]
+    for g in gens:
+        if len(g) != len(target):
+            raise ValueError("generator dimension mismatch")
+    if not gens:
+        return [ZERO] * len(target), target
+    k = len(gens)
+    gram = [[sum(gi * gj for gi, gj in zip(gens[i], gens[j])) for j in range(k)]
+            for i in range(k)]
+    beta = [sum(gi * t for gi, t in zip(gens[i], target)) for i in range(k)]
+    coeffs = solve_linear_system(gram, beta)
+    # The normal equations are always consistent (beta lies in range(gram)).
+    assert coeffs is not None
+    proj = [sum(coeffs[j] * gens[j][i] for j in range(k))
+            for i in range(len(target))]
+    resid = [t - p for t, p in zip(target, proj)]
+    for g in gens:
+        assert sum(r * gi for r, gi in zip(resid, g)) == 0
+    return proj, resid
 
 
 def enumerate_vertices(lp: LinearProgram) -> list[list[Fraction]]:

@@ -1,16 +1,19 @@
 """Property tests: the belief-space builders against explicit-loop references."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icmech import belief
-from icmech.belief import kronecker_residual
+from icmech.belief import difference_residual, kronecker_residual
 from icmech.ic import ic_polytope
-from icmech.nalloc import add_disposal_agent
-from icmech.numerics import orthogonal_projection
+from icmech.nalloc import (DISPOSAL_AGENT, AllocationInstance,
+                           add_disposal_agent, difference_additive)
+from icmech.numerics import span_coefficients
 from icmech.oracle import _interim_rows_alloc, generate
 from icmech.profit import orthogonality_rows
 
@@ -45,8 +48,88 @@ def allocation_instances(draw):
 def test_kronecker_residual_equals_projection_over_sections(inst):
     w = inst.v * inst.dist.p
     gens = reference.conditional_section_basis(inst.dist)
-    _, resid = orthogonal_projection(list(w.reshape(-1)), gens)
+    _, resid = reference.orthogonal_projection(list(w.reshape(-1)), gens)
     assert list(kronecker_residual(inst.dist, w).reshape(-1)) == resid
+
+
+@st.composite
+def n_agent_allocations(draw, agents=(2, 4)):
+    """Unbiased allocations of 1-4 types per agent, with and without
+    disposal, as the difference-additivity test sees them: disposal
+    instances are extended by the dummy agent, and the extended instance
+    has between agents[0] and agents[1] agents."""
+    disposal = draw(st.booleans())
+    count = draw(st.integers(agents[0] - disposal, agents[1] - disposal))
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=count,
+                                max_size=count)))
+    inst = generate(draw(st.integers(0, 10**6)), shape, "unbiased-n-alloc",
+                    disposal=disposal)
+    return add_disposal_agent(inst) if disposal else inst
+
+
+@st.composite
+def additive_allocations(draw):
+    """v_i = u_i(theta_i) + h(theta) on the type space and marginals of a
+    generated allocation.  With disposal, h = 0 and the dummy agent's u is
+    0, so its value stays 0."""
+    base = draw(n_agent_allocations())
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    shape = base.space.shape
+    u = [[Fraction(rng.randint(-3, 3)) for _ in range(k)] for k in shape]
+    h = np.array([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                  for _ in range(base.space.n_profiles)],
+                 dtype=object).reshape(shape)
+    if base.space.agents[-1] == DISPOSAL_AGENT:
+        u[-1] = [Fraction(0)]
+        h = h * 0
+    values = tuple(np.array([u[i][idx[i]] for idx in np.ndindex(*shape)],
+                            dtype=object).reshape(shape) + h
+                   for i in range(len(shape)))
+    return AllocationInstance(base.space, base.marginals, values, False)
+
+
+def _weighted_differences(inst):
+    ref = inst.values[-1]
+    return np.array([inst.dist.p * (v - ref) for v in inst.values[:-1]],
+                    dtype=object)
+
+
+@PROPERTY
+@given(n_agent_allocations())
+def test_difference_residual_equals_projection_over_w(inst):
+    t = _weighted_differences(inst)
+    gens, _ = reference.w_generators(inst)
+    _, resid = reference.orthogonal_projection(list(t.reshape(-1)), gens)
+    assert list(difference_residual(inst.dist, t).reshape(-1)) == resid
+
+
+@PROPERTY
+@given(additive_allocations())
+def test_split_equals_span_coefficients(inst):
+    gens, keys = reference.w_generators(inst)
+    coeffs = span_coefficients(list(_weighted_differences(inst).reshape(-1)),
+                               gens)
+    rep = difference_additive(inst)
+    assert rep.holds and coeffs is not None
+    assert [(agent, label, rep.u[agent][label]) for agent, label in keys] == \
+        [(agent, label, c) for (agent, label), c in zip(keys, coeffs)]
+
+
+@PROPERTY
+@given(n_agent_allocations(agents=(2, 2)))
+def test_two_agent_difference_residual_is_kronecker(inst):
+    t = _weighted_differences(inst)
+    assert (difference_residual(inst.dist, t)[0]
+            == kronecker_residual(inst.dist, t[0])).all()
+
+
+def test_difference_residual_check_raises(inst_fx4, monkeypatch):
+    # Without the marginal projections nothing is projected out, and the
+    # weighted differences of fx4 are not orthogonal to W.
+    monkeypatch.setattr(belief, "project_axis",
+                        lambda arr, axis, basis: np.zeros_like(arr))
+    with pytest.raises(RuntimeError, match="not orthogonal"):
+        difference_residual(inst_fx4.dist, _weighted_differences(inst_fx4))
 
 
 @PROPERTY

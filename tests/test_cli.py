@@ -169,6 +169,20 @@ class TestContracts:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("entry", ['"1e20000"', '"1e100000000"',
+                                       "9" * 5000])
+    def test_oversized_number_one_line_error(self, capsys, tmp_path, entry):
+        # Exact parsing of these would print a 20001-digit integer, run
+        # without end, or exceed the interpreter's integer conversion limit.
+        bad = tmp_path / "big.json"
+        bad.write_text('{"agents": ["l", "r"], "types": {"l": [0], "r": [0]},'
+                       ' "pi": [["1"]], "vL": [[' + entry + ']]}')
+        code = main(["inspect", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_json_text_longer_than_a_path(self, capsys):
         text = Path(FX1).read_text().replace("{", "{" + " " * 5000, 1)
         code, rep = run_json(capsys, "inspect", text)

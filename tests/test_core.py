@@ -198,6 +198,33 @@ class TestSchema:
         assert inst.disposal
         assert list(inst.marginals[0]) == [F(1, 2), F(1, 2)]
 
+    def test_allocation_drop_zero_types(self):
+        data = {"agents": ["1", "2"], "types": {"1": ["a", "b", "c"],
+                                                "2": [0, 1]},
+                "marginals": {"1": ["1/2", "0", "1/2"], "2": ["1/3", "2/3"]},
+                "v": {"1": [["1", "2"], ["9", "9"], ["3", "4"]],
+                      "2": [["5", "6"], ["9", "9"], ["7", "8"]]},
+                "disposal": False}
+        with pytest.raises(SchemaError, match="zero-probability"):
+            load_allocation(data)
+        inst = load_allocation(data, drop_zero_types=True)
+        assert inst.space.types == (("a", "c"), (0, 1))
+        assert list(inst.marginals[0]) == [F(1, 2), F(1, 2)]
+        assert inst.values[1].tolist() == [[5, 6], [7, 8]]
+
+    @pytest.mark.parametrize("entry, ok", [
+        ("1e1000", True), ("1e-1000", True), ("1e1001", False),
+        ("1" * 1000, True), ("1" * 1001, False), (10 ** 999, True),
+        (10 ** 1000, False)])
+    def test_number_size_bound(self, entry, ok):
+        data = {"agents": ["l"], "types": {"l": [0]}, "pi": ["1"],
+                "vL": [entry]}
+        if ok:
+            assert load_instance(data).objective.raw_vL[0] == F(entry)
+        else:
+            with pytest.raises(SchemaError, match="more than 1000 digits"):
+                load_instance(data)
+
 
 class TestFixtures:
     def test_fixture_names(self):

@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 
 from icmech import numerics
-from icmech.numerics import (LinearProgram, frac, in_span,
-                             orthogonal_projection, rank, solve_linear_system,
-                             solve_lp, span_coefficients)
+from icmech.numerics import (LinearProgram, frac, in_span, rank,
+                             solve_linear_system, solve_lp, span_coefficients)
 
 from . import reference
+from .reference import orthogonal_projection
 
 F = Fraction
 
@@ -413,6 +413,16 @@ class TestPhaseOneSetUp:
         assert rank([rows[i] for i in kept]) == 19
 
 
+def run_optimized(script: str) -> str:
+    """Run ``script`` under ``python -O`` (asserts stripped); its stdout."""
+    src = Path(numerics.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestChecksSurviveOptimize:
     def test_perturbed_dual_raises_under_python_o(self):
         # A corrupted dual must fail the strong-duality check even when
@@ -432,9 +442,28 @@ class TestChecksSurviveOptimize:
             "    numerics.solve_lp(lp)\n"
             "except RuntimeError as e:\n"
             "    print('debug' if __debug__ else 'optimized', e)\n")
-        src = Path(numerics.__file__).resolve().parent.parent
-        proc = subprocess.run([sys.executable, "-O", "-c", script],
-                              capture_output=True, text=True, timeout=60,
-                              env={**os.environ, "PYTHONPATH": str(src)})
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "optimized exact LP check failed: strong duality\n"
+        assert run_optimized(script) == \
+            "optimized exact LP check failed: strong duality\n"
+
+    def test_corrupted_split_raises_under_python_o(self):
+        # The closed-form split u of an additive allocation is only as good
+        # as its check, which must survive the stripped asserts.
+        script = (
+            "from icmech import nalloc\n"
+            "from icmech.fixtures import fx4\n"
+            "good = nalloc._split\n"
+            "def bad(inst):\n"
+            "    u = good(inst)\n"
+            "    label = inst.space.types[0][0]\n"
+            "    u['1'][label] += 1\n"
+            "    return u\n"
+            "nalloc._split = bad\n"
+            "inst = fx4()\n"
+            "inst = nalloc.AllocationInstance(inst.space, inst.marginals,\n"
+            "                                 (inst.values[0],) * 3, False)\n"
+            "try:\n"
+            "    nalloc.difference_additive(inst)\n"
+            "except RuntimeError as e:\n"
+            "    print('debug' if __debug__ else 'optimized', e)\n")
+        assert run_optimized(script) == ("optimized allocation check failed: "
+                                         "the split reproduces v_i - v_n\n")
