@@ -486,7 +486,7 @@ def load_json_dict(source) -> dict:
         raise SchemaError(f"cannot load instance from {type(source).__name__}")
     try:
         data = json.loads(text)
-    except ValueError as e:  # also an integer too long to convert
+    except (ValueError, RecursionError) as e:  # too long an integer, too deep
         raise SchemaError(f"invalid JSON: {e}") from None
     if not isinstance(data, dict):
         raise SchemaError("top-level JSON value must be an object")

@@ -48,7 +48,8 @@ def _one_side_lp(matrix: list[list[Fraction]]) -> tuple[Fraction, list[Fraction]
     lower: list = [ZERO] * m + [None]
     sol = solve_lp(LinearProgram(objective=objective, a_eq=a_eq, b_eq=b_eq,
                                  a_ub=a_ub, b_ub=b_ub, lower=lower))
-    assert sol.status == "optimal"
+    if sol.status != "optimal":
+        raise RuntimeError("maximin check failed: a side's LP has an optimum")
     return sol.value, sol.x[:m]
 
 
@@ -63,7 +64,8 @@ def maximin(x: Mechanism) -> MaximinSolution:
     neg_t = [[-x.x[i, j] for i in range(x.space.shape[0])]
              for j in range(x.space.shape[1])]
     value_col, sigma_col = _one_side_lp(neg_t)
-    assert value == -value_col
+    if value != -value_col:
+        raise RuntimeError("maximin check failed: both sides' values agree")
     sol = MaximinSolution(value=value,
                           sigma_maximizer=np.array(sigma_row, dtype=object),
                           sigma_minimizer=np.array(sigma_col, dtype=object))
@@ -77,9 +79,9 @@ def _verify_equilibrium(mat, sol: MaximinSolution) -> None:
                    for j in range(n)]
     row_payoffs = [sum(mat[i][j] * sol.sigma_minimizer[j] for j in range(n))
                    for i in range(m)]
-    # No pure deviation improves either player.
-    assert min(col_payoffs) == sol.value
-    assert max(row_payoffs) == sol.value
+    if not min(col_payoffs) == sol.value == max(row_payoffs):
+        raise RuntimeError("maximin check failed: no pure deviation improves "
+                           "either player")
 
 
 def obedience_check(x: Mechanism, pi: JointDist) -> ICReport:

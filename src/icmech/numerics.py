@@ -1,11 +1,11 @@
 """Exact rational linear algebra and linear programming.
 
-Everything in this module operates on ``fractions.Fraction`` values, so
-feasibility, optimality, rank and orthogonality are decided by exact
-equality instead of floating-point tolerances.  The LP solver is a
-two-phase tableau simplex with Bland's anti-cycling rule (lowest-index
-pivoting), which makes every answer and every pivot count deterministic
-and termination guaranteed.
+Everything in this module is exact rational arithmetic (``Fraction``s, or
+ints over a common denominator), so feasibility, optimality, rank and
+orthogonality are decided by exact equality, not by tolerances.  The LP
+solver is a two-phase tableau simplex with Bland's anti-cycling rule
+(lowest-index pivoting), which makes every answer and every pivot count
+deterministic and termination guaranteed.
 
 Speed comes from doing less exact work, never from tolerances.  Before
 the tableau is built, a fraction-free integer presolve drops equality
@@ -13,10 +13,13 @@ rows that earlier rows combine to.  Inequality rows start with their
 slack basic (a slack crash basis), so only equality rows and rows with a
 negative right-hand side carry an artificial, and phase 1 is skipped
 when that start is already feasible, as it is for every LP over the IC
-polytope, whose equality rows are homogeneous.  Every result is checked exactly before it is returned
-(primal feasibility, strong duality, the Farkas gap, an unbounded ray's
-direction), and a failed check raises ``RuntimeError``, also under
-``python -O``.
+polytope, whose equality rows are homogeneous.  The tableau holds Python
+ints over one common denominator and pivots integer-preserving (Bareiss),
+and the duals are read off its final objective row, where the starting
+unit columns carry B^-1.  Every result is checked exactly, in Fractions,
+before it is returned (primal feasibility, strong duality, the Farkas
+gap, an unbounded ray's direction), and a failed check raises
+``RuntimeError``, also under ``python -O``.
 """
 
 from __future__ import annotations
@@ -186,30 +189,33 @@ class LPSolution:
 
 
 class _Tableau:
-    """Dense simplex tableau over Fractions with Bland's rule."""
+    """Dense simplex tableau over Python ints with Bland's rule.
 
-    def __init__(self, rows: list[list[Fraction]], basis: list[int]):
+    Integer-preserving (Bareiss) pivoting: the tableau, and the objective
+    row passed along, is ``rows / den`` with ``den`` > 0 the basis
+    determinant up to sign, so every entry stays an integer minor.
+    """
+
+    def __init__(self, rows: list[list[int]], basis: list[int]):
         self.rows = rows          # each row: coefficients + rhs (last entry)
         self.basis = basis
+        self.den = 1
         self.pivots = 0
 
-    def pivot(self, r: int, c: int, obj: list[Fraction]) -> None:
+    def pivot(self, r: int, c: int, obj: list[int]) -> None:
         self.pivots += 1
         prow = self.rows[r]
-        piv = prow[c]
-        if piv != 1:
-            prow = [v / piv for v in prow]
-            self.rows[r] = prow
+        if prow[c] < 0:   # drive-out only: negates the new tableau, den > 0
+            prow = self.rows[r] = [-v for v in prow]
+        p, den = prow[c], self.den
         for i, row in enumerate(self.rows):
-            if i != r and row[c] != 0:
-                f = row[c]
-                self.rows[i] = [a - f * b if b else a for a, b in zip(row, prow)]
-        if obj[c] != 0:
-            f = obj[c]
-            obj[:] = [a - f * b if b else a for a, b in zip(obj, prow)]
+            if i != r:
+                self.rows[i] = _bareiss(row, prow, p, den, c)
+        obj[:] = _bareiss(obj, prow, p, den, c)
+        self.den = p
         self.basis[r] = c
 
-    def run(self, obj: list[Fraction], ncols: int) -> int | None:
+    def run(self, obj: list[int], ncols: int) -> int | None:
         """Simplex iterations until optimal (returns None) or unbounded
         (returns the offending entering column)."""
         while True:
@@ -217,28 +223,35 @@ class _Tableau:
             if enter is None:
                 return None
             leave = None
-            best = None
+            num, dnm = 0, 1           # the best ratio so far, num / dnm
             for i, row in enumerate(self.rows):
                 a = row[enter]
                 if a > 0:
-                    ratio = row[-1] / a
-                    if best is None or ratio < best or \
-                            (ratio == best and self.basis[i] < self.basis[leave]):
-                        best = ratio
-                        leave = i
+                    lhs, rhs = row[-1] * dnm, num * a
+                    if leave is None or lhs < rhs or \
+                            (lhs == rhs and self.basis[i] < self.basis[leave]):
+                        leave, num, dnm = i, row[-1], a
             if leave is None:
                 return enter
             self.pivot(leave, enter, obj)
 
 
-def _reduced_objective(cost: list[Fraction], tab: _Tableau, width: int) -> list[Fraction]:
-    """Objective row (reduced costs + negated value) priced out over the basis."""
-    obj = list(cost) + [ZERO]
+def _bareiss(row: list[int], prow: list[int], p: int, den: int, c: int) -> list[int]:
+    """``(p * row - row[c] * prow) / den``; the division is exact."""
+    f = row[c]
+    if f:
+        return [(p * a - f * b) // den for a, b in zip(row, prow)]
+    return [p * a // den for a in row]
+
+
+def _reduced_objective(cost: list[int], tab: _Tableau, width: int) -> list[int]:
+    """Objective row (reduced costs + negated value) over the basis, times den."""
+    obj = [tab.den * c for c in cost] + [0]
     for row, b in zip(tab.rows, tab.basis):
         cb = cost[b]
-        if cb != 0:
-            obj = [a - cb * v if v else a for a, v in zip(obj, row)]
-    assert len(obj) == width + 1
+        if cb:
+            obj = [a - cb * v for a, v in zip(obj, row)]
+    _check(len(obj) == width + 1, "the objective row spans the tableau")
     return obj
 
 
@@ -393,39 +406,81 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     const_term = sum(lp.objective[j] * var_map[j][1]
                      for j in range(n) if var_map[j][0] != "split")
 
-    # --- phase 1 ----------------------------------------------------------
-    art_rows = [i for i, start in enumerate(crash) if start is None]
-    nart = len(art_rows)
-    tab_rows = [row + [ZERO] * nart + [rhs] for row, rhs in zip(a_std, b_std)]
-    basis = list(crash)
-    for k, i in enumerate(art_rows):
-        tab_rows[i][width + k] = ONE
-        basis[i] = width + k
-    # Pivots replace tableau rows and never mutate them, so this shallow
-    # copy keeps the pristine rows for the dual recovery.
-    pristine = list(tab_rows)
-    tab = _Tableau(tab_rows, basis)
-    phase1_cost = [ZERO] * width + [-ONE] * nart
-    obj1 = _reduced_objective(phase1_cost, tab, width + nart)
-    # obj1[-1] is the artificials' total.  At 0 the crash basis is already
-    # phase-1 optimal (every oracle LP: its equality rows are homogeneous).
-    # Entering candidates exclude the artificial columns: once an
-    # artificial leaves the basis it stays out.
-    if obj1[-1] != 0:
-        unb = tab.run(obj1, width)
-        assert unb is None  # phase-1 objective is bounded above by 0
-    if -obj1[-1] < 0:
-        # Farkas certificate from the phase-1 duals.
-        y = _basis_duals(pristine, phase1_cost, tab.basis)
-        # The multipliers combine the constraints to the zero row while the
-        # same combination of right-hand sides is negative: 0 <= gap < 0.
+    status, point, y, value_std, pivots = _simplex(a_std, b_std, crash, cost_std, ncols)
+    if status == "infeasible":
+        # The phase-1 duals combine the constraints to the zero row while
+        # the same combination of right-hand sides is negative: 0 <= gap < 0.
         dual_eq, dual_ub, mu, nu, gap = _fold_duals(
             lp, y, row_specs, row_sign, [ZERO] * n)
         _check(gap < 0, "Farkas gap is negative")
         cert = {"dual_eq": dual_eq, "dual_ub": dual_ub,
                 "upper_multipliers": mu, "lower_multipliers": nu, "gap": gap}
-        return LPSolution(status="infeasible", certificate=cert,
-                          pivots=tab.pivots)
+        return LPSolution(status="infeasible", certificate=cert, pivots=pivots)
+    if status == "unbounded":
+        # A direction maps like a point whose offsets are all 0.
+        ray = _map_point(point, [(kind, ZERO) for kind, _ in var_map], col_of, n)
+        _check_ray(lp, ray)
+        return LPSolution(status="unbounded", ray=ray, pivots=pivots)
+
+    x = _map_point(point, var_map, col_of, n)
+    value = sum(c * v for c, v in zip(lp.objective, x))
+    _check(value == value_std + const_term, "objective value identity")
+    dual_eq, dual_ub, mu, nu, dual_value = _fold_duals(
+        lp, y, row_specs, row_sign, lp.objective)
+    _check(dual_value == value, "strong duality")
+    _check_primal(lp, x)
+    return LPSolution(status="optimal", value=value, x=x,
+                      dual_eq=dual_eq, dual_ub=dual_ub,
+                      reduced_costs=[u - d for u, d in zip(mu, nu)],
+                      pivots=pivots)
+
+
+def _simplex(rows: list[list[Fraction]], rhs: list[Fraction],
+             crash: list[int | None], cost: list[Fraction], ncols: int):
+    """Two-phase simplex: max cost . s  s.t.  rows s = rhs >= 0, s >= 0.
+
+    Columns past ``ncols`` are slacks; ``crash[i]`` is row i's starting
+    slack, or None for an artificial.  Returns (status, point, y, value,
+    pivots): the optimal vertex or the ray (its slack entries scaled), and
+    the row duals, the Farkas multipliers if infeasible.  Row i is scaled
+    to integers by s_i, the lcm of its structural and rhs denominators,
+    with its slack or artificial kept at +-1: a positive column rescaling,
+    so Bland's path is unchanged.
+    """
+    width = len(cost)
+    scales = [math.lcm(b.denominator, *(v.denominator for v in row[:ncols]))
+              for row, b in zip(rows, rhs)]
+    art_rows = [i for i, start in enumerate(crash) if start is None]
+    nart = len(art_rows)
+    tab_rows = [[v.numerator * (s // v.denominator) for v in row[:ncols]] +
+                [int(v) for v in row[ncols:]] + [0] * nart +
+                [b.numerator * (s // b.denominator)]
+                for row, b, s in zip(rows, rhs, scales)]
+    basis = list(crash)
+    for k, i in enumerate(art_rows):
+        tab_rows[i][width + k] = 1
+        basis[i] = width + k
+    start = list(basis)           # row i's unit column: B^-1 builds up there
+    tab = _Tableau(tab_rows, basis)
+
+    def duals(obj, cost, scale):
+        # Read off the tableau: column start[i] has reduced cost c_j - y_i/s_i
+        # (obj and cost are scaled by ``scale``, obj over den as well).
+        return [Fraction(s * (cost[j] * tab.den - obj[j]), scale * tab.den)
+                for s, j in zip(scales, start)]
+
+    # --- phase 1: the artificial of row i costs -1/s_i -------------------
+    scale1 = math.lcm(*(scales[i] for i in art_rows))
+    cost1 = [0] * width + [-(scale1 // scales[i]) for i in art_rows]
+    obj1 = _reduced_objective(cost1, tab, width + nart)
+    # obj1[-1] is the artificials' total.  At 0 the crash basis is already
+    # phase-1 optimal (every oracle LP: its equality rows are homogeneous).
+    # Entering candidates exclude the artificial columns: once an
+    # artificial leaves the basis it stays out.
+    if obj1[-1] != 0:
+        _check(tab.run(obj1, width) is None, "the phase-1 objective is bounded")
+    if obj1[-1] > 0:
+        return "infeasible", None, duals(obj1, cost1, scale1), None, tab.pivots
 
     # Drive the artificials, all at level 0, out of the basis.  With the
     # dependent equality rows gone and phase 1 feasible, the standard-form
@@ -435,50 +490,26 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
             col = next((j for j in range(width) if tab.rows[i][j] != 0), None)
             _check(col is not None, "an artificial variable leaves the basis")
             tab.pivot(i, col, obj1)
-    tab.rows = [row[:width] + [row[-1]] for row in tab.rows]
 
-    # --- phase 2 ----------------------------------------------------------
-    obj2 = _reduced_objective(cost_std, tab, width)
+    # --- phase 2: the artificial columns stay, barred from entering ------
+    scale2 = math.lcm(*(c.denominator for c in cost))
+    cost2 = [c.numerator * (scale2 // c.denominator) for c in cost] + [0] * nart
+    obj2 = _reduced_objective(cost2, tab, width + nart)
     unb = tab.run(obj2, width)
     if unb is not None:
-        ray_std = [ZERO] * width
-        ray_std[unb] = ONE
+        # Scaled slack i is s_i times the slack: scale the ray back by s_i.
+        f = next(s for row, s in zip(rows, scales) if row[unb]) \
+            if unb >= ncols else 1
+        ray = [ZERO] * width
+        ray[unb] = ONE
         for row, b in zip(tab.rows, tab.basis):
-            ray_std[b] = -row[unb]
-        ray = _map_direction(ray_std, var_map, col_of, n)
-        _check_ray(lp, ray)
-        return LPSolution(status="unbounded", ray=ray, pivots=tab.pivots)
-
+            ray[b] = Fraction(-f * row[unb], tab.den)
+        return "unbounded", ray, None, None, tab.pivots
     x_std = [ZERO] * width
     for row, b in zip(tab.rows, tab.basis):
-        x_std[b] = row[-1]
-    x = _map_point(x_std, var_map, col_of, n)
-    value = sum(c * v for c, v in zip(lp.objective, x))
-    _check(value == -obj2[-1] + const_term, "objective value identity")
-
-    y = _basis_duals(pristine, cost_std, tab.basis)
-    dual_eq, dual_ub, mu, nu, dual_value = _fold_duals(
-        lp, y, row_specs, row_sign, lp.objective)
-    _check(dual_value == value, "strong duality")
-    _check_primal(lp, x)
-    return LPSolution(status="optimal", value=value, x=x,
-                      dual_eq=dual_eq, dual_ub=dual_ub,
-                      reduced_costs=[u - d for u, d in zip(mu, nu)],
-                      pivots=tab.pivots)
-
-
-def _basis_duals(a: list[list[Fraction]], cost: list[Fraction],
-                 basis: list[int]) -> list[Fraction]:
-    """Dual vector y solving y . A_B = c_B for the final basis.
-
-    ``a`` holds the pristine (pre-pivot) standard-form rows, which have
-    full row rank, so A_B is square and nonsingular.  Only the basis
-    columns are read, so the rows may carry artificial columns and the rhs.
-    """
-    at = [[row[b] for row in a] for b in basis]
-    y = solve_linear_system(at, [cost[b] for b in basis])
-    _check(y is not None, "the basis matrix is nonsingular")
-    return y
+        x_std[b] = Fraction(row[-1], tab.den)
+    return ("optimal", x_std, duals(obj2, cost2, scale2),
+            Fraction(-obj2[-1], scale2 * tab.den), tab.pivots)
 
 
 def _map_point(x_std: list[Fraction], var_map, col_of, n: int) -> list[Fraction]:
@@ -495,24 +526,10 @@ def _map_point(x_std: list[Fraction], var_map, col_of, n: int) -> list[Fraction]
     return out
 
 
-def _map_direction(d_std: list[Fraction], var_map, col_of, n: int) -> list[Fraction]:
-    out = []
-    for j in range(n):
-        kind, _ = var_map[j]
-        c0, c1 = col_of[j]
-        if kind == "shift":
-            out.append(d_std[c0])
-        elif kind == "negshift":
-            out.append(-d_std[c0])
-        else:
-            out.append(d_std[c0] - d_std[c1])
-    return out
-
-
 def _check_primal(lp: LinearProgram, x: list[Fraction]) -> None:
-    _check(all(sum(a * v for a, v in zip(row, x)) == rhs
+    _check(all(sum(a * v for a, v in zip(row, x) if a and v) == rhs
                for row, rhs in zip(lp.a_eq, lp.b_eq)), "primal equality rows")
-    _check(all(sum(a * v for a, v in zip(row, x)) <= rhs
+    _check(all(sum(a * v for a, v in zip(row, x) if a and v) <= rhs
                for row, rhs in zip(lp.a_ub, lp.b_ub)), "primal inequality rows")
     _check(all((lo is None or v >= lo) and (up is None or v <= up)
                for v, lo, up in zip(x, lp.lower, lp.upper)), "primal bounds")
@@ -549,10 +566,14 @@ def _fold_duals(lp, y, row_specs, row_sign, objective):
             dual_ub[idx] = yi
         else:
             mu[idx] += yi
+    g = [ZERO] * lp.n    # A^T dual, over the nonzero duals and coefficients
+    for row, d in zip(lp.a_eq + lp.a_ub, dual_eq + dual_ub):
+        if d:
+            for j, a in enumerate(row):
+                if a:
+                    g[j] += d * a
     for j in range(lp.n):
-        g = sum(dual_eq[i] * lp.a_eq[i][j] for i in range(len(lp.a_eq))) + \
-            sum(dual_ub[i] * lp.a_ub[i][j] for i in range(len(lp.a_ub)))
-        r = objective[j] - g - mu[j]
+        r = objective[j] - g[j] - mu[j]
         if r > 0:
             mu[j] += r
         else:

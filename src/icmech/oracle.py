@@ -57,11 +57,17 @@ def solve_principal(instance: Instance) -> PrincipalSolution:
                        a_eq=rows, b_eq=[ZERO] * len(rows),
                        lower=[ZERO] * n, upper=[ONE] * n)
     sol = solve_lp(lp)
-    assert sol.status == "optimal"
+    _check(sol.status == "optimal", "the principal's LP has an optimum")
     mech = Mechanism(space, np.array(sol.x, dtype=object).reshape(space.shape))
-    assert check_ic(mech, dist).verdict
+    _check(check_ic(mech, dist).verdict, "the LP optimum is IC")
     return PrincipalSolution(value=sol.value, mechanism=mech,
                              profitable=sol.value > 0, baseline=ZERO)
+
+
+def _check(ok: bool, what: str) -> None:
+    """Result-carrying checks raise, also under ``python -O``."""
+    if not ok:
+        raise RuntimeError(f"oracle check failed: {what}")
 
 
 def _interim_rows_alloc(inst: AllocationInstance) -> list[list[Fraction]]:
@@ -123,7 +129,7 @@ def solve_principal_alloc(inst: AllocationInstance) -> PrincipalSolution:
                        a_ub=a_ub, b_ub=[ONE] * size,
                        lower=[ZERO] * nvars, upper=[None] * nvars)
     sol = solve_lp(lp)
-    assert sol.status == "optimal"
+    _check(sol.status == "optimal", "the allocation LP has an optimum")
     value = sol.value + const
 
     parts = []
@@ -143,7 +149,7 @@ def solve_principal_alloc(inst: AllocationInstance) -> PrincipalSolution:
     else:
         mech = AllocationMechanism(inst.space, parts, disposal=False)
         baseline = inst.vbar
-    assert check_ic_n(mech, inst).verdict
+    _check(check_ic_n(mech, inst).verdict, "the LP optimum is IC")
     return PrincipalSolution(value=value, mechanism=mech,
                              profitable=value > baseline, baseline=baseline)
 
@@ -260,9 +266,9 @@ def sample_ic_vertex(dist: JointDist, rng: random.Random) -> Mechanism:
     sol = solve_lp(LinearProgram(objective=objective,
                                  a_eq=rows, b_eq=[ZERO] * len(rows),
                                  lower=[ZERO] * n, upper=[ONE] * n))
-    assert sol.status == "optimal"
+    _check(sol.status == "optimal", "the vertex LP has an optimum")
     mech = Mechanism(space, np.array(sol.x, dtype=object).reshape(space.shape))
-    assert check_ic(mech, dist).verdict
+    _check(check_ic(mech, dist).verdict, "the LP vertex is IC")
     return mech
 
 

@@ -7,7 +7,9 @@ rows to equal them entry for entry and in order.  ``w_generators`` and
 ``orthogonal_projection`` are the generic Gram-matrix projection that the
 closed-form additivity residuals are checked against.
 ``enumerate_vertices`` is a brute-force LP oracle for cross-checking the
-simplex.
+simplex, and ``simplex`` is the Fraction tableau with the duals recovered
+by a second elimination, which the integer-preserving engine in
+``icmech.numerics`` must match pivot for pivot.
 """
 
 import itertools
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from icmech.numerics import LinearProgram, rank, solve_linear_system
+from icmech.numerics import LinearProgram, _check, rank, solve_linear_system
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -236,3 +238,117 @@ def enumerate_vertices(lp: LinearProgram) -> list[list[Fraction]]:
             seen.add(key)
             vertices.append(x)
     return vertices
+
+
+class _Tableau:
+    """Dense simplex tableau over Fractions with Bland's rule."""
+
+    def __init__(self, rows: list[list[Fraction]], basis: list[int]):
+        self.rows = rows          # each row: coefficients + rhs (last entry)
+        self.basis = basis
+        self.pivots = 0
+
+    def pivot(self, r: int, c: int, obj: list[Fraction]) -> None:
+        self.pivots += 1
+        prow = self.rows[r]
+        piv = prow[c]
+        if piv != 1:
+            prow = [v / piv for v in prow]
+            self.rows[r] = prow
+        for i, row in enumerate(self.rows):
+            if i != r and row[c] != 0:
+                f = row[c]
+                self.rows[i] = [a - f * b if b else a for a, b in zip(row, prow)]
+        if obj[c] != 0:
+            f = obj[c]
+            obj[:] = [a - f * b if b else a for a, b in zip(obj, prow)]
+        self.basis[r] = c
+
+    def run(self, obj: list[Fraction], ncols: int) -> int | None:
+        """Simplex iterations until optimal (returns None) or unbounded
+        (returns the offending entering column)."""
+        while True:
+            enter = next((j for j in range(ncols) if obj[j] > 0), None)
+            if enter is None:
+                return None
+            leave = None
+            best = None
+            for i, row in enumerate(self.rows):
+                a = row[enter]
+                if a > 0:
+                    ratio = row[-1] / a
+                    if best is None or ratio < best or \
+                            (ratio == best and self.basis[i] < self.basis[leave]):
+                        best = ratio
+                        leave = i
+            if leave is None:
+                return enter
+            self.pivot(leave, enter, obj)
+
+
+def _reduced_objective(cost, tab: _Tableau, width: int) -> list[Fraction]:
+    """Objective row (reduced costs + negated value) priced out over the basis."""
+    obj = list(cost) + [ZERO]
+    for row, b in zip(tab.rows, tab.basis):
+        cb = cost[b]
+        if cb != 0:
+            obj = [a - cb * v if v else a for a, v in zip(obj, row)]
+    assert len(obj) == width + 1
+    return obj
+
+
+def _basis_duals(a, cost, basis) -> list[Fraction]:
+    """Dual vector y solving y . A_B = c_B for the final basis.
+
+    ``a`` holds the pristine (pre-pivot) standard-form rows, which have
+    full row rank, so A_B is square and nonsingular.  Only the basis
+    columns are read, so the rows may carry artificial columns and the rhs.
+    """
+    at = [[row[b] for row in a] for b in basis]
+    y = solve_linear_system(at, [cost[b] for b in basis])
+    _check(y is not None, "the basis matrix is nonsingular")
+    return y
+
+
+def simplex(rows, rhs, crash, cost, ncols):
+    """``icmech.numerics._simplex`` over Fractions: same contract, same
+    Bland path, duals by eliminating the final basis matrix."""
+    width = len(cost)
+    art_rows = [i for i, start in enumerate(crash) if start is None]
+    nart = len(art_rows)
+    tab_rows = [list(row) + [ZERO] * nart + [b] for row, b in zip(rows, rhs)]
+    basis = list(crash)
+    for k, i in enumerate(art_rows):
+        tab_rows[i][width + k] = ONE
+        basis[i] = width + k
+    # Pivots replace tableau rows and never mutate them, so this shallow
+    # copy keeps the pristine rows for the dual recovery.
+    pristine = list(tab_rows)
+    tab = _Tableau(tab_rows, basis)
+    phase1_cost = [ZERO] * width + [-ONE] * nart
+    obj1 = _reduced_objective(phase1_cost, tab, width + nart)
+    if obj1[-1] != 0:
+        unb = tab.run(obj1, width)
+        assert unb is None  # phase-1 objective is bounded above by 0
+    if -obj1[-1] < 0:
+        y = _basis_duals(pristine, phase1_cost, tab.basis)
+        return "infeasible", None, y, None, tab.pivots
+    for i in range(len(tab.rows)):
+        if tab.basis[i] >= width:
+            col = next((j for j in range(width) if tab.rows[i][j] != 0), None)
+            _check(col is not None, "an artificial variable leaves the basis")
+            tab.pivot(i, col, obj1)
+    tab.rows = [row[:width] + [row[-1]] for row in tab.rows]
+    obj2 = _reduced_objective(cost, tab, width)
+    unb = tab.run(obj2, width)
+    if unb is not None:
+        ray = [ZERO] * width
+        ray[unb] = ONE
+        for row, b in zip(tab.rows, tab.basis):
+            ray[b] = -row[unb]
+        return "unbounded", ray, None, None, tab.pivots
+    x_std = [ZERO] * width
+    for row, b in zip(tab.rows, tab.basis):
+        x_std[b] = row[-1]
+    y = _basis_duals(pristine, cost, tab.basis)
+    return "optimal", x_std, y, -obj2[-1], tab.pivots

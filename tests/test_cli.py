@@ -183,6 +183,16 @@ class TestContracts:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    def test_deeply_nested_json_one_line_error(self, capsys, tmp_path):
+        # The decoder gives up with a RecursionError, not a ValueError.
+        bad = tmp_path / "deep.json"
+        bad.write_text('{"agents": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code = main(["inspect", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: invalid JSON: ")
+        assert captured.err.count("\n") == 1
+
     def test_json_text_longer_than_a_path(self, capsys):
         text = Path(FX1).read_text().replace("{", "{" + " " * 5000, 1)
         code, rep = run_json(capsys, "inspect", text)

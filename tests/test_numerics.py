@@ -4,8 +4,11 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from icmech import numerics
 from icmech.numerics import (LinearProgram, frac, in_span, rank,
@@ -413,6 +416,54 @@ class TestPhaseOneSetUp:
         assert rank([rows[i] for i in kept]) == 19
 
 
+RATIONALS = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3, 5, 6]))
+
+
+@st.composite
+def mixed_lps(draw):
+    """Up to 4 variables, each boxed, half-bounded or free; equality and
+    <= rows with rational entries over mixed denominators and right-hand
+    sides of either sign, so optimal, infeasible and unbounded LPs occur.
+    Equality rows are often homogeneous, which leaves artificials basic at
+    0 for the drive-out."""
+    n = draw(st.integers(1, 4))
+
+    def rows(k):
+        return [draw(st.lists(RATIONALS, min_size=n, max_size=n)) for _ in range(k)]
+
+    lower, upper = [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["box", "box", "lower", "upper", "free"]))
+        lo = draw(RATIONALS) if kind in ("box", "lower") else None
+        up = draw(RATIONALS) if kind in ("box", "upper") else None
+        if lo is not None and up is not None and lo > up:
+            lo, up = up, lo
+        lower.append(lo)
+        upper.append(up)
+    k, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    b_eq = [draw(st.just(F(0)) | RATIONALS) for _ in range(k)]
+    return LinearProgram(objective=rows(1)[0], a_eq=rows(k), b_eq=b_eq,
+                         a_ub=rows(m), b_ub=[draw(RATIONALS) for _ in range(m)],
+                         lower=lower, upper=upper)
+
+
+class TestIntegerEngine:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(mixed_lps())
+    # The drive-out pivots on the -1 of the homogeneous equality row.
+    @example(LinearProgram(objective=fl([1, 1]), a_eq=[fl([-1, 1])], b_eq=fl([0]),
+                           lower=fl([0, 0]), upper=fl(["1/2", "1/3"])))
+    @example(LinearProgram(objective=fl([1]), a_eq=[fl([2])], b_eq=fl(["-1/3"])))
+    # Unbounded along the slack of a row scaled by 2.
+    @example(LinearProgram(objective=fl([3]), a_ub=[fl([-2])], b_ub=fl(["-1/2"])))
+    def test_matches_the_fraction_reference(self, lp):
+        # Same Bland path, so the same vertex, duals, certificate and pivots.
+        sol = solve_lp(lp)
+        with mock.patch.object(numerics, "_simplex", reference.simplex):
+            ref = solve_lp(lp)
+        assert sol == ref
+
+
 def run_optimized(script: str) -> str:
     """Run ``script`` under ``python -O`` (asserts stripped); its stdout."""
     src = Path(numerics.__file__).resolve().parent.parent
@@ -425,17 +476,17 @@ def run_optimized(script: str) -> str:
 
 class TestChecksSurviveOptimize:
     def test_perturbed_dual_raises_under_python_o(self):
-        # A corrupted dual must fail the strong-duality check even when
-        # the interpreter strips asserts.
+        # A corrupted dual read off the tableau must fail the
+        # strong-duality check even when the interpreter strips asserts.
         script = (
             "from fractions import Fraction as F\n"
             "from icmech import numerics\n"
-            "good = numerics._basis_duals\n"
+            "good = numerics._simplex\n"
             "def bad(*args):\n"
-            "    y = good(*args)\n"
+            "    status, point, y, value, pivots = good(*args)\n"
             "    y[0] += 1\n"
-            "    return y\n"
-            "numerics._basis_duals = bad\n"
+            "    return status, point, y, value, pivots\n"
+            "numerics._simplex = bad\n"
             "lp = numerics.LinearProgram(objective=[F(1)], a_ub=[[F(1)]],\n"
             "                            b_ub=[F(3)])\n"
             "try:\n"
@@ -444,6 +495,25 @@ class TestChecksSurviveOptimize:
             "    print('debug' if __debug__ else 'optimized', e)\n")
         assert run_optimized(script) == \
             "optimized exact LP check failed: strong duality\n"
+
+    def test_corrupted_ic_verdict_raises_under_python_o(self):
+        # The principal's optimum is only returned once check_ic confirms
+        # it, and that check must survive the stripped asserts.
+        script = (
+            "from icmech import oracle\n"
+            "from icmech.fixtures import fx1\n"
+            "good = oracle.check_ic\n"
+            "def bad(*args):\n"
+            "    report = good(*args)\n"
+            "    report.verdict = not report.verdict\n"
+            "    return report\n"
+            "oracle.check_ic = bad\n"
+            "try:\n"
+            "    oracle.solve_principal(fx1())\n"
+            "except RuntimeError as e:\n"
+            "    print('debug' if __debug__ else 'optimized', e)\n")
+        assert run_optimized(script) == ("optimized oracle check failed: "
+                                         "the LP optimum is IC\n")
 
     def test_corrupted_split_raises_under_python_o(self):
         # The closed-form split u of an additive allocation is only as good
