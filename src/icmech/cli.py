@@ -19,9 +19,9 @@ import numpy as np
 
 from . import fixtures
 from .core import (Instance, Mechanism, NoneCertificate, PreconditionError,
-                   SchemaError, TypeSpace, dumps_canonical, instance_to_dict,
-                   load_instance, load_json_dict, load_mechanism,
-                   to_nested_strings)
+                   SchemaError, TypeSpace, check_profile_count, dumps_canonical,
+                   instance_to_dict, load_instance, load_json_dict,
+                   load_mechanism, to_nested_strings)
 from .game import maximin, obedience_check
 from .ic import check_ic, classify_extremes, spans
 from .nalloc import (AllocationInstance, AllocationMechanism,
@@ -363,6 +363,7 @@ def _parse_shape(text: str) -> tuple[int, ...]:
         raise SchemaError(f"bad shape {text!r}; write e.g. 2x2 or 2x2x2") from None
     if not parts or any(p < 1 for p in parts):
         raise SchemaError(f"bad shape {text!r}")
+    check_profile_count(parts)
     return parts
 
 

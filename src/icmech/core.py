@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -362,6 +363,19 @@ MAX_DIGITS = 1000
 _INT_LIMIT = 10 ** MAX_DIGITS
 
 
+# Bounds the number of type profiles, checked on the shape before any
+# array is built: every array, row family and LP grows with it.
+MAX_PROFILES = 4096
+
+
+def check_profile_count(shape: tuple[int, ...]) -> None:
+    """Refuse a type space with more than ``MAX_PROFILES`` profiles."""
+    count = math.prod(shape)
+    if count > MAX_PROFILES:
+        raise SchemaError(f"the type space has {count} profiles; "
+                          f"at most {MAX_PROFILES} are supported")
+
+
 def _too_large(node) -> bool:
     if isinstance(node, int):
         return abs(node) >= _INT_LIMIT
@@ -409,7 +423,9 @@ def parse_type_space(data: dict) -> TypeSpace:
     missing = [a for a in agents if a not in types_map]
     if missing:
         raise SchemaError(f"'types' missing entries for agents {missing}")
-    return TypeSpace(agents, tuple(_parse_labels(types_map[a]) for a in agents))
+    types = tuple(_parse_labels(types_map[a]) for a in agents)
+    check_profile_count(tuple(len(labels) for labels in types))
+    return TypeSpace(agents, types)
 
 
 def without_zero_types(space: TypeSpace, marginals, arrays) -> tuple:

@@ -1,25 +1,32 @@
 """Exact rational linear algebra and linear programming.
 
 Everything in this module is exact rational arithmetic (``Fraction``s, or
-ints over a common denominator), so feasibility, optimality, rank and
+ints over exact denominators), so feasibility, optimality, rank and
 orthogonality are decided by exact equality, not by tolerances.  The LP
-solver is a two-phase tableau simplex with Bland's anti-cycling rule
-(lowest-index pivoting), which makes every answer and every pivot count
-deterministic and termination guaranteed.
+solver is a two-phase bounded-variable tableau simplex.  Pricing enters
+the largest reduced cost (Dantzig) and falls back to Bland's lowest-index
+rule after as many consecutive degenerate pivots as the tableau has rows,
+which rules out cycling and keeps every answer and every pivot count
+deterministic.
 
-Speed comes from doing less exact work, never from tolerances.  Before
-the tableau is built, a fraction-free integer presolve drops equality
-rows that earlier rows combine to.  Inequality rows start with their
+Speed comes from doing less exact work, never from tolerances.  A
+variable with both bounds finite becomes a column bounded by 1 with no
+row of its own (Dantzig's upper-bounding technique): the ratio test also
+stops where a basic boxed variable reaches 1 or the entering one reaches
+its own bound, and a variable at its upper bound is complemented.  A
+fraction-free integer presolve drops equality rows that earlier rows
+combine to, after that substitution.  Inequality rows start with their
 slack basic (a slack crash basis), so only equality rows and rows with a
 negative right-hand side carry an artificial, and phase 1 is skipped
 when that start is already feasible, as it is for every LP over the IC
-polytope, whose equality rows are homogeneous.  The tableau holds Python
-ints over one common denominator and pivots integer-preserving (Bareiss),
-and the duals are read off its final objective row, where the starting
-unit columns carry B^-1.  Every result is checked exactly, in Fractions,
-before it is returned (primal feasibility, strong duality, the Farkas
-gap, an unbounded ray's direction), and a failed check raises
-``RuntimeError``, also under ``python -O``.
+polytope, whose equality rows are homogeneous.  Each tableau row holds
+Python ints over its own denominator in lowest terms, and a pivot updates
+only the rows whose pivot-column entry is nonzero.  The duals are read
+off the final objective row, where the starting unit columns carry
+B^-1.  Every result is checked exactly, in Fractions, before it is
+returned (primal feasibility, strong duality, the Farkas gap, an
+unbounded ray's direction), and a failed check raises ``RuntimeError``,
+also under ``python -O``.
 """
 
 from __future__ import annotations
@@ -173,8 +180,10 @@ class LPSolution:
     For "infeasible": ``certificate`` is a Farkas combination proving it.
 
     ``pivots`` counts the simplex pivots of every phase, drive-out
-    included.  Under Bland's rule it is a deterministic function of the
-    input, so a change to the engine that adds pivots shows without timing.
+    included, and ``flips`` the steps that only move the entering variable
+    to its other bound.  The pricing rule is deterministic, so both are
+    functions of the input, and a change to the engine that adds pivots
+    shows without timing.
     """
 
     status: str
@@ -186,73 +195,138 @@ class LPSolution:
     ray: list[Fraction] | None = None
     certificate: dict | None = None
     pivots: int = 0
+    flips: int = 0
 
 
 class _Tableau:
-    """Dense simplex tableau over Python ints with Bland's rule.
+    """Dense bounded-variable simplex tableau over Python ints.
 
-    Integer-preserving (Bareiss) pivoting: the tableau, and the objective
-    row passed along, is ``rows / den`` with ``den`` > 0 the basis
-    determinant up to sign, so every entry stays an integer minor.
+    Row i is ``rows[i] / dens[i]`` over its own denominator, in lowest
+    terms: a pivot updates only the rows with a nonzero entry in its
+    column and divides each updated row and its denominator by their gcd,
+    so the integers stay as small as the rational entries allow and every
+    division is exact.  The objective row passed along is ``obj /
+    objden``.  The columns in ``boxed`` are bounded by 1; one in
+    ``flipped`` holds the complement 1 - z of its variable z, so every
+    nonbasic variable sits at 0.
+
+    Pricing enters the largest positive reduced cost, the lowest index on
+    ties (Dantzig); after as many consecutive degenerate pivots as there
+    are rows it enters the lowest index (Bland) until the next
+    nondegenerate step, which rules out cycling.
     """
 
-    def __init__(self, rows: list[list[int]], basis: list[int]):
+    def __init__(self, rows: list[list[int]], basis: list[int], boxed: set[int]):
         self.rows = rows          # each row: coefficients + rhs (last entry)
+        self.dens = [1] * len(rows)
+        self.objden = 1
         self.basis = basis
-        self.den = 1
+        self.boxed = boxed
+        self.flipped: set[int] = set()
         self.pivots = 0
+        self.flips = 0
 
-    def pivot(self, r: int, c: int, obj: list[int]) -> None:
+    def objective(self, cost: list[int]) -> list[int]:
+        """Objective row (reduced costs + negated value) over the basis, in
+        units of 1/objden.  A flipped column's cost changes sign and adds
+        to the value."""
+        cost = [-c if j in self.flipped else c for j, c in enumerate(cost)]
+        den = math.lcm(*self.dens)
+        obj = [den * c for c in cost] + [den * sum(cost[j] for j in self.flipped)]
+        for row, d, b in zip(self.rows, self.dens, self.basis):
+            cb = cost[b]
+            if cb:
+                f = cb * (den // d)
+                obj = [a - f * v for a, v in zip(obj, row)]
+        _check(len(obj) == len(cost) + 1, "the objective row spans the tableau")
+        self.objden = den
+        return obj
+
+    def pivot(self, r: int, c: int, obj: list[int] | None) -> None:
+        """Pivot on row r, column c, updating ``obj`` too if given."""
         self.pivots += 1
-        prow = self.rows[r]
-        if prow[c] < 0:   # drive-out only: negates the new tableau, den > 0
-            prow = self.rows[r] = [-v for v in prow]
-        p, den = prow[c], self.den
+        # The pivot row over its own pivot entry, in lowest terms; that
+        # entry is negative only in the drive-out or right after a basic
+        # variable was flipped.
+        prow, q = _lowest_terms(self.rows[r], self.rows[r][c])
+        dens = self.dens
         for i, row in enumerate(self.rows):
-            if i != r:
-                self.rows[i] = _bareiss(row, prow, p, den, c)
-        obj[:] = _bareiss(obj, prow, p, den, c)
-        self.den = p
+            f = row[c]
+            if f and i != r:
+                self.rows[i], dens[i] = _lowest_terms(
+                    [q * a - f * b for a, b in zip(row, prow)], dens[i] * q)
+        if obj is not None:
+            f = obj[c]
+            obj[:], self.objden = _lowest_terms(
+                [q * a - f * b for a, b in zip(obj, prow)], self.objden * q)
+        self.rows[r], dens[r] = prow, q
         self.basis[r] = c
+
+    def flip(self, c: int, obj: list[int]) -> None:
+        """Substitute 1 - z for the boxed variable z of column c: negate the
+        column and subtract it from the rhs, in every row and in ``obj``.
+        A basic column is flipped only to leave at once: the pivot on its
+        row, whose entry is now negative, negates that row back."""
+        self.flipped ^= {c}
+        for row in self.rows:
+            a = row[c]
+            if a:
+                row[-1] -= a
+                row[c] = -a
+        obj[-1] -= obj[c]
+        obj[c] = -obj[c]
 
     def run(self, obj: list[int], ncols: int) -> int | None:
         """Simplex iterations until optimal (returns None) or unbounded
-        (returns the offending entering column)."""
+        (returns the offending entering column); columns from ``ncols`` on
+        never enter."""
+        degenerate = 0
         while True:
-            enter = next((j for j in range(ncols) if obj[j] > 0), None)
+            if degenerate < len(self.rows):
+                best = max(obj[:ncols], default=0)
+                enter = obj.index(best) if best > 0 else None
+            else:
+                enter = next((j for j in range(ncols) if obj[j] > 0), None)
             if enter is None:
                 return None
-            leave = None
-            num, dnm = 0, 1           # the best ratio so far, num / dnm
+            # Ratio test: a basic variable falls to 0 (entry > 0) or a boxed
+            # one rises to 1 (entry < 0); a boxed entering variable stops at
+            # its own bound 1 first on ties, which is a flip.
+            leave, dnm = None, 1
+            num = 1 if enter in self.boxed else None   # the step is num / dnm
             for i, row in enumerate(self.rows):
-                a = row[enter]
-                if a > 0:
-                    lhs, rhs = row[-1] * dnm, num * a
-                    if leave is None or lhs < rhs or \
-                            (lhs == rhs and self.basis[i] < self.basis[leave]):
-                        leave, num, dnm = i, row[-1], a
-            if leave is None:
+                a, t = row[enter], row[-1]
+                if a < 0 and self.basis[i] in self.boxed:
+                    a, t = -a, self.dens[i] - t
+                if a <= 0:
+                    continue
+                if num is not None:
+                    lhs, rhs = t * dnm, num * a
+                    if lhs > rhs or lhs == rhs and (
+                            leave is None or self.basis[i] > self.basis[leave]):
+                        continue
+                leave, num, dnm = i, t, a
+            if num is None:
                 return enter
+            if leave is None:
+                self.flips += 1
+                self.flip(enter, obj)
+                degenerate = 0
+                continue
+            degenerate = degenerate + 1 if num == 0 else 0
+            if self.rows[leave][enter] < 0:   # leaves at its upper bound
+                self.flip(self.basis[leave], obj)
             self.pivot(leave, enter, obj)
 
 
-def _bareiss(row: list[int], prow: list[int], p: int, den: int, c: int) -> list[int]:
-    """``(p * row - row[c] * prow) / den``; the division is exact."""
-    f = row[c]
-    if f:
-        return [(p * a - f * b) // den for a, b in zip(row, prow)]
-    return [p * a // den for a in row]
-
-
-def _reduced_objective(cost: list[int], tab: _Tableau, width: int) -> list[int]:
-    """Objective row (reduced costs + negated value) over the basis, times den."""
-    obj = [tab.den * c for c in cost] + [0]
-    for row, b in zip(tab.rows, tab.basis):
-        cb = cost[b]
-        if cb:
-            obj = [a - cb * v for a, v in zip(obj, row)]
-    _check(len(obj) == width + 1, "the objective row spans the tableau")
-    return obj
+def _lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:
+    """``row / den`` with the gcd divided out and the denominator > 0."""
+    g = math.gcd(den, *row)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return row, den
+    return [v // g for v in row], den // g
 
 
 def _check(ok: bool, what: str) -> None:
@@ -262,22 +336,23 @@ def _check(ok: bool, what: str) -> None:
         raise RuntimeError(f"exact LP check failed: {what}")
 
 
-def _independent_rows(rows: Sequence[Sequence[Fraction]],
-                      rhs: Sequence[Fraction]) -> list[int]:
-    """Indices of the rows of ``[rows | rhs]`` that no earlier rows combine to.
+def _integer_row(vals: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """``vals`` scaled to integers by s, the lcm of its denominators: (s, ints)."""
+    scale = math.lcm(*(v.denominator for v in vals))
+    return scale, [v.numerator * (scale // v.denominator) for v in vals]
 
-    Fraction-free: each augmented row is scaled to integers by the lcm of
-    its denominators, then reduced against the rows kept so far by
-    cross-multiplication, dividing out the gcd after every step.  A row
-    that is inconsistent with earlier ones (its left side dependent, its
-    rhs not) is kept.
+
+def _independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Indices of the integer rows that no earlier rows combine to.
+
+    Fraction-free: each row is reduced against the rows kept so far by
+    cross-multiplication, dividing out the gcd after every step.  Rows
+    are augmented with their rhs, so a row that is inconsistent with
+    earlier ones (its left side dependent, its rhs not) is kept.
     """
     kept: list[int] = []
     reduced: list[tuple[int, list[int]]] = []   # (leading column, integer row)
-    for i, (row, b) in enumerate(zip(rows, rhs)):
-        vals = list(row) + [b]
-        scale = math.lcm(*(v.denominator for v in vals))
-        vec = [v.numerator * (scale // v.denominator) for v in vals]
+    for i, vec in enumerate(rows):
         for lead, prow in reduced:
             f = vec[lead]
             if f:
@@ -299,188 +374,150 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     Never approximates: the answer is the exact rational optimum, or an
     infeasibility/unboundedness certificate.
     """
-    n = lp.n
-
-    # --- conversion to standard form: A s = b, s >= 0 --------------------
-    # Per original variable: how it maps to standard variables.
-    #   ("shift", l):  x = l + s
-    #   ("negshift", u): x = u - s
-    #   ("split", None): x = s_plus - s_minus
-    var_map: list[tuple] = []
-    col_of: list[tuple[int, int | None]] = []  # (primary col, secondary col)
+    # --- conversion to standard form: x_j = offset + sum coeff * s_col ----
+    # lower bound only: x = lo + s; upper only: x = up - s; free: x = s - s';
+    # both bounds: x = lo + (up - lo) z with z a boxed column, 0 <= z <= 1,
+    # which gets no row of its own (a fixed variable's column is zero).
+    var_map: list[tuple[Fraction, list[tuple[int, Fraction]]]] = []
+    boxed: set[int] = set()
     ncols = 0
-    for j in range(n):
-        lo, up = lp.lower[j], lp.upper[j]
-        if lo is not None:
-            var_map.append(("shift", lo))
-            col_of.append((ncols, None))
-            ncols += 1
-        elif up is not None:
-            var_map.append(("negshift", up))
-            col_of.append((ncols, None))
-            ncols += 1
-        else:
-            var_map.append(("split", None))
-            col_of.append((ncols, ncols + 1))
-            ncols += 2
-
-    # Row bookkeeping: ("eq", i) / ("ub", i) / ("bnd", j) plus slack columns
-    # for every inequality.  Bound rows encode x_j <= upper_j for variables
-    # that also carry a finite lower bound.  Equality rows that earlier ones
-    # combine to are left out; their duals are 0.
-    row_specs: list[tuple[str, int]] = []
-    raw_rows: list[tuple[list[Fraction], Fraction]] = []
-
-    def expand(row: Sequence[Fraction], rhs: Fraction) -> tuple[list[Fraction], Fraction]:
-        out = [ZERO] * ncols
-        r = rhs
-        for j, coeff in enumerate(row):
-            if coeff == 0:
-                continue
-            kind, val = var_map[j]
-            c0, c1 = col_of[j]
-            if kind == "shift":
-                out[c0] += coeff
-                r -= coeff * val
-            elif kind == "negshift":
-                out[c0] -= coeff
-                r -= coeff * val
-            else:
-                out[c0] += coeff
-                out[c1] -= coeff
-        return out, r
-
-    for i in _independent_rows(lp.a_eq, lp.b_eq):
-        raw_rows.append(expand(lp.a_eq[i], lp.b_eq[i]))
-        row_specs.append(("eq", i))
-    for i, (row, rhs) in enumerate(zip(lp.a_ub, lp.b_ub)):
-        raw_rows.append(expand(row, rhs))
-        row_specs.append(("ub", i))
-    for j in range(n):
-        lo, up = lp.lower[j], lp.upper[j]
+    for lo, up in zip(lp.lower, lp.upper):
         if lo is not None and up is not None:
-            unit = [ZERO] * ncols
-            unit[col_of[j][0]] = ONE
-            raw_rows.append((unit, up - lo))
-            row_specs.append(("bnd", j))
+            boxed.add(ncols)
+            var_map.append((lo, [(ncols, up - lo)]))
+        elif lo is not None:
+            var_map.append((lo, [(ncols, ONE)]))
+        elif up is not None:
+            var_map.append((up, [(ncols, -ONE)]))
+        else:
+            var_map.append((ZERO, [(ncols, ONE), (ncols + 1, -ONE)]))
+        ncols += len(var_map[-1][1])
 
-    nslack = sum(1 for kind, _ in row_specs if kind != "eq")
-    width = ncols + nslack
-    a_std: list[list[Fraction]] = []
-    b_std: list[Fraction] = []
-    row_sign: list[int] = []
+    # The substituted row [coefficients | rhs] in integers, scaled once: by
+    # the lcm of the row's denominators times ``unit``, which clears the
+    # denominators of every offset and coefficient of the map.
+    unit = math.lcm(*(v.denominator for offset, cols in var_map
+                      for v in (offset, *(k for _, k in cols))))
+    int_map = [(int(offset * unit), [(col, int(k * unit)) for col, k in cols])
+               for offset, cols in var_map]
+
+    def scaled(row: Sequence[Fraction], rhs: Fraction) -> tuple[int, list[int]]:
+        scale, vec = _integer_row([*row, rhs])
+        out = [0] * ncols
+        b = vec[-1] * unit
+        for a, (offset, cols) in zip(vec, int_map):
+            if a:
+                b -= a * offset
+                for col, k in cols:
+                    out[col] = a * k
+        out.append(b)
+        return scale * unit, out
+
+    # Equality rows that earlier ones combine to, after the substitution,
+    # are left out; their duals are 0.  Every <= row gets a slack, kept at
+    # +-1 when the row is scaled.
+    eq = [scaled(row, rhs) for row, rhs in zip(lp.a_eq, lp.b_eq)]
+    kept = _independent_rows([vec for _, vec in eq])
+    ub = [scaled(row, rhs) for row, rhs in zip(lp.a_ub, lp.b_ub)]
+    row_specs = [("eq", i) for i in kept] + [("ub", i) for i in range(len(ub))]
+    nslack = len(ub)
+    rows: list[list[int]] = []
     # Slack crash basis: a row whose slack keeps its +1 after the sign
     # normalisation starts with that slack basic; the others need an
-    # artificial column.
+    # artificial column.  factor[i] maps the dual of tableau row i back
+    # onto its original row.
     crash: list[int | None] = []
-    scol = ncols
-    for (kind, _), (coeffs, rhs) in zip(row_specs, raw_rows):
-        row = list(coeffs) + [ZERO] * nslack
+    factor: list[int] = []
+    for (kind, i), (scale, vec) in zip(row_specs, [eq[i] for i in kept] + ub):
+        row = vec[:-1] + [0] * nslack + vec[-1:]
         start = None
-        if kind != "eq":
-            row[scol] = ONE
-            start = scol
-            scol += 1
-        if rhs < 0:
+        if kind == "ub":
+            start = ncols + i
+            row[start] = 1
+        if row[-1] < 0:
             row = [-v for v in row]
-            rhs = -rhs
-            row_sign.append(-1)
-            start = None
-        else:
-            row_sign.append(1)
-        a_std.append(row)
-        b_std.append(rhs)
+            scale, start = -scale, None
+        rows.append(row)
         crash.append(start)
+        factor.append(scale)
 
-    cost_std = [ZERO] * width
-    for j in range(n):
-        kind, _ = var_map[j]
-        c0, c1 = col_of[j]
-        cj = lp.objective[j]
-        if kind == "negshift":
-            cost_std[c0] -= cj
-        else:
-            cost_std[c0] += cj
-            if c1 is not None:
-                cost_std[c1] -= cj
-    const_term = sum(lp.objective[j] * var_map[j][1]
-                     for j in range(n) if var_map[j][0] != "split")
+    cost = [ZERO] * (ncols + nslack)
+    for c, (_, cols) in zip(lp.objective, var_map):
+        for col, k in cols:
+            cost[col] += c * k
+    const_term = sum(c * offset for c, (offset, _) in zip(lp.objective, var_map))
 
-    status, point, y, value_std, pivots = _simplex(a_std, b_std, crash, cost_std, ncols)
+    status, point, y, value_std, (pivots, flips) = _simplex(
+        rows, crash, cost, ncols, boxed)
     if status == "infeasible":
         # The phase-1 duals combine the constraints to the zero row while
         # the same combination of right-hand sides is negative: 0 <= gap < 0.
         dual_eq, dual_ub, mu, nu, gap = _fold_duals(
-            lp, y, row_specs, row_sign, [ZERO] * n)
+            lp, y, row_specs, factor, [ZERO] * lp.n)
         _check(gap < 0, "Farkas gap is negative")
         cert = {"dual_eq": dual_eq, "dual_ub": dual_ub,
                 "upper_multipliers": mu, "lower_multipliers": nu, "gap": gap}
-        return LPSolution(status="infeasible", certificate=cert, pivots=pivots)
+        return LPSolution(status="infeasible", certificate=cert,
+                          pivots=pivots, flips=flips)
     if status == "unbounded":
-        # A direction maps like a point whose offsets are all 0.
-        ray = _map_point(point, [(kind, ZERO) for kind, _ in var_map], col_of, n)
+        ray = _map_point(point, var_map, shift=False)
         _check_ray(lp, ray)
-        return LPSolution(status="unbounded", ray=ray, pivots=pivots)
+        return LPSolution(status="unbounded", ray=ray, pivots=pivots, flips=flips)
 
-    x = _map_point(point, var_map, col_of, n)
+    x = _map_point(point, var_map)
     value = sum(c * v for c, v in zip(lp.objective, x))
     _check(value == value_std + const_term, "objective value identity")
     dual_eq, dual_ub, mu, nu, dual_value = _fold_duals(
-        lp, y, row_specs, row_sign, lp.objective)
+        lp, y, row_specs, factor, lp.objective)
     _check(dual_value == value, "strong duality")
     _check_primal(lp, x)
     return LPSolution(status="optimal", value=value, x=x,
                       dual_eq=dual_eq, dual_ub=dual_ub,
                       reduced_costs=[u - d for u, d in zip(mu, nu)],
-                      pivots=pivots)
+                      pivots=pivots, flips=flips)
 
 
-def _simplex(rows: list[list[Fraction]], rhs: list[Fraction],
-             crash: list[int | None], cost: list[Fraction], ncols: int):
-    """Two-phase simplex: max cost . s  s.t.  rows s = rhs >= 0, s >= 0.
+def _simplex(rows: list[list[int]], crash: list[int | None],
+             cost: list[Fraction], ncols: int, boxed: set[int]):
+    """Two-phase bounded-variable simplex: max cost . s  s.t.  rows s = rhs,
+    s >= 0 and s_j <= 1 for j in ``boxed``.
 
-    Columns past ``ncols`` are slacks; ``crash[i]`` is row i's starting
-    slack, or None for an artificial.  Returns (status, point, y, value,
-    pivots): the optimal vertex or the ray (its slack entries scaled), and
-    the row duals, the Farkas multipliers if infeasible.  Row i is scaled
-    to integers by s_i, the lcm of its structural and rhs denominators,
-    with its slack or artificial kept at +-1: a positive column rescaling,
-    so Bland's path is unchanged.
+    ``rows`` are integer rows over the columns of ``cost`` plus the rhs
+    (last entry, >= 0); columns past ``ncols`` are slacks, and
+    ``crash[i]`` is row i's starting slack, or None for an artificial.
+    Returns (status, point, y, value, (pivots, flips)): the optimal vertex
+    or an improving ray, and the duals of ``rows``, the Farkas multipliers
+    if infeasible.
     """
     width = len(cost)
-    scales = [math.lcm(b.denominator, *(v.denominator for v in row[:ncols]))
-              for row, b in zip(rows, rhs)]
     art_rows = [i for i, start in enumerate(crash) if start is None]
     nart = len(art_rows)
-    tab_rows = [[v.numerator * (s // v.denominator) for v in row[:ncols]] +
-                [int(v) for v in row[ncols:]] + [0] * nart +
-                [b.numerator * (s // b.denominator)]
-                for row, b, s in zip(rows, rhs, scales)]
+    tab_rows = [row[:-1] + [0] * nart + row[-1:] for row in rows]
     basis = list(crash)
     for k, i in enumerate(art_rows):
         tab_rows[i][width + k] = 1
         basis[i] = width + k
     start = list(basis)           # row i's unit column: B^-1 builds up there
-    tab = _Tableau(tab_rows, basis)
+    tab = _Tableau(tab_rows, basis, boxed)
 
     def duals(obj, cost, scale):
-        # Read off the tableau: column start[i] has reduced cost c_j - y_i/s_i
-        # (obj and cost are scaled by ``scale``, obj over den as well).
-        return [Fraction(s * (cost[j] * tab.den - obj[j]), scale * tab.den)
-                for s, j in zip(scales, start)]
+        # Read off the tableau: column start[i] has reduced cost c_j - y_i
+        # (obj and cost are scaled by ``scale``, obj over objden as well).
+        return [Fraction(cost[j] * tab.objden - obj[j], scale * tab.objden)
+                for j in start]
 
-    # --- phase 1: the artificial of row i costs -1/s_i -------------------
-    scale1 = math.lcm(*(scales[i] for i in art_rows))
-    cost1 = [0] * width + [-(scale1 // scales[i]) for i in art_rows]
-    obj1 = _reduced_objective(cost1, tab, width + nart)
+    # --- phase 1: every artificial costs -1 ------------------------------
+    cost1 = [0] * width + [-1] * nart
+    obj1 = tab.objective(cost1)
     # obj1[-1] is the artificials' total.  At 0 the crash basis is already
     # phase-1 optimal (every oracle LP: its equality rows are homogeneous).
     # Entering candidates exclude the artificial columns: once an
     # artificial leaves the basis it stays out.
     if obj1[-1] != 0:
         _check(tab.run(obj1, width) is None, "the phase-1 objective is bounded")
+    counts = (tab.pivots, tab.flips)
     if obj1[-1] > 0:
-        return "infeasible", None, duals(obj1, cost1, scale1), None, tab.pivots
+        return "infeasible", None, duals(obj1, cost1, 1), None, counts
 
     # Drive the artificials, all at level 0, out of the basis.  With the
     # dependent equality rows gone and phase 1 feasible, the standard-form
@@ -489,41 +526,35 @@ def _simplex(rows: list[list[Fraction]], rhs: list[Fraction],
         if tab.basis[i] >= width:
             col = next((j for j in range(width) if tab.rows[i][j] != 0), None)
             _check(col is not None, "an artificial variable leaves the basis")
-            tab.pivot(i, col, obj1)
+            tab.pivot(i, col, None)
 
     # --- phase 2: the artificial columns stay, barred from entering ------
-    scale2 = math.lcm(*(c.denominator for c in cost))
-    cost2 = [c.numerator * (scale2 // c.denominator) for c in cost] + [0] * nart
-    obj2 = _reduced_objective(cost2, tab, width + nart)
+    scale2, cost2 = _integer_row(cost)
+    cost2 += [0] * nart
+    obj2 = tab.objective(cost2)
     unb = tab.run(obj2, width)
+    counts = (tab.pivots, tab.flips)
     if unb is not None:
-        # Scaled slack i is s_i times the slack: scale the ray back by s_i.
-        f = next(s for row, s in zip(rows, scales) if row[unb]) \
-            if unb >= ncols else 1
+        # A boxed basic variable would have stopped the ray, so its entry
+        # is 0 and flipped columns need no sign change.
         ray = [ZERO] * width
         ray[unb] = ONE
-        for row, b in zip(tab.rows, tab.basis):
-            ray[b] = Fraction(-f * row[unb], tab.den)
-        return "unbounded", ray, None, None, tab.pivots
+        for row, d, b in zip(tab.rows, tab.dens, tab.basis):
+            ray[b] = Fraction(-row[unb], d)
+        return "unbounded", ray, None, None, counts
+    # A flipped column holds 1 - z.
     x_std = [ZERO] * width
-    for row, b in zip(tab.rows, tab.basis):
-        x_std[b] = Fraction(row[-1], tab.den)
+    for row, d, b in zip(tab.rows, tab.dens, tab.basis):
+        x_std[b] = Fraction(row[-1], d)
+    x_std = [ONE - v if j in tab.flipped else v for j, v in enumerate(x_std)]
     return ("optimal", x_std, duals(obj2, cost2, scale2),
-            Fraction(-obj2[-1], scale2 * tab.den), tab.pivots)
+            Fraction(-obj2[-1], scale2 * tab.objden), counts)
 
 
-def _map_point(x_std: list[Fraction], var_map, col_of, n: int) -> list[Fraction]:
-    out = []
-    for j in range(n):
-        kind, val = var_map[j]
-        c0, c1 = col_of[j]
-        if kind == "shift":
-            out.append(val + x_std[c0])
-        elif kind == "negshift":
-            out.append(val - x_std[c0])
-        else:
-            out.append(x_std[c0] - x_std[c1])
-    return out
+def _map_point(s: list[Fraction], var_map, shift: bool = True) -> list[Fraction]:
+    """Standard-form point (or, without the shift, direction) to x."""
+    return [(offset if shift else ZERO) + sum(k * s[col] for col, k in cols)
+            for offset, cols in var_map]
 
 
 def _check_primal(lp: LinearProgram, x: list[Fraction]) -> None:
@@ -545,8 +576,9 @@ def _check_ray(lp: LinearProgram, d: list[Fraction]) -> None:
     _check(sum(c * v for c, v in zip(lp.objective, d)) > 0, "ray improves")
 
 
-def _fold_duals(lp, y, row_specs, row_sign, objective):
-    """Fold standard-form duals y back onto the original constraints.
+def _fold_duals(lp, y, row_specs, factor, objective):
+    """Fold the duals y of the scaled tableau rows back onto the original
+    constraints (row i's dual times ``factor[i]``).
 
     Bound multipliers mu (upper) and nu (lower) absorb what the row duals
     leave of ``objective``, so that A^T dual + mu - nu = objective.
@@ -554,18 +586,12 @@ def _fold_duals(lp, y, row_specs, row_sign, objective):
     the multipliers' signs exactly.  Equality rows absent from
     ``row_specs`` get dual 0.
     """
-    dual_eq = [ZERO] * len(lp.a_eq)
-    dual_ub = [ZERO] * len(lp.a_ub)
+    duals = {"eq": [ZERO] * len(lp.a_eq), "ub": [ZERO] * len(lp.a_ub)}
+    for (kind, idx), yi, f in zip(row_specs, y, factor):
+        duals[kind][idx] = yi * f
+    dual_eq, dual_ub = duals["eq"], duals["ub"]
     mu = [ZERO] * lp.n   # upper-bound duals
     nu = [ZERO] * lp.n   # lower-bound duals
-    for i, ((kind, idx), s) in enumerate(zip(row_specs, row_sign)):
-        yi = y[i] * s
-        if kind == "eq":
-            dual_eq[idx] = yi
-        elif kind == "ub":
-            dual_ub[idx] = yi
-        else:
-            mu[idx] += yi
     g = [ZERO] * lp.n    # A^T dual, over the nonzero duals and coefficients
     for row, d in zip(lp.a_eq + lp.a_ub, dual_eq + dual_ub):
         if d:
@@ -573,9 +599,9 @@ def _fold_duals(lp, y, row_specs, row_sign, objective):
                 if a:
                     g[j] += d * a
     for j in range(lp.n):
-        r = objective[j] - g[j] - mu[j]
+        r = objective[j] - g[j]
         if r > 0:
-            mu[j] += r
+            mu[j] = r
         else:
             nu[j] = -r
     _check(all(v >= 0 for v in dual_ub), "inequality duals are nonnegative")

@@ -7,9 +7,10 @@ rows to equal them entry for entry and in order.  ``w_generators`` and
 ``orthogonal_projection`` are the generic Gram-matrix projection that the
 closed-form additivity residuals are checked against.
 ``enumerate_vertices`` is a brute-force LP oracle for cross-checking the
-simplex, and ``simplex`` is the Fraction tableau with the duals recovered
-by a second elimination, which the integer-preserving engine in
-``icmech.numerics`` must match pivot for pivot.
+simplex, and ``simplex`` is the Fraction tableau with Bland's rule, explicit
+bound rows and the duals recovered by a second elimination, whose status
+and optimal value the bounded-variable engine in ``icmech.numerics`` must
+reproduce.
 """
 
 import itertools
@@ -310,9 +311,34 @@ def _basis_duals(a, cost, basis) -> list[Fraction]:
     return y
 
 
-def simplex(rows, rhs, crash, cost, ncols):
-    """``icmech.numerics._simplex`` over Fractions: same contract, same
-    Bland path, duals by eliminating the final basis matrix."""
+def simplex(rows, crash, cost, ncols, boxed):
+    """``icmech.numerics._simplex``'s contract over Fractions, with Bland's
+    rule and an explicit row s_j + t_j = 1 for every boxed column j, its
+    slack t_j starting basic.  Only the duals of ``rows`` come back: the
+    caller folds the bound multipliers from the residual."""
+    width = len(cost)
+    nrows = len(rows)
+    boxed = sorted(boxed)
+    nbox = len(boxed)
+    rhs = [Fraction(row[-1]) for row in rows] + [ONE] * nbox
+    a = [[Fraction(v) for v in row[:-1]] + [ZERO] * nbox for row in rows]
+    for k, j in enumerate(boxed):
+        bound = [ZERO] * (width + nbox)
+        bound[j] = bound[width + k] = ONE
+        a.append(bound)
+    crash = list(crash) + [width + k for k in range(nbox)]
+    status, point, y, value, pivots = _bland_simplex(
+        a, rhs, crash, list(cost) + [ZERO] * nbox)
+    if point is not None:
+        point = point[:width]
+    if y is not None:
+        y = y[:nrows]
+    return status, point, y, value, (pivots, 0)
+
+
+def _bland_simplex(rows, rhs, crash, cost):
+    """Two-phase Bland simplex: max cost . s  s.t.  rows s = rhs >= 0,
+    s >= 0; duals by eliminating the final basis matrix."""
     width = len(cost)
     art_rows = [i for i, start in enumerate(crash) if start is None]
     nart = len(art_rows)

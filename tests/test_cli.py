@@ -183,6 +183,18 @@ class TestContracts:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--seed", "1", "--shape", "2000x2000", "--kind", "independent"],
+        ["generate", "--seed", "1", "--shape", "65x64", "--kind", "correlated"],
+    ])
+    def test_too_many_profiles_one_line_error(self, capsys, argv):
+        # Refused from the shape alone, before any array is built.
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: the type space has ")
+        assert captured.err.count("\n") == 1
+
     def test_deeply_nested_json_one_line_error(self, capsys, tmp_path):
         # The decoder gives up with a RecursionError, not a ValueError.
         bad = tmp_path / "deep.json"

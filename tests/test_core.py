@@ -6,8 +6,8 @@ import pytest
 
 from icmech.core import (JointDist, SchemaError, TypeSpace, constant_array,
                          dump_instance, expectation, load_instance,
-                         load_mechanism, normalize, product_dist,
-                         rational_array)
+                         load_mechanism, normalize, parse_type_space,
+                         product_dist, rational_array)
 from icmech.fixtures import FIXTURE_NAMES, fixture, fixture_path
 from icmech.nalloc import dump_allocation, load_allocation
 
@@ -224,6 +224,18 @@ class TestSchema:
         else:
             with pytest.raises(SchemaError, match="more than 1000 digits"):
                 load_instance(data)
+
+    @pytest.mark.parametrize("shape, ok", [((64, 64), True), ((4097,), False),
+                                           ((65, 64), False), ((2,) * 12, True)])
+    def test_profile_count_bound(self, shape, ok):
+        # Checked on the type lists, before any array is read or built.
+        data = {"agents": [f"a{i}" for i in range(len(shape))],
+                "types": {f"a{i}": list(range(k)) for i, k in enumerate(shape)}}
+        if ok:
+            assert parse_type_space(data).shape == shape
+        else:
+            with pytest.raises(SchemaError, match="at most 4096 are supported"):
+                parse_type_space(data)
 
 
 class TestFixtures:

@@ -299,6 +299,45 @@ def assert_dual_certificate(lp: LinearProgram, sol) -> None:
     assert dual_value == sol.value
 
 
+def assert_farkas_certificate(lp: LinearProgram, cert: dict) -> None:
+    """A^T y + mu - nu = 0 with y_ub, mu, nu >= 0 on finite bounds, and the
+    same combination of the right-hand sides negative: no x is feasible."""
+    y_eq, y_ub = cert["dual_eq"], cert["dual_ub"]
+    mu, nu = cert["upper_multipliers"], cert["lower_multipliers"]
+    assert all(v >= 0 for v in y_ub + mu + nu)
+    for j in range(lp.n):
+        assert mu[j] == 0 or lp.upper[j] is not None
+        assert nu[j] == 0 or lp.lower[j] is not None
+        # A^T y + mu - nu = 0: the combination of the rows vanishes.
+        assert dot(y_eq, [row[j] for row in lp.a_eq]) + \
+            dot(y_ub, [row[j] for row in lp.a_ub]) + mu[j] - nu[j] == 0
+    combined = dot(y_eq, lp.b_eq) + dot(y_ub, lp.b_ub) + \
+        sum(mu[j] * lp.upper[j] for j in range(lp.n) if mu[j]) - \
+        sum(nu[j] * lp.lower[j] for j in range(lp.n) if nu[j])
+    assert combined < 0 and combined == cert["gap"]
+
+
+def assert_certificate(lp: LinearProgram, sol) -> None:
+    """Re-verify a solution from the LP data alone, whatever its status."""
+    if sol.status == "optimal":
+        x = sol.x
+        assert all(dot(row, x) == b for row, b in zip(lp.a_eq, lp.b_eq))
+        assert all(dot(row, x) <= b for row, b in zip(lp.a_ub, lp.b_ub))
+        assert all((lo is None or v >= lo) and (up is None or v <= up)
+                   for v, lo, up in zip(x, lp.lower, lp.upper))
+        assert dot(lp.objective, x) == sol.value
+        assert_dual_certificate(lp, sol)
+    elif sol.status == "infeasible":
+        assert_farkas_certificate(lp, sol.certificate)
+    else:
+        d = sol.ray
+        assert all(dot(row, d) == 0 for row in lp.a_eq)
+        assert all(dot(row, d) <= 0 for row in lp.a_ub)
+        assert all((lo is None or v >= 0) and (up is None or v <= 0)
+                   for v, lo, up in zip(d, lp.lower, lp.upper))
+        assert dot(lp.objective, d) > 0
+
+
 def homogeneous_boxed_lp(rng: random.Random) -> LinearProgram:
     """Equality rows through the origin (some of them combinations of
     earlier ones), 0 <= x <= u and <= rows with nonnegative rhs: the slack
@@ -366,20 +405,7 @@ class TestPhaseOneSetUp:
                 assert trial % 3 == 2
                 continue
             assert reference.enumerate_vertices(lp) == []
-            cert = sol.certificate
-            y_eq, y_ub = cert["dual_eq"], cert["dual_ub"]
-            mu, nu = cert["upper_multipliers"], cert["lower_multipliers"]
-            assert all(v >= 0 for v in y_ub + mu + nu)
-            for j in range(n):
-                assert mu[j] == 0 or lp.upper[j] is not None
-                assert nu[j] == 0 or lp.lower[j] is not None
-                # A^T y + mu - nu = 0: the combination of the rows vanishes.
-                assert dot(y_eq, [row[j] for row in lp.a_eq]) + \
-                    dot(y_ub, [row[j] for row in lp.a_ub]) + mu[j] - nu[j] == 0
-            combined = dot(y_eq, lp.b_eq) + dot(y_ub, lp.b_ub) + \
-                sum(mu[j] * lp.upper[j] for j in range(n) if mu[j]) - \
-                sum(nu[j] * lp.lower[j] for j in range(n) if nu[j])
-            assert combined < 0 and combined == cert["gap"]
+            assert_farkas_certificate(lp, sol.certificate)
             checked += 1
         assert checked >= 50
 
@@ -404,16 +430,27 @@ class TestPhaseOneSetUp:
             verified += 1
         assert verified >= 30
 
-    def test_redundant_rows_do_not_reach_the_tableau(self):
+    def test_redundant_rows_do_not_reach_the_tableau(self, monkeypatch):
         # 60 interim rows of rank 19 in the oracle LP leave 19 equality
-        # rows plus one bound row per variable.
+        # rows, and the bounds 0 <= x <= 1 add none.
         from icmech.ic import ic_polytope
-        from icmech.oracle import generate
-        rows = ic_polytope(generate(1001, (6, 6), "conditionally-independent",
-                                    k=2).dist)
-        kept = numerics._independent_rows(rows, [F(0)] * len(rows))
+        from icmech.oracle import generate, solve_principal
+        inst = generate(1001, (6, 6), "conditionally-independent", k=2)
+        rows = ic_polytope(inst.dist)
+        kept = numerics._independent_rows(
+            [numerics._integer_row(row + [F(0)])[1] for row in rows])
         assert len(rows) == 60 and len(kept) == rank(rows) == 19
         assert rank([rows[i] for i in kept]) == 19
+        sizes = []
+        simplex = numerics._simplex
+
+        def recording_simplex(rows, *args):
+            sizes.append(len(rows))
+            return simplex(rows, *args)
+
+        monkeypatch.setattr(numerics, "_simplex", recording_simplex)
+        solve_principal(inst)
+        assert sizes == [19]
 
 
 RATIONALS = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3, 5, 6]))
@@ -421,8 +458,8 @@ RATIONALS = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3, 5, 6]))
 
 @st.composite
 def mixed_lps(draw):
-    """Up to 4 variables, each boxed, half-bounded or free; equality and
-    <= rows with rational entries over mixed denominators and right-hand
+    """Up to 4 variables, each boxed, fixed, half-bounded or free; equality
+    and <= rows with rational entries over mixed denominators and right-hand
     sides of either sign, so optimal, infeasible and unbounded LPs occur.
     Equality rows are often homogeneous, which leaves artificials basic at
     0 for the drive-out."""
@@ -433,9 +470,11 @@ def mixed_lps(draw):
 
     lower, upper = [], []
     for _ in range(n):
-        kind = draw(st.sampled_from(["box", "box", "lower", "upper", "free"]))
-        lo = draw(RATIONALS) if kind in ("box", "lower") else None
+        kind = draw(st.sampled_from(["box", "box", "fixed", "lower", "upper", "free"]))
+        lo = draw(RATIONALS) if kind in ("box", "fixed", "lower") else None
         up = draw(RATIONALS) if kind in ("box", "upper") else None
+        if kind == "fixed":
+            up = lo
         if lo is not None and up is not None and lo > up:
             lo, up = up, lo
         lower.append(lo)
@@ -457,11 +496,84 @@ class TestIntegerEngine:
     # Unbounded along the slack of a row scaled by 2.
     @example(LinearProgram(objective=fl([3]), a_ub=[fl([-2])], b_ub=fl(["-1/2"])))
     def test_matches_the_fraction_reference(self, lp):
-        # Same Bland path, so the same vertex, duals, certificate and pivots.
+        # Dantzig pricing and implicit bounds leave the reference's Bland
+        # path, so another optimal vertex may come back: status and value
+        # must agree, and every certificate must verify from the LP data.
         sol = solve_lp(lp)
         with mock.patch.object(numerics, "_simplex", reference.simplex):
             ref = solve_lp(lp)
-        assert sol == ref
+        assert (sol.status, sol.value) == (ref.status, ref.value)
+        assert_certificate(lp, sol)
+
+    @pytest.mark.parametrize("a_eq, b_eq, status, value", [
+        # x1 is fixed at 1/2; both rows become x0 = 1/2, one of them dependent.
+        ([fl([1, 1]), fl([1, 2])], fl([1, "3/2"]), "optimal", F(3, 2)),
+        # The row becomes 0 = 0 after the substitution.
+        ([fl([0, 1])], fl(["1/2"]), "optimal", F(2)),
+        # The first row becomes 0 = 1/2.
+        ([fl([0, 1]), fl([1, 1])], fl([1, 1]), "infeasible", None),
+    ])
+    def test_fixed_variable_in_an_equality_row(self, a_eq, b_eq, status, value):
+        lp = LinearProgram(objective=fl([1, 2]), a_eq=a_eq, b_eq=b_eq,
+                           lower=fl([0, "1/2"]), upper=fl([1, "1/2"]))
+        sol = solve_lp(lp)
+        assert (sol.status, sol.value) == (status, value)
+        assert_certificate(lp, sol)
+
+    def test_flip_without_a_pivot(self):
+        # Each variable reaches its own bound before the row binds.
+        lp = LinearProgram(objective=fl([1, 1]), a_ub=[fl([1, 1])], b_ub=fl([3]),
+                           lower=fl([0, 0]), upper=fl([1, 1]))
+        sol = solve_lp(lp)
+        assert (sol.value, sol.x, sol.pivots, sol.flips) == (2, fl([1, 1]), 0, 2)
+        assert_certificate(lp, sol)
+
+    def test_basic_variable_leaves_at_its_upper_bound(self, monkeypatch):
+        # x0 enters first and becomes basic at 0 (x0 <= 2 x1); as x1
+        # enters, x0 rises and leaves the basis at its bound 1.
+        leaving = []
+        flip = numerics._Tableau.flip
+
+        def recording_flip(self, c, obj):
+            leaving.append(c in self.basis)
+            return flip(self, c, obj)
+
+        monkeypatch.setattr(numerics._Tableau, "flip", recording_flip)
+        lp = LinearProgram(objective=fl([3, 1]), a_ub=[fl([1, -2])], b_ub=fl([0]),
+                           lower=fl([0, 0]), upper=fl([1, 1]))
+        sol = solve_lp(lp)
+        assert (sol.value, sol.x, sol.flips) == (4, fl([1, 1]), 0)
+        assert leaving and all(leaving)
+        assert_certificate(lp, sol)
+
+    def test_infeasible_proof_needs_an_upper_bound_multiplier(self):
+        # x0 + x1 >= 3 cannot hold in the unit box; only the bounds x <= 1
+        # refute it, so the certificate carries upper multipliers.
+        lp = LinearProgram(objective=fl([1, 1]), a_ub=[fl([-1, -1])], b_ub=fl([-3]),
+                           lower=fl([0, 0]), upper=fl([1, 1]))
+        sol = solve_lp(lp)
+        assert sol.status == "infeasible"
+        assert all(m > 0 for m in sol.certificate["upper_multipliers"])
+        assert_farkas_certificate(lp, sol.certificate)
+
+    def test_ray_with_boxed_basic_variables(self, monkeypatch):
+        # x0 = x2, both boxed, and x1 >= 0 is unbounded above: the ray moves
+        # x1 alone while the boxed x0 stays basic.
+        ends = []
+        run = numerics._Tableau.run
+
+        def recording_run(self, obj, ncols):
+            unb = run(self, obj, ncols)
+            ends.append((unb, [b for b in self.basis if b in self.boxed]))
+            return unb
+
+        monkeypatch.setattr(numerics._Tableau, "run", recording_run)
+        lp = LinearProgram(objective=fl([2, 1, 0]), a_eq=[fl([1, 0, -1])],
+                           b_eq=fl([0]), lower=fl([0, 0, 0]), upper=[F(1), None, F(1)])
+        sol = solve_lp(lp)
+        assert sol.status == "unbounded" and sol.ray == fl([0, 1, 0])
+        assert ends[-1][0] is not None and ends[-1][1]
+        assert_certificate(lp, sol)
 
 
 def run_optimized(script: str) -> str:
