@@ -82,11 +82,15 @@ def update_rows(dist: JointDist, i: int):
 
 
 def distinct_nonzero(rows: Iterable[list]) -> list[list]:
-    """The rows in first-seen order, without zero rows and repeats."""
+    """The rows in first-seen order, without zero rows and repeats.
+
+    A row is keyed on its numerators and denominators: a rational in
+    lowest terms is fixed by the two, and hashing the ints is much cheaper
+    than ``Fraction.__hash__``, which takes a modular inverse per entry."""
     out: list[list] = []
     seen: set[tuple] = set()
     for row in rows:
-        key = tuple(row)
+        key = tuple([c.numerator for c in row] + [c.denominator for c in row])
         if any(row) and key not in seen:
             seen.add(key)
             out.append(row)

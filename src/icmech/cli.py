@@ -10,6 +10,7 @@ well-formed but outside an operation's regime), 1 I/O or schema error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -462,9 +463,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use.  Reusing it is safe:
+    each ``parse_args`` call starts from a fresh ``Namespace`` and applies
+    every default, ``handler`` included, again."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = args.handler(args)
     except PreconditionError as e:

@@ -366,10 +366,18 @@ _INT_LIMIT = 10 ** MAX_DIGITS
 # Bounds the number of type profiles, checked on the shape before any
 # array is built: every array, row family and LP grows with it.
 MAX_PROFILES = 4096
+# Bounds the number of agents, one array axis each: NumPy's ``dot`` on
+# object arrays takes at most 32 axes, and ``nalloc.with_disposal`` adds a
+# dummy agent.
+MAX_AGENTS = 31
 
 
 def check_profile_count(shape: tuple[int, ...]) -> None:
-    """Refuse a type space with more than ``MAX_PROFILES`` profiles."""
+    """Refuse a type space with more than ``MAX_AGENTS`` agents or more
+    than ``MAX_PROFILES`` profiles."""
+    if len(shape) > MAX_AGENTS:
+        raise SchemaError(f"the type space has {len(shape)} agents; "
+                          f"at most {MAX_AGENTS} are supported")
     count = math.prod(shape)
     if count > MAX_PROFILES:
         raise SchemaError(f"the type space has {count} profiles; "

@@ -38,7 +38,9 @@ class AllocationInstance:
 
     ``values[i]`` is the principal's payoff tensor for allocating to agent
     i, indexed by full type profile.  ``dist`` is the product of the
-    per-agent marginals (independence is part of the model here).
+    per-agent marginals (independence is part of the model here), and
+    ``expected_values[i]`` the expectation of ``values[i]`` under it; both
+    are computed once, on construction.
     """
 
     space: TypeSpace
@@ -48,6 +50,8 @@ class AllocationInstance:
     name: str | None = None
     seed: int | None = None
     dist: JointDist = field(init=False, repr=False)
+    expected_values: tuple[Fraction, ...] = field(init=False, repr=False,
+                                                  compare=False)
 
     def __post_init__(self):
         if len(self.marginals) != self.space.n_agents or \
@@ -57,6 +61,8 @@ class AllocationInstance:
             if v.shape != self.space.shape:
                 raise SchemaError("value tensor shape mismatch")
         self.dist = product_dist(self.space, list(self.marginals))
+        self.expected_values = tuple(expectation(self.dist, v)
+                                     for v in self.values)
 
     @classmethod
     def build(cls, agents, types, marginals, values, disposal,
@@ -76,11 +82,7 @@ class AllocationInstance:
         return self.space.n_agents
 
     def expected_value(self, i: int) -> Fraction:
-        return expectation(self.dist, self.values[i])
-
-    @property
-    def expected_values(self) -> list[Fraction]:
-        return [self.expected_value(i) for i in range(self.n)]
+        return self.expected_values[i]
 
     @property
     def vbar(self) -> Fraction:

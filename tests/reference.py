@@ -6,6 +6,8 @@ row family on ``icmech.belief``; the property tests require the library's
 rows to equal them entry for entry and in order.  ``w_generators`` and
 ``orthogonal_projection`` are the generic Gram-matrix projection that the
 closed-form additivity residuals are checked against.
+``distinct_nonzero`` is the dedupe keyed on the rows' own Fraction tuples
+that the integer-keyed one in ``icmech.belief`` replaced.
 ``enumerate_vertices`` is a brute-force LP oracle for cross-checking the
 simplex, and ``simplex`` is the Fraction tableau with Bland's rule, explicit
 bound rows and the duals recovered by a second elimination, whose status
@@ -67,6 +69,17 @@ def ic_polytope(dist):
                     seen.add(key)
                     rows.append(row)
     return rows
+
+
+def distinct_nonzero(rows):
+    out = []
+    seen = set()
+    for row in rows:
+        key = tuple(row)
+        if any(row) and key not in seen:
+            seen.add(key)
+            out.append(row)
+    return out
 
 
 def orthogonality_rows(pi):

@@ -145,6 +145,28 @@ def test_allocation_rows_equal_loop_builder(inst):
     assert _interim_rows_alloc(inst) == reference.interim_rows_alloc(inst)
 
 
+@st.composite
+def row_lists(draw):
+    """Rows of one width over a few small rationals, with repeats, zero
+    rows and rows that differ from another only in sign."""
+    width = draw(st.integers(1, 4))
+    entries = st.sampled_from([Fraction(k, d) for k in range(-2, 3)
+                               for d in (1, 2, 3)])
+    rows = draw(st.lists(st.lists(entries, min_size=width, max_size=width),
+                         max_size=12))
+    rows += [[-c for c in row] for row in rows[::2]]
+    rows += [list(row) for row in rows[::3]]
+    return draw(st.permutations(rows))
+
+
+@PROPERTY
+@given(row_lists())
+def test_distinct_nonzero_equals_tuple_keyed_dedupe(rows):
+    got, expected = belief.distinct_nonzero(rows), reference.distinct_nonzero(rows)
+    assert got == expected
+    assert [id(row) for row in got] == [id(row) for row in expected]
+
+
 def test_residual_check_raises(inst_fx5, monkeypatch):
     # Without the basis nothing is projected out, and w = v*pi of fx5 is
     # not orthogonal to pi's row and column spaces.

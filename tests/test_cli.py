@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from icmech import cli
 from icmech.cli import main
+from icmech.core import MAX_AGENTS
 from icmech.fixtures import fixture_path
 
 FX1 = str(fixture_path("fx1"))
@@ -195,6 +200,51 @@ class TestContracts:
         assert captured.err.startswith("error: the type space has ")
         assert captured.err.count("\n") == 1
 
+    def test_too_many_agents_in_shape_one_line_error(self, capsys):
+        # Seventy one-type agents make one profile, so only the agent bound
+        # stops them before NumPy's dimension limit does.
+        code = main(["generate", "--seed", "1", "--shape", "x".join(["1"] * 70),
+                     "--kind", "unbiased-n-alloc"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (f"error: the type space has 70 agents; "
+                                f"at most {MAX_AGENTS} are supported\n")
+
+    def test_too_many_agents_in_file_one_line_error(self, capsys, tmp_path):
+        agents = [f"a{i}" for i in range(MAX_AGENTS + 1)]
+        value = "0"
+        for _ in agents:
+            value = [value]
+        bad = tmp_path / "many.json"
+        bad.write_text(json.dumps({
+            "agents": agents, "types": {a: [0] for a in agents},
+            "marginals": {a: ["1"] for a in agents},
+            "v": {a: value for a in agents}, "disposal": False}))
+        for command in ("inspect", "alloc-n", "oracle"):
+            code = main([command, str(bad)])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err == (f"error: the type space has {MAX_AGENTS + 1} "
+                                    f"agents; at most {MAX_AGENTS} are supported\n")
+
+    def test_most_agents_with_disposal(self, capsys, tmp_path):
+        # Free disposal adds a dummy agent, and the limit leaves room for it.
+        path = tmp_path / "widest.json"
+        shape = "x".join(["2", "2"] + ["1"] * (MAX_AGENTS - 2))
+        assert main(["generate", "--seed", "1", "--shape", shape, "--kind",
+                     "unbiased-n-alloc", "--disposal", "--out", str(path)]) == 0
+        assert json.loads(path.read_text())["disposal"] is True
+        code, rep = run_json(capsys, "inspect", str(path))
+        assert code == 0 and len(rep["agents"]) == MAX_AGENTS
+        code, built = run_json(capsys, "alloc-n", str(path))
+        assert code == 0 and built["profitable"] is True
+        code, best = run_json(capsys, "oracle", str(path))
+        assert code == 0 and best["profitable"] is True
+        mech = tmp_path / "mech.json"
+        mech.write_text(json.dumps(built["mechanism"]))
+        code, check = run_json(capsys, "check-ic", str(path), str(mech))
+        assert code == 0 and check["ic"] is True
+
     def test_deeply_nested_json_one_line_error(self, capsys, tmp_path):
         # The decoder gives up with a RecursionError, not a ValueError.
         bad = tmp_path / "deep.json"
@@ -267,3 +317,74 @@ class TestContracts:
         code, out = run(capsys, "oracle", FX1, "--format", "text")
         assert code == 0
         assert "value: 1/2" in out
+
+
+def in_process(capsys, argv):
+    """Exit code, stdout and stderr of one ``cli.main`` call; an argparse
+    error's ``SystemExit`` gives the exit code."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def fresh_process(argv):
+    """Exit code, stdout and stderr of ``python -m icmech`` on ``argv``."""
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "icmech", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParserReuse:
+    def test_repeated_calls_match_fresh_processes(self, capsys, tmp_path,
+                                                  monkeypatch):
+        # The usage text wraps at the terminal width; fix it for both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        out = tmp_path / "report.json"
+        sequence = [
+            ["additivity", FX1],
+            ["additivity", FX1, "--format", "text"],
+            ["oracle", FX1, "--out", str(out)],
+            ["oracle", FX1],
+            ["oracle", FX1, "--format", "xml"],
+            ["myo", FX2],
+            ["inspect", str(tmp_path / "missing.json")],
+            ["spans", FX2, FX1],
+        ]
+        results = []
+        for argv in sequence:
+            results.append(in_process(capsys, argv))
+            if "--out" in argv:
+                written = out.read_text()
+                out.unlink()
+            assert results[-1] == fresh_process(argv), argv
+            if "--out" in argv:
+                assert out.read_text() == written
+        codes = [code for code, _, _ in results]
+        assert codes == [0, 0, 0, 0, 2, 2, 1, 0]
+        assert results[2][1] == "" and results[3][1] == written
+        assert results[4][2].startswith("usage: icmech oracle ")
+
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for argv in (["inspect", FX1], ["classify", FX2],
+                         ["oracle", FX1, "--format", "text"],
+                         ["inspect", FX1, "--format", "bad"], ["myo", FX2],
+                         ["fixture", "fx4"], ["inspect", FX1]) * 3:
+                in_process(capsys, argv)
+            assert len(built) == 1
+        finally:
+            cli._parser.cache_clear()

@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from icmech.core import (JointDist, SchemaError, TypeSpace, constant_array,
-                         dump_instance, expectation, load_instance,
-                         load_mechanism, normalize, parse_type_space,
-                         product_dist, rational_array)
+from icmech.core import (MAX_AGENTS, JointDist, SchemaError, TypeSpace,
+                         constant_array, dump_instance, expectation,
+                         load_instance, load_mechanism, normalize,
+                         parse_type_space, product_dist, rational_array)
 from icmech.fixtures import FIXTURE_NAMES, fixture, fixture_path
 from icmech.nalloc import dump_allocation, load_allocation
 
@@ -235,6 +235,19 @@ class TestSchema:
             assert parse_type_space(data).shape == shape
         else:
             with pytest.raises(SchemaError, match="at most 4096 are supported"):
+                parse_type_space(data)
+
+    @pytest.mark.parametrize("count, ok", [(MAX_AGENTS, True),
+                                           (MAX_AGENTS + 1, False), (70, False)])
+    def test_agent_count_bound(self, count, ok):
+        # One type each, so one profile: the profile bound does not apply.
+        data = {"agents": [f"a{i}" for i in range(count)],
+                "types": {f"a{i}": [0] for i in range(count)}}
+        if ok:
+            assert parse_type_space(data).n_agents == count
+        else:
+            with pytest.raises(SchemaError, match=f"the type space has {count} "
+                               f"agents; at most {MAX_AGENTS} are supported"):
                 parse_type_space(data)
 
 

@@ -1,0 +1,65 @@
+"""Golden reports: byte-exact CLI output on the five fixtures.
+
+``inspect``, ``classify`` and ``additivity`` run on each of fx1-fx5, and
+``spans`` and ``orthogonal`` on every ordered pair of them, in json and in
+text form.  Each command and format has one file under ``tests/golden/``
+holding, per query, the argv, the exit code and the non-empty streams;
+refusals are pinned as well as reports.  The test only reads the files.
+After a deliberate change of output, rewrite them with
+``PYTHONPATH=src python -m tests.test_golden`` and list every changed file
+in CHANGES.md.
+"""
+
+import contextlib
+import io
+import itertools
+from pathlib import Path
+
+import pytest
+
+from icmech.cli import main
+from icmech.fixtures import fixture_path
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FIXTURES = ("fx1", "fx2", "fx3", "fx4", "fx5")
+COMMANDS = {
+    "inspect": [(f,) for f in FIXTURES],
+    "classify": [(f,) for f in FIXTURES],
+    "additivity": [(f,) for f in FIXTURES],
+    "spans": list(itertools.product(FIXTURES, repeat=2)),
+    "orthogonal": list(itertools.product(FIXTURES, repeat=2)),
+}
+FORMATS = ("json", "text")
+
+
+def golden_text(command: str, fmt: str) -> str:
+    """Every query of one command in one format, as the golden file holds it."""
+    parts = []
+    for names in COMMANDS[command]:
+        argv = [command, *(str(fixture_path(n)) for n in names), "--format", fmt]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        parts.append(f"$ icmech {command} {' '.join(names)} --format {fmt}\n"
+                     f"exit {code}\n")
+        for stream, text in (("stdout", out.getvalue()), ("stderr", err.getvalue())):
+            if text:
+                parts.append(f"{stream}:\n{text}")
+    return "".join(parts)
+
+
+def golden_path(command: str, fmt: str) -> Path:
+    return GOLDEN / f"{command}-{fmt}.txt"
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_report_matches_golden(command, fmt):
+    assert golden_text(command, fmt) == golden_path(command, fmt).read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for command in sorted(COMMANDS):
+        for fmt in FORMATS:
+            golden_path(command, fmt).write_text(golden_text(command, fmt))

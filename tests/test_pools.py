@@ -1,12 +1,13 @@
-"""Behaviour gate: every query of two committed benchmark pools, through the CLI.
+"""Behaviour gate: every query of three committed benchmark pools, through the CLI.
 
-Each query of ``bench/pools/{lp-sweep,small-queries}.1.json`` runs through
-``icmech.cli.main`` in process, and ``bench/checks.Checker`` judges its exit
-code and report: the exact reference fields stored in the pool must match,
-and every returned mechanism must re-verify as IC and earn exactly the value
-it claims.  Mechanisms are re-verified rather than compared, so an LP that
-returns another optimal vertex passes and a wrong value fails.  The pools
-are only read; the instance files are written to a temporary directory.
+Each query of ``bench/pools/{lp-sweep,projection-sweep,small-queries}.1.json``
+runs through ``icmech.cli.main`` in process, and ``bench/checks.Checker``
+judges its exit code and report: the exact reference fields stored in the
+pool must match, and every returned mechanism must re-verify as IC and earn
+exactly the value it claims.  Mechanisms are re-verified rather than
+compared, so an LP that returns another optimal vertex passes and a wrong
+value fails.  The pools are only read; the instance files are written to a
+temporary directory.
 """
 
 import contextlib
@@ -40,7 +41,8 @@ def run_query(argv: list[str]) -> tuple[object, str]:
     return rc, out.getvalue()
 
 
-@pytest.mark.parametrize("pool_name", ["lp-sweep.1", "small-queries.1"])
+@pytest.mark.parametrize("pool_name", ["lp-sweep.1", "projection-sweep.1",
+                                       "small-queries.1"])
 def test_every_pool_query_checks_out(pool_name, tmp_path):
     pool = json.loads((BENCH / "pools" / f"{pool_name}.json").read_text())
     paths = {}
