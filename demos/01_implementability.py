@@ -13,10 +13,10 @@ import numpy as np
 
 from icmech import (Mechanism, check_ic, expectation, maximin,
                     obedience_check, solve_principal)
-from icmech.fixtures import fx1, fx2
+from icmech.fixtures import fixture
 
-independent = fx1()
-correlated = fx2()
+independent = fixture("fx1")
+correlated = fixture("fx2")
 xstar = Mechanism(independent.space,
                   np.array([[Fraction(1), Fraction(0)],
                             [Fraction(0), Fraction(1)]], dtype=object))

@@ -10,11 +10,11 @@ independent distributions at the bottom.
 import random
 
 from icmech import check_ic, classify_extremes, spans, solve_principal
-from icmech.fixtures import fx1, fx2
+from icmech.fixtures import fixture
 from icmech.oracle import generate, sample_ic_vertex
 
-independent = fx1()
-full_rank = fx2()
+independent = fixture("fx1")
+full_rank = fixture("fx2")
 
 print("does the correlated distribution span the independent one?",
       spans(full_rank.dist, independent.dist).spans)

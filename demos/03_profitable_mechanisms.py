@@ -11,9 +11,9 @@ Three exact routes to the same answer:
 from icmech import (additivity_test, construct_profitable, solve_principal,
                     transport_criterion)
 from icmech.core import NoneCertificate
-from icmech.fixtures import fx1, fx2, fx5
+from icmech.fixtures import fixture
 
-for inst in (fx1(), fx5(), fx2()):
+for inst in (fixture("fx1"), fixture("fx5"), fixture("fx2")):
     print(f"--- {inst.name}: E[v] = {inst.objective.expected_value} ---")
 
     add = additivity_test(inst)

@@ -13,9 +13,9 @@ from fractions import Fraction
 import numpy as np
 
 from icmech import Mechanism, constant_mechanism, decompose, match_your_opponent
-from icmech.fixtures import fx1, fx3
+from icmech.fixtures import fixture
 
-inst = fx1()
+inst = fixture("fx1")
 ml, mr = inst.dist.marginals()
 
 print("decomposing the always-pick-the-first-option rule (x = 1):")
@@ -33,7 +33,7 @@ dec = decompose(xstar, ml, mr)
 print(f"  single term, weight {dec.gammas[0]}, total mass q = {dec.q}")
 
 print("\nmatch-your-opponent analysis on the 3x3 product objective:")
-rep = match_your_opponent(fx3())
+rep = match_your_opponent(fixture("fx3"))
 print("  best matching:", rep.best_matching)
 print("  value:", rep.best_value)
 print("  objective supermodular:", rep.supermodular)

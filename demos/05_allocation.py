@@ -10,10 +10,10 @@ import numpy as np
 
 from icmech import (construct_profitable_n, difference_additive,
                     solve_principal_alloc, with_disposal)
-from icmech.fixtures import fx4
+from icmech.fixtures import fixture
 from icmech.nalloc import AllocationInstance
 
-inst = fx4()
+inst = fixture("fx4")
 print("agents:", inst.space.agents)
 print("expected value of always allocating to each agent:",
       [str(e) for e in inst.expected_values], "-> vbar =", inst.vbar)

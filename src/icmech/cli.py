@@ -25,9 +25,10 @@ from .core import (Instance, Mechanism, NoneCertificate, PreconditionError,
                    load_mechanism, to_nested_strings)
 from .game import maximin, obedience_check
 from .ic import check_ic, classify_extremes, spans
-from .nalloc import (AllocationInstance, AllocationMechanism,
-                     allocation_to_dict, analyze_allocation, check_ic_n,
-                     load_allocation, load_allocation_mechanism)
+from .nalloc import (AllocationMechanism, allocation_to_dict,
+                     analyze_allocation, check_ic_n, load_allocation,
+                     load_allocation_mechanism)
+from .numerics import require
 from .oracle import generate, solve_principal, solve_principal_alloc
 from .profit import (additivity_test, construct_profitable, decompose,
                      match_your_opponent, orthogonal, transport_criterion)
@@ -56,13 +57,30 @@ def _key(k) -> str:
 
 
 def _load_any(path: str):
+    """A two-option ``Instance`` or an ``AllocationInstance``, by the keys
+    the file has."""
     data = load_json_dict(path)
     if "vL" in data:
-        return "two-option", load_instance(data)
+        return load_instance(data)
     if "v" in data:
-        return "allocation", load_allocation(data)
+        return load_allocation(data)
     raise SchemaError("instance file has neither 'vL' (two-option) nor "
                       "'v' (allocation)")
+
+
+def _two_option(refusal: str, *paths: str) -> list[Instance]:
+    """The two-option instances in ``paths``, all loaded before any is
+    refused; an allocation among them is refused with ``refusal``."""
+    insts = [_load_any(path) for path in paths]
+    if not all(isinstance(inst, Instance) for inst in insts):
+        raise PreconditionError(refusal)
+    return insts
+
+
+def _instance_dict(inst) -> dict:
+    if isinstance(inst, Instance):
+        return instance_to_dict(inst)
+    return allocation_to_dict(inst)
 
 
 def _mechanism_json(mech) -> dict:
@@ -77,11 +95,11 @@ def _mechanism_json(mech) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_inspect(args) -> dict:
-    kind, inst = _load_any(args.instance)
-    if kind == "two-option":
+    inst = _load_any(args.instance)
+    if isinstance(inst, Instance):
         dist = inst.dist
         return {
-            "kind": kind,
+            "kind": "two-option",
             "agents": list(inst.space.agents),
             "shape": list(inst.space.shape),
             "marginals": {a: to_nested_strings(dist.marginal(i))
@@ -93,7 +111,7 @@ def cmd_inspect(args) -> dict:
             "basis": "marginals, exact matrix rank, ex-ante expectation",
         }
     return {
-        "kind": kind,
+        "kind": "allocation",
         "agents": list(inst.space.agents),
         "shape": list(inst.space.shape),
         "disposal": inst.disposal,
@@ -107,12 +125,13 @@ def cmd_inspect(args) -> dict:
 
 
 def cmd_check_ic(args) -> dict:
-    kind, inst = _load_any(args.instance)
-    if kind == "two-option":
+    inst = _load_any(args.instance)
+    if isinstance(inst, Instance):
         mech = load_mechanism(args.mechanism, inst.space)
         rep = check_ic(mech, inst.dist)
         obed = obedience_check(mech, inst.dist)
-        assert obed.verdict == rep.verdict
+        require(obed.verdict == rep.verdict, "IC",
+                "the obedience view agrees with the interim equalities")
         return {
             "ic": rep.verdict,
             "common_value": None if rep.common_value is None else str(rep.common_value),
@@ -140,9 +159,7 @@ def cmd_check_ic(args) -> dict:
 
 def cmd_maximin(args) -> dict:
     if args.instance is not None:
-        kind, inst = _load_any(args.instance)
-        if kind != "two-option":
-            raise PreconditionError("maximin needs a two-option instance")
+        [inst] = _two_option("maximin needs a two-option instance", args.instance)
         space = inst.space
         mech = load_mechanism(args.mechanism, space)
     else:
@@ -167,10 +184,8 @@ def cmd_maximin(args) -> dict:
 
 
 def cmd_spans(args) -> dict:
-    _, a = _load_any(args.instance_a)
-    _, b = _load_any(args.instance_b)
-    if not isinstance(a, Instance) or not isinstance(b, Instance):
-        raise PreconditionError("spanning is defined for two-option instances")
+    a, b = _two_option("spanning is defined for two-option instances",
+                       args.instance_a, args.instance_b)
     verdict = spans(a.dist, b.dist)
     return {
         "spans": verdict.spans,
@@ -182,9 +197,8 @@ def cmd_spans(args) -> dict:
 
 
 def cmd_classify(args) -> dict:
-    _, inst = _load_any(args.instance)
-    if not isinstance(inst, Instance):
-        raise PreconditionError("classification is defined for two-option instances")
+    [inst] = _two_option("classification is defined for two-option instances",
+                         args.instance)
     cls = classify_extremes(inst.dist)
     return {
         "maximal": cls["maximal"],
@@ -196,9 +210,8 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_additivity(args) -> dict:
-    _, inst = _load_any(args.instance)
-    if not isinstance(inst, Instance):
-        raise PreconditionError("additivity analysis needs a two-option instance")
+    [inst] = _two_option("additivity analysis needs a two-option instance",
+                         args.instance)
     rep = additivity_test(inst)
     out = {
         "pi_additive": rep.is_pi_additive,
@@ -215,9 +228,8 @@ def cmd_additivity(args) -> dict:
 
 
 def cmd_construct(args) -> dict:
-    _, inst = _load_any(args.instance)
-    if not isinstance(inst, Instance):
-        raise PreconditionError("construction needs a two-option instance")
+    [inst] = _two_option("construction needs a two-option instance",
+                         args.instance)
     res = construct_profitable(inst)
     if isinstance(res, NoneCertificate):
         return {"profitable": False, "reason": res.reason, "basis": res.method}
@@ -233,9 +245,8 @@ def cmd_construct(args) -> dict:
 
 
 def cmd_transport(args) -> dict:
-    _, inst = _load_any(args.instance)
-    if not isinstance(inst, Instance):
-        raise PreconditionError("transport criterion needs a two-option instance")
+    [inst] = _two_option("transport criterion needs a two-option instance",
+                         args.instance)
     res = transport_criterion(inst)
     return {
         "value": str(res.value),
@@ -249,10 +260,8 @@ def cmd_transport(args) -> dict:
 
 
 def cmd_orthogonal(args) -> dict:
-    _, a = _load_any(args.instance_a)
-    _, b = _load_any(args.instance_b)
-    if not isinstance(a, Instance) or not isinstance(b, Instance):
-        raise PreconditionError("orthogonality is defined for two-option instances")
+    a, b = _two_option("orthogonality is defined for two-option instances",
+                       args.instance_a, args.instance_b)
     return {
         "orthogonal": orthogonal(a.dist, b.dist),
         "basis": "exact zero covariance of conditional-belief updates",
@@ -260,9 +269,8 @@ def cmd_orthogonal(args) -> dict:
 
 
 def cmd_decompose(args) -> dict:
-    _, inst = _load_any(args.instance)
-    if not isinstance(inst, Instance):
-        raise PreconditionError("decomposition needs a two-option instance")
+    [inst] = _two_option("decomposition needs a two-option instance",
+                         args.instance)
     if not inst.dist.is_independent():
         raise PreconditionError("decomposition requires independent types")
     mech = load_mechanism(args.mechanism, inst.space)
@@ -277,9 +285,8 @@ def cmd_decompose(args) -> dict:
 
 
 def cmd_myo(args) -> dict:
-    _, inst = _load_any(args.instance)
-    if not isinstance(inst, Instance):
-        raise PreconditionError("matching analysis needs a two-option instance")
+    [inst] = _two_option("matching analysis needs a two-option instance",
+                         args.instance)
     rep = match_your_opponent(inst)
     return {
         "best_matching": [[str(a), str(b)] for a, b in rep.best_matching],
@@ -295,8 +302,8 @@ def cmd_myo(args) -> dict:
 
 
 def cmd_alloc_n(args) -> dict:
-    kind, inst = _load_any(args.instance)
-    if kind != "allocation":
+    inst = _load_any(args.instance)
+    if isinstance(inst, Instance):
         raise PreconditionError("alloc-n needs an allocation instance")
     res = analyze_allocation(inst)
     out = {
@@ -326,8 +333,8 @@ def cmd_alloc_n(args) -> dict:
 
 
 def cmd_oracle(args) -> dict:
-    kind, inst = _load_any(args.instance)
-    if kind == "two-option":
+    inst = _load_any(args.instance)
+    if isinstance(inst, Instance):
         res = solve_principal(inst)
         basis = "direct LP over the interim-equality polytope"
     else:
@@ -343,18 +350,13 @@ def cmd_oracle(args) -> dict:
 
 
 def cmd_generate(args) -> dict:
-    inst = generate(args.seed, _parse_shape(args.shape), args.kind,
-                    k=args.k, zero_mean=args.zero_mean, disposal=args.disposal)
-    if isinstance(inst, AllocationInstance):
-        return allocation_to_dict(inst)
-    return instance_to_dict(inst)
+    return _instance_dict(generate(args.seed, _parse_shape(args.shape), args.kind,
+                                   k=args.k, zero_mean=args.zero_mean,
+                                   disposal=args.disposal))
 
 
 def cmd_fixture(args) -> dict:
-    inst = fixtures.fixture(args.name)
-    if isinstance(inst, AllocationInstance):
-        return allocation_to_dict(inst)
-    return instance_to_dict(inst)
+    return _instance_dict(fixtures.fixture(args.name))
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:

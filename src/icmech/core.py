@@ -112,24 +112,6 @@ def two_agent(space: TypeSpace) -> None:
 # Rational arrays
 # ---------------------------------------------------------------------------
 
-def rational_array(nested, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """Build an object array of Fractions from nested lists of ints/strings."""
-    def build(node, depth):
-        if depth == 0:
-            return frac(node)
-        return [build(child, depth - 1) for child in node]
-
-    if shape is None:
-        arr = np.array(nested, dtype=object)
-        flat = [frac(v) for v in arr.reshape(-1)]
-        out = np.array(flat, dtype=object).reshape(arr.shape)
-        return out
-    data = build(nested, len(shape))
-    arr = np.empty(shape, dtype=object)
-    arr[...] = np.array(data, dtype=object).reshape(shape)
-    return arr
-
-
 def constant_array(shape: tuple[int, ...], value) -> np.ndarray:
     arr = np.empty(shape, dtype=object)
     arr[...] = frac(value)
@@ -332,11 +314,12 @@ class Instance:
 
 
 def make_instance(space: TypeSpace, pi, vL, vR=None, name=None, seed=None) -> Instance:
-    """Convenience constructor from nested lists / arrays."""
-    dist = JointDist(space, rational_array(pi, space.shape))
-    vL_arr = rational_array(vL, space.shape)
+    """Convenience constructor from nested lists of exact rationals,
+    validated like the JSON loaders' input."""
+    dist = JointDist(space, parse_rational_array(pi, space.shape, "pi"))
+    vL_arr = parse_rational_array(vL, space.shape, "vL")
     vR_arr = (constant_array(space.shape, 0) if vR is None
-              else rational_array(vR, space.shape))
+              else parse_rational_array(vR, space.shape, "vR"))
     return Instance(space, dist, normalize(vL_arr, vR_arr, dist),
                     name=name, seed=seed)
 

@@ -14,83 +14,32 @@ fx4  Three agents, iid uniform on {-1, 1}; allocating to agent i is worth
 fx5  2x2 uniform independent, v = s + t: an additive objective, so no
      profitable mechanism exists despite E[v] = 0.
 
-Matching JSON files live next to this module and are loadable through the
-CLI; ``fixture(name)`` builds the same objects in memory.
+Each lives as a JSON file next to this module; ``fixture(name)`` loads it
+with the same loaders the CLI uses.
 """
 
 from __future__ import annotations
 
+import json
 from importlib import resources
 
-from .core import Instance, TypeSpace, make_instance
+from .core import load_instance
+from .nalloc import load_allocation
 
 FIXTURE_NAMES = ("fx1", "fx2", "fx3", "fx4", "fx5")
 
 
-def fx1() -> Instance:
-    return make_instance(
-        _space2(), pi=[["1/4", "1/4"], ["1/4", "1/4"]],
-        vL=[[1, -1], [-1, 1]], name="fx1")
-
-
-def fx2() -> Instance:
-    # mass 1/4 - eps on matched profiles, 1/4 + eps on mismatched, eps = 1/8
-    return make_instance(
-        _space2(), pi=[["1/8", "3/8"], ["3/8", "1/8"]],
-        vL=[[1, -1], [-1, 1]], name="fx2")
-
-
-def fx3() -> Instance:
-    labels = (-1, 0, 1)
-    v = [[s * t for t in labels] for s in labels]
-    pi = [["1/9"] * 3 for _ in labels]
-    return make_instance(_space3(), pi=pi, vL=v, name="fx3")
-
-
-def fx4():
-    from .nalloc import AllocationInstance  # local import: avoid cycle
-    agents = ("1", "2", "3")
-    types = ((-1, 1),) * 3
-    marginals = {a: ["1/2", "1/2"] for a in agents}
-    # v_i(theta) = theta_{(i mod 3) + 1}: agent 1 is worth agent 2's type, etc.
-    values = {}
-    for i, agent in enumerate(agents):
-        src = (i + 1) % 3
-        values[agent] = [[[types[src][(a, b, c)[src]] for c in range(2)]
-                          for b in range(2)] for a in range(2)]
-    return AllocationInstance.build(agents, types, marginals, values,
-                                    disposal=False, name="fx4")
-
-
-def fx5() -> Instance:
-    labels = (-1, 1)
-    v = [[s + t for t in labels] for s in labels]
-    return make_instance(_space2(), pi=[["1/4", "1/4"], ["1/4", "1/4"]],
-                         vL=v, name="fx5")
-
-
-def _space2():
-    return TypeSpace(("l", "r"), ((-1, 1), (-1, 1)))
-
-
-def _space3():
-    return TypeSpace(("l", "r"), ((-1, 0, 1), (-1, 0, 1)))
-
-
-_BUILDERS = {"fx1": fx1, "fx2": fx2, "fx3": fx3, "fx4": fx4, "fx5": fx5}
-
-
 def fixture(name: str):
-    """Build a canonical instance by name ("fx1" .. "fx5")."""
-    try:
-        return _BUILDERS[name]()
-    except KeyError:
+    """Load a canonical instance by name ("fx1" .. "fx5")."""
+    if name not in FIXTURE_NAMES:
         raise KeyError(f"unknown fixture {name!r}; "
-                       f"choose from {FIXTURE_NAMES}") from None
+                       f"choose from {FIXTURE_NAMES}")
+    data = json.loads(fixture_path(name).read_text())
+    return load_allocation(data) if "v" in data else load_instance(data)
 
 
 def fixture_path(name: str):
     """Filesystem path of the shipped JSON file for a fixture."""
-    if name not in _BUILDERS:
+    if name not in FIXTURE_NAMES:
         raise KeyError(f"unknown fixture {name!r}")
     return resources.files(__package__) / "fixtures" / f"{name}.json"

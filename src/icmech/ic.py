@@ -23,7 +23,7 @@ from fractions import Fraction
 from .belief import distinct_nonzero, dot, interim_rows, lift
 from .core import (JointDist, Mechanism, PreconditionError, expectation,
                    two_agent)
-from .numerics import span_coefficients
+from .numerics import require, span_coefficients
 
 
 @dataclass
@@ -106,7 +106,8 @@ def check_ic(x: Mechanism, dist: JointDist) -> ICReport:
                            for b, rep_t in enumerate(space.types[i]))
 
     split_ok = ex_ante_ok and uninformative_ok
-    assert raw_ok == equalities_ok == split_ok, "IC routes disagree (bug)"
+    require(raw_ok == equalities_ok == split_ok, "IC",
+            "the three IC routes agree")
     return ICReport(verdict=raw_ok, violations=violations, interim=table,
                     common_value=ev if raw_ok else None,
                     ex_ante_indifferent=ex_ante_ok,

@@ -25,6 +25,7 @@ from .core import (JointDist, NoneCertificate, PreconditionError, SchemaError,
                    dumps_canonical, expectation, load_json_dict,
                    parse_rational_array, parse_type_space, product_dist,
                    to_nested_strings, without_zero_types)
+from .numerics import require
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -221,14 +222,8 @@ def _verify_split(inst: AllocationInstance, u: dict) -> None:
                       dtype=object).reshape(space.shape)
              for i, agent in enumerate(space.agents)]
     for v, term in zip(inst.values, terms):
-        _check(((v - inst.values[-1]) == (term - terms[-1])).all(),
-               "the split reproduces v_i - v_n")
-
-
-def _check(ok: bool, what: str) -> None:
-    """Result-carrying checks raise, also under ``python -O``."""
-    if not ok:
-        raise RuntimeError(f"allocation check failed: {what}")
+        require(((v - inst.values[-1]) == (term - terms[-1])).all(),
+                "allocation", "the split reproduces v_i - v_n")
 
 
 @dataclass
@@ -284,16 +279,17 @@ def construct_profitable_n(inst: AllocationInstance):
     parts.append(ONE - sum(parts))
     mech = AllocationMechanism(inst.space, parts, disposal=False)
     icr = check_ic_n(mech, inst)
-    _check(icr.verdict, "the constructed mechanism is IC")
+    require(icr.verdict, "allocation", "the constructed mechanism is IC")
     for i, agent in enumerate(inst.space.agents):
         expected = -alpha * emin if i < n - 1 else 1 + (n - 1) * alpha * emin
         for label in inst.space.types[i]:
-            _check(icr.interim[(agent, label)] == expected,
-                   "interim win probabilities equal their closed form")
+            require(icr.interim[(agent, label)] == expected, "allocation",
+                    "interim win probabilities equal their closed form")
     payoff = _direct_payoff(inst, mech)
     claimed = alpha * sum(v * v for v in flat) + inst.vbar
-    _check(payoff == claimed, "payoff = alpha * |eps|^2 + vbar")
-    _check(payoff > inst.vbar, "the constructed mechanism beats vbar")
+    require(payoff == claimed, "allocation", "payoff = alpha * |eps|^2 + vbar")
+    require(payoff > inst.vbar, "allocation",
+            "the constructed mechanism beats vbar")
     return NAllocReport(vbar=inst.vbar, condition_holds=False, profitable=True,
                         payoff=payoff, mechanism=mech, alpha=alpha,
                         residual=eps, z=z, ic_report=icr)
@@ -345,8 +341,9 @@ def with_disposal(inst: AllocationInstance):
     augmented = add_disposal_agent(inst)
     witnesses = non_constant_witnesses(inst)
     result = construct_profitable_n(augmented)
-    _check(isinstance(result, NoneCertificate) == (not witnesses),
-           "the split exists iff no agent's value moves with others' types")
+    require(isinstance(result, NoneCertificate) == (not witnesses),
+            "allocation",
+            "the split exists iff no agent's value moves with others' types")
     if isinstance(result, NoneCertificate):
         return result
     # In the construction regime all expected values are 0, so beating the

@@ -238,7 +238,8 @@ class _Tableau:
             if cb:
                 f = cb * (den // d)
                 obj = [a - f * v for a, v in zip(obj, row)]
-        _check(len(obj) == len(cost) + 1, "the objective row spans the tableau")
+        require(len(obj) == len(cost) + 1, "exact LP",
+                "the objective row spans the tableau")
         self.objden = den
         return obj
 
@@ -329,11 +330,12 @@ def _lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:
     return [v // g for v in row], den // g
 
 
-def _check(ok: bool, what: str) -> None:
-    """Raise unless an exact LP check holds; unlike ``assert``, this
-    survives ``python -O``."""
+def require(ok: bool, kind: str, what: str) -> None:
+    """Raise ``RuntimeError("<kind> check failed: <what>")`` unless ``ok``:
+    a result-carrying check that, unlike ``assert``, also runs under
+    ``python -O``."""
     if not ok:
-        raise RuntimeError(f"exact LP check failed: {what}")
+        raise RuntimeError(f"{kind} check failed: {what}")
 
 
 def _integer_row(vals: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -454,7 +456,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         # the same combination of right-hand sides is negative: 0 <= gap < 0.
         dual_eq, dual_ub, mu, nu, gap = _fold_duals(
             lp, y, row_specs, factor, [ZERO] * lp.n)
-        _check(gap < 0, "Farkas gap is negative")
+        require(gap < 0, "exact LP", "Farkas gap is negative")
         cert = {"dual_eq": dual_eq, "dual_ub": dual_ub,
                 "upper_multipliers": mu, "lower_multipliers": nu, "gap": gap}
         return LPSolution(status="infeasible", certificate=cert,
@@ -466,10 +468,10 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 
     x = _map_point(point, var_map)
     value = sum(c * v for c, v in zip(lp.objective, x))
-    _check(value == value_std + const_term, "objective value identity")
+    require(value == value_std + const_term, "exact LP", "objective value identity")
     dual_eq, dual_ub, mu, nu, dual_value = _fold_duals(
         lp, y, row_specs, factor, lp.objective)
-    _check(dual_value == value, "strong duality")
+    require(dual_value == value, "exact LP", "strong duality")
     _check_primal(lp, x)
     return LPSolution(status="optimal", value=value, x=x,
                       dual_eq=dual_eq, dual_ub=dual_ub,
@@ -514,7 +516,8 @@ def _simplex(rows: list[list[int]], crash: list[int | None],
     # Entering candidates exclude the artificial columns: once an
     # artificial leaves the basis it stays out.
     if obj1[-1] != 0:
-        _check(tab.run(obj1, width) is None, "the phase-1 objective is bounded")
+        require(tab.run(obj1, width) is None, "exact LP",
+                "the phase-1 objective is bounded")
     counts = (tab.pivots, tab.flips)
     if obj1[-1] > 0:
         return "infeasible", None, duals(obj1, cost1, 1), None, counts
@@ -525,7 +528,8 @@ def _simplex(rows: list[list[int]], crash: list[int | None],
     for i in range(len(tab.rows)):
         if tab.basis[i] >= width:
             col = next((j for j in range(width) if tab.rows[i][j] != 0), None)
-            _check(col is not None, "an artificial variable leaves the basis")
+            require(col is not None, "exact LP",
+                    "an artificial variable leaves the basis")
             tab.pivot(i, col, None)
 
     # --- phase 2: the artificial columns stay, barred from entering ------
@@ -558,22 +562,26 @@ def _map_point(s: list[Fraction], var_map, shift: bool = True) -> list[Fraction]
 
 
 def _check_primal(lp: LinearProgram, x: list[Fraction]) -> None:
-    _check(all(sum(a * v for a, v in zip(row, x) if a and v) == rhs
-               for row, rhs in zip(lp.a_eq, lp.b_eq)), "primal equality rows")
-    _check(all(sum(a * v for a, v in zip(row, x) if a and v) <= rhs
-               for row, rhs in zip(lp.a_ub, lp.b_ub)), "primal inequality rows")
-    _check(all((lo is None or v >= lo) and (up is None or v <= up)
-               for v, lo, up in zip(x, lp.lower, lp.upper)), "primal bounds")
+    require(all(sum(a * v for a, v in zip(row, x) if a and v) == rhs
+                for row, rhs in zip(lp.a_eq, lp.b_eq)), "exact LP",
+            "primal equality rows")
+    require(all(sum(a * v for a, v in zip(row, x) if a and v) <= rhs
+                for row, rhs in zip(lp.a_ub, lp.b_ub)), "exact LP",
+            "primal inequality rows")
+    require(all((lo is None or v >= lo) and (up is None or v <= up)
+                for v, lo, up in zip(x, lp.lower, lp.upper)), "exact LP",
+            "primal bounds")
 
 
 def _check_ray(lp: LinearProgram, d: list[Fraction]) -> None:
-    _check(all(sum(a * v for a, v in zip(row, d)) == 0 for row in lp.a_eq),
-           "ray keeps the equality rows")
-    _check(all(sum(a * v for a, v in zip(row, d)) <= 0 for row in lp.a_ub),
-           "ray keeps the inequality rows")
-    _check(all((lo is None or v >= 0) and (up is None or v <= 0)
-               for v, lo, up in zip(d, lp.lower, lp.upper)), "ray keeps the bounds")
-    _check(sum(c * v for c, v in zip(lp.objective, d)) > 0, "ray improves")
+    require(all(sum(a * v for a, v in zip(row, d)) == 0 for row in lp.a_eq),
+            "exact LP", "ray keeps the equality rows")
+    require(all(sum(a * v for a, v in zip(row, d)) <= 0 for row in lp.a_ub),
+            "exact LP", "ray keeps the inequality rows")
+    require(all((lo is None or v >= 0) and (up is None or v <= 0)
+                for v, lo, up in zip(d, lp.lower, lp.upper)),
+            "exact LP", "ray keeps the bounds")
+    require(sum(c * v for c, v in zip(lp.objective, d)) > 0, "exact LP", "ray improves")
 
 
 def _fold_duals(lp, y, row_specs, factor, objective):
@@ -604,12 +612,13 @@ def _fold_duals(lp, y, row_specs, factor, objective):
             mu[j] = r
         else:
             nu[j] = -r
-    _check(all(v >= 0 for v in dual_ub), "inequality duals are nonnegative")
-    _check(all(v >= 0 for v in mu) and all(v >= 0 for v in nu),
-           "bound multipliers are nonnegative")
-    _check(all((mu[j] == 0 or lp.upper[j] is not None) and
-               (nu[j] == 0 or lp.lower[j] is not None) for j in range(lp.n)),
-           "bound multipliers sit on finite bounds")
+    require(all(v >= 0 for v in dual_ub), "exact LP",
+            "inequality duals are nonnegative")
+    require(all(v >= 0 for v in mu) and all(v >= 0 for v in nu), "exact LP",
+            "bound multipliers are nonnegative")
+    require(all((mu[j] == 0 or lp.upper[j] is not None) and
+                (nu[j] == 0 or lp.lower[j] is not None) for j in range(lp.n)),
+            "exact LP", "bound multipliers sit on finite bounds")
     value = sum(d * b for d, b in zip(dual_eq, lp.b_eq)) + \
         sum(d * b for d, b in zip(dual_ub, lp.b_ub)) + \
         sum(mu[j] * lp.upper[j] for j in range(lp.n) if mu[j] != 0) - \

@@ -27,13 +27,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .belief import (distinct_nonzero, kronecker_residual, lift, update_rows,
-                     updates)
+from .belief import distinct_nonzero, dot, kronecker_residual, lift, update_rows
 from .core import (Instance, JointDist, Mechanism, NoneCertificate,
                    PreconditionError, arrays_equal, constant_array,
                    expectation, product_dist, two_agent)
 from .ic import ICReport, check_ic
-from .numerics import LinearProgram, solve_lp
+from .numerics import LinearProgram, require, solve_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -70,20 +69,18 @@ def additivity_test(instance: Instance) -> AdditivityReport:
     parts = None
     if additive and instance.dist.is_independent():
         parts = _additive_split(instance.v)
-        assert parts is not None  # pi-additive + independent => v additive
+        require(parts is not None, "profit",
+                "a pi-additive objective under independence splits additively")
     return AdditivityReport(w=w, u_hat=w - w_hat, w_hat=w_hat,
                             is_pi_additive=additive, additive_parts=parts)
 
 
 def _additive_split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Split v(s,t) = v_l(s) + v_r(t) if possible (anchored at cell (0,0))."""
-    m, n = v.shape
-    v_l = np.array([v[s, 0] for s in range(m)], dtype=object)
-    v_r = np.array([v[0, t] - v[0, 0] for t in range(n)], dtype=object)
-    for s in range(m):
-        for t in range(n):
-            if v[s, t] != v_l[s] + v_r[t]:
-                return None
+    v_l = v[:, 0].copy()
+    v_r = v[0, :] - v[0, 0]
+    if (v != np.add.outer(v_l, v_r)).any():
+        return None
     return v_l, v_r
 
 
@@ -129,15 +126,19 @@ def construct_profitable(instance: Instance):
     w_hat = report.w_hat
     flat = [w_hat[idx] for idx in np.ndindex(*w_hat.shape)]
     lo, hi = min(flat), max(flat)
-    assert lo < 0 < hi  # residual is orthogonal to positive generators
+    # Internal invariant: the nonzero residual is orthogonal to U's
+    # nonnegative generators, so it takes both signs.
+    assert lo < 0 < hi
     epsilon = ONE / (hi - lo)
     x = Mechanism(instance.space, (w_hat - lo) * epsilon)
     icr = check_ic(x, instance.dist)
-    assert icr.verdict
-    assert icr.common_value == -epsilon * lo
+    require(icr.verdict, "profit", "the constructed mechanism is IC")
+    require(icr.common_value == -epsilon * lo, "profit",
+            "the common interim value is -epsilon * min residual")
     payoff = epsilon * sum(v * v for v in flat)
-    assert payoff == expectation(instance.dist, instance.v * x.x)
-    assert payoff > 0
+    require(payoff == expectation(instance.dist, instance.v * x.x), "profit",
+            "payoff = epsilon * |residual|^2")
+    require(payoff > 0, "profit", "the payoff is positive")
     return ConstructionResult(mechanism=x, payoff=payoff, ic_report=icr,
                               epsilon=epsilon)
 
@@ -206,15 +207,11 @@ def transport_criterion(instance: Instance) -> TransportResult:
     b_eq.extend([ZERO] * len(ortho))
 
     sol = solve_lp(LinearProgram(objective=objective, a_eq=a_eq, b_eq=b_eq))
-    if sol.status != "optimal":
-        # The independent coupling is always feasible; anything else is a bug.
-        raise RuntimeError(f"transport LP reported {sol.status}")
-    q = np.array(sol.x, dtype=object).reshape(m, n)
-    assert [sum(q[i, j] for j in range(n)) for i in range(m)] == list(ml)
-    assert [sum(q[i, j] for i in range(m)) for j in range(n)] == list(mr)
-    optimizer = JointDist(instance.space, q)
-    for row in ortho:
-        assert sum(c * x for c, x in zip(row, sol.x)) == 0
+    # The independent coupling is always feasible, and solve_lp has checked
+    # the marginal and orthogonality rows exactly.
+    require(sol.status == "optimal", "profit", "the transport LP has an optimum")
+    optimizer = JointDist(instance.space,
+                          np.array(sol.x, dtype=object).reshape(m, n))
     return TransportResult(value=sol.value, optimizer=optimizer, v_hat=v_hat,
                            orthogonality_rows=len(ortho), independent=indep)
 
@@ -222,23 +219,19 @@ def transport_criterion(instance: Instance) -> TransportResult:
 def orthogonal(pi: JointDist, pi_tilde: JointDist) -> bool:
     """Exact zero-covariance test between two equal-marginal distributions.
 
-    Checks Cov(pi(t | other), pi_tilde(t' | other)) = 0 for every type pair
-    of every agent, the covariance being taken over the other agent's type.
+    Cov(pi(t | other), pi_tilde(t' | other)), taken over the other agent's
+    type, is sum_other (pi(t | other) - pi_i(t)) * pi_tilde(t', other) when
+    the marginals agree: a row of ``orthogonality_rows(pi)`` applied to
+    pi_tilde.  Orthogonal iff every such row vanishes on pi_tilde.
     """
     two_agent(pi.space)
     if pi.space != pi_tilde.space:
         raise PreconditionError("orthogonality requires a common type space")
-    for i in range(2):
-        if not arrays_equal(pi.marginal(i), pi_tilde.marginal(i)):
-            raise PreconditionError("orthogonality requires equal marginals")
-    for i in range(2):
-        weights = pi.marginal(1 - i)
-        for update in updates(pi, i):
-            for update_tilde in updates(pi_tilde, i):
-                if sum(u * ut * p for u, ut, p
-                       in zip(update, update_tilde, weights)) != 0:
-                    return False
-    return True
+    if not all(arrays_equal(pi.marginal(i), pi_tilde.marginal(i))
+               for i in range(2)):
+        raise PreconditionError("orthogonality requires equal marginals")
+    flat = list(pi_tilde.p.reshape(-1))
+    return not any(dot(row, flat) for row in orthogonality_rows(pi))
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +273,10 @@ def decompose(x: Mechanism, marginal_l, marginal_r) -> Decomposition:
     terms = _peel_transport_polytope(d, ml, mr)
     gammas = [q * lam for lam, _ in terms]
     points = [p for _, p in terms]
-    recon = constant_array(space.shape, 0)
-    for g, p in zip(gammas, points):
-        recon = recon + p * g
-    assert arrays_equal(recon, f)
+    recon = sum((p * g for g, p in zip(gammas, points)),
+                constant_array(space.shape, 0))
+    require(arrays_equal(recon, f), "profit",
+            "the extreme points reconstruct pi_l * pi_r * x")
     return Decomposition(q=q, gammas=gammas, extreme_points=points, f=f)
 
 
@@ -347,6 +340,8 @@ def _extract_cycle(cells: set[tuple[int, int]]) -> list[tuple[int, int]]:
         return False
 
     found = dfs(("r", min(cells)[0]), None)
+    # Internal invariant: a pruned support holds a cycle, and bipartite
+    # cycles are even.
     assert found and len(result) % 2 == 0
     return result
 
@@ -361,14 +356,13 @@ def _cancel_one_cycle(mat: np.ndarray) -> bool:
     if not cyclic:
         return False
     cycle = _extract_cycle(cyclic)
-    assert len(cycle) % 2 == 0
     target = min(cycle, key=lambda c: (mat[c], c))
     delta = mat[target]
     sign = 1 if cycle.index(target) % 2 == 0 else -1
     for k, cell in enumerate(cycle):
         step = delta if (k % 2 == 0) else -delta
         mat[cell] = mat[cell] - sign * step
-    assert mat[target] == 0
+    assert mat[target] == 0  # internal invariant: the target cell empties
     return True
 
 
@@ -380,6 +374,8 @@ def _extreme_point_within_support(r: np.ndarray, scale: Fraction,
     while _cancel_one_cycle(p):
         pass
     m, n = p.shape
+    # Internal invariants: cycle cancelling keeps the marginals and the
+    # signs.  ``decompose`` checks the reconstruction, which is the result.
     assert all(sum(p[i, j] for j in range(n)) == ml[i] for i in range(m))
     assert all(sum(p[i, j] for i in range(m)) == mr[j] for j in range(n))
     assert all(v >= 0 for row in p for v in row)
@@ -399,6 +395,8 @@ def _peel_transport_polytope(d: np.ndarray, ml, mr) -> list[tuple[Fraction, np.n
     terms: list[tuple[Fraction, np.ndarray]] = []
     while any(r[i, j] != 0 for i in range(m) for j in range(n)):
         p = _extreme_point_within_support(r, s, ml, mr)
+        # Internal invariants of the peeling: p is a vertex, and each step
+        # removes a positive share of the remaining mass, s, at most.
         assert support_is_acyclic(p)
         cells = sum(1 for i in range(m) for j in range(n) if p[i, j] != 0)
         assert cells <= m + n - 1
@@ -421,11 +419,12 @@ class MatchingReport:
     """Best matching mechanism and the resulting profitability verdict.
 
     ``best_value`` is sum_t pi_l(t) pi_r(m(t)) v(t, m(t)) for the best
-    bijection m.  ``criterion`` names the rule behind ``profitable``:
-    with uniform marginals the sign of ``best_value`` is exact; with merely
-    symmetric marginals and a supermodular objective the diagonal rule
-    sum_t pi_l(t) v(t,t) > 0 decides; otherwise the transport criterion is
-    consulted.
+    bijection m, read off the assignment LP; on ties, ``best_matching`` may
+    be any optimal bijection.  ``criterion`` names the rule behind
+    ``profitable``: with uniform marginals the sign of ``best_value`` is
+    exact; with merely symmetric marginals and a supermodular objective the
+    diagonal rule sum_t pi_l(t) v(t,t) > 0 decides; otherwise the direct LP
+    over the IC polytope does.
     """
 
     best_matching: list[tuple]
@@ -460,10 +459,7 @@ def match_your_opponent(instance: Instance) -> MatchingReport:
     ml, mr = instance.dist.marginals()
     v = instance.v
 
-    if n <= 8:
-        best_perm, best_value = _best_matching_enumerate(v, ml, mr)
-    else:
-        best_perm, best_value = _best_matching_lp(v, ml, mr)
+    best_perm, best_value = _best_matching_lp(v, ml, mr)
 
     symmetric = arrays_equal(ml, mr) and \
         instance.space.types[0] == instance.space.types[1]
@@ -481,7 +477,8 @@ def match_your_opponent(instance: Instance) -> MatchingReport:
         if supermod:
             # Supermodularity makes the diagonal the best matching, so the
             # two verdicts provably coincide; check anyway.
-            assert (diagonal_sum > 0) == profitable
+            require((diagonal_sum > 0) == profitable, "profit",
+                    "the diagonal rule agrees with the best matching")
     elif symmetric and supermod:
         profitable = diagonal_value > 0
         criterion = "diagonal-rule (symmetric marginals, supermodular)"
@@ -500,17 +497,6 @@ def match_your_opponent(instance: Instance) -> MatchingReport:
                           diagonal_sum=diagonal_sum)
 
 
-def _best_matching_enumerate(v, ml, mr):
-    n = v.shape[0]
-    best_perm = None
-    best_value = None
-    for perm in itertools.permutations(range(n)):
-        val = sum(ml[t] * mr[perm[t]] * v[t, perm[t]] for t in range(n))
-        if best_value is None or val > best_value:
-            best_perm, best_value = perm, val
-    return best_perm, best_value
-
-
 def _best_matching_lp(v, ml, mr):
     """Assignment LP: optimum of the weighted matching over the Birkhoff
     polytope; a basic optimal solution is a permutation."""
@@ -519,10 +505,10 @@ def _best_matching_lp(v, ml, mr):
     a_eq = [lift((n, n), i, t, [ONE] * n) for i in range(2) for t in range(n)]
     sol = solve_lp(LinearProgram(objective=objective, a_eq=a_eq,
                                  b_eq=[ONE] * (2 * n)))
-    assert sol.status == "optimal"
+    require(sol.status == "optimal", "profit", "the assignment LP has an optimum")
     perm = []
     for i in range(n):
         js = [j for j in range(n) if sol.x[i * n + j] == 1]
-        assert len(js) == 1
+        require(len(js) == 1, "profit", "the assignment LP optimum is a permutation")
         perm.append(js[0])
     return tuple(perm), sol.value

@@ -8,32 +8,32 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from icmech import Mechanism
-from icmech.fixtures import fx1, fx2, fx3, fx4, fx5
+from icmech.fixtures import fixture
 
 
 @pytest.fixture(scope="session")
 def inst_fx1():
-    return fx1()
+    return fixture("fx1")
 
 
 @pytest.fixture(scope="session")
 def inst_fx2():
-    return fx2()
+    return fixture("fx2")
 
 
 @pytest.fixture(scope="session")
 def inst_fx3():
-    return fx3()
+    return fixture("fx3")
 
 
 @pytest.fixture(scope="session")
 def inst_fx4():
-    return fx4()
+    return fixture("fx4")
 
 
 @pytest.fixture(scope="session")
 def inst_fx5():
-    return fx5()
+    return fixture("fx5")
 
 
 def matching_mechanism(space) -> Mechanism:

@@ -12,7 +12,8 @@ that the integer-keyed one in ``icmech.belief`` replaced.
 simplex, and ``simplex`` is the Fraction tableau with Bland's rule, explicit
 bound rows and the duals recovered by a second elimination, whose status
 and optimal value the bounded-variable engine in ``icmech.numerics`` must
-reproduce.
+reproduce.  ``best_matching_enumerate`` tries every bijection, the oracle
+for the assignment LP behind ``match_your_opponent``.
 """
 
 import itertools
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from icmech.numerics import LinearProgram, _check, rank, solve_linear_system
+from icmech.numerics import LinearProgram, rank, require, solve_linear_system
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -203,6 +204,19 @@ def orthogonal_projection(target, generators):
     return proj, resid
 
 
+def best_matching_enumerate(v, ml, mr):
+    """The bijection m maximising sum_t ml[t] * mr[m(t)] * v[t, m(t)], first
+    in lexicographic order among ties, and its value."""
+    n = v.shape[0]
+    best_perm = None
+    best_value = None
+    for perm in itertools.permutations(range(n)):
+        val = sum(ml[t] * mr[perm[t]] * v[t, perm[t]] for t in range(n))
+        if best_value is None or val > best_value:
+            best_perm, best_value = perm, val
+    return best_perm, best_value
+
+
 def enumerate_vertices(lp: LinearProgram) -> list[list[Fraction]]:
     """Brute-force vertex enumeration for small LPs (test oracle).
 
@@ -320,7 +334,7 @@ def _basis_duals(a, cost, basis) -> list[Fraction]:
     """
     at = [[row[b] for row in a] for b in basis]
     y = solve_linear_system(at, [cost[b] for b in basis])
-    _check(y is not None, "the basis matrix is nonsingular")
+    require(y is not None, "exact LP", "the basis matrix is nonsingular")
     return y
 
 
@@ -375,7 +389,8 @@ def _bland_simplex(rows, rhs, crash, cost):
     for i in range(len(tab.rows)):
         if tab.basis[i] >= width:
             col = next((j for j in range(width) if tab.rows[i][j] != 0), None)
-            _check(col is not None, "an artificial variable leaves the basis")
+            require(col is not None, "exact LP",
+                    "an artificial variable leaves the basis")
             tab.pivot(i, col, obj1)
     tab.rows = [row[:width] + [row[-1]] for row in tab.rows]
     obj2 = _reduced_objective(cost, tab, width)

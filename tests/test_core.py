@@ -7,7 +7,7 @@ import pytest
 from icmech.core import (MAX_AGENTS, JointDist, SchemaError, TypeSpace,
                          constant_array, dump_instance, expectation,
                          load_instance, load_mechanism, normalize,
-                         parse_type_space, product_dist, rational_array)
+                         parse_rational_array, parse_type_space, product_dist)
 from icmech.fixtures import FIXTURE_NAMES, fixture, fixture_path
 from icmech.nalloc import dump_allocation, load_allocation
 
@@ -52,19 +52,19 @@ class TestJointDist:
 
     def test_sum_must_be_one(self):
         ts = TypeSpace(("l", "r"), ((0, 1), (0, 1)))
-        bad = rational_array([["1/2", "1/2"], ["1/2", "1/2"]], (2, 2))
+        bad = parse_rational_array([["1/2", "1/2"], ["1/2", "1/2"]], (2, 2), "pi")
         with pytest.raises(SchemaError):
             JointDist(ts, bad)
 
     def test_negative_rejected(self):
         ts = TypeSpace(("l", "r"), ((0, 1), (0, 1)))
-        bad = rational_array([["-1/4", "1/2"], ["1/2", "1/4"]], (2, 2))
+        bad = parse_rational_array([["-1/4", "1/2"], ["1/2", "1/4"]], (2, 2), "pi")
         with pytest.raises(SchemaError):
             JointDist(ts, bad)
 
     def test_zero_marginal_rejected(self):
         ts = TypeSpace(("l", "r"), ((0, 1), (0, 1)))
-        bad = rational_array([["1/2", "1/2"], ["0", "0"]], (2, 2))
+        bad = parse_rational_array([["1/2", "1/2"], ["0", "0"]], (2, 2), "pi")
         with pytest.raises(SchemaError):
             JointDist(ts, bad)
 
@@ -109,8 +109,8 @@ class TestNormalize:
     def test_idempotent_and_flag_iff_positive(self):
         rng = random.Random(11)
         ts = TypeSpace(("l", "r"), ((0, 1), (0, 1)))
-        dist = product_dist(ts, [rational_array(["1/2", "1/2"], (2,)),
-                                 rational_array(["1/3", "2/3"], (2,))])
+        dist = product_dist(ts, [parse_rational_array(["1/2", "1/2"], (2,), "p"),
+                                 parse_rational_array(["1/3", "2/3"], (2,), "p")])
         for _ in range(30):
             vL = np.array([[F(rng.randint(-4, 4)) for _ in range(2)]
                            for _ in range(2)], dtype=object)

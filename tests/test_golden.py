@@ -1,11 +1,12 @@
 """Golden reports: byte-exact CLI output on the five fixtures.
 
-``inspect``, ``classify`` and ``additivity`` run on each of fx1-fx5, and
-``spans`` and ``orthogonal`` on every ordered pair of them, in json and in
-text form.  Each command and format has one file under ``tests/golden/``
-holding, per query, the argv, the exit code and the non-empty streams;
-refusals are pinned as well as reports.  The test only reads the files.
-After a deliberate change of output, rewrite them with
+``inspect``, ``classify``, ``additivity``, ``myo`` and ``fixture`` run on
+each of fx1-fx5, and ``spans`` and ``orthogonal`` on every ordered pair of
+them, in json and in text form; ``fixture`` takes the fixture's name, the
+others its shipped JSON file.  Each command and format has one file under
+``tests/golden/`` holding, per query, the argv, the exit code and the
+non-empty streams; refusals are pinned as well as reports.  The test only
+reads the files.  After a deliberate change of output, rewrite them with
 ``PYTHONPATH=src python -m tests.test_golden`` and list every changed file
 in CHANGES.md.
 """
@@ -28,6 +29,8 @@ COMMANDS = {
     "additivity": [(f,) for f in FIXTURES],
     "spans": list(itertools.product(FIXTURES, repeat=2)),
     "orthogonal": list(itertools.product(FIXTURES, repeat=2)),
+    "myo": [(f,) for f in FIXTURES],
+    "fixture": [(f,) for f in FIXTURES],
 }
 FORMATS = ("json", "text")
 
@@ -36,7 +39,8 @@ def golden_text(command: str, fmt: str) -> str:
     """Every query of one command in one format, as the golden file holds it."""
     parts = []
     for names in COMMANDS[command]:
-        argv = [command, *(str(fixture_path(n)) for n in names), "--format", fmt]
+        args = names if command == "fixture" else [str(fixture_path(n)) for n in names]
+        argv = [command, *args, "--format", fmt]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)

@@ -613,7 +613,7 @@ class TestChecksSurviveOptimize:
         # it, and that check must survive the stripped asserts.
         script = (
             "from icmech import oracle\n"
-            "from icmech.fixtures import fx1\n"
+            "from icmech.fixtures import fixture\n"
             "good = oracle.check_ic\n"
             "def bad(*args):\n"
             "    report = good(*args)\n"
@@ -621,18 +621,38 @@ class TestChecksSurviveOptimize:
             "    return report\n"
             "oracle.check_ic = bad\n"
             "try:\n"
-            "    oracle.solve_principal(fx1())\n"
+            "    oracle.solve_principal(fixture('fx1'))\n"
             "except RuntimeError as e:\n"
             "    print('debug' if __debug__ else 'optimized', e)\n")
         assert run_optimized(script) == ("optimized oracle check failed: "
                                          "the LP optimum is IC\n")
+
+    def test_corrupted_construction_raises_under_python_o(self):
+        # The residual construction returns its mechanism only once
+        # check_ic confirms it, and that check must survive the stripped
+        # asserts.
+        script = (
+            "from icmech import profit\n"
+            "from icmech.fixtures import fixture\n"
+            "good = profit.check_ic\n"
+            "def bad(*args):\n"
+            "    report = good(*args)\n"
+            "    report.verdict = not report.verdict\n"
+            "    return report\n"
+            "profit.check_ic = bad\n"
+            "try:\n"
+            "    profit.construct_profitable(fixture('fx1'))\n"
+            "except RuntimeError as e:\n"
+            "    print('debug' if __debug__ else 'optimized', e)\n")
+        assert run_optimized(script) == ("optimized profit check failed: "
+                                         "the constructed mechanism is IC\n")
 
     def test_corrupted_split_raises_under_python_o(self):
         # The closed-form split u of an additive allocation is only as good
         # as its check, which must survive the stripped asserts.
         script = (
             "from icmech import nalloc\n"
-            "from icmech.fixtures import fx4\n"
+            "from icmech.fixtures import fixture\n"
             "good = nalloc._split\n"
             "def bad(inst):\n"
             "    u = good(inst)\n"
@@ -640,7 +660,7 @@ class TestChecksSurviveOptimize:
             "    u['1'][label] += 1\n"
             "    return u\n"
             "nalloc._split = bad\n"
-            "inst = fx4()\n"
+            "inst = fixture('fx4')\n"
             "inst = nalloc.AllocationInstance(inst.space, inst.marginals,\n"
             "                                 (inst.values[0],) * 3, False)\n"
             "try:\n"

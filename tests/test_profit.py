@@ -11,10 +11,9 @@ from icmech.ic import check_ic
 from icmech.numerics import LinearProgram
 from icmech.oracle import (generate, sample_ic_combination, sample_ic_vertex,
                            solve_principal)
-from icmech.profit import (ConstructionResult, _best_matching_enumerate,
-                           _best_matching_lp, additivity_test,
-                           construct_profitable, decompose, is_supermodular,
-                           match_your_opponent, orthogonal,
+from icmech.profit import (ConstructionResult, _best_matching_lp,
+                           additivity_test, construct_profitable, decompose,
+                           is_supermodular, match_your_opponent, orthogonal,
                            support_is_acyclic, transport_criterion)
 
 from . import reference
@@ -276,7 +275,7 @@ class TestMatchYourOpponent:
                 assert sorted(perm) == list(range(n))
                 assert value == sum(ml[t] * mr[perm[t]] * inst.v[t, perm[t]]
                                     for t in range(n))
-                assert value == _best_matching_enumerate(inst.v, ml, mr)[1]
+                assert value == reference.best_matching_enumerate(inst.v, ml, mr)[1]
 
     def test_supermodularity_detection(self):
         assert is_supermodular(np.array([[F(0), F(0)], [F(0), F(1)]],
