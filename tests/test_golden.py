@@ -1,9 +1,11 @@
 """Golden reports: byte-exact CLI output on the five fixtures.
 
 ``inspect``, ``classify``, ``additivity``, ``myo`` and ``fixture`` run on
-each of fx1-fx5, and ``spans`` and ``orthogonal`` on every ordered pair of
-them, in json and in text form; ``fixture`` takes the fixture's name, the
-others its shipped JSON file.  Each command and format has one file under
+each of fx1-fx5, ``spans`` and ``orthogonal`` on every ordered pair of
+them, and ``check-ic`` and ``decompose`` on each fixture with every
+mechanism of its shape under ``tests/golden/mechanisms/``, in json and in
+text form; ``fixture`` takes the fixture's name, the others their JSON
+files.  Each command and format has one file under
 ``tests/golden/`` holding, per query, the argv, the exit code and the
 non-empty streams; refusals are pinned as well as reports.  The test only
 reads the files.  After a deliberate change of output, rewrite them with
@@ -22,7 +24,14 @@ from icmech.cli import main
 from icmech.fixtures import fixture_path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+MECHANISMS = GOLDEN / "mechanisms"
 FIXTURES = ("fx1", "fx2", "fx3", "fx4", "fx5")
+# Per two-option shape a mechanism that is IC under the independent
+# fixtures of that shape, a non-IC one and a constant one; one allocation
+# mechanism for fx4.
+SHAPES = {"fx1": "2x2", "fx2": "2x2", "fx3": "3x3", "fx4": "2x2x2", "fx5": "2x2"}
+WITH_MECHANISMS = [(f, m.stem) for f in FIXTURES
+                   for m in sorted(MECHANISMS.glob(f"{SHAPES[f]}-*.json"))]
 COMMANDS = {
     "inspect": [(f,) for f in FIXTURES],
     "classify": [(f,) for f in FIXTURES],
@@ -31,6 +40,8 @@ COMMANDS = {
     "orthogonal": list(itertools.product(FIXTURES, repeat=2)),
     "myo": [(f,) for f in FIXTURES],
     "fixture": [(f,) for f in FIXTURES],
+    "check-ic": WITH_MECHANISMS,
+    "decompose": WITH_MECHANISMS,
 }
 FORMATS = ("json", "text")
 
@@ -39,7 +50,7 @@ def golden_text(command: str, fmt: str) -> str:
     """Every query of one command in one format, as the golden file holds it."""
     parts = []
     for names in COMMANDS[command]:
-        args = names if command == "fixture" else [str(fixture_path(n)) for n in names]
+        args = names if command == "fixture" else [_path(n) for n in names]
         argv = [command, *args, "--format", fmt]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -50,6 +61,13 @@ def golden_text(command: str, fmt: str) -> str:
             if text:
                 parts.append(f"{stream}:\n{text}")
     return "".join(parts)
+
+
+def _path(name: str) -> str:
+    """The JSON file of a fixture or of a golden mechanism."""
+    if name in FIXTURES:
+        return str(fixture_path(name))
+    return str(MECHANISMS / f"{name}.json")
 
 
 def golden_path(command: str, fmt: str) -> Path:
