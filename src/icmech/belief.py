@@ -2,11 +2,13 @@
 
 An agent's interim expectation of a mechanism is one of the agent's
 beliefs over the other agents' types, placed on the slice of profiles
-where the agent's own report is fixed.  ``lift`` does that placing, for any number of agents;
-``interim_rows`` and ``update_rows`` are the two row families built from
-it: the rows of the IC polytope and the IC checks, and the correlation-
-orthogonality rows of the transport criterion.  ``distinct_nonzero`` is
-the order-preserving dedupe every row builder applies.
+where the agent's own report is fixed.  ``lift`` does that placing, for
+any number of agents, and every row family is built from it: the interim
+expectations of the IC checks (``interim_rows``), the IC rows "interim
+expectation equals ex-ante value" (``ic_rows``), the marginal rows of the
+transport and assignment LPs (``marginal_rows``) and the correlation-
+orthogonality rows of the transport criterion (``update_rows``).
+``distinct_nonzero`` is the order-preserving dedupe the row builders apply.
 
 For two agents the same structure gives the additivity subspace
 U = col(pi) (x) R^n + R^m (x) row(pi), whose orthogonal complement is
@@ -28,6 +30,7 @@ import numpy as np
 from .core import JointDist, two_agent
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def beliefs(dist: JointDist, i: int) -> list[list[Fraction]]:
@@ -60,6 +63,30 @@ def interim_rows(dist: JointDist, i: int):
     for a, belief in enumerate(beliefs(dist, i)):
         for b in range(shape[i]):
             yield a, b, lift(shape, i, b, belief)
+
+
+def ic_rows(dist: JointDist, i: int) -> list[list[Fraction]]:
+    """Agent i's IC rows r, with r . x = E[x(b, theta_-i) | theta_i = a] - E[x]
+    for flat x, true type a outer and report b inner; zero rows and repeats
+    are dropped.
+
+    Types with equal beliefs give equal rows, so each distinct belief is
+    lifted once, in first-seen order.  The lifts for different reports lie
+    on disjoint slices and a belief is never zero, so no two rows left are
+    equal."""
+    shape = dist.space.shape
+    prob = list(dist.p.reshape(-1))
+    rows = ([c - p for c, p in zip(lift(shape, i, b, belief), prob)]
+            for belief in distinct_nonzero(beliefs(dist, i))
+            for b in range(shape[i]))
+    return [row for row in rows if any(row)]
+
+
+def marginal_rows(shape: tuple[int, ...]) -> list[list[Fraction]]:
+    """Row (i, t), agent outer: the indicator of the profiles where agent i
+    has type t, so that its product with a flat q is q's marginal mass there."""
+    return [lift(shape, i, t, [ONE] * (prod(shape) // k))
+            for i, k in enumerate(shape) for t in range(k)]
 
 
 def updates(dist: JointDist, i: int) -> list[list[Fraction]]:

@@ -25,8 +25,8 @@ from .core import (Instance, Mechanism, NoneCertificate, PreconditionError,
                    load_mechanism, to_nested_strings)
 from .game import maximin, obedience_check
 from .ic import check_ic, classify_extremes, spans
-from .nalloc import (AllocationMechanism, allocation_to_dict,
-                     analyze_allocation, check_ic_n, load_allocation,
+from .nalloc import (allocation_to_dict, analyze_allocation, check_ic_n,
+                     drop_disposal_agent, load_allocation,
                      load_allocation_mechanism)
 from .numerics import require
 from .oracle import generate, solve_principal, solve_principal_alloc
@@ -322,8 +322,7 @@ def cmd_alloc_n(args) -> dict:
         if inst.disposal and mech.space != inst.space:
             # The construction ran on the dummy-agent extension; emit the
             # disposal mechanism on the original agents so it round-trips.
-            parts = [p.reshape(inst.space.shape) for p in mech.x[:-1]]
-            mech = AllocationMechanism(inst.space, parts, disposal=True)
+            mech = drop_disposal_agent(mech, inst)
         out["mechanism"] = _mechanism_json(mech)
         if getattr(rep, "witness", None) is not None:
             out["witness"] = str(rep.witness)

@@ -183,15 +183,6 @@ class JointDist:
     def marginals(self) -> tuple[np.ndarray, ...]:
         return self._marginals
 
-    def conditional(self, i: int) -> np.ndarray:
-        """Two-agent conditionals: row t is the belief over the other agent's
-        types held by type t of agent i."""
-        two_agent(self.space)
-        mat = self.p if i == 0 else self.p.T
-        m = self._marginals[i]
-        return np.array([[mat[a, b] / m[a] for b in range(mat.shape[1])]
-                         for a in range(mat.shape[0])], dtype=object)
-
     def is_independent(self) -> bool:
         two_agent(self.space)
         ml, mr = self._marginals
@@ -311,17 +302,6 @@ class Instance:
     @property
     def v(self) -> np.ndarray:
         return self.objective.v
-
-
-def make_instance(space: TypeSpace, pi, vL, vR=None, name=None, seed=None) -> Instance:
-    """Convenience constructor from nested lists of exact rationals,
-    validated like the JSON loaders' input."""
-    dist = JointDist(space, parse_rational_array(pi, space.shape, "pi"))
-    vL_arr = parse_rational_array(vL, space.shape, "vL")
-    vR_arr = (constant_array(space.shape, 0) if vR is None
-              else parse_rational_array(vR, space.shape, "vR"))
-    return Instance(space, dist, normalize(vL_arr, vR_arr, dist),
-                    name=name, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -85,32 +85,23 @@ def obedience_check(x: Mechanism, pi: JointDist) -> ICReport:
     """Is pi a correlated equilibrium of the game with payoff matrix x?
 
     Checks every obedience inequality directly under the joint weighting
-    sum_other pi(rec, other) * [x(dev, other) - x(rec, other)] <= 0 (and the
-    mirror image for the column player).  The verdict equals IC of x under
-    pi; the reported gains are on the joint scale, which differs from the
-    interim (conditional) scale by the positive factor pi_i(rec).
+    sum_other pi(rec, other) * [x(dev, other) - x(rec, other)] <= 0; the
+    column player's inequalities are these on (pi^T, 1 - x^T).  The verdict
+    equals IC of x under pi; the reported gains are on the joint scale,
+    which differs from the interim (conditional) scale by the positive
+    factor pi_i(rec).
     """
     two_agent(pi.space)
     if x.space != pi.space:
         raise PreconditionError("mechanism and distribution type spaces differ")
     space = pi.space
     violations: list[Violation] = []
-    for a, rec in enumerate(space.types[0]):
-        for b, dev in enumerate(space.types[0]):
-            if rec == dev:
-                continue
-            gain = sum(pi.p[a, s] * (x.x[b, s] - x.x[a, s])
-                       for s in range(space.shape[1]))
-            if gain > 0:
-                violations.append(Violation(space.agents[0], rec, dev, gain))
-    for a, rec in enumerate(space.types[1]):
-        for b, dev in enumerate(space.types[1]):
-            if rec == dev:
-                continue
-            gain = sum(pi.p[s, a] * (x.x[s, a] - x.x[s, b])
-                       for s in range(space.shape[0]))
-            if gain > 0:
-                violations.append(Violation(space.agents[1], rec, dev, gain))
+    for i, (joint, payoff) in enumerate(((pi.p, x.x), (pi.p.T, 1 - x.x.T))):
+        for a, rec in enumerate(space.types[i]):
+            for b, dev in enumerate(space.types[i]):
+                gain = joint[a].dot(payoff[b] - payoff[a])
+                if gain > 0:
+                    violations.append(Violation(space.agents[i], rec, dev, gain))
     verdict = not violations
     return ICReport(verdict=verdict, violations=violations,
                     common_value=expectation(pi, x.x) if verdict else None,

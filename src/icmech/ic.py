@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .belief import distinct_nonzero, dot, interim_rows, lift
+from .belief import beliefs, distinct_nonzero, dot, ic_rows, interim_rows, lift
 from .core import (JointDist, Mechanism, PreconditionError, expectation,
                    two_agent)
 from .numerics import require, span_coefficients
@@ -123,10 +123,8 @@ def ic_polytope(dist: JointDist) -> list[list[Fraction]]:
     0 <= x <= 1 these rows cut out exactly the IC polytope.
     """
     two_agent(dist.space)
-    pi_flat = list(dist.p.reshape(-1))
-    return distinct_nonzero([c - p for c, p in zip(row, pi_flat)]
-                            for i in range(2)
-                            for _, _, row in interim_rows(dist, i))
+    # The two agents' rows can coincide, for example under a diagonal pi.
+    return distinct_nonzero(ic_rows(dist, 0) + ic_rows(dist, 1))
 
 
 @dataclass
@@ -158,10 +156,8 @@ def spans(pi: JointDist, pi_tilde: JointDist) -> SpanningVerdict:
     coefficients: dict = {}
     witnesses: list = []
     for i, agent in enumerate(space.agents):
-        gens = [list(row) for row in pi.conditional(i)]
-        cond_tilde = pi_tilde.conditional(i)
-        for a, t in enumerate(space.types[i]):
-            target = list(cond_tilde[a])
+        gens = beliefs(pi, i)
+        for t, target in zip(space.types[i], beliefs(pi_tilde, i)):
             coeffs = span_coefficients(target, gens)
             if coeffs is None:
                 witnesses.append((agent, t))

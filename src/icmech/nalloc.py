@@ -65,19 +65,6 @@ class AllocationInstance:
         self.expected_values = tuple(expectation(self.dist, v)
                                      for v in self.values)
 
-    @classmethod
-    def build(cls, agents, types, marginals, values, disposal,
-              name=None, seed=None) -> "AllocationInstance":
-        """Construct from plain nested data (labels, rational strings/ints)."""
-        space = TypeSpace(tuple(agents), tuple(tuple(t) for t in types))
-        margs = tuple(
-            parse_rational_array(list(marginals[a]), (space.shape[i],), f"marginals[{a}]")
-            for i, a in enumerate(space.agents))
-        vals = tuple(
-            parse_rational_array(values[a], space.shape, f"v[{a}]")
-            for a in space.agents)
-        return cls(space, margs, vals, bool(disposal), name=name, seed=seed)
-
     @property
     def n(self) -> int:
         return self.space.n_agents
@@ -321,6 +308,15 @@ def add_disposal_agent(inst: AllocationInstance) -> AllocationInstance:
                               name=inst.name, seed=inst.seed)
 
 
+def drop_disposal_agent(mech: AllocationMechanism,
+                        inst: AllocationInstance) -> AllocationMechanism:
+    """The disposal mechanism on ``inst``'s own agents from a mechanism on
+    its dummy-agent extension: the dummy agent's share, and its singleton
+    axis, are dropped; what it held is burnt."""
+    parts = [p.reshape(inst.space.shape) for p in mech.x[:-1]]
+    return AllocationMechanism(inst.space, parts, disposal=True)
+
+
 def non_constant_witnesses(inst: AllocationInstance) -> list[str]:
     """Agents whose value depends on somebody else's type."""
     return [agent for i, agent in enumerate(inst.space.agents)
@@ -405,6 +401,8 @@ def load_allocation(source, *, drop_zero_types: bool = False) -> AllocationInsta
     if "disposal" not in data or not isinstance(data["disposal"], bool):
         raise SchemaError("allocation instance requires boolean 'disposal'")
     if "marginals" in data:
+        if not isinstance(data["marginals"], dict):
+            raise SchemaError("'marginals' must map each agent to its marginal")
         margs = []
         for i, a in enumerate(space.agents):
             if a not in data["marginals"]:

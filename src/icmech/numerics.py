@@ -109,12 +109,6 @@ def solve_linear_system(a: Sequence[Sequence[Fraction]],
     return x
 
 
-def in_span(vector: Sequence[Fraction],
-            generators: Sequence[Sequence[Fraction]]) -> bool:
-    """True iff ``vector`` is a linear combination of ``generators``."""
-    return span_coefficients(vector, generators) is not None
-
-
 def span_coefficients(vector: Sequence[Fraction],
                       generators: Sequence[Sequence[Fraction]]) -> list[Fraction] | None:
     """Coefficients c with ``vector = sum c_j * generators[j]``, or None."""

@@ -17,13 +17,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .belief import beliefs, distinct_nonzero, lift
+from .belief import distinct_nonzero, ic_rows
 from .core import (Instance, JointDist, Mechanism, PreconditionError,
                    TypeSpace, constant_array, expectation, normalize,
                    product_dist)
 from .ic import check_ic, ic_polytope
 from .nalloc import (AllocationInstance, AllocationMechanism, add_disposal_agent,
-                     check_ic_n)
+                     check_ic_n, drop_disposal_agent)
 from .numerics import LinearProgram, rank, require, solve_lp
 
 ZERO = Fraction(0)
@@ -47,21 +47,25 @@ def solve_principal(instance: Instance) -> PrincipalSolution:
     profitable iff the optimum exceeds the best constant decision, which is
     0 under the label normalization E[v] <= 0.
     """
-    dist = instance.dist
-    space = instance.space
+    w = instance.v * instance.dist.p
+    value, mech = _ic_optimum(instance.dist, list(w.reshape(-1)))
+    return PrincipalSolution(value=value, mechanism=mech,
+                             profitable=value > 0, baseline=ZERO)
+
+
+def _ic_optimum(dist: JointDist, objective: list) -> tuple[Fraction, Mechanism]:
+    """Maximize objective . x over the IC polytope, flat x: the optimal
+    value and an optimal vertex, checked IC."""
+    space = dist.space
     n = space.n_profiles
-    w = instance.v * dist.p
-    objective = [w[idx] for idx in np.ndindex(*space.shape)]
     rows = ic_polytope(dist)
-    lp = LinearProgram(objective=objective,
-                       a_eq=rows, b_eq=[ZERO] * len(rows),
-                       lower=[ZERO] * n, upper=[ONE] * n)
-    sol = solve_lp(lp)
+    sol = solve_lp(LinearProgram(objective=objective,
+                                 a_eq=rows, b_eq=[ZERO] * len(rows),
+                                 lower=[ZERO] * n, upper=[ONE] * n))
     require(sol.status == "optimal", "oracle", "the principal's LP has an optimum")
     mech = Mechanism(space, np.array(sol.x, dtype=object).reshape(space.shape))
     require(check_ic(mech, dist).verdict, "oracle", "the LP optimum is IC")
-    return PrincipalSolution(value=sol.value, mechanism=mech,
-                             profitable=sol.value > 0, baseline=ZERO)
+    return sol.value, mech
 
 
 def _interim_rows_alloc(inst: AllocationInstance) -> list[list[Fraction]]:
@@ -73,15 +77,12 @@ def _interim_rows_alloc(inst: AllocationInstance) -> list[list[Fraction]]:
     agent's rows are expressed through the substitution.
     """
     n = inst.n
-    shape = inst.space.shape
-    prob = list(inst.dist.p.reshape(-1))
     zero = [ZERO] * inst.space.n_profiles
     rows: list[list[Fraction]] = []
     for agent in range(n):
-        # Types are independent, so type b's own belief gives the interim
-        # win probability of reporting b to every type.
-        for b, belief in enumerate(beliefs(inst.dist, agent)):
-            gap = [r - p for r, p in zip(lift(shape, agent, b, belief), prob)]
+        # Types are independent, so all of an agent's types share one
+        # belief, which ``ic_rows`` lifts once per report.
+        for gap in ic_rows(inst.dist, agent):
             if agent < n - 1:
                 blocks = [gap if block == agent else zero for block in range(n - 1)]
             else:
@@ -101,14 +102,9 @@ def solve_principal_alloc(inst: AllocationInstance) -> PrincipalSolution:
     n = base.n
     shape = base.space.shape
     size = base.space.n_profiles
-    prob = base.dist.p
-    idx_list = list(np.ndindex(*shape))
-    last = base.values[n - 1]
-    objective = []
-    for block in range(n - 1):
-        diff = base.values[block] - last
-        objective.extend(prob[idx] * diff[idx] for idx in idx_list)
-    const = sum(prob[idx] * last[idx] for idx in idx_list)
+    last = base.values[-1]
+    objective = [c for v in base.values[:-1]
+                 for c in (base.dist.p * (v - last)).reshape(-1)]
 
     rows = _interim_rows_alloc(base)
     nvars = (n - 1) * size
@@ -124,24 +120,18 @@ def solve_principal_alloc(inst: AllocationInstance) -> PrincipalSolution:
                        lower=[ZERO] * nvars, upper=[None] * nvars)
     sol = solve_lp(lp)
     require(sol.status == "optimal", "oracle", "the allocation LP has an optimum")
-    value = sol.value + const
+    # The last agent's allocation is 1 - the others', so its expected
+    # value is a constant term of the objective.
+    value = sol.value + base.expected_value(n - 1)
 
-    parts = []
-    for block in range(n - 1):
-        arr = np.array(sol.x[block * size:(block + 1) * size],
-                       dtype=object).reshape(shape)
-        parts.append(arr)
-    last_part = constant_array(shape, 1)
-    for p in parts:
-        last_part = last_part - p
-    parts.append(last_part)
+    parts = [np.array(sol.x[block * size:(block + 1) * size],
+                      dtype=object).reshape(shape) for block in range(n - 1)]
+    parts.append(constant_array(shape, 1) - sum(parts))
+    mech = AllocationMechanism(base.space, parts, disposal=False)
     if inst.disposal:
-        # Drop the dummy agent's share and its singleton axis.
-        parts = [p.reshape(inst.space.shape) for p in parts[:-1]]
-        mech = AllocationMechanism(inst.space, parts, disposal=True)
+        mech = drop_disposal_agent(mech, inst)
         baseline = max(ZERO, inst.vbar)
     else:
-        mech = AllocationMechanism(inst.space, parts, disposal=False)
         baseline = inst.vbar
     require(check_ic_n(mech, inst).verdict, "oracle", "the LP optimum is IC")
     return PrincipalSolution(value=value, mechanism=mech,
@@ -253,17 +243,7 @@ def _joint(rng: random.Random, shape) -> np.ndarray:
 
 def sample_ic_vertex(dist: JointDist, rng: random.Random) -> Mechanism:
     """A vertex of the IC polytope: optimize a random objective over it."""
-    space = dist.space
-    n = space.n_profiles
-    objective = [_value(rng) for _ in range(n)]
-    rows = ic_polytope(dist)
-    sol = solve_lp(LinearProgram(objective=objective,
-                                 a_eq=rows, b_eq=[ZERO] * len(rows),
-                                 lower=[ZERO] * n, upper=[ONE] * n))
-    require(sol.status == "optimal", "oracle", "the vertex LP has an optimum")
-    mech = Mechanism(space, np.array(sol.x, dtype=object).reshape(space.shape))
-    require(check_ic(mech, dist).verdict, "oracle", "the LP vertex is IC")
-    return mech
+    return _ic_optimum(dist, [_value(rng) for _ in range(dist.space.n_profiles)])[1]
 
 
 def random_transport_extreme(rng: random.Random, ml, mr) -> np.ndarray:

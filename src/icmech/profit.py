@@ -27,7 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .belief import distinct_nonzero, dot, kronecker_residual, lift, update_rows
+from .belief import (distinct_nonzero, dot, kronecker_residual, marginal_rows,
+                     update_rows)
 from .core import (Instance, JointDist, Mechanism, NoneCertificate,
                    PreconditionError, arrays_equal, constant_array,
                    expectation, product_dist, two_agent)
@@ -197,10 +198,7 @@ def transport_criterion(instance: Instance) -> TransportResult:
     v_hat = instance.v * dist.p / np.multiply.outer(ml, mr)
 
     objective = [v_hat[i, j] for i in range(m) for j in range(n)]
-    # Marginal rows: the mass on each own-type slice of each agent.
-    shape = instance.space.shape
-    a_eq = [lift(shape, i, t, [ONE] * shape[1 - i])
-            for i in range(2) for t in range(shape[i])]
+    a_eq = marginal_rows(instance.space.shape)
     b_eq = list(ml) + list(mr)
     ortho = [] if indep else orthogonality_rows(dist)
     a_eq.extend(ortho)
@@ -307,43 +305,29 @@ def _pruned_support(support: set[tuple[int, int]]) -> set[tuple[int, int]]:
 def _extract_cycle(cells: set[tuple[int, int]]) -> list[tuple[int, int]]:
     """One cycle inside a pruned support, as a closed alternating cell list.
 
-    Cells are edges of the bipartite row/column graph; a depth-first walk
-    (lexicographic edge order, so deterministic) finds a cycle, returned so
-    that consecutive cells share a node and the list has even length.
+    Cells are edges of the bipartite graph whose nodes are (axis, index):
+    rows are axis 0, columns axis 1.  Every node of a pruned support has at
+    least two cells, so a walk that starts at the first cell's row and
+    leaves each node by its first cell (lexicographic order) other than the
+    one it arrived by must revisit a node; the cells since that node's
+    first visit form the cycle, consecutive cells sharing a node.
     """
-    adj: dict[tuple, list[tuple[int, int]]] = {}
+    adj: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for cell in sorted(cells):
-        adj.setdefault(("r", cell[0]), []).append(cell)
-        adj.setdefault(("c", cell[1]), []).append(cell)
-
-    def across(cell, node):
-        return ("c", cell[1]) if node[0] == "r" else ("r", cell[0])
-
-    on_path: dict[tuple, int] = {}
-    path_cells: list[tuple[int, int]] = []
-    result: list[tuple[int, int]] = []
-
-    def dfs(node, in_cell) -> bool:
-        on_path[node] = len(path_cells)
-        for cell in adj[node]:
-            if cell == in_cell:
-                continue
-            nxt = across(cell, node)
-            if nxt in on_path:
-                result.extend(path_cells[on_path[nxt]:] + [cell])
-                return True
-            path_cells.append(cell)
-            if dfs(nxt, cell):
-                return True
-            path_cells.pop()
-        del on_path[node]
-        return False
-
-    found = dfs(("r", min(cells)[0]), None)
-    # Internal invariant: a pruned support holds a cycle, and bipartite
-    # cycles are even.
-    assert found and len(result) % 2 == 0
-    return result
+        for axis in (0, 1):
+            adj.setdefault((axis, cell[axis]), []).append(cell)
+    node, arrival = (0, min(cells)[0]), None
+    visited: dict[tuple[int, int], int] = {}
+    path: list[tuple[int, int]] = []
+    while node not in visited:
+        visited[node] = len(path)
+        arrival = next(cell for cell in adj[node] if cell != arrival)
+        path.append(arrival)
+        node = (1 - node[0], arrival[1 - node[0]])
+    cycle = path[visited[node]:]
+    # Internal invariant: bipartite cycles are even.
+    assert len(cycle) % 2 == 0
+    return cycle
 
 
 def _cancel_one_cycle(mat: np.ndarray) -> bool:
@@ -502,8 +486,7 @@ def _best_matching_lp(v, ml, mr):
     polytope; a basic optimal solution is a permutation."""
     n = v.shape[0]
     objective = [ml[i] * mr[j] * v[i, j] for i in range(n) for j in range(n)]
-    a_eq = [lift((n, n), i, t, [ONE] * n) for i in range(2) for t in range(n)]
-    sol = solve_lp(LinearProgram(objective=objective, a_eq=a_eq,
+    sol = solve_lp(LinearProgram(objective=objective, a_eq=marginal_rows((n, n)),
                                  b_eq=[ONE] * (2 * n)))
     require(sol.status == "optimal", "profit", "the assignment LP has an optimum")
     perm = []

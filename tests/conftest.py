@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from icmech import Mechanism
+from icmech import Mechanism, load_instance
 from icmech.fixtures import fixture
 
 
@@ -47,3 +47,11 @@ def matching_mechanism(space) -> Mechanism:
 @pytest.fixture
 def xstar(inst_fx1):
     return matching_mechanism(inst_fx1.space)
+
+
+def two_option(space, pi, vL):
+    """A two-option instance on ``space`` from nested rationals, through
+    ``load_instance``."""
+    types = {a: list(t) for a, t in zip(space.agents, space.types)}
+    return load_instance({"agents": list(space.agents), "types": types,
+                          "pi": pi, "vL": vL})

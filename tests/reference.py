@@ -13,7 +13,10 @@ simplex, and ``simplex`` is the Fraction tableau with Bland's rule, explicit
 bound rows and the duals recovered by a second elimination, whose status
 and optimal value the bounded-variable engine in ``icmech.numerics`` must
 reproduce.  ``best_matching_enumerate`` tries every bijection, the oracle
-for the assignment LP behind ``match_your_opponent``.
+for the assignment LP behind ``match_your_opponent``.  ``conditional``
+divides pi by its marginals, independently of ``icmech.belief``, and
+``extract_cycle_dfs`` is the depth-first cycle search that the
+decomposition's walk along a pruned support must reproduce.
 """
 
 import itertools
@@ -27,14 +30,23 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def conditional(dist, i):
+    """Two agents: row a is the belief over the other agent's types held by
+    type a of agent i, pi's entries divided by the marginal."""
+    mat = dist.p if i == 0 else dist.p.T
+    marg = dist.marginal(i)
+    return np.array([[mat[a, s] / marg[a] for s in range(mat.shape[1])]
+                     for a in range(mat.shape[0])], dtype=object)
+
+
 def conditional_section_basis(dist):
     """Generators of U: indicator-of-own-type times a conditional belief,
     one per (own type a, conditioning type b) and per agent, flattened
     row-major."""
     m, n = dist.space.shape
     gens = []
-    cond_l = dist.conditional(0)
-    cond_r = dist.conditional(1)
+    cond_l = conditional(dist, 0)
+    cond_r = conditional(dist, 1)
     for a in range(m):
         for b in range(m):
             g = [ZERO] * (m * n)
@@ -58,7 +70,7 @@ def ic_polytope(dist):
     rows = []
     seen = set()
     for i in range(2):
-        cond = dist.conditional(i)
+        cond = conditional(dist, i)
         for a in range(shape[i]):
             for b in range(shape[i]):
                 row = [-p for p in pi_flat]
@@ -90,7 +102,7 @@ def orthogonality_rows(pi):
     seen = set()
     for i in range(2):
         other = 1 - i
-        cond_other = pi.conditional(other)
+        cond_other = conditional(pi, other)
         k_i, k_other = pi.space.shape[i], pi.space.shape[other]
         for t in range(k_i):
             update = [cond_other[s, t] - marg[i][t] for s in range(k_other)]
@@ -215,6 +227,42 @@ def best_matching_enumerate(v, ml, mr):
         if best_value is None or val > best_value:
             best_perm, best_value = perm, val
     return best_perm, best_value
+
+
+def extract_cycle_dfs(cells):
+    """A cycle of the bipartite row/column graph whose edges are ``cells``,
+    by a depth-first search in lexicographic edge order from the first
+    cell's row, as a closed alternating cell list."""
+    adj = {}
+    for cell in sorted(cells):
+        adj.setdefault(("r", cell[0]), []).append(cell)
+        adj.setdefault(("c", cell[1]), []).append(cell)
+
+    def across(cell, node):
+        return ("c", cell[1]) if node[0] == "r" else ("r", cell[0])
+
+    on_path = {}
+    path_cells = []
+    result = []
+
+    def dfs(node, in_cell):
+        on_path[node] = len(path_cells)
+        for cell in adj[node]:
+            if cell == in_cell:
+                continue
+            nxt = across(cell, node)
+            if nxt in on_path:
+                result.extend(path_cells[on_path[nxt]:] + [cell])
+                return True
+            path_cells.append(cell)
+            if dfs(nxt, cell):
+                return True
+            path_cells.pop()
+        del on_path[node]
+        return False
+
+    dfs(("r", min(cells)[0]), None)
+    return result
 
 
 def enumerate_vertices(lp: LinearProgram) -> list[list[Fraction]]:

@@ -18,7 +18,8 @@ from icmech.game import maximin
 from icmech.ic import check_ic, spans
 from icmech.nalloc import (AllocationInstance, add_disposal_agent,
                            check_ic_n, construct_profitable_n,
-                           difference_additive, with_disposal)
+                           difference_additive, load_allocation,
+                           with_disposal)
 from icmech.oracle import (generate, sample_ic_combination, sample_ic_vertex,
                            solve_principal, solve_principal_alloc)
 from icmech.profit import (ConstructionResult, additivity_test,
@@ -227,11 +228,11 @@ def test_criterion_7_allocation_suite(inst_fx4):
         for a, b in zip(via_disposal.mechanism.x, via_pipeline.mechanism.x):
             assert (a == b).all()
 
-        private = AllocationInstance.build(
-            ("1", "2"), ((0, 1), (0, 1)),
-            {"1": ["1/2", "1/2"], "2": ["1/2", "1/2"]},
-            {"1": [["-1", "-1"], ["1", "1"]], "2": [["-1", "1"], ["-1", "1"]]},
-            disposal=False)
+        private = load_allocation({
+            "agents": ["1", "2"], "types": {"1": [0, 1], "2": [0, 1]},
+            "marginals": {"1": ["1/2", "1/2"], "2": ["1/2", "1/2"]},
+            "v": {"1": [["-1", "-1"], ["1", "1"]], "2": [["-1", "1"], ["-1", "1"]]},
+            "disposal": False})
         assert isinstance(construct_profitable_n(private), NoneCertificate)
 
         shapes = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 2, 2), (3, 3, 2),

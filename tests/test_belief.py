@@ -5,19 +5,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icmech import belief
 from icmech.belief import difference_residual, kronecker_residual
+from icmech.core import TypeSpace
 from icmech.ic import ic_polytope
 from icmech.nalloc import (DISPOSAL_AGENT, AllocationInstance,
                            add_disposal_agent, difference_additive)
 from icmech.numerics import span_coefficients
 from icmech.oracle import _interim_rows_alloc, generate
-from icmech.profit import orthogonality_rows
+from icmech.profit import _extract_cycle, _pruned_support, orthogonality_rows
 
 from . import reference
+from .conftest import two_option
 
 KINDS = ("independent", "correlated", "full-rank", "conditionally-independent")
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
@@ -132,8 +134,20 @@ def test_difference_residual_check_raises(inst_fx4, monkeypatch):
         difference_residual(inst_fx4.dist, _weighted_differences(inst_fx4))
 
 
+# Types 0 and 1 of the first agent share a belief; under the diagonal pi
+# the two agents' IC rows coincide.
+SHARED_BELIEF = two_option(TypeSpace(("l", "r"), ((0, 1, 2), (0, 1))),
+                           pi=[["1/10", "1/5"], ["1/10", "1/5"], ["3/10", "1/10"]],
+                           vL=[["0", "0"]] * 3)
+DIAGONAL = two_option(TypeSpace(("l", "r"), ((0, 1, 2), (0, 1, 2))),
+                      pi=[["1/3", "0", "0"], ["0", "1/3", "0"], ["0", "0", "1/3"]],
+                      vL=[["0", "0", "0"]] * 3)
+
+
 @PROPERTY
 @given(two_agent_instances())
+@example(SHARED_BELIEF)
+@example(DIAGONAL)
 def test_ic_and_orthogonality_rows_equal_loop_builders(inst):
     assert ic_polytope(inst.dist) == reference.ic_polytope(inst.dist)
     assert orthogonality_rows(inst.dist) == reference.orthogonality_rows(inst.dist)
@@ -180,3 +194,20 @@ def test_lift_places_vector_on_own_type_slice():
     # Profiles (a, 2, c) in row-major order carry the vector over (a, c).
     assert [k for k, v in enumerate(row) if v] == [4, 5, 10, 11]
     assert [row[k] for k in (4, 5, 10, 11)] == [1, 2, 3, 4]
+
+
+@st.composite
+def pruned_supports(draw):
+    """The cycles of a random support in a grid from 2x2 to 6x6.  The
+    support has at least m + n cells, more than a forest on the m + n rows
+    and columns can have, so it holds a cycle."""
+    m, n = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    cells = draw(st.sets(st.tuples(st.integers(0, m - 1),
+                                   st.integers(0, n - 1)), min_size=m + n))
+    return _pruned_support(cells)
+
+
+@PROPERTY
+@given(pruned_supports())
+def test_cycle_walk_equals_depth_first_search(cells):
+    assert _extract_cycle(cells) == reference.extract_cycle_dfs(cells)

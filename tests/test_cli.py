@@ -164,6 +164,12 @@ class TestContracts:
                      "pi": [["1"]], "vL": [["0"]]}),
         ("inspect", {"agents": ["l", "r"], "types": {"l": "a", "r": [0]},
                      "pi": [["1"]], "vL": [["0"]]}),
+        ("inspect", {"agents": ["1", "2"], "types": {"1": [0], "2": [0]},
+                     "marginals": 5, "v": {"1": [["0"]], "2": [["0"]]},
+                     "disposal": False}),
+        ("inspect", {"agents": ["1", "2"], "types": {"1": [0], "2": [0]},
+                     "marginals": "12", "v": {"1": [["0"]], "2": [["0"]]},
+                     "disposal": False}),
     ])
     def test_malformed_input_one_line_error(self, capsys, tmp_path, command, data):
         bad = tmp_path / "bad.json"

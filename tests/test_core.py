@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from icmech.belief import beliefs
 from icmech.core import (MAX_AGENTS, JointDist, SchemaError, TypeSpace,
                          constant_array, dump_instance, expectation,
                          load_instance, load_mechanism, normalize,
@@ -41,11 +42,11 @@ class TestJointDist:
 
     def test_correlated_conditional(self, inst_fx2):
         # Belief of the second agent's low type about the first agent's types.
-        cond_r = inst_fx2.dist.conditional(1)
-        assert cond_r[0, 1] == F(3, 4)  # P(first = 1 | second = -1)
+        cond_r = beliefs(inst_fx2.dist, 1)
+        assert cond_r[0][1] == F(3, 4)  # P(first = 1 | second = -1)
 
     def test_independent_conditionals_equal_marginal(self, inst_fx1):
-        cond = inst_fx1.dist.conditional(0)
+        cond = beliefs(inst_fx1.dist, 0)
         mr = inst_fx1.dist.marginal(1)
         for row in cond:
             assert list(row) == list(mr)
@@ -77,12 +78,12 @@ class TestJointDist:
     def test_conditional_reconstructs_joint(self, inst_fx2):
         dist = inst_fx2.dist
         for i in range(2):
-            cond = dist.conditional(i)
+            cond = beliefs(dist, i)
             marg = dist.marginal(i)
             for a in range(2):
                 for s in range(2):
                     idx = (a, s) if i == 0 else (s, a)
-                    assert cond[a, s] * marg[a] == dist.p[idx]
+                    assert cond[a][s] * marg[a] == dist.p[idx]
 
 
 class TestNormalize:

@@ -78,7 +78,10 @@ class TestObedience:
         assert rep.verdict
 
     def test_verdict_matches_interim_routes(self):
+        # Each obedience violation is a check_ic violation on the joint
+        # scale: its gain times pi_i(type), both agents.
         rng = random.Random(17)
+        column_violations = 0
         for seed in range(25):
             inst = generate(seed, (rng.randint(2, 3), rng.randint(2, 3)),
                             rng.choice(["independent", "correlated", "full-rank"]))
@@ -87,8 +90,20 @@ class TestObedience:
                                      for _ in range(inst.space.shape[1])]
                                     for _ in range(inst.space.shape[0])],
                                    dtype=object))
-            assert obedience_check(x, inst.dist).verdict == \
-                check_ic(x, inst.dist).verdict
+            obedience = obedience_check(x, inst.dist)
+            rep = check_ic(x, inst.dist)
+            assert obedience.verdict == rep.verdict
+            space = inst.space
+            joint = []
+            for v in rep.violations:
+                i = space.agent_index(v.agent)
+                weight = inst.dist.marginal(i)[space.position(i, v.true_type)]
+                joint.append((v.agent, v.true_type, v.deviation, v.gain * weight))
+            assert [(v.agent, v.true_type, v.deviation, v.gain)
+                    for v in obedience.violations] == joint
+            column_violations += sum(v.agent == space.agents[1]
+                                     for v in obedience.violations)
+        assert column_violations > 0
 
 
 class TestEquilibriumProductEquality:

@@ -4,12 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from icmech import PreconditionError, constant_mechanism, make_instance
+from icmech import PreconditionError, constant_mechanism
 from icmech.core import JointDist, TypeSpace
 from icmech.game import maximin
 from icmech.ic import check_ic, classify_extremes, ic_polytope, spans
 from icmech.numerics import LinearProgram, rank, solve_lp
 from icmech.oracle import generate, sample_ic_vertex
+
+from . import reference
+from .conftest import two_option
 
 F = Fraction
 
@@ -68,8 +71,8 @@ class TestICPolytope:
             assert sum(c * v for c, v in zip(row, ones)) == 0
 
     def test_singleton_space_empty_block(self):
-        inst = make_instance(TypeSpace(("l", "r"), ((0,), (0,))),
-                             pi=[["1"]], vL=[["-1"]])
+        inst = two_option(TypeSpace(("l", "r"), ((0,), (0,))),
+                          pi=[["1"]], vL=[["-1"]])
         assert ic_polytope(inst.dist) == []
 
 
@@ -101,8 +104,8 @@ class TestSpans:
             # Stored coefficients reproduce each target belief exactly.
             for (agent, t), coeffs in verdict.coefficients.items():
                 i = inst.dist.space.agent_index(agent)
-                cond = inst.dist.conditional(i)
-                target = indep.conditional(i)[inst.dist.space.position(i, t)]
+                cond = reference.conditional(inst.dist, i)
+                target = reference.conditional(indep, i)[inst.dist.space.position(i, t)]
                 labels = inst.dist.space.types[i]
                 for s in range(len(target)):
                     combo = sum(coeffs[lab] * cond[a, s]
@@ -135,14 +138,14 @@ class TestClassifyExtremes:
         assert cls["minimal"] and not cls["maximal"]
 
     def test_singleton_both(self):
-        inst = make_instance(TypeSpace(("l", "r"), ((0,), (0,))),
-                             pi=[["1"]], vL=[["0"]])
+        inst = two_option(TypeSpace(("l", "r"), ((0,), (0,))),
+                          pi=[["1"]], vL=[["0"]])
         cls = classify_extremes(inst.dist)
         assert cls["maximal"] and cls["minimal"]
 
     def test_rectangular_full_rank(self):
         # 3x2 with rank 2: spans everything that spans it.
-        inst = make_instance(
+        inst = two_option(
             TypeSpace(("l", "r"), ((0, 1, 2), (0, 1))),
             pi=[["1/4", "1/12"], ["1/12", "1/4"], ["1/6", "1/6"]],
             vL=[["0", "0"], ["0", "0"], ["0", "0"]])

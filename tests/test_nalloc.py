@@ -13,11 +13,16 @@ from icmech.nalloc import (AllocationInstance, AllocationMechanism,
 from icmech.oracle import generate, solve_principal_alloc
 from icmech.profit import additivity_test
 
+from .conftest import two_option
+
 F = Fraction
 
 
 def build(agents, types, marginals, values, disposal=False):
-    return AllocationInstance.build(agents, types, marginals, values, disposal)
+    return load_allocation({"agents": list(agents),
+                            "types": {a: list(t) for a, t in zip(agents, types)},
+                            "marginals": marginals, "v": values,
+                            "disposal": disposal})
 
 
 @pytest.fixture
@@ -111,7 +116,6 @@ class TestDifferenceAdditive:
     def test_two_agent_matches_additivity_test(self):
         # For n = 2 under independence, the split of v_1 - v_2 exists iff
         # v_1 - v_2 is additive, which the two-option module also decides.
-        from icmech.core import make_instance
         rng = random.Random(9)
         for seed in range(10):
             m, n = rng.randint(2, 3), rng.randint(2, 3)
@@ -126,7 +130,7 @@ class TestDifferenceAdditive:
                           {"1": [[str(x) for x in row] for row in v1],
                            "2": [[str(x) for x in row] for row in v2]})
             diff_holds = difference_additive(alloc).holds
-            two_opt = make_instance(
+            two_opt = two_option(
                 TypeSpace(("l", "r"), (tuple(range(m)), tuple(range(n)))),
                 pi=[[str(F(wi, tl) * F(wj, tr)) for wj in weights_r]
                     for wi in weights_l],
@@ -250,8 +254,7 @@ class TestOracleAgreement:
                 values[a] = [[str(x) for x in row] for row in
                              arr.reshape(shape[0], -1)]
                 values[a] = _reshape_strings(arr)
-            inst = AllocationInstance.build(agents, types, margs, values,
-                                            disposal=False)
+            inst = build(agents, types, margs, values)
             assert difference_additive(inst).holds
             lp = solve_principal_alloc(inst)
             assert lp.value == inst.vbar

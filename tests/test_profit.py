@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from icmech import (Mechanism, NoneCertificate, PreconditionError,
-                    constant_mechanism, expectation, make_instance)
+                    constant_mechanism, expectation)
 from icmech.core import Instance, TypeSpace, constant_array, normalize
 from icmech.ic import check_ic
 from icmech.numerics import LinearProgram
@@ -17,6 +17,7 @@ from icmech.profit import (ConstructionResult, _best_matching_lp,
                            support_is_acyclic, transport_criterion)
 
 from . import reference
+from .conftest import two_option
 
 F = Fraction
 
@@ -156,23 +157,23 @@ class TestOrthogonal:
         assert not orthogonal(inst_fx2.dist, inst_fx2.dist)
 
     def test_opposite_correlation_not_orthogonal(self, inst_fx2):
-        flipped = make_instance(inst_fx2.space,
-                                pi=[["3/8", "1/8"], ["1/8", "3/8"]],
-                                vL=[[1, -1], [-1, 1]])
+        flipped = two_option(inst_fx2.space,
+                             pi=[["3/8", "1/8"], ["1/8", "3/8"]],
+                             vL=[[1, -1], [-1, 1]])
         assert not orthogonal(inst_fx2.dist, flipped.dist)
 
     def test_covariance_values(self, inst_fx2):
         # Cov of the belief updates about own-type 1, both agents: 4 eps^2.
         dist = inst_fx2.dist
         marg = dist.marginals()
-        cond = dist.conditional(1)
+        cond = reference.conditional(dist, 1)
         cov = sum((cond[s, 1] - marg[0][1]) ** 2 * marg[1][s] for s in range(2))
         assert cov == 4 * F(1, 8) ** 2
 
     def test_marginal_mismatch_rejected(self, inst_fx1):
-        other = make_instance(inst_fx1.space,
-                              pi=[["1/3", "1/3"], ["1/6", "1/6"]],
-                              vL=[[0, 0], [0, 0]])
+        other = two_option(inst_fx1.space,
+                           pi=[["1/3", "1/3"], ["1/6", "1/6"]],
+                           vL=[[0, 0], [0, 0]])
         with pytest.raises(PreconditionError):
             orthogonal(inst_fx1.dist, other.dist)
 
@@ -250,9 +251,9 @@ class TestMatchYourOpponent:
         assert rep.profitable
 
     def test_negative_objective_not_profitable(self):
-        inst = make_instance(TypeSpace(("l", "r"), ((0, 1), (0, 1))),
-                             pi=[["1/4", "1/4"], ["1/4", "1/4"]],
-                             vL=[[-1, -1], [-1, -1]])
+        inst = two_option(TypeSpace(("l", "r"), ((0, 1), (0, 1))),
+                          pi=[["1/4", "1/4"], ["1/4", "1/4"]],
+                          vL=[[-1, -1], [-1, -1]])
         rep = match_your_opponent(inst)
         assert rep.best_value < 0
         assert not rep.profitable
@@ -299,7 +300,7 @@ class TestMatchYourOpponent:
             shifted = [F(b) - mean for b in base]
             v = [[shifted[i] * shifted[j] for j in range(n)] for i in range(n)]
             assert is_supermodular(np.array(v, dtype=object))
-            inst = make_instance(
+            inst = two_option(
                 TypeSpace(("l", "r"), (tuple(range(n)), tuple(range(n)))),
                 pi=[[str(F(wi, tot) * F(wj, tot)) for wj in weights]
                     for wi in weights],
