@@ -37,7 +37,7 @@ def beliefs(dist: JointDist, i: int) -> list[list[Fraction]]:
     """Row a: the belief of agent i's type a over the other agents' type
     profiles, in row-major order."""
     marg = dist.marginal(i)
-    return [[p / marg[a] for p in np.take(dist.p, a, axis=i).reshape(-1)]
+    return [[p / marg[a] for p in np.reshape(np.take(dist.p, a, axis=i), -1)]
             for a in range(len(marg))]
 
 

@@ -23,10 +23,13 @@ polytope, whose equality rows are homogeneous.  Each tableau row holds
 Python ints over its own denominator in lowest terms, and a pivot updates
 only the rows whose pivot-column entry is nonzero.  The duals are read
 off the final objective row, where the starting unit columns carry
-B^-1.  Every result is checked exactly, in Fractions, before it is
-returned (primal feasibility, strong duality, the Farkas gap, an
-unbounded ray's direction), and a failed check raises ``RuntimeError``,
-also under ``python -O``.
+B^-1.  Every result is checked exactly before it is returned (primal
+feasibility, strong duality, the Farkas gap, an unbounded ray's
+direction), and a failed check raises ``RuntimeError``, also under
+``python -O``.  The primal rows and the dual fold are checked in integers
+over the LP's own rows, each scaled to integers once, never over the
+tableau, so the checks stay independent of the substitution, the
+presolve and the slacks.
 """
 
 from __future__ import annotations
@@ -397,8 +400,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     int_map = [(int(offset * unit), [(col, int(k * unit)) for col, k in cols])
                for offset, cols in var_map]
 
-    def scaled(row: Sequence[Fraction], rhs: Fraction) -> tuple[int, list[int]]:
-        scale, vec = _integer_row([*row, rhs])
+    def scaled(scale: int, vec: list[int]) -> tuple[int, list[int]]:
         out = [0] * ncols
         b = vec[-1] * unit
         for a, (offset, cols) in zip(vec, int_map):
@@ -409,12 +411,16 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         out.append(b)
         return scale * unit, out
 
-    # Equality rows that earlier ones combine to, after the substitution,
-    # are left out; their duals are 0.  Every <= row gets a slack, kept at
-    # +-1 when the row is scaled.
-    eq = [scaled(row, rhs) for row, rhs in zip(lp.a_eq, lp.b_eq)]
+    # Each original row [row | rhs] over integers, (s, ints): the tableau
+    # is built from them and the result checks read them.  Equality rows
+    # that earlier ones combine to, after the substitution, are left out;
+    # their duals are 0.  Every <= row gets a slack, kept at +-1 when the
+    # row is scaled.
+    int_rows = {"eq": [_integer_row([*row, rhs]) for row, rhs in zip(lp.a_eq, lp.b_eq)],
+                "ub": [_integer_row([*row, rhs]) for row, rhs in zip(lp.a_ub, lp.b_ub)]}
+    eq = [scaled(*r) for r in int_rows["eq"]]
     kept = _independent_rows([vec for _, vec in eq])
-    ub = [scaled(row, rhs) for row, rhs in zip(lp.a_ub, lp.b_ub)]
+    ub = [scaled(*r) for r in int_rows["ub"]]
     row_specs = [("eq", i) for i in kept] + [("ub", i) for i in range(len(ub))]
     nslack = len(ub)
     rows: list[list[int]] = []
@@ -449,7 +455,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         # The phase-1 duals combine the constraints to the zero row while
         # the same combination of right-hand sides is negative: 0 <= gap < 0.
         dual_eq, dual_ub, mu, nu, gap = _fold_duals(
-            lp, y, row_specs, factor, [ZERO] * lp.n)
+            lp, int_rows, y, row_specs, factor, [ZERO] * lp.n)
         require(gap < 0, "exact LP", "Farkas gap is negative")
         cert = {"dual_eq": dual_eq, "dual_ub": dual_ub,
                 "upper_multipliers": mu, "lower_multipliers": nu, "gap": gap}
@@ -464,9 +470,9 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     value = sum(c * v for c, v in zip(lp.objective, x))
     require(value == value_std + const_term, "exact LP", "objective value identity")
     dual_eq, dual_ub, mu, nu, dual_value = _fold_duals(
-        lp, y, row_specs, factor, lp.objective)
+        lp, int_rows, y, row_specs, factor, lp.objective)
     require(dual_value == value, "exact LP", "strong duality")
-    _check_primal(lp, x)
+    _check_primal(lp, int_rows, x)
     return LPSolution(status="optimal", value=value, x=x,
                       dual_eq=dual_eq, dual_ub=dual_ub,
                       reduced_costs=[u - d for u, d in zip(mu, nu)],
@@ -555,13 +561,19 @@ def _map_point(s: list[Fraction], var_map, shift: bool = True) -> list[Fraction]
             for offset, cols in var_map]
 
 
-def _check_primal(lp: LinearProgram, x: list[Fraction]) -> None:
-    require(all(sum(a * v for a, v in zip(row, x) if a and v) == rhs
-                for row, rhs in zip(lp.a_eq, lp.b_eq)), "exact LP",
-            "primal equality rows")
-    require(all(sum(a * v for a, v in zip(row, x) if a and v) <= rhs
-                for row, rhs in zip(lp.a_ub, lp.b_ub)), "exact LP",
-            "primal inequality rows")
+def _check_primal(lp: LinearProgram, int_rows, x: list[Fraction]) -> None:
+    """x meets the LP's integer rows (s, ints) of ``_integer_row``: over
+    x's common denominator D, sum a X == b D (<= for ``a_ub`` rows)."""
+    den = math.lcm(*(v.denominator for v in x))
+    xs = [(j, v.numerator * (den // v.denominator)) for j, v in enumerate(x) if v]
+
+    def lhs(vec):
+        return sum(vec[j] * v for j, v in xs)
+
+    require(all(lhs(vec) == vec[-1] * den for _, vec in int_rows["eq"]),
+            "exact LP", "primal equality rows")
+    require(all(lhs(vec) <= vec[-1] * den for _, vec in int_rows["ub"]),
+            "exact LP", "primal inequality rows")
     require(all((lo is None or v >= lo) and (up is None or v <= up)
                 for v, lo, up in zip(x, lp.lower, lp.upper)), "exact LP",
             "primal bounds")
@@ -578,7 +590,7 @@ def _check_ray(lp: LinearProgram, d: list[Fraction]) -> None:
     require(sum(c * v for c, v in zip(lp.objective, d)) > 0, "exact LP", "ray improves")
 
 
-def _fold_duals(lp, y, row_specs, factor, objective):
+def _fold_duals(lp, int_rows, y, row_specs, factor, objective):
     """Fold the duals y of the scaled tableau rows back onto the original
     constraints (row i's dual times ``factor[i]``).
 
@@ -587,21 +599,29 @@ def _fold_duals(lp, y, row_specs, factor, objective):
     Returns (dual_eq, dual_ub, mu, nu, dual objective value) after checking
     the multipliers' signs exactly.  Equality rows absent from
     ``row_specs`` get dual 0.
+
+    A^T dual and dual . b are summed in integers over the LP's integer
+    rows (s, ints): a row's dual d is the multiplier d / s on its ints,
+    and the multipliers are brought to one common denominator C.
     """
     duals = {"eq": [ZERO] * len(lp.a_eq), "ub": [ZERO] * len(lp.a_ub)}
     for (kind, idx), yi, f in zip(row_specs, y, factor):
         duals[kind][idx] = yi * f
     dual_eq, dual_ub = duals["eq"], duals["ub"]
+    mults = [(Fraction(d.numerator, d.denominator * s), vec)
+             for kind in ("eq", "ub")
+             for d, (s, vec) in zip(duals[kind], int_rows[kind]) if d]
+    den = math.lcm(*(m.denominator for m, _ in mults))
+    g = [0] * (lp.n + 1)   # C A^T dual, and C dual . b last
+    for m, vec in mults:
+        f = m.numerator * (den // m.denominator)
+        for j, a in enumerate(vec):
+            if a:
+                g[j] += f * a
     mu = [ZERO] * lp.n   # upper-bound duals
     nu = [ZERO] * lp.n   # lower-bound duals
-    g = [ZERO] * lp.n    # A^T dual, over the nonzero duals and coefficients
-    for row, d in zip(lp.a_eq + lp.a_ub, dual_eq + dual_ub):
-        if d:
-            for j, a in enumerate(row):
-                if a:
-                    g[j] += d * a
-    for j in range(lp.n):
-        r = objective[j] - g[j]
+    for j, c in enumerate(objective):
+        r = Fraction(c.numerator * den - g[j] * c.denominator, c.denominator * den)
         if r > 0:
             mu[j] = r
         else:
@@ -613,8 +633,7 @@ def _fold_duals(lp, y, row_specs, factor, objective):
     require(all((mu[j] == 0 or lp.upper[j] is not None) and
                 (nu[j] == 0 or lp.lower[j] is not None) for j in range(lp.n)),
             "exact LP", "bound multipliers sit on finite bounds")
-    value = sum(d * b for d, b in zip(dual_eq, lp.b_eq)) + \
-        sum(d * b for d, b in zip(dual_ub, lp.b_ub)) + \
+    value = Fraction(g[-1], den) + \
         sum(mu[j] * lp.upper[j] for j in range(lp.n) if mu[j] != 0) - \
         sum(nu[j] * lp.lower[j] for j in range(lp.n) if nu[j] != 0)
     return dual_eq, dual_ub, mu, nu, value

@@ -12,7 +12,10 @@ that the integer-keyed one in ``icmech.belief`` replaced.
 simplex, and ``simplex`` is the Fraction tableau with Bland's rule, explicit
 bound rows and the duals recovered by a second elimination, whose status
 and optimal value the bounded-variable engine in ``icmech.numerics`` must
-reproduce.  ``best_matching_enumerate`` tries every bijection, the oracle
+reproduce.  ``fold_duals`` and ``check_primal`` are the result checks of
+``solve_lp`` redone in Fractions over the LP's rational rows; the integer
+checks over the LP's scaled rows must give the same multipliers, values
+and verdicts.  ``best_matching_enumerate`` tries every bijection, the oracle
 for the assignment LP behind ``match_your_opponent``.  ``conditional``
 divides pi by its marginals, independently of ``icmech.belief``, and
 ``extract_cycle_dfs`` is the depth-first cycle search that the
@@ -454,3 +457,64 @@ def _bland_simplex(rows, rhs, crash, cost):
         x_std[b] = row[-1]
     y = _basis_duals(pristine, cost, tab.basis)
     return "optimal", x_std, y, -obj2[-1], tab.pivots
+
+
+def check_primal(lp: LinearProgram, x: list[Fraction]) -> None:
+    """x meets every row and bound of ``lp``, summed in Fractions."""
+    require(all(sum(a * v for a, v in zip(row, x) if a and v) == rhs
+                for row, rhs in zip(lp.a_eq, lp.b_eq)), "exact LP",
+            "primal equality rows")
+    require(all(sum(a * v for a, v in zip(row, x) if a and v) <= rhs
+                for row, rhs in zip(lp.a_ub, lp.b_ub)), "exact LP",
+            "primal inequality rows")
+    require(all((lo is None or v >= lo) and (up is None or v <= up)
+                for v, lo, up in zip(x, lp.lower, lp.upper)), "exact LP",
+            "primal bounds")
+
+
+def fold_duals(lp, y, row_specs, factor, objective):
+    """``icmech.numerics._fold_duals`` over the LP's rational rows in
+    Fractions: the duals y of the scaled tableau rows, times ``factor``,
+    on the original rows; the bound multipliers mu (upper) and nu (lower)
+    with A^T dual + mu - nu = objective; and the dual objective value.
+    Returns (dual_eq, dual_ub, mu, nu, value)."""
+    duals = {"eq": [ZERO] * len(lp.a_eq), "ub": [ZERO] * len(lp.a_ub)}
+    for (kind, idx), yi, f in zip(row_specs, y, factor):
+        duals[kind][idx] = yi * f
+    dual_eq, dual_ub = duals["eq"], duals["ub"]
+    mu = [ZERO] * lp.n
+    nu = [ZERO] * lp.n
+    g = [ZERO] * lp.n
+    for row, d in zip(lp.a_eq + lp.a_ub, dual_eq + dual_ub):
+        if d:
+            for j, a in enumerate(row):
+                if a:
+                    g[j] += d * a
+    for j in range(lp.n):
+        r = objective[j] - g[j]
+        if r > 0:
+            mu[j] = r
+        else:
+            nu[j] = -r
+    require(all(v >= 0 for v in dual_ub), "exact LP",
+            "inequality duals are nonnegative")
+    require(all(v >= 0 for v in mu) and all(v >= 0 for v in nu), "exact LP",
+            "bound multipliers are nonnegative")
+    require(all((mu[j] == 0 or lp.upper[j] is not None) and
+                (nu[j] == 0 or lp.lower[j] is not None) for j in range(lp.n)),
+            "exact LP", "bound multipliers sit on finite bounds")
+    value = sum(d * b for d, b in zip(dual_eq, lp.b_eq)) + \
+        sum(d * b for d, b in zip(dual_ub, lp.b_ub)) + \
+        sum(mu[j] * lp.upper[j] for j in range(lp.n) if mu[j] != 0) - \
+        sum(nu[j] * lp.lower[j] for j in range(lp.n) if nu[j] != 0)
+    return dual_eq, dual_ub, mu, nu, value
+
+
+def recording_fold(fold, folds: list):
+    """Wrap ``icmech.numerics._fold_duals``: each call appends (its result,
+    ``fold_duals`` of the same duals) to ``folds``."""
+    def wrapper(lp, int_rows, y, row_specs, factor, objective):
+        got = fold(lp, int_rows, y, row_specs, factor, objective)
+        folds.append((got, fold_duals(lp, y, row_specs, factor, objective)))
+        return got
+    return wrapper

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from icmech import belief
 from icmech.belief import difference_residual, kronecker_residual
-from icmech.core import TypeSpace
+from icmech.core import JointDist, TypeSpace
 from icmech.ic import ic_polytope
 from icmech.nalloc import (DISPOSAL_AGENT, AllocationInstance,
                            add_disposal_agent, difference_additive)
@@ -187,6 +187,14 @@ def test_residual_check_raises(inst_fx5, monkeypatch):
     monkeypatch.setattr(belief, "_orthogonal_basis", lambda vectors: [])
     with pytest.raises(RuntimeError, match="not orthogonal"):
         kronecker_residual(inst_fx5.dist, inst_fx5.v * inst_fx5.dist.p)
+
+
+def test_beliefs_of_a_single_agent():
+    # The other agents' profiles are the one empty profile, held for sure.
+    space = TypeSpace(("1",), ((0, 1, 2),))
+    dist = JointDist(space, np.array([Fraction(1, 6), Fraction(1, 3),
+                                      Fraction(1, 2)], dtype=object))
+    assert belief.beliefs(dist, 0) == [[1], [1], [1]]
 
 
 def test_lift_places_vector_on_own_type_slice():

@@ -131,6 +131,19 @@ class TestCommands:
         assert code == 0
         assert check["ic"] is True
 
+    @pytest.mark.parametrize("disposal, x", [(False, ["1", "1"]), (True, ["0", "0"])])
+    def test_oracle_one_agent_allocation(self, capsys, tmp_path, disposal, x):
+        # One agent's belief is over the one empty profile of the others.
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({
+            "agents": ["1"], "types": {"1": [0, 1]},
+            "marginals": {"1": ["1/2", "1/2"]}, "v": {"1": ["1", "-1"]},
+            "disposal": disposal}))
+        code, rep = run_json(capsys, "oracle", str(path))
+        assert code == 0
+        assert (rep["value"], rep["profitable"]) == ("0", False)
+        assert rep["mechanism"]["x"] == {"1": x}
+
     def test_maximin_standalone(self, capsys, xstar_file):
         code, rep = run_json(capsys, "maximin", xstar_file)
         assert code == 0

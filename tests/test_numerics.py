@@ -576,6 +576,38 @@ class TestIntegerEngine:
         assert_certificate(lp, sol)
 
 
+class TestIntegerChecks:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(mixed_lps())
+    # One optimal LP over every kind of row and bound, one infeasible.
+    @example(LinearProgram(objective=fl([1, "1/2"]), a_eq=[fl(["1/3", 1])],
+                           b_eq=fl(["1/2"]), a_ub=[fl([1, "-2/5"])], b_ub=fl(["1/6"]),
+                           lower=fl([0, "-1/2"]), upper=fl(["5/6", 2])))
+    @example(LinearProgram(objective=fl([1]), a_eq=[fl([2])], b_eq=fl(["-1/3"])))
+    def test_fold_matches_the_fraction_reference(self, lp):
+        # The integer checks over the LP's scaled rows give the duals, the
+        # bound multipliers and the dual value of the Fraction fold of the
+        # same tableau duals, and accept the point the Fraction check does.
+        folds = []
+        with mock.patch.object(numerics, "_fold_duals", reference.recording_fold(
+                numerics._fold_duals, folds)):
+            sol = solve_lp(lp)
+        if sol.status == "unbounded":
+            assert folds == []
+            return
+        [(got, expected)] = folds
+        assert got == expected
+        dual_eq, dual_ub, mu, nu, value = expected
+        if sol.status == "optimal":
+            assert (sol.dual_eq, sol.dual_ub, sol.value) == (dual_eq, dual_ub, value)
+            assert sol.reduced_costs == [u - d for u, d in zip(mu, nu)]
+            reference.check_primal(lp, sol.x)
+        else:
+            assert sol.certificate == {"dual_eq": dual_eq, "dual_ub": dual_ub,
+                                       "upper_multipliers": mu,
+                                       "lower_multipliers": nu, "gap": value}
+
+
 def run_optimized(script: str) -> str:
     """Run ``script`` under ``python -O`` (asserts stripped); its stdout."""
     src = Path(numerics.__file__).resolve().parent.parent
@@ -607,6 +639,49 @@ class TestChecksSurviveOptimize:
             "    print('debug' if __debug__ else 'optimized', e)\n")
         assert run_optimized(script) == \
             "optimized exact LP check failed: strong duality\n"
+
+    @pytest.mark.parametrize("rows, what", [
+        ("a_eq=[[F(1), F(1)]], b_eq=[F(1)]", "primal equality rows"),
+        ("a_ub=[[F(1), F(1)]], b_ub=[F(1)]", "primal inequality rows"),
+    ])
+    def test_moved_point_raises_under_python_o(self, rows, what):
+        # max x0 with x0 + x1 (=, <=) 1 has its optimum at (1, 0).  Moving
+        # x1, which the objective ignores, keeps the value and the duals
+        # and breaks only the row.
+        script = (
+            "from fractions import Fraction as F\n"
+            "from icmech import numerics\n"
+            "good = numerics._simplex\n"
+            "def bad(*args):\n"
+            "    status, point, y, value, pivots = good(*args)\n"
+            "    point[1] += F(1, 10**9)\n"
+            "    return status, point, y, value, pivots\n"
+            "numerics._simplex = bad\n"
+            f"lp = numerics.LinearProgram(objective=[F(1), F(0)], {rows})\n"
+            "try:\n"
+            "    numerics.solve_lp(lp)\n"
+            "except RuntimeError as e:\n"
+            "    print('debug' if __debug__ else 'optimized', e)\n")
+        assert run_optimized(script) == f"optimized exact LP check failed: {what}\n"
+
+    def test_corrupted_farkas_multipliers_raise_under_python_o(self):
+        # x = -1 with x >= 0 is infeasible; zero phase-1 duals prove nothing.
+        script = (
+            "from fractions import Fraction as F\n"
+            "from icmech import numerics\n"
+            "good = numerics._simplex\n"
+            "def bad(*args):\n"
+            "    status, point, y, value, pivots = good(*args)\n"
+            "    return status, point, [F(0)] * len(y), value, pivots\n"
+            "numerics._simplex = bad\n"
+            "lp = numerics.LinearProgram(objective=[F(1)], a_eq=[[F(1)]],\n"
+            "                            b_eq=[F(-1)])\n"
+            "try:\n"
+            "    numerics.solve_lp(lp)\n"
+            "except RuntimeError as e:\n"
+            "    print('debug' if __debug__ else 'optimized', e)\n")
+        assert run_optimized(script) == \
+            "optimized exact LP check failed: Farkas gap is negative\n"
 
     def test_corrupted_ic_verdict_raises_under_python_o(self):
         # The principal's optimum is only returned once check_ic confirms
