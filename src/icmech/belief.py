@@ -1,14 +1,15 @@
 """The belief-space structure shared by the IC, transport and additivity code.
 
 An agent's interim expectation of a mechanism is one of the agent's
-beliefs over the other agents' types, placed on the slice of profiles
-where the agent's own report is fixed.  ``lift`` does that placing, for
-any number of agents, and every row family is built from it: the interim
-expectations of the IC checks (``interim_rows``), the IC rows "interim
-expectation equals ex-ante value" (``ic_rows``), the marginal rows of the
-transport and assignment LPs (``marginal_rows``) and the correlation-
-orthogonality rows of the transport criterion (``update_rows``).
-``distinct_nonzero`` is the order-preserving dedupe the row builders apply.
+beliefs over the other agents' types, taken on the slice of profiles
+where the agent's own report is fixed: ``interim`` multiplies the belief
+table (``beliefs``) with the mechanism's own-type slices.  ``lift``
+places a belief on such a slice as a flat row, for any number of agents,
+and every row family is built from it: the IC rows "interim expectation
+equals ex-ante value" (``ic_rows``), the marginal rows of the transport
+and assignment LPs (``marginal_rows``) and the correlation-orthogonality
+rows of the transport criterion (``update_rows``).  ``distinct_nonzero``
+is the order-preserving dedupe the row builders apply.
 
 For two agents the same structure gives the additivity subspace
 U = col(pi) (x) R^n + R^m (x) row(pi), whose orthogonal complement is
@@ -56,13 +57,12 @@ def lift(shape: tuple[int, ...], i: int, b: int, vec) -> list[Fraction]:
     return row
 
 
-def interim_rows(dist: JointDist, i: int):
-    """Yield (a, b, r) for every true type a and report b of agent i, a
-    outer, where r . x = E[x(b, theta_-i) | theta_i = a] for flat x."""
-    shape = dist.space.shape
-    for a, belief in enumerate(beliefs(dist, i)):
-        for b in range(shape[i]):
-            yield a, b, lift(shape, i, b, belief)
+def interim(dist: JointDist, i: int, arr: np.ndarray) -> np.ndarray:
+    """Agent i's k x k table E[arr(b, theta_-i) | theta_i = a], true type a
+    by row and report b by column: the belief table times the transpose of
+    arr's own-type slices, each over the other agents' profiles."""
+    slices = np.moveaxis(arr, i, 0).reshape(arr.shape[i], -1)
+    return np.array(beliefs(dist, i), dtype=object).dot(slices.T)
 
 
 def ic_rows(dist: JointDist, i: int) -> list[list[Fraction]]:

@@ -89,13 +89,6 @@ class TypeSpace:
             raise KeyError(f"unknown type {label!r} for agent "
                            f"{self.agents[agent_index]!r}") from None
 
-    def index(self, profile) -> int:
-        """Flat index of a profile under row-major enumeration."""
-        idx = 0
-        for ax, label in enumerate(profile):
-            idx = idx * self.shape[ax] + self.position(ax, label)
-        return idx
-
     def agent_index(self, agent: str) -> int:
         try:
             return self.agents.index(agent)
@@ -387,6 +380,8 @@ def parse_type_space(data: dict) -> TypeSpace:
     if not isinstance(data["agents"], list) or \
             not all(isinstance(a, str) for a in data["agents"]):
         raise SchemaError("'agents' must be a list of agent names")
+    if not data["agents"]:
+        raise SchemaError("'agents' must name at least one agent")
     if not isinstance(data["types"], dict):
         raise SchemaError("'types' must map each agent to its type labels")
     agents = tuple(data["agents"])

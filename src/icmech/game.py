@@ -5,6 +5,7 @@ row (his report), the second picks a column, and the row player receives
 x(row, col).  Incentive compatibility of x under a distribution pi is the
 same thing as pi being a correlated equilibrium of this game, and every
 IC mechanism's interim expectations collapse to the game's maximin value.
+``maximin`` reads both players' strategies off one LP and its dual.
 """
 
 from __future__ import annotations
@@ -31,53 +32,30 @@ class MaximinSolution:
     sigma_minimizer: np.ndarray
 
 
-def _one_side_lp(matrix: list[list[Fraction]]) -> tuple[Fraction, list[Fraction]]:
-    """max_s min_j (s^T M)_j over the simplex; returns (value, strategy)."""
-    m = len(matrix)
-    n = len(matrix[0])
-    # Variables: s_1..s_m, v.  Maximize v subject to v <= (s^T M)_j.
-    objective = [ZERO] * m + [ONE]
-    a_ub = []
-    b_ub = []
-    for j in range(n):
-        row = [-matrix[i][j] for i in range(m)] + [ONE]
-        a_ub.append(row)
-        b_ub.append(ZERO)
-    a_eq = [[ONE] * m + [ZERO]]
-    b_eq = [ONE]
-    lower: list = [ZERO] * m + [None]
-    sol = solve_lp(LinearProgram(objective=objective, a_eq=a_eq, b_eq=b_eq,
-                                 a_ub=a_ub, b_ub=b_ub, lower=lower))
-    require(sol.status == "optimal", "maximin", "a side's LP has an optimum")
-    return sol.value, sol.x[:m]
-
-
 def maximin(x: Mechanism) -> MaximinSolution:
-    """Maximin value of the game with payoff matrix x, plus equilibrium
-    strategies.  Solves both players' LPs and checks that the two values
-    coincide exactly (minimax duality)."""
+    """Maximin value of the game with payoff matrix x and equilibrium
+    strategies from one LP, the row player's: max v over the simplex with
+    v <= (s^T x)_j for every column j.  Its duals on those rows are the
+    column player's strategy: the free v has reduced cost 0, so they sum to
+    1, and by strong duality no row earns more than v against them;
+    ``solve_lp`` checks both."""
     two_agent(x.space)
-    mat = [list(row) for row in x.x]
-    value, sigma_row = _one_side_lp(mat)
-    # The column player minimizes, so she solves the maximin problem of -x^T.
-    neg_t = [[-x.x[i, j] for i in range(x.space.shape[0])]
-             for j in range(x.space.shape[1])]
-    value_col, sigma_col = _one_side_lp(neg_t)
-    require(value == -value_col, "maximin", "both sides' values agree")
-    sol = MaximinSolution(value=value,
-                          sigma_maximizer=np.array(sigma_row, dtype=object),
-                          sigma_minimizer=np.array(sigma_col, dtype=object))
-    _verify_equilibrium(mat, sol)
-    return sol
+    m, n = x.space.shape
+    sol = solve_lp(LinearProgram(
+        objective=[ZERO] * m + [ONE], a_eq=[[ONE] * m + [ZERO]], b_eq=[ONE],
+        a_ub=[[-v for v in column] + [ONE] for column in x.x.T],
+        b_ub=[ZERO] * n, lower=[ZERO] * m + [None]))
+    require(sol.status == "optimal", "maximin", "the row player's LP has an optimum")
+    res = MaximinSolution(value=sol.value,
+                          sigma_maximizer=np.array(sol.x[:m], dtype=object),
+                          sigma_minimizer=np.array(sol.dual_ub, dtype=object))
+    _verify_equilibrium(x.x, res)
+    return res
 
 
-def _verify_equilibrium(mat, sol: MaximinSolution) -> None:
-    m, n = len(mat), len(mat[0])
-    col_payoffs = [sum(sol.sigma_maximizer[i] * mat[i][j] for i in range(m))
-                   for j in range(n)]
-    row_payoffs = [sum(mat[i][j] * sol.sigma_minimizer[j] for j in range(n))
-                   for i in range(m)]
-    require(min(col_payoffs) == sol.value == max(row_payoffs), "maximin",
+def _verify_equilibrium(mat: np.ndarray, sol: MaximinSolution) -> None:
+    require(min(sol.sigma_maximizer.dot(mat)) == sol.value ==
+            max(mat.dot(sol.sigma_minimizer)), "maximin",
             "no pure deviation improves either player")
 
 

@@ -20,10 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .belief import beliefs, distinct_nonzero, dot, ic_rows, interim_rows, lift
+import numpy as np
+
+from .belief import beliefs, distinct_nonzero, ic_rows, interim
 from .core import (JointDist, Mechanism, PreconditionError, expectation,
                    two_agent)
 from .numerics import require, span_coefficients
+
+ZERO = Fraction(0)
 
 
 @dataclass
@@ -58,16 +62,6 @@ class ICReport:
     gain_weighting: str = "conditional"
 
 
-def interim_table(x: Mechanism, dist: JointDist) -> dict:
-    """All interim expectations E[x(report, .) | true type], both agents."""
-    two_agent(dist.space)
-    space = dist.space
-    values = list(x.x.reshape(-1))
-    return {(space.agents[i], space.types[i][a], space.types[i][b]):
-            dot(row, values)
-            for i in range(2) for a, b, row in interim_rows(dist, i)}
-
-
 def check_ic(x: Mechanism, dist: JointDist) -> ICReport:
     """Full IC check via raw inequalities, interim equalities and the
     indifference/uninformativeness split; the three must agree."""
@@ -75,39 +69,34 @@ def check_ic(x: Mechanism, dist: JointDist) -> ICReport:
     if x.space != dist.space:
         raise PreconditionError("mechanism and distribution type spaces differ")
     space = dist.space
-    table = interim_table(x, dist)
+    tables = [interim(dist, i, x.x) for i in range(2)]
     ev = expectation(dist, x.x)
 
-    violations: list[Violation] = []
-    for i, agent in enumerate(space.agents):
-        for true_t in space.types[i]:
-            truthful = table[(agent, true_t, true_t)]
-            for rep_t in space.types[i]:
-                if rep_t == true_t:
-                    continue
-                deviated = table[(agent, true_t, rep_t)]
-                # Agent 0 wants the first option (high x); agent 1 the second.
-                gain = deviated - truthful if i == 0 else truthful - deviated
-                if gain > 0:
-                    violations.append(Violation(agent, true_t, rep_t, gain))
+    # Agent L holds the first option with probability x, agent R the second
+    # with 1 - x; type a gains held[a, b] - held[a, a] by reporting b.
+    violations = [Violation(space.agents[i], space.types[i][a], space.types[i][b], gain)
+                  for i, held in enumerate((tables[0], 1 - tables[1]))
+                  for (a, b), gain in np.ndenumerate(held - held.diagonal()[:, None])
+                  if gain > 0]
     raw_ok = not violations
 
-    equalities_ok = all(val == ev for val in table.values())
+    equalities_ok = all((table == ev).all() for table in tables)
 
-    # Ex-ante indifference: E[x(report, .)] under the prior belief is
-    # identical across reports.
-    values = list(x.x.reshape(-1))
-    ex_ante = [[dot(lift(space.shape, i, b, dist.marginal(1 - i)), values)
-                for b in range(space.shape[i])] for i in range(2)]
-    ex_ante_ok = all(v == vals[0] for vals in ex_ante for v in vals)
-    uninformative_ok = all(table[(agent, true_t, rep_t)] == ex_ante[i][b]
-                           for i, agent in enumerate(space.agents)
-                           for true_t in space.types[i]
-                           for b, rep_t in enumerate(space.types[i]))
+    # Ex-ante indifference: the prior expectations x . pi_R and pi_L . x of
+    # the reports are all equal; uninformativeness: every type's interim
+    # expectations are the prior ones.
+    ml, mr = dist.marginals()
+    ex_ante = [x.x.dot(mr), ml.dot(x.x)]
+    ex_ante_ok = all((vals == vals[0]).all() for vals in ex_ante)
+    uninformative_ok = all((table == vals).all()
+                           for table, vals in zip(tables, ex_ante))
 
     split_ok = ex_ante_ok and uninformative_ok
     require(raw_ok == equalities_ok == split_ok, "IC",
             "the three IC routes agree")
+    table = {(agent, types[a], types[b]): value
+             for agent, types, tab in zip(space.agents, space.types, tables)
+             for (a, b), value in np.ndenumerate(tab)}
     return ICReport(verdict=raw_ok, violations=violations, interim=table,
                     common_value=ev if raw_ok else None,
                     ex_ante_indifferent=ex_ante_ok,
@@ -115,16 +104,19 @@ def check_ic(x: Mechanism, dist: JointDist) -> ICReport:
 
 
 def ic_polytope(dist: JointDist) -> list[list[Fraction]]:
-    """Homogeneous equality rows characterizing the IC mechanisms.
-
-    Each row r (over flat profile indices) encodes
-    sum_{other} pi(other | type) * x(report, other) - E_pi[x] = 0.
-    Duplicate and identically-zero rows are dropped; together with
-    0 <= x <= 1 these rows cut out exactly the IC polytope.
-    """
-    two_agent(dist.space)
-    # The two agents' rows can coincide, for example under a diagonal pi.
-    return distinct_nonzero(ic_rows(dist, 0) + ic_rows(dist, 1))
+    """Homogeneous equality rows characterizing the IC mechanisms of n
+    agents, over the first n - 1 agents' shares, block by block and flat
+    over profiles; the last agent holds 1 - their sum (agent R's 1 - x in
+    the two-option problem).  Agent i < n - 1 has its ``ic_rows`` on block
+    i, the last agent its ``ic_rows`` on every block: negated, which a
+    homogeneous row does not notice.  Duplicate and zero rows are dropped."""
+    size = dist.space.n_profiles
+    blocks = dist.space.n_agents - 1
+    rows = [[ZERO] * (i * size) + gap + [ZERO] * ((blocks - 1 - i) * size)
+            for i in range(blocks) for gap in ic_rows(dist, i)]
+    rows += [gap * blocks for gap in ic_rows(dist, blocks)]
+    # The agents' rows can coincide, for example under a diagonal pi.
+    return distinct_nonzero(rows)
 
 
 @dataclass

@@ -4,9 +4,11 @@
 LP over the IC polytope (interim-equality rows plus 0 <= x <= 1), with no
 knowledge of the structural results the rest of the package implements;
 agreement between the two routes is what the test suite certifies.  The
-module also generates deterministic random instances of several structured
-kinds for property sweeps, and samples IC mechanisms either as LP vertices
-or as nonnegative combinations of transportation-polytope extreme points.
+two-option problem allocates one good between two agents, and
+``solve_principal_alloc`` solves the same LP for n agents.  The module
+also generates deterministic random instances of several structured kinds
+for property sweeps, and samples IC mechanisms either as LP vertices or as
+nonnegative combinations of transportation-polytope extreme points.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .belief import distinct_nonzero, ic_rows
 from .core import (Instance, JointDist, Mechanism, PreconditionError,
                    TypeSpace, constant_array, expectation, normalize,
                    product_dist)
@@ -48,47 +49,38 @@ def solve_principal(instance: Instance) -> PrincipalSolution:
     0 under the label normalization E[v] <= 0.
     """
     w = instance.v * instance.dist.p
-    value, mech = _ic_optimum(instance.dist, list(w.reshape(-1)))
+    value, [x] = _ic_optimum(instance.dist, list(w.reshape(-1)))
+    mech = Mechanism(instance.space, x)
+    require(check_ic(mech, instance.dist).verdict, "oracle", "the LP optimum is IC")
     return PrincipalSolution(value=value, mechanism=mech,
                              profitable=value > 0, baseline=ZERO)
 
 
-def _ic_optimum(dist: JointDist, objective: list) -> tuple[Fraction, Mechanism]:
-    """Maximize objective . x over the IC polytope, flat x: the optimal
-    value and an optimal vertex, checked IC."""
+def _ic_optimum(dist: JointDist, objective: list) -> tuple[Fraction, list]:
+    """Maximize objective . x over the IC polytope of ``dist``, x the first
+    n - 1 agents' shares, block by block and flat over profiles: the
+    optimal value and an optimal vertex, one array per block.
+
+    The shares are nonnegative and the last agent holds 1 - their sum; one
+    block is bounded by 1, several by one sum row per profile."""
     space = dist.space
-    n = space.n_profiles
+    size = space.n_profiles
+    blocks = space.n_agents - 1
+    nvars = blocks * size
     rows = ic_polytope(dist)
+    if blocks == 1:
+        bounds = {"upper": [ONE] * size}
+    else:
+        sums = [[ONE if k % size == flat else ZERO for k in range(nvars)]
+                for flat in range(size)]
+        bounds = {"a_ub": sums, "b_ub": [ONE] * size, "upper": [None] * nvars}
     sol = solve_lp(LinearProgram(objective=objective,
                                  a_eq=rows, b_eq=[ZERO] * len(rows),
-                                 lower=[ZERO] * n, upper=[ONE] * n))
+                                 lower=[ZERO] * nvars, **bounds))
     require(sol.status == "optimal", "oracle", "the principal's LP has an optimum")
-    mech = Mechanism(space, np.array(sol.x, dtype=object).reshape(space.shape))
-    require(check_ic(mech, dist).verdict, "oracle", "the LP optimum is IC")
-    return sol.value, mech
-
-
-def _interim_rows_alloc(inst: AllocationInstance) -> list[list[Fraction]]:
-    """Equality rows for the allocation LP after substituting the last
-    agent's allocation as 1 - sum of the others.
-
-    Variables: one block per non-last agent, flat over profiles.  Rows say
-    each agent's interim win probability is report-independent; the last
-    agent's rows are expressed through the substitution.
-    """
-    n = inst.n
-    zero = [ZERO] * inst.space.n_profiles
-    rows: list[list[Fraction]] = []
-    for agent in range(n):
-        # Types are independent, so all of an agent's types share one
-        # belief, which ``ic_rows`` lifts once per report.
-        for gap in ic_rows(inst.dist, agent):
-            if agent < n - 1:
-                blocks = [gap if block == agent else zero for block in range(n - 1)]
-            else:
-                blocks = [[-g for g in gap]] * (n - 1)
-            rows.append([c for block in blocks for c in block])
-    return distinct_nonzero(rows)
+    return sol.value, [np.array(sol.x[k * size:(k + 1) * size],
+                                dtype=object).reshape(space.shape)
+                       for k in range(blocks)]
 
 
 def solve_principal_alloc(inst: AllocationInstance) -> PrincipalSolution:
@@ -99,34 +91,14 @@ def solve_principal_alloc(inst: AllocationInstance) -> PrincipalSolution:
     the best constant allocation (vbar, or max(0, vbar) with disposal).
     """
     base = add_disposal_agent(inst) if inst.disposal else inst
-    n = base.n
-    shape = base.space.shape
-    size = base.space.n_profiles
     last = base.values[-1]
     objective = [c for v in base.values[:-1]
                  for c in (base.dist.p * (v - last)).reshape(-1)]
-
-    rows = _interim_rows_alloc(base)
-    nvars = (n - 1) * size
-    a_ub = []
-    for flat in range(size):
-        row = [ZERO] * nvars
-        for block in range(n - 1):
-            row[block * size + flat] = ONE
-        a_ub.append(row)
-    lp = LinearProgram(objective=objective,
-                       a_eq=rows, b_eq=[ZERO] * len(rows),
-                       a_ub=a_ub, b_ub=[ONE] * size,
-                       lower=[ZERO] * nvars, upper=[None] * nvars)
-    sol = solve_lp(lp)
-    require(sol.status == "optimal", "oracle", "the allocation LP has an optimum")
+    value, parts = _ic_optimum(base.dist, objective)
     # The last agent's allocation is 1 - the others', so its expected
     # value is a constant term of the objective.
-    value = sol.value + base.expected_value(n - 1)
-
-    parts = [np.array(sol.x[block * size:(block + 1) * size],
-                      dtype=object).reshape(shape) for block in range(n - 1)]
-    parts.append(constant_array(shape, 1) - sum(parts))
+    value += base.expected_value(base.n - 1)
+    parts.append(constant_array(base.space.shape, 1) - sum(parts))
     mech = AllocationMechanism(base.space, parts, disposal=False)
     if inst.disposal:
         mech = drop_disposal_agent(mech, inst)
@@ -243,7 +215,10 @@ def _joint(rng: random.Random, shape) -> np.ndarray:
 
 def sample_ic_vertex(dist: JointDist, rng: random.Random) -> Mechanism:
     """A vertex of the IC polytope: optimize a random objective over it."""
-    return _ic_optimum(dist, [_value(rng) for _ in range(dist.space.n_profiles)])[1]
+    [x] = _ic_optimum(dist, [_value(rng) for _ in range(dist.space.n_profiles)])[1]
+    mech = Mechanism(dist.space, x)
+    require(check_ic(mech, dist).verdict, "oracle", "the LP optimum is IC")
+    return mech
 
 
 def random_transport_extreme(rng: random.Random, ml, mr) -> np.ndarray:

@@ -152,8 +152,8 @@ def interim_rows_alloc(inst):
                             coeff -= prob[idx]
                     else:
                         if idx[agent] == pos:
-                            coeff -= others_weight(idx, agent)
-                        coeff += prob[idx]
+                            coeff += others_weight(idx, agent)
+                        coeff -= prob[idx]
                     if coeff != 0:
                         row[block * size + flat] += coeff
             key = tuple(row)

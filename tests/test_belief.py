@@ -15,7 +15,7 @@ from icmech.ic import ic_polytope
 from icmech.nalloc import (DISPOSAL_AGENT, AllocationInstance,
                            add_disposal_agent, difference_additive)
 from icmech.numerics import span_coefficients
-from icmech.oracle import _interim_rows_alloc, generate
+from icmech.oracle import generate
 from icmech.profit import _extract_cycle, _pruned_support, orthogonality_rows
 
 from . import reference
@@ -156,7 +156,23 @@ def test_ic_and_orthogonality_rows_equal_loop_builders(inst):
 @PROPERTY
 @given(allocation_instances())
 def test_allocation_rows_equal_loop_builder(inst):
-    assert _interim_rows_alloc(inst) == reference.interim_rows_alloc(inst)
+    assert ic_polytope(inst.dist) == reference.interim_rows_alloc(inst)
+
+
+@PROPERTY
+@given(two_agent_instances(), st.integers(0, 10**6))
+@example(SHARED_BELIEF, 0)
+@example(DIAGONAL, 1)
+def test_interim_equals_loop_over_conditionals(inst, seed):
+    rng = random.Random(seed)
+    m, n = inst.space.shape
+    x = np.array([[Fraction(rng.randint(0, 6), 6) for _ in range(n)]
+                  for _ in range(m)], dtype=object)
+    for i, own in enumerate((x, x.T)):
+        cond = reference.conditional(inst.dist, i)
+        expected = [[sum(cond[a, s] * own[b, s] for s in range(own.shape[1]))
+                     for b in range(own.shape[0])] for a in range(own.shape[0])]
+        assert belief.interim(inst.dist, i, x).tolist() == expected
 
 
 @st.composite

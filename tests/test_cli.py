@@ -246,6 +246,19 @@ class TestContracts:
             assert captured.err == (f"error: the type space has {MAX_AGENTS + 1} "
                                     f"agents; at most {MAX_AGENTS} are supported\n")
 
+    @pytest.mark.parametrize("data", [
+        {"agents": [], "types": {}, "pi": [], "vL": []},
+        {"agents": [], "types": {}, "marginals": {}, "v": {}, "disposal": False},
+    ])
+    def test_no_agents_one_line_error(self, capsys, tmp_path, data):
+        bad = tmp_path / "empty.json"
+        bad.write_text(json.dumps(data))
+        for command in ("inspect", "alloc-n", "oracle"):
+            code = main([command, str(bad)])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err == "error: 'agents' must name at least one agent\n"
+
     def test_most_agents_with_disposal(self, capsys, tmp_path):
         # Free disposal adds a dummy agent, and the limit leaves room for it.
         path = tmp_path / "widest.json"

@@ -22,8 +22,8 @@ class TestTypeSpace:
         assert profiles[0] == (-1, "a")
         assert profiles[1] == (-1, "b")
         assert profiles[-1] == (1, "c")
-        for k, p in enumerate(profiles):
-            assert ts.index(p) == k
+        for p, idx in zip(profiles, np.ndindex(*ts.shape)):
+            assert p == tuple(labels[k] for labels, k in zip(ts.types, idx))
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(SchemaError):

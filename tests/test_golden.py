@@ -1,11 +1,12 @@
 """Golden reports: byte-exact CLI output on the five fixtures.
 
-``inspect``, ``classify``, ``additivity``, ``myo`` and ``fixture`` run on
-each of fx1-fx5, ``spans`` and ``orthogonal`` on every ordered pair of
-them, and ``check-ic`` and ``decompose`` on each fixture with every
-mechanism of its shape under ``tests/golden/mechanisms/``, in json and in
-text form; ``fixture`` takes the fixture's name, the others their JSON
-files.  Each command and format has one file under
+``inspect``, ``classify``, ``additivity``, ``myo``, ``oracle``,
+``construct`` and ``fixture`` run on each of fx1-fx5, ``spans`` and
+``orthogonal`` on every ordered pair of them, ``check-ic`` and
+``decompose`` on each fixture with every mechanism of its shape under
+``tests/golden/mechanisms/``, and ``maximin`` on each two-option mechanism
+there, in json and in text form; ``fixture`` takes the fixture's name, the
+others their JSON files.  Each command and format has one file under
 ``tests/golden/`` holding, per query, the argv, the exit code and the
 non-empty streams; refusals are pinned as well as reports.  The test only
 reads the files.  After a deliberate change of output, rewrite them with
@@ -32,6 +33,8 @@ FIXTURES = ("fx1", "fx2", "fx3", "fx4", "fx5")
 SHAPES = {"fx1": "2x2", "fx2": "2x2", "fx3": "3x3", "fx4": "2x2x2", "fx5": "2x2"}
 WITH_MECHANISMS = [(f, m.stem) for f in FIXTURES
                    for m in sorted(MECHANISMS.glob(f"{SHAPES[f]}-*.json"))]
+TWO_OPTION_MECHANISMS = [(m.stem,) for shape in ("2x2", "3x3")
+                         for m in sorted(MECHANISMS.glob(f"{shape}-*.json"))]
 COMMANDS = {
     "inspect": [(f,) for f in FIXTURES],
     "classify": [(f,) for f in FIXTURES],
@@ -39,6 +42,9 @@ COMMANDS = {
     "spans": list(itertools.product(FIXTURES, repeat=2)),
     "orthogonal": list(itertools.product(FIXTURES, repeat=2)),
     "myo": [(f,) for f in FIXTURES],
+    "oracle": [(f,) for f in FIXTURES],
+    "construct": [(f,) for f in FIXTURES],
+    "maximin": TWO_OPTION_MECHANISMS,
     "fixture": [(f,) for f in FIXTURES],
     "check-ic": WITH_MECHANISMS,
     "decompose": WITH_MECHANISMS,

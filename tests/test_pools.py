@@ -32,7 +32,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # (solve_lp calls, pivots, flips) over one pass of each pool.
 LP_WORK = {"lp-sweep.1": (36, 881, 1), "projection-sweep.1": (0, 0, 0),
-           "small-queries.1": (83, 639, 5)}
+           "small-queries.1": (69, 599, 5)}
 
 
 def load_checker_class():
