@@ -36,7 +36,7 @@ from .profit import (additivity_test, construct_profitable, decompose,
 
 def jsonable(obj):
     """Recursively convert report values to JSON-ready data; Fractions
-    become exact strings."""
+    become exact strings.  ``_emit`` runs it once on every report."""
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, np.ndarray):
@@ -85,13 +85,12 @@ def _instance_dict(inst) -> dict:
 
 def _mechanism_json(mech) -> dict:
     if isinstance(mech, Mechanism):
-        return {"x": to_nested_strings(mech.x)}
-    return {"x": {a: to_nested_strings(part)
-                  for a, part in zip(mech.space.agents, mech.x)}}
+        return {"x": mech.x}
+    return {"x": dict(zip(mech.space.agents, mech.x))}
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns a JSON-ready dict
+# Command handlers: each returns a report dict for ``_emit``
 # ---------------------------------------------------------------------------
 
 def cmd_inspect(args) -> dict:
@@ -100,25 +99,23 @@ def cmd_inspect(args) -> dict:
         dist = inst.dist
         return {
             "kind": "two-option",
-            "agents": list(inst.space.agents),
-            "shape": list(inst.space.shape),
-            "marginals": {a: to_nested_strings(dist.marginal(i))
-                          for i, a in enumerate(inst.space.agents)},
+            "agents": inst.space.agents,
+            "shape": inst.space.shape,
+            "marginals": dict(zip(inst.space.agents, dist.marginals())),
             "rank": dist.matrix_rank(),
             "independent": dist.is_independent(),
-            "expected_value": str(inst.objective.expected_value),
+            "expected_value": inst.objective.expected_value,
             "labels_swapped": inst.objective.swapped,
             "basis": "marginals, exact matrix rank, ex-ante expectation",
         }
     return {
         "kind": "allocation",
-        "agents": list(inst.space.agents),
-        "shape": list(inst.space.shape),
+        "agents": inst.space.agents,
+        "shape": inst.space.shape,
         "disposal": inst.disposal,
-        "marginals": {a: to_nested_strings(m)
-                      for a, m in zip(inst.space.agents, inst.marginals)},
-        "expected_values": [str(e) for e in inst.expected_values],
-        "vbar": str(inst.vbar),
+        "marginals": dict(zip(inst.space.agents, inst.marginals)),
+        "expected_values": inst.expected_values,
+        "vbar": inst.vbar,
         "unbiased": inst.unbiased,
         "basis": "per-agent expectations under independent types",
     }
@@ -134,12 +131,12 @@ def cmd_check_ic(args) -> dict:
                 "the obedience view agrees with the interim equalities")
         return {
             "ic": rep.verdict,
-            "common_value": None if rep.common_value is None else str(rep.common_value),
+            "common_value": rep.common_value,
             "ex_ante_indifferent": rep.ex_ante_indifferent,
             "uninformative": rep.uninformative,
-            "interim": {k: str(v) for k, v in jsonable(rep.interim).items()},
+            "interim": rep.interim,
             "violations": [{"agent": v.agent, "type": v.true_type,
-                            "deviation": v.deviation, "gain": str(v.gain)}
+                            "deviation": v.deviation, "gain": v.gain}
                            for v in rep.violations],
             "mechanism": _mechanism_json(mech),
             "basis": "interim-equality characterization, cross-checked "
@@ -149,8 +146,8 @@ def cmd_check_ic(args) -> dict:
     rep = check_ic_n(mech, inst)
     return {
         "ic": rep.verdict,
-        "interim": {k: str(v) for k, v in jsonable(rep.interim).items()},
-        "violations": [{"agent": a, "type": t, "deviation": d, "gain": str(g)}
+        "interim": rep.interim,
+        "violations": [{"agent": a, "type": t, "deviation": d, "gain": g}
                        for a, t, d, g in rep.violations],
         "mechanism": _mechanism_json(mech),
         "basis": "report-independent interim win probabilities",
@@ -174,12 +171,11 @@ def cmd_maximin(args) -> dict:
         mech = load_mechanism(data, space)
     sol = maximin(mech)
     return {
-        "value": str(sol.value),
-        "maximizer_strategy": {str(t): str(p) for t, p in
-                               zip(space.types[0], sol.sigma_maximizer)},
-        "minimizer_strategy": {str(t): str(p) for t, p in
-                               zip(space.types[1], sol.sigma_minimizer)},
-        "basis": "both players' LPs solved exactly; values coincide",
+        "value": sol.value,
+        "maximizer_strategy": dict(zip(space.types[0], sol.sigma_maximizer)),
+        "minimizer_strategy": dict(zip(space.types[1], sol.sigma_minimizer)),
+        "basis": "the maximizer's LP solved exactly; the minimizer's "
+                 "strategy read off its duals",
     }
 
 
@@ -189,7 +185,7 @@ def cmd_spans(args) -> dict:
     verdict = spans(a.dist, b.dist)
     return {
         "spans": verdict.spans,
-        "coefficients": jsonable(verdict.coefficients),
+        "coefficients": verdict.coefficients,
         "witnesses": [list(map(str, w)) for w in verdict.witnesses],
         "basis": "exact solvability of each conditional belief in the "
                  "span of the first distribution's conditionals",
@@ -199,14 +195,8 @@ def cmd_spans(args) -> dict:
 def cmd_classify(args) -> dict:
     [inst] = _two_option("classification is defined for two-option instances",
                          args.instance)
-    cls = classify_extremes(inst.dist)
-    return {
-        "maximal": cls["maximal"],
-        "minimal": cls["minimal"],
-        "rank": inst.dist.matrix_rank(),
-        "independent": inst.dist.is_independent(),
-        "basis": "maximal iff full rank; minimal iff independent",
-    }
+    return {**classify_extremes(inst.dist),
+            "basis": "maximal iff full rank; minimal iff independent"}
 
 
 def cmd_additivity(args) -> dict:
@@ -215,15 +205,14 @@ def cmd_additivity(args) -> dict:
     rep = additivity_test(inst)
     out = {
         "pi_additive": rep.is_pi_additive,
-        "residual": to_nested_strings(rep.w_hat),
-        "residual_norm_sq": str(sum(v * v for v in rep.w_hat.reshape(-1))),
+        "residual": rep.w_hat,
+        "residual_norm_sq": sum(v * v for v in rep.w_hat.reshape(-1)),
         "basis": "projection of the weighted objective onto the "
                  "conditional-section subspace",
     }
     if rep.additive_parts is not None:
         v_l, v_r = rep.additive_parts
-        out["additive_parts"] = {"first": to_nested_strings(v_l),
-                                 "second": to_nested_strings(v_r)}
+        out["additive_parts"] = {"first": v_l, "second": v_r}
     return out
 
 
@@ -235,11 +224,10 @@ def cmd_construct(args) -> dict:
         return {"profitable": False, "reason": res.reason, "basis": res.method}
     return {
         "profitable": True,
-        "payoff": str(res.payoff),
-        "epsilon": None if res.epsilon is None else str(res.epsilon),
+        "payoff": res.payoff,
+        "epsilon": res.epsilon,
         "mechanism": _mechanism_json(res.mechanism),
-        "interim_value": None if res.ic_report.common_value is None
-        else str(res.ic_report.common_value),
+        "interim_value": res.ic_report.common_value,
         "basis": res.method,
     }
 
@@ -249,10 +237,10 @@ def cmd_transport(args) -> dict:
                          args.instance)
     res = transport_criterion(inst)
     return {
-        "value": str(res.value),
+        "value": res.value,
         "profitable": res.profitable,
-        "optimizer": to_nested_strings(res.optimizer.p),
-        "transformed_objective": to_nested_strings(res.v_hat),
+        "optimizer": res.optimizer.p,
+        "transformed_objective": res.v_hat,
         "orthogonality_rows": res.orthogonality_rows,
         "independent": res.independent,
         "basis": "equal-marginals transport with correlation-orthogonality rows",
@@ -276,10 +264,10 @@ def cmd_decompose(args) -> dict:
     mech = load_mechanism(args.mechanism, inst.space)
     dec = decompose(mech, inst.dist.marginal(0), inst.dist.marginal(1))
     return {
-        "q": str(dec.q),
+        "q": dec.q,
         "terms": len(dec.gammas),
-        "gammas": [str(g) for g in dec.gammas],
-        "extreme_points": [to_nested_strings(p) for p in dec.extreme_points],
+        "gammas": dec.gammas,
+        "extreme_points": dec.extreme_points,
         "basis": "greedy peeling of acyclic-support extreme points",
     }
 
@@ -290,13 +278,12 @@ def cmd_myo(args) -> dict:
     rep = match_your_opponent(inst)
     return {
         "best_matching": [[str(a), str(b)] for a, b in rep.best_matching],
-        "best_value": str(rep.best_value),
+        "best_value": rep.best_value,
         "profitable": rep.profitable,
         "supermodular": rep.supermodular,
         "symmetric_marginals": rep.symmetric,
-        "diagonal_sum": str(rep.diagonal_sum),
-        "weighted_diagonal": None if rep.diagonal_value is None
-        else str(rep.diagonal_value),
+        "diagonal_sum": rep.diagonal_sum,
+        "weighted_diagonal": rep.diagonal_value,
         "basis": rep.criterion,
     }
 
@@ -308,12 +295,12 @@ def cmd_alloc_n(args) -> dict:
     res = analyze_allocation(inst)
     out = {
         "profitable": res["profitable"],
-        "vbar": str(res["vbar"]),
+        "vbar": res["vbar"],
         "exact_iff": res["exact_iff"],
         "basis": res["method"],
     }
     if "payoff" in res:
-        out["payoff"] = str(res["payoff"])
+        out["payoff"] = res["payoff"]
     if "note" in res:
         out["note"] = res["note"]
     rep = res.get("report")
@@ -325,7 +312,7 @@ def cmd_alloc_n(args) -> dict:
             mech = drop_disposal_agent(mech, inst)
         out["mechanism"] = _mechanism_json(mech)
         if getattr(rep, "witness", None) is not None:
-            out["witness"] = str(rep.witness)
+            out["witness"] = rep.witness
     if "certificate" in res:
         out["certificate"] = res["certificate"]
     return out
@@ -340,9 +327,9 @@ def cmd_oracle(args) -> dict:
         res = solve_principal_alloc(inst)
         basis = "direct LP over the interim win-probability constraints"
     return {
-        "value": str(res.value),
+        "value": res.value,
         "profitable": res.profitable,
-        "baseline": str(res.baseline),
+        "baseline": res.baseline,
         "mechanism": _mechanism_json(res.mechanism),
         "basis": basis,
     }
@@ -405,6 +392,7 @@ def _scalar(v) -> str:
 
 
 def _emit(report: dict, args) -> None:
+    report = jsonable(report)
     if args.format == "json":
         text = dumps_canonical(report)
     else:

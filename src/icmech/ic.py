@@ -167,9 +167,11 @@ def classify_extremes(pi: JointDist) -> dict:
 
     Maximal elements are exactly the full-rank distributions (rank equal to
     the smaller type count: their beliefs span everything spanning them);
-    minimal elements are exactly the independent distributions.
+    minimal elements are exactly the independent distributions.  The exact
+    ``rank`` and ``independent`` verdicts they rest on come back too.
     """
     two_agent(pi.space)
     r = pi.matrix_rank()
-    return {"maximal": r == min(pi.space.shape),
-            "minimal": pi.is_independent()}
+    independent = pi.is_independent()
+    return {"maximal": r == min(pi.space.shape), "minimal": independent,
+            "rank": r, "independent": independent}

@@ -115,7 +115,6 @@ class AllocationICReport:
 
     verdict: bool
     interim: dict
-    ex_ante: list[Fraction]
     violations: list = field(default_factory=list)
 
 
@@ -131,7 +130,6 @@ def check_ic_n(x: AllocationMechanism, inst: AllocationInstance) -> AllocationIC
         raise PreconditionError(
             "mechanism infeasible: the good must always be allocated")
     interim: dict = {}
-    ex_ante: list[Fraction] = []
     violations = []
     for i, agent in enumerate(inst.space.agents):
         # Types are independent, so every type holds the same belief about
@@ -140,12 +138,11 @@ def check_ic_n(x: AllocationMechanism, inst: AllocationInstance) -> AllocationIC
         labels = inst.space.types[i]
         for label, val in zip(labels, vals):
             interim[(agent, label)] = val
-        ex_ante.append(inst.marginals[i].dot(vals))
         violations += [(agent, label, label2, val2 - val)
                        for label, val in zip(labels, vals)
                        for label2, val2 in zip(labels, vals) if val2 > val]
     return AllocationICReport(verdict=not violations, interim=interim,
-                              ex_ante=ex_ante, violations=violations)
+                              violations=violations)
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +216,11 @@ class NAllocReport:
     residual, with its exact audit trail."""
 
     vbar: Fraction
-    condition_holds: bool
     profitable: bool
     payoff: Fraction
     mechanism: AllocationMechanism
     alpha: Fraction
     residual: np.ndarray
-    z: np.ndarray
     ic_report: AllocationICReport
     method: str = "residual-construction"
     witness: object = None
@@ -277,9 +272,9 @@ def construct_profitable_n(inst: AllocationInstance):
     require(payoff == claimed, "allocation", "payoff = alpha * |eps|^2 + vbar")
     require(payoff > inst.vbar, "allocation",
             "the constructed mechanism beats vbar")
-    return NAllocReport(vbar=inst.vbar, condition_holds=False, profitable=True,
-                        payoff=payoff, mechanism=mech, alpha=alpha,
-                        residual=eps, z=z, ic_report=icr)
+    return NAllocReport(vbar=inst.vbar, profitable=True, payoff=payoff,
+                        mechanism=mech, alpha=alpha, residual=eps,
+                        ic_report=icr)
 
 
 def _direct_payoff(inst: AllocationInstance, mech: AllocationMechanism) -> Fraction:

@@ -2,24 +2,26 @@
 
 Everything in this module is exact rational arithmetic (``Fraction``s, or
 ints over exact denominators), so feasibility, optimality, rank and
-orthogonality are decided by exact equality, not by tolerances.  The LP
-solver is a two-phase bounded-variable tableau simplex.  Pricing enters
-the largest reduced cost (Dantzig) and falls back to Bland's lowest-index
-rule after as many consecutive degenerate pivots as the tableau has rows,
-which rules out cycling and keeps every answer and every pivot count
-deterministic.
+orthogonality are decided by exact equality, not by tolerances.  One
+fraction-free integer row reduction (``_reduce``) serves ``rank``,
+``solve_linear_system`` (and so ``span_coefficients``) and the LP
+presolve.  The LP solver is a two-phase bounded-variable tableau
+simplex.  Pricing enters the largest reduced cost (Dantzig) and falls
+back to Bland's lowest-index rule after as many consecutive degenerate
+pivots as the tableau has rows, which rules out cycling and keeps every
+answer and every pivot count deterministic.
 
 Speed comes from doing less exact work, never from tolerances.  A
 variable with both bounds finite becomes a column bounded by 1 with no
 row of its own (Dantzig's upper-bounding technique): the ratio test also
 stops where a basic boxed variable reaches 1 or the entering one reaches
-its own bound, and a variable at its upper bound is complemented.  A
-fraction-free integer presolve drops equality rows that earlier rows
-combine to, after that substitution.  Inequality rows start with their
-slack basic (a slack crash basis), so only equality rows and rows with a
-negative right-hand side carry an artificial, and phase 1 is skipped
-when that start is already feasible, as it is for every LP over the IC
-polytope, whose equality rows are homogeneous.  Each tableau row holds
+its own bound, and a variable at its upper bound is complemented.  The
+presolve drops equality rows that earlier rows combine to, after that
+substitution.  Inequality rows start with their slack basic (a slack
+crash basis), so only equality rows and rows with a negative right-hand
+side carry an artificial, and phase 1 is skipped when that start is
+already feasible, as it is for every LP over the IC polytope, whose
+equality rows are homogeneous.  Each tableau row holds
 Python ints over its own denominator in lowest terms, and a pivot updates
 only the rows whose pivot-column entry is nonzero.  The duals are read
 off the final objective row, where the starting unit columns carry
@@ -55,60 +57,32 @@ def frac(value) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Exact Gaussian elimination: rank, linear systems, span tests
+# Exact elimination: rank, linear systems, span tests
 # ---------------------------------------------------------------------------
-
-def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Row-reduce a copy of ``rows``; returns (reduced rows, pivot columns)."""
-    mat = [list(r) for r in rows]
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot_row = next((i for i in range(r, m) if mat[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        piv = mat[r][col]
-        if piv != 1:
-            mat[r] = [v / piv for v in mat[r]]
-        for i in range(m):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                row_i, row_r = mat[i], mat[r]
-                mat[i] = [a - f * b if b else a for a, b in zip(row_i, row_r)]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    return mat, pivots
-
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Exact rank of a rational matrix (list of rows)."""
-    rows = [list(r) for r in rows]
-    if not rows or not rows[0]:
-        return 0
-    return len(_echelon(rows)[1])
+    return len(_reduce([_integer_row(row)[1] for row in rows]))
 
 
 def solve_linear_system(a: Sequence[Sequence[Fraction]],
                         b: Sequence[Fraction]) -> list[Fraction] | None:
     """One exact solution of ``a x = b`` (free variables set to 0), or None.
 
-    Returns None when the system is inconsistent.
+    Returns None when the system is inconsistent.  The kept rows of the
+    reduction have distinct leads, which are therefore the pivot columns
+    of the reduced echelon form: back-substituting from the last lead
+    gives the same answer as Gauss-Jordan.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    aug = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    red, pivots = _echelon(aug)
-    # A pivot in the rhs column means 0 == nonzero.
-    if n in pivots:
-        return None
+    n = len(a[0]) if a else 0
     x = [ZERO] * n
-    for i, col in enumerate(pivots):
-        x[col] = red[i][n]
+    reduced = _reduce([_integer_row([*row, rhs])[1] for row, rhs in zip(a, b)])
+    for _, lead, row in sorted(reduced, key=lambda kept: kept[1], reverse=True):
+        # A lead in the rhs column means 0 == nonzero.
+        if lead == n:
+            return None
+        x[lead] = (row[n] - sum(c * v for c, v in zip(row[lead + 1:n], x[lead + 1:])
+                                if c)) / Fraction(row[lead])
     return x
 
 
@@ -120,6 +94,33 @@ def span_coefficients(vector: Sequence[Fraction],
     a = [[generators[j][i] for j in range(len(generators))]
          for i in range(len(vector))]
     return solve_linear_system(a, list(vector))
+
+
+def _reduce(rows: Sequence[Sequence[int]]) -> list[tuple[int, int, list[int]]]:
+    """(index, leading column, reduced row) of each integer row that no
+    earlier rows combine to.
+
+    Fraction-free: each row is reduced against the rows kept so far by
+    cross-multiplication, dividing out the gcd after every step, so it is
+    0 at every earlier kept row's lead and the kept rows' leads are
+    distinct.  A row augmented with its rhs that is inconsistent with
+    earlier ones (its left side dependent, its rhs not) is kept, leading
+    in the rhs column.
+    """
+    kept: list[tuple[int, int, list[int]]] = []
+    for i, vec in enumerate(rows):
+        for _, lead, prow in kept:
+            f = vec[lead]
+            if f:
+                p = prow[lead]
+                vec = [p * a - f * c if c else p * a for a, c in zip(vec, prow)]
+                g = math.gcd(*vec)
+                if g > 1:
+                    vec = [a // g for a in vec]
+        lead = next((c for c, a in enumerate(vec) if a), None)
+        if lead is not None:
+            kept.append((i, lead, vec))
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -341,32 +342,6 @@ def _integer_row(vals: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in vals]
 
 
-def _independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Indices of the integer rows that no earlier rows combine to.
-
-    Fraction-free: each row is reduced against the rows kept so far by
-    cross-multiplication, dividing out the gcd after every step.  Rows
-    are augmented with their rhs, so a row that is inconsistent with
-    earlier ones (its left side dependent, its rhs not) is kept.
-    """
-    kept: list[int] = []
-    reduced: list[tuple[int, list[int]]] = []   # (leading column, integer row)
-    for i, vec in enumerate(rows):
-        for lead, prow in reduced:
-            f = vec[lead]
-            if f:
-                p = prow[lead]
-                vec = [p * a - f * c if c else p * a for a, c in zip(vec, prow)]
-                g = math.gcd(*vec)
-                if g > 1:
-                    vec = [a // g for a in vec]
-        lead = next((c for c, a in enumerate(vec) if a), None)
-        if lead is not None:
-            reduced.append((lead, vec))
-            kept.append(i)
-    return kept
-
-
 def solve_lp(lp: LinearProgram) -> LPSolution:
     """Solve an LP exactly; deterministic for a given input.
 
@@ -419,7 +394,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     int_rows = {"eq": [_integer_row([*row, rhs]) for row, rhs in zip(lp.a_eq, lp.b_eq)],
                 "ub": [_integer_row([*row, rhs]) for row, rhs in zip(lp.a_ub, lp.b_ub)]}
     eq = [scaled(*r) for r in int_rows["eq"]]
-    kept = _independent_rows([vec for _, vec in eq])
+    kept = [i for i, _, _ in _reduce([vec for _, vec in eq])]
     ub = [scaled(*r) for r in int_rows["ub"]]
     row_specs = [("eq", i) for i in kept] + [("ub", i) for i in range(len(ub))]
     nslack = len(ub)

@@ -5,7 +5,10 @@ they are the hand-rolled builders the library used before it built every
 row family on ``icmech.belief``; the property tests require the library's
 rows to equal them entry for entry and in order.  ``w_generators`` and
 ``orthogonal_projection`` are the generic Gram-matrix projection that the
-closed-form additivity residuals are checked against.
+closed-form additivity residuals are checked against.  ``rank`` and
+``solve_linear_system`` are the Fraction Gauss-Jordan elimination that the
+integer reduction in ``icmech.numerics`` must agree with; the other
+references here use them, so they share no elimination with the library.
 ``distinct_nonzero`` is the dedupe keyed on the rows' own Fraction tuples
 that the integer-keyed one in ``icmech.belief`` replaced.
 ``enumerate_vertices`` is a brute-force LP oracle for cross-checking the
@@ -27,10 +30,58 @@ from fractions import Fraction
 
 import numpy as np
 
-from icmech.numerics import LinearProgram, rank, require, solve_linear_system
+from icmech.numerics import LinearProgram, require
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def _echelon(rows):
+    """Gauss-Jordan over Fractions on a copy of ``rows``: (reduced rows,
+    pivot columns)."""
+    mat = [list(r) for r in rows]
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    pivots = []
+    r = 0
+    for col in range(n):
+        pivot_row = next((i for i in range(r, m) if mat[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        piv = mat[r][col]
+        if piv != 1:
+            mat[r] = [v / piv for v in mat[r]]
+        for i in range(m):
+            if i != r and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    return mat, pivots
+
+
+def rank(rows):
+    """Exact rank: the number of Gauss-Jordan pivots."""
+    rows = [list(r) for r in rows]
+    if not rows or not rows[0]:
+        return 0
+    return len(_echelon(rows)[1])
+
+
+def solve_linear_system(a, b):
+    """The solution of ``a x = b`` with every free variable 0, read off the
+    reduced echelon form, or None when a pivot falls in the rhs column."""
+    n = len(a[0]) if a else 0
+    red, pivots = _echelon([list(row) + [rhs] for row, rhs in zip(a, b)])
+    if n in pivots:
+        return None
+    x = [ZERO] * n
+    for i, col in enumerate(pivots):
+        x[col] = red[i][n]
+    return x
 
 
 def conditional(dist, i):

@@ -1,15 +1,23 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icmech import cli
 from icmech.cli import main
 from icmech.core import MAX_AGENTS
 from icmech.fixtures import fixture_path
+
+from .test_golden import COMMANDS, _path
 
 FX1 = str(fixture_path("fx1"))
 FX2 = str(fixture_path("fx2"))
@@ -420,3 +428,76 @@ class TestParserReuse:
             assert len(built) == 1
         finally:
             cli._parser.cache_clear()
+
+
+# Every golden query but ``fixture``, which reads no file.
+FUZZ_QUERIES = [(command, names) for command, queries in sorted(COMMANDS.items())
+                if command != "fixture" for names in queries]
+ODD_VALUES = [None, True, -1, 0, 2, 1.5, "", "x", "0", "1", "1/2", "-1/3",
+              "1/0", "7", "1e9", [], {}, ["1"], [[]], {"l": "1"}]
+
+
+def _nodes(tree, path=()):
+    """The path of every node of a JSON tree, the root's first."""
+    yield path
+    if isinstance(tree, (dict, list)):
+        for key, child in (tree.items() if isinstance(tree, dict)
+                           else enumerate(tree)):
+            yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def mutated_queries(draw):
+    """A golden query with one of its files mutated one to three times: a
+    node replaced by an odd value or deleted; a list item repeated or
+    swapped with its first sibling, which keeps pi a distribution; or a
+    dict value wrapped in a list.  Returns (command, file texts)."""
+    command, names = draw(st.sampled_from(FUZZ_QUERIES))
+    texts = [Path(_path(name)).read_text() for name in names]
+    target = draw(st.integers(0, len(texts) - 1))
+    tree = json.loads(texts[target])
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_nodes(tree))[1:]
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = tree
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        op = draw(st.sampled_from(["replace", "delete", "repeat", "swap"]))
+        if op == "replace":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+        elif op == "delete":
+            del parent[key]
+        elif isinstance(parent, dict):
+            parent[key] = [parent[key]]
+        elif op == "repeat":
+            parent.append(copy.deepcopy(parent[key]))
+        else:
+            parent[0], parent[key] = parent[key], parent[0]
+    texts[target] = json.dumps(tree)
+    return command, texts
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(mutated_queries(), st.sampled_from(["json", "text"]))
+    def test_mutated_inputs_end_in_a_report_or_one_line(self, query, fmt):
+        command, texts = query
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for i, text in enumerate(texts):
+                paths.append(os.path.join(tmp, f"{i}.json"))
+                Path(paths[-1]).write_text(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, *paths, "--format", fmt])
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert err.getvalue() == ""
+            if fmt == "json":
+                json.loads(out.getvalue())
+        else:
+            assert out.getvalue() == ""
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

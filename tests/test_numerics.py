@@ -437,10 +437,10 @@ class TestPhaseOneSetUp:
         from icmech.oracle import generate, solve_principal
         inst = generate(1001, (6, 6), "conditionally-independent", k=2)
         rows = ic_polytope(inst.dist)
-        kept = numerics._independent_rows(
-            [numerics._integer_row(row + [F(0)])[1] for row in rows])
-        assert len(rows) == 60 and len(kept) == rank(rows) == 19
-        assert rank([rows[i] for i in kept]) == 19
+        kept = [i for i, _, _ in numerics._reduce(
+            [numerics._integer_row(row + [F(0)])[1] for row in rows])]
+        assert len(rows) == 60 and len(kept) == reference.rank(rows) == 19
+        assert reference.rank([rows[i] for i in kept]) == 19
         sizes = []
         simplex = numerics._simplex
 
@@ -454,6 +454,37 @@ class TestPhaseOneSetUp:
 
 
 RATIONALS = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3, 5, 6]))
+
+
+@st.composite
+def linear_systems(draw):
+    """(a, b) with up to five rows and columns, then up to two more rows,
+    each an integer combination of the rows so far (a repeat, a zero row
+    or a dependent one) whose rhs is the same combination, or that plus 1,
+    which makes the system inconsistent."""
+    n = draw(st.integers(0, 5))
+    a = draw(st.lists(st.lists(RATIONALS, min_size=n, max_size=n), max_size=5))
+    b = draw(st.lists(RATIONALS, min_size=len(a), max_size=len(a)))
+    for _ in range(draw(st.integers(0, 2)) if a else 0):
+        c = draw(st.lists(st.integers(-2, 2), min_size=len(a), max_size=len(a)))
+        a.append([dot(c, col) for col in zip(*a)] if n else [])
+        b.append(dot(c, b) + draw(st.sampled_from([0, 0, 1])))
+    return a, b
+
+
+class TestReductionMatchesGaussJordan:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(linear_systems())
+    @example(([], []))
+    @example(([[]], [F(1)]))
+    @example(([fl([0, 0]), fl([0, 0])], fl([0, 0])))
+    @example(([fl([0, 0, 0])], fl([2])))
+    @example(([fl([1, 2, 3]), fl([1, 2, 3])], fl([1, 1])))
+    @example(([fl([1, 2, 3]), fl([2, 4, 6]), fl([0, 1, 1])], fl([1, 2, 5])))
+    def test_rank_and_solution_equal_the_fraction_reference(self, system):
+        a, b = system
+        assert rank(a) == reference.rank(a)
+        assert solve_linear_system(a, b) == reference.solve_linear_system(a, b)
 
 
 @st.composite
