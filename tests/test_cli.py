@@ -17,7 +17,7 @@ from icmech.cli import main
 from icmech.core import MAX_AGENTS
 from icmech.fixtures import fixture_path
 
-from .test_golden import COMMANDS, _path
+from .test_golden import COMMANDS, LITERAL, _path
 
 FX1 = str(fixture_path("fx1"))
 FX2 = str(fixture_path("fx2"))
@@ -430,9 +430,10 @@ class TestParserReuse:
             cli._parser.cache_clear()
 
 
-# Every golden query but ``fixture``, which reads no file.
+# Every golden query but those of ``fixture`` and ``generate``, which read
+# no file.
 FUZZ_QUERIES = [(command, names) for command, queries in sorted(COMMANDS.items())
-                if command != "fixture" for names in queries]
+                if command not in LITERAL for names in queries]
 ODD_VALUES = [None, True, -1, 0, 2, 1.5, "", "x", "0", "1", "1/2", "-1/3",
               "1/0", "7", "1e9", [], {}, ["1"], [[]], {"l": "1"}]
 
