@@ -26,8 +26,7 @@ from .core import (Instance, Mechanism, NoneCertificate, PreconditionError,
 from .game import maximin, obedience_check
 from .ic import check_ic, classify_extremes, spans
 from .nalloc import (allocation_to_dict, analyze_allocation, check_ic_n,
-                     drop_disposal_agent, load_allocation,
-                     load_allocation_mechanism)
+                     load_allocation, load_allocation_mechanism)
 from .numerics import require
 from .oracle import generate, solve_principal, solve_principal_alloc
 from .profit import (additivity_test, construct_profitable, decompose,
@@ -129,28 +128,25 @@ def cmd_check_ic(args) -> dict:
         obed = obedience_check(mech, inst.dist)
         require(obed.verdict == rep.verdict, "IC",
                 "the obedience view agrees with the interim equalities")
-        return {
-            "ic": rep.verdict,
-            "common_value": rep.common_value,
-            "ex_ante_indifferent": rep.ex_ante_indifferent,
-            "uninformative": rep.uninformative,
-            "interim": rep.interim,
-            "violations": [{"agent": v.agent, "type": v.true_type,
-                            "deviation": v.deviation, "gain": v.gain}
-                           for v in rep.violations],
-            "mechanism": _mechanism_json(mech),
-            "basis": "interim-equality characterization, cross-checked "
-                     "against the obedience view of the auxiliary game",
-        }
-    mech = load_allocation_mechanism(args.mechanism, inst)
-    rep = check_ic_n(mech, inst)
+        two_option = {"common_value": rep.common_value,
+                      "ex_ante_indifferent": rep.ex_ante_indifferent,
+                      "uninformative": rep.uninformative}
+        basis = ("interim-equality characterization, cross-checked against "
+                 "the obedience view of the auxiliary game")
+    else:
+        mech = load_allocation_mechanism(args.mechanism, inst)
+        rep = check_ic_n(mech, inst)
+        two_option = {}
+        basis = "report-independent interim win probabilities"
     return {
         "ic": rep.verdict,
+        **two_option,
         "interim": rep.interim,
-        "violations": [{"agent": a, "type": t, "deviation": d, "gain": g}
-                       for a, t, d, g in rep.violations],
+        "violations": [{"agent": v.agent, "type": v.true_type,
+                        "deviation": v.deviation, "gain": v.gain}
+                       for v in rep.violations],
         "mechanism": _mechanism_json(mech),
-        "basis": "report-independent interim win probabilities",
+        "basis": basis,
     }
 
 
@@ -292,30 +288,10 @@ def cmd_alloc_n(args) -> dict:
     inst = _load_any(args.instance)
     if isinstance(inst, Instance):
         raise PreconditionError("alloc-n needs an allocation instance")
-    res = analyze_allocation(inst)
-    out = {
-        "profitable": res["profitable"],
-        "vbar": res["vbar"],
-        "exact_iff": res["exact_iff"],
-        "basis": res["method"],
-    }
-    if "payoff" in res:
-        out["payoff"] = res["payoff"]
-    if "note" in res:
-        out["note"] = res["note"]
-    rep = res.get("report")
-    if rep is not None and getattr(rep, "mechanism", None) is not None:
-        mech = rep.mechanism
-        if inst.disposal and mech.space != inst.space:
-            # The construction ran on the dummy-agent extension; emit the
-            # disposal mechanism on the original agents so it round-trips.
-            mech = drop_disposal_agent(mech, inst)
-        out["mechanism"] = _mechanism_json(mech)
-        if getattr(rep, "witness", None) is not None:
-            out["witness"] = rep.witness
-    if "certificate" in res:
-        out["certificate"] = res["certificate"]
-    return out
+    report = analyze_allocation(inst)
+    if "mechanism" in report:
+        report["mechanism"] = _mechanism_json(report["mechanism"])
+    return report
 
 
 def cmd_oracle(args) -> dict:

@@ -82,5 +82,4 @@ def obedience_check(x: Mechanism, pi: JointDist) -> ICReport:
                     violations.append(Violation(space.agents[i], rec, dev, gain))
     verdict = not violations
     return ICReport(verdict=verdict, violations=violations,
-                    common_value=expectation(pi, x.x) if verdict else None,
-                    gain_weighting="joint")
+                    common_value=expectation(pi, x.x) if verdict else None)

@@ -45,12 +45,11 @@ class Violation:
 class ICReport:
     """Verdict plus witnesses for an incentive-compatibility check.
 
-    ``interim`` maps (agent, true type, report) to the interim expectation
-    E[x(report, .) | true type].  ``gain_weighting`` records whether the
-    violation gains are measured against conditional beliefs ("conditional")
-    or against the joint distribution ("joint", as in the obedience view of
-    the auxiliary game); the two scales differ by the positive factor
-    pi_i(type), so the verdicts always coincide.
+    For two-option mechanisms ``interim`` maps (agent, true type, report)
+    to the interim expectation E[x(report, .) | true type].  For
+    allocations (``nalloc.check_ic_n``) it maps (agent, report) to the
+    agent's interim win probability, which independent types make the same
+    for every true type; the other optional fields stay None.
     """
 
     verdict: bool
@@ -59,7 +58,6 @@ class ICReport:
     common_value: Fraction | None = None
     ex_ante_indifferent: bool | None = None
     uninformative: bool | None = None
-    gain_weighting: str = "conditional"
 
 
 def check_ic(x: Mechanism, dist: JointDist) -> ICReport:

@@ -25,6 +25,7 @@ from .core import (JointDist, NoneCertificate, PreconditionError, SchemaError,
                    dumps_canonical, expectation, load_json_dict,
                    parse_rational_array, parse_type_space, product_dist,
                    to_nested_strings, without_zero_types)
+from .ic import ICReport, Violation
 from .numerics import require
 
 ZERO = Fraction(0)
@@ -108,17 +109,7 @@ class AllocationMechanism:
         self.disposal = disposal
 
 
-@dataclass
-class AllocationICReport:
-    """Interim allocation probabilities per (agent, type) and the verdict
-    that they are constant in the agent's own type."""
-
-    verdict: bool
-    interim: dict
-    violations: list = field(default_factory=list)
-
-
-def check_ic_n(x: AllocationMechanism, inst: AllocationInstance) -> AllocationICReport:
+def check_ic_n(x: AllocationMechanism, inst: AllocationInstance) -> ICReport:
     """IC test for allocation mechanisms: interim win probabilities must be
     report-independent for every agent.  Infeasible mechanisms are rejected."""
     if x.space != inst.space:
@@ -138,11 +129,11 @@ def check_ic_n(x: AllocationMechanism, inst: AllocationInstance) -> AllocationIC
         labels = inst.space.types[i]
         for label, val in zip(labels, vals):
             interim[(agent, label)] = val
-        violations += [(agent, label, label2, val2 - val)
+        violations += [Violation(agent, label, label2, val2 - val)
                        for label, val in zip(labels, vals)
                        for label2, val2 in zip(labels, vals) if val2 > val]
-    return AllocationICReport(verdict=not violations, interim=interim,
-                              violations=violations)
+    return ICReport(verdict=not violations, violations=violations,
+                    interim=interim)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +212,7 @@ class NAllocReport:
     mechanism: AllocationMechanism
     alpha: Fraction
     residual: np.ndarray
-    ic_report: AllocationICReport
+    ic_report: ICReport
     method: str = "residual-construction"
     witness: object = None
 
@@ -344,7 +335,8 @@ def with_disposal(inst: AllocationInstance):
 
 
 def analyze_allocation(inst: AllocationInstance) -> dict:
-    """One-stop profitability verdict with the decision rule labelled.
+    """The ``alloc-n`` report, keys in print order: the verdict, its rule as
+    ``basis`` and any mechanism found, on ``inst``'s own agents.
 
     Unbiased instances (vbar = 0 as well, for disposal) get the exact
     iff treatment; otherwise the condition is only necessary, and when it
@@ -354,28 +346,28 @@ def analyze_allocation(inst: AllocationInstance) -> dict:
     from .oracle import solve_principal_alloc  # deferred: oracle imports this module
 
     base = add_disposal_agent(inst) if inst.disposal else inst
-    vbar = inst.vbar
     # In the exact regime the construction runs the difference-additivity
     # projection itself; elsewhere it is run here, so it runs once.
     if base.unbiased:
         report = with_disposal(inst) if inst.disposal else construct_profitable_n(inst)
         if not isinstance(report, NoneCertificate):
-            return {"profitable": True, "method": report.method, "vbar": vbar,
-                    "payoff": report.payoff, "report": report, "exact_iff": True}
-        u = report.details["u"]
-    else:
-        u = difference_additive(base).u
-    if u is not None:
-        return {"profitable": False, "method": "difference-additive",
-                "vbar": vbar, "u": u, "exact_iff": True,
+            out = {"profitable": True, "vbar": inst.vbar, "exact_iff": True,
+                   "basis": report.method, "payoff": report.payoff,
+                   "mechanism": report.mechanism}
+            if inst.disposal:
+                out.update(mechanism=drop_disposal_agent(report.mechanism, inst),
+                           witness=report.witness)
+            return out
+    if base.unbiased or difference_additive(base).holds:
+        return {"profitable": False, "vbar": inst.vbar, "exact_iff": True,
+                "basis": "difference-additive",
                 "certificate": "no IC mechanism beats a constant allocation"}
     lp = solve_principal_alloc(inst)
-    floor = max(ZERO, vbar) if inst.disposal else vbar
-    return {"profitable": lp.value > floor, "method": "ic-constraints-lp",
-            "vbar": vbar, "payoff": lp.value, "report": lp,
-            "exact_iff": False,
+    return {"profitable": lp.profitable, "vbar": inst.vbar, "exact_iff": False,
+            "basis": "ic-constraints-lp", "payoff": lp.value,
             "note": "biased principal with the splitting condition violated: "
-                    "outside the iff regime, decided by the direct LP"}
+                    "outside the iff regime, decided by the direct LP",
+            "mechanism": lp.mechanism}
 
 
 # ---------------------------------------------------------------------------

@@ -157,13 +157,10 @@ def generate(seed: int, shape, kind: str, *, k: int | None = None,
     if kind == "unbiased-n-alloc":
         space = _space_for(shape)
         margs = tuple(_prob_vector(rng, m) for m in shape)
-        inst = AllocationInstance(space, margs,
-                                  tuple(_value_array(rng, shape)
-                                        for _ in shape),
-                                  disposal=disposal,
-                                  name=f"{kind}-{seed}", seed=seed)
-        centered = tuple(v - constant_array(shape, inst.expected_value(i))
-                         for i, v in enumerate(inst.values))
+        dist = product_dist(space, list(margs))
+        values = [_value_array(rng, shape) for _ in shape]
+        centered = tuple(v - constant_array(shape, expectation(dist, v))
+                         for v in values)
         return AllocationInstance(space, margs, centered, disposal=disposal,
                                   name=f"{kind}-{seed}", seed=seed)
 
@@ -196,10 +193,7 @@ def generate(seed: int, shape, kind: str, *, k: int | None = None,
     if zero_mean:
         v = v - constant_array(shape, expectation(dist, v))
     objective = normalize(v, constant_array(shape, 0), dist)
-    inst = Instance(space, dist, objective, name=f"{kind}-{seed}", seed=seed)
-    if kind == "conditionally-independent":
-        assert inst.dist.matrix_rank() <= k
-    return inst
+    return Instance(space, dist, objective, name=f"{kind}-{seed}", seed=seed)
 
 
 def _joint(rng: random.Random, shape) -> np.ndarray:

@@ -269,7 +269,7 @@ class TestOracleAgreement:
         assert not difference_additive(inst).holds
         res = analyze_allocation(inst)
         assert not res["exact_iff"]
-        assert res["method"] == "ic-constraints-lp"
+        assert res["basis"] == "ic-constraints-lp"
 
 
 def _reshape_strings(arr):
