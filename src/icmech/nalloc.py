@@ -346,8 +346,8 @@ def analyze_allocation(inst: AllocationInstance) -> dict:
     from .oracle import solve_principal_alloc  # deferred: oracle imports this module
 
     base = add_disposal_agent(inst) if inst.disposal else inst
-    # In the exact regime the construction runs the difference-additivity
-    # projection itself; elsewhere it is run here, so it runs once.
+    # The construction runs the difference-additivity projection itself and
+    # certifies exactly when the split holds; elsewhere it runs here, once.
     if base.unbiased:
         report = with_disposal(inst) if inst.disposal else construct_profitable_n(inst)
         if not isinstance(report, NoneCertificate):
