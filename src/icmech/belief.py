@@ -11,6 +11,13 @@ and assignment LPs (``marginal_rows``) and the correlation-orthogonality
 rows of the transport criterion (``update_rows``).  ``distinct_nonzero``
 is the order-preserving dedupe the row builders apply.
 
+For two agents the IC rows can also be read off pi itself, with the
+common interim value c as one more unknown: ``value_rows`` keeps one
+agent's rows only for the types in an echelon basis of pi's rows
+(``type_basis``) and the other's only for the types in a basis of its
+columns, so the rows are independent and there are
+rank(pi) * (m + n) - rank(pi)^2 of them.
+
 For two agents the same structure gives the additivity subspace
 U = col(pi) (x) R^n + R^m (x) row(pi), whose orthogonal complement is
 col(pi)^perp (x) row(pi)^perp; ``kronecker_residual`` projects onto that
@@ -29,6 +36,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import JointDist, two_agent
+from .numerics import basis_rows
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -80,6 +88,39 @@ def ic_rows(dist: JointDist, i: int) -> list[list[Fraction]]:
             for belief in distinct_nonzero(beliefs(dist, i))
             for b in range(shape[i]))
     return [row for row in rows if any(row)]
+
+
+def type_basis(dist: JointDist, i: int) -> list[int]:
+    """Agent i's types, in increasing order, whose rows of pi (columns for
+    agent R) the exact echelon reduction keeps: rank(pi) of them, a basis
+    of pi's row (column) space and so of agent i's beliefs (two agents)."""
+    two_agent(dist.space)
+    return basis_rows(list(np.moveaxis(dist.p, i, 0)))
+
+
+def value_rows(dist: JointDist, bases: tuple[list[int], list[int]]
+               ) -> list[list[Fraction]]:
+    """Independent IC rows of two agents over flat x and a last column c,
+    the common interim value, taken from pi with ``bases`` from
+    ``type_basis``: agent L's sum_t pi(a, t) x(b, t) - pi_L(a) c = 0 for
+    a in its basis A and every report b, then agent R's
+    sum_b pi(b, t) x(b, s) - pi_R(t) c = 0 for t in its basis T and every
+    report s outside T.
+
+    The other types' rows are combinations of their basis types' rows.  R's
+    rows for s in T are not independent of the rest either:
+    sum_b pi(b, t) L(a, b) = sum_s pi(a, s) R(t, s) for each a in A, t in T,
+    and the minor pi[A, T] is nonsingular, so these r^2 relations give
+    R(t, s) for s in T and leave the rows here independent."""
+    shape = dist.space.shape
+    rows = []
+    for i, basis in enumerate(bases):
+        lines = np.moveaxis(dist.p, i, 0)
+        marg = dist.marginal(i)
+        for a in basis:
+            rows += [lift(shape, i, b, lines[a]) + [-marg[a]]
+                     for b in range(shape[i]) if i == 0 or b not in basis]
+    return rows
 
 
 def marginal_rows(shape: tuple[int, ...]) -> list[list[Fraction]]:

@@ -243,10 +243,13 @@ def construct_profitable_n(inst: AllocationInstance):
     eps = rep.residual
     flat = list(eps.reshape(-1))
     emin = min(flat)
-    assert emin < 0  # nonzero residual integrates to zero against pi
+    require(emin < 0, "allocation",
+            "the nonzero residual, which integrates to 0 against pi, has a "
+            "negative entry")
     z = eps - emin
     cap = max(z.sum(axis=0).reshape(-1))
-    assert cap > 0
+    require(cap > 0, "allocation", "the shifted residual has a positive "
+            "profile total")
     alpha = ONE / cap
     parts = list(z * alpha)
     parts.append(ONE - sum(parts))
@@ -320,7 +323,12 @@ def with_disposal(inst: AllocationInstance):
     """
     if not inst.disposal:
         raise PreconditionError("instance does not allow disposal")
-    augmented = add_disposal_agent(inst)
+    return _with_disposal(inst, add_disposal_agent(inst))
+
+
+def _with_disposal(inst: AllocationInstance, augmented: AllocationInstance):
+    """``with_disposal`` on ``inst`` with its dummy-agent extension
+    ``augmented`` already built."""
     witnesses = non_constant_witnesses(inst)
     result = construct_profitable_n(augmented)
     require(isinstance(result, NoneCertificate) == (not witnesses),
@@ -343,13 +351,15 @@ def analyze_allocation(inst: AllocationInstance) -> dict:
     is violated the verdict comes from the direct LP over the IC
     constraints, labelled as outside the iff's regime.
     """
-    from .oracle import solve_principal_alloc  # deferred: oracle imports this module
+    from .oracle import _solve_principal_alloc  # deferred: oracle imports this module
 
+    # The dummy-agent extension is built once, here, for every branch.
     base = add_disposal_agent(inst) if inst.disposal else inst
     # The construction runs the difference-additivity projection itself and
     # certifies exactly when the split holds; elsewhere it runs here, once.
     if base.unbiased:
-        report = with_disposal(inst) if inst.disposal else construct_profitable_n(inst)
+        report = (_with_disposal(inst, base) if inst.disposal
+                  else construct_profitable_n(base))
         if not isinstance(report, NoneCertificate):
             out = {"profitable": True, "vbar": inst.vbar, "exact_iff": True,
                    "basis": report.method, "payoff": report.payoff,
@@ -362,7 +372,7 @@ def analyze_allocation(inst: AllocationInstance) -> dict:
         return {"profitable": False, "vbar": inst.vbar, "exact_iff": True,
                 "basis": "difference-additive",
                 "certificate": "no IC mechanism beats a constant allocation"}
-    lp = solve_principal_alloc(inst)
+    lp = _solve_principal_alloc(inst, base)
     return {"profitable": lp.profitable, "vbar": inst.vbar, "exact_iff": False,
             "basis": "ic-constraints-lp", "payoff": lp.value,
             "note": "biased principal with the splitting condition violated: "

@@ -4,12 +4,12 @@ Everything in this module is exact rational arithmetic (``Fraction``s, or
 ints over exact denominators), so feasibility, optimality, rank and
 orthogonality are decided by exact equality, not by tolerances.  One
 fraction-free integer row reduction (``_reduce``) serves ``rank``,
-``solve_linear_system`` (and so ``span_coefficients``) and the LP
-presolve.  The LP solver is a two-phase bounded-variable tableau
-simplex.  Pricing enters the largest reduced cost (Dantzig) and falls
-back to Bland's lowest-index rule after as many consecutive degenerate
-pivots as the tableau has rows, which rules out cycling and keeps every
-answer and every pivot count deterministic.
+``basis_rows``, ``solve_linear_system`` (and so ``span_coefficients``)
+and the LP presolve.  The LP solver is a two-phase bounded-variable
+tableau simplex.  Pricing enters the largest reduced cost (Dantzig) and
+falls back to Bland's lowest-index rule after as many consecutive
+degenerate pivots as the tableau has rows, which rules out cycling and
+keeps every answer and every pivot count deterministic.
 
 Speed comes from doing less exact work, never from tolerances.  A
 variable with both bounds finite becomes a column bounded by 1 with no
@@ -62,7 +62,13 @@ def frac(value) -> Fraction:
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Exact rank of a rational matrix (list of rows)."""
-    return len(_reduce([_integer_row(row)[1] for row in rows]))
+    return len(basis_rows(rows))
+
+
+def basis_rows(rows: Sequence[Sequence[Fraction]]) -> list[int]:
+    """Indices, in order, of the rows that no earlier rows combine to: a
+    basis of the row space of a rational matrix."""
+    return [i for i, _, _ in _reduce([_integer_row(row)[1] for row in rows])]
 
 
 def solve_linear_system(a: Sequence[Sequence[Fraction]],

@@ -1,14 +1,22 @@
 """Independent ground truth and instance generation.
 
 ``solve_principal`` maximizes the principal's payoff directly as an exact
-LP over the IC polytope (interim-equality rows plus 0 <= x <= 1), with no
-knowledge of the structural results the rest of the package implements;
-agreement between the two routes is what the test suite certifies.  The
-two-option problem allocates one good between two agents, and
-``solve_principal_alloc`` solves the same LP for n agents.  The module
-also generates deterministic random instances of several structured kinds
-for property sweeps, and samples IC mechanisms either as LP vertices or as
-nonnegative combinations of transportation-polytope extreme points.
+LP over the IC polytope (the interim equalities plus 0 <= x <= 1), with
+no knowledge of the profitability results the rest of the package
+implements; agreement between the two routes is what the test suite
+certifies.  The two-option problem allocates one good between two agents,
+and ``solve_principal_alloc`` solves the same problem for n agents.  The
+number of agents picks how the IC polytope is written.  Two agents use
+the paper's coordinates: the IC set is span(J) + col(pi)^perp (x)
+row(pi)^perp, so at full rank only the constants are IC and no LP runs,
+and otherwise the LP's rows are the independent rows that
+``belief.value_rows`` reads off pi, with the common interim value as one
+more unknown.  Any other number of agents (three or more, counting the
+disposal extension's dummy agent) uses the dense interim rows of
+``ic.ic_polytope``.  The module also generates deterministic random
+instances of several structured kinds for property sweeps, and samples IC
+mechanisms either as LP vertices or as nonnegative combinations of
+transportation-polytope extreme points.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import numpy as np
 from .core import (Instance, JointDist, Mechanism, PreconditionError,
                    TypeSpace, constant_array, expectation, normalize,
                    product_dist)
+from .belief import type_basis, value_rows
 from .ic import check_ic, ic_polytope
 from .nalloc import (AllocationInstance, AllocationMechanism, add_disposal_agent,
                      check_ic_n, drop_disposal_agent)
@@ -61,22 +70,39 @@ def _ic_optimum(dist: JointDist, objective: list) -> tuple[Fraction, list]:
     n - 1 agents' shares, block by block and flat over profiles: the
     optimal value and an optimal vertex, one array per block.
 
-    The shares are nonnegative and the last agent holds 1 - their sum; one
-    block is bounded by 1, several by one sum row per profile."""
+    The number of agents picks the route.  Two agents (one block, bounded
+    by 1) take their rows from pi, in the paper's coordinates: the IC set
+    is span(J) + col(pi)^perp (x) row(pi)^perp, of dimension
+    1 + (m - r)(n - r) with r = rank(pi).  At full rank, r = min(m, n),
+    only the constants are IC and no LP runs: the optimum is J when the
+    objective sums to more than 0, else 0 (also at a tie, as the LP would
+    return).  Otherwise the LP runs over x and the common interim value c,
+    a last column, with the independent rows of ``belief.value_rows``.
+    Any other number of agents takes the dense rows of ``ic.ic_polytope``:
+    the shares are nonnegative, the last agent holds 1 - their sum, and
+    one sum row per profile bounds them."""
     space = dist.space
     size = space.n_profiles
     blocks = space.n_agents - 1
-    nvars = blocks * size
-    rows = ic_polytope(dist)
     if blocks == 1:
-        bounds = {"upper": [ONE] * size}
+        row_basis = type_basis(dist, 0)
+        if len(row_basis) == min(space.shape):
+            total = sum(objective, ZERO)
+            level = ONE if total > 0 else ZERO
+            return total * level, [constant_array(space.shape, level)]
+        rows = value_rows(dist, (row_basis, type_basis(dist, 1)))
+        lp = LinearProgram(objective=list(objective) + [ZERO],
+                           a_eq=rows, b_eq=[ZERO] * len(rows),
+                           lower=[ZERO] * (size + 1), upper=[ONE] * (size + 1))
     else:
+        nvars = blocks * size
+        rows = ic_polytope(dist)
         sums = [[ONE if k % size == flat else ZERO for k in range(nvars)]
                 for flat in range(size)]
-        bounds = {"a_ub": sums, "b_ub": [ONE] * size, "upper": [None] * nvars}
-    sol = solve_lp(LinearProgram(objective=objective,
-                                 a_eq=rows, b_eq=[ZERO] * len(rows),
-                                 lower=[ZERO] * nvars, **bounds))
+        lp = LinearProgram(objective=objective, a_eq=rows, b_eq=[ZERO] * len(rows),
+                           a_ub=sums, b_ub=[ONE] * size,
+                           lower=[ZERO] * nvars, upper=[None] * nvars)
+    sol = solve_lp(lp)
     require(sol.status == "optimal", "oracle", "the principal's LP has an optimum")
     return sol.value, [np.array(sol.x[k * size:(k + 1) * size],
                                 dtype=object).reshape(space.shape)
@@ -90,7 +116,14 @@ def solve_principal_alloc(inst: AllocationInstance) -> PrincipalSolution:
     covers both feasibility regimes.  Profitable iff the optimum exceeds
     the best constant allocation (vbar, or max(0, vbar) with disposal).
     """
-    base = add_disposal_agent(inst) if inst.disposal else inst
+    return _solve_principal_alloc(
+        inst, add_disposal_agent(inst) if inst.disposal else inst)
+
+
+def _solve_principal_alloc(inst: AllocationInstance,
+                           base: AllocationInstance) -> PrincipalSolution:
+    """``solve_principal_alloc`` on ``inst`` over ``base``, its dummy-agent
+    extension under disposal and ``inst`` itself otherwise."""
     last = base.values[-1]
     objective = [c for v in base.values[:-1]
                  for c in (base.dist.p * (v - last)).reshape(-1)]
@@ -254,6 +287,8 @@ def sample_ic_combination(space: TypeSpace, ml, mr, rng: random.Random,
     if top > 1:
         combo = combo / top
     mech = Mechanism(space, combo)
-    assert check_ic(mech, product_dist(space, [np.asarray(ml, dtype=object),
-                                               np.asarray(mr, dtype=object)])).verdict
+    dist = product_dist(space, [np.asarray(ml, dtype=object),
+                                np.asarray(mr, dtype=object)])
+    require(check_ic(mech, dist).verdict, "oracle",
+            "the combination of extreme points is IC")
     return mech

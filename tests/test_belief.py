@@ -153,6 +153,40 @@ def test_ic_and_orthogonality_rows_equal_loop_builders(inst):
     assert orthogonality_rows(inst.dist) == reference.orthogonality_rows(inst.dist)
 
 
+@st.composite
+def sparse_dists(draw):
+    """pi with zero cells: weights 0-3 on an m x n grid, m and n from 1 to
+    5, with the cells (k mod m, k mod n) made positive so that every type
+    keeps a positive marginal."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    weights = draw(st.lists(st.integers(0, 3), min_size=m * n, max_size=m * n))
+    for k in range(max(m, n)):
+        weights[k % m * n + k % n] = max(weights[k % m * n + k % n], 1)
+    total = sum(weights)
+    pi = np.array([Fraction(w, total) for w in weights], dtype=object)
+    return JointDist(TypeSpace(("l", "r"), (tuple(range(m)), tuple(range(n)))),
+                     pi.reshape(m, n))
+
+
+@PROPERTY
+@given(st.one_of(two_agent_instances().map(lambda inst: inst.dist),
+                 sparse_dists()))
+@example(SHARED_BELIEF.dist)
+@example(DIAGONAL.dist)
+def test_value_rows_are_independent_and_cut_out_the_ic_set(dist):
+    m, n = dist.space.shape
+    r = reference.rank(dist.p.tolist())
+    bases = (belief.type_basis(dist, 0), belief.type_basis(dist, 1))
+    assert len(bases[0]) == len(bases[1]) == r
+    rows = belief.value_rows(dist, bases)
+    assert reference.rank(rows) == len(rows) == m * n - (m - r) * (n - r)
+    # Over (x, c) they span the same rows as the reference IC rows with
+    # c = E[x], so both cut out the same x, of dimension 1 + (m - r)(n - r).
+    ic = [row + [Fraction(0)] for row in reference.ic_polytope(dist)]
+    ic.append(list(dist.p.reshape(-1)) + [Fraction(-1)])
+    assert reference.rank(ic) == len(rows) == reference.rank(rows + ic)
+
+
 @PROPERTY
 @given(allocation_instances())
 def test_allocation_rows_equal_loop_builder(inst):

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from icmech import nalloc, oracle
 from icmech.core import NoneCertificate, PreconditionError, TypeSpace, constant_array
 from icmech.nalloc import (AllocationInstance, AllocationMechanism,
                            add_disposal_agent, analyze_allocation, check_ic_n,
@@ -16,6 +18,7 @@ from icmech.profit import additivity_test
 from .conftest import two_option
 
 F = Fraction
+GOLDEN_INSTANCES = Path(__file__).resolve().parent / "golden" / "instances"
 
 
 def build(agents, types, marginals, values, disposal=False):
@@ -270,6 +273,24 @@ class TestOracleAgreement:
         res = analyze_allocation(inst)
         assert not res["exact_iff"]
         assert res["basis"] == "ic-constraints-lp"
+
+    @pytest.mark.parametrize("name", ["fx4-disposal", "alloc-biased-disposal"])
+    def test_analyze_builds_the_disposal_extension_once(self, name, monkeypatch):
+        # The construction (fx4-disposal) and the LP (biased) both run on
+        # the one extension analyze_allocation builds.
+        inst = load_allocation(str(GOLDEN_INSTANCES / f"{name}.json"))
+        calls = []
+
+        def counting(disp):
+            calls.append(disp)
+            return add_disposal_agent(disp)
+
+        monkeypatch.setattr(nalloc, "add_disposal_agent", counting)
+        monkeypatch.setattr(oracle, "add_disposal_agent", counting)
+        res = analyze_allocation(inst)
+        assert calls == [inst]
+        assert res["basis"] == ("ic-constraints-lp" if "biased" in name
+                                else "residual-construction")
 
 
 def _reshape_strings(arr):

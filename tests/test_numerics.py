@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icmech import numerics
-from icmech.numerics import (LinearProgram, frac, rank, solve_linear_system,
-                             solve_lp, span_coefficients)
+from icmech.numerics import (LinearProgram, basis_rows, frac, rank,
+                             solve_linear_system, solve_lp, span_coefficients)
 
 from . import reference
 from .reference import orthogonal_projection
@@ -431,16 +431,17 @@ class TestPhaseOneSetUp:
         assert verified >= 30
 
     def test_redundant_rows_do_not_reach_the_tableau(self, monkeypatch):
-        # 60 interim rows of rank 19 in the oracle LP leave 19 equality
-        # rows, and the bounds 0 <= x <= 1 add none.
-        from icmech.ic import ic_polytope
+        # The oracle LP's 20 rows from pi are independent, so the presolve
+        # keeps them all and they are the tableau's 20 rows; the bounds
+        # 0 <= x, c <= 1 add none.
+        from icmech.belief import type_basis, value_rows
         from icmech.oracle import generate, solve_principal
         inst = generate(1001, (6, 6), "conditionally-independent", k=2)
-        rows = ic_polytope(inst.dist)
+        rows = value_rows(inst.dist, (type_basis(inst.dist, 0),
+                                      type_basis(inst.dist, 1)))
         kept = [i for i, _, _ in numerics._reduce(
             [numerics._integer_row(row + [F(0)])[1] for row in rows])]
-        assert len(rows) == 60 and len(kept) == reference.rank(rows) == 19
-        assert reference.rank([rows[i] for i in kept]) == 19
+        assert len(rows) == len(kept) == reference.rank(rows) == 20
         sizes = []
         simplex = numerics._simplex
 
@@ -450,7 +451,7 @@ class TestPhaseOneSetUp:
 
         monkeypatch.setattr(numerics, "_simplex", recording_simplex)
         solve_principal(inst)
-        assert sizes == [19]
+        assert sizes == [20]
 
 
 RATIONALS = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3, 5, 6]))
@@ -484,6 +485,11 @@ class TestReductionMatchesGaussJordan:
     def test_rank_and_solution_equal_the_fraction_reference(self, system):
         a, b = system
         assert rank(a) == reference.rank(a)
+        # basis_rows keeps exactly the rows that raise the rank of those
+        # before them.
+        kept = basis_rows(a)
+        assert kept == [i for i in range(len(a))
+                        if reference.rank(a[:i + 1]) > reference.rank(a[:i])]
         assert solve_linear_system(a, b) == reference.solve_linear_system(a, b)
 
 
@@ -731,6 +737,27 @@ class TestChecksSurviveOptimize:
             "except RuntimeError as e:\n"
             "    print('debug' if __debug__ else 'optimized', e)\n")
         assert run_optimized(script) == ("optimized oracle check failed: "
+                                         "the LP optimum is IC\n")
+
+    def test_failed_ic_check_raises_at_full_rank_under_python_o(self):
+        # At full rank no LP runs, and the constant optimum is still only
+        # returned once check_ic confirms it.
+        script = (
+            "from icmech import oracle\n"
+            "from icmech.fixtures import fixture\n"
+            "good = oracle.check_ic\n"
+            "def bad(*args):\n"
+            "    report = good(*args)\n"
+            "    report.verdict = False\n"
+            "    return report\n"
+            "oracle.check_ic = bad\n"
+            "inst = fixture('fx2')\n"
+            "print(inst.dist.matrix_rank() == min(inst.space.shape))\n"
+            "try:\n"
+            "    oracle.solve_principal(inst)\n"
+            "except RuntimeError as e:\n"
+            "    print('debug' if __debug__ else 'optimized', e)\n")
+        assert run_optimized(script) == ("True\noptimized oracle check failed: "
                                          "the LP optimum is IC\n")
 
     def test_corrupted_construction_raises_under_python_o(self):

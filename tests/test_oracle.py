@@ -2,17 +2,36 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from icmech import oracle
 from icmech.core import PreconditionError
 from icmech.ic import check_ic
 from icmech.nalloc import check_ic_n
-from icmech.numerics import solve_lp
+from icmech.numerics import LinearProgram, solve_lp
 from icmech.oracle import (generate, random_transport_extreme,
                            sample_ic_combination, sample_ic_vertex,
                            solve_principal, solve_principal_alloc)
 from icmech.profit import support_is_acyclic
 
+from . import reference
+
 F = Fraction
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None)
+
+
+def reference_optimum(dist, objective):
+    """solve_lp over the reference IC rows and 0 <= x <= 1."""
+    rows = reference.ic_polytope(dist)
+    size = dist.space.n_profiles
+    return solve_lp(LinearProgram(objective=objective, a_eq=rows,
+                                  b_eq=[F(0)] * len(rows), lower=[F(0)] * size,
+                                  upper=[F(1)] * size))
+
+
+FULL_RANK = st.tuples(st.integers(0, 10**6), st.integers(1, 5), st.integers(1, 5))
 
 
 class TestSolvePrincipal:
@@ -48,14 +67,15 @@ class TestSolvePrincipal:
             assert check_ic_n(res.mechanism, inst).verdict
 
     @pytest.mark.parametrize("shape, kind, k, pivots", [
-        ((6, 6), "conditionally-independent", 2, 54),
-        ((5, 5), "full-rank", None, 24),
+        ((6, 6), "conditionally-independent", 2, 56),
+        ((5, 5), "full-rank", None, None),
         ((3, 3, 3), "unbiased-n-alloc", None, 34),
     ])
     def test_pivot_counts(self, monkeypatch, shape, kind, k, pivots):
         # The pricing rule is deterministic, so the pivot count is a
         # function of the LP, and an engine change that adds pivots fails
-        # here.
+        # here.  At full rank only the constants are IC and no LP runs
+        # (pivots None).
         solutions = []
 
         def recording_solve_lp(lp):
@@ -66,7 +86,30 @@ class TestSolvePrincipal:
         inst = generate(1001, shape, kind, k=k)
         solve = solve_principal_alloc if len(shape) == 3 else solve_principal
         solve(inst)
-        assert [s.pivots for s in solutions] == [pivots]
+        assert [s.pivots for s in solutions] == ([] if pivots is None else [pivots])
+
+
+class TestFullRankShortcut:
+    @PROPERTY
+    @given(FULL_RANK, st.booleans())
+    def test_principal_equals_the_reference_lp(self, draw, zero_mean):
+        # zero_mean makes the objective sum to 0: a tie the LP settles at 0.
+        seed, m, n = draw
+        inst = generate(seed, (m, n), "full-rank", zero_mean=zero_mean)
+        sol = reference_optimum(inst.dist, list((inst.v * inst.dist.p).reshape(-1)))
+        res = solve_principal(inst)
+        assert res.value == sol.value
+        assert list(res.mechanism.x.reshape(-1)) == sol.x
+
+    @PROPERTY
+    @given(FULL_RANK, st.integers(0, 10**6))
+    def test_vertex_equals_the_reference_lp(self, draw, rng_seed):
+        seed, m, n = draw
+        dist = generate(seed, (m, n), "full-rank").dist
+        rng = random.Random(rng_seed)
+        objective = [oracle._value(rng) for _ in range(m * n)]
+        x = sample_ic_vertex(dist, random.Random(rng_seed))
+        assert list(x.x.reshape(-1)) == reference_optimum(dist, objective).x
 
 
 class TestGenerate:
