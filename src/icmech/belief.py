@@ -6,17 +6,20 @@ where the agent's own report is fixed: ``interim`` multiplies the belief
 table (``beliefs``) with the mechanism's own-type slices.  ``lift``
 places a belief on such a slice as a flat row, for any number of agents,
 and every row family is built from it: the IC rows "interim expectation
-equals ex-ante value" (``ic_rows``), the marginal rows of the transport
-and assignment LPs (``marginal_rows``) and the correlation-orthogonality
-rows of the transport criterion (``update_rows``).  ``distinct_nonzero``
-is the order-preserving dedupe the row builders apply.
+equals ex-ante value" (``ic_rows``) and the marginal rows of the
+assignment LP (``marginal_rows``).  ``distinct_nonzero`` is the
+order-preserving dedupe the row builders apply.
 
-For two agents the IC rows can also be read off pi itself, with the
-common interim value c as one more unknown: ``value_rows`` keeps one
+For two agents the rows can also be read off pi itself, keeping one
 agent's rows only for the types in an echelon basis of pi's rows
 (``type_basis``) and the other's only for the types in a basis of its
 columns, so the rows are independent and there are
-rank(pi) * (m + n) - rank(pi)^2 of them.
+rank(pi) * (m + n) - rank(pi)^2 of them.  ``value_rows`` are the IC rows,
+with the common interim value c as one more unknown.  ``transport_rows``
+are the rows of the transport criterion: with q's marginals fixed, q is
+correlation-orthogonal to pi iff every belief update ``updates`` has zero
+mean on every own-type slice of q, which pi's basis types say in fewer
+rows, the marginals included.
 
 For two agents the same structure gives the additivity subspace
 U = col(pi) (x) R^n + R^m (x) row(pi), whose orthogonal complement is
@@ -123,6 +126,39 @@ def value_rows(dist: JointDist, bases: tuple[list[int], list[int]]
     return rows
 
 
+def transport_rows(dist: JointDist, bases: tuple[list[int], list[int]]
+                   ) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Independent rows, with their right-hand sides, cutting out the q of
+    the transport criterion: pi's marginals, and zero mean of every belief
+    update (``updates``) on every own-type slice.  With
+    rho = pi / (pi_L (x) pi_R) and ``bases`` (A, T) from ``type_basis``:
+    agent L's sum_s rho(a, s) q(t, s) = pi_L(t) for a in A and every t,
+    then agent R's sum_t rho(t, b) q(t, s) = pi_R(s) for b in T and every
+    s outside S, the first r columns from the last with pi[A, S]
+    nonsingular.  At rank 1, rho = 1 and these are the marginal rows
+    without R's last.
+
+    Other types' rows combine from the basis types', and L's rows summed
+    over all types with weights pi_L give the marginal rows.  R's rows for
+    s in S follow from the rest: sum_t rho(t, b) L_a(t) =
+    sum_s rho(a, s) R_b(s) for a in A and b in T, with L_a and R_b the
+    left-hand sides, and pi[A, S] is nonsingular."""
+    shape = dist.space.shape
+    rho = dist.p / np.multiply.outer(*dist.marginals())
+    last = shape[1] - 1
+    skip = {last - s for s in basis_rows(list(dist.p[bases[0], ::-1].T))}
+    rows, rhs = [], []
+    for i, basis in enumerate(bases):
+        lines = np.moveaxis(rho, i, 0)
+        marg = dist.marginal(i)
+        for a in basis:
+            for t in range(shape[i]):
+                if i == 0 or t not in skip:
+                    rows.append(lift(shape, i, t, lines[a]))
+                    rhs.append(marg[t])
+    return rows, rhs
+
+
 def marginal_rows(shape: tuple[int, ...]) -> list[list[Fraction]]:
     """Row (i, t), agent outer: the indicator of the profiles where agent i
     has type t, so that its product with a flat q is q's marginal mass there."""
@@ -138,15 +174,6 @@ def updates(dist: JointDist, i: int) -> list[list[Fraction]]:
     held = beliefs(dist, 1 - i)
     return [[belief[t] - prior[t] for belief in held]
             for t in range(len(prior))]
-
-
-def update_rows(dist: JointDist, i: int):
-    """Yield each update of ``updates(dist, i)`` placed on every own-type
-    slice of agent i, update outer."""
-    shape = dist.space.shape
-    for update in updates(dist, i):
-        for t in range(shape[i]):
-            yield lift(shape, i, t, update)
 
 
 def distinct_nonzero(rows: Iterable[list]) -> list[list]:

@@ -13,7 +13,10 @@ Four complementary tools for the two-option problem:
   principal is ex-ante indifferent; otherwise it defers to the direct LP).
 * ``transport_criterion`` reformulates existence as a constrained optimal
   transport problem over distributions with the instance's marginals,
-  orthogonal to the instance's correlation structure.
+  orthogonal to the instance's correlation structure.  Its rows are read
+  off pi (``belief.transport_rows``), independent, r(m + n) - r^2 of them
+  for r = rank(pi); at full rank they leave the one point pi_L (x) pi_R
+  and no LP runs.
 * ``decompose`` writes any IC mechanism under independence as a nonnegative
   combination of transportation-polytope extreme points, and
   ``match_your_opponent`` specializes that picture to square instances.
@@ -28,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .belief import (distinct_nonzero, dot, kronecker_residual, marginal_rows,
-                     update_rows)
+                     transport_rows, type_basis, updates)
 from .core import (Instance, JointDist, Mechanism, NoneCertificate,
                    PreconditionError, arrays_equal, constant_array,
                    expectation, product_dist, two_agent)
@@ -179,39 +182,40 @@ class TransportResult:
         return self.value > 0
 
 
-def orthogonality_rows(pi: JointDist) -> list[list[Fraction]]:
-    """Equality rows sum_other (pi(t|other) - pi_i(t)) * q(t', other) = 0
-    over flattened q, for all agents and type pairs (t, t').
-
-    Zero and duplicate rows are dropped (independent pi yields none)."""
-    two_agent(pi.space)
-    return distinct_nonzero(row for i in range(2) for row in update_rows(pi, i))
-
-
 def transport_criterion(instance: Instance) -> TransportResult:
-    """Existence of a profitable mechanism as an optimal transport value."""
+    """Existence of a profitable mechanism as an optimal transport value.
+
+    The LP runs over ``belief.transport_rows``; at full rank,
+    r = min(m, n), those rows leave the one point pi_L (x) pi_R and no LP
+    runs.  ``orthogonality_rows`` counts each distinct nonzero belief
+    update lifted on each own-type slice of its agent: lifts on different
+    slices are disjoint, and a nonzero update, of mean 0 under the other
+    agent's marginal, has two nonzeros at least, so no lift of one agent's
+    is the other's."""
     two_agent(instance.space)
     dist = instance.dist
-    m, n = instance.space.shape
+    shape = instance.space.shape
     ml, mr = dist.marginals()
-    indep = dist.is_independent()
     v_hat = instance.v * dist.p / np.multiply.outer(ml, mr)
+    ortho = sum(k * len(distinct_nonzero(updates(dist, i)))
+                for i, k in enumerate(shape))
 
-    objective = [v_hat[i, j] for i in range(m) for j in range(n)]
-    a_eq = marginal_rows(instance.space.shape)
-    b_eq = list(ml) + list(mr)
-    ortho = [] if indep else orthogonality_rows(dist)
-    a_eq.extend(ortho)
-    b_eq.extend([ZERO] * len(ortho))
-
-    sol = solve_lp(LinearProgram(objective=objective, a_eq=a_eq, b_eq=b_eq))
-    # The independent coupling is always feasible, and solve_lp has checked
-    # the marginal and orthogonality rows exactly.
-    require(sol.status == "optimal", "profit", "the transport LP has an optimum")
-    optimizer = JointDist(instance.space,
-                          np.array(sol.x, dtype=object).reshape(m, n))
-    return TransportResult(value=sol.value, optimizer=optimizer, v_hat=v_hat,
-                           orthogonality_rows=len(ortho), independent=indep)
+    row_basis = type_basis(dist, 0)
+    if len(row_basis) == min(shape):
+        q = np.multiply.outer(ml, mr)
+        value = expectation(dist, instance.v)  # sum v_hat * q = E_pi[v]
+    else:
+        rows, rhs = transport_rows(dist, (row_basis, type_basis(dist, 1)))
+        sol = solve_lp(LinearProgram(objective=list(v_hat.reshape(-1)),
+                                     a_eq=rows, b_eq=rhs))
+        # The independent coupling is always feasible, and solve_lp has
+        # checked the rows exactly.
+        require(sol.status == "optimal", "profit", "the transport LP has an optimum")
+        q = np.array(sol.x, dtype=object).reshape(shape)
+        value = sol.value
+    return TransportResult(value=value, optimizer=JointDist(instance.space, q),
+                           v_hat=v_hat, orthogonality_rows=ortho,
+                           independent=dist.is_independent())
 
 
 def orthogonal(pi: JointDist, pi_tilde: JointDist) -> bool:
@@ -219,8 +223,9 @@ def orthogonal(pi: JointDist, pi_tilde: JointDist) -> bool:
 
     Cov(pi(t | other), pi_tilde(t' | other)), taken over the other agent's
     type, is sum_other (pi(t | other) - pi_i(t)) * pi_tilde(t', other) when
-    the marginals agree: a row of ``orthogonality_rows(pi)`` applied to
-    pi_tilde.  Orthogonal iff every such row vanishes on pi_tilde.
+    the marginals agree: a belief update of pi applied to pi_tilde's slice
+    t'.  With the marginals equal, every such sum vanishes iff pi_tilde
+    meets every row of ``belief.transport_rows(pi)``.
     """
     two_agent(pi.space)
     if pi.space != pi_tilde.space:
@@ -228,8 +233,9 @@ def orthogonal(pi: JointDist, pi_tilde: JointDist) -> bool:
     if not all(arrays_equal(pi.marginal(i), pi_tilde.marginal(i))
                for i in range(2)):
         raise PreconditionError("orthogonality requires equal marginals")
+    rows, rhs = transport_rows(pi, (type_basis(pi, 0), type_basis(pi, 1)))
     flat = list(pi_tilde.p.reshape(-1))
-    return not any(dot(row, flat) for row in orthogonality_rows(pi))
+    return all(dot(row, flat) == b for row, b in zip(rows, rhs))
 
 
 # ---------------------------------------------------------------------------

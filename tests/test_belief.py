@@ -16,7 +16,7 @@ from icmech.nalloc import (DISPOSAL_AGENT, AllocationInstance,
                            add_disposal_agent, difference_additive)
 from icmech.numerics import span_coefficients
 from icmech.oracle import generate
-from icmech.profit import _extract_cycle, _pruned_support, orthogonality_rows
+from icmech.profit import _extract_cycle, _pruned_support, transport_criterion
 
 from . import reference
 from .conftest import two_option
@@ -150,7 +150,9 @@ DIAGONAL = two_option(TypeSpace(("l", "r"), ((0, 1, 2), (0, 1, 2))),
 @example(DIAGONAL)
 def test_ic_and_orthogonality_rows_equal_loop_builders(inst):
     assert ic_polytope(inst.dist) == reference.ic_polytope(inst.dist)
-    assert orthogonality_rows(inst.dist) == reference.orthogonality_rows(inst.dist)
+    # The transport criterion counts the update rows without building them.
+    assert transport_criterion(inst).orthogonality_rows == \
+        len(reference.orthogonality_rows(inst.dist))
 
 
 @st.composite
@@ -185,6 +187,34 @@ def test_value_rows_are_independent_and_cut_out_the_ic_set(dist):
     ic = [row + [Fraction(0)] for row in reference.ic_polytope(dist)]
     ic.append(list(dist.p.reshape(-1)) + [Fraction(-1)])
     assert reference.rank(ic) == len(rows) == reference.rank(rows + ic)
+
+
+@PROPERTY
+@given(st.one_of(two_agent_instances().map(lambda inst: inst.dist),
+                 sparse_dists()))
+@example(SHARED_BELIEF.dist)
+@example(DIAGONAL.dist)
+def test_transport_rows_are_independent_and_cut_out_the_transport_set(dist):
+    m, n = dist.space.shape
+    r = reference.rank(dist.p.tolist())
+    rows, rhs = belief.transport_rows(
+        dist, (belief.type_basis(dist, 0), belief.type_basis(dist, 1)))
+    assert reference.rank(rows) == len(rows) == len(rhs) == r * (m + n) - r * r
+    # With their right-hand sides they span the same rows as the marginal
+    # rows and the reference update rows, so both cut out the same q; the
+    # independent coupling lies in it.
+    ml, mr = dist.marginals()
+    ortho = reference.orthogonality_rows(dist)
+    ref = [row + [rhs_] for row, rhs_ in
+           zip(belief.marginal_rows((m, n)) + ortho,
+               list(ml) + list(mr) + [Fraction(0)] * len(ortho))]
+    new = [row + [rhs_] for row, rhs_ in zip(rows, rhs)]
+    assert reference.rank(ref) == len(rows) == reference.rank(new + ref)
+    coupling = list(np.multiply.outer(ml, mr).reshape(-1))
+    assert all(belief.dot(row, coupling) == b for row, b in zip(rows, rhs))
+    if r == 1:
+        assert (rows, rhs) == (belief.marginal_rows((m, n))[:-1],
+                               list(ml) + list(mr)[:-1])
 
 
 @PROPERTY

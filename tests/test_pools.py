@@ -31,8 +31,8 @@ from . import reference
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # (solve_lp calls, pivots, flips) over one pass of each pool.
-LP_WORK = {"lp-sweep.1": (29, 748, 3), "projection-sweep.1": (0, 0, 0),
-           "small-queries.1": (56, 526, 7)}
+LP_WORK = {"lp-sweep.1": (21, 540, 3), "projection-sweep.1": (0, 0, 0),
+           "small-queries.1": (48, 459, 7)}
 
 
 def load_checker_class():

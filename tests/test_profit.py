@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icmech import (Mechanism, NoneCertificate, PreconditionError,
                     constant_mechanism, expectation)
-from icmech.core import Instance, TypeSpace, constant_array, normalize
+from icmech.belief import marginal_rows
+from icmech.core import Instance, JointDist, TypeSpace, constant_array, normalize
 from icmech.ic import check_ic
-from icmech.numerics import LinearProgram
+from icmech.numerics import LinearProgram, rank, solve_lp
 from icmech.oracle import (generate, sample_ic_combination, sample_ic_vertex,
                            solve_principal)
 from icmech.profit import (ConstructionResult, _best_matching_lp,
@@ -20,6 +23,21 @@ from . import reference
 from .conftest import two_option
 
 F = Fraction
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None)
+KINDS = ("independent", "correlated", "full-rank", "conditionally-independent")
+
+
+def reference_transport(inst):
+    """solve_lp over the marginal rows and the reference update rows."""
+    m, n = inst.space.shape
+    ml, mr = inst.dist.marginals()
+    v_hat = inst.v * inst.dist.p / np.multiply.outer(ml, mr)
+    ortho = reference.orthogonality_rows(inst.dist)
+    return solve_lp(LinearProgram(
+        objective=list(v_hat.reshape(-1)),
+        a_eq=marginal_rows((m, n)) + ortho,
+        b_eq=list(ml) + list(mr) + [F(0)] * len(ortho)))
 
 
 class TestAdditivity:
@@ -111,9 +129,8 @@ class TestTransport:
                 row[i * n + j] = F(1)
             a_eq.append(row)
             b_eq.append(mr[j])
-        from icmech.profit import orthogonality_rows
         if not inst.dist.is_independent():
-            extra = orthogonality_rows(inst.dist)
+            extra = reference.orthogonality_rows(inst.dist)
             a_eq.extend(extra)
             b_eq.extend([F(0)] * len(extra))
         lp = LinearProgram(objective=obj, a_eq=a_eq, b_eq=b_eq,
@@ -147,6 +164,45 @@ class TestTransport:
             inst = generate(seed, (2, 2), kind)
             assert transport_criterion(inst).value == self.brute_force_value(inst)
 
+    @PROPERTY
+    @given(st.integers(0, 10**6), st.integers(1, 5), st.integers(1, 5),
+           st.booleans())
+    def test_full_rank_equals_the_reference_lp(self, seed, m, n, zero_mean):
+        # At full rank q = pi_L (x) pi_R is the only feasible point, and
+        # no LP runs.
+        inst = generate(seed, (m, n), "full-rank", zero_mean=zero_mean)
+        sol = reference_transport(inst)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("icmech.profit.solve_lp", None)
+            res = transport_criterion(inst)
+        assert res.value == sol.value
+        assert list(res.optimizer.p.reshape(-1)) == sol.x
+
+    @PROPERTY
+    @given(st.integers(0, 10**6), st.integers(1, 5), st.integers(1, 5),
+           st.sampled_from(KINDS), st.integers(1, 3))
+    def test_value_equals_the_reference_lp(self, seed, m, n, kind, k):
+        inst = generate(seed, (m, n), kind, k=k)
+        assert transport_criterion(inst).value == reference_transport(inst).value
+
+    @pytest.mark.parametrize("shape, kind, k, rows", [
+        ((6, 6), "conditionally-independent", 2, 20),
+        ((4, 6), "independent", None, 9),
+    ])
+    def test_lp_rows(self, monkeypatch, shape, kind, k, rows):
+        # Below full rank solve_lp gets r(m + n) - r^2 rows, all of them
+        # independent, so its presolve keeps them all.
+        lps = []
+
+        def recording_solve_lp(lp):
+            lps.append(lp)
+            return solve_lp(lp)
+
+        monkeypatch.setattr("icmech.profit.solve_lp", recording_solve_lp)
+        transport_criterion(generate(1001, shape, kind, k=k))
+        assert [len(lp.a_eq) for lp in lps] == [rows]
+        assert rank(lps[0].a_eq) == rows
+
 
 class TestOrthogonal:
     def test_independent_always_orthogonal(self, inst_fx1, inst_fx2):
@@ -169,6 +225,23 @@ class TestOrthogonal:
         cond = reference.conditional(dist, 1)
         cov = sum((cond[s, 1] - marg[0][1]) ** 2 * marg[1][s] for s in range(2))
         assert cov == 4 * F(1, 8) ** 2
+
+    @PROPERTY
+    @given(st.integers(0, 10**6), st.integers(1, 5), st.integers(1, 5),
+           st.sampled_from(KINDS), st.integers(1, 3))
+    def test_verdict_equals_the_reference_rows(self, seed, m, n, kind, k):
+        # pi itself, the transport optimizer (orthogonal by construction)
+        # and their average all have pi's marginals.
+        inst = generate(seed, (m, n), kind, k=k)
+        pi = inst.dist
+        q = transport_criterion(inst).optimizer
+        rows = reference.orthogonality_rows(pi)
+        for p in (pi.p, q.p, (pi.p + q.p) / 2):
+            flat = list(p.reshape(-1))
+            expected = not any(sum(c * x for c, x in zip(row, flat))
+                               for row in rows)
+            assert orthogonal(pi, JointDist(pi.space, p)) == expected
+        assert orthogonal(pi, q)
 
     def test_marginal_mismatch_rejected(self, inst_fx1):
         other = two_option(inst_fx1.space,
