@@ -9,7 +9,7 @@ same machinery with a dummy agent who "receives" the withheld good.
 import numpy as np
 
 from icmech import (construct_profitable_n, difference_additive,
-                    solve_principal_alloc, with_disposal)
+                    solve_principal_alloc)
 from icmech.fixtures import fixture
 from icmech.nalloc import AllocationInstance
 
@@ -34,7 +34,7 @@ print("\ndirect LP optimum over all IC mechanisms:", lp.value,
 
 disp = AllocationInstance(inst.space, inst.marginals, inst.values,
                           disposal=True, name="fx4-disposal")
-res = with_disposal(disp)
+res = construct_profitable_n(disp)
 print("\nwith free disposal: profitable:", res.profitable,
       "- witnessing agent whose value depends on others:", res.witness)
 burn = res.mechanism.x[-1]

@@ -16,7 +16,7 @@ from .ic import (ICReport, SpanningVerdict, check_ic, classify_extremes,
                  ic_polytope, spans)
 from .nalloc import (AllocationInstance, AllocationMechanism,
                      analyze_allocation, check_ic_n, construct_profitable_n,
-                     difference_additive, load_allocation, with_disposal)
+                     difference_additive, load_allocation)
 from .numerics import (LinearProgram, LPSolution, rank, solve_linear_system,
                        solve_lp)
 from .oracle import generate, solve_principal, solve_principal_alloc
@@ -35,7 +35,7 @@ __all__ = [
     "ic_polytope", "spans",
     "AllocationInstance", "AllocationMechanism", "analyze_allocation",
     "check_ic_n", "construct_profitable_n", "difference_additive",
-    "load_allocation", "with_disposal",
+    "load_allocation",
     "LinearProgram", "LPSolution", "rank",
     "solve_linear_system", "solve_lp",
     "generate", "solve_principal", "solve_principal_alloc",

@@ -22,7 +22,7 @@ from . import fixtures
 from .core import (Instance, Mechanism, NoneCertificate, PreconditionError,
                    SchemaError, TypeSpace, check_profile_count, dumps_canonical,
                    instance_to_dict, load_instance, load_json_dict,
-                   load_mechanism, to_nested_strings)
+                   load_mechanism, load_mechanism_json, to_nested_strings)
 from .game import maximin, obedience_check
 from .ic import check_ic, classify_extremes, spans
 from .nalloc import (allocation_to_dict, analyze_allocation, check_ic_n,
@@ -156,9 +156,7 @@ def cmd_maximin(args) -> dict:
         space = inst.space
         mech = load_mechanism(args.mechanism, space)
     else:
-        data = load_json_dict(args.mechanism)
-        if "x" not in data and isinstance(data.get("mechanism"), dict):
-            data = data["mechanism"]
+        data = load_mechanism_json(args.mechanism)
         arr = data.get("x")
         if not isinstance(arr, list) or not all(isinstance(row, list) for row in arr):
             raise SchemaError("maximin needs a two-option mechanism array")

@@ -306,7 +306,7 @@ def _parse_labels(raw) -> tuple:
         raise SchemaError(f"type labels must be given as a list, got {raw!r}")
     labels = []
     for v in raw:
-        if isinstance(v, (int, str)):
+        if isinstance(v, (int, str)) and not isinstance(v, bool):
             labels.append(v)
         else:
             raise SchemaError(f"type labels must be ints or strings, got {v!r}")
@@ -323,8 +323,8 @@ _INT_LIMIT = 10 ** MAX_DIGITS
 # array is built: every array, row family and LP grows with it.
 MAX_PROFILES = 4096
 # Bounds the number of agents, one array axis each: NumPy's ``dot`` on
-# object arrays takes at most 32 axes, and ``nalloc.with_disposal`` adds a
-# dummy agent.
+# object arrays takes at most 32 axes, and the free-disposal reduction
+# (``AllocationInstance.no_disposal``) adds a dummy agent.
 MAX_AGENTS = 31
 
 
@@ -355,6 +355,9 @@ def _parse_rational_nested(node, shape, where: str):
             raise SchemaError(
                 f"{where}: floats are not exact; write rationals as strings "
                 "like \"1/4\" or \"0.25\"")
+        if isinstance(node, bool):
+            raise SchemaError(f"{where}: booleans are not numbers; write "
+                              "rationals as strings like \"1/4\"")
         if isinstance(node, (int, str)) and _too_large(node):
             raise SchemaError(f"{where}: a number has more than {MAX_DIGITS} "
                               f"digits or an exponent beyond {MAX_DIGITS}")
@@ -433,14 +436,21 @@ def load_instance(source, *, drop_zero_types: bool = False) -> Instance:
     return Instance(space, dist, normalize(vL, vR, dist), name=name, seed=seed)
 
 
+def load_mechanism_json(source) -> dict:
+    """The JSON object of a mechanism ({"x": ...}): the loaded object
+    itself, or the one a report embeds under "mechanism"."""
+    data = load_json_dict(source)
+    if "x" not in data and isinstance(data.get("mechanism"), dict):
+        return data["mechanism"]
+    return data
+
+
 def load_mechanism(source, space: TypeSpace) -> Mechanism:
     """Parse a mechanism ({"x": nested array}) for a given type space.
 
     Also accepts a report dict that embeds the mechanism under "mechanism".
     """
-    data = load_json_dict(source)
-    if "x" not in data and isinstance(data.get("mechanism"), dict):
-        data = data["mechanism"]
+    data = load_mechanism_json(source)
     if "x" not in data:
         raise SchemaError("mechanism requires 'x'")
     node = data["x"]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -23,8 +24,8 @@ from .belief import difference_residual, slice_sums
 from .core import (JointDist, NoneCertificate, PreconditionError, SchemaError,
                    TypeSpace, array_sum, axis_marginals, constant_array,
                    dumps_canonical, expectation, load_json_dict,
-                   parse_rational_array, parse_type_space, product_dist,
-                   to_nested_strings, without_zero_types)
+                   load_mechanism_json, parse_rational_array, parse_type_space,
+                   product_dist, to_nested_strings, without_zero_types)
 from .ic import ICReport, Violation
 from .numerics import require
 
@@ -42,7 +43,9 @@ class AllocationInstance:
     i, indexed by full type profile.  ``dist`` is the product of the
     per-agent marginals (independence is part of the model here), and
     ``expected_values[i]`` the expectation of ``values[i]`` under it; both
-    are computed once, on construction.
+    are computed once, on construction.  ``no_disposal`` is the instance
+    every analysis runs on: free disposal reduces to full allocation with
+    a dummy agent.
     """
 
     space: TypeSpace
@@ -70,9 +73,6 @@ class AllocationInstance:
     def n(self) -> int:
         return self.space.n_agents
 
-    def expected_value(self, i: int) -> Fraction:
-        return self.expected_values[i]
-
     @property
     def vbar(self) -> Fraction:
         return max(self.expected_values)
@@ -81,6 +81,12 @@ class AllocationInstance:
     def unbiased(self) -> bool:
         evs = self.expected_values
         return all(e == evs[0] for e in evs)
+
+    @cached_property
+    def no_disposal(self) -> AllocationInstance:
+        """The instance itself, or under disposal its dummy-agent
+        extension, built on first use and kept."""
+        return add_disposal_agent(self) if self.disposal else self
 
 
 class AllocationMechanism:
@@ -106,7 +112,6 @@ class AllocationMechanism:
                               "exactly 1 at every profile")
         self.space = space
         self.x = parts
-        self.disposal = disposal
 
 
 def check_ic_n(x: AllocationMechanism, inst: AllocationInstance) -> ICReport:
@@ -218,28 +223,33 @@ class NAllocReport:
 
 
 def construct_profitable_n(inst: AllocationInstance):
-    """Profitable mechanism for an unbiased no-disposal instance, or a
-    certificate that none exists.
+    """Profitable mechanism for an unbiased instance, or a certificate that
+    none exists.
 
-    Raises PreconditionError for disposal instances (use ``with_disposal``)
-    and for biased principals, whose case the iff does not cover: decide
+    Runs on ``inst.no_disposal``, so under free disposal the mechanism is
+    on the dummy-agent extension: profitable iff some agent's value
+    depends on the other agents' types, and ``witness`` names the first
+    such agent.  Raises PreconditionError for biased principals (under
+    disposal, vbar = 0 as well), whose case the iff does not cover: decide
     those with the direct LP instead (``analyze_allocation`` does).
     """
-    if inst.disposal:
-        raise PreconditionError("instance allows disposal; use with_disposal")
-    rep = difference_additive(inst)
+    base = inst.no_disposal
+    rep = difference_additive(base)
+    witnesses = non_constant_witnesses(inst) if inst.disposal else []
+    require(not inst.disposal or rep.holds == (not witnesses), "allocation",
+            "the split exists iff no agent's value moves with others' types")
     if rep.holds:
         return NoneCertificate(
             reason="value differences split into per-type terms, so every IC "
                    "mechanism earns exactly what some constant allocation earns",
             method="difference-additive",
-            details={"u": rep.u, "vbar": inst.vbar})
-    if not inst.unbiased:
+            details={"u": rep.u, "vbar": base.vbar})
+    if not base.unbiased:
         raise PreconditionError(
             "construction requires an unbiased principal (equal expected "
             "values across agents); this instance is biased, so decide via "
             "the direct LP over the IC constraints")
-    n = inst.n
+    n = base.n
     eps = rep.residual
     flat = list(eps.reshape(-1))
     emin = min(flat)
@@ -253,22 +263,25 @@ def construct_profitable_n(inst: AllocationInstance):
     alpha = ONE / cap
     parts = list(z * alpha)
     parts.append(ONE - sum(parts))
-    mech = AllocationMechanism(inst.space, parts, disposal=False)
-    icr = check_ic_n(mech, inst)
+    mech = AllocationMechanism(base.space, parts, disposal=False)
+    icr = check_ic_n(mech, base)
     require(icr.verdict, "allocation", "the constructed mechanism is IC")
-    for i, agent in enumerate(inst.space.agents):
+    for i, agent in enumerate(base.space.agents):
         expected = -alpha * emin if i < n - 1 else 1 + (n - 1) * alpha * emin
-        for label in inst.space.types[i]:
+        for label in base.space.types[i]:
             require(icr.interim[(agent, label)] == expected, "allocation",
                     "interim win probabilities equal their closed form")
-    payoff = _direct_payoff(inst, mech)
-    claimed = alpha * sum(v * v for v in flat) + inst.vbar
+    payoff = _direct_payoff(base, mech)
+    claimed = alpha * sum(v * v for v in flat) + base.vbar
     require(payoff == claimed, "allocation", "payoff = alpha * |eps|^2 + vbar")
-    require(payoff > inst.vbar, "allocation",
+    require(payoff > base.vbar, "allocation",
             "the constructed mechanism beats vbar")
-    return NAllocReport(vbar=inst.vbar, profitable=True, payoff=payoff,
+    # Under disposal all expected values are 0 here, so beating the dummy
+    # agent is the same as beating max(0, vbar).
+    return NAllocReport(vbar=base.vbar, profitable=True, payoff=payoff,
                         mechanism=mech, alpha=alpha, residual=eps,
-                        ic_report=icr)
+                        ic_report=icr,
+                        witness=witnesses[0] if witnesses else None)
 
 
 def _direct_payoff(inst: AllocationInstance, mech: AllocationMechanism) -> Fraction:
@@ -313,35 +326,6 @@ def non_constant_witnesses(inst: AllocationInstance) -> list[str]:
                 inst.values[i], i, 0).reshape(inst.space.shape[i], -1))]
 
 
-def with_disposal(inst: AllocationInstance):
-    """Profitability analysis under free disposal.
-
-    Runs the no-disposal pipeline on the dummy-agent extension; profitable
-    iff some agent's value depends on the other agents' types (exact iff
-    when the principal is unbiased with vbar = 0; otherwise only the
-    necessity direction applies and construction is refused).
-    """
-    if not inst.disposal:
-        raise PreconditionError("instance does not allow disposal")
-    return _with_disposal(inst, add_disposal_agent(inst))
-
-
-def _with_disposal(inst: AllocationInstance, augmented: AllocationInstance):
-    """``with_disposal`` on ``inst`` with its dummy-agent extension
-    ``augmented`` already built."""
-    witnesses = non_constant_witnesses(inst)
-    result = construct_profitable_n(augmented)
-    require(isinstance(result, NoneCertificate) == (not witnesses),
-            "allocation",
-            "the split exists iff no agent's value moves with others' types")
-    if isinstance(result, NoneCertificate):
-        return result
-    # In the construction regime all expected values are 0, so beating the
-    # dummy agent is the same as beating max(0, vbar).
-    result.witness = witnesses[0]
-    return result
-
-
 def analyze_allocation(inst: AllocationInstance) -> dict:
     """The ``alloc-n`` report, keys in print order: the verdict, its rule as
     ``basis`` and any mechanism found, on ``inst``'s own agents.
@@ -351,15 +335,13 @@ def analyze_allocation(inst: AllocationInstance) -> dict:
     is violated the verdict comes from the direct LP over the IC
     constraints, labelled as outside the iff's regime.
     """
-    from .oracle import _solve_principal_alloc  # deferred: oracle imports this module
+    from .oracle import solve_principal_alloc  # deferred: oracle imports this module
 
-    # The dummy-agent extension is built once, here, for every branch.
-    base = add_disposal_agent(inst) if inst.disposal else inst
+    base = inst.no_disposal
     # The construction runs the difference-additivity projection itself and
     # certifies exactly when the split holds; elsewhere it runs here, once.
     if base.unbiased:
-        report = (_with_disposal(inst, base) if inst.disposal
-                  else construct_profitable_n(base))
+        report = construct_profitable_n(inst)
         if not isinstance(report, NoneCertificate):
             out = {"profitable": True, "vbar": inst.vbar, "exact_iff": True,
                    "basis": report.method, "payoff": report.payoff,
@@ -372,7 +354,7 @@ def analyze_allocation(inst: AllocationInstance) -> dict:
         return {"profitable": False, "vbar": inst.vbar, "exact_iff": True,
                 "basis": "difference-additive",
                 "certificate": "no IC mechanism beats a constant allocation"}
-    lp = _solve_principal_alloc(inst, base)
+    lp = solve_principal_alloc(inst)
     return {"profitable": lp.profitable, "vbar": inst.vbar, "exact_iff": False,
             "basis": "ic-constraints-lp", "payoff": lp.value,
             "note": "biased principal with the splitting condition violated: "
@@ -431,9 +413,7 @@ def load_allocation(source, *, drop_zero_types: bool = False) -> AllocationInsta
 
 def load_allocation_mechanism(source, inst: AllocationInstance) -> AllocationMechanism:
     """Parse {"x": {agent: tensor}} against an instance."""
-    data = load_json_dict(source)
-    if "x" not in data and isinstance(data.get("mechanism"), dict):
-        data = data["mechanism"]
+    data = load_mechanism_json(source)
     if "x" not in data or not isinstance(data["x"], dict):
         raise SchemaError("allocation mechanism requires 'x': {agent: tensor}")
     missing = [a for a in inst.space.agents if a not in data["x"]]

@@ -15,8 +15,7 @@ more unknown.  Any other number of agents (three or more, counting the
 disposal extension's dummy agent) uses the dense interim rows of
 ``ic.ic_polytope``.  The module also generates deterministic random
 instances of several structured kinds for property sweeps, and samples IC
-mechanisms either as LP vertices or as nonnegative combinations of
-transportation-polytope extreme points.
+mechanisms as LP vertices.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ from .core import (Instance, JointDist, Mechanism, PreconditionError,
                    product_dist)
 from .belief import type_basis, value_rows
 from .ic import check_ic, ic_polytope
-from .nalloc import (AllocationInstance, AllocationMechanism, add_disposal_agent,
-                     check_ic_n, drop_disposal_agent)
+from .nalloc import (AllocationInstance, AllocationMechanism, check_ic_n,
+                     drop_disposal_agent)
 from .numerics import LinearProgram, rank, require, solve_lp
 
 ZERO = Fraction(0)
@@ -112,35 +111,27 @@ def _ic_optimum(dist: JointDist, objective: list) -> tuple[Fraction, list]:
 def solve_principal_alloc(inst: AllocationInstance) -> PrincipalSolution:
     """Allocation principal's problem via the interim-equality LP.
 
-    Disposal is handled by the dummy-agent extension, so one formulation
-    covers both feasibility regimes.  Profitable iff the optimum exceeds
-    the best constant allocation (vbar, or max(0, vbar) with disposal).
+    Disposal is handled by the dummy-agent extension ``inst.no_disposal``,
+    so one formulation covers both feasibility regimes.  Profitable iff the
+    optimum exceeds the best constant allocation (vbar, or max(0, vbar)
+    with disposal).
     """
-    return _solve_principal_alloc(
-        inst, add_disposal_agent(inst) if inst.disposal else inst)
-
-
-def _solve_principal_alloc(inst: AllocationInstance,
-                           base: AllocationInstance) -> PrincipalSolution:
-    """``solve_principal_alloc`` on ``inst`` over ``base``, its dummy-agent
-    extension under disposal and ``inst`` itself otherwise."""
+    base = inst.no_disposal
     last = base.values[-1]
     objective = [c for v in base.values[:-1]
                  for c in (base.dist.p * (v - last)).reshape(-1)]
     value, parts = _ic_optimum(base.dist, objective)
     # The last agent's allocation is 1 - the others', so its expected
     # value is a constant term of the objective.
-    value += base.expected_value(base.n - 1)
+    value += base.expected_values[-1]
     parts.append(constant_array(base.space.shape, 1) - sum(parts))
     mech = AllocationMechanism(base.space, parts, disposal=False)
     if inst.disposal:
         mech = drop_disposal_agent(mech, inst)
-        baseline = max(ZERO, inst.vbar)
-    else:
-        baseline = inst.vbar
     require(check_ic_n(mech, inst).verdict, "oracle", "the LP optimum is IC")
+    # The dummy agent's value is 0: under disposal base.vbar is max(0, vbar).
     return PrincipalSolution(value=value, mechanism=mech,
-                             profitable=value > baseline, baseline=baseline)
+                             profitable=value > base.vbar, baseline=base.vbar)
 
 
 # ---------------------------------------------------------------------------
@@ -245,50 +236,4 @@ def sample_ic_vertex(dist: JointDist, rng: random.Random) -> Mechanism:
     [x] = _ic_optimum(dist, [_value(rng) for _ in range(dist.space.n_profiles)])[1]
     mech = Mechanism(dist.space, x)
     require(check_ic(mech, dist).verdict, "oracle", "the LP optimum is IC")
-    return mech
-
-
-def random_transport_extreme(rng: random.Random, ml, mr) -> np.ndarray:
-    """Random extreme point of the fixed-marginals polytope: greedy fill
-    along independently shuffled row and column orders."""
-    m, n = len(ml), len(mr)
-    rows = list(range(m))
-    cols = list(range(n))
-    rng.shuffle(rows)
-    rng.shuffle(cols)
-    remaining_r = list(ml)
-    remaining_c = list(mr)
-    out = constant_array((m, n), 0)
-    ri = ci = 0
-    while ri < m and ci < n:
-        i, j = rows[ri], cols[ci]
-        amount = min(remaining_r[i], remaining_c[j])
-        out[i, j] = amount
-        remaining_r[i] -= amount
-        remaining_c[j] -= amount
-        if remaining_r[i] == 0:
-            ri += 1
-        if remaining_c[j] == 0:
-            ci += 1
-    return out
-
-
-def sample_ic_combination(space: TypeSpace, ml, mr, rng: random.Random,
-                          terms: int = 3) -> Mechanism:
-    """IC mechanism under independence as a nonnegative combination of
-    extreme-point density ratios, scaled into [0, 1]."""
-    outer = np.multiply.outer(np.asarray(ml, dtype=object),
-                              np.asarray(mr, dtype=object))
-    combo = constant_array(space.shape, 0)
-    for _ in range(terms):
-        gamma = Fraction(rng.randint(0, 4), 4)
-        combo = combo + random_transport_extreme(rng, ml, mr) / outer * gamma
-    top = max(combo[idx] for idx in np.ndindex(*space.shape))
-    if top > 1:
-        combo = combo / top
-    mech = Mechanism(space, combo)
-    dist = product_dist(space, [np.asarray(ml, dtype=object),
-                                np.asarray(mr, dtype=object)])
-    require(check_ic(mech, dist).verdict, "oracle",
-            "the combination of extreme points is IC")
     return mech

@@ -37,6 +37,7 @@ from .core import (Instance, JointDist, Mechanism, NoneCertificate,
                    expectation, product_dist, two_agent)
 from .ic import ICReport, check_ic
 from .numerics import LinearProgram, require, solve_lp
+from .oracle import solve_principal
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -148,7 +149,6 @@ def construct_profitable(instance: Instance):
 
 
 def _oracle_fallback(instance: Instance):
-    from .oracle import solve_principal  # deferred: oracle builds on this module's siblings
     res = solve_principal(instance)
     if res.profitable:
         return ConstructionResult(mechanism=res.mechanism, payoff=res.value,
@@ -473,7 +473,6 @@ def match_your_opponent(instance: Instance) -> MatchingReport:
         profitable = diagonal_value > 0
         criterion = "diagonal-rule (symmetric marginals, supermodular)"
     else:
-        from .oracle import solve_principal  # deferred import
         profitable = solve_principal(instance).profitable
         criterion = "ic-polytope-lp (matching sign not decisive here)"
 

@@ -23,13 +23,19 @@ for the assignment LP behind ``match_your_opponent``.  ``conditional``
 divides pi by its marginals, independently of ``icmech.belief``, and
 ``extract_cycle_dfs`` is the depth-first cycle search that the
 decomposition's walk along a pruned support must reproduce.
+``random_transport_extreme`` and ``sample_ic_combination`` sample IC
+mechanisms under independence from transportation-polytope extreme points,
+for the property sweeps.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
 
+from icmech.core import Mechanism, TypeSpace, constant_array, product_dist
+from icmech.ic import check_ic
 from icmech.numerics import LinearProgram, require
 
 ZERO = Fraction(0)
@@ -569,3 +575,49 @@ def recording_fold(fold, folds: list):
         folds.append((got, fold_duals(lp, y, row_specs, factor, objective)))
         return got
     return wrapper
+
+
+def random_transport_extreme(rng: random.Random, ml, mr) -> np.ndarray:
+    """Random extreme point of the fixed-marginals polytope: greedy fill
+    along independently shuffled row and column orders."""
+    m, n = len(ml), len(mr)
+    rows = list(range(m))
+    cols = list(range(n))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    remaining_r = list(ml)
+    remaining_c = list(mr)
+    out = constant_array((m, n), 0)
+    ri = ci = 0
+    while ri < m and ci < n:
+        i, j = rows[ri], cols[ci]
+        amount = min(remaining_r[i], remaining_c[j])
+        out[i, j] = amount
+        remaining_r[i] -= amount
+        remaining_c[j] -= amount
+        if remaining_r[i] == 0:
+            ri += 1
+        if remaining_c[j] == 0:
+            ci += 1
+    return out
+
+
+def sample_ic_combination(space: TypeSpace, ml, mr,
+                          rng: random.Random) -> Mechanism:
+    """IC mechanism under independence as a nonnegative combination of
+    three extreme-point density ratios, scaled into [0, 1]."""
+    outer = np.multiply.outer(np.asarray(ml, dtype=object),
+                              np.asarray(mr, dtype=object))
+    combo = constant_array(space.shape, 0)
+    for _ in range(3):
+        gamma = Fraction(rng.randint(0, 4), 4)
+        combo = combo + random_transport_extreme(rng, ml, mr) / outer * gamma
+    top = max(combo[idx] for idx in np.ndindex(*space.shape))
+    if top > 1:
+        combo = combo / top
+    mech = Mechanism(space, combo)
+    dist = product_dist(space, [np.asarray(ml, dtype=object),
+                                np.asarray(mr, dtype=object)])
+    require(check_ic(mech, dist).verdict, "reference",
+            "the combination of extreme points is IC")
+    return mech

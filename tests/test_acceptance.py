@@ -18,15 +18,15 @@ from icmech.game import maximin
 from icmech.ic import check_ic, spans
 from icmech.nalloc import (AllocationInstance, add_disposal_agent,
                            check_ic_n, construct_profitable_n,
-                           difference_additive, load_allocation,
-                           with_disposal)
-from icmech.oracle import (generate, sample_ic_combination, sample_ic_vertex,
-                           solve_principal, solve_principal_alloc)
+                           difference_additive, load_allocation)
+from icmech.oracle import (generate, sample_ic_vertex, solve_principal,
+                           solve_principal_alloc)
 from icmech.profit import (ConstructionResult, additivity_test,
                            construct_profitable, decompose,
                            match_your_opponent, support_is_acyclic,
                            transport_criterion)
 from tests.conftest import matching_mechanism
+from tests.reference import sample_ic_combination
 from tests.test_ic import max_spread
 
 F = Fraction
@@ -220,7 +220,7 @@ def test_criterion_7_allocation_suite(inst_fx4):
 
         disp = AllocationInstance(inst_fx4.space, inst_fx4.marginals,
                                   inst_fx4.values, disposal=True)
-        via_disposal = with_disposal(disp)
+        via_disposal = construct_profitable_n(disp)
         via_pipeline = construct_profitable_n(add_disposal_agent(disp))
         assert via_disposal.payoff == via_pipeline.payoff
         assert via_disposal.alpha == via_pipeline.alpha
@@ -242,15 +242,12 @@ def test_criterion_7_allocation_suite(inst_fx4):
             disposal = i % 3 == 0
             inst = generate(i + 7000, shapes[i % 10], "unbiased-n-alloc",
                             disposal=disposal)
-            verdict = (with_disposal(inst) if disposal
-                       else construct_profitable_n(inst))
+            verdict = construct_profitable_n(inst)
             predicted = not isinstance(verdict, NoneCertificate)
             lp = solve_principal_alloc(inst)
             if predicted != lp.profitable:
                 disagreements += 1
             if predicted:
                 assert lp.value >= verdict.payoff
-                assert check_ic_n(verdict.mechanism,
-                                  add_disposal_agent(inst) if disposal
-                                  else inst).verdict
+                assert check_ic_n(verdict.mechanism, inst.no_disposal).verdict
         assert disagreements == 0

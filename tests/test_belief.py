@@ -13,7 +13,7 @@ from icmech.belief import difference_residual, kronecker_residual
 from icmech.core import JointDist, TypeSpace
 from icmech.ic import ic_polytope
 from icmech.nalloc import (DISPOSAL_AGENT, AllocationInstance,
-                           add_disposal_agent, difference_additive)
+                           difference_additive)
 from icmech.numerics import span_coefficients
 from icmech.oracle import generate
 from icmech.profit import _extract_cycle, _pruned_support, transport_criterion
@@ -42,7 +42,7 @@ def allocation_instances(draw):
     shape = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
     inst = generate(draw(st.integers(0, 10**6)), shape, "unbiased-n-alloc",
                     disposal=draw(st.booleans()))
-    return add_disposal_agent(inst) if inst.disposal else inst
+    return inst.no_disposal
 
 
 @PROPERTY
@@ -66,7 +66,7 @@ def n_agent_allocations(draw, agents=(2, 4)):
                                 max_size=count)))
     inst = generate(draw(st.integers(0, 10**6)), shape, "unbiased-n-alloc",
                     disposal=disposal)
-    return add_disposal_agent(inst) if disposal else inst
+    return inst.no_disposal
 
 
 @st.composite

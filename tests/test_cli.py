@@ -327,6 +327,28 @@ class TestContracts:
         code, _ = run(capsys, "inspect", str(bad))
         assert code == 1
 
+    @pytest.mark.parametrize("argv, data, message", [
+        (["inspect"], {"agents": ["l", "r"], "types": {"l": [0, 1], "r": [0, 1]},
+                       "pi": [["1/4", "1/4"], ["1/4", "1/4"]],
+                       "vL": [[True, "0"], ["0", False]]}, "vL: booleans"),
+        (["inspect"], {"agents": ["l", "r"], "types": {"l": [True], "r": [0]},
+                       "pi": [["1"]], "vL": [["0"]]}, "ints or strings"),
+        (["inspect"], {"agents": ["1", "2"], "types": {"1": [0], "2": [0]},
+                       "marginals": {"1": [True], "2": ["1"]},
+                       "v": {"1": [["0"]], "2": [["0"]]}, "disposal": False},
+         "marginals[1]: booleans"),
+        (["check-ic", FX1], {"x": [[True, False], [False, True]]}, "x: booleans"),
+        (["maximin"], {"x": [[True, False], [False, True]]}, "x: booleans"),
+    ], ids=["values", "labels", "marginals", "check-ic", "maximin"])
+    def test_boolean_entries_rejected(self, capsys, tmp_path, argv, data, message):
+        # JSON true and false are Python bools, which subclass int.
+        bad = tmp_path / "b.json"
+        bad.write_text(json.dumps(data))
+        code = main(argv + [str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert message in captured.err and captured.err.count("\n") == 1
+
     def test_report_mechanism_round_trip(self, capsys, tmp_path):
         # Feed the construct report's mechanism back into check-ic.
         code, rep = run_json(capsys, "construct", FX1)

@@ -5,13 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icmech import nalloc, oracle
+from icmech import nalloc
 from icmech.core import NoneCertificate, PreconditionError, TypeSpace, constant_array
 from icmech.nalloc import (AllocationInstance, AllocationMechanism,
                            add_disposal_agent, analyze_allocation, check_ic_n,
                            construct_profitable_n, difference_additive,
                            dump_allocation, load_allocation,
-                           non_constant_witnesses, with_disposal)
+                           non_constant_witnesses)
 from icmech.oracle import generate, solve_principal_alloc
 from icmech.profit import additivity_test
 
@@ -168,11 +168,20 @@ class TestConstruction:
         with pytest.raises(PreconditionError, match="unbiased"):
             construct_profitable_n(inst)
 
-    def test_disposal_instance_refused(self, inst_fx4):
+    def test_disposal_instance_runs_on_its_extension(self, inst_fx4):
         disp = AllocationInstance(inst_fx4.space, inst_fx4.marginals,
                                   inst_fx4.values, disposal=True)
-        with pytest.raises(PreconditionError, match="with_disposal"):
-            construct_profitable_n(disp)
+        got = construct_profitable_n(disp)
+        want = construct_profitable_n(disp.no_disposal)
+        assert want.witness is None
+        assert got.witness == "1"
+        for name in ("vbar", "profitable", "payoff", "alpha", "method"):
+            assert getattr(got, name) == getattr(want, name)
+        assert (got.residual == want.residual).all()
+        assert got.mechanism.space == want.mechanism.space
+        for a, b in zip(got.mechanism.x, want.mechanism.x, strict=True):
+            assert (a == b).all()
+        assert got.ic_report == want.ic_report
 
     def test_two_agent_embedding_matches_two_option(self, product_embedding):
         rep = construct_profitable_n(product_embedding)
@@ -182,10 +191,19 @@ class TestConstruction:
 
 
 class TestDisposal:
+    def test_no_disposal_is_built_once(self, inst_fx4):
+        assert inst_fx4.no_disposal is inst_fx4
+        disp = AllocationInstance(inst_fx4.space, inst_fx4.marginals,
+                                  inst_fx4.values, disposal=True)
+        ext = disp.no_disposal
+        assert ext is disp.no_disposal
+        assert ext.space.agents == disp.space.agents + ("disposal",)
+        assert ext.no_disposal is ext
+
     def test_reduction_is_verbatim(self, inst_fx4):
         disp = AllocationInstance(inst_fx4.space, inst_fx4.marginals,
                                   inst_fx4.values, disposal=True)
-        direct = with_disposal(disp)
+        direct = construct_profitable_n(disp)
         pipeline = construct_profitable_n(add_disposal_agent(disp))
         assert direct.payoff == pipeline.payoff
         assert direct.alpha == pipeline.alpha
@@ -196,12 +214,12 @@ class TestDisposal:
 
     def test_own_type_values_not_profitable(self, private_values):
         centered = tuple(v - constant_array(private_values.space.shape,
-                                            private_values.expected_value(i))
+                                            private_values.expected_values[i])
                          for i, v in enumerate(private_values.values))
         disp = AllocationInstance(private_values.space, private_values.marginals,
                                   centered, disposal=True)
         assert non_constant_witnesses(disp) == []
-        res = with_disposal(disp)
+        res = construct_profitable_n(disp)
         assert isinstance(res, NoneCertificate)
 
     def test_single_agent_trivially_constant(self):
@@ -228,7 +246,7 @@ class TestOracleAgreement:
     def test_disposal_sweep(self):
         for seed in range(8):
             inst = generate(seed, (2, 2), "unbiased-n-alloc", disposal=True)
-            res = with_disposal(inst)
+            res = construct_profitable_n(inst)
             lp = solve_principal_alloc(inst)
             assert isinstance(res, NoneCertificate) == (not lp.profitable)
 
@@ -276,8 +294,8 @@ class TestOracleAgreement:
 
     @pytest.mark.parametrize("name", ["fx4-disposal", "alloc-biased-disposal"])
     def test_analyze_builds_the_disposal_extension_once(self, name, monkeypatch):
-        # The construction (fx4-disposal) and the LP (biased) both run on
-        # the one extension analyze_allocation builds.
+        # The construction (fx4-disposal), the LP (biased) and the analysis
+        # that picks between them all run on the instance's one extension.
         inst = load_allocation(str(GOLDEN_INSTANCES / f"{name}.json"))
         calls = []
 
@@ -286,11 +304,17 @@ class TestOracleAgreement:
             return add_disposal_agent(disp)
 
         monkeypatch.setattr(nalloc, "add_disposal_agent", counting)
-        monkeypatch.setattr(oracle, "add_disposal_agent", counting)
         res = analyze_allocation(inst)
         assert calls == [inst]
         assert res["basis"] == ("ic-constraints-lp" if "biased" in name
                                 else "residual-construction")
+        if "biased" in name:
+            with pytest.raises(PreconditionError, match="unbiased"):
+                construct_profitable_n(inst)
+        else:
+            construct_profitable_n(inst)
+        solve_principal_alloc(inst)
+        assert calls == [inst]
 
 
 def _reshape_strings(arr):

@@ -12,8 +12,7 @@ from icmech.belief import marginal_rows
 from icmech.core import Instance, JointDist, TypeSpace, constant_array, normalize
 from icmech.ic import check_ic
 from icmech.numerics import LinearProgram, rank, solve_lp
-from icmech.oracle import (generate, sample_ic_combination, sample_ic_vertex,
-                           solve_principal)
+from icmech.oracle import generate, sample_ic_vertex, solve_principal
 from icmech.profit import (ConstructionResult, _best_matching_lp,
                            additivity_test, construct_profitable, decompose,
                            is_supermodular, match_your_opponent, orthogonal,
@@ -289,7 +288,7 @@ class TestDecompose:
                             "independent")
             ml, mr = inst.dist.marginals()
             if seed % 2:
-                x = sample_ic_combination(inst.space, ml, mr, rng)
+                x = reference.sample_ic_combination(inst.space, ml, mr, rng)
             else:
                 x = sample_ic_vertex(inst.dist, rng)
             dec = decompose(x, ml, mr)
