@@ -42,7 +42,8 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class TypeSpace:
-    """Ordered agents with ordered, distinct type labels per agent.
+    """Ordered agents with ordered type labels per agent that print
+    distinctly.
 
     Profiles are enumerated row-major in agent order, so profile indices
     are deterministic and match numpy's C order for arrays of shape
@@ -60,8 +61,14 @@ class TypeSpace:
         for agent, labels in zip(self.agents, self.types):
             if len(labels) < 1:
                 raise SchemaError(f"agent {agent!r} has no types")
-            if len(set(labels)) != len(labels):
-                raise SchemaError(f"agent {agent!r} has duplicate type labels")
+            # Reports print labels and join the parts of a key with "|"
+            # (``cli._key``), so labels that print the same, or a "|" in a
+            # label or an agent name, would merge report entries.
+            if len({str(label) for label in labels}) != len(labels):
+                raise SchemaError(f"agent {agent!r} has type labels that print the same")
+            if "|" in str(agent) or any("|" in str(label) for label in labels):
+                raise SchemaError(f"agent {agent!r}: agent names and type labels "
+                                  "must not contain '|'")
 
     @property
     def n_agents(self) -> int:
@@ -168,7 +175,7 @@ class JointDist:
             if any(v == 0 for v in m):
                 raise SchemaError(
                     f"agent {agent!r} has a zero-probability type; "
-                    "drop it or pass drop_zero_types=True when loading")
+                    "drop it from the instance")
 
     def marginal(self, i: int) -> np.ndarray:
         return self._marginals[i]
@@ -397,22 +404,7 @@ def parse_type_space(data: dict) -> TypeSpace:
     return TypeSpace(agents, types)
 
 
-def without_zero_types(space: TypeSpace, marginals, arrays) -> tuple:
-    """Remove the types whose marginal probability is 0: the smaller type
-    space, the marginals on it and each full-profile array restricted to it."""
-    keep = [[k for k, p in enumerate(m) if p != 0] for m in marginals]
-    for agent, kept in zip(space.agents, keep):
-        if not kept:
-            raise SchemaError(f"agent {agent!r} has no positive-probability types")
-    slicer = np.ix_(*keep)
-    new_space = TypeSpace(space.agents,
-                          tuple(tuple(labels[k] for k in kept)
-                                for labels, kept in zip(space.types, keep)))
-    return (new_space, [m[kept] for m, kept in zip(marginals, keep)],
-            [arr[slicer] for arr in arrays])
-
-
-def load_instance(source, *, drop_zero_types: bool = False) -> Instance:
+def load_instance(source) -> Instance:
     """Parse a two-option instance from a dict, JSON string or file path.
 
     Schema: {"agents": [...], "types": {agent: [labels]}, "pi": [[...]],
@@ -427,9 +419,6 @@ def load_instance(source, *, drop_zero_types: bool = False) -> Instance:
     vL = parse_rational_array(data["vL"], space.shape, "vL")
     vR = (parse_rational_array(data["vR"], space.shape, "vR")
           if "vR" in data else constant_array(space.shape, 0))
-    if drop_zero_types:
-        space, _, (pi, vL, vR) = without_zero_types(
-            space, axis_marginals(pi), [pi, vL, vR])
     dist = JointDist(space, pi)
     name = data.get("name")
     seed = data.get("seed")

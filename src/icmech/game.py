@@ -45,7 +45,6 @@ def maximin(x: Mechanism) -> MaximinSolution:
         objective=[ZERO] * m + [ONE], a_eq=[[ONE] * m + [ZERO]], b_eq=[ONE],
         a_ub=[[-v for v in column] + [ONE] for column in x.x.T],
         b_ub=[ZERO] * n, lower=[ZERO] * m + [None]))
-    require(sol.status == "optimal", "maximin", "the row player's LP has an optimum")
     res = MaximinSolution(value=sol.value,
                           sigma_maximizer=np.array(sol.x[:m], dtype=object),
                           sigma_minimizer=np.array(sol.dual_ub, dtype=object))

@@ -25,7 +25,7 @@ from .core import (JointDist, NoneCertificate, PreconditionError, SchemaError,
                    TypeSpace, array_sum, axis_marginals, constant_array,
                    dumps_canonical, expectation, load_json_dict,
                    load_mechanism_json, parse_rational_array, parse_type_space,
-                   product_dist, to_nested_strings, without_zero_types)
+                   product_dist, to_nested_strings)
 from .ic import ICReport, Violation
 from .numerics import require
 
@@ -366,7 +366,7 @@ def analyze_allocation(inst: AllocationInstance) -> dict:
 # JSON schema
 # ---------------------------------------------------------------------------
 
-def load_allocation(source, *, drop_zero_types: bool = False) -> AllocationInstance:
+def load_allocation(source) -> AllocationInstance:
     """Parse an allocation instance.
 
     Schema: {"agents": [...], "types": {agent: [labels]},
@@ -404,8 +404,6 @@ def load_allocation(source, *, drop_zero_types: bool = False) -> AllocationInsta
         raise SchemaError(f"'v' missing entries for agents {missing}")
     vals = [parse_rational_array(data["v"][a], space.shape, f"v[{a}]")
             for a in space.agents]
-    if drop_zero_types:
-        space, margs, vals = without_zero_types(space, margs, vals)
     return AllocationInstance(space, tuple(margs), tuple(vals),
                               bool(data["disposal"]),
                               name=data.get("name"), seed=data.get("seed"))

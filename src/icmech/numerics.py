@@ -25,9 +25,16 @@ equality rows are homogeneous.  Each tableau row holds
 Python ints over its own denominator in lowest terms, and a pivot updates
 only the rows whose pivot-column entry is nonzero.  The duals are read
 off the final objective row, where the starting unit columns carry
-B^-1.  Every result is checked exactly before it is returned (primal
-feasibility, strong duality, the Farkas gap, an unbounded ray's
-direction), and a failed check raises ``RuntimeError``, also under
+B^-1.
+
+``solve_lp`` returns the exact optimum or raises: every LP the package
+builds has one (the principal's problem contains the ex-ante optimal
+constant, the transport problem the independent coupling, and the
+assignment and maximin LPs are bounded and feasible), so an infeasible
+or unbounded LP is a failed check, not an outcome.  Every optimum is
+checked exactly before it is returned (primal feasibility, strong
+duality, the signs of the duals and bound multipliers, the objective
+identity), and a failed check raises ``RuntimeError``, also under
 ``python -O``.  The primal rows and the dual fold are checked in integers
 over the LP's own rows, each scaled to integers once, never over the
 tableau, so the checks stay independent of the substitution, the
@@ -173,15 +180,12 @@ class LinearProgram:
 
 @dataclass
 class LPSolution:
-    """Outcome of an exact LP solve.
+    """The exact optimum of an LP.
 
-    For status "optimal": ``x`` satisfies every constraint exactly and
-    ``value == objective . x``; ``dual_eq``/``dual_ub`` together with the
-    per-variable ``reduced_costs`` form a dual solution whose objective
-    equals ``value`` (strong duality, verified inside the solver).
-
-    For "unbounded": ``ray`` is a feasible improving direction.
-    For "infeasible": ``certificate`` is a Farkas combination proving it.
+    ``x`` satisfies every constraint exactly and ``value == objective .
+    x``; ``dual_eq``/``dual_ub`` together with the per-variable
+    ``reduced_costs`` form a dual solution whose objective equals
+    ``value`` (strong duality, verified inside the solver).
 
     ``pivots`` counts the simplex pivots of every phase, drive-out
     included, and ``flips`` the steps that only move the entering variable
@@ -190,16 +194,13 @@ class LPSolution:
     shows without timing.
     """
 
-    status: str
-    value: Fraction | None = None
-    x: list[Fraction] | None = None
-    dual_eq: list[Fraction] | None = None
-    dual_ub: list[Fraction] | None = None
-    reduced_costs: list[Fraction] | None = None
-    ray: list[Fraction] | None = None
-    certificate: dict | None = None
-    pivots: int = 0
-    flips: int = 0
+    value: Fraction
+    x: list[Fraction]
+    dual_eq: list[Fraction]
+    dual_ub: list[Fraction]
+    reduced_costs: list[Fraction]
+    pivots: int
+    flips: int
 
 
 class _Tableau:
@@ -281,10 +282,10 @@ class _Tableau:
         obj[-1] -= obj[c]
         obj[c] = -obj[c]
 
-    def run(self, obj: list[int], ncols: int) -> int | None:
-        """Simplex iterations until optimal (returns None) or unbounded
-        (returns the offending entering column); columns from ``ncols`` on
-        never enter."""
+    def run(self, obj: list[int], ncols: int) -> None:
+        """Simplex iterations until optimal; columns from ``ncols`` on
+        never enter.  An entering column that no row or bound stops raises:
+        the LP is unbounded."""
         degenerate = 0
         while True:
             if degenerate < len(self.rows):
@@ -311,8 +312,7 @@ class _Tableau:
                             leave is None or self.basis[i] > self.basis[leave]):
                         continue
                 leave, num, dnm = i, t, a
-            if num is None:
-                return enter
+            require(num is not None, "exact LP", "the LP is bounded")
             if leave is None:
                 self.flips += 1
                 self.flip(enter, obj)
@@ -349,10 +349,10 @@ def _integer_row(vals: Sequence[Fraction]) -> tuple[int, list[int]]:
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:
-    """Solve an LP exactly; deterministic for a given input.
+    """The exact rational optimum of an LP; deterministic for a given input.
 
-    Never approximates: the answer is the exact rational optimum, or an
-    infeasibility/unboundedness certificate.
+    Raises ``RuntimeError`` if the LP is infeasible or unbounded: every LP
+    the package builds has an optimum.
     """
     # --- conversion to standard form: x_j = offset + sum coeff * s_col ----
     # lower bound only: x = lo + s; upper only: x = up - s; free: x = s - s';
@@ -430,31 +430,15 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
             cost[col] += c * k
     const_term = sum(c * offset for c, (offset, _) in zip(lp.objective, var_map))
 
-    status, point, y, value_std, (pivots, flips) = _simplex(
-        rows, crash, cost, ncols, boxed)
-    if status == "infeasible":
-        # The phase-1 duals combine the constraints to the zero row while
-        # the same combination of right-hand sides is negative: 0 <= gap < 0.
-        dual_eq, dual_ub, mu, nu, gap = _fold_duals(
-            lp, int_rows, y, row_specs, factor, [ZERO] * lp.n)
-        require(gap < 0, "exact LP", "Farkas gap is negative")
-        cert = {"dual_eq": dual_eq, "dual_ub": dual_ub,
-                "upper_multipliers": mu, "lower_multipliers": nu, "gap": gap}
-        return LPSolution(status="infeasible", certificate=cert,
-                          pivots=pivots, flips=flips)
-    if status == "unbounded":
-        ray = _map_point(point, var_map, shift=False)
-        _check_ray(lp, ray)
-        return LPSolution(status="unbounded", ray=ray, pivots=pivots, flips=flips)
-
-    x = _map_point(point, var_map)
+    point, y, value_std, (pivots, flips) = _simplex(rows, crash, cost, ncols, boxed)
+    x = [offset + sum(k * point[col] for col, k in cols) for offset, cols in var_map]
     value = sum(c * v for c, v in zip(lp.objective, x))
     require(value == value_std + const_term, "exact LP", "objective value identity")
     dual_eq, dual_ub, mu, nu, dual_value = _fold_duals(
-        lp, int_rows, y, row_specs, factor, lp.objective)
+        lp, int_rows, y, row_specs, factor)
     require(dual_value == value, "exact LP", "strong duality")
     _check_primal(lp, int_rows, x)
-    return LPSolution(status="optimal", value=value, x=x,
+    return LPSolution(value=value, x=x,
                       dual_eq=dual_eq, dual_ub=dual_ub,
                       reduced_costs=[u - d for u, d in zip(mu, nu)],
                       pivots=pivots, flips=flips)
@@ -468,9 +452,8 @@ def _simplex(rows: list[list[int]], crash: list[int | None],
     ``rows`` are integer rows over the columns of ``cost`` plus the rhs
     (last entry, >= 0); columns past ``ncols`` are slacks, and
     ``crash[i]`` is row i's starting slack, or None for an artificial.
-    Returns (status, point, y, value, (pivots, flips)): the optimal vertex
-    or an improving ray, and the duals of ``rows``, the Farkas multipliers
-    if infeasible.
+    Returns (point, y, value, (pivots, flips)): the optimal vertex, the
+    duals of ``rows`` and the optimal value; raises if there is none.
     """
     width = len(cost)
     art_rows = [i for i, start in enumerate(crash) if start is None]
@@ -483,12 +466,6 @@ def _simplex(rows: list[list[int]], crash: list[int | None],
     start = list(basis)           # row i's unit column: B^-1 builds up there
     tab = _Tableau(tab_rows, basis, boxed)
 
-    def duals(obj, cost, scale):
-        # Read off the tableau: column start[i] has reduced cost c_j - y_i
-        # (obj and cost are scaled by ``scale``, obj over objden as well).
-        return [Fraction(cost[j] * tab.objden - obj[j], scale * tab.objden)
-                for j in start]
-
     # --- phase 1: every artificial costs -1 ------------------------------
     cost1 = [0] * width + [-1] * nart
     obj1 = tab.objective(cost1)
@@ -497,11 +474,8 @@ def _simplex(rows: list[list[int]], crash: list[int | None],
     # Entering candidates exclude the artificial columns: once an
     # artificial leaves the basis it stays out.
     if obj1[-1] != 0:
-        require(tab.run(obj1, width) is None, "exact LP",
-                "the phase-1 objective is bounded")
-    counts = (tab.pivots, tab.flips)
-    if obj1[-1] > 0:
-        return "infeasible", None, duals(obj1, cost1, 1), None, counts
+        tab.run(obj1, width)
+    require(obj1[-1] == 0, "exact LP", "the LP is feasible")
 
     # Drive the artificials, all at level 0, out of the basis.  With the
     # dependent equality rows gone and phase 1 feasible, the standard-form
@@ -517,29 +491,17 @@ def _simplex(rows: list[list[int]], crash: list[int | None],
     scale2, cost2 = _integer_row(cost)
     cost2 += [0] * nart
     obj2 = tab.objective(cost2)
-    unb = tab.run(obj2, width)
-    counts = (tab.pivots, tab.flips)
-    if unb is not None:
-        # A boxed basic variable would have stopped the ray, so its entry
-        # is 0 and flipped columns need no sign change.
-        ray = [ZERO] * width
-        ray[unb] = ONE
-        for row, d, b in zip(tab.rows, tab.dens, tab.basis):
-            ray[b] = Fraction(-row[unb], d)
-        return "unbounded", ray, None, None, counts
+    tab.run(obj2, width)
     # A flipped column holds 1 - z.
     x_std = [ZERO] * width
     for row, d, b in zip(tab.rows, tab.dens, tab.basis):
         x_std[b] = Fraction(row[-1], d)
     x_std = [ONE - v if j in tab.flipped else v for j, v in enumerate(x_std)]
-    return ("optimal", x_std, duals(obj2, cost2, scale2),
-            Fraction(-obj2[-1], scale2 * tab.objden), counts)
-
-
-def _map_point(s: list[Fraction], var_map, shift: bool = True) -> list[Fraction]:
-    """Standard-form point (or, without the shift, direction) to x."""
-    return [(offset if shift else ZERO) + sum(k * s[col] for col, k in cols)
-            for offset, cols in var_map]
+    # The duals are read off the tableau: column start[i] has reduced cost
+    # c_j - y_i (obj2 and cost2 are scaled by scale2, obj2 over objden too).
+    den = scale2 * tab.objden
+    y = [Fraction(cost2[j] * tab.objden - obj2[j], den) for j in start]
+    return x_std, y, Fraction(-obj2[-1], den), (tab.pivots, tab.flips)
 
 
 def _check_primal(lp: LinearProgram, int_rows, x: list[Fraction]) -> None:
@@ -560,23 +522,12 @@ def _check_primal(lp: LinearProgram, int_rows, x: list[Fraction]) -> None:
             "primal bounds")
 
 
-def _check_ray(lp: LinearProgram, d: list[Fraction]) -> None:
-    require(all(sum(a * v for a, v in zip(row, d)) == 0 for row in lp.a_eq),
-            "exact LP", "ray keeps the equality rows")
-    require(all(sum(a * v for a, v in zip(row, d)) <= 0 for row in lp.a_ub),
-            "exact LP", "ray keeps the inequality rows")
-    require(all((lo is None or v >= 0) and (up is None or v <= 0)
-                for v, lo, up in zip(d, lp.lower, lp.upper)),
-            "exact LP", "ray keeps the bounds")
-    require(sum(c * v for c, v in zip(lp.objective, d)) > 0, "exact LP", "ray improves")
-
-
-def _fold_duals(lp, int_rows, y, row_specs, factor, objective):
+def _fold_duals(lp, int_rows, y, row_specs, factor):
     """Fold the duals y of the scaled tableau rows back onto the original
     constraints (row i's dual times ``factor[i]``).
 
     Bound multipliers mu (upper) and nu (lower) absorb what the row duals
-    leave of ``objective``, so that A^T dual + mu - nu = objective.
+    leave of the objective, so that A^T dual + mu - nu = objective.
     Returns (dual_eq, dual_ub, mu, nu, dual objective value) after checking
     the multipliers' signs exactly.  Equality rows absent from
     ``row_specs`` get dual 0.
@@ -601,7 +552,7 @@ def _fold_duals(lp, int_rows, y, row_specs, factor, objective):
                 g[j] += f * a
     mu = [ZERO] * lp.n   # upper-bound duals
     nu = [ZERO] * lp.n   # lower-bound duals
-    for j, c in enumerate(objective):
+    for j, c in enumerate(lp.objective):
         r = Fraction(c.numerator * den - g[j] * c.denominator, c.denominator * den)
         if r > 0:
             mu[j] = r

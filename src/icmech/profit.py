@@ -131,9 +131,9 @@ def construct_profitable(instance: Instance):
     w_hat = report.w_hat
     flat = [w_hat[idx] for idx in np.ndindex(*w_hat.shape)]
     lo, hi = min(flat), max(flat)
-    # Internal invariant: the nonzero residual is orthogonal to U's
-    # nonnegative generators, so it takes both signs.
-    assert lo < 0 < hi
+    # The nonzero residual is orthogonal to U's nonnegative generators,
+    # so it takes both signs.
+    require(lo < 0 < hi, "profit", "the residual takes both signs")
     epsilon = ONE / (hi - lo)
     x = Mechanism(instance.space, (w_hat - lo) * epsilon)
     icr = check_ic(x, instance.dist)
@@ -208,9 +208,6 @@ def transport_criterion(instance: Instance) -> TransportResult:
         rows, rhs = transport_rows(dist, (row_basis, type_basis(dist, 1)))
         sol = solve_lp(LinearProgram(objective=list(v_hat.reshape(-1)),
                                      a_eq=rows, b_eq=rhs))
-        # The independent coupling is always feasible, and solve_lp has
-        # checked the rows exactly.
-        require(sol.status == "optimal", "profit", "the transport LP has an optimum")
         q = np.array(sol.x, dtype=object).reshape(shape)
         value = sol.value
     return TransportResult(value=value, optimizer=JointDist(instance.space, q),
@@ -331,8 +328,7 @@ def _extract_cycle(cells: set[tuple[int, int]]) -> list[tuple[int, int]]:
         path.append(arrival)
         node = (1 - node[0], arrival[1 - node[0]])
     cycle = path[visited[node]:]
-    # Internal invariant: bipartite cycles are even.
-    assert len(cycle) % 2 == 0
+    require(len(cycle) % 2 == 0, "profit", "the support cycle is even")
     return cycle
 
 
@@ -352,7 +348,7 @@ def _cancel_one_cycle(mat: np.ndarray) -> bool:
     for k, cell in enumerate(cycle):
         step = delta if (k % 2 == 0) else -delta
         mat[cell] = mat[cell] - sign * step
-    assert mat[target] == 0  # internal invariant: the target cell empties
+    require(mat[target] == 0, "profit", "cycle cancelling empties its target cell")
     return True
 
 
@@ -364,11 +360,11 @@ def _extreme_point_within_support(r: np.ndarray, scale: Fraction,
     while _cancel_one_cycle(p):
         pass
     m, n = p.shape
-    # Internal invariants: cycle cancelling keeps the marginals and the
-    # signs.  ``decompose`` checks the reconstruction, which is the result.
-    assert all(sum(p[i, j] for j in range(n)) == ml[i] for i in range(m))
-    assert all(sum(p[i, j] for i in range(m)) == mr[j] for j in range(n))
-    assert all(v >= 0 for row in p for v in row)
+    require(all(sum(p[i, j] for j in range(n)) == ml[i] for i in range(m)) and
+            all(sum(p[i, j] for i in range(m)) == mr[j] for j in range(n)),
+            "profit", "the peeled point keeps the marginals")
+    require(all(v >= 0 for row in p for v in row), "profit",
+            "the peeled point is nonnegative")
     return p
 
 
@@ -385,18 +381,20 @@ def _peel_transport_polytope(d: np.ndarray, ml, mr) -> list[tuple[Fraction, np.n
     terms: list[tuple[Fraction, np.ndarray]] = []
     while any(r[i, j] != 0 for i in range(m) for j in range(n)):
         p = _extreme_point_within_support(r, s, ml, mr)
-        # Internal invariants of the peeling: p is a vertex, and each step
-        # removes a positive share of the remaining mass, s, at most.
-        assert support_is_acyclic(p)
+        # p is a vertex, and each step removes a positive share of the
+        # remaining mass, s, at most.
+        require(support_is_acyclic(p), "profit",
+                "the peeled point's support is acyclic")
         cells = sum(1 for i in range(m) for j in range(n) if p[i, j] != 0)
-        assert cells <= m + n - 1
+        require(cells <= m + n - 1, "profit",
+                "the peeled point has at most m + n - 1 cells")
         lam = min(r[i, j] / p[i, j]
                   for i in range(m) for j in range(n) if p[i, j] != 0)
-        assert 0 < lam <= s
+        require(0 < lam <= s, "profit", "each peel removes a share in (0, s]")
         terms.append((lam, p))
         r = r - p * lam
         s = s - lam
-    assert s == 0
+    require(s == 0, "profit", "the peeling uses up the whole mass")
     return terms
 
 
@@ -493,7 +491,6 @@ def _best_matching_lp(v, ml, mr):
     objective = [ml[i] * mr[j] * v[i, j] for i in range(n) for j in range(n)]
     sol = solve_lp(LinearProgram(objective=objective, a_eq=marginal_rows((n, n)),
                                  b_eq=[ONE] * (2 * n)))
-    require(sol.status == "optimal", "profit", "the assignment LP has an optimum")
     perm = []
     for i in range(n):
         js = [j for j in range(n) if sol.x[i * n + j] == 1]

@@ -15,7 +15,7 @@ that the integer-keyed one in ``icmech.belief`` replaced.
 simplex, and ``simplex`` is the Fraction tableau with Bland's rule, explicit
 bound rows and the duals recovered by a second elimination, whose status
 and optimal value the bounded-variable engine in ``icmech.numerics`` must
-reproduce.  ``fold_duals`` and ``check_primal`` are the result checks of
+reproduce (where the reference finds no optimum, the engine raises).  ``fold_duals`` and ``check_primal`` are the result checks of
 ``solve_lp`` redone in Fractions over the LP's rational rows; the integer
 checks over the LP's scaled rows must give the same multipliers, values
 and verdicts.  ``best_matching_enumerate`` tries every bijection, the oracle
@@ -529,7 +529,7 @@ def check_primal(lp: LinearProgram, x: list[Fraction]) -> None:
             "primal bounds")
 
 
-def fold_duals(lp, y, row_specs, factor, objective):
+def fold_duals(lp, y, row_specs, factor):
     """``icmech.numerics._fold_duals`` over the LP's rational rows in
     Fractions: the duals y of the scaled tableau rows, times ``factor``,
     on the original rows; the bound multipliers mu (upper) and nu (lower)
@@ -548,7 +548,7 @@ def fold_duals(lp, y, row_specs, factor, objective):
                 if a:
                     g[j] += d * a
     for j in range(lp.n):
-        r = objective[j] - g[j]
+        r = lp.objective[j] - g[j]
         if r > 0:
             mu[j] = r
         else:
@@ -570,9 +570,9 @@ def fold_duals(lp, y, row_specs, factor, objective):
 def recording_fold(fold, folds: list):
     """Wrap ``icmech.numerics._fold_duals``: each call appends (its result,
     ``fold_duals`` of the same duals) to ``folds``."""
-    def wrapper(lp, int_rows, y, row_specs, factor, objective):
-        got = fold(lp, int_rows, y, row_specs, factor, objective)
-        folds.append((got, fold_duals(lp, y, row_specs, factor, objective)))
+    def wrapper(lp, int_rows, y, row_specs, factor):
+        got = fold(lp, int_rows, y, row_specs, factor)
+        folds.append((got, fold_duals(lp, y, row_specs, factor)))
         return got
     return wrapper
 

@@ -267,6 +267,31 @@ class TestContracts:
             assert code == 1 and captured.out == ""
             assert captured.err == "error: 'agents' must name at least one agent\n"
 
+    @pytest.mark.parametrize("agent, labels, message", [
+        ("l", [0, "0", 1, 2], "agent 'l' has type labels that print the same"),
+        ("l", ["a|b", "c", "a", "b|c"], "agent 'l': agent names and type labels "
+                                        "must not contain '|'"),
+        ("l|r", [0, 1, 2, 3], "agent 'l|r': agent names and type labels "
+                              "must not contain '|'"),
+    ], ids=["printed-duplicate", "bar-in-label", "bar-in-agent"])
+    def test_labels_that_would_merge_report_keys_one_line_error(
+            self, capsys, tmp_path, agent, labels, message):
+        # Report keys print the agent and the labels joined by "|": the
+        # first two instances would print fewer interim entries than they
+        # have, and the third keys that do not split back into their parts.
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({
+            "agents": [agent, "r"], "types": {agent: labels, "r": [0]},
+            "pi": [["1/4"]] * 4, "vL": [["1"], ["0"], ["0"], ["1"]]}))
+        mech = tmp_path / "mech.json"
+        mech.write_text(json.dumps({"x": [["1/2"]] * 4}))
+        for argv in (["check-ic", str(inst), str(mech)],
+                     ["spans", str(inst), str(inst)]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err == f"error: {message}\n"
+
     def test_most_agents_with_disposal(self, capsys, tmp_path):
         # Free disposal adds a dummy agent, and the limit leaves room for it.
         path = tmp_path / "widest.json"

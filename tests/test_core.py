@@ -161,16 +161,6 @@ class TestSchema:
         inst = load_instance(data)
         assert inst.objective.expected_value == -2
 
-    def test_drop_zero_types(self):
-        data = {"agents": ["l", "r"], "types": {"l": [0, 1], "r": [0, 1]},
-                "pi": [["1/2", "0"], ["1/2", "0"]],
-                "vL": [["1", "9"], ["2", "9"]]}
-        with pytest.raises(SchemaError):
-            load_instance(data)
-        inst = load_instance(data, drop_zero_types=True)
-        assert inst.space.shape == (2, 1)
-        assert inst.objective.raw_vL[1, 0] == 2
-
     def test_mechanism_bounds_checked(self, inst_fx1):
         with pytest.raises(SchemaError):
             load_mechanism({"x": [["2", "0"], ["0", "1"]]}, inst_fx1.space)
@@ -199,19 +189,19 @@ class TestSchema:
         assert inst.disposal
         assert list(inst.marginals[0]) == [F(1, 2), F(1, 2)]
 
-    def test_allocation_drop_zero_types(self):
-        data = {"agents": ["1", "2"], "types": {"1": ["a", "b", "c"],
-                                                "2": [0, 1]},
-                "marginals": {"1": ["1/2", "0", "1/2"], "2": ["1/3", "2/3"]},
-                "v": {"1": [["1", "2"], ["9", "9"], ["3", "4"]],
-                      "2": [["5", "6"], ["9", "9"], ["7", "8"]]},
-                "disposal": False}
-        with pytest.raises(SchemaError, match="zero-probability"):
-            load_allocation(data)
-        inst = load_allocation(data, drop_zero_types=True)
-        assert inst.space.types == (("a", "c"), (0, 1))
-        assert list(inst.marginals[0]) == [F(1, 2), F(1, 2)]
-        assert inst.values[1].tolist() == [[5, 6], [7, 8]]
+    @pytest.mark.parametrize("load, data, agent", [
+        (load_instance, {"agents": ["l", "r"], "types": {"l": [0, 1], "r": [0, 1]},
+                         "pi": [["1/2", "0"], ["1/2", "0"]],
+                         "vL": [["1", "9"], ["2", "9"]]}, "r"),
+        (load_allocation, {"agents": ["1", "2"], "types": {"1": ["a", "b"], "2": [0]},
+                           "marginals": {"1": ["1", "0"], "2": ["1"]},
+                           "v": {"1": [["1"], ["9"]], "2": [["5"], ["9"]]},
+                           "disposal": False}, "1"),
+    ], ids=["instance", "allocation"])
+    def test_zero_probability_type_refused(self, load, data, agent):
+        with pytest.raises(SchemaError, match=f"^agent '{agent}' has a zero-probability "
+                                              "type; drop it from the instance$"):
+            load(data)
 
     @pytest.mark.parametrize("entry, ok", [
         ("1e1000", True), ("1e-1000", True), ("1e1001", False),
