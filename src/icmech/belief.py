@@ -1,10 +1,10 @@
 """The belief-space structure shared by the IC, transport and additivity code.
 
 An agent's interim expectation of a mechanism is one of the agent's
-beliefs over the other agents' types, taken on the slice of profiles
-where the agent's own report is fixed: ``interim`` multiplies the belief
-table (``beliefs``) with the mechanism's own-type slices.  ``lift``
-places a belief on such a slice as a flat row, for any number of agents,
+beliefs (``beliefs``, the one belief table) over the other agents' types,
+taken on the slice of profiles where the agent's own report is fixed.
+``lift`` places a belief on such a slice as a flat row, for any number of
+agents,
 and every row family is built from it: the IC rows "interim expectation
 equals ex-ante value" (``ic_rows``) and the marginal rows of the
 assignment LP (``marginal_rows``).  ``distinct_nonzero`` is the
@@ -25,21 +25,24 @@ For two agents the same structure gives the additivity subspace
 U = col(pi) (x) R^n + R^m (x) row(pi), whose orthogonal complement is
 col(pi)^perp (x) row(pi)^perp; ``kronecker_residual`` projects onto that
 complement with r-dimensional bases of pi's column and row spaces,
-r = rank(pi).  ``difference_residual`` is its closed form for the splits
-u_i(theta_i) - u_n(theta_n) of n independent agents.  Both residuals are
-built from ``project_axis``, a projection along one axis.
+r = rank(pi).  It works on integer arrays, w's and pi's numerators, with
+a fraction-free Gram-Schmidt basis of primitive integer vectors and one
+common denominator, and makes ``Fraction``s only for the result.
+``difference_residual`` is its closed form for the splits
+u_i(theta_i) - u_n(theta_n) of n independent agents, built in
+``Fraction``s from ``project_axis``, a projection along one axis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 from typing import Iterable
 
 import numpy as np
 
 from .core import JointDist, two_agent
-from .numerics import basis_rows
+from .numerics import basis_rows, integer_row
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -66,14 +69,6 @@ def lift(shape: tuple[int, ...], i: int, b: int, vec) -> list[Fraction]:
     for cell, v in zip(cells, vec):
         row[cell] = v
     return row
-
-
-def interim(dist: JointDist, i: int, arr: np.ndarray) -> np.ndarray:
-    """Agent i's k x k table E[arr(b, theta_-i) | theta_i = a], true type a
-    by row and report b by column: the belief table times the transpose of
-    arr's own-type slices, each over the other agents' profiles."""
-    slices = np.moveaxis(arr, i, 0).reshape(arr.shape[i], -1)
-    return np.array(beliefs(dist, i), dtype=object).dot(slices.T)
 
 
 def ic_rows(dist: JointDist, i: int) -> list[list[Fraction]]:
@@ -197,14 +192,22 @@ def dot(row, values) -> Fraction:
     return sum((c * v for c, v in zip(row, values) if c), ZERO)
 
 
-def _orthogonal_basis(vectors) -> list[tuple[np.ndarray, Fraction]]:
-    """Exact Gram-Schmidt: an orthogonal basis of span(vectors) with each
-    vector's squared norm; dependent vectors drop out."""
-    basis: list[tuple[np.ndarray, Fraction]] = []
+def _orthogonal_basis(vectors) -> list[tuple[np.ndarray, int]]:
+    """Fraction-free Gram-Schmidt over integer vectors: an orthogonal basis
+    of span(vectors), each vector primitive (the gcd of its entries is 1),
+    with its squared norm; dependent vectors drop out.
+
+    v <- |u|^2 v - (u . v) u removes v's component along u and keeps v
+    integer; dividing by the gcd of v's entries keeps them small."""
+    basis: list[tuple[np.ndarray, int]] = []
     for v in vectors:
         for u, norm in basis:
-            v = v - u * (u.dot(v) / norm)
-        if any(v):
+            dot_uv = u.dot(v)
+            if dot_uv:
+                v = norm * v - dot_uv * u
+        g = gcd(*v)
+        if g:
+            v = v // g
             basis.append((v, v.dot(v)))
     return basis
 
@@ -224,24 +227,41 @@ def project_axis(arr: np.ndarray, axis: int, basis) -> np.ndarray:
     return np.moveaxis(proj, -1, axis)
 
 
+def _project_out(arr: np.ndarray, basis) -> tuple[int, np.ndarray]:
+    """(L, L (arr - Q arr)), with Q projecting each row of the integer
+    array ``arr`` onto the span of ``basis``, orthogonal integer (vector,
+    squared norm) pairs; L, the lcm of the squared norms, keeps the result
+    integer."""
+    scale = lcm(*(norm for _, norm in basis))
+    out = arr * scale
+    for u, norm in basis:
+        out -= np.multiply.outer(arr.dot(u) * (scale // norm), u)
+    return scale, out
+
+
 def kronecker_residual(dist: JointDist, w: np.ndarray) -> np.ndarray:
     """w_hat = (I - Q_col) w (I - Q_row): the component of the m x n array
     w orthogonal to U = col(pi) (x) R^n + R^m (x) row(pi).
 
     Q_col and Q_row are the orthogonal projectors onto pi's column and row
-    spaces, built from rank(pi) basis vectors.  The result is checked
-    exactly: every row of w_hat is orthogonal to row(pi) and every column
-    to col(pi).
+    spaces, built from rank(pi) basis vectors.  The work is done in
+    integers: w's numerators over one denominator, and pi's, which span
+    the same spaces as pi.  The result is checked exactly: every row of
+    w_hat is orthogonal to row(pi) and every column to col(pi).
     """
     two_agent(dist.space)
-    pi = dist.p
-    resid = np.array(w, dtype=object)
-    resid = resid - project_axis(resid, 0, _orthogonal_basis(pi.T))
-    resid = resid - project_axis(resid, 1, _orthogonal_basis(pi))
+    shape = dist.space.shape
+    pi = np.array(integer_row(dist.p.reshape(-1))[1], dtype=object).reshape(shape)
+    den, resid = integer_row(np.reshape(w, -1))
+    resid = np.array(resid, dtype=object).reshape(shape)
+    col_scale, resid = _project_out(resid.T, _orthogonal_basis(pi.T))
+    row_scale, resid = _project_out(resid.T, _orthogonal_basis(pi))
     if any(pi.T.dot(resid).reshape(-1)) or any(resid.dot(pi.T).reshape(-1)):
         raise RuntimeError("additivity residual is not orthogonal to the "
                            "row and column spaces of pi")
-    return resid
+    den *= col_scale * row_scale
+    return np.array([Fraction(v, den) for v in resid.reshape(-1)],
+                    dtype=object).reshape(shape)
 
 
 def difference_residual(dist: JointDist, t: np.ndarray) -> np.ndarray:

@@ -22,10 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .belief import beliefs, distinct_nonzero, ic_rows, interim
-from .core import (JointDist, Mechanism, PreconditionError, expectation,
-                   two_agent)
-from .numerics import require, span_coefficients
+from .belief import beliefs, distinct_nonzero, ic_rows
+from .core import JointDist, Mechanism, PreconditionError, two_agent
+from .numerics import integer_row, require, span_coefficients
 
 ZERO = Fraction(0)
 
@@ -62,41 +61,56 @@ class ICReport:
 
 def check_ic(x: Mechanism, dist: JointDist) -> ICReport:
     """Full IC check via raw inequalities, interim equalities and the
-    indifference/uninformativeness split; the three must agree."""
+    indifference/uninformativeness split; the three must agree.
+
+    The routes compare integers: pi's numerators P over their sum S (the
+    lcm of pi's denominators, as pi sums to 1) and x's numerators X over
+    theirs, d.  Agent L's interim table is P X^T, agent R's P^T X, row a
+    over d times the row or column sum of P at a, and E[x] is the sum of
+    P * X over S d."""
     two_agent(dist.space)
     if x.space != dist.space:
         raise PreconditionError("mechanism and distribution type spaces differ")
     space = dist.space
-    tables = [interim(dist, i, x.x) for i in range(2)]
-    ev = expectation(dist, x.x)
+    total, pi = integer_row(dist.p.reshape(-1))
+    den, xs = integer_row(x.x.reshape(-1))
+    pi = np.array(pi, dtype=object).reshape(space.shape)
+    xs = np.array(xs, dtype=object).reshape(space.shape)
+    tables = [pi.dot(xs.T), pi.T.dot(xs)]
+    scales = [pi.sum(axis=1), pi.sum(axis=0)]
+    ev = (pi * xs).sum()
 
     # Agent L holds the first option with probability x, agent R the second
-    # with 1 - x; type a gains held[a, b] - held[a, a] by reporting b.
-    violations = [Violation(space.agents[i], space.types[i][a], space.types[i][b], gain)
-                  for i, held in enumerate((tables[0], 1 - tables[1]))
-                  for (a, b), gain in np.ndenumerate(held - held.diagonal()[:, None])
+    # with 1 - x; so type a of L gains table[a, b] - table[a, a] by
+    # reporting b, and type a of R the negated difference.
+    violations = [Violation(space.agents[i], space.types[i][a], space.types[i][b],
+                            Fraction(gain, scale[a] * den))
+                  for i, (table, scale, sign) in enumerate(zip(tables, scales, (1, -1)))
+                  for (a, b), gain in np.ndenumerate(sign * (table - table.diagonal()[:, None]))
                   if gain > 0]
     raw_ok = not violations
 
-    equalities_ok = all((table == ev).all() for table in tables)
+    # table[a, b] / (scale[a] d) == ev / (S d), cross-multiplied.
+    equalities_ok = all((table * total == scale[:, None] * ev).all()
+                        for table, scale in zip(tables, scales))
 
     # Ex-ante indifference: the prior expectations x . pi_R and pi_L . x of
-    # the reports are all equal; uninformativeness: every type's interim
-    # expectations are the prior ones.
-    ml, mr = dist.marginals()
-    ex_ante = [x.x.dot(mr), ml.dot(x.x)]
+    # the reports, over S d, are all equal; uninformativeness: every type's
+    # interim expectations are the prior ones.
+    ex_ante = [xs.dot(scales[1]), scales[0].dot(xs)]
     ex_ante_ok = all((vals == vals[0]).all() for vals in ex_ante)
-    uninformative_ok = all((table == vals).all()
-                           for table, vals in zip(tables, ex_ante))
+    uninformative_ok = all((table * total == np.multiply.outer(scale, vals)).all()
+                           for table, scale, vals in zip(tables, scales, ex_ante))
 
     split_ok = ex_ante_ok and uninformative_ok
     require(raw_ok == equalities_ok == split_ok, "IC",
             "the three IC routes agree")
-    table = {(agent, types[a], types[b]): value
-             for agent, types, tab in zip(space.agents, space.types, tables)
+    table = {(agent, types[a], types[b]): Fraction(value, scale[a] * den)
+             for agent, types, tab, scale in zip(space.agents, space.types,
+                                                 tables, scales)
              for (a, b), value in np.ndenumerate(tab)}
     return ICReport(verdict=raw_ok, violations=violations, interim=table,
-                    common_value=ev if raw_ok else None,
+                    common_value=Fraction(ev, total * den) if raw_ok else None,
                     ex_ante_indifferent=ex_ante_ok,
                     uninformative=uninformative_ok)
 

@@ -75,7 +75,7 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
 def basis_rows(rows: Sequence[Sequence[Fraction]]) -> list[int]:
     """Indices, in order, of the rows that no earlier rows combine to: a
     basis of the row space of a rational matrix."""
-    return [i for i, _, _ in _reduce([_integer_row(row)[1] for row in rows])]
+    return [i for i, _, _ in _reduce([integer_row(row)[1] for row in rows])]
 
 
 def solve_linear_system(a: Sequence[Sequence[Fraction]],
@@ -89,7 +89,7 @@ def solve_linear_system(a: Sequence[Sequence[Fraction]],
     """
     n = len(a[0]) if a else 0
     x = [ZERO] * n
-    reduced = _reduce([_integer_row([*row, rhs])[1] for row, rhs in zip(a, b)])
+    reduced = _reduce([integer_row([*row, rhs])[1] for row, rhs in zip(a, b)])
     for _, lead, row in sorted(reduced, key=lambda kept: kept[1], reverse=True):
         # A lead in the rhs column means 0 == nonzero.
         if lead == n:
@@ -342,7 +342,7 @@ def require(ok: bool, kind: str, what: str) -> None:
         raise RuntimeError(f"{kind} check failed: {what}")
 
 
-def _integer_row(vals: Sequence[Fraction]) -> tuple[int, list[int]]:
+def integer_row(vals: Sequence[Fraction]) -> tuple[int, list[int]]:
     """``vals`` scaled to integers by s, the lcm of its denominators: (s, ints)."""
     scale = math.lcm(*(v.denominator for v in vals))
     return scale, [v.numerator * (scale // v.denominator) for v in vals]
@@ -397,8 +397,8 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     # that earlier ones combine to, after the substitution, are left out;
     # their duals are 0.  Every <= row gets a slack, kept at +-1 when the
     # row is scaled.
-    int_rows = {"eq": [_integer_row([*row, rhs]) for row, rhs in zip(lp.a_eq, lp.b_eq)],
-                "ub": [_integer_row([*row, rhs]) for row, rhs in zip(lp.a_ub, lp.b_ub)]}
+    int_rows = {"eq": [integer_row([*row, rhs]) for row, rhs in zip(lp.a_eq, lp.b_eq)],
+                "ub": [integer_row([*row, rhs]) for row, rhs in zip(lp.a_ub, lp.b_ub)]}
     eq = [scaled(*r) for r in int_rows["eq"]]
     kept = [i for i, _, _ in _reduce([vec for _, vec in eq])]
     ub = [scaled(*r) for r in int_rows["ub"]]
@@ -488,7 +488,7 @@ def _simplex(rows: list[list[int]], crash: list[int | None],
             tab.pivot(i, col, None)
 
     # --- phase 2: the artificial columns stay, barred from entering ------
-    scale2, cost2 = _integer_row(cost)
+    scale2, cost2 = integer_row(cost)
     cost2 += [0] * nart
     obj2 = tab.objective(cost2)
     tab.run(obj2, width)
@@ -505,7 +505,7 @@ def _simplex(rows: list[list[int]], crash: list[int | None],
 
 
 def _check_primal(lp: LinearProgram, int_rows, x: list[Fraction]) -> None:
-    """x meets the LP's integer rows (s, ints) of ``_integer_row``: over
+    """x meets the LP's integer rows (s, ints) of ``integer_row``: over
     x's common denominator D, sum a X == b D (<= for ``a_ub`` rows)."""
     den = math.lcm(*(v.denominator for v in x))
     xs = [(j, v.numerator * (den // v.denominator)) for j, v in enumerate(x) if v]

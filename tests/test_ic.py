@@ -3,18 +3,25 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from icmech import PreconditionError, constant_mechanism
+from icmech import Mechanism, PreconditionError, constant_mechanism
 from icmech.core import JointDist, TypeSpace
+from icmech.fixtures import fixture
 from icmech.game import maximin
 from icmech.ic import check_ic, classify_extremes, ic_polytope, spans
 from icmech.numerics import LinearProgram, rank, solve_lp
-from icmech.oracle import generate, sample_ic_vertex
+from icmech.oracle import generate, sample_ic_vertex, solve_principal
 
 from . import reference
-from .conftest import two_option
+from .conftest import matching_mechanism, two_option
+from .test_numerics import run_optimized
 
 F = Fraction
+KINDS = ("independent", "correlated", "full-rank", "conditionally-independent")
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
 
 
 class TestCheckIC:
@@ -51,6 +58,68 @@ class TestCheckIC:
             rep = check_ic(x, inst.dist)
             assert rep.verdict
             assert rep.common_value == maximin(x).value
+
+    def test_disagreeing_routes_raise(self, inst_fx2):
+        # pi doubled after construction, which checked that it sums to 1:
+        # E[x] and the prior expectations double, while the interim tables,
+        # each row over its own marginal, stay.  The constant mechanism
+        # still passes the raw inequalities and fails the other two routes.
+        dist = JointDist(inst_fx2.space, inst_fx2.dist.p)
+        dist.p = dist.p * 2
+        with pytest.raises(RuntimeError,
+                           match="IC check failed: the three IC routes agree"):
+            check_ic(constant_mechanism(inst_fx2.space, F(1, 3)), dist)
+
+    def test_disagreeing_routes_raise_under_python_o(self):
+        script = (
+            "from icmech import constant_mechanism\n"
+            "from icmech.fixtures import fixture\n"
+            "from icmech.ic import check_ic\n"
+            "inst = fixture('fx2')\n"
+            "inst.dist.p = inst.dist.p * 2\n"
+            "try:\n"
+            "    check_ic(constant_mechanism(inst.space, '1/3'), inst.dist)\n"
+            "except RuntimeError as e:\n"
+            "    print('debug' if __debug__ else 'optimized', e)\n")
+        assert run_optimized(script) == \
+            "optimized IC check failed: the three IC routes agree\n"
+
+
+@st.composite
+def instances_with_mechanisms(draw):
+    """An instance of one of the four kinds, 1x1 to 5x5, with a mechanism
+    on a random grid of sixths, a constant one or the LP-optimal one."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    inst = generate(draw(st.integers(0, 10**6)), (m, n),
+                    draw(st.sampled_from(KINDS)), k=draw(st.integers(1, 3)))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    mechanism = draw(st.sampled_from(("grid", "constant", "optimal")))
+    if mechanism == "optimal":
+        return inst, solve_principal(inst).mechanism
+    if mechanism == "constant":
+        return inst, constant_mechanism(inst.space, F(rng.randint(0, 6), 6))
+    return inst, Mechanism(inst.space, np.array(
+        [[F(rng.randint(0, 6), 6) for _ in range(n)] for _ in range(m)],
+        dtype=object))
+
+
+@PROPERTY
+@given(instances_with_mechanisms())
+# Ex-ante indifferent but informative: matching under correlation.
+@example((fixture("fx2"), matching_mechanism(fixture("fx2").space)))
+def test_integer_check_ic_equals_fraction_reference(case):
+    inst, x = case
+    got, ref = check_ic(x, inst.dist), reference.check_ic(x, inst.dist)
+    assert got.verdict == ref.verdict
+    assert got.violations == ref.violations
+    assert list(got.interim.items()) == list(ref.interim.items())
+    assert got.common_value == ref.common_value
+    assert got.ex_ante_indifferent == ref.ex_ante_indifferent
+    assert got.uninformative == ref.uninformative
+    # Reports print these values, so they stay Fractions.
+    values = [v.gain for v in got.violations] + list(got.interim.values())
+    values += [got.common_value] if got.verdict else []
+    assert all(type(v) is F for v in values)
 
 
 class TestICPolytope:

@@ -418,7 +418,7 @@ class TestPhaseOneSetUp:
         rows = value_rows(inst.dist, (type_basis(inst.dist, 0),
                                       type_basis(inst.dist, 1)))
         kept = [i for i, _, _ in numerics._reduce(
-            [numerics._integer_row(row + [F(0)])[1] for row in rows])]
+            [numerics.integer_row(row + [F(0)])[1] for row in rows])]
         assert len(rows) == len(kept) == reference.rank(rows) == 20
         sizes = []
         simplex = numerics._simplex
