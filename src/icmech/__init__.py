@@ -5,7 +5,22 @@ mechanisms are incentive compatible, how the set of implementable
 mechanisms varies with the type distribution, and when a mechanism exists
 that beats the principal's best ex-ante decision, for the two-option
 problem and for the n-agent allocation problem with independent types.
+Its arrays hold exact rationals, never floats, so BLAS is never called:
+when this package is the first to import numpy, OpenBLAS starts with one
+thread instead of an idle pool.
 """
+
+import os
+import sys
+
+# OpenBLAS reads the variable only when it loads; removing it afterwards
+# leaves os.environ, and so child processes, as they were.
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .core import (Instance, JointDist, Mechanism, NoneCertificate, Objective,
                    PreconditionError, SchemaError, TypeSpace,

@@ -365,16 +365,23 @@ def _scalar(v) -> str:
     return str(v)
 
 
-def _emit(report: dict, args) -> None:
+def _emit(report: dict, args) -> int:
+    """Write the report; the exit code, 1 if ``--out`` cannot be written."""
     report = jsonable(report)
     if args.format == "json":
         text = dumps_canonical(report)
     else:
         text = "\n".join(_render_text(report)) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
+        return 0
+    try:
+        Path(args.out).write_text(text)
+    except OSError as e:
+        print(f"error: cannot write report to '{args.out}': {e.strerror or e}",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,8 +454,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    _emit(report, args)
-    return 0
+    return _emit(report, args)
 
 
 if __name__ == "__main__":

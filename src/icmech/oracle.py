@@ -30,7 +30,7 @@ from .core import (Instance, JointDist, Mechanism, PreconditionError,
                    TypeSpace, constant_array, expectation, normalize,
                    product_dist)
 from .belief import type_basis, value_rows
-from .ic import check_ic, ic_polytope
+from .ic import ICReport, check_ic, ic_polytope
 from .nalloc import (AllocationInstance, AllocationMechanism, check_ic_n,
                      drop_disposal_agent)
 from .numerics import LinearProgram, rank, require, solve_lp
@@ -41,12 +41,14 @@ ONE = Fraction(1)
 
 @dataclass
 class PrincipalSolution:
-    """Exact optimum of the principal's problem over the IC polytope."""
+    """Exact optimum of the principal's problem over the IC polytope, with
+    the IC report that checked the optimal mechanism."""
 
     value: Fraction
     mechanism: object
     profitable: bool
     baseline: Fraction
+    ic_report: ICReport
 
 
 def solve_principal(instance: Instance) -> PrincipalSolution:
@@ -59,9 +61,10 @@ def solve_principal(instance: Instance) -> PrincipalSolution:
     w = instance.v * instance.dist.p
     value, [x] = _ic_optimum(instance.dist, list(w.reshape(-1)))
     mech = Mechanism(instance.space, x)
-    require(check_ic(mech, instance.dist).verdict, "oracle", "the LP optimum is IC")
+    icr = check_ic(mech, instance.dist)
+    require(icr.verdict, "oracle", "the LP optimum is IC")
     return PrincipalSolution(value=value, mechanism=mech,
-                             profitable=value > 0, baseline=ZERO)
+                             profitable=value > 0, baseline=ZERO, ic_report=icr)
 
 
 def _ic_optimum(dist: JointDist, objective: list) -> tuple[Fraction, list]:
@@ -127,10 +130,12 @@ def solve_principal_alloc(inst: AllocationInstance) -> PrincipalSolution:
     mech = AllocationMechanism(base.space, parts, disposal=False)
     if inst.disposal:
         mech = drop_disposal_agent(mech, inst)
-    require(check_ic_n(mech, inst).verdict, "oracle", "the LP optimum is IC")
+    icr = check_ic_n(mech, inst)
+    require(icr.verdict, "oracle", "the LP optimum is IC")
     # The dummy agent's value is 0: under disposal base.vbar is max(0, vbar).
     return PrincipalSolution(value=value, mechanism=mech,
-                             profitable=value > base.vbar, baseline=base.vbar)
+                             profitable=value > base.vbar, baseline=base.vbar,
+                             ic_report=icr)
 
 
 # ---------------------------------------------------------------------------

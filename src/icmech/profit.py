@@ -152,7 +152,7 @@ def _oracle_fallback(instance: Instance):
     res = solve_principal(instance)
     if res.profitable:
         return ConstructionResult(mechanism=res.mechanism, payoff=res.value,
-                                  ic_report=check_ic(res.mechanism, instance.dist),
+                                  ic_report=res.ic_report,
                                   epsilon=None, method="ic-polytope-lp")
     return NoneCertificate(
         reason="principal is not ex-ante indifferent; the LP over the IC "

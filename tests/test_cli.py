@@ -178,6 +178,16 @@ class TestContracts:
         code, out = run(capsys, "inspect", str(bad))
         assert code == 1 and out == ""
 
+    @pytest.mark.parametrize("target", [".", "missing/dir/x.json"])
+    def test_unwritable_out_one_line_error(self, capsys, tmp_path, target):
+        # A directory, or a file in a missing directory.
+        out = tmp_path / target
+        code = main(["inspect", FX1, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"error: cannot write report to '{out}': ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("command, data", [
         ("maximin", {"x": 5}),
         ("maximin", {"x": [5]}),

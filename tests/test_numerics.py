@@ -809,6 +809,34 @@ class TestChecksSurviveOptimize:
                  if isinstance(node, ast.Assert)]
         assert found == []
 
+    def test_no_float_arrays_in_the_package(self):
+        # icmech starts OpenBLAS with one thread (see icmech/__init__); that
+        # is free only while every array holds exact objects and nothing
+        # reaches float linear algebra.
+        def floating(name):
+            return name == "linalg" or name.startswith("float")
+
+        package = Path(numerics.__file__).resolve().parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.keyword) and node.arg == "dtype":
+                    bad = not (isinstance(node.value, ast.Name)
+                               and node.value.id == "object")
+                elif isinstance(node, ast.Attribute):
+                    bad = (isinstance(node.value, ast.Name)
+                           and node.value.id in ("np", "numpy")
+                           and floating(node.attr))
+                elif isinstance(node, ast.ImportFrom):
+                    module = (node.module or "").split(".")
+                    bad = module[0] == "numpy" and any(map(floating, [
+                        *module[1:], *(alias.name for alias in node.names)]))
+                else:
+                    continue
+                if bad:
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
     def test_corrupted_split_raises_under_python_o(self):
         # The closed-form split u of an additive allocation is only as good
         # as its check, which must survive the stripped asserts.

@@ -91,6 +91,23 @@ class TestConstruction:
         assert res.method == "ic-polytope-lp"
         assert res.details["lp_value"] == 0
 
+    def test_lp_fallback_checks_ic_once(self, monkeypatch):
+        # The fallback reuses the report solve_principal checked its
+        # optimum with, instead of checking the same mechanism again.
+        checked = []
+
+        def recording_check_ic(x, dist):
+            checked.append(x)
+            return check_ic(x, dist)
+
+        for module in ("oracle", "profit"):
+            monkeypatch.setattr(f"icmech.{module}.check_ic", recording_check_ic)
+        inst = generate(0, (3, 3), "independent")
+        res = construct_profitable(inst)
+        assert res.method == "ic-polytope-lp"
+        assert checked == [res.mechanism]
+        assert res.ic_report == check_ic(res.mechanism, inst.dist)
+
     def test_construction_audits(self):
         built = 0
         for seed in range(40):

@@ -1,0 +1,83 @@
+"""Start-up: ``import icmech`` loads numpy with one OpenBLAS thread and
+leaves the environment as it found it."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import icmech
+
+SRC = Path(icmech.__file__).resolve().parent.parent
+
+PROBE = """
+import json, os, subprocess, sys
+before = dict(os.environ)
+{imports}
+child = subprocess.run(
+    [sys.executable, "-c",
+     "import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+    capture_output=True, text=True, check=True).stdout.strip()
+task = "/proc/self/task"
+print(json.dumps({{
+    "unchanged": dict(os.environ) == before,
+    "variable": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "child_variable": None if child == "None" else child,
+    "threads": len(os.listdir(task)) if os.path.isdir(task) else None,
+}}))
+"""
+
+
+def probe(imports: str = "import icmech", **env) -> dict:
+    """Run ``imports`` in a fresh interpreter and report its environment,
+    a child's view of OPENBLAS_NUM_THREADS and its thread count."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", PROBE.format(imports=imports)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**base, "PYTHONPATH": str(SRC), **env})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def openblas_numpy() -> bool:
+    config = getattr(np.__config__, "CONFIG", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+threads_readable = pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and openblas_numpy()),
+    reason="thread count read from /proc with an OpenBLAS numpy")
+
+
+def test_import_leaves_the_environment_as_it_was():
+    found = probe()
+    assert found["unchanged"]
+    assert found["variable"] is None and found["child_variable"] is None
+
+
+@threads_readable
+def test_import_starts_one_thread():
+    assert probe()["threads"] == 1
+
+
+def test_user_setting_is_kept():
+    found = probe(OPENBLAS_NUM_THREADS="2")
+    assert found["unchanged"]
+    assert found["variable"] == "2" and found["child_variable"] == "2"
+
+
+def test_numpy_imported_first_is_left_alone():
+    found = probe("import numpy; import icmech")
+    assert found["unchanged"]
+    assert found["variable"] is None and found["child_variable"] is None
+
+
+@threads_readable
+def test_numpy_imported_first_keeps_its_threads():
+    assert probe("import numpy; import icmech")["threads"] == \
+        probe("import numpy")["threads"]
