@@ -161,6 +161,7 @@ def cmd_maximin(args) -> dict:
         if not isinstance(arr, list) or not all(isinstance(row, list) for row in arr):
             raise SchemaError("maximin needs a two-option mechanism array")
         m, n = len(arr), len(arr[0]) if arr else 0
+        check_profile_count((m, n))
         space = TypeSpace(("l", "r"), (tuple(range(m)), tuple(range(n))))
         mech = load_mechanism(data, space)
     sol = maximin(mech)

@@ -89,19 +89,6 @@ class TypeSpace:
         """Iterate type profiles in row-major (C) order."""
         return itertools.product(*self.types)
 
-    def position(self, agent_index: int, label) -> int:
-        try:
-            return self.types[agent_index].index(label)
-        except ValueError:
-            raise KeyError(f"unknown type {label!r} for agent "
-                           f"{self.agents[agent_index]!r}") from None
-
-    def agent_index(self, agent: str) -> int:
-        try:
-            return self.agents.index(agent)
-        except ValueError:
-            raise KeyError(f"unknown agent {agent!r}") from None
-
 
 def two_agent(space: TypeSpace) -> None:
     if space.n_agents != 2:
@@ -495,7 +482,3 @@ def dumps_canonical(data: dict) -> str:
     Serialize-parse-serialize is byte-identical under this form.
     """
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-def dump_instance(inst: Instance) -> str:
-    return dumps_canonical(instance_to_dict(inst))

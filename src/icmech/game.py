@@ -1,7 +1,7 @@
 """The auxiliary two-player zero-sum game induced by a mechanism.
 
 A two-option mechanism x defines a matrix game: the first agent picks a
-row (his report), the second picks a column, and the row player receives
+row (their report), the second picks a column, and the row player receives
 x(row, col).  Incentive compatibility of x under a distribution pi is the
 same thing as pi being a correlated equilibrium of this game, and every
 IC mechanism's interim expectations collapse to the game's maximin value.
@@ -36,15 +36,20 @@ def maximin(x: Mechanism) -> MaximinSolution:
     """Maximin value of the game with payoff matrix x and equilibrium
     strategies from one LP, the row player's: max v over the simplex with
     v <= (s^T x)_j for every column j.  Its duals on those rows are the
-    column player's strategy: the free v has reduced cost 0, so they sum to
-    1, and by strong duality no row earns more than v against them;
-    ``solve_lp`` checks both."""
+    column player's strategy, and by strong duality no row earns more than
+    v against them; ``solve_lp`` checks that.
+
+    v gets the lower bound -1 because every LP variable needs a finite one:
+    x's entries lie in [0, 1], so the value does too, and v never sits at
+    -1.  So v has reduced cost 0 and the duals sum to 1, checked here."""
     two_agent(x.space)
     m, n = x.space.shape
     sol = solve_lp(LinearProgram(
         objective=[ZERO] * m + [ONE], a_eq=[[ONE] * m + [ZERO]], b_eq=[ONE],
         a_ub=[[-v for v in column] + [ONE] for column in x.x.T],
-        b_ub=[ZERO] * n, lower=[ZERO] * m + [None]))
+        b_ub=[ZERO] * n, lower=[ZERO] * m + [-ONE]))
+    require(sum(sol.dual_ub) == ONE, "maximin",
+            "the column player's strategy sums to 1")
     res = MaximinSolution(value=sol.value,
                           sigma_maximizer=np.array(sol.x[:m], dtype=object),
                           sigma_minimizer=np.array(sol.dual_ub, dtype=object))

@@ -2,7 +2,7 @@
 
 Each agent wants the good; the principal's value from giving it to agent i
 may depend on everybody's types.  A mechanism is IC exactly when each
-agent's interim probability of receiving the good does not depend on his
+agent's interim probability of receiving the good does not depend on their
 report.  When the principal is unbiased (equal expected values across
 agents), a profitable mechanism exists iff the values fail to be
 "difference-additive": v_i - v_j does not split as u_i(type_i) -
@@ -23,9 +23,9 @@ import numpy as np
 from .belief import difference_residual, slice_sums
 from .core import (JointDist, NoneCertificate, PreconditionError, SchemaError,
                    TypeSpace, array_sum, axis_marginals, constant_array,
-                   dumps_canonical, expectation, load_json_dict,
-                   load_mechanism_json, parse_rational_array, parse_type_space,
-                   product_dist, to_nested_strings)
+                   expectation, load_json_dict, load_mechanism_json,
+                   parse_rational_array, parse_type_space, product_dist,
+                   to_nested_strings)
 from .ic import ICReport, Violation
 from .numerics import require
 
@@ -437,7 +437,3 @@ def allocation_to_dict(inst: AllocationInstance) -> dict:
     if inst.seed is not None:
         out["seed"] = inst.seed
     return out
-
-
-def dump_allocation(inst: AllocationInstance) -> str:
-    return dumps_canonical(allocation_to_dict(inst))

@@ -11,6 +11,10 @@ falls back to Bland's lowest-index rule after as many consecutive
 degenerate pivots as the tableau has rows, which rules out cycling and
 keeps every answer and every pivot count deterministic.
 
+Every variable has a finite lower bound and is exactly one tableau
+column: x_j = lo_j + span_j z_j with z_j >= 0, where span_j is up - lo
+for a variable with a finite upper bound and 1 otherwise.
+
 Speed comes from doing less exact work, never from tolerances.  A
 variable with both bounds finite becomes a column bounded by 1 with no
 row of its own (Dantzig's upper-bounding technique): the ratio test also
@@ -144,7 +148,8 @@ def _reduce(rows: Sequence[Sequence[int]]) -> list[tuple[int, int, list[int]]]:
 class LinearProgram:
     """max objective . x  s.t.  a_eq x = b_eq,  a_ub x <= b_ub,  lower <= x <= upper.
 
-    All data rational.  A bound of None means unbounded on that side.
+    All data rational.  Every lower bound is finite (0 by default); an
+    upper bound of None means unbounded above.
     """
 
     objective: list[Fraction]
@@ -152,7 +157,7 @@ class LinearProgram:
     b_eq: list[Fraction] = field(default_factory=list)
     a_ub: list[list[Fraction]] = field(default_factory=list)
     b_ub: list[Fraction] = field(default_factory=list)
-    lower: list[Fraction | None] | None = None
+    lower: list[Fraction] | None = None
     upper: list[Fraction | None] | None = None
 
     def __post_init__(self):
@@ -163,6 +168,8 @@ class LinearProgram:
             self.upper = [None] * n
         if len(self.lower) != n or len(self.upper) != n:
             raise ValueError("bound length mismatch")
+        if any(lo is None for lo in self.lower):
+            raise ValueError("every variable needs a finite lower bound")
         for row_set, rhs in ((self.a_eq, self.b_eq), (self.a_ub, self.b_ub)):
             if len(row_set) != len(rhs):
                 raise ValueError("constraint/rhs length mismatch")
@@ -170,7 +177,7 @@ class LinearProgram:
                 if len(row) != n:
                     raise ValueError("constraint row length mismatch")
         for lo, up in zip(self.lower, self.upper):
-            if lo is not None and up is not None and lo > up:
+            if up is not None and lo > up:
                 raise ValueError("lower bound exceeds upper bound")
 
     @property
@@ -354,43 +361,24 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     Raises ``RuntimeError`` if the LP is infeasible or unbounded: every LP
     the package builds has an optimum.
     """
-    # --- conversion to standard form: x_j = offset + sum coeff * s_col ----
-    # lower bound only: x = lo + s; upper only: x = up - s; free: x = s - s';
-    # both bounds: x = lo + (up - lo) z with z a boxed column, 0 <= z <= 1,
-    # which gets no row of its own (a fixed variable's column is zero).
-    var_map: list[tuple[Fraction, list[tuple[int, Fraction]]]] = []
-    boxed: set[int] = set()
-    ncols = 0
-    for lo, up in zip(lp.lower, lp.upper):
-        if lo is not None and up is not None:
-            boxed.add(ncols)
-            var_map.append((lo, [(ncols, up - lo)]))
-        elif lo is not None:
-            var_map.append((lo, [(ncols, ONE)]))
-        elif up is not None:
-            var_map.append((up, [(ncols, -ONE)]))
-        else:
-            var_map.append((ZERO, [(ncols, ONE), (ncols + 1, -ONE)]))
-        ncols += len(var_map[-1][1])
+    # --- standard form: variable j is column j, x_j = lo_j + span_j z_j ---
+    # A boxed variable has span up - lo and 0 <= z_j <= 1, a boxed column
+    # with no row of its own (a fixed variable's column is zero); any other
+    # has span 1 and z_j >= 0.
+    ncols = lp.n
+    boxed = {j for j, up in enumerate(lp.upper) if up is not None}
+    spans = [ONE if up is None else up - lo for lo, up in zip(lp.lower, lp.upper)]
 
     # The substituted row [coefficients | rhs] in integers, scaled once: by
     # the lcm of the row's denominators times ``unit``, which clears the
-    # denominators of every offset and coefficient of the map.
-    unit = math.lcm(*(v.denominator for offset, cols in var_map
-                      for v in (offset, *(k for _, k in cols))))
-    int_map = [(int(offset * unit), [(col, int(k * unit)) for col, k in cols])
-               for offset, cols in var_map]
+    # denominators of every lower bound and span.
+    unit = math.lcm(*(v.denominator for v in (*lp.lower, *spans)))
+    int_lower = [int(lo * unit) for lo in lp.lower]
+    int_spans = [int(k * unit) for k in spans]
 
     def scaled(scale: int, vec: list[int]) -> tuple[int, list[int]]:
-        out = [0] * ncols
-        b = vec[-1] * unit
-        for a, (offset, cols) in zip(vec, int_map):
-            if a:
-                b -= a * offset
-                for col, k in cols:
-                    out[col] = a * k
-        out.append(b)
-        return scale * unit, out
+        b = vec[-1] * unit - sum(a * lo for a, lo in zip(vec, int_lower) if a)
+        return scale * unit, [a * k for a, k in zip(vec, int_spans)] + [b]
 
     # Each original row [row | rhs] over integers, (s, ints): the tableau
     # is built from them and the result checks read them.  Equality rows
@@ -424,14 +412,11 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         crash.append(start)
         factor.append(scale)
 
-    cost = [ZERO] * (ncols + nslack)
-    for c, (_, cols) in zip(lp.objective, var_map):
-        for col, k in cols:
-            cost[col] += c * k
-    const_term = sum(c * offset for c, (offset, _) in zip(lp.objective, var_map))
+    cost = [c * k for c, k in zip(lp.objective, spans)] + [ZERO] * nslack
+    const_term = sum(c * lo for c, lo in zip(lp.objective, lp.lower))
 
     point, y, value_std, (pivots, flips) = _simplex(rows, crash, cost, ncols, boxed)
-    x = [offset + sum(k * point[col] for col, k in cols) for offset, cols in var_map]
+    x = [lo + k * z for lo, k, z in zip(lp.lower, spans, point)]
     value = sum(c * v for c, v in zip(lp.objective, x))
     require(value == value_std + const_term, "exact LP", "objective value identity")
     dual_eq, dual_ub, mu, nu, dual_value = _fold_duals(
@@ -517,7 +502,7 @@ def _check_primal(lp: LinearProgram, int_rows, x: list[Fraction]) -> None:
             "exact LP", "primal equality rows")
     require(all(lhs(vec) <= vec[-1] * den for _, vec in int_rows["ub"]),
             "exact LP", "primal inequality rows")
-    require(all((lo is None or v >= lo) and (up is None or v <= up)
+    require(all(v >= lo and (up is None or v <= up)
                 for v, lo, up in zip(x, lp.lower, lp.upper)), "exact LP",
             "primal bounds")
 
@@ -562,8 +547,7 @@ def _fold_duals(lp, int_rows, y, row_specs, factor):
             "inequality duals are nonnegative")
     require(all(v >= 0 for v in mu) and all(v >= 0 for v in nu), "exact LP",
             "bound multipliers are nonnegative")
-    require(all((mu[j] == 0 or lp.upper[j] is not None) and
-                (nu[j] == 0 or lp.lower[j] is not None) for j in range(lp.n)),
+    require(all(mu[j] == 0 or lp.upper[j] is not None for j in range(lp.n)),
             "exact LP", "bound multipliers sit on finite bounds")
     value = Fraction(g[-1], den) + \
         sum(mu[j] * lp.upper[j] for j in range(lp.n) if mu[j] != 0) - \

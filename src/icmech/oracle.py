@@ -26,9 +26,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (Instance, JointDist, Mechanism, PreconditionError,
-                   TypeSpace, constant_array, expectation, normalize,
-                   product_dist)
+from .core import (MAX_PROFILES, Instance, JointDist, Mechanism,
+                   PreconditionError, TypeSpace, constant_array, expectation,
+                   normalize, product_dist)
 from .belief import type_basis, value_rows
 from .ic import ICReport, check_ic, ic_polytope
 from .nalloc import (AllocationInstance, AllocationMechanism, check_ic_n,
@@ -206,8 +206,9 @@ def generate(seed: int, shape, kind: str, *, k: int | None = None,
             if rank([list(row) for row in pi]) == min(shape):
                 break
     elif kind == "conditionally-independent":
-        if not k or k < 1:
-            raise PreconditionError("conditionally-independent needs k >= 1")
+        if not k or not 1 <= k <= MAX_PROFILES:
+            raise PreconditionError(
+                f"conditionally-independent needs 1 <= k <= {MAX_PROFILES}")
         weights = _prob_vector(rng, k)
         pi = constant_array(shape, 0)
         for w in weights:

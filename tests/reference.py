@@ -389,13 +389,10 @@ def enumerate_vertices(lp: LinearProgram) -> list[list[Fraction]]:
     for row, rhs in zip(lp.a_ub, lp.b_ub):
         optional.append((list(row), rhs))
     for j in range(n):
-        if lp.lower[j] is not None:
-            unit = [ZERO] * n
-            unit[j] = ONE
-            optional.append((unit, lp.lower[j]))
+        unit = [ZERO] * n
+        unit[j] = ONE
+        optional.append((unit, lp.lower[j]))
         if lp.upper[j] is not None:
-            unit = [ZERO] * n
-            unit[j] = ONE
             optional.append((unit, lp.upper[j]))
     vertices: list[list[Fraction]] = []
     seen: set[tuple] = set()
@@ -412,7 +409,7 @@ def enumerate_vertices(lp: LinearProgram) -> list[list[Fraction]]:
         ok = all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(lp.a_eq, lp.b_eq))
         ok = ok and all(sum(a * v for a, v in zip(row, x)) <= b
                         for row, b in zip(lp.a_ub, lp.b_ub))
-        ok = ok and all((lp.lower[j] is None or x[j] >= lp.lower[j]) and
+        ok = ok and all(x[j] >= lp.lower[j] and
                         (lp.upper[j] is None or x[j] <= lp.upper[j])
                         for j in range(n))
         if not ok:
@@ -572,7 +569,7 @@ def check_primal(lp: LinearProgram, x: list[Fraction]) -> None:
     require(all(sum(a * v for a, v in zip(row, x) if a and v) <= rhs
                 for row, rhs in zip(lp.a_ub, lp.b_ub)), "exact LP",
             "primal inequality rows")
-    require(all((lo is None or v >= lo) and (up is None or v <= up)
+    require(all(v >= lo and (up is None or v <= up)
                 for v, lo, up in zip(x, lp.lower, lp.upper)), "exact LP",
             "primal bounds")
 
@@ -605,8 +602,7 @@ def fold_duals(lp, y, row_specs, factor):
             "inequality duals are nonnegative")
     require(all(v >= 0 for v in mu) and all(v >= 0 for v in nu), "exact LP",
             "bound multipliers are nonnegative")
-    require(all((mu[j] == 0 or lp.upper[j] is not None) and
-                (nu[j] == 0 or lp.lower[j] is not None) for j in range(lp.n)),
+    require(all(mu[j] == 0 or lp.upper[j] is not None for j in range(lp.n)),
             "exact LP", "bound multipliers sit on finite bounds")
     value = sum(d * b for d, b in zip(dual_eq, lp.b_eq)) + \
         sum(d * b for d, b in zip(dual_ub, lp.b_ub)) + \

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from icmech import cli
 from icmech.cli import main
-from icmech.core import MAX_AGENTS
+from icmech.core import MAX_AGENTS, MAX_PROFILES
 from icmech.fixtures import fixture_path
 
 from .test_golden import COMMANDS, LITERAL, _path
@@ -236,6 +236,28 @@ class TestContracts:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: the type space has ")
         assert captured.err.count("\n") == 1
+
+    def test_too_many_profiles_in_a_bare_mechanism_one_line_error(
+            self, capsys, tmp_path):
+        # maximin without an instance builds its type space from the array.
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({"x": [["0"] * 65] * 65}))
+        code = main(["maximin", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (f"error: the type space has 4225 profiles; "
+                                f"at most {MAX_PROFILES} are supported\n")
+
+    @pytest.mark.parametrize("k", [0, MAX_PROFILES + 1])
+    def test_mixture_size_out_of_range_one_line_refusal(self, capsys, k):
+        # The work of a k-component mixture grows with k, so k is bounded
+        # by the profile limit, like the shape.
+        code = main(["generate", "--seed", "1", "--shape", "2x2", "--kind",
+                     "conditionally-independent", "--k", str(k)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("refused: conditionally-independent needs "
+                                f"1 <= k <= {MAX_PROFILES}\n")
 
     def test_too_many_agents_in_shape_one_line_error(self, capsys):
         # Seventy one-type agents make one profile, so only the agent bound

@@ -6,11 +6,12 @@ import pytest
 
 from icmech.belief import beliefs
 from icmech.core import (MAX_AGENTS, JointDist, SchemaError, TypeSpace,
-                         constant_array, dump_instance, expectation,
-                         load_instance, load_mechanism, normalize,
-                         parse_rational_array, parse_type_space, product_dist)
+                         constant_array, dumps_canonical, expectation,
+                         instance_to_dict, load_instance, load_mechanism,
+                         normalize, parse_rational_array, parse_type_space,
+                         product_dist)
 from icmech.fixtures import FIXTURE_NAMES, fixture, fixture_path
-from icmech.nalloc import dump_allocation, load_allocation
+from icmech.nalloc import allocation_to_dict, load_allocation
 
 F = Fraction
 
@@ -130,11 +131,11 @@ class TestSchema:
         for name in FIXTURE_NAMES:
             text = fixture_path(name).read_text()
             if name == "fx4":
-                first = dump_allocation(load_allocation(text))
-                second = dump_allocation(load_allocation(first))
+                load, to_dict = load_allocation, allocation_to_dict
             else:
-                first = dump_instance(load_instance(text))
-                second = dump_instance(load_instance(first))
+                load, to_dict = load_instance, instance_to_dict
+            first = dumps_canonical(to_dict(load(text)))
+            second = dumps_canonical(to_dict(load(first)))
             assert text == first == second
 
     def test_floats_rejected(self):

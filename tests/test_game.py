@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from icmech import Mechanism, constant_mechanism, expectation
+from icmech import Mechanism, constant_mechanism, expectation, game
 from icmech.game import maximin, obedience_check
 from icmech.ic import check_ic
 from icmech.oracle import generate, sample_ic_vertex
@@ -45,6 +46,30 @@ class TestMaximin:
             payoff = sum(sol.sigma_maximizer[i] * x.x[i, j] * sol.sigma_minimizer[j]
                          for i in range(2) for j in range(2))
             assert payoff == sol.value
+
+    @pytest.mark.parametrize("rows, value", [
+        ([[1, 0], [1, 0]], 0), ([[1, 1], [1, 1]], 1), ([[0, 0], [0, 0]], 0)])
+    def test_value_at_a_bound(self, inst_fx1, rows, value):
+        # The value sits at 0 or 1, the ends of [0, 1], and still well above
+        # the lower bound -1 the LP gives it.
+        sol = maximin(mech(inst_fx1.space, rows))
+        assert sol.value == value
+        for sigma in (sol.sigma_maximizer, sol.sigma_minimizer):
+            assert sum(sigma) == 1
+            assert all(p >= 0 for p in sigma)
+
+    def test_duals_that_do_not_sum_to_one_raise(self, xstar, monkeypatch):
+        solve_lp = game.solve_lp
+
+        def halved_duals(lp):
+            sol = solve_lp(lp)
+            sol.dual_ub = [d / 2 for d in sol.dual_ub]
+            return sol
+
+        monkeypatch.setattr(game, "solve_lp", halved_duals)
+        with pytest.raises(RuntimeError, match="^maximin check failed: the column "
+                                               "player's strategy sums to 1$"):
+            maximin(xstar)
 
     def test_rectangular_game(self):
         inst = generate(9, (2, 3), "correlated")
@@ -96,8 +121,8 @@ class TestObedience:
             space = inst.space
             joint = []
             for v in rep.violations:
-                i = space.agent_index(v.agent)
-                weight = inst.dist.marginal(i)[space.position(i, v.true_type)]
+                i = space.agents.index(v.agent)
+                weight = inst.dist.marginal(i)[space.types[i].index(v.true_type)]
                 joint.append((v.agent, v.true_type, v.deviation, v.gain * weight))
             assert [(v.agent, v.true_type, v.deviation, v.gain)
                     for v in obedience.violations] == joint

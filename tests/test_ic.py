@@ -171,9 +171,9 @@ class TestSpans:
             assert verdict.spans
             # Stored coefficients reproduce each target belief exactly.
             for (agent, t), coeffs in verdict.coefficients.items():
-                i = inst.dist.space.agent_index(agent)
+                i = inst.dist.space.agents.index(agent)
                 cond = reference.conditional(inst.dist, i)
-                target = reference.conditional(indep, i)[inst.dist.space.position(i, t)]
+                target = reference.conditional(indep, i)[inst.dist.space.types[i].index(t)]
                 labels = inst.dist.space.types[i]
                 for s in range(len(target)):
                     combo = sum(coeffs[lab] * cond[a, s]

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from icmech import nalloc
-from icmech.core import NoneCertificate, PreconditionError, TypeSpace, constant_array
+from icmech.core import (NoneCertificate, PreconditionError, TypeSpace,
+                         constant_array, dumps_canonical)
 from icmech.nalloc import (AllocationInstance, AllocationMechanism,
-                           add_disposal_agent, analyze_allocation, check_ic_n,
+                           add_disposal_agent, allocation_to_dict,
+                           analyze_allocation, check_ic_n,
                            construct_profitable_n, difference_additive,
-                           dump_allocation, load_allocation,
-                           non_constant_witnesses)
+                           load_allocation, non_constant_witnesses)
 from icmech.oracle import generate, solve_principal_alloc
 from icmech.profit import additivity_test
 
@@ -325,9 +326,9 @@ def _reshape_strings(arr):
 
 class TestSerialization:
     def test_round_trip(self, inst_fx4):
-        text = dump_allocation(inst_fx4)
+        text = dumps_canonical(allocation_to_dict(inst_fx4))
         again = load_allocation(text)
-        assert dump_allocation(again) == text
+        assert dumps_canonical(allocation_to_dict(again)) == text
 
     def test_reserved_agent_name(self, inst_fx4):
         disp = AllocationInstance(inst_fx4.space, inst_fx4.marginals,

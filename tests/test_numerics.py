@@ -179,13 +179,10 @@ class TestSolveLP:
         with pytest.raises(RuntimeError, match=f"^{UNBOUNDED}$"):
             solve_lp(lp)
 
-    def test_free_variables(self):
-        # max -x st x >= -5 written with a free variable and an inequality
-        lp = LinearProgram(objective=fl([-1]), a_ub=[fl([-1])], b_ub=fl([5]),
-                           lower=[None], upper=[None])
-        sol = solve_lp(lp)
-        assert sol.value == 5
-        assert sol.x == [F(-5)]
+    def test_missing_lower_bound_refused(self):
+        # Every variable has a finite lower bound; a free one is refused.
+        with pytest.raises(ValueError, match="finite lower bound"):
+            LinearProgram(objective=fl([-1]), lower=[None])
 
     def test_duals_verified(self):
         lp = LinearProgram(objective=fl([3, 2]),
@@ -473,7 +470,7 @@ class TestReductionMatchesGaussJordan:
 
 @st.composite
 def mixed_lps(draw):
-    """Up to 4 variables, each boxed, fixed, half-bounded or free; equality
+    """Up to 4 variables, each boxed, fixed or bounded below only; equality
     and <= rows with rational entries over mixed denominators and right-hand
     sides of either sign, so LPs with an optimum, infeasible ones and
     unbounded ones occur.
@@ -486,12 +483,12 @@ def mixed_lps(draw):
 
     lower, upper = [], []
     for _ in range(n):
-        kind = draw(st.sampled_from(["box", "box", "fixed", "lower", "upper", "free"]))
-        lo = draw(RATIONALS) if kind in ("box", "fixed", "lower") else None
-        up = draw(RATIONALS) if kind in ("box", "upper") else None
+        kind = draw(st.sampled_from(["box", "box", "fixed", "lower"]))
+        lo = draw(RATIONALS)
+        up = draw(RATIONALS) if kind == "box" else None
         if kind == "fixed":
             up = lo
-        if lo is not None and up is not None and lo > up:
+        if up is not None and lo > up:
             lo, up = up, lo
         lower.append(lo)
         upper.append(up)

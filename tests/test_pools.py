@@ -35,11 +35,15 @@ LP_WORK = {"lp-sweep.1": (21, 540, 3), "projection-sweep.1": (0, 0, 0),
            "small-queries.1": (48, 459, 7)}
 
 
-def load_checker_class():
-    spec = importlib.util.spec_from_file_location("bench_checks", BENCH / "checks.py")
+def load_bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.Checker
+    return module
+
+
+def load_checker_class():
+    return load_bench_module("checks").Checker
 
 
 def run_query(argv: list[str]) -> tuple[object, str]:
@@ -57,16 +61,19 @@ def load_pool(pool_name: str) -> dict:
     return json.loads((BENCH / "pools" / f"{pool_name}.json").read_text())
 
 
-def run_pool(pool: dict, tmp_path) -> list[tuple[dict, object, str]]:
-    """(query, exit code, stdout) for every query of a pool, in order."""
+def run_pool(pool: dict, tmp_path, tracer=None) -> list[tuple[dict, object, str]]:
+    """(query, exit code, stdout) for every query of a pool, in order; a
+    ``tracer`` (``bench/tracing.Tracer``) is told each query's index."""
     paths = {}
     for key, data in pool["files"].items():
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps(data))
         paths[key] = str(path)
     runs = []
-    for query in pool["queries"]:
+    for qi, query in enumerate(pool["queries"]):
         argv = [paths[a[1:]] if a.startswith("@") else a for a in query["argv"]]
+        if tracer is not None:
+            tracer.query = qi
         runs.append((query, *run_query(argv)))
     return runs
 
@@ -118,3 +125,20 @@ def test_every_lp_fold_matches_the_fraction_reference(tmp_path, monkeypatch):
     assert len(folds) == LP_WORK["lp-sweep.1"][0]
     for got, expected in folds:
         assert got == expected
+
+
+def test_traced_pass_counts_the_lp_work(tmp_path):
+    # ``bench/run.py --trace 1`` reads each solve_lp call's LinearProgram:
+    # one traced pass of lp-sweep.1 makes 21 calls over 502 rows (equality,
+    # inequality and boxed bounds) and 702 columns.
+    tracer = load_bench_module("tracing").Tracer()
+    tracer.install()
+    try:
+        runs = run_pool(load_pool("lp-sweep.1"), tmp_path, tracer)
+    finally:
+        tracer.uninstall()
+    summary = tracer.summarize([0.0] * len(runs), [0] * len(runs))
+    metrics = summary["metrics"]
+    assert (metrics["numerics.solve_lp.calls"], metrics["numerics.solve_lp.rows"],
+            metrics["numerics.solve_lp.cols"]) == (21, 502, 702)
+    assert summary["calls_repeat"]
