@@ -39,15 +39,18 @@ def maximin(x: Mechanism) -> MaximinSolution:
     column player's strategy, and by strong duality no row earns more than
     v against them; ``solve_lp`` checks that.
 
-    v gets the lower bound -1 because every LP variable needs a finite one:
-    x's entries lie in [0, 1], so the value does too, and v never sits at
-    -1.  So v has reduced cost 0 and the duals sum to 1, checked here."""
+    Every LP variable is boxed: s lies in [0, 1], and v in [-1, 2].  x's
+    entries lie in [0, 1], so the value does too, and v sits at neither
+    bound.  The upper bound is 2, not 1, because the all-ones mechanism has
+    value exactly 1: v would sit at a bound of 1, its multiplier could be
+    nonzero, and the duals would no longer sum to 1.  So v has reduced
+    cost 0 and the duals sum to 1, checked here."""
     two_agent(x.space)
     m, n = x.space.shape
     sol = solve_lp(LinearProgram(
         objective=[ZERO] * m + [ONE], a_eq=[[ONE] * m + [ZERO]], b_eq=[ONE],
         a_ub=[[-v for v in column] + [ONE] for column in x.x.T],
-        b_ub=[ZERO] * n, lower=[ZERO] * m + [-ONE]))
+        b_ub=[ZERO] * n, lower=[ZERO] * m + [-ONE], upper=[ONE] * m + [2 * ONE]))
     require(sum(sol.dual_ub) == ONE, "maximin",
             "the column player's strategy sums to 1")
     res = MaximinSolution(value=sol.value,

@@ -4,45 +4,42 @@ Everything in this module is exact rational arithmetic (``Fraction``s, or
 ints over exact denominators), so feasibility, optimality, rank and
 orthogonality are decided by exact equality, not by tolerances.  One
 fraction-free integer row reduction (``_reduce``) serves ``rank``,
-``basis_rows``, ``solve_linear_system`` (and so ``span_coefficients``)
-and the LP presolve.  The LP solver is a two-phase bounded-variable
-tableau simplex.  Pricing enters the largest reduced cost (Dantzig) and
-falls back to Bland's lowest-index rule after as many consecutive
-degenerate pivots as the tableau has rows, which rules out cycling and
-keeps every answer and every pivot count deterministic.
+``basis_rows`` and ``solve_linear_system`` (and so ``span_coefficients``).
 
-Every variable has a finite lower bound and is exactly one tableau
-column: x_j = lo_j + span_j z_j with z_j >= 0, where span_j is up - lo
-for a variable with a finite upper bound and 1 otherwise.
-
-Speed comes from doing less exact work, never from tolerances.  A
-variable with both bounds finite becomes a column bounded by 1 with no
-row of its own (Dantzig's upper-bounding technique): the ratio test also
-stops where a basic boxed variable reaches 1 or the entering one reaches
-its own bound, and a variable at its upper bound is complemented.  The
-presolve drops equality rows that earlier rows combine to, after that
-substitution.  Inequality rows start with their slack basic (a slack
-crash basis), so only equality rows and rows with a negative right-hand
-side carry an artificial, and phase 1 is skipped when that start is
-already feasible, as it is for every LP over the IC polytope, whose
-equality rows are homogeneous.  Each tableau row holds
-Python ints over its own denominator in lowest terms, and a pivot updates
-only the rows whose pivot-column entry is nonzero.  The duals are read
-off the final objective row, where the starting unit columns carry
-B^-1.
+The LP solver is one bounded dual simplex on an integer tableau.  Every
+variable is boxed and is exactly one tableau column: x_j = lo_j + span_j
+z_j with 0 <= z_j <= 1 and span_j = up - lo.  Each equality row gets an
+artificial column fixed at 0 and each <= row its slack, bounded below
+only; these unit columns are the starting basis, and it is dual feasible
+once every column of positive cost sits at its upper bound, so no phase 1
+is needed.  A variable at its upper bound is complemented (Dantzig's
+upper-bounding technique), so every nonbasic column sits at 0.  The
+leaving row is the largest bound violation, and after as many consecutive
+degenerate steps as the tableau has rows, the violated row with the
+lowest basic column (Bland), which rules out cycling and keeps every
+answer and every pivot count deterministic.  The ratio test enters the
+least ratio, the lowest index on ties, and flips each boxed column that
+it passes while the slope of the dual objective stays positive: the
+bound-flipping long step of Fourer (*Notes on the dual simplex method*,
+1994); Koberstein (*The dual simplex method*, 2005) is the reference
+design.  An equality row that earlier rows combine to needs no presolve:
+its artificial stays basic at 0.  Each tableau row holds Python ints over
+its own denominator in lowest terms, and a pivot updates only the rows
+whose pivot-column entry is nonzero.  The duals are read off the final
+objective row, where the starting unit columns carry B^-1.
 
 ``solve_lp`` returns the exact optimum or raises: every LP the package
 builds has one (the principal's problem contains the ex-ante optimal
 constant, the transport problem the independent coupling, and the
-assignment and maximin LPs are bounded and feasible), so an infeasible
-or unbounded LP is a failed check, not an outcome.  Every optimum is
-checked exactly before it is returned (primal feasibility, strong
-duality, the signs of the duals and bound multipliers, the objective
-identity), and a failed check raises ``RuntimeError``, also under
-``python -O``.  The primal rows and the dual fold are checked in integers
-over the LP's own rows, each scaled to integers once, never over the
-tableau, so the checks stay independent of the substitution, the
-presolve and the slacks.
+assignment and maximin LPs are feasible), and a boxed LP cannot be
+unbounded, so an infeasible LP is a failed check, not an outcome.  Every
+optimum is checked exactly before it is returned (primal feasibility,
+strong duality, the signs of the duals and bound multipliers, the
+objective identity), and a failed check raises ``RuntimeError``, also
+under ``python -O``.  The primal rows and the dual fold are checked in
+integers over the LP's own rows, each scaled to integers once, never over
+the tableau, so the checks stay independent of the substitution and the
+unit columns.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ from fractions import Fraction
 from typing import Sequence
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def frac(value) -> Fraction:
@@ -148,8 +144,8 @@ def _reduce(rows: Sequence[Sequence[int]]) -> list[tuple[int, int, list[int]]]:
 class LinearProgram:
     """max objective . x  s.t.  a_eq x = b_eq,  a_ub x <= b_ub,  lower <= x <= upper.
 
-    All data rational.  Every lower bound is finite (0 by default); an
-    upper bound of None means unbounded above.
+    All data rational.  Every variable is boxed: its lower bound (0 by
+    default) and its upper bound are finite.
     """
 
     objective: list[Fraction]
@@ -158,27 +154,25 @@ class LinearProgram:
     a_ub: list[list[Fraction]] = field(default_factory=list)
     b_ub: list[Fraction] = field(default_factory=list)
     lower: list[Fraction] | None = None
-    upper: list[Fraction | None] | None = None
+    upper: list[Fraction] | None = None
 
     def __post_init__(self):
         n = len(self.objective)
         if self.lower is None:
             self.lower = [ZERO] * n
-        if self.upper is None:
-            self.upper = [None] * n
+        for name, bounds in (("lower", self.lower), ("upper", self.upper)):
+            if bounds is None or any(b is None for b in bounds):
+                raise ValueError(f"every variable needs a finite {name} bound")
         if len(self.lower) != n or len(self.upper) != n:
             raise ValueError("bound length mismatch")
-        if any(lo is None for lo in self.lower):
-            raise ValueError("every variable needs a finite lower bound")
         for row_set, rhs in ((self.a_eq, self.b_eq), (self.a_ub, self.b_ub)):
             if len(row_set) != len(rhs):
                 raise ValueError("constraint/rhs length mismatch")
             for row in row_set:
                 if len(row) != n:
                     raise ValueError("constraint row length mismatch")
-        for lo, up in zip(self.lower, self.upper):
-            if up is not None and lo > up:
-                raise ValueError("lower bound exceeds upper bound")
+        if any(lo > up for lo, up in zip(self.lower, self.upper)):
+            raise ValueError("lower bound exceeds upper bound")
 
     @property
     def n(self) -> int:
@@ -194,9 +188,9 @@ class LPSolution:
     ``reduced_costs`` form a dual solution whose objective equals
     ``value`` (strong duality, verified inside the solver).
 
-    ``pivots`` counts the simplex pivots of every phase, drive-out
-    included, and ``flips`` the steps that only move the entering variable
-    to its other bound.  The pricing rule is deterministic, so both are
+    ``pivots`` counts the dual simplex pivots, and ``flips`` the bound
+    flips of its ratio test, each of which moves a variable to its other
+    bound without a pivot.  The pricing rule is deterministic, so both are
     functions of the input, and a change to the engine that adds pivots
     shows without timing.
     """
@@ -211,56 +205,42 @@ class LPSolution:
 
 
 class _Tableau:
-    """Dense bounded-variable simplex tableau over Python ints.
+    """Dense bounded dual simplex tableau over Python ints.
 
     Row i is ``rows[i] / dens[i]`` over its own denominator, in lowest
     terms: a pivot updates only the rows with a nonzero entry in its
     column and divides each updated row and its denominator by their gcd,
     so the integers stay as small as the rational entries allow and every
     division is exact.  The objective row passed along is ``obj /
-    objden``.  The columns in ``boxed`` are bounded by 1; one in
-    ``flipped`` holds the complement 1 - z of its variable z, so every
-    nonbasic variable sits at 0.
+    objden``.  Column j is bounded by ``bounds[j]``: 1 for a variable,
+    None for a slack (bounded below only) and 0 for an artificial, which
+    is fixed at 0 and never enters.  A column in ``flipped`` holds the
+    complement bounds[j] - z of its variable z, so every nonbasic variable
+    sits at 0, and the basis stays dual feasible: no nonbasic column but an
+    artificial has a positive reduced cost.
 
-    Pricing enters the largest positive reduced cost, the lowest index on
-    ties (Dantzig); after as many consecutive degenerate pivots as there
-    are rows it enters the lowest index (Bland) until the next
-    nondegenerate step, which rules out cycling.
+    The leaving row is the one whose basic variable violates its bounds
+    most, the lowest row on ties; after as many consecutive degenerate
+    steps as there are rows it is the violated row with the lowest basic
+    column (Bland) until the next nondegenerate step, which rules out
+    cycling.
     """
 
-    def __init__(self, rows: list[list[int]], basis: list[int], boxed: set[int]):
+    def __init__(self, rows: list[list[int]], basis: list[int],
+                 bounds: list[int | None]):
         self.rows = rows          # each row: coefficients + rhs (last entry)
         self.dens = [1] * len(rows)
         self.objden = 1
         self.basis = basis
-        self.boxed = boxed
+        self.bounds = bounds
         self.flipped: set[int] = set()
         self.pivots = 0
         self.flips = 0
 
-    def objective(self, cost: list[int]) -> list[int]:
-        """Objective row (reduced costs + negated value) over the basis, in
-        units of 1/objden.  A flipped column's cost changes sign and adds
-        to the value."""
-        cost = [-c if j in self.flipped else c for j, c in enumerate(cost)]
-        den = math.lcm(*self.dens)
-        obj = [den * c for c in cost] + [den * sum(cost[j] for j in self.flipped)]
-        for row, d, b in zip(self.rows, self.dens, self.basis):
-            cb = cost[b]
-            if cb:
-                f = cb * (den // d)
-                obj = [a - f * v for a, v in zip(obj, row)]
-        require(len(obj) == len(cost) + 1, "exact LP",
-                "the objective row spans the tableau")
-        self.objden = den
-        return obj
-
-    def pivot(self, r: int, c: int, obj: list[int] | None) -> None:
-        """Pivot on row r, column c, updating ``obj`` too if given."""
+    def pivot(self, r: int, c: int, obj: list[int]) -> None:
+        """Pivot on row r, column c, updating ``obj`` too."""
         self.pivots += 1
-        # The pivot row over its own pivot entry, in lowest terms; that
-        # entry is negative only in the drive-out or right after a basic
-        # variable was flipped.
+        # The pivot row over its own (negative) pivot entry, in lowest terms.
         prow, q = _lowest_terms(self.rows[r], self.rows[r][c])
         dens = self.dens
         for i, row in enumerate(self.rows):
@@ -268,67 +248,69 @@ class _Tableau:
             if f and i != r:
                 self.rows[i], dens[i] = _lowest_terms(
                     [q * a - f * b for a, b in zip(row, prow)], dens[i] * q)
-        if obj is not None:
-            f = obj[c]
-            obj[:], self.objden = _lowest_terms(
-                [q * a - f * b for a, b in zip(obj, prow)], self.objden * q)
+        f = obj[c]
+        obj[:], self.objden = _lowest_terms(
+            [q * a - f * b for a, b in zip(obj, prow)], self.objden * q)
         self.rows[r], dens[r] = prow, q
         self.basis[r] = c
 
     def flip(self, c: int, obj: list[int]) -> None:
-        """Substitute 1 - z for the boxed variable z of column c: negate the
-        column and subtract it from the rhs, in every row and in ``obj``.
-        A basic column is flipped only to leave at once: the pivot on its
-        row, whose entry is now negative, negates that row back."""
+        """Substitute u - z for the variable z of column c, u its bound:
+        negate the column and subtract u times it from the rhs, in every
+        row and in ``obj``."""
+        u = self.bounds[c]
         self.flipped ^= {c}
         for row in self.rows:
             a = row[c]
             if a:
-                row[-1] -= a
+                row[-1] -= u * a
                 row[c] = -a
-        obj[-1] -= obj[c]
+        obj[-1] -= u * obj[c]
         obj[c] = -obj[c]
 
-    def run(self, obj: list[int], ncols: int) -> None:
-        """Simplex iterations until optimal; columns from ``ncols`` on
-        never enter.  An entering column that no row or bound stops raises:
-        the LP is unbounded."""
+    def leaving(self, bland: bool) -> int | None:
+        """The row whose basic variable violates its bounds most (Bland:
+        the violated row with the lowest basic column), or None."""
+        leave, most, den = None, 0, 1     # the violation is most / den
+        for i, (row, d, b) in enumerate(zip(self.rows, self.dens, self.basis)):
+            t, u = row[-1], self.bounds[b]
+            excess = -t if t < 0 else 0 if u is None else t - u * d
+            if excess > 0 and (leave is None or (
+                    b < self.basis[leave] if bland else excess * den > most * d)):
+                leave, most, den = i, excess, d
+        return leave
+
+    def run(self, obj: list[int]) -> None:
+        """Dual simplex iterations until the basis is primal feasible.  A
+        violated row that no column can repair raises: the LP is
+        infeasible."""
         degenerate = 0
-        while True:
-            if degenerate < len(self.rows):
-                best = max(obj[:ncols], default=0)
-                enter = obj.index(best) if best > 0 else None
-            else:
-                enter = next((j for j in range(ncols) if obj[j] > 0), None)
-            if enter is None:
-                return None
-            # Ratio test: a basic variable falls to 0 (entry > 0) or a boxed
-            # one rises to 1 (entry < 0); a boxed entering variable stops at
-            # its own bound 1 first on ties, which is a flip.
-            leave, dnm = None, 1
-            num = 1 if enter in self.boxed else None   # the step is num / dnm
-            for i, row in enumerate(self.rows):
-                a, t = row[enter], row[-1]
-                if a < 0 and self.basis[i] in self.boxed:
-                    a, t = -a, self.dens[i] - t
-                if a <= 0:
-                    continue
-                if num is not None:
-                    lhs, rhs = t * dnm, num * a
-                    if lhs > rhs or lhs == rhs and (
-                            leave is None or self.basis[i] > self.basis[leave]):
-                        continue
-                leave, num, dnm = i, t, a
-            require(num is not None, "exact LP", "the LP is bounded")
-            if leave is None:
+        bounds = self.bounds
+        while (r := self.leaving(degenerate >= len(self.rows))) is not None:
+            row = self.rows[r]
+            if row[-1] > 0:
+                # Above its bound: flipped, the basic variable is below 0.
+                self.flip(self.basis[r], obj)
+                row = self.rows[r] = [-v for v in row]
+            # Ratio test: the entering column has the least ratio
+            # obj[j] / row[j] over row[j] < 0, the lowest index on ties.
+            # A boxed column that the row's violation would carry past its
+            # bound is flipped instead (the long step), while the slope of
+            # the dual objective stays positive.
+            while True:
+                enter = None
+                for j, a in enumerate(row[:-1]):
+                    if a < 0 and bounds[j] != 0 and (
+                            enter is None or obj[j] * row[enter] < obj[enter] * a):
+                        enter = j
+                require(enter is not None, "exact LP", "the LP is feasible")
+                u = bounds[enter]
+                if u is None or row[-1] - u * row[enter] >= 0:
+                    break
                 self.flips += 1
                 self.flip(enter, obj)
-                degenerate = 0
-                continue
-            degenerate = degenerate + 1 if num == 0 else 0
-            if self.rows[leave][enter] < 0:   # leaves at its upper bound
-                self.flip(self.basis[leave], obj)
-            self.pivot(leave, enter, obj)
+            degenerate = degenerate + 1 if obj[enter] == 0 else 0
+            self.pivot(r, enter, obj)
 
 
 def _lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:
@@ -358,16 +340,14 @@ def integer_row(vals: Sequence[Fraction]) -> tuple[int, list[int]]:
 def solve_lp(lp: LinearProgram) -> LPSolution:
     """The exact rational optimum of an LP; deterministic for a given input.
 
-    Raises ``RuntimeError`` if the LP is infeasible or unbounded: every LP
-    the package builds has an optimum.
+    Raises ``RuntimeError`` if the LP is infeasible: every LP the package
+    builds has an optimum.
     """
     # --- standard form: variable j is column j, x_j = lo_j + span_j z_j ---
-    # A boxed variable has span up - lo and 0 <= z_j <= 1, a boxed column
-    # with no row of its own (a fixed variable's column is zero); any other
-    # has span 1 and z_j >= 0.
+    # with span_j = up - lo and 0 <= z_j <= 1 (a fixed variable's column is
+    # zero).
     ncols = lp.n
-    boxed = {j for j, up in enumerate(lp.upper) if up is not None}
-    spans = [ONE if up is None else up - lo for lo, up in zip(lp.lower, lp.upper)]
+    spans = [up - lo for lo, up in zip(lp.lower, lp.upper)]
 
     # The substituted row [coefficients | rhs] in integers, scaled once: by
     # the lcm of the row's denominators times ``unit``, which clears the
@@ -381,46 +361,30 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         return scale * unit, [a * k for a, k in zip(vec, int_spans)] + [b]
 
     # Each original row [row | rhs] over integers, (s, ints): the tableau
-    # is built from them and the result checks read them.  Equality rows
-    # that earlier ones combine to, after the substitution, are left out;
-    # their duals are 0.  Every <= row gets a slack, kept at +-1 when the
-    # row is scaled.
+    # is built from them and the result checks read them.  Row i gets its
+    # own unit column ncols + i, which starts basic: an artificial fixed at
+    # 0 for an equality row (one that earlier rows combine to keeps it
+    # basic at 0), a slack bounded below only for a <= row.
     int_rows = {"eq": [integer_row([*row, rhs]) for row, rhs in zip(lp.a_eq, lp.b_eq)],
                 "ub": [integer_row([*row, rhs]) for row, rhs in zip(lp.a_ub, lp.b_ub)]}
-    eq = [scaled(*r) for r in int_rows["eq"]]
-    kept = [i for i, _, _ in _reduce([vec for _, vec in eq])]
-    ub = [scaled(*r) for r in int_rows["ub"]]
-    row_specs = [("eq", i) for i in kept] + [("ub", i) for i in range(len(ub))]
-    nslack = len(ub)
+    std_rows = [scaled(*r) for r in int_rows["eq"] + int_rows["ub"]]
+    nrows = len(std_rows)
     rows: list[list[int]] = []
-    # Slack crash basis: a row whose slack keeps its +1 after the sign
-    # normalisation starts with that slack basic; the others need an
-    # artificial column.  factor[i] maps the dual of tableau row i back
-    # onto its original row.
-    crash: list[int | None] = []
-    factor: list[int] = []
-    for (kind, i), (scale, vec) in zip(row_specs, [eq[i] for i in kept] + ub):
-        row = vec[:-1] + [0] * nslack + vec[-1:]
-        start = None
-        if kind == "ub":
-            start = ncols + i
-            row[start] = 1
-        if row[-1] < 0:
-            row = [-v for v in row]
-            scale, start = -scale, None
+    for i, (_, vec) in enumerate(std_rows):
+        row = vec[:-1] + [0] * nrows + vec[-1:]
+        row[ncols + i] = 1
         rows.append(row)
-        crash.append(start)
-        factor.append(scale)
-
-    cost = [c * k for c, k in zip(lp.objective, spans)] + [ZERO] * nslack
+    bounds = [1] * ncols + [0] * len(lp.a_eq) + [None] * len(lp.a_ub)
+    cost = [c * k for c, k in zip(lp.objective, spans)] + [ZERO] * nrows
     const_term = sum(c * lo for c, lo in zip(lp.objective, lp.lower))
 
-    point, y, value_std, (pivots, flips) = _simplex(rows, crash, cost, ncols, boxed)
+    point, y, value_std, (pivots, flips) = _simplex(rows, cost, bounds)
     x = [lo + k * z for lo, k, z in zip(lp.lower, spans, point)]
     value = sum(c * v for c, v in zip(lp.objective, x))
     require(value == value_std + const_term, "exact LP", "objective value identity")
-    dual_eq, dual_ub, mu, nu, dual_value = _fold_duals(
-        lp, int_rows, y, row_specs, factor)
+    # Row i of the tableau is its original row times s: its dual, times s.
+    duals = [yi * s for yi, (s, _) in zip(y, std_rows)]
+    dual_eq, dual_ub, mu, nu, dual_value = _fold_duals(lp, int_rows, duals)
     require(dual_value == value, "exact LP", "strong duality")
     _check_primal(lp, int_rows, x)
     return LPSolution(value=value, x=x,
@@ -429,64 +393,39 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
                       pivots=pivots, flips=flips)
 
 
-def _simplex(rows: list[list[int]], crash: list[int | None],
-             cost: list[Fraction], ncols: int, boxed: set[int]):
-    """Two-phase bounded-variable simplex: max cost . s  s.t.  rows s = rhs,
-    s >= 0 and s_j <= 1 for j in ``boxed``.
+def _simplex(rows: list[list[int]], cost: list[Fraction],
+             bounds: list[int | None]):
+    """Bounded dual simplex: max cost . s  s.t.  rows s = rhs and
+    0 <= s_j <= bounds[j] (no upper bound where None).
 
     ``rows`` are integer rows over the columns of ``cost`` plus the rhs
-    (last entry, >= 0); columns past ``ncols`` are slacks, and
-    ``crash[i]`` is row i's starting slack, or None for an artificial.
-    Returns (point, y, value, (pivots, flips)): the optimal vertex, the
-    duals of ``rows`` and the optimal value; raises if there is none.
+    (last entry, of either sign).  The last ``len(rows)`` columns are the
+    rows' unit columns, row i's at width - len(rows) + i, each of cost 0:
+    they are the starting basis, which is dual feasible once every column
+    of positive cost sits at its upper bound.  Returns (point, y, value,
+    (pivots, flips)): the optimal vertex, the duals of ``rows`` and the
+    optimal value; raises if there is none.
     """
     width = len(cost)
-    art_rows = [i for i, start in enumerate(crash) if start is None]
-    nart = len(art_rows)
-    tab_rows = [row[:-1] + [0] * nart + row[-1:] for row in rows]
-    basis = list(crash)
-    for k, i in enumerate(art_rows):
-        tab_rows[i][width + k] = 1
-        basis[i] = width + k
-    start = list(basis)           # row i's unit column: B^-1 builds up there
-    tab = _Tableau(tab_rows, basis, boxed)
-
-    # --- phase 1: every artificial costs -1 ------------------------------
-    cost1 = [0] * width + [-1] * nart
-    obj1 = tab.objective(cost1)
-    # obj1[-1] is the artificials' total.  At 0 the crash basis is already
-    # phase-1 optimal (every oracle LP: its equality rows are homogeneous).
-    # Entering candidates exclude the artificial columns: once an
-    # artificial leaves the basis it stays out.
-    if obj1[-1] != 0:
-        tab.run(obj1, width)
-    require(obj1[-1] == 0, "exact LP", "the LP is feasible")
-
-    # Drive the artificials, all at level 0, out of the basis.  With the
-    # dependent equality rows gone and phase 1 feasible, the standard-form
-    # matrix has full row rank, so every such row has a pivot column.
-    for i in range(len(tab.rows)):
-        if tab.basis[i] >= width:
-            col = next((j for j in range(width) if tab.rows[i][j] != 0), None)
-            require(col is not None, "exact LP",
-                    "an artificial variable leaves the basis")
-            tab.pivot(i, col, None)
-
-    # --- phase 2: the artificial columns stay, barred from entering ------
-    scale2, cost2 = integer_row(cost)
-    cost2 += [0] * nart
-    obj2 = tab.objective(cost2)
-    tab.run(obj2, width)
-    # A flipped column holds 1 - z.
+    start = list(range(width - len(rows), width))   # B^-1 builds up there
+    tab = _Tableau([list(row) for row in rows], list(start), bounds)
+    scale, obj = integer_row(cost)
+    obj.append(0)
+    for j, c in enumerate(obj[:-1]):
+        if c > 0:
+            tab.flip(j, obj)
+    tab.run(obj)
+    # A flipped column holds u - z.
     x_std = [ZERO] * width
     for row, d, b in zip(tab.rows, tab.dens, tab.basis):
         x_std[b] = Fraction(row[-1], d)
-    x_std = [ONE - v if j in tab.flipped else v for j, v in enumerate(x_std)]
-    # The duals are read off the tableau: column start[i] has reduced cost
-    # c_j - y_i (obj2 and cost2 are scaled by scale2, obj2 over objden too).
-    den = scale2 * tab.objden
-    y = [Fraction(cost2[j] * tab.objden - obj2[j], den) for j in start]
-    return x_std, y, Fraction(-obj2[-1], den), (tab.pivots, tab.flips)
+    x_std = [bounds[j] - v if j in tab.flipped else v for j, v in enumerate(x_std)]
+    # The duals are read off the tableau: column start[i] costs 0 and has
+    # reduced cost -y_i, negated where it is flipped (obj is scaled by
+    # ``scale`` and over objden).
+    den = scale * tab.objden
+    y = [Fraction(obj[j] if j in tab.flipped else -obj[j], den) for j in start]
+    return x_std, y, Fraction(-obj[-1], den), (tab.pivots, tab.flips)
 
 
 def _check_primal(lp: LinearProgram, int_rows, x: list[Fraction]) -> None:
@@ -502,32 +441,24 @@ def _check_primal(lp: LinearProgram, int_rows, x: list[Fraction]) -> None:
             "exact LP", "primal equality rows")
     require(all(lhs(vec) <= vec[-1] * den for _, vec in int_rows["ub"]),
             "exact LP", "primal inequality rows")
-    require(all(v >= lo and (up is None or v <= up)
-                for v, lo, up in zip(x, lp.lower, lp.upper)), "exact LP",
-            "primal bounds")
+    require(all(lo <= v <= up for v, lo, up in zip(x, lp.lower, lp.upper)),
+            "exact LP", "primal bounds")
 
 
-def _fold_duals(lp, int_rows, y, row_specs, factor):
-    """Fold the duals y of the scaled tableau rows back onto the original
-    constraints (row i's dual times ``factor[i]``).
-
-    Bound multipliers mu (upper) and nu (lower) absorb what the row duals
-    leave of the objective, so that A^T dual + mu - nu = objective.
-    Returns (dual_eq, dual_ub, mu, nu, dual objective value) after checking
-    the multipliers' signs exactly.  Equality rows absent from
-    ``row_specs`` get dual 0.
+def _fold_duals(lp, int_rows, duals):
+    """Split the duals of the LP's rows, equality rows first, into
+    (dual_eq, dual_ub) and complete them with bound multipliers mu (upper)
+    and nu (lower) that absorb what the row duals leave of the objective,
+    so that A^T dual + mu - nu = objective.  Returns (dual_eq, dual_ub, mu,
+    nu, dual objective value) after checking the signs exactly.
 
     A^T dual and dual . b are summed in integers over the LP's integer
     rows (s, ints): a row's dual d is the multiplier d / s on its ints,
     and the multipliers are brought to one common denominator C.
     """
-    duals = {"eq": [ZERO] * len(lp.a_eq), "ub": [ZERO] * len(lp.a_ub)}
-    for (kind, idx), yi, f in zip(row_specs, y, factor):
-        duals[kind][idx] = yi * f
-    dual_eq, dual_ub = duals["eq"], duals["ub"]
+    dual_eq, dual_ub = duals[:len(lp.a_eq)], duals[len(lp.a_eq):]
     mults = [(Fraction(d.numerator, d.denominator * s), vec)
-             for kind in ("eq", "ub")
-             for d, (s, vec) in zip(duals[kind], int_rows[kind]) if d]
+             for d, (s, vec) in zip(duals, int_rows["eq"] + int_rows["ub"]) if d]
     den = math.lcm(*(m.denominator for m, _ in mults))
     g = [0] * (lp.n + 1)   # C A^T dual, and C dual . b last
     for m, vec in mults:
@@ -547,9 +478,7 @@ def _fold_duals(lp, int_rows, y, row_specs, factor):
             "inequality duals are nonnegative")
     require(all(v >= 0 for v in mu) and all(v >= 0 for v in nu), "exact LP",
             "bound multipliers are nonnegative")
-    require(all(mu[j] == 0 or lp.upper[j] is not None for j in range(lp.n)),
-            "exact LP", "bound multipliers sit on finite bounds")
     value = Fraction(g[-1], den) + \
-        sum(mu[j] * lp.upper[j] for j in range(lp.n) if mu[j] != 0) - \
-        sum(nu[j] * lp.lower[j] for j in range(lp.n) if nu[j] != 0)
+        sum(m * up for m, up in zip(mu, lp.upper) if m) - \
+        sum(m * lo for m, lo in zip(nu, lp.lower) if m)
     return dual_eq, dual_ub, mu, nu, value

@@ -77,8 +77,7 @@ def _ic_optimum(dist: JointDist, objective: list) -> tuple[Fraction, list]:
     is span(J) + col(pi)^perp (x) row(pi)^perp, of dimension
     1 + (m - r)(n - r) with r = rank(pi).  At full rank, r = min(m, n),
     only the constants are IC and no LP runs: the optimum is J when the
-    objective sums to more than 0, else 0 (also at a tie, as the LP would
-    return).  Otherwise the LP runs over x and the common interim value c,
+    objective sums to more than 0, else 0.  Otherwise the LP runs over x and the common interim value c,
     a last column, with the independent rows of ``belief.value_rows``.
     Any other number of agents takes the dense rows of ``ic.ic_polytope``:
     the shares are nonnegative, the last agent holds 1 - their sum, and
@@ -103,7 +102,7 @@ def _ic_optimum(dist: JointDist, objective: list) -> tuple[Fraction, list]:
                 for flat in range(size)]
         lp = LinearProgram(objective=objective, a_eq=rows, b_eq=[ZERO] * len(rows),
                            a_ub=sums, b_ub=[ONE] * size,
-                           lower=[ZERO] * nvars, upper=[None] * nvars)
+                           lower=[ZERO] * nvars, upper=[ONE] * nvars)
     sol = solve_lp(lp)
     return sol.value, [np.array(sol.x[k * size:(k + 1) * size],
                                 dtype=object).reshape(space.shape)

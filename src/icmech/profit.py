@@ -207,7 +207,7 @@ def transport_criterion(instance: Instance) -> TransportResult:
     else:
         rows, rhs = transport_rows(dist, (row_basis, type_basis(dist, 1)))
         sol = solve_lp(LinearProgram(objective=list(v_hat.reshape(-1)),
-                                     a_eq=rows, b_eq=rhs))
+                                     a_eq=rows, b_eq=rhs, upper=[ONE] * v_hat.size))
         q = np.array(sol.x, dtype=object).reshape(shape)
         value = sol.value
     return TransportResult(value=value, optimizer=JointDist(instance.space, q),
@@ -490,7 +490,7 @@ def _best_matching_lp(v, ml, mr):
     n = v.shape[0]
     objective = [ml[i] * mr[j] * v[i, j] for i in range(n) for j in range(n)]
     sol = solve_lp(LinearProgram(objective=objective, a_eq=marginal_rows((n, n)),
-                                 b_eq=[ONE] * (2 * n)))
+                                 b_eq=[ONE] * (2 * n), upper=[ONE] * (n * n)))
     perm = []
     for i in range(n):
         js = [j for j in range(n) if sol.x[i * n + j] == 1]

@@ -12,10 +12,11 @@ references here use them, so they share no elimination with the library.
 ``distinct_nonzero`` is the dedupe keyed on the rows' own Fraction tuples
 that the integer-keyed one in ``icmech.belief`` replaced.
 ``enumerate_vertices`` is a brute-force LP oracle for cross-checking the
-simplex, and ``simplex`` is the Fraction tableau with Bland's rule, explicit
-bound rows and the duals recovered by a second elimination, whose status
-and optimal value the bounded-variable engine in ``icmech.numerics`` must
-reproduce (where the reference finds no optimum, the engine raises).  ``fold_duals`` and ``check_primal`` are the result checks of
+simplex, and ``simplex`` is a two-phase primal Fraction tableau with Bland's
+rule, explicit bound rows and the duals recovered by a second elimination,
+whose status and optimal value the bounded dual simplex in
+``icmech.numerics`` must reproduce (where the reference finds no optimum,
+the engine raises).  ``fold_duals`` and ``check_primal`` are the result checks of
 ``solve_lp`` redone in Fractions over the LP's rational rows; the integer
 checks over the LP's scaled rows must give the same multipliers, values
 and verdicts.  ``best_matching_enumerate`` tries every bijection, the oracle
@@ -392,8 +393,7 @@ def enumerate_vertices(lp: LinearProgram) -> list[list[Fraction]]:
         unit = [ZERO] * n
         unit[j] = ONE
         optional.append((unit, lp.lower[j]))
-        if lp.upper[j] is not None:
-            optional.append((unit, lp.upper[j]))
+        optional.append((unit, lp.upper[j]))
     vertices: list[list[Fraction]] = []
     seen: set[tuple] = set()
     rank_eq = rank([r for r, _ in cand_rows]) if cand_rows else 0
@@ -409,9 +409,7 @@ def enumerate_vertices(lp: LinearProgram) -> list[list[Fraction]]:
         ok = all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(lp.a_eq, lp.b_eq))
         ok = ok and all(sum(a * v for a, v in zip(row, x)) <= b
                         for row, b in zip(lp.a_ub, lp.b_ub))
-        ok = ok and all(x[j] >= lp.lower[j] and
-                        (lp.upper[j] is None or x[j] <= lp.upper[j])
-                        for j in range(n))
+        ok = ok and all(lp.lower[j] <= x[j] <= lp.upper[j] for j in range(n))
         if not ok:
             continue
         key = tuple(x)
@@ -491,34 +489,45 @@ def _basis_duals(a, cost, basis) -> list[Fraction]:
     return y
 
 
-def simplex(rows, crash, cost, ncols, boxed):
-    """``icmech.numerics._simplex``'s contract over Fractions, with Bland's
-    rule and an explicit row s_j + t_j = 1 for every boxed column j, its
-    slack t_j starting basic.  Only the duals of ``rows`` come back: the
-    caller folds the bound multipliers from the residual."""
-    width = len(cost)
-    nrows = len(rows)
-    boxed = sorted(boxed)
-    nbox = len(boxed)
-    rhs = [Fraction(row[-1]) for row in rows] + [ONE] * nbox
-    a = [[Fraction(v) for v in row[:-1]] + [ZERO] * nbox for row in rows]
+def simplex(rows, cost, bounds):
+    """``icmech.numerics._simplex``'s contract over Fractions, solved by a
+    two-phase primal simplex with Bland's rule: the columns fixed at 0 are
+    left out, a row with a negative rhs is negated, and every column j with
+    an upper bound gets an explicit row s_j + t_j = bounds[j], its slack
+    t_j starting basic.  Returns (status, point, y, value, (pivots, 0));
+    only the duals of ``rows`` come back: the caller folds the bound
+    multipliers from the residual."""
+    width, nrows = len(cost), len(rows)
+    cols = [j for j in range(width) if bounds[j] != 0]
+    pos = {j: k for k, j in enumerate(cols)}
+    boxed = [j for j in cols if bounds[j] is not None]
+    ncols = len(cols) + len(boxed)
+    signs = [-1 if row[-1] < 0 else 1 for row in rows]
+    a = [[Fraction(sign * row[j]) for j in cols] + [ZERO] * len(boxed)
+         for sign, row in zip(signs, rows)]
+    rhs = [Fraction(sign * row[-1]) for sign, row in zip(signs, rows)]
+    # Row i's unit column starts basic where it is a slack left at +1.
+    crash = [pos.get(width - nrows + i) if sign > 0 else None
+             for i, sign in enumerate(signs)]
     for k, j in enumerate(boxed):
-        bound = [ZERO] * (width + nbox)
-        bound[j] = bound[width + k] = ONE
+        bound = [ZERO] * ncols
+        bound[pos[j]] = bound[len(cols) + k] = ONE
         a.append(bound)
-    crash = list(crash) + [width + k for k in range(nbox)]
+        rhs.append(Fraction(bounds[j]))
+        crash.append(len(cols) + k)
     status, point, y, value, pivots = _bland_simplex(
-        a, rhs, crash, list(cost) + [ZERO] * nbox)
+        a, rhs, crash, [cost[j] for j in cols] + [ZERO] * len(boxed))
     if point is not None:
-        point = point[:width]
-    if y is not None:
-        y = y[:nrows]
+        point = [point[pos[j]] if j in pos else ZERO for j in range(width)]
+        y = [sign * v for sign, v in zip(signs, y)]
     return status, point, y, value, (pivots, 0)
 
 
 def _bland_simplex(rows, rhs, crash, cost):
     """Two-phase Bland simplex: max cost . s  s.t.  rows s = rhs >= 0,
-    s >= 0; duals by eliminating the final basis matrix."""
+    s >= 0; duals by eliminating the final basis matrix.  A row that the
+    others combine to keeps its artificial basic at 0 after phase 1; it is
+    dropped there, and its dual is 0."""
     width = len(cost)
     art_rows = [i for i, start in enumerate(crash) if start is None]
     nart = len(art_rows)
@@ -537,27 +546,25 @@ def _bland_simplex(rows, rhs, crash, cost):
         unb = tab.run(obj1, width)
         assert unb is None  # phase-1 objective is bounded above by 0
     if -obj1[-1] < 0:
-        y = _basis_duals(pristine, phase1_cost, tab.basis)
-        return "infeasible", None, y, None, tab.pivots
+        return "infeasible", None, None, None, tab.pivots
+    kept = []
     for i in range(len(tab.rows)):
         if tab.basis[i] >= width:
             col = next((j for j in range(width) if tab.rows[i][j] != 0), None)
-            require(col is not None, "exact LP",
-                    "an artificial variable leaves the basis")
+            if col is None:
+                continue
             tab.pivot(i, col, obj1)
-    tab.rows = [row[:width] + [row[-1]] for row in tab.rows]
+        kept.append(i)
+    tab.rows = [tab.rows[i][:width] + [tab.rows[i][-1]] for i in kept]
+    tab.basis = [tab.basis[i] for i in kept]
     obj2 = _reduced_objective(cost, tab, width)
-    unb = tab.run(obj2, width)
-    if unb is not None:
-        ray = [ZERO] * width
-        ray[unb] = ONE
-        for row, b in zip(tab.rows, tab.basis):
-            ray[b] = -row[unb]
-        return "unbounded", ray, None, None, tab.pivots
+    require(tab.run(obj2, width) is None, "exact LP", "the LP is bounded")
     x_std = [ZERO] * width
     for row, b in zip(tab.rows, tab.basis):
         x_std[b] = row[-1]
-    y = _basis_duals(pristine, cost, tab.basis)
+    y = [ZERO] * len(rows)
+    for i, v in zip(kept, _basis_duals([pristine[i] for i in kept], cost, tab.basis)):
+        y[i] = v
     return "optimal", x_std, y, -obj2[-1], tab.pivots
 
 
@@ -569,21 +576,17 @@ def check_primal(lp: LinearProgram, x: list[Fraction]) -> None:
     require(all(sum(a * v for a, v in zip(row, x) if a and v) <= rhs
                 for row, rhs in zip(lp.a_ub, lp.b_ub)), "exact LP",
             "primal inequality rows")
-    require(all(v >= lo and (up is None or v <= up)
-                for v, lo, up in zip(x, lp.lower, lp.upper)), "exact LP",
-            "primal bounds")
+    require(all(lo <= v <= up for v, lo, up in zip(x, lp.lower, lp.upper)),
+            "exact LP", "primal bounds")
 
 
-def fold_duals(lp, y, row_specs, factor):
+def fold_duals(lp, duals):
     """``icmech.numerics._fold_duals`` over the LP's rational rows in
-    Fractions: the duals y of the scaled tableau rows, times ``factor``,
-    on the original rows; the bound multipliers mu (upper) and nu (lower)
+    Fractions: the duals of the LP's rows, equality rows first, split into
+    (dual_eq, dual_ub); the bound multipliers mu (upper) and nu (lower)
     with A^T dual + mu - nu = objective; and the dual objective value.
     Returns (dual_eq, dual_ub, mu, nu, value)."""
-    duals = {"eq": [ZERO] * len(lp.a_eq), "ub": [ZERO] * len(lp.a_ub)}
-    for (kind, idx), yi, f in zip(row_specs, y, factor):
-        duals[kind][idx] = yi * f
-    dual_eq, dual_ub = duals["eq"], duals["ub"]
+    dual_eq, dual_ub = duals[:len(lp.a_eq)], duals[len(lp.a_eq):]
     mu = [ZERO] * lp.n
     nu = [ZERO] * lp.n
     g = [ZERO] * lp.n
@@ -602,8 +605,6 @@ def fold_duals(lp, y, row_specs, factor):
             "inequality duals are nonnegative")
     require(all(v >= 0 for v in mu) and all(v >= 0 for v in nu), "exact LP",
             "bound multipliers are nonnegative")
-    require(all(mu[j] == 0 or lp.upper[j] is not None for j in range(lp.n)),
-            "exact LP", "bound multipliers sit on finite bounds")
     value = sum(d * b for d, b in zip(dual_eq, lp.b_eq)) + \
         sum(d * b for d, b in zip(dual_ub, lp.b_ub)) + \
         sum(mu[j] * lp.upper[j] for j in range(lp.n) if mu[j] != 0) - \
@@ -614,9 +615,9 @@ def fold_duals(lp, y, row_specs, factor):
 def recording_fold(fold, folds: list):
     """Wrap ``icmech.numerics._fold_duals``: each call appends (its result,
     ``fold_duals`` of the same duals) to ``folds``."""
-    def wrapper(lp, int_rows, y, row_specs, factor):
-        got = fold(lp, int_rows, y, row_specs, factor)
-        folds.append((got, fold_duals(lp, y, row_specs, factor)))
+    def wrapper(lp, int_rows, duals):
+        got = fold(lp, int_rows, duals)
+        folds.append((got, fold_duals(lp, duals)))
         return got
     return wrapper
 

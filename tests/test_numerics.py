@@ -26,19 +26,18 @@ def fl(values):
 
 
 INFEASIBLE = "exact LP check failed: the LP is feasible"
-UNBOUNDED = "exact LP check failed: the LP is bounded"
 
 
 def outcome(lp: LinearProgram):
     """``solve_lp``'s answer as (status, solution): ("optimal", the
-    LPSolution), or the status its refusal names and None."""
+    LPSolution), or ("infeasible", None) where it refuses an LP without a
+    feasible point."""
     try:
         return "optimal", solve_lp(lp)
     except RuntimeError as e:
-        statuses = {INFEASIBLE: "infeasible", UNBOUNDED: "unbounded"}
-        if str(e) not in statuses:
+        if str(e) != INFEASIBLE:
             raise
-        return statuses[str(e)], None
+        return "infeasible", None
 
 
 class TestFrac:
@@ -156,7 +155,8 @@ class TestProjection:
 
 class TestSolveLP:
     def test_simple_box(self):
-        lp = LinearProgram(objective=fl([1]), a_ub=[fl([1])], b_ub=fl([3]))
+        lp = LinearProgram(objective=fl([1]), a_ub=[fl([1])], b_ub=fl([3]),
+                           upper=fl([5]))
         sol = solve_lp(lp)
         assert sol.value == 3
         assert sol.x == [F(3)]
@@ -170,14 +170,17 @@ class TestSolveLP:
 
     def test_infeasible_raises(self):
         lp = LinearProgram(objective=fl([1]),
-                           a_eq=[fl([1]), fl([1])], b_eq=fl([0, 1]))
+                           a_eq=[fl([1]), fl([1])], b_eq=fl([0, 1]), upper=fl([1]))
         with pytest.raises(RuntimeError, match=f"^{INFEASIBLE}$"):
             solve_lp(lp)
 
     def test_unbounded_raises(self):
-        lp = LinearProgram(objective=fl([1]), lower=[F(0)], upper=[None])
-        with pytest.raises(RuntimeError, match=f"^{UNBOUNDED}$"):
-            solve_lp(lp)
+        # Every variable is boxed; one unbounded above is refused, and so
+        # is an LP that states no upper bounds.
+        with pytest.raises(ValueError, match="^every variable needs a finite upper bound$"):
+            LinearProgram(objective=fl([1]), lower=[F(0)], upper=[None])
+        with pytest.raises(ValueError, match="finite upper bound"):
+            LinearProgram(objective=fl([1]))
 
     def test_missing_lower_bound_refused(self):
         # Every variable has a finite lower bound; a free one is refused.
@@ -187,13 +190,13 @@ class TestSolveLP:
     def test_duals_verified(self):
         lp = LinearProgram(objective=fl([3, 2]),
                            a_ub=[fl([1, 1]), fl([1, 0])], b_ub=fl([4, 2]),
-                           lower=fl([0, 0]))
+                           lower=fl([0, 0]), upper=fl([5, 5]))
         sol = solve_lp(lp)
         assert sol.value == 10
         # Strong duality, recomputed here from the reported multipliers.
         dual_val = sum(d * b for d, b in zip(sol.dual_ub, lp.b_ub))
         bound_part = sum(max(r, F(0)) * u for r, u in
-                         zip(sol.reduced_costs, [None, None]) if u is not None)
+                         zip(sol.reduced_costs, lp.upper))
         assert dual_val + bound_part == sol.value
         assert all(d >= 0 for d in sol.dual_ub)
 
@@ -204,7 +207,7 @@ class TestSolveLP:
             a_ub=[fl([1, 1, 0]), fl([1, 0, 1]), fl([0, 1, 1]),
                   fl([1, 1, 1]), fl([2, 2, 2])],
             b_ub=fl([1, 1, 1, 1, 2]),
-            lower=fl([0, 0, 0]))
+            lower=fl([0, 0, 0]), upper=fl([2, 2, 2]))
         sol = solve_lp(lp)
         assert sol.value == 1
 
@@ -315,48 +318,9 @@ def assert_certificate(lp: LinearProgram, sol) -> None:
     assert_dual_certificate(lp, sol)
 
 
-def homogeneous_boxed_lp(rng: random.Random) -> LinearProgram:
-    """Equality rows through the origin (some of them combinations of
-    earlier ones), 0 <= x <= u and <= rows with nonnegative rhs: the slack
-    crash basis with every artificial at 0 is already phase-1 optimal."""
-    n = rng.randint(2, 5)
-    a_eq = [[F(rng.randint(-2, 2)) for _ in range(n)]
-            for _ in range(rng.randint(1, 2))]
-    for _ in range(rng.randint(0, 2)):
-        c1, c2 = F(rng.randint(-2, 2)), F(rng.randint(1, 3), 2)
-        r1, r2 = rng.choice(a_eq), rng.choice(a_eq)
-        a_eq.append([c1 * a + c2 * b for a, b in zip(r1, r2)])
-    m = rng.randint(0, 2)
-    return LinearProgram(
-        objective=[F(rng.randint(-4, 4)) for _ in range(n)],
-        a_eq=a_eq, b_eq=[F(0)] * len(a_eq),
-        a_ub=[[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)],
-        b_ub=[F(rng.randint(0, 4)) for _ in range(m)],
-        lower=[F(0)] * n, upper=[F(rng.randint(1, 3)) for _ in range(n)])
-
-
-class TestPhaseOneSetUp:
-    def test_feasible_start_skips_phase_one(self, monkeypatch):
-        # Phase 2 is the only simplex run; the answer still agrees with
-        # vertex enumeration and its dual certificate.
-        runs = []
-        run = numerics._Tableau.run
-
-        def counting_run(self, obj, ncols):
-            runs.append(ncols)
-            return run(self, obj, ncols)
-
-        monkeypatch.setattr(numerics._Tableau, "run", counting_run)
-        rng = random.Random(31)
-        for _ in range(60):
-            lp = homogeneous_boxed_lp(rng)
-            runs.clear()
-            sol = solve_lp(lp)
-            assert len(runs) == 1
-            best = max(dot(lp.objective, x)
-                       for x in reference.enumerate_vertices(lp))
-            assert sol.value == best
-            assert_dual_certificate(lp, sol)
+class TestStartingBasis:
+    # Each row's unit column starts basic: an artificial fixed at 0 for an
+    # equality row, the slack for a <= row.
 
     def test_infeasible_lps_raise(self):
         rng = random.Random(47)
@@ -384,8 +348,18 @@ class TestPhaseOneSetUp:
             checked += 1
         assert checked >= 50
 
-    def test_dependent_equality_rows_get_dual_zero(self):
+    def test_dependent_equality_rows_solve(self, monkeypatch):
+        # No presolve: a row that earlier rows combine to reaches the
+        # tableau, and the optimum and its certificate verify.
         rng = random.Random(53)
+        sizes = []
+        simplex = numerics._simplex
+
+        def recording_simplex(rows, *args):
+            sizes.append(len(rows))
+            return simplex(rows, *args)
+
+        monkeypatch.setattr(numerics, "_simplex", recording_simplex)
         verified = 0
         for _ in range(150):
             lp = random_lp(rng)
@@ -397,36 +371,17 @@ class TestPhaseOneSetUp:
                 c = [F(rng.randint(-2, 2)) for _ in range(k)]
                 lp.a_eq.append([dot(c, col) for col in zip(*lp.a_eq[:k])])
                 lp.b_eq.append(dot(c, lp.b_eq[:k]))
+            sizes.clear()
             _, sol = outcome(lp)
+            assert sizes == [len(lp.a_eq) + len(lp.a_ub)]
+            vertices = reference.enumerate_vertices(lp)
             if sol is None:
+                assert vertices == []
                 continue
-            assert sol.dual_eq[k:] == [F(0)] * (len(lp.a_eq) - k)
-            assert_dual_certificate(lp, sol)
+            assert sol.value == max(dot(lp.objective, x) for x in vertices)
+            assert_certificate(lp, sol)
             verified += 1
         assert verified >= 30
-
-    def test_redundant_rows_do_not_reach_the_tableau(self, monkeypatch):
-        # The oracle LP's 20 rows from pi are independent, so the presolve
-        # keeps them all and they are the tableau's 20 rows; the bounds
-        # 0 <= x, c <= 1 add none.
-        from icmech.belief import type_basis, value_rows
-        from icmech.oracle import generate, solve_principal
-        inst = generate(1001, (6, 6), "conditionally-independent", k=2)
-        rows = value_rows(inst.dist, (type_basis(inst.dist, 0),
-                                      type_basis(inst.dist, 1)))
-        kept = [i for i, _, _ in numerics._reduce(
-            [numerics.integer_row(row + [F(0)])[1] for row in rows])]
-        assert len(rows) == len(kept) == reference.rank(rows) == 20
-        sizes = []
-        simplex = numerics._simplex
-
-        def recording_simplex(rows, *args):
-            sizes.append(len(rows))
-            return simplex(rows, *args)
-
-        monkeypatch.setattr(numerics, "_simplex", recording_simplex)
-        solve_principal(inst)
-        assert sizes == [20]
 
 
 RATIONALS = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3, 5, 6]))
@@ -470,12 +425,11 @@ class TestReductionMatchesGaussJordan:
 
 @st.composite
 def mixed_lps(draw):
-    """Up to 4 variables, each boxed, fixed or bounded below only; equality
-    and <= rows with rational entries over mixed denominators and right-hand
-    sides of either sign, so LPs with an optimum, infeasible ones and
-    unbounded ones occur.
+    """Up to 4 variables, each boxed or fixed; equality and <= rows with
+    rational entries over mixed denominators and right-hand sides of either
+    sign, so LPs with an optimum and infeasible ones occur.
     Equality rows are often homogeneous, which leaves artificials basic at
-    0 for the drive-out."""
+    0."""
     n = draw(st.integers(1, 4))
 
     def rows(k):
@@ -483,12 +437,9 @@ def mixed_lps(draw):
 
     lower, upper = [], []
     for _ in range(n):
-        kind = draw(st.sampled_from(["box", "box", "fixed", "lower"]))
         lo = draw(RATIONALS)
-        up = draw(RATIONALS) if kind == "box" else None
-        if kind == "fixed":
-            up = lo
-        if up is not None and lo > up:
+        up = draw(st.just(lo) | RATIONALS)
+        if lo > up:
             lo, up = up, lo
         lower.append(lo)
         upper.append(up)
@@ -506,7 +457,7 @@ class _NoOptimum(Exception):
 def reference_outcome(lp: LinearProgram):
     """(status, value) of ``lp`` by ``reference.simplex``, run on
     ``solve_lp``'s standard form in place of the engine: ("optimal", the
-    optimum), or its status "infeasible" or "unbounded" and None."""
+    optimum), or ("infeasible", None)."""
     def simplex(*args):
         status, point, y, value, counts = reference.simplex(*args)
         if status != "optimal":
@@ -523,18 +474,21 @@ def reference_outcome(lp: LinearProgram):
 class TestIntegerEngine:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(mixed_lps())
-    # The drive-out pivots on the -1 of the homogeneous equality row.
-    @example(LinearProgram(objective=fl([1, 1]), a_eq=[fl([-1, 1])], b_eq=fl([0]),
-                           lower=fl([0, 0]), upper=fl(["1/2", "1/3"])))
-    @example(LinearProgram(objective=fl([1]), a_eq=[fl([2])], b_eq=fl(["-1/3"])))
-    # Unbounded along the slack of a row scaled by 2.
-    @example(LinearProgram(objective=fl([3]), a_ub=[fl([-2])], b_ub=fl(["-1/2"])))
+    # The second equality row is twice the first.  Its artificial, the
+    # larger violation at the start, leaves at its bound 0; the first
+    # row's artificial stays basic at 0.
+    @example(LinearProgram(objective=fl([-1, -1]), a_eq=[fl([1, 1]), fl([2, 2])],
+                           b_eq=fl([1, 2]), upper=fl(["1/2", "2/3"])))
+    @example(LinearProgram(objective=fl([1]), a_eq=[fl([2])], b_eq=fl(["-1/3"]),
+                           upper=fl([1])))
+    # The long step flips x0 and x1 to their bound 1 before x2 enters.
+    @example(LinearProgram(objective=fl([-1, -1, -1]), a_ub=[fl([-1, -1, -1])],
+                           b_ub=fl(["-5/2"]), upper=fl([1, 1, 1])))
     def test_matches_the_fraction_reference(self, lp):
-        # Dantzig pricing and implicit bounds leave the reference's Bland
-        # path, so another optimal vertex may come back: the status and the
-        # value must agree, and every optimum must verify from the LP data.
-        # Where the reference finds no optimum, solve_lp raises and names
-        # the same status.
+        # The dual simplex leaves the reference's primal Bland path, so
+        # another optimal vertex may come back: the status and the value
+        # must agree, and every optimum must verify from the LP data.
+        # Where the reference finds no feasible point, solve_lp raises.
         status, sol = outcome(lp)
         if sol is not None:
             assert_certificate(lp, sol)
@@ -557,16 +511,28 @@ class TestIntegerEngine:
             assert_certificate(lp, sol)
 
     def test_flip_without_a_pivot(self):
-        # Each variable reaches its own bound before the row binds.
+        # Each variable of positive cost starts at its upper bound, where
+        # the row already holds: no pivot and no counted flip is needed.
         lp = LinearProgram(objective=fl([1, 1]), a_ub=[fl([1, 1])], b_ub=fl([3]),
                            lower=fl([0, 0]), upper=fl([1, 1]))
         sol = solve_lp(lp)
-        assert (sol.value, sol.x, sol.pivots, sol.flips) == (2, fl([1, 1]), 0, 2)
+        assert (sol.value, sol.x, sol.pivots, sol.flips) == (2, fl([1, 1]), 0, 0)
+        assert_certificate(lp, sol)
+
+    def test_long_step_flips_before_it_enters(self):
+        # x0 + x1 + x2 >= 5/2 at least cost: the ratio test passes x0 and
+        # x1, flipping each to its bound 1, and x2 enters at 1/2.
+        lp = LinearProgram(objective=fl([-1, -1, -1]), a_ub=[fl([-1, -1, -1])],
+                           b_ub=fl(["-5/2"]), upper=fl([1, 1, 1]))
+        sol = solve_lp(lp)
+        assert (sol.value, sol.x, sol.pivots, sol.flips) == \
+            (F(-5, 2), fl([1, 1, "1/2"]), 1, 2)
         assert_certificate(lp, sol)
 
     def test_basic_variable_leaves_at_its_upper_bound(self, monkeypatch):
-        # x0 enters first and becomes basic at 0 (x0 <= 2 x1); as x1
-        # enters, x0 rises and leaves the basis at its bound 1.
+        # x0 enters on the first row (2 x0 + x1 >= 2) at 1.  The second row
+        # (x0 + x1 >= 2) then takes in the first row's slack, which pushes
+        # x0 to 2: x0 leaves the basis at its bound 1, and x1 enters.
         leaving = []
         flip = numerics._Tableau.flip
 
@@ -575,10 +541,10 @@ class TestIntegerEngine:
             return flip(self, c, obj)
 
         monkeypatch.setattr(numerics._Tableau, "flip", recording_flip)
-        lp = LinearProgram(objective=fl([3, 1]), a_ub=[fl([1, -2])], b_ub=fl([0]),
-                           lower=fl([0, 0]), upper=fl([1, 1]))
+        lp = LinearProgram(objective=fl([-1, -3]), a_ub=[fl([-2, -1]), fl([-1, -1])],
+                           b_ub=fl([-2, -2]), lower=fl([0, 0]), upper=fl([1, 1]))
         sol = solve_lp(lp)
-        assert (sol.value, sol.x, sol.flips) == (4, fl([1, 1]), 0)
+        assert (sol.value, sol.x, sol.pivots, sol.flips) == (-4, fl([1, 1]), 3, 0)
         assert leaving and all(leaving)
         assert_certificate(lp, sol)
 
@@ -590,26 +556,6 @@ class TestIntegerEngine:
         with pytest.raises(RuntimeError, match=f"^{INFEASIBLE}$"):
             solve_lp(lp)
 
-    def test_unbounded_with_a_boxed_basic_variable_raises(self, monkeypatch):
-        # x0 = x2, both boxed, and x1 >= 0 is unbounded above: x1 enters
-        # with no ratio while the boxed x0 stays basic.
-        ends = []
-        run = numerics._Tableau.run
-
-        def recording_run(self, obj, ncols):
-            try:
-                run(self, obj, ncols)
-            except RuntimeError:
-                ends.append([b for b in self.basis if b in self.boxed])
-                raise
-
-        monkeypatch.setattr(numerics._Tableau, "run", recording_run)
-        lp = LinearProgram(objective=fl([2, 1, 0]), a_eq=[fl([1, 0, -1])],
-                           b_eq=fl([0]), lower=fl([0, 0, 0]), upper=[F(1), None, F(1)])
-        with pytest.raises(RuntimeError, match=f"^{UNBOUNDED}$"):
-            solve_lp(lp)
-        assert len(ends) == 1 and ends[0]
-
 
 class TestIntegerChecks:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -619,7 +565,8 @@ class TestIntegerChecks:
     @example(LinearProgram(objective=fl([1, "1/2"]), a_eq=[fl(["1/3", 1])],
                            b_eq=fl(["1/2"]), a_ub=[fl([1, "-2/5"])], b_ub=fl(["1/6"]),
                            lower=fl([0, "-1/2"]), upper=fl(["5/6", 2])))
-    @example(LinearProgram(objective=fl([1]), a_eq=[fl([2])], b_eq=fl(["-1/3"])))
+    @example(LinearProgram(objective=fl([1]), a_eq=[fl([2])], b_eq=fl(["-1/3"]),
+                           upper=fl([1])))
     def test_fold_matches_the_fraction_reference(self, lp):
         # The integer checks over the LP's scaled rows give the duals, the
         # bound multipliers and the dual value of the Fraction fold of the
@@ -663,7 +610,7 @@ class TestChecksSurviveOptimize:
             "    return point, y, value, pivots\n"
             "numerics._simplex = bad\n"
             "lp = numerics.LinearProgram(objective=[F(1)], a_ub=[[F(1)]],\n"
-            "                            b_ub=[F(3)])\n"
+            "                            b_ub=[F(3)], upper=[F(5)])\n"
             "try:\n"
             "    numerics.solve_lp(lp)\n"
             "except RuntimeError as e:\n"
@@ -688,7 +635,8 @@ class TestChecksSurviveOptimize:
             "    point[1] += F(1, 10**9)\n"
             "    return point, y, value, pivots\n"
             "numerics._simplex = bad\n"
-            f"lp = numerics.LinearProgram(objective=[F(1), F(0)], {rows})\n"
+            f"lp = numerics.LinearProgram(objective=[F(1), F(0)], {rows},\n"
+            "                            upper=[F(1), F(1)])\n"
             "try:\n"
             "    numerics.solve_lp(lp)\n"
             "except RuntimeError as e:\n"
@@ -706,14 +654,20 @@ class TestChecksSurviveOptimize:
                 "    print('debug' if __debug__ else 'optimized', e)\n")
 
     def test_infeasible_lp_raises_under_python_o(self):
-        # x = -1 with x >= 0 has no feasible point.
-        script = self.solve_script("a_eq=[[F(1)]], b_eq=[F(-1)]")
+        # x = -1 with 0 <= x <= 1 has no feasible point.
+        script = self.solve_script("a_eq=[[F(1)]], b_eq=[F(-1)], upper=[F(1)]")
         assert run_optimized(script) == f"optimized {INFEASIBLE}\n"
 
     def test_unbounded_lp_raises_under_python_o(self):
-        # max x with x >= 0 and no row has no optimum.
-        script = self.solve_script("lower=[F(0)], upper=[None]")
-        assert run_optimized(script) == f"optimized {UNBOUNDED}\n"
+        # max x with x >= 0 and no upper bound is refused when it is built.
+        script = ("from fractions import Fraction as F\n"
+                  "from icmech import numerics\n"
+                  "try:\n"
+                  "    numerics.LinearProgram(objective=[F(1)], upper=[None])\n"
+                  "except ValueError as e:\n"
+                  "    print('debug' if __debug__ else 'optimized', e)\n")
+        assert run_optimized(script) == \
+            "optimized every variable needs a finite upper bound\n"
 
     def test_corrupted_ic_verdict_raises_under_python_o(self):
         # The principal's optimum is only returned once check_ic confirms

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icmech import oracle
-from icmech.core import PreconditionError
+from icmech.core import Mechanism, PreconditionError
 from icmech.ic import check_ic
 from icmech.nalloc import check_ic_n
 from icmech.numerics import LinearProgram, solve_lp
@@ -66,14 +67,18 @@ class TestSolvePrincipal:
             assert check_ic_n(res.mechanism, inst).verdict
 
     @pytest.mark.parametrize("shape, kind, k, pivots", [
-        ((6, 6), "conditionally-independent", 2, 56),
+        ((6, 6), "conditionally-independent", 2, 27),
         ((5, 5), "full-rank", None, None),
-        ((3, 3, 3), "unbiased-n-alloc", None, 34),
+        ((3, 3, 3), "unbiased-n-alloc", None, 23),
+        ((12, 12), "conditionally-independent", 3, 130),
+        ((24, 24), "independent", None, 101),
     ])
     def test_pivot_counts(self, monkeypatch, shape, kind, k, pivots):
         # The pricing rule is deterministic, so the pivot count is a
         # function of the LP, and an engine change that adds pivots fails
-        # here.  At full rank only the constants are IC and no LP runs
+        # here, also at the sizes that a longer path made slow (12x12 with
+        # k = 3 and 24x24 independent took 1,872 and 10,755 primal
+        # pivots).  At full rank only the constants are IC and no LP runs
         # (pivots None).
         solutions = []
 
@@ -92,13 +97,21 @@ class TestFullRankShortcut:
     @PROPERTY
     @given(FULL_RANK, st.booleans())
     def test_principal_equals_the_reference_lp(self, draw, zero_mean):
-        # zero_mean makes the objective sum to 0: a tie the LP settles at 0.
+        # zero_mean makes the objective sum to 0: a tie, where every
+        # constant is optimal.  The shortcut returns 0, and the LP may
+        # return another constant; otherwise the optimum is unique.
         seed, m, n = draw
         inst = generate(seed, (m, n), "full-rank", zero_mean=zero_mean)
         sol = reference_optimum(inst.dist, list((inst.v * inst.dist.p).reshape(-1)))
         res = solve_principal(inst)
         assert res.value == sol.value
-        assert list(res.mechanism.x.reshape(-1)) == sol.x
+        if not zero_mean:
+            assert list(res.mechanism.x.reshape(-1)) == sol.x
+            return
+        lp_mech = Mechanism(inst.space, np.array(sol.x, dtype=object).reshape(m, n))
+        for mech in (res.mechanism, lp_mech):
+            assert len(set(mech.x.reshape(-1))) == 1
+            assert check_ic(mech, inst.dist).verdict
 
     @PROPERTY
     @given(FULL_RANK, st.integers(0, 10**6))

@@ -12,7 +12,9 @@ temporary directory.
 The simplex pivots and bound flips summed over every ``solve_lp`` call of
 a pool are pinned: the pricing rule is deterministic, so they change only
 when the engine's path does, and a change to the result checks alone must
-leave them as they are.
+leave them as they are.  Every LP of an lp-sweep and a small-queries pass
+is solved again by the reference simplex of ``tests/reference.py``, a
+separate engine, and must reach the same value.
 """
 
 import contextlib
@@ -31,8 +33,8 @@ from . import reference
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # (solve_lp calls, pivots, flips) over one pass of each pool.
-LP_WORK = {"lp-sweep.1": (21, 540, 3), "projection-sweep.1": (0, 0, 0),
-           "small-queries.1": (48, 459, 7)}
+LP_WORK = {"lp-sweep.1": (21, 375, 282), "projection-sweep.1": (0, 0, 0),
+           "small-queries.1": (48, 256, 116)}
 
 
 def load_bench_module(name: str):
@@ -78,23 +80,32 @@ def run_pool(pool: dict, tmp_path, tracer=None) -> list[tuple[dict, object, str]
     return runs
 
 
-def count_lp_work(monkeypatch) -> list[int]:
-    """Rebind ``solve_lp`` in every icmech module to a wrapper that adds
-    each call, its pivots and its flips to the returned totals."""
-    totals = [0, 0, 0]
+def record_lps(monkeypatch, record) -> None:
+    """Rebind ``solve_lp`` in every icmech module to a wrapper that passes
+    each call's LinearProgram and LPSolution to ``record``."""
     solve_lp = numerics.solve_lp
 
-    def counting_solve_lp(lp):
+    def recording_solve_lp(lp):
         sol = solve_lp(lp)
-        totals[0] += 1
-        totals[1] += sol.pivots
-        totals[2] += sol.flips
+        record(lp, sol)
         return sol
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "icmech" and \
                 getattr(module, "solve_lp", None) is solve_lp:
-            monkeypatch.setattr(module, "solve_lp", counting_solve_lp)
+            monkeypatch.setattr(module, "solve_lp", recording_solve_lp)
+
+
+def count_lp_work(monkeypatch) -> list[int]:
+    """The (calls, pivots, flips) totals of every later ``solve_lp`` call."""
+    totals = [0, 0, 0]
+
+    def count(lp, sol):
+        totals[0] += 1
+        totals[1] += sol.pivots
+        totals[2] += sol.flips
+
+    record_lps(monkeypatch, count)
     return totals
 
 
@@ -127,10 +138,32 @@ def test_every_lp_fold_matches_the_fraction_reference(tmp_path, monkeypatch):
         assert got == expected
 
 
+def test_every_lp_value_matches_the_reference_simplex(tmp_path, monkeypatch):
+    # Every LP of one lp-sweep and one small-queries pass, solved again
+    # with the reference's two-phase primal Bland simplex in place of the
+    # dual simplex, has the same optimal value and passes the same checks.
+    solve_lp = numerics.solve_lp
+    solved = []
+    record_lps(monkeypatch, lambda lp, sol: solved.append((lp, sol.value)))
+    for pool_name in ("lp-sweep.1", "small-queries.1"):
+        run_pool(load_pool(pool_name), tmp_path)
+    assert len(solved) == LP_WORK["lp-sweep.1"][0] + LP_WORK["small-queries.1"][0]
+
+    def simplex(*args):
+        status, point, y, value, counts = reference.simplex(*args)
+        assert status == "optimal"
+        return point, y, value, counts
+
+    monkeypatch.setattr(numerics, "_simplex", simplex)
+    for lp, value in solved:
+        assert solve_lp(lp).value == value
+
+
 def test_traced_pass_counts_the_lp_work(tmp_path):
     # ``bench/run.py --trace 1`` reads each solve_lp call's LinearProgram:
-    # one traced pass of lp-sweep.1 makes 21 calls over 502 rows (equality,
-    # inequality and boxed bounds) and 702 columns.
+    # one traced pass of lp-sweep.1 makes 21 calls over 1,047 rows
+    # (equality, inequality and boxed bounds, which are every variable's)
+    # and 702 columns.
     tracer = load_bench_module("tracing").Tracer()
     tracer.install()
     try:
@@ -140,5 +173,5 @@ def test_traced_pass_counts_the_lp_work(tmp_path):
     summary = tracer.summarize([0.0] * len(runs), [0] * len(runs))
     metrics = summary["metrics"]
     assert (metrics["numerics.solve_lp.calls"], metrics["numerics.solve_lp.rows"],
-            metrics["numerics.solve_lp.cols"]) == (21, 502, 702)
+            metrics["numerics.solve_lp.cols"]) == (21, 1047, 702)
     assert summary["calls_repeat"]

@@ -36,7 +36,7 @@ def reference_transport(inst):
     return solve_lp(LinearProgram(
         objective=list(v_hat.reshape(-1)),
         a_eq=marginal_rows((m, n)) + ortho,
-        b_eq=list(ml) + list(mr) + [F(0)] * len(ortho)))
+        b_eq=list(ml) + list(mr) + [F(0)] * len(ortho), upper=[F(1)] * (m * n)))
 
 
 class TestAdditivity:
@@ -207,7 +207,7 @@ class TestTransport:
     ])
     def test_lp_rows(self, monkeypatch, shape, kind, k, rows):
         # Below full rank solve_lp gets r(m + n) - r^2 rows, all of them
-        # independent, so its presolve keeps them all.
+        # independent.
         lps = []
 
         def recording_solve_lp(lp):
