@@ -27,8 +27,7 @@ from .core import (Instance, JointDist, Mechanism, NoneCertificate, Objective,
                    constant_mechanism, expectation, load_instance,
                    load_mechanism, normalize, product_dist)
 from .game import MaximinSolution, maximin, obedience_check
-from .ic import (ICReport, SpanningVerdict, check_ic, classify_extremes,
-                 ic_polytope, spans)
+from .ic import ICReport, SpanningVerdict, check_ic, classify_extremes, spans
 from .nalloc import (AllocationInstance, AllocationMechanism,
                      analyze_allocation, check_ic_n, construct_profitable_n,
                      difference_additive, load_allocation)
@@ -46,8 +45,7 @@ __all__ = [
     "constant_mechanism", "expectation", "load_instance", "load_mechanism",
     "normalize", "product_dist",
     "MaximinSolution", "maximin", "obedience_check",
-    "ICReport", "SpanningVerdict", "check_ic", "classify_extremes",
-    "ic_polytope", "spans",
+    "ICReport", "SpanningVerdict", "check_ic", "classify_extremes", "spans",
     "AllocationInstance", "AllocationMechanism", "analyze_allocation",
     "check_ic_n", "construct_profitable_n", "difference_additive",
     "load_allocation",

@@ -3,23 +3,20 @@
 An agent's interim expectation of a mechanism is one of the agent's
 beliefs (``beliefs``, the one belief table) over the other agents' types,
 taken on the slice of profiles where the agent's own report is fixed.
-``lift`` places a belief on such a slice as a flat row, for any number of
-agents,
-and every row family is built from it: the IC rows "interim expectation
-equals ex-ante value" (``ic_rows``) and the marginal rows of the
-assignment LP (``marginal_rows``).  ``distinct_nonzero`` is the
-order-preserving dedupe the row builders apply.
+``lift`` places a belief, or a pi-slice, on such a slice as a flat row,
+for any number of agents, and every row family is built from it.
 
-For two agents the rows can also be read off pi itself, keeping one
-agent's rows only for the types in an echelon basis of pi's rows
-(``type_basis``) and the other's only for the types in a basis of its
-columns, so the rows are independent and there are
-rank(pi) * (m + n) - rank(pi)^2 of them.  ``value_rows`` are the IC rows,
-with the common interim value c as one more unknown.  ``transport_rows``
+The IC rows "interim expectation equals ex-ante value" are read off pi
+itself, for any number of agents: agent i's rows only for the types in an
+echelon basis of its pi-slices (``type_basis``), with one common interim
+value c_k per share block as one more unknown (``value_rows``).  For two
+agents the rows are independent and there are
+rank(pi) * (m + n) - rank(pi)^2 of them.  ``transport_rows``
 are the rows of the transport criterion: with q's marginals fixed, q is
 correlation-orthogonal to pi iff every belief update ``updates`` has zero
 mean on every own-type slice of q, which pi's basis types say in fewer
-rows, the marginals included.
+rows, the marginals included.  The marginal rows of the assignment LP are
+``marginal_rows``, and ``distinct_nonzero`` is an order-preserving dedupe.
 
 For two agents the same structure gives the additivity subspace
 U = col(pi) (x) R^n + R^m (x) row(pi), whose orthogonal complement is
@@ -71,53 +68,45 @@ def lift(shape: tuple[int, ...], i: int, b: int, vec) -> list[Fraction]:
     return row
 
 
-def ic_rows(dist: JointDist, i: int) -> list[list[Fraction]]:
-    """Agent i's IC rows r, with r . x = E[x(b, theta_-i) | theta_i = a] - E[x]
-    for flat x, true type a outer and report b inner; zero rows and repeats
-    are dropped.
-
-    Types with equal beliefs give equal rows, so each distinct belief is
-    lifted once, in first-seen order.  The lifts for different reports lie
-    on disjoint slices and a belief is never zero, so no two rows left are
-    equal."""
-    shape = dist.space.shape
-    prob = list(dist.p.reshape(-1))
-    rows = ([c - p for c, p in zip(lift(shape, i, b, belief), prob)]
-            for belief in distinct_nonzero(beliefs(dist, i))
-            for b in range(shape[i]))
-    return [row for row in rows if any(row)]
-
-
 def type_basis(dist: JointDist, i: int) -> list[int]:
-    """Agent i's types, in increasing order, whose rows of pi (columns for
-    agent R) the exact echelon reduction keeps: rank(pi) of them, a basis
-    of pi's row (column) space and so of agent i's beliefs (two agents)."""
-    two_agent(dist.space)
-    return basis_rows(list(np.moveaxis(dist.p, i, 0)))
+    """Agent i's types, in increasing order, whose pi-slices (pi on the
+    profiles where agent i has that type, flat) the exact echelon reduction
+    keeps: a basis of those slices and so of agent i's beliefs.  For two
+    agents these are rank(pi) rows (columns for agent R) of pi."""
+    return basis_rows(list(np.moveaxis(dist.p, i, 0).reshape(dist.space.shape[i], -1)))
 
 
-def value_rows(dist: JointDist, bases: tuple[list[int], list[int]]
-               ) -> list[list[Fraction]]:
-    """Independent IC rows of two agents over flat x and a last column c,
-    the common interim value, taken from pi with ``bases`` from
-    ``type_basis``: agent L's sum_t pi(a, t) x(b, t) - pi_L(a) c = 0 for
-    a in its basis A and every report b, then agent R's
-    sum_b pi(b, t) x(b, s) - pi_R(t) c = 0 for t in its basis T and every
-    report s outside T.
+def value_rows(dist: JointDist, bases: list[list[int]]) -> list[list[Fraction]]:
+    """IC rows of n agents over the first n - 1 agents' shares x_k, block by
+    block and flat over profiles, then one common interim value c_k per
+    block, taken from pi with ``bases`` from ``type_basis``, one per agent.
+    Agent i < n - 1 has sum pi(a, .) x_i(b, .) - pi_i(a) c_i = 0 on its own
+    block, for a in its basis and every report b.  The last agent holds
+    1 - sum_k x_k, so its value is 1 - sum_k c_k and its rows are the same
+    row summed over every block and every c_k.  Every row of a type outside
+    a basis combines from the basis types' rows.
 
-    The other types' rows are combinations of their basis types' rows.  R's
-    rows for s in T are not independent of the rest either:
-    sum_b pi(b, t) L(a, b) = sum_s pi(a, s) R(t, s) for each a in A, t in T,
-    and the minor pi[A, T] is nonsingular, so these r^2 relations give
-    R(t, s) for s in T and leave the rows here independent."""
+    For two agents (one block, agent R's share 1 - x, as in the two-option
+    problem) the rows are independent once R's rows for reports s in its
+    basis T are left out: sum_b pi(b, t) L(a, b) = sum_s pi(a, s) R(t, s)
+    for each a in L's basis A and t in T, and the minor pi[A, T] is
+    nonsingular, so these r^2 relations give R(t, s) for s in T.  With no
+    block (one agent) every row is empty."""
     shape = dist.space.shape
+    blocks = len(shape) - 1
     rows = []
     for i, basis in enumerate(bases):
-        lines = np.moveaxis(dist.p, i, 0)
+        lines = np.moveaxis(dist.p, i, 0).reshape(shape[i], -1)
         marg = dist.marginal(i)
+        on = [i in (k, blocks) for k in range(blocks)]
         for a in basis:
-            rows += [lift(shape, i, b, lines[a]) + [-marg[a]]
-                     for b in range(shape[i]) if i == 0 or b not in basis]
+            for b in range(shape[i]):
+                if i == blocks == 1 and b in basis:
+                    continue
+                share = lift(shape, i, b, lines[a])
+                off = [ZERO] * len(share)
+                rows.append([v for k in on for v in (share if k else off)] +
+                            [-marg[a] if k else ZERO for k in on])
     return rows
 
 

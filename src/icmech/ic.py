@@ -10,9 +10,11 @@ exactly when three equivalent conditions hold:
     realizations are uninformative about their interim expectation.
 
 ``check_ic`` evaluates all three routes independently and insists they
-agree.  The module also decides the spanning preorder (can every interim
-belief under one distribution be written as a linear combination of
-interim beliefs under another?) and classifies its extreme elements.
+agree.  The second route, as LP rows over the shares of any number of
+agents, is the one IC row family ``belief.value_rows``.  The module also
+decides the spanning preorder (can every interim belief under one
+distribution be written as a linear combination of interim beliefs under
+another?) and classifies its extreme elements.
 """
 
 from __future__ import annotations
@@ -22,11 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .belief import beliefs, distinct_nonzero, ic_rows
+from .belief import beliefs
 from .core import JointDist, Mechanism, PreconditionError, two_agent
 from .numerics import integer_row, require, span_coefficients
-
-ZERO = Fraction(0)
 
 
 @dataclass
@@ -113,22 +113,6 @@ def check_ic(x: Mechanism, dist: JointDist) -> ICReport:
                     common_value=Fraction(ev, total * den) if raw_ok else None,
                     ex_ante_indifferent=ex_ante_ok,
                     uninformative=uninformative_ok)
-
-
-def ic_polytope(dist: JointDist) -> list[list[Fraction]]:
-    """Homogeneous equality rows characterizing the IC mechanisms of n
-    agents, over the first n - 1 agents' shares, block by block and flat
-    over profiles; the last agent holds 1 - their sum (agent R's 1 - x in
-    the two-option problem).  Agent i < n - 1 has its ``ic_rows`` on block
-    i, the last agent its ``ic_rows`` on every block: negated, which a
-    homogeneous row does not notice.  Duplicate and zero rows are dropped."""
-    size = dist.space.n_profiles
-    blocks = dist.space.n_agents - 1
-    rows = [[ZERO] * (i * size) + gap + [ZERO] * ((blocks - 1 - i) * size)
-            for i in range(blocks) for gap in ic_rows(dist, i)]
-    rows += [gap * blocks for gap in ic_rows(dist, blocks)]
-    # The agents' rows can coincide, for example under a diagonal pi.
-    return distinct_nonzero(rows)
 
 
 @dataclass

@@ -449,8 +449,10 @@ def _fold_duals(lp, int_rows, duals):
     """Split the duals of the LP's rows, equality rows first, into
     (dual_eq, dual_ub) and complete them with bound multipliers mu (upper)
     and nu (lower) that absorb what the row duals leave of the objective,
-    so that A^T dual + mu - nu = objective.  Returns (dual_eq, dual_ub, mu,
-    nu, dual objective value) after checking the signs exactly.
+    so that A^T dual + mu - nu = objective: the positive and negative parts
+    of the reduced cost, so never negative.  Returns (dual_eq, dual_ub, mu,
+    nu, dual objective value) after checking the inequality duals' signs
+    exactly.
 
     A^T dual and dual . b are summed in integers over the LP's integer
     rows (s, ints): a row's dual d is the multiplier d / s on its ints,
@@ -476,8 +478,6 @@ def _fold_duals(lp, int_rows, duals):
             nu[j] = -r
     require(all(v >= 0 for v in dual_ub), "exact LP",
             "inequality duals are nonnegative")
-    require(all(v >= 0 for v in mu) and all(v >= 0 for v in nu), "exact LP",
-            "bound multipliers are nonnegative")
     value = Fraction(g[-1], den) + \
         sum(m * up for m, up in zip(mu, lp.upper) if m) - \
         sum(m * lo for m, lo in zip(nu, lp.lower) if m)

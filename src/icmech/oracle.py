@@ -5,17 +5,14 @@ LP over the IC polytope (the interim equalities plus 0 <= x <= 1), with
 no knowledge of the profitability results the rest of the package
 implements; agreement between the two routes is what the test suite
 certifies.  The two-option problem allocates one good between two agents,
-and ``solve_principal_alloc`` solves the same problem for n agents.  The
-number of agents picks how the IC polytope is written.  Two agents use
-the paper's coordinates: the IC set is span(J) + col(pi)^perp (x)
-row(pi)^perp, so at full rank only the constants are IC and no LP runs,
-and otherwise the LP's rows are the independent rows that
-``belief.value_rows`` reads off pi, with the common interim value as one
-more unknown.  Any other number of agents (three or more, counting the
-disposal extension's dummy agent) uses the dense interim rows of
-``ic.ic_polytope``.  The module also generates deterministic random
-instances of several structured kinds for property sweeps, and samples IC
-mechanisms as LP vertices.
+and ``solve_principal_alloc`` solves the same problem for n agents.  One
+family of IC rows serves every number of agents: ``belief.value_rows``
+reads them off pi, with one common interim value per share block as one
+more unknown.  With two agents the paper's coordinates add a shortcut: the
+IC set is span(J) + col(pi)^perp (x) row(pi)^perp, so at full rank only
+the constants are IC and no LP runs.  The module also generates
+deterministic random instances of several structured kinds for property
+sweeps, and samples IC mechanisms as LP vertices.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from .core import (MAX_PROFILES, Instance, JointDist, Mechanism,
                    PreconditionError, TypeSpace, constant_array, expectation,
                    normalize, product_dist)
 from .belief import type_basis, value_rows
-from .ic import ICReport, check_ic, ic_polytope
+from .ic import ICReport, check_ic
 from .nalloc import (AllocationInstance, AllocationMechanism, check_ic_n,
                      drop_disposal_agent)
 from .numerics import LinearProgram, rank, require, solve_lp
@@ -72,37 +69,30 @@ def _ic_optimum(dist: JointDist, objective: list) -> tuple[Fraction, list]:
     n - 1 agents' shares, block by block and flat over profiles: the
     optimal value and an optimal vertex, one array per block.
 
-    The number of agents picks the route.  Two agents (one block, bounded
-    by 1) take their rows from pi, in the paper's coordinates: the IC set
+    The LP runs over x and one common interim value per block, last, with
+    the rows of ``belief.value_rows``; the last agent holds 1 minus the
+    shares, and with more than one block one sum row per profile bounds
+    them.  Two agents (one block) have the paper's coordinates: the IC set
     is span(J) + col(pi)^perp (x) row(pi)^perp, of dimension
     1 + (m - r)(n - r) with r = rank(pi).  At full rank, r = min(m, n),
     only the constants are IC and no LP runs: the optimum is J when the
-    objective sums to more than 0, else 0.  Otherwise the LP runs over x and the common interim value c,
-    a last column, with the independent rows of ``belief.value_rows``.
-    Any other number of agents takes the dense rows of ``ic.ic_polytope``:
-    the shares are nonnegative, the last agent holds 1 - their sum, and
-    one sum row per profile bounds them."""
+    objective sums to more than 0, else 0."""
     space = dist.space
     size = space.n_profiles
     blocks = space.n_agents - 1
-    if blocks == 1:
-        row_basis = type_basis(dist, 0)
-        if len(row_basis) == min(space.shape):
-            total = sum(objective, ZERO)
-            level = ONE if total > 0 else ZERO
-            return total * level, [constant_array(space.shape, level)]
-        rows = value_rows(dist, (row_basis, type_basis(dist, 1)))
-        lp = LinearProgram(objective=list(objective) + [ZERO],
-                           a_eq=rows, b_eq=[ZERO] * len(rows),
-                           lower=[ZERO] * (size + 1), upper=[ONE] * (size + 1))
-    else:
-        nvars = blocks * size
-        rows = ic_polytope(dist)
-        sums = [[ONE if k % size == flat else ZERO for k in range(nvars)]
-                for flat in range(size)]
-        lp = LinearProgram(objective=objective, a_eq=rows, b_eq=[ZERO] * len(rows),
-                           a_ub=sums, b_ub=[ONE] * size,
-                           lower=[ZERO] * nvars, upper=[ONE] * nvars)
+    bases = [type_basis(dist, i) for i in range(space.n_agents)]
+    if blocks == 1 and len(bases[0]) == min(space.shape):
+        total = sum(objective, ZERO)
+        level = ONE if total > 0 else ZERO
+        return total * level, [constant_array(space.shape, level)]
+    rows = value_rows(dist, bases)
+    nvars = blocks * (size + 1)
+    sums = [[ONE if k % size == flat else ZERO for k in range(blocks * size)] +
+            [ZERO] * blocks for flat in range(size)] if blocks > 1 else []
+    lp = LinearProgram(objective=list(objective) + [ZERO] * blocks,
+                       a_eq=rows, b_eq=[ZERO] * len(rows),
+                       a_ub=sums, b_ub=[ONE] * len(sums),
+                       lower=[ZERO] * nvars, upper=[ONE] * nvars)
     sol = solve_lp(lp)
     return sol.value, [np.array(sol.x[k * size:(k + 1) * size],
                                 dtype=object).reshape(space.shape)

@@ -3,7 +3,9 @@
 The row and generator builders are written as explicit profile loops:
 they are the hand-rolled builders the library used before it built every
 row family on ``icmech.belief``; the property tests require the library's
-rows to equal them entry for entry and in order.  ``w_generators`` and
+rows to equal them entry for entry and in order, or, for the IC rows of
+``value_rows_loop`` and ``interim_rows_alloc``, to span the same rows.
+``w_generators`` and
 ``orthogonal_projection`` are the generic Gram-matrix projection that the
 closed-form additivity residuals are checked against.  ``rank`` and
 ``solve_linear_system`` are the Fraction Gauss-Jordan elimination that the
@@ -265,6 +267,33 @@ def interim_rows_alloc(inst):
             key = tuple(row)
             if any(c != 0 for c in row) and key not in seen:
                 seen.add(key)
+                rows.append(row)
+    return rows
+
+
+def value_rows_loop(dist):
+    """The IC rows of n agents under any pi, for every true type a and
+    report b, over the first n - 1 agents' shares and one common value per
+    block: sum over profiles theta with theta_i = b of
+    pi(theta with theta_i = a) x_k(theta), minus pi_i(a) c_k, on block
+    k = i for agent i < n - 1 and on every block for the last agent."""
+    shape = dist.space.shape
+    n = len(shape)
+    size = dist.space.n_profiles
+    rows = []
+    for agent in range(n):
+        blocks = [agent] if agent < n - 1 else list(range(n - 1))
+        for a in range(shape[agent]):
+            weight = sum(dist.p[idx] for idx in np.ndindex(*shape) if idx[agent] == a)
+            for b in range(shape[agent]):
+                row = [ZERO] * ((n - 1) * (size + 1))
+                for flat, idx in enumerate(np.ndindex(*shape)):
+                    if idx[agent] == b:
+                        own = idx[:agent] + (a,) + idx[agent + 1:]
+                        for k in blocks:
+                            row[k * size + flat] = dist.p[own]
+                for k in blocks:
+                    row[(n - 1) * size + k] = -weight
                 rows.append(row)
     return rows
 

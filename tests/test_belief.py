@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import numpy as np
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from icmech import belief
 from icmech.belief import difference_residual, kronecker_residual
 from icmech.core import JointDist, TypeSpace
-from icmech.ic import ic_polytope
 from icmech.nalloc import (DISPOSAL_AGENT, AllocationInstance,
                            difference_additive)
 from icmech.numerics import integer_row, span_coefficients
@@ -36,16 +36,6 @@ def two_agent_instances(draw):
                     draw(st.sampled_from(KINDS)), k=draw(st.integers(1, 3)))
 
 
-@st.composite
-def allocation_instances(draw):
-    """Unbiased allocations with 2 or 3 agents; disposal instances are
-    extended by the dummy agent, as the allocation LP does."""
-    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
-    inst = generate(draw(st.integers(0, 10**6)), shape, "unbiased-n-alloc",
-                    disposal=draw(st.booleans()))
-    return inst.no_disposal
-
-
 @PROPERTY
 @given(two_agent_instances())
 def test_kronecker_residual_equals_projection_over_sections(inst):
@@ -58,7 +48,7 @@ def test_kronecker_residual_equals_projection_over_sections(inst):
 @st.composite
 def n_agent_allocations(draw, agents=(2, 4)):
     """Unbiased allocations of 1-4 types per agent, with and without
-    disposal, as the difference-additivity test sees them: disposal
+    disposal, as the analyses and the allocation LP see them: disposal
     instances are extended by the dummy agent, and the extended instance
     has between agents[0] and agents[1] agents."""
     disposal = draw(st.booleans())
@@ -149,8 +139,7 @@ DIAGONAL = two_option(TypeSpace(("l", "r"), ((0, 1, 2), (0, 1, 2))),
 @given(two_agent_instances())
 @example(SHARED_BELIEF)
 @example(DIAGONAL)
-def test_ic_and_orthogonality_rows_equal_loop_builders(inst):
-    assert ic_polytope(inst.dist) == reference.ic_polytope(inst.dist)
+def test_orthogonality_rows_equal_loop_builder(inst):
     # The transport criterion counts the update rows without building them.
     assert transport_criterion(inst).orthogonality_rows == \
         len(reference.orthogonality_rows(inst.dist))
@@ -219,9 +208,49 @@ def test_transport_rows_are_independent_and_cut_out_the_transport_set(dist):
 
 
 @PROPERTY
-@given(allocation_instances())
+@given(n_agent_allocations())
 def test_allocation_rows_equal_loop_builder(inst):
-    assert ic_polytope(inst.dist) == reference.interim_rows_alloc(inst)
+    # Over the shares and one common value c_k per block, value_rows span
+    # the same rows as the reference interim rows with every c_k = E[x_k],
+    # so both cut out the same shares.
+    dist, blocks = inst.dist, inst.n - 1
+    size = inst.space.n_profiles
+    rows = belief.value_rows(dist, [belief.type_basis(dist, i)
+                                    for i in range(inst.n)])
+    prob, zero = list(dist.p.reshape(-1)), [Fraction(0)] * size
+    ic = [row + [Fraction(0)] * blocks for row in reference.interim_rows_alloc(inst)]
+    ic += [[v for j in range(blocks) for v in (prob if j == k else zero)] +
+           [Fraction(-1 if j == k else 0) for j in range(blocks)]
+           for k in range(blocks)]
+    assert reference.rank(ic) == reference.rank(rows) == reference.rank(rows + ic)
+
+
+@st.composite
+def correlated_n_dists(draw):
+    """pi of 2-4 agents with 1-3 types each: a mixture of 1-3 products of
+    positive weights, so the agents' beliefs are correlated and their
+    pi-slices of any rank."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)))
+    p = sum(reduce(np.multiply.outer,
+                   [np.array(draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)))
+                    for k in shape])
+            for _ in range(draw(st.integers(1, 3))))
+    pi = np.array([Fraction(int(w), int(p.sum())) for w in p.reshape(-1)],
+                  dtype=object).reshape(shape)
+    agents = tuple(str(i) for i in range(len(shape)))
+    return JointDist(TypeSpace(agents, tuple(tuple(range(k)) for k in shape)), pi)
+
+
+@PROPERTY
+@given(correlated_n_dists())
+def test_value_rows_on_basis_types_equal_every_types_rows(dist):
+    # Keeping each agent's rows for its basis types only, and, with two
+    # agents, dropping the last agent's basis reports, leaves the row space
+    # of every type's rows under correlated beliefs.
+    rows = belief.value_rows(dist, [belief.type_basis(dist, i)
+                                    for i in range(dist.space.n_agents)])
+    loop = reference.value_rows_loop(dist)
+    assert reference.rank(loop) == reference.rank(rows) == reference.rank(rows + loop)
 
 
 @PROPERTY

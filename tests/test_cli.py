@@ -151,6 +151,15 @@ class TestCommands:
         assert code == 0
         assert (rep["value"], rep["profitable"]) == ("0", False)
         assert rep["mechanism"]["x"] == {"1": x}
+        # Difference-additivity splits values between two agents; disposal
+        # adds the dummy agent that makes a second.
+        code = main(["alloc-n", str(path)])
+        captured = capsys.readouterr()
+        if disposal:
+            assert code == 0
+        else:
+            assert (code, captured.err) == (
+                2, "refused: difference-additivity needs at least two agents\n")
 
     def test_maximin_standalone(self, capsys, xstar_file):
         code, rep = run_json(capsys, "maximin", xstar_file)

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icmech import Mechanism, PreconditionError, constant_mechanism
+from icmech import Mechanism, PreconditionError, belief, constant_mechanism
 from icmech.core import JointDist, TypeSpace
 from icmech.fixtures import fixture
 from icmech.game import maximin
-from icmech.ic import check_ic, classify_extremes, ic_polytope, spans
+from icmech.ic import check_ic, classify_extremes, spans
 from icmech.numerics import LinearProgram, rank, solve_lp
 from icmech.oracle import generate, sample_ic_vertex, solve_principal
 
@@ -122,42 +122,50 @@ def test_integer_check_ic_equals_fraction_reference(case):
     assert all(type(v) is F for v in values)
 
 
+def value_rows(dist):
+    """belief.value_rows over x and the common interim value c, a last column."""
+    return belief.value_rows(dist, [belief.type_basis(dist, i) for i in range(2)])
+
+
 class TestICPolytope:
-    def test_fx1_has_four_rows(self, inst_fx1, xstar):
-        rows = ic_polytope(inst_fx1.dist)
-        assert len(rows) == 4
-        flat = [xstar.x[idx] for idx in np.ndindex(2, 2)]
+    def test_fx1_xstar_meets_every_row(self, inst_fx1, xstar):
+        rows = value_rows(inst_fx1.dist)
+        assert len(rows) == 3
+        flat = list(xstar.x.reshape(-1)) + [check_ic(xstar, inst_fx1.dist).common_value]
         for row in rows:
             assert sum(c * v for c, v in zip(row, flat)) == 0
 
     def test_full_rank_leaves_only_constants(self, inst_fx2):
-        rows = ic_polytope(inst_fx2.dist)
-        # Solution space of the homogeneous block is exactly the constants.
+        rows = value_rows(inst_fx2.dist)
+        # The solution space of the homogeneous rows is exactly x = c J.
         n = inst_fx2.space.n_profiles
-        assert rank(rows) == n - 1
-        ones = [F(1)] * n
+        assert rank(rows) == n
+        ones = [F(1)] * (n + 1)
         for row in rows:
             assert sum(c * v for c, v in zip(row, ones)) == 0
 
-    def test_singleton_space_empty_block(self):
+    def test_singleton_space_leaves_x_free(self):
         inst = two_option(TypeSpace(("l", "r"), ((0,), (0,))),
                           pi=[["1"]], vL=[["-1"]])
-        assert ic_polytope(inst.dist) == []
+        # x = c, and c is free.
+        assert value_rows(inst.dist) == [[F(1), F(-1)]]
 
 
 def max_spread(dist) -> Fraction:
-    """Largest pairwise gap attainable by an IC mechanism, via 2(N-1) LPs."""
-    rows = ic_polytope(dist)
+    """Largest pairwise gap attainable by an IC mechanism, via 2(N-1) LPs
+    over x and the common interim value c."""
+    rows = value_rows(dist)
     n = dist.space.n_profiles
     spread = F(0)
     for k in range(1, n):
         for sign in (1, -1):
-            obj = [F(0)] * n
+            obj = [F(0)] * (n + 1)
             obj[k] = F(sign)
             obj[0] = F(-sign)
             sol = solve_lp(LinearProgram(objective=obj, a_eq=rows,
                                          b_eq=[F(0)] * len(rows),
-                                         lower=[F(0)] * n, upper=[F(1)] * n))
+                                         lower=[F(0)] * (n + 1),
+                                         upper=[F(1)] * (n + 1)))
             spread = max(spread, sol.value)
     return spread
 

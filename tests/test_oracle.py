@@ -69,7 +69,7 @@ class TestSolvePrincipal:
     @pytest.mark.parametrize("shape, kind, k, pivots", [
         ((6, 6), "conditionally-independent", 2, 27),
         ((5, 5), "full-rank", None, None),
-        ((3, 3, 3), "unbiased-n-alloc", None, 23),
+        ((3, 3, 3), "unbiased-n-alloc", None, 28),
         ((12, 12), "conditionally-independent", 3, 130),
         ((24, 24), "independent", None, 101),
     ])

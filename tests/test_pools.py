@@ -33,8 +33,8 @@ from . import reference
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # (solve_lp calls, pivots, flips) over one pass of each pool.
-LP_WORK = {"lp-sweep.1": (21, 375, 282), "projection-sweep.1": (0, 0, 0),
-           "small-queries.1": (48, 256, 116)}
+LP_WORK = {"lp-sweep.1": (21, 397, 300), "projection-sweep.1": (0, 0, 0),
+           "small-queries.1": (48, 259, 120)}
 
 
 def load_bench_module(name: str):
@@ -161,9 +161,9 @@ def test_every_lp_value_matches_the_reference_simplex(tmp_path, monkeypatch):
 
 def test_traced_pass_counts_the_lp_work(tmp_path):
     # ``bench/run.py --trace 1`` reads each solve_lp call's LinearProgram:
-    # one traced pass of lp-sweep.1 makes 21 calls over 1,047 rows
+    # one traced pass of lp-sweep.1 makes 21 calls over 1,069 rows
     # (equality, inequality and boxed bounds, which are every variable's)
-    # and 702 columns.
+    # and 721 columns.
     tracer = load_bench_module("tracing").Tracer()
     tracer.install()
     try:
@@ -173,5 +173,5 @@ def test_traced_pass_counts_the_lp_work(tmp_path):
     summary = tracer.summarize([0.0] * len(runs), [0] * len(runs))
     metrics = summary["metrics"]
     assert (metrics["numerics.solve_lp.calls"], metrics["numerics.solve_lp.rows"],
-            metrics["numerics.solve_lp.cols"]) == (21, 1047, 702)
+            metrics["numerics.solve_lp.cols"]) == (21, 1069, 721)
     assert summary["calls_repeat"]
