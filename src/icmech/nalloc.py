@@ -14,6 +14,7 @@ singleton type and zero value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -27,7 +28,7 @@ from .core import (JointDist, NoneCertificate, PreconditionError, SchemaError,
                    parse_rational_array, parse_type_space, product_dist,
                    to_nested_strings)
 from .ic import ICReport, Violation
-from .numerics import require
+from .numerics import integer_row, require
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -116,27 +117,39 @@ class AllocationMechanism:
 
 def check_ic_n(x: AllocationMechanism, inst: AllocationInstance) -> ICReport:
     """IC test for allocation mechanisms: interim win probabilities must be
-    report-independent for every agent.  Infeasible mechanisms are rejected."""
+    report-independent for every agent.  Infeasible mechanisms are rejected.
+
+    The test compares integers: pi's numerators P over one denominator and
+    each share's numerators X_i over its own, d_i.  Type b of agent i wins
+    with probability W_i(b) / (d_i M_i(b)), W_i the sums of P * X_i and M_i
+    those of P over the profiles where agent i has type b.  Fractions are
+    made only for the report's interim values and violations."""
     if x.space != inst.space:
         raise PreconditionError("mechanism and instance type spaces differ")
-    totals = list(sum(x.x).reshape(-1))
-    if inst.disposal and max(totals) > 1:
+    shape = inst.space.shape
+    shares = [integer_row(p.reshape(-1)) for p in x.x]
+    # The total at each profile, over the shares' common denominator.
+    den = math.lcm(*(d for d, _ in shares))
+    totals = sum(np.array(xs, dtype=object) * (den // d) for d, xs in shares)
+    if inst.disposal and max(totals) > den:
         raise PreconditionError("mechanism infeasible: total exceeds 1")
-    if not inst.disposal and any(t != 1 for t in totals):
+    if not inst.disposal and any(t != den for t in totals):
         raise PreconditionError(
             "mechanism infeasible: the good must always be allocated")
+    pi = np.array(integer_row(inst.dist.p.reshape(-1))[1], dtype=object).reshape(shape)
     interim: dict = {}
     violations = []
-    for i, agent in enumerate(inst.space.agents):
+    for i, (agent, (d, xs)) in enumerate(zip(inst.space.agents, shares)):
         # Types are independent, so every type holds the same belief about
         # the others: type b's interim win probability is the same to all.
-        vals = list(slice_sums(inst.dist.p * x.x[i], i) / inst.marginals[i])
+        wins = slice_sums(pi * np.array(xs, dtype=object).reshape(shape), i)
+        dens = slice_sums(pi, i) * d
         labels = inst.space.types[i]
-        for label, val in zip(labels, vals):
-            interim[(agent, label)] = val
-        violations += [Violation(agent, label, label2, val2 - val)
-                       for label, val in zip(labels, vals)
-                       for label2, val2 in zip(labels, vals) if val2 > val]
+        for label, w, s in zip(labels, wins, dens):
+            interim[(agent, label)] = Fraction(w, s)
+        violations += [Violation(agent, label, label2, Fraction(w2 * s - w * s2, s * s2))
+                       for label, w, s in zip(labels, wins, dens)
+                       for label2, w2, s2 in zip(labels, wins, dens) if w2 * s > w * s2]
     return ICReport(verdict=not violations, violations=violations,
                     interim=interim)
 

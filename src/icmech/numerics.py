@@ -24,9 +24,10 @@ bound-flipping long step of Fourer (*Notes on the dual simplex method*,
 1994); Koberstein (*The dual simplex method*, 2005) is the reference
 design.  An equality row that earlier rows combine to needs no presolve:
 its artificial stays basic at 0.  Each tableau row holds Python ints over
-its own denominator in lowest terms, and a pivot updates only the rows
-whose pivot-column entry is nonzero.  The duals are read off the final
-objective row, where the starting unit columns carry B^-1.
+its own denominator in lowest terms; a pivot updates only the rows whose
+pivot-column entry is nonzero, and in each it subtracts only the pivot
+row's nonzeros.  The duals are read off the final objective row, where
+the starting unit columns carry B^-1.
 
 ``solve_lp`` returns the exact optimum or raises: every LP the package
 builds has one (the principal's problem contains the ex-ante optimal
@@ -36,10 +37,15 @@ unbounded, so an infeasible LP is a failed check, not an outcome.  Every
 optimum is checked exactly before it is returned (primal feasibility,
 strong duality, the signs of the duals and bound multipliers, the
 objective identity), and a failed check raises ``RuntimeError``, also
-under ``python -O``.  The primal rows and the dual fold are checked in
-integers over the LP's own rows, each scaled to integers once, never over
-the tableau, so the checks stay independent of the substitution and the
-unit columns.
+under ``python -O``.  The primal rows, the bounds, the objective value
+and the dual fold are checked in integers over the LP's own rows, each
+scaled to integers once, never over the tableau, so the checks stay
+independent of the substitution and the unit columns.
+
+``solve_lp`` works in integers from end to end: the bounds over one
+common denominator, each row and the objective over their own.  It makes
+``Fraction``s only for the ``LPSolution`` it returns, at most one per
+entry, and a variable at a bound gets the LP's own bound back.
 """
 
 from __future__ import annotations
@@ -209,15 +215,16 @@ class _Tableau:
 
     Row i is ``rows[i] / dens[i]`` over its own denominator, in lowest
     terms: a pivot updates only the rows with a nonzero entry in its
-    column and divides each updated row and its denominator by their gcd,
-    so the integers stay as small as the rational entries allow and every
-    division is exact.  The objective row passed along is ``obj /
-    objden``.  Column j is bounded by ``bounds[j]``: 1 for a variable,
-    None for a slack (bounded below only) and 0 for an artificial, which
-    is fixed at 0 and never enters.  A column in ``flipped`` holds the
-    complement bounds[j] - z of its variable z, so every nonbasic variable
-    sits at 0, and the basis stays dual feasible: no nonbasic column but an
-    artificial has a positive reduced cost.
+    column, subtracting only at the pivot row's nonzeros, and divides each
+    updated row and its denominator by their gcd, so the integers stay as
+    small as the rational entries allow and every division is exact.  The
+    objective row passed along is ``obj / objden``.  Column j is bounded
+    by ``bounds[j]``: 1 for a variable, None for a slack (bounded below
+    only) and 0 for an artificial, which is fixed at 0 and never enters.
+    A column in ``flipped`` holds the complement bounds[j] - z of its
+    variable z, so every nonbasic variable sits at 0, and the basis stays
+    dual feasible: no nonbasic column but an artificial has a positive
+    reduced cost.
 
     The leaving row is the one whose basic variable violates its bounds
     most, the lowest row on ties; after as many consecutive degenerate
@@ -242,15 +249,17 @@ class _Tableau:
         self.pivots += 1
         # The pivot row over its own (negative) pivot entry, in lowest terms.
         prow, q = _lowest_terms(self.rows[r], self.rows[r][c])
+        # Each updated row becomes q row - f prow: only the pivot row's
+        # nonzeros take part in the subtraction.
+        nz = [(j, b) for j, b in enumerate(prow) if b]
         dens = self.dens
         for i, row in enumerate(self.rows):
             f = row[c]
             if f and i != r:
                 self.rows[i], dens[i] = _lowest_terms(
-                    [q * a - f * b for a, b in zip(row, prow)], dens[i] * q)
-        f = obj[c]
+                    _eliminate(row, q, f, nz), dens[i] * q)
         obj[:], self.objden = _lowest_terms(
-            [q * a - f * b for a, b in zip(obj, prow)], self.objden * q)
+            _eliminate(obj, q, obj[c], nz), self.objden * q)
         self.rows[r], dens[r] = prow, q
         self.basis[r] = c
 
@@ -313,6 +322,15 @@ class _Tableau:
             self.pivot(r, enter, obj)
 
 
+def _eliminate(row: list[int], q: int, f: int,
+               nz: list[tuple[int, int]]) -> list[int]:
+    """q row - f prow, the pivot row prow given by its nonzeros (j, b)."""
+    new = [q * a for a in row]
+    for j, b in nz:
+        new[j] -= f * b
+    return new
+
+
 def _lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:
     """``row / den`` with the gcd divided out and the denominator > 0."""
     g = math.gcd(den, *row)
@@ -333,106 +351,120 @@ def require(ok: bool, kind: str, what: str) -> None:
 
 def integer_row(vals: Sequence[Fraction]) -> tuple[int, list[int]]:
     """``vals`` scaled to integers by s, the lcm of its denominators: (s, ints)."""
-    scale = math.lcm(*(v.denominator for v in vals))
-    return scale, [v.numerator * (scale // v.denominator) for v in vals]
+    dens = [v.denominator for v in vals]
+    scale = math.lcm(*dens)
+    return scale, [v.numerator * (scale // d) for v, d in zip(vals, dens)]
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:
     """The exact rational optimum of an LP; deterministic for a given input.
 
-    Raises ``RuntimeError`` if the LP is infeasible: every LP the package
-    builds has an optimum.
+    The solve and its checks run in integers: the bounds over one
+    denominator ``unit``, each row and the objective over their own.
+    ``Fraction``s are made only for the returned solution, at most one per
+    entry, and a variable at a bound reuses that bound.  Raises
+    ``RuntimeError`` if the LP is infeasible: every LP the package builds
+    has an optimum.
     """
     # --- standard form: variable j is column j, x_j = lo_j + span_j z_j ---
     # with span_j = up - lo and 0 <= z_j <= 1 (a fixed variable's column is
-    # zero).
+    # zero).  The bounds are integers over one denominator ``unit``.
     ncols = lp.n
-    spans = [up - lo for lo, up in zip(lp.lower, lp.upper)]
-
-    # The substituted row [coefficients | rhs] in integers, scaled once: by
-    # the lcm of the row's denominators times ``unit``, which clears the
-    # denominators of every lower bound and span.
-    unit = math.lcm(*(v.denominator for v in (*lp.lower, *spans)))
-    int_lower = [int(lo * unit) for lo in lp.lower]
-    int_spans = [int(k * unit) for k in spans]
-
-    def scaled(scale: int, vec: list[int]) -> tuple[int, list[int]]:
-        b = vec[-1] * unit - sum(a * lo for a, lo in zip(vec, int_lower) if a)
-        return scale * unit, [a * k for a, k in zip(vec, int_spans)] + [b]
+    unit, ints = int_bounds = integer_row([*lp.lower, *lp.upper])
+    int_lower = ints[:ncols]
+    int_spans = [up - lo for lo, up in zip(int_lower, ints[ncols:])]
 
     # Each original row [row | rhs] over integers, (s, ints): the tableau
     # is built from them and the result checks read them.  Row i gets its
     # own unit column ncols + i, which starts basic: an artificial fixed at
     # 0 for an equality row (one that earlier rows combine to keeps it
-    # basic at 0), a slack bounded below only for a <= row.
+    # basic at 0), a slack bounded below only for a <= row.  The
+    # substituted row is the original row times s unit.
     int_rows = {"eq": [integer_row([*row, rhs]) for row, rhs in zip(lp.a_eq, lp.b_eq)],
                 "ub": [integer_row([*row, rhs]) for row, rhs in zip(lp.a_ub, lp.b_ub)]}
-    std_rows = [scaled(*r) for r in int_rows["eq"] + int_rows["ub"]]
-    nrows = len(std_rows)
+    all_rows = int_rows["eq"] + int_rows["ub"]
+    nrows = len(all_rows)
     rows: list[list[int]] = []
-    for i, (_, vec) in enumerate(std_rows):
-        row = vec[:-1] + [0] * nrows + vec[-1:]
+    for i, (_, vec) in enumerate(all_rows):
+        row = [a * k for a, k in zip(vec, int_spans)] + [0] * nrows
         row[ncols + i] = 1
+        row.append(vec[-1] * unit - sum(a * lo for a, lo in zip(vec, int_lower) if a))
         rows.append(row)
     bounds = [1] * ncols + [0] * len(lp.a_eq) + [None] * len(lp.a_ub)
-    cost = [c * k for c, k in zip(lp.objective, spans)] + [ZERO] * nrows
-    const_term = sum(c * lo for c, lo in zip(lp.objective, lp.lower))
+    # The objective is cint / cscale; column j costs c_j span_j times
+    # cscale unit.
+    cscale, cint = integer_row(lp.objective)
+    cost = [c * k for c, k in zip(cint, int_spans)] + [0] * nrows
 
     point, y, value_std, (pivots, flips) = _simplex(rows, cost, bounds)
-    x = [lo + k * z for lo, k, z in zip(lp.lower, spans, point)]
-    value = sum(c * v for c, v in zip(lp.objective, x))
-    require(value == value_std + const_term, "exact LP", "objective value identity")
-    # Row i of the tableau is its original row times s: its dual, times s.
-    duals = [yi * s for yi, (s, _) in zip(y, std_rows)]
+    # x_j = (lo_j + span_j z_j) / unit over integers, or the bound itself.
+    x = [lo if z == 0 else up if z == 1 else
+         Fraction(il * z.denominator + k * z.numerator, unit * z.denominator)
+         for z, lo, up, il, k in zip(point, lp.lower, lp.upper, int_lower, int_spans)]
+    cx, den = _check_primal(int_rows, int_bounds, cint, x)
+    # c . x is cx / (cscale den), and value_std + c . lo the same over
+    # cscale unit.
+    const = sum(c * lo for c, lo in zip(cint, int_lower) if c)
+    require((value_std + const) * den == cx * unit, "exact LP",
+            "objective value identity")
+    value = Fraction(cx, cscale * den)
+    # Row i of the tableau is its original row times s unit and the cost
+    # the objective times cscale unit: the row's dual is y_i s / cscale.
+    duals = [Fraction(yi.numerator * s, yi.denominator * cscale)
+             for yi, (s, _) in zip(y, all_rows)]
     dual_eq, dual_ub, mu, nu, dual_value = _fold_duals(lp, int_rows, duals)
     require(dual_value == value, "exact LP", "strong duality")
-    _check_primal(lp, int_rows, x)
     return LPSolution(value=value, x=x,
                       dual_eq=dual_eq, dual_ub=dual_ub,
                       reduced_costs=[u - d for u, d in zip(mu, nu)],
                       pivots=pivots, flips=flips)
 
 
-def _simplex(rows: list[list[int]], cost: list[Fraction],
+def _simplex(rows: list[list[int]], cost: list[int],
              bounds: list[int | None]):
     """Bounded dual simplex: max cost . s  s.t.  rows s = rhs and
     0 <= s_j <= bounds[j] (no upper bound where None).
 
-    ``rows`` are integer rows over the columns of ``cost`` plus the rhs
-    (last entry, of either sign).  The last ``len(rows)`` columns are the
-    rows' unit columns, row i's at width - len(rows) + i, each of cost 0:
-    they are the starting basis, which is dual feasible once every column
-    of positive cost sits at its upper bound.  Returns (point, y, value,
-    (pivots, flips)): the optimal vertex, the duals of ``rows`` and the
-    optimal value; raises if there is none.
+    ``rows`` are integer rows over the columns of the integer ``cost``
+    plus the rhs (last entry, of either sign).  The last ``len(rows)``
+    columns are the rows' unit columns, row i's at width - len(rows) + i,
+    each of cost 0: they are the starting basis, which is dual feasible
+    once every column of positive cost sits at its upper bound.  Returns
+    (point, y, value, (pivots, flips)): the optimal vertex on the columns
+    before the unit columns, the duals of ``rows`` and the optimal value,
+    all rational; raises if there is none.
     """
     width = len(cost)
-    start = list(range(width - len(rows), width))   # B^-1 builds up there
+    ncols = width - len(rows)
+    start = list(range(ncols, width))   # B^-1 builds up there
     tab = _Tableau([list(row) for row in rows], list(start), bounds)
-    scale, obj = integer_row(cost)
-    obj.append(0)
-    for j, c in enumerate(obj[:-1]):
+    obj = [*cost, 0]
+    for j, c in enumerate(cost):
         if c > 0:
             tab.flip(j, obj)
     tab.run(obj)
-    # A flipped column holds u - z.
-    x_std = [ZERO] * width
+    # A flipped column holds u - z.  The unit columns are not read.
+    point = [bounds[j] if j in tab.flipped else 0 for j in range(ncols)]
     for row, d, b in zip(tab.rows, tab.dens, tab.basis):
-        x_std[b] = Fraction(row[-1], d)
-    x_std = [bounds[j] - v if j in tab.flipped else v for j, v in enumerate(x_std)]
+        if b < ncols:
+            t = row[-1]
+            point[b] = Fraction(bounds[b] * d - t if b in tab.flipped else t, d)
     # The duals are read off the tableau: column start[i] costs 0 and has
-    # reduced cost -y_i, negated where it is flipped (obj is scaled by
-    # ``scale`` and over objden).
-    den = scale * tab.objden
+    # reduced cost -y_i, negated where it is flipped (obj is over objden).
+    den = tab.objden
     y = [Fraction(obj[j] if j in tab.flipped else -obj[j], den) for j in start]
-    return x_std, y, Fraction(-obj[-1], den), (tab.pivots, tab.flips)
+    return point, y, Fraction(-obj[-1], den), (tab.pivots, tab.flips)
 
 
-def _check_primal(lp: LinearProgram, int_rows, x: list[Fraction]) -> None:
-    """x meets the LP's integer rows (s, ints) of ``integer_row``: over
-    x's common denominator D, sum a X == b D (<= for ``a_ub`` rows)."""
+def _check_primal(int_rows, int_bounds, cint: list[int],
+                  x: list[Fraction]) -> tuple[int, int]:
+    """x meets the LP's integer rows (s, ints) of ``integer_row`` and its
+    bounds (unit, lower + upper ints): over x's common denominator D, sum
+    a X == b D (<= for ``a_ub`` rows) and lo D <= X unit <= up D.  Returns
+    (cint . X, D), the objective's integers cint times x over D."""
     den = math.lcm(*(v.denominator for v in x))
-    xs = [(j, v.numerator * (den // v.denominator)) for j, v in enumerate(x) if v]
+    nums = [v.numerator * (den // v.denominator) for v in x]
+    xs = [(j, v) for j, v in enumerate(nums) if v]
 
     def lhs(vec):
         return sum(vec[j] * v for j, v in xs)
@@ -441,8 +473,11 @@ def _check_primal(lp: LinearProgram, int_rows, x: list[Fraction]) -> None:
             "exact LP", "primal equality rows")
     require(all(lhs(vec) <= vec[-1] * den for _, vec in int_rows["ub"]),
             "exact LP", "primal inequality rows")
-    require(all(lo <= v <= up for v, lo, up in zip(x, lp.lower, lp.upper)),
+    unit, ints = int_bounds
+    require(all(lo * den <= v * unit <= up * den
+                for v, lo, up in zip(nums, ints, ints[len(x):])),
             "exact LP", "primal bounds")
+    return lhs(cint), den
 
 
 def _fold_duals(lp, int_rows, duals):

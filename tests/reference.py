@@ -26,7 +26,9 @@ for the assignment LP behind ``match_your_opponent``.  ``conditional``
 divides pi by its marginals, independently of ``icmech.belief``;
 ``interim`` multiplies it with a mechanism's own-type slices, and
 ``check_ic`` is the IC check over those Fraction tables, which the
-integer one in ``icmech.ic`` must reproduce field by field; and
+integer one in ``icmech.ic`` must reproduce field by field;
+``check_ic_n`` is the allocation IC check over Fraction interim win
+probabilities, which ``icmech.nalloc.check_ic_n`` must reproduce; and
 ``extract_cycle_dfs`` is the depth-first cycle search that the
 decomposition's walk along a pruned support must reproduce.
 ``random_transport_extreme`` and ``sample_ic_combination`` sample IC
@@ -149,6 +151,33 @@ def check_ic(x, dist):
                     ex_ante_indifferent=ex_ante_ok,
                     uninformative=uninformative_ok)
 
+
+def check_ic_n(x, inst):
+    """``icmech.nalloc.check_ic_n`` in Fractions: type b's interim win
+    probability is the sum of pi * x_i over the profiles where agent i has
+    type b, divided by b's marginal under pi."""
+    if x.space != inst.space:
+        raise PreconditionError("mechanism and instance type spaces differ")
+    totals = list(sum(x.x).reshape(-1))
+    if inst.disposal and max(totals) > 1:
+        raise PreconditionError("mechanism infeasible: total exceeds 1")
+    if not inst.disposal and any(t != 1 for t in totals):
+        raise PreconditionError(
+            "mechanism infeasible: the good must always be allocated")
+    interim: dict = {}
+    violations = []
+    for i, agent in enumerate(inst.space.agents):
+        arr = inst.dist.p * x.x[i]
+        sums = np.moveaxis(arr, i, 0).reshape(arr.shape[i], -1).sum(axis=1)
+        vals = list(sums / inst.dist.marginal(i))
+        labels = inst.space.types[i]
+        for label, val in zip(labels, vals):
+            interim[(agent, label)] = val
+        violations += [Violation(agent, label, label2, val2 - val)
+                       for label, val in zip(labels, vals)
+                       for label2, val2 in zip(labels, vals) if val2 > val]
+    return ICReport(verdict=not violations, violations=violations,
+                    interim=interim)
 
 def conditional_section_basis(dist):
     """Generators of U: indicator-of-own-type times a conditional belief,

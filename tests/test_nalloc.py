@@ -16,6 +16,7 @@ from icmech.nalloc import (AllocationInstance, AllocationMechanism,
 from icmech.oracle import generate, solve_principal_alloc
 from icmech.profit import additivity_test
 
+from . import reference
 from .conftest import two_option
 
 F = Fraction
@@ -87,6 +88,41 @@ class TestCheckICN:
         mech = AllocationMechanism(disp.space, parts, disposal=True)
         assert check_ic_n(mech, disp).verdict
 
+
+    def test_integer_check_equals_fraction_reference(self):
+        # Generated allocations of 2-3 agents with 1-3 types each, with and
+        # without disposal, under the LP optimum or the equal split, each
+        # IC, or one of them with part of an agent's share at one profile
+        # moved to another agent, which mostly is not.
+        rng = random.Random(23)
+        seen = set()
+        for seed in range(48):
+            disposal = seed % 2 == 1
+            shape = tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 3)))
+            inst = generate(seed, shape, "unbiased-n-alloc", disposal=disposal)
+            if seed % 4 < 2:
+                parts = [p.copy() for p in solve_principal_alloc(inst).mechanism.x]
+            else:
+                share = F(1, inst.n + disposal)
+                parts = [constant_array(shape, share) for _ in range(inst.n)]
+            perturbed = seed % 3 != 0
+            if perturbed:
+                profile = tuple(rng.randrange(k) for k in shape)
+                i, j = rng.sample(range(inst.n), 2)
+                moved = parts[j][profile] * F(rng.randint(1, 3), 3)
+                parts[i][profile] += moved
+                parts[j][profile] -= moved
+            mech = AllocationMechanism(inst.space, parts, disposal)
+            got, ref = check_ic_n(mech, inst), reference.check_ic_n(mech, inst)
+            assert got.verdict == ref.verdict
+            assert got.violations == ref.violations
+            assert list(got.interim.items()) == list(ref.interim.items())
+            # Reports print these values, so they stay Fractions.
+            values = [v.gain for v in got.violations] + list(got.interim.values())
+            assert all(type(v) is F for v in values)
+            seen.add((disposal, perturbed, got.verdict))
+        assert {(d, False, True) for d in (False, True)} <= seen
+        assert {(d, True, False) for d in (False, True)} <= seen
 
 class TestDifferenceAdditive:
     def test_private_values_hold(self, private_values):

@@ -586,6 +586,112 @@ class TestIntegerChecks:
         reference.check_primal(lp, sol.x)
 
 
+def fractional_lp(rng: random.Random) -> LinearProgram:
+    """``random_lp`` with rational bounds and row entries over mixed
+    denominators: the bounds need a common denominator above 1, and some
+    variables are fixed."""
+    n = rng.randint(1, 4)
+
+    def q(lo, hi):
+        return F(rng.randint(lo, hi), rng.choice((1, 2, 3, 5)))
+
+    lower = [q(-6, 2) for _ in range(n)]
+    upper = [lo + q(0, 8) for lo in lower]
+    m, k = rng.randint(0, 3), rng.randint(0, 2)
+    return LinearProgram(
+        objective=[q(-4, 4) for _ in range(n)],
+        a_ub=[[q(-3, 3) for _ in range(n)] for _ in range(m)],
+        b_ub=[q(-2, 4) for _ in range(m)],
+        a_eq=[[q(-2, 2) for _ in range(n)] for _ in range(k)],
+        b_eq=[q(-2, 2) for _ in range(k)],
+        lower=lower, upper=upper)
+
+
+class TestFractionalBounds:
+    def test_example(self):
+        # max x0 + x1 with -3/2 <= x0 <= 7/3, 0 <= x1 <= 1/2 and
+        # x0 + 2 x1 <= 5/2: x0 sits at its upper bound, which x returns
+        # as it is, and x1 = 1/12 fills the row.
+        lp = LinearProgram(objective=fl([1, 1]), a_ub=[fl([1, 2])], b_ub=fl(["5/2"]),
+                           lower=fl(["-3/2", 0]), upper=fl(["7/3", "1/2"]))
+        sol = solve_lp(lp)
+        assert (sol.value, sol.x) == (F(29, 12), fl(["7/3", "1/12"]))
+        assert sol.x[0] is lp.upper[0]
+        assert_certificate(lp, sol)
+
+    def test_matches_vertex_enumeration_and_the_fraction_fold(self, monkeypatch):
+        # solve_lp scales the bounds to integers over their common
+        # denominator and rebuilds x from the tableau's point: the optimum
+        # is a vertex of best value, and the integer dual fold equals the
+        # Fraction fold of the same duals.
+        folds = []
+        monkeypatch.setattr(numerics, "_fold_duals", reference.recording_fold(
+            numerics._fold_duals, folds))
+        rng = random.Random(41)
+        checked = inside = 0
+        for _ in range(150):
+            lp = fractional_lp(rng)
+            folds.clear()
+            _, sol = outcome(lp)
+            vertices = reference.enumerate_vertices(lp)
+            if sol is None:
+                assert vertices == [] and folds == []
+                continue
+            assert sol.value == max(dot(lp.objective, x) for x in vertices)
+            assert sol.x in vertices
+            [(got, expected)] = folds
+            assert got == expected
+            assert_certificate(lp, sol)
+            checked += 1
+            inside += any(lo < v < up for v, lo, up in zip(sol.x, lp.lower, lp.upper))
+        assert checked >= 50 and inside >= 20
+
+
+class TestPivot:
+    @staticmethod
+    def dense_pivot(rows, dens, obj, objden, r, c):
+        """The dense pivot: every updated row and ``obj`` become q row - f
+        prow over all of their entries, in lowest terms."""
+        prow, q = numerics._lowest_terms(rows[r], rows[r][c])
+        new_rows, new_dens = [], []
+        for i, (row, d) in enumerate(zip(rows, dens)):
+            f = row[c]
+            if i == r:
+                row, d = prow, q
+            elif f:
+                row, d = numerics._lowest_terms(
+                    [q * a - f * b for a, b in zip(row, prow)], d * q)
+            new_rows.append(row)
+            new_dens.append(d)
+        f = obj[c]
+        obj, objden = numerics._lowest_terms(
+            [q * a - f * b for a, b in zip(obj, prow)], objden * q)
+        return new_rows, new_dens, obj, objden
+
+    def test_matches_the_dense_update(self):
+        # Random integer tableaus, a third of their entries 0, over
+        # random denominators; the pivot entry is negative, as in the dual
+        # simplex, or positive.
+        rng = random.Random(7)
+
+        def entry():
+            return 0 if rng.random() < 0.35 else rng.randint(-9, 9) * rng.choice((1, 6))
+
+        for trial in range(300):
+            nrows, width = rng.randint(1, 5), rng.randint(2, 7)
+            rows = [[entry() for _ in range(width + 1)] for _ in range(nrows)]
+            r, c = rng.randrange(nrows), rng.randrange(width)
+            rows[r][c] = rng.randint(1, 12) * (1 if trial % 4 == 0 else -1)
+            obj = [entry() for _ in range(width + 1)]
+            tab = numerics._Tableau([list(row) for row in rows],
+                                    list(range(nrows)), [1] * width)
+            tab.dens = [rng.randint(1, 8) for _ in range(nrows)]
+            tab.objden = rng.randint(1, 8)
+            expected = self.dense_pivot(rows, tab.dens, obj, tab.objden, r, c)
+            tab.pivot(r, c, obj)
+            assert (tab.rows, tab.dens, obj, tab.objden) == expected
+            assert tab.basis[r] == c
+
 def run_optimized(script: str) -> str:
     """Run ``script`` under ``python -O`` (asserts stripped); its stdout."""
     src = Path(numerics.__file__).resolve().parent.parent
