@@ -9,9 +9,10 @@ for any number of agents, and every row family is built from it.
 The IC rows "interim expectation equals ex-ante value" are read off pi
 itself, for any number of agents: agent i's rows only for the types in an
 echelon basis of its pi-slices (``type_basis``), with one common interim
-value c_k per share block as one more unknown (``value_rows``).  For two
-agents the rows are independent and there are
-rank(pi) * (m + n) - rank(pi)^2 of them.  ``transport_rows``
+value c_k per share block as one more unknown (``value_rows``).  Both
+read pi's integers, its numerators ``dist.nums`` over ``dist.den``, and
+the IC rows are integer rows.  For two agents the rows are independent
+and there are rank(pi) * (m + n) - rank(pi)^2 of them.  ``transport_rows``
 are the rows of the transport criterion: with q's marginals fixed, q is
 correlation-orthogonal to pi iff every belief update ``updates`` has zero
 mean on every own-type slice of q, which pi's basis types say in fewer
@@ -22,7 +23,7 @@ For two agents the same structure gives the additivity subspace
 U = col(pi) (x) R^n + R^m (x) row(pi), whose orthogonal complement is
 col(pi)^perp (x) row(pi)^perp; ``kronecker_residual`` projects onto that
 complement with r-dimensional bases of pi's column and row spaces,
-r = rank(pi).  It works on integer arrays, w's and pi's numerators, with
+r = rank(pi).  It works on integer arrays, w's numerators and pi's, with
 a fraction-free Gram-Schmidt basis of primitive integer vectors and one
 common denominator, and makes ``Fraction``s only for the result.
 ``difference_residual`` is its closed form for the splits
@@ -53,7 +54,7 @@ def beliefs(dist: JointDist, i: int) -> list[list[Fraction]]:
             for a in range(len(marg))]
 
 
-def lift(shape: tuple[int, ...], i: int, b: int, vec) -> list[Fraction]:
+def lift(shape: tuple[int, ...], i: int, b: int, vec) -> list:
     """Flat row over profiles (row-major) that carries ``vec`` on the slice
     where agent i's type is at position b and is zero elsewhere.
 
@@ -62,7 +63,7 @@ def lift(shape: tuple[int, ...], i: int, b: int, vec) -> list[Fraction]:
     inner = prod(shape[i + 1:])
     cells = ((outer * shape[i] + b) * inner + k
              for outer in range(prod(shape[:i])) for k in range(inner))
-    row = [ZERO] * prod(shape)
+    row = [0] * prod(shape)
     for cell, v in zip(cells, vec):
         row[cell] = v
     return row
@@ -73,10 +74,10 @@ def type_basis(dist: JointDist, i: int) -> list[int]:
     profiles where agent i has that type, flat) the exact echelon reduction
     keeps: a basis of those slices and so of agent i's beliefs.  For two
     agents these are rank(pi) rows (columns for agent R) of pi."""
-    return basis_rows(list(np.moveaxis(dist.p, i, 0).reshape(dist.space.shape[i], -1)))
+    return basis_rows(list(np.moveaxis(dist.nums, i, 0).reshape(dist.space.shape[i], -1)))
 
 
-def value_rows(dist: JointDist, bases: list[list[int]]) -> list[list[Fraction]]:
+def value_rows(dist: JointDist, bases: list[list[int]]) -> list[list[int]]:
     """IC rows of n agents over the first n - 1 agents' shares x_k, block by
     block and flat over profiles, then one common interim value c_k per
     block, taken from pi with ``bases`` from ``type_basis``, one per agent.
@@ -91,22 +92,28 @@ def value_rows(dist: JointDist, bases: list[list[int]]) -> list[list[Fraction]]:
     basis T are left out: sum_b pi(b, t) L(a, b) = sum_s pi(a, s) R(t, s)
     for each a in L's basis A and t in T, and the minor pi[A, T] is
     nonsingular, so these r^2 relations give R(t, s) for s in T.  With no
-    block (one agent) every row is empty."""
+    block (one agent) every row is empty.
+
+    The rows are integers, read off pi's numerators P over D: a row is
+    P's slice at a and minus its sum, divided by their gcd with D, which
+    is the row as rationals scaled by the lcm of its denominators."""
     shape = dist.space.shape
     blocks = len(shape) - 1
     rows = []
     for i, basis in enumerate(bases):
-        lines = np.moveaxis(dist.p, i, 0).reshape(shape[i], -1)
-        marg = dist.marginal(i)
+        lines = np.moveaxis(dist.nums, i, 0).reshape(shape[i], -1)
         on = [i in (k, blocks) for k in range(blocks)]
         for a in basis:
+            g = gcd(dist.den, *lines[a])
+            line = [v // g for v in lines[a]]
+            mass = sum(line)
             for b in range(shape[i]):
                 if i == blocks == 1 and b in basis:
                     continue
-                share = lift(shape, i, b, lines[a])
-                off = [ZERO] * len(share)
+                share = lift(shape, i, b, line)
+                off = [0] * len(share)
                 rows.append([v for k in on for v in (share if k else off)] +
-                            [-marg[a] if k else ZERO for k in on])
+                            [-mass if k else 0 for k in on])
     return rows
 
 
@@ -130,7 +137,7 @@ def transport_rows(dist: JointDist, bases: tuple[list[int], list[int]]
     shape = dist.space.shape
     rho = dist.p / np.multiply.outer(*dist.marginals())
     last = shape[1] - 1
-    skip = {last - s for s in basis_rows(list(dist.p[bases[0], ::-1].T))}
+    skip = {last - s for s in basis_rows(list(dist.nums[bases[0], ::-1].T))}
     rows, rhs = [], []
     for i, basis in enumerate(bases):
         lines = np.moveaxis(rho, i, 0)
@@ -240,7 +247,7 @@ def kronecker_residual(dist: JointDist, w: np.ndarray) -> np.ndarray:
     """
     two_agent(dist.space)
     shape = dist.space.shape
-    pi = np.array(integer_row(dist.p.reshape(-1))[1], dtype=object).reshape(shape)
+    pi = dist.nums
     den, resid = integer_row(np.reshape(w, -1))
     resid = np.array(resid, dtype=object).reshape(shape)
     col_scale, resid = _project_out(resid.T, _orthogonal_basis(pi.T))

@@ -7,7 +7,12 @@ rationals (``fractions.Fraction``) end to end; the characterizations this
 package checks are exact equalities, and tolerances would blur them.
 
 Arrays are numpy object arrays holding Fractions, indexed by type profile
-in row-major agent order.
+in row-major agent order.  A ``JointDist`` also keeps pi over one common
+denominator D, its numerators P an int array (``den``, ``nums``),
+computed once on construction: its checks, its marginals and
+``expectation`` work on them, as do the kernels in ``belief``, ``ic`` and
+``nalloc``.  The loaders read the plain rational forms ("-3", "7/12")
+straight into ints.
 """
 
 from __future__ import annotations
@@ -16,13 +21,14 @@ import functools
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .numerics import frac, rank as matrix_rank_rows
+from .numerics import frac, integer_row, rank as matrix_rank_rows
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -105,10 +111,6 @@ def constant_array(shape: tuple[int, ...], value) -> np.ndarray:
     return arr
 
 
-def array_sum(arr: np.ndarray) -> Fraction:
-    return sum(arr.reshape(-1), ZERO)
-
-
 def arrays_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and bool((a == b).all())
 
@@ -125,7 +127,8 @@ def to_nested_strings(arr):
 # ---------------------------------------------------------------------------
 
 def axis_marginals(p: np.ndarray) -> list[np.ndarray]:
-    """Each agent's marginal of a joint probability array."""
+    """Each agent's marginal of a joint probability array, or of any
+    array its sums over the profiles where that agent has each type."""
     out = []
     for i in range(p.ndim):
         axes = tuple(a for a in range(p.ndim) if a != i)
@@ -140,29 +143,48 @@ class JointDist:
     marginal is strictly positive (types that cannot occur are rejected at
     construction; drop them first if needed).  Conditionals are exact
     because marginals never vanish.
+
+    pi is kept as ``nums / den``: ``nums`` an int array of pi's shape and
+    ``den`` > 0 with no factor common to all of them, so the pair is
+    unique.  ``p`` holds the same entries as Fractions.
     """
 
-    def __init__(self, space: TypeSpace, probabilities: np.ndarray):
-        probabilities = np.asarray(probabilities, dtype=object)
-        if probabilities.shape != space.shape:
-            raise SchemaError(f"pi has shape {probabilities.shape}, "
-                              f"expected {space.shape}")
-        flat = probabilities.reshape(-1)
-        for v in flat:
-            if not isinstance(v, Fraction):
-                raise SchemaError("pi entries must be exact rationals")
-            if v < 0:
-                raise SchemaError("pi entries must be nonnegative")
-        if array_sum(probabilities) != 1:
+    def __init__(self, space: TypeSpace, den: int, nums: np.ndarray):
+        nums = np.asarray(nums, dtype=object)
+        if nums.shape != space.shape:
+            raise SchemaError(f"pi has shape {nums.shape}, expected {space.shape}")
+        flat = list(nums.reshape(-1))
+        if any(v < 0 for v in flat):
+            raise SchemaError("pi entries must be nonnegative")
+        if sum(flat) != den:
             raise SchemaError("pi entries must sum to exactly 1")
-        self.space = space
-        self.p = probabilities
-        self._marginals = tuple(axis_marginals(probabilities))
-        for agent, m in zip(space.agents, self._marginals):
-            if any(v == 0 for v in m):
+        msums = axis_marginals(nums)
+        for agent, sums in zip(space.agents, msums):
+            if any(v == 0 for v in sums):
                 raise SchemaError(
                     f"agent {agent!r} has a zero-probability type; "
                     "drop it from the instance")
+        g = math.gcd(den, *flat)
+        if g > 1:
+            den, nums = den // g, nums // g
+            msums = [sums // g for sums in msums]
+        self.space = space
+        self.den = den
+        self.nums = nums
+        self.p = np.array([Fraction(v, den) for v in nums.reshape(-1)],
+                          dtype=object).reshape(space.shape)
+        self._marginals = tuple(np.array([Fraction(v, den) for v in sums], dtype=object)
+                                for sums in msums)
+
+    @classmethod
+    def from_fractions(cls, space: TypeSpace, probabilities: np.ndarray) -> "JointDist":
+        """The distribution with Fraction entries ``probabilities``."""
+        probabilities = np.asarray(probabilities, dtype=object)
+        flat = probabilities.reshape(-1)
+        if not all(isinstance(v, Fraction) for v in flat):
+            raise SchemaError("pi entries must be exact rationals")
+        den, nums = integer_row(flat)
+        return cls(space, den, np.array(nums, dtype=object).reshape(probabilities.shape))
 
     def marginal(self, i: int) -> np.ndarray:
         return self._marginals[i]
@@ -171,32 +193,48 @@ class JointDist:
         return self._marginals
 
     def is_independent(self) -> bool:
+        """pi == pi_L (x) pi_R, in integers: P D == P_L (x) P_R with P_L
+        and P_R the row and column sums of P."""
         two_agent(self.space)
-        ml, mr = self._marginals
-        return arrays_equal(self.p, np.multiply.outer(ml, mr))
+        return arrays_equal(self.nums * self.den,
+                            np.multiply.outer(*axis_marginals(self.nums)))
 
     def matrix_rank(self) -> int:
         two_agent(self.space)
-        return matrix_rank_rows([list(row) for row in self.p])
+        return matrix_rank_rows([list(row) for row in self.nums])
 
     def independent_counterpart(self) -> "JointDist":
         """Product of this distribution's marginals (same type space)."""
         two_agent(self.space)
-        ml, mr = self._marginals
-        return JointDist(self.space, np.multiply.outer(ml, mr))
+        return JointDist(self.space, self.den * self.den,
+                         np.multiply.outer(*axis_marginals(self.nums)))
 
     def __eq__(self, other):
         return isinstance(other, JointDist) and self.space == other.space \
-            and arrays_equal(self.p, other.p)
+            and self.den == other.den and arrays_equal(self.nums, other.nums)
 
 
 def product_dist(space: TypeSpace, marginals: list[np.ndarray]) -> JointDist:
-    """Independent joint distribution from per-agent marginals."""
-    return JointDist(space, functools.reduce(np.multiply.outer, marginals))
+    """Independent joint distribution from per-agent marginals, each
+    nonnegative and summing to exactly 1: the outer product of their
+    integer numerators over the product of their denominators."""
+    dens, nums = [], []
+    for agent, marginal in zip(space.agents, marginals):
+        den, ints = integer_row(marginal)
+        if any(v < 0 for v in ints) or sum(ints) != den:
+            raise SchemaError(f"the marginal of agent {agent!r} must be "
+                              "nonnegative and sum to exactly 1")
+        dens.append(den)
+        nums.append(np.array(ints, dtype=object))
+    return JointDist(space, math.prod(dens), functools.reduce(np.multiply.outer, nums))
 
 
 def expectation(dist: JointDist, values: np.ndarray) -> Fraction:
-    return array_sum(dist.p * values)
+    """E[values] under pi, in integers: sum P V over D d, with V the
+    values' integers over one denominator d."""
+    den, ints = integer_row(np.reshape(values, -1))
+    return Fraction(sum(p * v for p, v in zip(dist.nums.flat, ints) if v),
+                    dist.den * den)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +375,19 @@ def check_profile_count(shape: tuple[int, ...]) -> None:
 def _too_large(node) -> bool:
     if isinstance(node, int):
         return abs(node) >= _INT_LIMIT
+    if len(node) > MAX_DIGITS:
+        return True
+    if "e" not in node and "E" not in node:  # no other character lowers to "e"
+        return False
     exponent = node.replace("_", "").lower().partition("e")[2].strip()
     exponent = exponent.lstrip("+-")
-    return len(node) > MAX_DIGITS or \
-        (exponent.isdecimal() and int(exponent) > MAX_DIGITS)
+    return exponent.isdecimal() and int(exponent) > MAX_DIGITS
+
+
+# The plain forms of a rational, in ASCII digits: read as two ints, with
+# no pass through ``Fraction(str)``'s regex.  Every other form (decimals,
+# exponents, signs, spaces, underscores, other digits) goes through it.
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _parse_rational_nested(node, shape, where: str):
@@ -355,7 +402,11 @@ def _parse_rational_nested(node, shape, where: str):
         if isinstance(node, (int, str)) and _too_large(node):
             raise SchemaError(f"{where}: a number has more than {MAX_DIGITS} "
                               f"digits or an exponent beyond {MAX_DIGITS}")
+        plain = _PLAIN_RATIONAL.fullmatch(node) if isinstance(node, str) else None
         try:
+            if plain:
+                num, den = plain.groups()
+                return Fraction(int(num), int(den)) if den else Fraction(int(num))
             return frac(node)
         except (ValueError, TypeError, ZeroDivisionError) as e:
             raise SchemaError(f"{where}: bad rational {node!r} ({e})") from None
@@ -406,7 +457,7 @@ def load_instance(source) -> Instance:
     vL = parse_rational_array(data["vL"], space.shape, "vL")
     vR = (parse_rational_array(data["vR"], space.shape, "vR")
           if "vR" in data else constant_array(space.shape, 0))
-    dist = JointDist(space, pi)
+    dist = JointDist.from_fractions(space, pi)
     name = data.get("name")
     seed = data.get("seed")
     return Instance(space, dist, normalize(vL, vR, dist), name=name, seed=seed)

@@ -63,18 +63,17 @@ def check_ic(x: Mechanism, dist: JointDist) -> ICReport:
     """Full IC check via raw inequalities, interim equalities and the
     indifference/uninformativeness split; the three must agree.
 
-    The routes compare integers: pi's numerators P over their sum S (the
-    lcm of pi's denominators, as pi sums to 1) and x's numerators X over
-    theirs, d.  Agent L's interim table is P X^T, agent R's P^T X, row a
-    over d times the row or column sum of P at a, and E[x] is the sum of
-    P * X over S d."""
+    The routes compare integers: pi's numerators P over their sum S
+    (``dist.nums`` over ``dist.den``) and x's numerators X over theirs,
+    d.  Agent L's interim table is P X^T, agent R's P^T X, row a over d
+    times the row or column sum of P at a, and E[x] is the sum of P * X
+    over S d."""
     two_agent(dist.space)
     if x.space != dist.space:
         raise PreconditionError("mechanism and distribution type spaces differ")
     space = dist.space
-    total, pi = integer_row(dist.p.reshape(-1))
+    total, pi = dist.den, dist.nums
     den, xs = integer_row(x.x.reshape(-1))
-    pi = np.array(pi, dtype=object).reshape(space.shape)
     xs = np.array(xs, dtype=object).reshape(space.shape)
     tables = [pi.dot(xs.T), pi.T.dot(xs)]
     scales = [pi.sum(axis=1), pi.sum(axis=0)]

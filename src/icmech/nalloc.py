@@ -23,10 +23,9 @@ import numpy as np
 
 from .belief import difference_residual, slice_sums
 from .core import (JointDist, NoneCertificate, PreconditionError, SchemaError,
-                   TypeSpace, array_sum, axis_marginals, constant_array,
-                   expectation, load_json_dict, load_mechanism_json,
-                   parse_rational_array, parse_type_space, product_dist,
-                   to_nested_strings)
+                   TypeSpace, constant_array, expectation, load_json_dict,
+                   load_mechanism_json, parse_rational_array, parse_type_space,
+                   product_dist, to_nested_strings)
 from .ic import ICReport, Violation
 from .numerics import integer_row, require
 
@@ -42,7 +41,8 @@ class AllocationInstance:
 
     ``values[i]`` is the principal's payoff tensor for allocating to agent
     i, indexed by full type profile.  ``dist`` is the product of the
-    per-agent marginals (independence is part of the model here), and
+    per-agent marginals (independence is part of the model here), each a
+    probability vector, and
     ``expected_values[i]`` the expectation of ``values[i]`` under it; both
     are computed once, on construction.  ``no_disposal`` is the instance
     every analysis runs on: free disposal reduces to full allocation with
@@ -105,14 +105,24 @@ class AllocationMechanism:
                 if not isinstance(v, Fraction) or v < 0:
                     raise SchemaError("allocation probabilities must be "
                                       "nonnegative rationals")
-        totals = list(sum(parts).reshape(-1))
-        if disposal and max(totals) > 1:
+        _, den, totals = _share_totals(parts)
+        if disposal and max(totals) > den:
             raise SchemaError("allocation probabilities exceed 1")
-        if not disposal and any(t != 1 for t in totals):
+        if not disposal and any(t != den for t in totals):
             raise SchemaError("allocation probabilities must sum to "
                               "exactly 1 at every profile")
         self.space = space
         self.x = parts
+
+
+def _share_totals(parts) -> tuple[list[tuple[int, list[int]]], int, np.ndarray]:
+    """(shares, den, totals): each share's integers over its own
+    denominator, (d_i, X_i) from ``integer_row``, and the total of the
+    shares at each profile, flat, over their common denominator den."""
+    shares = [integer_row(p.reshape(-1)) for p in parts]
+    den = math.lcm(*(d for d, _ in shares))
+    totals = sum(np.array(xs, dtype=object) * (den // d) for d, xs in shares)
+    return shares, den, totals
 
 
 def check_ic_n(x: AllocationMechanism, inst: AllocationInstance) -> ICReport:
@@ -127,16 +137,13 @@ def check_ic_n(x: AllocationMechanism, inst: AllocationInstance) -> ICReport:
     if x.space != inst.space:
         raise PreconditionError("mechanism and instance type spaces differ")
     shape = inst.space.shape
-    shares = [integer_row(p.reshape(-1)) for p in x.x]
-    # The total at each profile, over the shares' common denominator.
-    den = math.lcm(*(d for d, _ in shares))
-    totals = sum(np.array(xs, dtype=object) * (den // d) for d, xs in shares)
+    shares, den, totals = _share_totals(x.x)
     if inst.disposal and max(totals) > den:
         raise PreconditionError("mechanism infeasible: total exceeds 1")
     if not inst.disposal and any(t != den for t in totals):
         raise PreconditionError(
             "mechanism infeasible: the good must always be allocated")
-    pi = np.array(integer_row(inst.dist.p.reshape(-1))[1], dtype=object).reshape(shape)
+    pi = inst.dist.nums
     interim: dict = {}
     violations = []
     for i, (agent, (d, xs)) in enumerate(zip(inst.space.agents, shares)):
@@ -402,12 +409,10 @@ def load_allocation(source) -> AllocationInstance:
             margs.append(parse_rational_array(data["marginals"][a],
                                               (space.shape[i],), f"marginals[{a}]"))
     elif "pi" in data:
-        pi = parse_rational_array(data["pi"], space.shape, "pi")
-        if array_sum(pi) != 1:
-            raise SchemaError("pi must sum to exactly 1")
-        margs = axis_marginals(pi)
-        check = product_dist(space, margs).p
-        if not (check == pi).all():
+        pi = JointDist.from_fractions(
+            space, parse_rational_array(data["pi"], space.shape, "pi"))
+        margs = pi.marginals()
+        if product_dist(space, margs) != pi:
             raise SchemaError("pi is not a product of its marginals; "
                               "this analysis assumes independent types")
     else:

@@ -87,8 +87,8 @@ def _ic_optimum(dist: JointDist, objective: list) -> tuple[Fraction, list]:
         return total * level, [constant_array(space.shape, level)]
     rows = value_rows(dist, bases)
     nvars = blocks * (size + 1)
-    sums = [[ONE if k % size == flat else ZERO for k in range(blocks * size)] +
-            [ZERO] * blocks for flat in range(size)] if blocks > 1 else []
+    sums = [[int(k % size == flat) for k in range(blocks * size)] + [0] * blocks
+            for flat in range(size)] if blocks > 1 else []
     lp = LinearProgram(objective=list(objective) + [ZERO] * blocks,
                        a_eq=rows, b_eq=[ZERO] * len(rows),
                        a_ub=sums, b_ub=[ONE] * len(sums),
@@ -206,7 +206,7 @@ def generate(seed: int, shape, kind: str, *, k: int | None = None,
     else:
         raise PreconditionError(f"unknown kind {kind!r}; choose from {KINDS}")
 
-    dist = JointDist(space, pi)
+    dist = JointDist.from_fractions(space, pi)
     v = _value_array(rng, shape)
     if zero_mean:
         v = v - constant_array(shape, expectation(dist, v))

@@ -210,7 +210,8 @@ def transport_criterion(instance: Instance) -> TransportResult:
                                      a_eq=rows, b_eq=rhs, upper=[ONE] * v_hat.size))
         q = np.array(sol.x, dtype=object).reshape(shape)
         value = sol.value
-    return TransportResult(value=value, optimizer=JointDist(instance.space, q),
+    return TransportResult(value=value,
+                           optimizer=JointDist.from_fractions(instance.space, q),
                            v_hat=v_hat, orthogonality_rows=ortho,
                            independent=dist.is_independent())
 

@@ -31,6 +31,12 @@ integer one in ``icmech.ic`` must reproduce field by field;
 probabilities, which ``icmech.nalloc.check_ic_n`` must reproduce; and
 ``extract_cycle_dfs`` is the depth-first cycle search that the
 decomposition's walk along a pruned support must reproduce.
+``joint_marginals`` is ``JointDist``'s validation and marginals in
+Fractions, and ``expectation`` the Fraction sum of pi times the values:
+``icmech.core`` now computes both from pi's integers over one
+denominator.  ``parse_rational`` reads one file entry through
+``Fraction(str)`` alone, as the loaders did before they read the plain
+forms as two ints.
 ``random_transport_extreme`` and ``sample_ic_combination`` sample IC
 mechanisms under independence from transportation-polytope extreme points,
 for the property sweeps.
@@ -42,8 +48,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from icmech.core import (Mechanism, PreconditionError, TypeSpace,
-                         constant_array, expectation, product_dist, two_agent)
+from icmech.core import (Mechanism, PreconditionError, SchemaError, TypeSpace,
+                         constant_array, product_dist, two_agent)
 from icmech.ic import ICReport, Violation
 from icmech.numerics import LinearProgram, require
 
@@ -79,8 +85,9 @@ def _echelon(rows):
 
 
 def rank(rows):
-    """Exact rank: the number of Gauss-Jordan pivots."""
-    rows = [list(r) for r in rows]
+    """Exact rank: the number of Gauss-Jordan pivots.  Entries are taken
+    as Fractions, so int rows are eliminated exactly too."""
+    rows = [[Fraction(v) for v in r] for r in rows]
     if not rows or not rows[0]:
         return 0
     return len(_echelon(rows)[1])
@@ -97,6 +104,43 @@ def solve_linear_system(a, b):
     for i, col in enumerate(pivots):
         x[col] = red[i][n]
     return x
+
+
+def joint_marginals(space, p):
+    """The marginals of the Fraction array p, once it passes the checks
+    of ``icmech.core.JointDist``, made in Fractions: for an array of pi's
+    shape, the same ``SchemaError`` as ``JointDist.from_fractions``."""
+    p = np.asarray(p, dtype=object)
+    if p.shape != space.shape:
+        raise SchemaError(f"pi has shape {p.shape}, expected {space.shape}")
+    for v in p.reshape(-1):
+        if not isinstance(v, Fraction):
+            raise SchemaError("pi entries must be exact rationals")
+        if v < 0:
+            raise SchemaError("pi entries must be nonnegative")
+    if sum(p.reshape(-1), ZERO) != 1:
+        raise SchemaError("pi entries must sum to exactly 1")
+    margs = [p.sum(axis=tuple(a for a in range(p.ndim) if a != i)) if p.ndim > 1
+             else p.copy() for i in range(p.ndim)]
+    for agent, m in zip(space.agents, margs):
+        if any(v == 0 for v in m):
+            raise SchemaError(f"agent {agent!r} has a zero-probability type; "
+                              "drop it from the instance")
+    return margs
+
+
+def expectation(dist, values):
+    """E[values] under pi: the Fraction sum of pi times the values."""
+    return sum((dist.p * values).reshape(-1), ZERO)
+
+
+def parse_rational(text, where):
+    """One string entry of an instance file read by ``Fraction(str)``,
+    with the loaders' error text for what it refuses."""
+    try:
+        return Fraction(text)
+    except (ValueError, TypeError, ZeroDivisionError) as e:
+        raise SchemaError(f"{where}: bad rational {text!r} ({e})") from None
 
 
 def conditional(dist, i):

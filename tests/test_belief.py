@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from icmech import belief
 from icmech.belief import difference_residual, kronecker_residual
-from icmech.core import JointDist, TypeSpace
+from icmech.core import JointDist, TypeSpace, expectation
 from icmech.nalloc import (DISPOSAL_AGENT, AllocationInstance,
                            difference_additive)
-from icmech.numerics import integer_row, span_coefficients
-from icmech.oracle import generate
+from icmech.numerics import span_coefficients
+from icmech.oracle import KINDS as ALL_KINDS, generate
 from icmech.profit import _extract_cycle, _pruned_support, transport_criterion
 
 from . import reference
@@ -156,8 +156,8 @@ def sparse_dists(draw):
         weights[k % m * n + k % n] = max(weights[k % m * n + k % n], 1)
     total = sum(weights)
     pi = np.array([Fraction(w, total) for w in weights], dtype=object)
-    return JointDist(TypeSpace(("l", "r"), (tuple(range(m)), tuple(range(n)))),
-                     pi.reshape(m, n))
+    return JointDist.from_fractions(
+        TypeSpace(("l", "r"), (tuple(range(m)), tuple(range(n)))), pi.reshape(m, n))
 
 
 @PROPERTY
@@ -226,6 +226,38 @@ def test_allocation_rows_equal_loop_builder(inst):
 
 
 @st.composite
+def generated_dists(draw):
+    """pi of every ``generate`` kind: two agents of 1-5 types, or for the
+    allocation kind 1-4 agents of 1-3 types, with and without disposal."""
+    kind = draw(st.sampled_from(ALL_KINDS))
+    if kind == "unbiased-n-alloc":
+        shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+        inst = generate(draw(st.integers(0, 10**6)), shape, kind,
+                        disposal=draw(st.booleans()))
+        return inst.no_disposal.dist
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    return generate(draw(st.integers(0, 10**6)), shape, kind,
+                    k=draw(st.integers(1, 3))).dist
+
+
+@PROPERTY
+@given(st.one_of(generated_dists(), sparse_dists()), st.integers(0, 10**6))
+def test_integer_form_equals_fraction_reference(dist, seed):
+    # pi is nums / den in lowest terms, and the marginals and expectations
+    # made from the integers are the Fraction ones.
+    assert gcd(dist.den, *dist.nums.flat) == 1
+    assert all(type(v) is int for v in dist.nums.flat)
+    assert all(Fraction(v, dist.den) == q for v, q in zip(dist.nums.flat, dist.p.flat))
+    ref = reference.joint_marginals(dist.space, dist.p)
+    assert [list(m) for m in dist.marginals()] == [list(m) for m in ref]
+    rng = random.Random(seed)
+    values = np.array([Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                       for _ in range(dist.p.size)], dtype=object)
+    values = values.reshape(dist.space.shape)
+    assert expectation(dist, values) == reference.expectation(dist, values)
+
+
+@st.composite
 def correlated_n_dists(draw):
     """pi of 2-4 agents with 1-3 types each: a mixture of 1-3 products of
     positive weights, so the agents' beliefs are correlated and their
@@ -238,7 +270,8 @@ def correlated_n_dists(draw):
     pi = np.array([Fraction(int(w), int(p.sum())) for w in p.reshape(-1)],
                   dtype=object).reshape(shape)
     agents = tuple(str(i) for i in range(len(shape)))
-    return JointDist(TypeSpace(agents, tuple(tuple(range(k)) for k in shape)), pi)
+    return JointDist.from_fractions(
+        TypeSpace(agents, tuple(tuple(range(k)) for k in shape)), pi)
 
 
 @PROPERTY
@@ -299,8 +332,7 @@ def test_distinct_nonzero_equals_tuple_keyed_dedupe(rows):
 @example(generate(7, (5, 3), "full-rank").dist)
 def test_orthogonal_basis_is_primitive_orthogonal_and_spans_pi(dist):
     r = dist.matrix_rank()
-    pi = np.array(integer_row(dist.p.reshape(-1))[1],
-                  dtype=object).reshape(dist.space.shape)
+    pi = dist.nums
     for vectors in (pi, pi.T):
         basis = belief._orthogonal_basis(vectors)
         assert len(basis) == r
@@ -323,8 +355,7 @@ def test_residual_check_raises(inst_fx5, monkeypatch):
 def test_beliefs_of_a_single_agent():
     # The other agents' profiles are the one empty profile, held for sure.
     space = TypeSpace(("1",), ((0, 1, 2),))
-    dist = JointDist(space, np.array([Fraction(1, 6), Fraction(1, 3),
-                                      Fraction(1, 2)], dtype=object))
+    dist = JointDist(space, 6, np.array([1, 2, 3], dtype=object))
     assert belief.beliefs(dist, 0) == [[1], [1], [1]]
 
 

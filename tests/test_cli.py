@@ -220,6 +220,28 @@ class TestContracts:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("marginals", [
+        {"a": ["1", "1"], "b": ["1/4", "1/4"]},
+        {"a": ["-1", "-1"], "b": ["-1/4", "-1/4"]},
+        {"a": ["1/2", "1/2"], "b": ["-1", "2"]},
+    ], ids=["sum-two", "negative", "negative-summing-to-one"])
+    def test_marginals_not_probability_vectors_refused(self, capsys, tmp_path,
+                                                       marginals):
+        # The first two multiply to a uniform pi that sums to 1.
+        bad = tmp_path / "marginals.json"
+        bad.write_text(json.dumps({
+            "agents": ["a", "b"], "types": {"a": [0, 1], "b": [0, 1]},
+            "marginals": marginals,
+            "v": {"a": [["1", "0"], ["0", "1"]], "b": [["0", "1"], ["1", "0"]]},
+            "disposal": False}))
+        agent = next(a for a, m in marginals.items() if m != ["1/2", "1/2"])
+        for command in ("inspect", "alloc-n", "oracle"):
+            code = main([command, str(bad)])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err == (f"error: the marginal of agent '{agent}' must "
+                                    "be nonnegative and sum to exactly 1\n")
+
     @pytest.mark.parametrize("entry", ['"1e20000"', '"1e100000000"',
                                        "9" * 5000])
     def test_oversized_number_one_line_error(self, capsys, tmp_path, entry):

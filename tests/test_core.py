@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from icmech.belief import beliefs
 from icmech.core import (MAX_AGENTS, JointDist, SchemaError, TypeSpace,
@@ -13,7 +15,11 @@ from icmech.core import (MAX_AGENTS, JointDist, SchemaError, TypeSpace,
 from icmech.fixtures import FIXTURE_NAMES, fixture, fixture_path
 from icmech.nalloc import allocation_to_dict, load_allocation
 
+from . import reference
+
 F = Fraction
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
+                    database=None)
 
 
 class TestTypeSpace:
@@ -56,19 +62,49 @@ class TestJointDist:
         ts = TypeSpace(("l", "r"), ((0, 1), (0, 1)))
         bad = parse_rational_array([["1/2", "1/2"], ["1/2", "1/2"]], (2, 2), "pi")
         with pytest.raises(SchemaError):
-            JointDist(ts, bad)
+            JointDist.from_fractions(ts, bad)
 
     def test_negative_rejected(self):
         ts = TypeSpace(("l", "r"), ((0, 1), (0, 1)))
         bad = parse_rational_array([["-1/4", "1/2"], ["1/2", "1/4"]], (2, 2), "pi")
         with pytest.raises(SchemaError):
-            JointDist(ts, bad)
+            JointDist.from_fractions(ts, bad)
 
     def test_zero_marginal_rejected(self):
         ts = TypeSpace(("l", "r"), ((0, 1), (0, 1)))
         bad = parse_rational_array([["1/2", "1/2"], ["0", "0"]], (2, 2), "pi")
         with pytest.raises(SchemaError):
-            JointDist(ts, bad)
+            JointDist.from_fractions(ts, bad)
+
+    @PROPERTY
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=3).flatmap(
+               lambda shape: st.tuples(
+                   st.just(tuple(shape)),
+                   st.lists(st.integers(-1, 3), min_size=int(np.prod(shape)),
+                            max_size=int(np.prod(shape))),
+                   st.integers(-1, 1))))
+    @example(((2, 2), [1, 1, 0, 0], 0))
+    @example(((2, 2), [-1, 2, 1, 1], 0))
+    @example(((2, 2), [1, 1, 1, 1], 1))
+    def test_refusals_equal_fraction_reference(self, case):
+        # Weights w over their sum plus an offset: negative entries, sums
+        # other than 1 and zero marginals, each refused with the same
+        # message in integers as in Fractions, and the rest accepted with
+        # the same marginals.
+        shape, weights, offset = case
+        total = sum(weights) + offset or 1
+        p = np.array([F(w, total) for w in weights], dtype=object).reshape(shape)
+        space = TypeSpace(tuple(str(i) for i in range(len(shape))),
+                          tuple(tuple(range(k)) for k in shape))
+
+        def outcome(build):
+            try:
+                return [list(m) for m in build()]
+            except SchemaError as e:
+                return str(e)
+
+        assert outcome(lambda: JointDist.from_fractions(space, p).marginals()) == \
+            outcome(lambda: reference.joint_marginals(space, p))
 
     def test_rank_and_independence(self, inst_fx1, inst_fx2):
         assert inst_fx1.dist.is_independent()
@@ -155,6 +191,29 @@ class TestSchema:
                 "pi": [["1"]], "vL": [["x/y"]]}
         with pytest.raises(SchemaError, match="vL"):
             load_instance(data)
+
+    # The plain forms -?[0-9]+ and -?[0-9]+/[0-9]+ are read as two ints;
+    # every other string goes through Fraction(str).  These are the edge
+    # cases of both.
+    @PROPERTY
+    @given(st.one_of(
+        st.sampled_from(["-0", "007/010", "+3", " 1/4", "1/4 ", "1_000", "0.25",
+                         "1e3", "1E-3", "1/0", "0/0", "1/-2", "-1/2", "--1", "",
+                         "-", "/", "1/", "/2", "\u0663", "1/\u0663", "\uff11",
+                         "1\n", "12/34/5", "3/1"]),
+        st.from_regex(r"-?[0-9]{1,6}(/[0-9]{1,6})?", fullmatch=True),
+        st.text(alphabet="0123456789-+/._ eE\u0663", max_size=8)))
+    def test_parse_equals_fraction_str(self, text):
+        def outcome(parse):
+            try:
+                value = parse()
+                assert type(value) is Fraction
+                return value
+            except SchemaError as e:
+                return str(e)
+
+        assert outcome(lambda: parse_rational_array([text], (1,), "x")[0]) == \
+            outcome(lambda: reference.parse_rational(text, "x"))
 
     def test_vr_defaults_to_zero(self):
         data = {"agents": ["l", "r"], "types": {"l": [0], "r": [0]},

@@ -60,12 +60,13 @@ class TestCheckIC:
             assert rep.common_value == maximin(x).value
 
     def test_disagreeing_routes_raise(self, inst_fx2):
-        # pi doubled after construction, which checked that it sums to 1:
-        # E[x] and the prior expectations double, while the interim tables,
-        # each row over its own marginal, stay.  The constant mechanism
-        # still passes the raw inequalities and fails the other two routes.
-        dist = JointDist(inst_fx2.space, inst_fx2.dist.p)
-        dist.p = dist.p * 2
+        # pi's numerators doubled after construction, which checked that
+        # they sum to the denominator: E[x] and the prior expectations
+        # double, while the interim tables, each row over its own marginal,
+        # stay.  The constant mechanism still passes the raw inequalities
+        # and fails the other two routes.
+        dist = JointDist(inst_fx2.space, inst_fx2.dist.den, inst_fx2.dist.nums)
+        dist.nums = dist.nums * 2
         with pytest.raises(RuntimeError,
                            match="IC check failed: the three IC routes agree"):
             check_ic(constant_mechanism(inst_fx2.space, F(1, 3)), dist)
@@ -76,7 +77,7 @@ class TestCheckIC:
             "from icmech.fixtures import fixture\n"
             "from icmech.ic import check_ic\n"
             "inst = fixture('fx2')\n"
-            "inst.dist.p = inst.dist.p * 2\n"
+            "inst.dist.nums = inst.dist.nums * 2\n"
             "try:\n"
             "    check_ic(constant_mechanism(inst.space, '1/3'), inst.dist)\n"
             "except RuntimeError as e:\n"
@@ -191,7 +192,7 @@ class TestSpans:
     def test_full_rank_spans_everything(self, inst_fx2):
         for seed in range(5):
             other = generate(seed, (2, 2), "correlated")
-            relabeled = JointDist(inst_fx2.space, other.dist.p)
+            relabeled = JointDist(inst_fx2.space, other.dist.den, other.dist.nums)
             assert spans(inst_fx2.dist, relabeled).spans
 
     def test_independent_does_not_span_full_rank(self, inst_fx1, inst_fx2):

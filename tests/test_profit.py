@@ -256,7 +256,7 @@ class TestOrthogonal:
             flat = list(p.reshape(-1))
             expected = not any(sum(c * x for c, x in zip(row, flat))
                                for row in rows)
-            assert orthogonal(pi, JointDist(pi.space, p)) == expected
+            assert orthogonal(pi, JointDist.from_fractions(pi.space, p)) == expected
         assert orthogonal(pi, q)
 
     def test_marginal_mismatch_rejected(self, inst_fx1):
