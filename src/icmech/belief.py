@@ -1,23 +1,25 @@
 """The belief-space structure shared by the IC, transport and additivity code.
 
-An agent's interim expectation of a mechanism is one of the agent's
-beliefs (``beliefs``, the one belief table) over the other agents' types,
-taken on the slice of profiles where the agent's own report is fixed.
-``lift`` places a belief, or a pi-slice, on such a slice as a flat row,
-for any number of agents, and every row family is built from it.
+An agent's belief at type a over the other agents' types is pi's slice
+at a, pi on the profiles where the agent has type a, divided by that
+slice's sum.  So pi's integer numerators ``dist.nums`` over ``dist.den``,
+read slice by slice (``slices``), are the one belief table: the IC rows,
+the spanning test (``ic.spans``) and the transport criterion's count of
+update rows read them.  ``lift`` places a slice, or a vector over the
+other agents' profiles, on one of an agent's own-type slices as a flat
+row, for any number of agents, and every row family is built from it.
 
 The IC rows "interim expectation equals ex-ante value" are read off pi
 itself, for any number of agents: agent i's rows only for the types in an
 echelon basis of its pi-slices (``type_basis``), with one common interim
-value c_k per share block as one more unknown (``value_rows``).  Both
-read pi's integers, its numerators ``dist.nums`` over ``dist.den``, and
-the IC rows are integer rows.  For two agents the rows are independent
-and there are rank(pi) * (m + n) - rank(pi)^2 of them.  ``transport_rows``
-are the rows of the transport criterion: with q's marginals fixed, q is
-correlation-orthogonal to pi iff every belief update ``updates`` has zero
-mean on every own-type slice of q, which pi's basis types say in fewer
-rows, the marginals included.  The marginal rows of the assignment LP are
-``marginal_rows``, and ``distinct_nonzero`` is an order-preserving dedupe.
+value c_k per share block as one more unknown (``value_rows``); they are
+integer rows.  For two agents the rows are independent and there are
+rank(pi) * (m + n) - rank(pi)^2 of them.  ``transport_rows`` are the rows
+of the transport criterion: with q's marginals fixed, q is
+correlation-orthogonal to pi iff every belief update has zero mean on
+every own-type slice of q, which pi's basis types say in fewer rows, the
+marginals included.  The marginal rows of the assignment LP are
+``marginal_rows``.
 
 For two agents the same structure gives the additivity subspace
 U = col(pi) (x) R^n + R^m (x) row(pi), whose orthogonal complement is
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Iterable
 
 import numpy as np
 
@@ -46,12 +47,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def beliefs(dist: JointDist, i: int) -> list[list[Fraction]]:
-    """Row a: the belief of agent i's type a over the other agents' type
-    profiles, in row-major order."""
-    marg = dist.marginal(i)
-    return [[p / marg[a] for p in np.reshape(np.take(dist.p, a, axis=i), -1)]
-            for a in range(len(marg))]
+def slices(arr: np.ndarray, i: int) -> np.ndarray:
+    """Row s: ``arr`` on the profiles where agent i has type s, flat over
+    the other agents' profiles in row-major order."""
+    return np.moveaxis(arr, i, 0).reshape(arr.shape[i], -1)
 
 
 def lift(shape: tuple[int, ...], i: int, b: int, vec) -> list:
@@ -74,7 +73,7 @@ def type_basis(dist: JointDist, i: int) -> list[int]:
     profiles where agent i has that type, flat) the exact echelon reduction
     keeps: a basis of those slices and so of agent i's beliefs.  For two
     agents these are rank(pi) rows (columns for agent R) of pi."""
-    return basis_rows(list(np.moveaxis(dist.nums, i, 0).reshape(dist.space.shape[i], -1)))
+    return basis_rows(list(slices(dist.nums, i)))
 
 
 def value_rows(dist: JointDist, bases: list[list[int]]) -> list[list[int]]:
@@ -101,7 +100,7 @@ def value_rows(dist: JointDist, bases: list[list[int]]) -> list[list[int]]:
     blocks = len(shape) - 1
     rows = []
     for i, basis in enumerate(bases):
-        lines = np.moveaxis(dist.nums, i, 0).reshape(shape[i], -1)
+        lines = slices(dist.nums, i)
         on = [i in (k, blocks) for k in range(blocks)]
         for a in basis:
             g = gcd(dist.den, *lines[a])
@@ -121,7 +120,7 @@ def transport_rows(dist: JointDist, bases: tuple[list[int], list[int]]
                    ) -> tuple[list[list[Fraction]], list[Fraction]]:
     """Independent rows, with their right-hand sides, cutting out the q of
     the transport criterion: pi's marginals, and zero mean of every belief
-    update (``updates``) on every own-type slice.  With
+    update pi(t | s) - pi_L(t) on every own-type slice.  With
     rho = pi / (pi_L (x) pi_R) and ``bases`` (A, T) from ``type_basis``:
     agent L's sum_s rho(a, s) q(t, s) = pi_L(t) for a in A and every t,
     then agent R's sum_t rho(t, b) q(t, s) = pi_R(s) for b in T and every
@@ -157,32 +156,6 @@ def marginal_rows(shape: tuple[int, ...]) -> list[list[Fraction]]:
             for i, k in enumerate(shape) for t in range(k)]
 
 
-def updates(dist: JointDist, i: int) -> list[list[Fraction]]:
-    """Row t: the other agent's belief update about agent i's type t,
-    pi(t | s) - pi_i(t), over the other agent's types s (two agents)."""
-    two_agent(dist.space)
-    prior = dist.marginal(i)
-    held = beliefs(dist, 1 - i)
-    return [[belief[t] - prior[t] for belief in held]
-            for t in range(len(prior))]
-
-
-def distinct_nonzero(rows: Iterable[list]) -> list[list]:
-    """The rows in first-seen order, without zero rows and repeats.
-
-    A row is keyed on its numerators and denominators: a rational in
-    lowest terms is fixed by the two, and hashing the ints is much cheaper
-    than ``Fraction.__hash__``, which takes a modular inverse per entry."""
-    out: list[list] = []
-    seen: set[tuple] = set()
-    for row in rows:
-        key = tuple([c.numerator for c in row] + [c.denominator for c in row])
-        if any(row) and key not in seen:
-            seen.add(key)
-            out.append(row)
-    return out
-
-
 def dot(row, values) -> Fraction:
     """Exact dot product that skips the row's zero coefficients."""
     return sum((c * v for c, v in zip(row, values) if c), ZERO)
@@ -210,7 +183,7 @@ def _orthogonal_basis(vectors) -> list[tuple[np.ndarray, int]]:
 
 def slice_sums(arr: np.ndarray, i: int) -> np.ndarray:
     """Entry s: the sum of ``arr`` over the profiles where agent i has type s."""
-    return np.moveaxis(arr, i, 0).reshape(arr.shape[i], -1).sum(axis=1)
+    return slices(arr, i).sum(axis=1)
 
 
 def project_axis(arr: np.ndarray, axis: int, basis) -> np.ndarray:

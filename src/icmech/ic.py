@@ -14,7 +14,8 @@ agree.  The second route, as LP rows over the shares of any number of
 agents, is the one IC row family ``belief.value_rows``.  The module also
 decides the spanning preorder (can every interim belief under one
 distribution be written as a linear combination of interim beliefs under
-another?) and classifies its extreme elements.
+another?) on the two distributions' integer slices ``belief.slices``, and
+classifies its extreme elements.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .belief import beliefs
+from .belief import slices
 from .core import JointDist, Mechanism, PreconditionError, two_agent
 from .numerics import integer_row, require, span_coefficients
 
@@ -135,6 +136,12 @@ def spans(pi: JointDist, pi_tilde: JointDist) -> SpanningVerdict:
 
     True iff for each agent every interim belief under ``pi_tilde`` is a
     linear combination of that agent's interim beliefs under ``pi``.
+
+    A belief is a pi-slice over its sum, so the test solves
+    sum_a c'_a P(a, .) = P~(t, .) over the integer slices of pi's and
+    pi_tilde's numerators and takes c_a = c'_a P_i(a) / P~_i(t), with
+    P_i and P~_i the slice sums: positive scalings of the columns and the
+    target change neither the kept columns nor solvability.
     """
     two_agent(pi.space)
     if pi.space != pi_tilde.space:
@@ -143,14 +150,17 @@ def spans(pi: JointDist, pi_tilde: JointDist) -> SpanningVerdict:
     coefficients: dict = {}
     witnesses: list = []
     for i, agent in enumerate(space.agents):
-        gens = beliefs(pi, i)
-        for t, target in zip(space.types[i], beliefs(pi_tilde, i)):
-            coeffs = span_coefficients(target, gens)
+        gens, targets = slices(pi.nums, i), slices(pi_tilde.nums, i)
+        masses = gens.sum(axis=1)
+        for t, target in zip(space.types[i], targets):
+            coeffs = span_coefficients(list(target), list(gens))
             if coeffs is None:
                 witnesses.append((agent, t))
             else:
+                total = sum(target)
                 coefficients[(agent, t)] = {
-                    tt: c for tt, c in zip(space.types[i], coeffs)}
+                    tt: c * mass / total
+                    for tt, c, mass in zip(space.types[i], coeffs, masses)}
     ok = not witnesses
     return SpanningVerdict(spans=ok,
                            coefficients=coefficients if ok else {},

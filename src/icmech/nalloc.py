@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .belief import difference_residual, slice_sums
+from .belief import difference_residual, slice_sums, slices
 from .core import (JointDist, NoneCertificate, PreconditionError, SchemaError,
                    TypeSpace, constant_array, expectation, load_json_dict,
                    load_mechanism_json, parse_rational_array, parse_type_space,
@@ -342,8 +342,7 @@ def drop_disposal_agent(mech: AllocationMechanism,
 def non_constant_witnesses(inst: AllocationInstance) -> list[str]:
     """Agents whose value depends on somebody else's type."""
     return [agent for i, agent in enumerate(inst.space.agents)
-            if any(len(set(own)) > 1 for own in np.moveaxis(
-                inst.values[i], i, 0).reshape(inst.space.shape[i], -1))]
+            if any(len(set(own)) > 1 for own in slices(inst.values[i], i))]
 
 
 def analyze_allocation(inst: AllocationInstance) -> dict:

@@ -16,7 +16,8 @@ Four complementary tools for the two-option problem:
   orthogonal to the instance's correlation structure.  Its rows are read
   off pi (``belief.transport_rows``), independent, r(m + n) - r^2 of them
   for r = rank(pi); at full rank they leave the one point pi_L (x) pi_R
-  and no LP runs.
+  and no LP runs.  The count of belief-update rows it reports is read off
+  pi's integer slices ``belief.slices``.
 * ``decompose`` writes any IC mechanism under independence as a nonnegative
   combination of transportation-polytope extreme points, and
   ``match_your_opponent`` specializes that picture to square instances.
@@ -30,8 +31,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .belief import (distinct_nonzero, dot, kronecker_residual, marginal_rows,
-                     transport_rows, type_basis, updates)
+from .belief import (dot, kronecker_residual, marginal_rows, slices,
+                     transport_rows, type_basis)
 from .core import (Instance, JointDist, Mechanism, NoneCertificate,
                    PreconditionError, arrays_equal, constant_array,
                    expectation, product_dist, two_agent)
@@ -191,14 +192,20 @@ def transport_criterion(instance: Instance) -> TransportResult:
     update lifted on each own-type slice of its agent: lifts on different
     slices are disjoint, and a nonzero update, of mean 0 under the other
     agent's marginal, has two nonzeros at least, so no lift of one agent's
-    is the other's."""
+    is the other's.  The update pi(t | s) - pi_i(t) about agent i's type
+    t is (D P(t, s) - P_i(t) P_o(s)) / (D P_o(s)), with P = ``dist.nums``
+    over D and slice sums P_i, P_o: the denominator is the same for every
+    t, so the distinct nonzero integer rows are counted."""
     two_agent(instance.space)
     dist = instance.dist
     shape = instance.space.shape
     ml, mr = dist.marginals()
     v_hat = instance.v * dist.p / np.multiply.outer(ml, mr)
-    ortho = sum(k * len(distinct_nonzero(updates(dist, i)))
-                for i, k in enumerate(shape))
+    ortho = 0
+    for i, k in enumerate(shape):
+        nums = slices(dist.nums, i)
+        scaled = dist.den * nums - np.multiply.outer(nums.sum(axis=1), nums.sum(axis=0))
+        ortho += k * len({tuple(row) for row in scaled if any(row)})
 
     row_basis = type_basis(dist, 0)
     if len(row_basis) == min(shape):

@@ -11,8 +11,6 @@ closed-form additivity residuals are checked against.  ``rank`` and
 ``solve_linear_system`` are the Fraction Gauss-Jordan elimination that the
 integer reduction in ``icmech.numerics`` must agree with; the other
 references here use them, so they share no elimination with the library.
-``distinct_nonzero`` is the dedupe keyed on the rows' own Fraction tuples
-that the integer-keyed one in ``icmech.belief`` replaced.
 ``enumerate_vertices`` is a brute-force LP oracle for cross-checking the
 simplex, and ``simplex`` is a two-phase primal Fraction tableau with Bland's
 rule, explicit bound rows and the duals recovered by a second elimination,
@@ -23,8 +21,14 @@ the engine raises).  ``fold_duals`` and ``check_primal`` are the result checks o
 checks over the LP's scaled rows must give the same multipliers, values
 and verdicts.  ``best_matching_enumerate`` tries every bijection, the oracle
 for the assignment LP behind ``match_your_opponent``.  ``conditional``
-divides pi by its marginals, independently of ``icmech.belief``;
-``interim`` multiplies it with a mechanism's own-type slices, and
+divides pi by its marginals, independently of ``icmech.belief``, whose
+one belief table is pi's integer slices; ``spans`` is the spanning test
+over those Fraction beliefs, whose verdict, coefficients and witnesses
+``icmech.ic.spans``, solving over the integer slices, must reproduce;
+``orthogonality_rows`` builds the transport criterion's update rows in
+Fractions, whose count ``icmech.profit.transport_criterion`` reads off
+the integer slices; ``interim`` multiplies the beliefs with a
+mechanism's own-type slices, and
 ``check_ic`` is the IC check over those Fraction tables, which the
 integer one in ``icmech.ic`` must reproduce field by field;
 ``check_ic_n`` is the allocation IC check over Fraction interim win
@@ -50,7 +54,7 @@ import numpy as np
 
 from icmech.core import (Mechanism, PreconditionError, SchemaError, TypeSpace,
                          constant_array, product_dist, two_agent)
-from icmech.ic import ICReport, Violation
+from icmech.ic import ICReport, SpanningVerdict, Violation
 from icmech.numerics import LinearProgram, require
 
 ZERO = Fraction(0)
@@ -150,6 +154,28 @@ def conditional(dist, i):
     marg = dist.marginal(i)
     return np.array([[mat[a, s] / marg[a] for s in range(mat.shape[1])]
                      for a in range(mat.shape[0])], dtype=object)
+
+
+def spans(pi, pi_tilde):
+    """``icmech.ic.spans`` in Fractions: each ``conditional`` belief under
+    pi_tilde solved as a combination of the ``conditional`` beliefs under
+    pi."""
+    two_agent(pi.space)
+    if pi.space != pi_tilde.space:
+        raise PreconditionError("spanning requires a common type space")
+    space = pi.space
+    coefficients, witnesses = {}, []
+    for i, agent in enumerate(space.agents):
+        gens = conditional(pi, i)
+        for t, target in zip(space.types[i], conditional(pi_tilde, i)):
+            coeffs = solve_linear_system(gens.T.tolist(), list(target))
+            if coeffs is None:
+                witnesses.append((agent, t))
+            else:
+                coefficients[(agent, t)] = dict(zip(space.types[i], coeffs))
+    ok = not witnesses
+    return SpanningVerdict(spans=ok, coefficients=coefficients if ok else {},
+                           witnesses=witnesses)
 
 
 def interim(dist, i, arr):
@@ -266,17 +292,6 @@ def ic_polytope(dist):
                     seen.add(key)
                     rows.append(row)
     return rows
-
-
-def distinct_nonzero(rows):
-    out = []
-    seen = set()
-    for row in rows:
-        key = tuple(row)
-        if any(row) and key not in seen:
-            seen.add(key)
-            out.append(row)
-    return out
 
 
 def orthogonality_rows(pi):

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from icmech import belief
 from icmech.belief import difference_residual, kronecker_residual
-from icmech.core import JointDist, TypeSpace, expectation
+from icmech.core import (Instance, JointDist, TypeSpace, constant_array,
+                         expectation, normalize)
+from icmech.ic import spans
 from icmech.nalloc import (DISPOSAL_AGENT, AllocationInstance,
                            difference_additive)
 from icmech.numerics import span_coefficients
@@ -28,10 +30,10 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
 
 
 @st.composite
-def two_agent_instances(draw):
-    """All four kinds, square and non-square shapes from 1x1 to 5x5; the
-    independent and k-mixture kinds give rank-deficient pi."""
-    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+def two_agent_instances(draw, shape=None):
+    """All four kinds, square and non-square shapes from 1x1 to 5x5 (or
+    ``shape``); the independent and k-mixture kinds give rank-deficient pi."""
+    shape = shape or (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
     return generate(draw(st.integers(0, 10**6)), shape,
                     draw(st.sampled_from(KINDS)), k=draw(st.integers(1, 3)))
 
@@ -135,8 +137,43 @@ DIAGONAL = two_option(TypeSpace(("l", "r"), ((0, 1, 2), (0, 1, 2))),
                       vL=[["0", "0", "0"]] * 3)
 
 
+@st.composite
+def sparse_dists(draw, shape=None):
+    """pi with zero cells: weights 0-3 on an m x n grid, m and n from 1 to
+    5 (or ``shape``), with the cells (k mod m, k mod n) made positive so
+    that every type keeps a positive marginal."""
+    m, n = shape or (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    weights = draw(st.lists(st.integers(0, 3), min_size=m * n, max_size=m * n))
+    for k in range(max(m, n)):
+        weights[k % m * n + k % n] = max(weights[k % m * n + k % n], 1)
+    total = sum(weights)
+    pi = np.array([Fraction(w, total) for w in weights], dtype=object)
+    return JointDist.from_fractions(
+        TypeSpace(("l", "r"), (tuple(range(m)), tuple(range(n)))), pi.reshape(m, n))
+
+
+def zero_objective(dist):
+    """The two-option instance on ``dist`` with v = 0."""
+    zero = constant_array(dist.space.shape, 0)
+    return Instance(dist.space, dist, normalize(zero, zero, dist))
+
+
+@st.composite
+def same_shape_pairs(draw):
+    """An ordered pair of distributions of one shape, generated or sparse;
+    the second is at times the first or its independent counterpart, which
+    the first spans."""
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    dists = st.one_of(two_agent_instances(shape).map(lambda inst: inst.dist),
+                      sparse_dists(shape))
+    first = draw(dists)
+    second = draw(st.one_of(
+        dists, st.sampled_from([first, first.independent_counterpart()])))
+    return first, second
+
+
 @PROPERTY
-@given(two_agent_instances())
+@given(st.one_of(two_agent_instances(), sparse_dists().map(zero_objective)))
 @example(SHARED_BELIEF)
 @example(DIAGONAL)
 def test_orthogonality_rows_equal_loop_builder(inst):
@@ -145,19 +182,19 @@ def test_orthogonality_rows_equal_loop_builder(inst):
         len(reference.orthogonality_rows(inst.dist))
 
 
-@st.composite
-def sparse_dists(draw):
-    """pi with zero cells: weights 0-3 on an m x n grid, m and n from 1 to
-    5, with the cells (k mod m, k mod n) made positive so that every type
-    keeps a positive marginal."""
-    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    weights = draw(st.lists(st.integers(0, 3), min_size=m * n, max_size=m * n))
-    for k in range(max(m, n)):
-        weights[k % m * n + k % n] = max(weights[k % m * n + k % n], 1)
-    total = sum(weights)
-    pi = np.array([Fraction(w, total) for w in weights], dtype=object)
-    return JointDist.from_fractions(
-        TypeSpace(("l", "r"), (tuple(range(m)), tuple(range(n)))), pi.reshape(m, n))
+@PROPERTY
+@given(same_shape_pairs())
+@example((SHARED_BELIEF.dist, SHARED_BELIEF.dist.independent_counterpart()))
+@example((DIAGONAL.dist.independent_counterpart(), DIAGONAL.dist))
+def test_spans_equals_fraction_reference(pair):
+    # Solving over pi's integer slices and rescaling gives the verdict,
+    # coefficients and witnesses of the Fraction beliefs.
+    got, expected = spans(*pair), reference.spans(*pair)
+    assert got.spans == expected.spans
+    assert got.coefficients == expected.coefficients
+    assert all(type(c) is Fraction for row in got.coefficients.values()
+               for c in row.values())
+    assert got.witnesses == expected.witnesses
 
 
 @PROPERTY
@@ -302,28 +339,6 @@ def test_interim_equals_loop_over_conditionals(inst, seed):
         assert reference.interim(inst.dist, i, x).tolist() == expected
 
 
-@st.composite
-def row_lists(draw):
-    """Rows of one width over a few small rationals, with repeats, zero
-    rows and rows that differ from another only in sign."""
-    width = draw(st.integers(1, 4))
-    entries = st.sampled_from([Fraction(k, d) for k in range(-2, 3)
-                               for d in (1, 2, 3)])
-    rows = draw(st.lists(st.lists(entries, min_size=width, max_size=width),
-                         max_size=12))
-    rows += [[-c for c in row] for row in rows[::2]]
-    rows += [list(row) for row in rows[::3]]
-    return draw(st.permutations(rows))
-
-
-@PROPERTY
-@given(row_lists())
-def test_distinct_nonzero_equals_tuple_keyed_dedupe(rows):
-    got, expected = belief.distinct_nonzero(rows), reference.distinct_nonzero(rows)
-    assert got == expected
-    assert [id(row) for row in got] == [id(row) for row in expected]
-
-
 @PROPERTY
 @given(st.one_of(two_agent_instances().map(lambda inst: inst.dist),
                  sparse_dists()))
@@ -350,13 +365,6 @@ def test_residual_check_raises(inst_fx5, monkeypatch):
     monkeypatch.setattr(belief, "_orthogonal_basis", lambda vectors: [])
     with pytest.raises(RuntimeError, match="not orthogonal"):
         kronecker_residual(inst_fx5.dist, inst_fx5.v * inst_fx5.dist.p)
-
-
-def test_beliefs_of_a_single_agent():
-    # The other agents' profiles are the one empty profile, held for sure.
-    space = TypeSpace(("1",), ((0, 1, 2),))
-    dist = JointDist(space, 6, np.array([1, 2, 3], dtype=object))
-    assert belief.beliefs(dist, 0) == [[1], [1], [1]]
 
 
 def test_lift_places_vector_on_own_type_slice():

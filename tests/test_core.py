@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icmech.belief import beliefs
 from icmech.core import (MAX_AGENTS, JointDist, SchemaError, TypeSpace,
                          constant_array, dumps_canonical, expectation,
                          instance_to_dict, load_instance, load_mechanism,
@@ -49,11 +48,11 @@ class TestJointDist:
 
     def test_correlated_conditional(self, inst_fx2):
         # Belief of the second agent's low type about the first agent's types.
-        cond_r = beliefs(inst_fx2.dist, 1)
+        cond_r = reference.conditional(inst_fx2.dist, 1)
         assert cond_r[0][1] == F(3, 4)  # P(first = 1 | second = -1)
 
     def test_independent_conditionals_equal_marginal(self, inst_fx1):
-        cond = beliefs(inst_fx1.dist, 0)
+        cond = reference.conditional(inst_fx1.dist, 0)
         mr = inst_fx1.dist.marginal(1)
         for row in cond:
             assert list(row) == list(mr)
@@ -115,7 +114,7 @@ class TestJointDist:
     def test_conditional_reconstructs_joint(self, inst_fx2):
         dist = inst_fx2.dist
         for i in range(2):
-            cond = beliefs(dist, i)
+            cond = reference.conditional(dist, i)
             marg = dist.marginal(i)
             for a in range(2):
                 for s in range(2):

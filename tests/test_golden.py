@@ -4,7 +4,8 @@
 ``construct``, ``transport``, ``alloc-n`` and ``fixture`` run on each of
 fx1-fx5, ``alloc-n`` also on the allocation instances under
 ``tests/golden/instances/``, ``spans`` and ``orthogonal`` on every ordered
-pair of fixtures, ``check-ic`` and ``decompose`` on each fixture with
+pair of fixtures and of the two 3x4 instances there, ``transport`` also on
+those two, ``check-ic`` and ``decompose`` on each fixture with
 every mechanism of its shape under ``tests/golden/mechanisms/``,
 ``maximin`` on each two-option mechanism there, and ``generate`` on a
 fixed list of seeds, shapes and kinds, refusals included, in json and in
@@ -36,6 +37,9 @@ FIXTURES = ("fx1", "fx2", "fx3", "fx4", "fx5")
 # disposal, which the direct LP decides.
 ALLOCATIONS = ("fx4-disposal", "alloc-additive", "alloc-biased",
                "alloc-biased-disposal")
+# Two rank-2 3x4 instances with the same marginals: a generated
+# conditionally-independent one, and one with a zero cell.
+RECTANGULAR = ("ci-3x4", "ci-3x4-zero")
 # Per two-option shape a mechanism that is IC under the independent
 # fixtures of that shape, a non-IC one and a constant one; an IC and a
 # non-IC allocation mechanism for fx4.
@@ -61,12 +65,14 @@ COMMANDS = {
     "inspect": [(f,) for f in FIXTURES],
     "classify": [(f,) for f in FIXTURES],
     "additivity": [(f,) for f in FIXTURES],
-    "spans": list(itertools.product(FIXTURES, repeat=2)),
-    "orthogonal": list(itertools.product(FIXTURES, repeat=2)),
+    "spans": list(itertools.product(FIXTURES, repeat=2))
+    + list(itertools.product(RECTANGULAR, repeat=2)),
+    "orthogonal": list(itertools.product(FIXTURES, repeat=2))
+    + list(itertools.product(RECTANGULAR, repeat=2)),
     "myo": [(f,) for f in FIXTURES],
     "oracle": [(f,) for f in FIXTURES],
     "construct": [(f,) for f in FIXTURES],
-    "transport": [(f,) for f in FIXTURES],
+    "transport": [(f,) for f in FIXTURES + RECTANGULAR],
     "alloc-n": [(f,) for f in FIXTURES + ALLOCATIONS],
     "maximin": TWO_OPTION_MECHANISMS,
     "fixture": [(f,) for f in FIXTURES],
@@ -97,10 +103,10 @@ def golden_text(command: str, fmt: str) -> str:
 
 
 def _path(name: str) -> str:
-    """The JSON file of a fixture or of a golden mechanism."""
+    """The JSON file of a fixture, a golden instance or a golden mechanism."""
     if name in FIXTURES:
         return str(fixture_path(name))
-    if name in ALLOCATIONS:
+    if name in ALLOCATIONS + RECTANGULAR:
         return str(INSTANCES / f"{name}.json")
     return str(MECHANISMS / f"{name}.json")
 
