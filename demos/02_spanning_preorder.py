@@ -7,11 +7,12 @@ distributions sit at the top (only constant mechanisms survive) and
 independent distributions at the bottom.
 """
 
-import random
+import numpy as np
 
-from icmech import check_ic, classify_extremes, spans, solve_principal
+from icmech import (Instance, check_ic, classify_extremes, expectation,
+                    normalize, product_dist, spans, solve_principal)
 from icmech.fixtures import fixture
-from icmech.oracle import generate, sample_ic_vertex
+from icmech.oracle import generate
 
 independent = fixture("fx1")
 full_rank = fixture("fx2")
@@ -27,13 +28,18 @@ print("  uniform independent:  ", classify_extremes(independent.dist))
 
 print("\nmonotonicity: mechanisms IC under a spanning distribution stay IC "
       "under the spanned one")
-rng = random.Random(0)
-inst = generate(12, (3, 3), "correlated")
-weaker = inst.dist.independent_counterpart()
+inst = generate(12, (3, 3), "conditionally-independent", k=2)
+weaker = product_dist(inst.space, inst.dist.marginals())
 assert spans(inst.dist, weaker).spans
+zero = np.zeros(inst.space.shape, dtype=object)
 for k in range(3):
-    x = sample_ic_vertex(inst.dist, rng)
-    print(f"  sampled IC vertex {k}: IC under the independent counterpart ->",
+    # The principal's optimum for another objective, centred under
+    # inst.dist; here it is not a constant mechanism.
+    v = generate(k, (3, 3), "correlated").v
+    v = v - expectation(inst.dist, v)
+    x = solve_principal(Instance(inst.space, inst.dist,
+                                 normalize(v, zero, inst.dist))).mechanism
+    print(f"  optimal IC mechanism {k}: IC under the independent counterpart ->",
           check_ic(x, weaker).verdict)
 
 print("\ncollapse at the top: the best IC value under the full-rank "

@@ -203,12 +203,6 @@ class JointDist:
         two_agent(self.space)
         return matrix_rank_rows([list(row) for row in self.nums])
 
-    def independent_counterpart(self) -> "JointDist":
-        """Product of this distribution's marginals (same type space)."""
-        two_agent(self.space)
-        return JointDist(self.space, self.den * self.den,
-                         np.multiply.outer(*axis_marginals(self.nums)))
-
     def __eq__(self, other):
         return isinstance(other, JointDist) and self.space == other.space \
             and self.den == other.den and arrays_equal(self.nums, other.nums)

@@ -12,7 +12,7 @@ more unknown.  With two agents the paper's coordinates add a shortcut: the
 IC set is span(J) + col(pi)^perp (x) row(pi)^perp, so at full rank only
 the constants are IC and no LP runs.  The module also generates
 deterministic random instances of several structured kinds for property
-sweeps, and samples IC mechanisms as LP vertices.
+sweeps.
 """
 
 from __future__ import annotations
@@ -219,15 +219,3 @@ def _joint(rng: random.Random, shape) -> np.ndarray:
     total = sum(weights)
     return np.array([Fraction(w, total) for w in weights],
                     dtype=object).reshape(shape)
-
-
-# ---------------------------------------------------------------------------
-# IC mechanism sampling for property sweeps
-# ---------------------------------------------------------------------------
-
-def sample_ic_vertex(dist: JointDist, rng: random.Random) -> Mechanism:
-    """A vertex of the IC polytope: optimize a random objective over it."""
-    [x] = _ic_optimum(dist, [_value(rng) for _ in range(dist.space.n_profiles)])[1]
-    mech = Mechanism(dist.space, x)
-    require(check_ic(mech, dist).verdict, "oracle", "the LP optimum is IC")
-    return mech

@@ -19,8 +19,10 @@ Four complementary tools for the two-option problem:
   and no LP runs.  The count of belief-update rows it reports is read off
   pi's integer slices ``belief.slices``.
 * ``decompose`` writes any IC mechanism under independence as a nonnegative
-  combination of transportation-polytope extreme points, and
-  ``match_your_opponent`` specializes that picture to square instances.
+  combination of transportation-polytope extreme points, each the vertex
+  the exact engine finds inside the support left to peel, and
+  ``match_your_opponent`` specializes that picture to square instances:
+  its assignment LP is the same transportation LP with unit marginals.
 """
 
 from __future__ import annotations
@@ -290,6 +292,9 @@ def decompose(x: Mechanism, marginal_l, marginal_r) -> Decomposition:
 
 
 def support_is_acyclic(mat: np.ndarray) -> bool:
+    """Does the support, as edges between rows and columns, hold no cycle?
+    A point of a transportation polytope is an extreme point iff it does;
+    the peeling checks each engine vertex with it."""
     m, n = mat.shape
     support = {(i, j) for i in range(m) for j in range(n) if mat[i, j] != 0}
     return _pruned_support(support) == set()
@@ -313,82 +318,48 @@ def _pruned_support(support: set[tuple[int, int]]) -> set[tuple[int, int]]:
     return cells
 
 
-def _extract_cycle(cells: set[tuple[int, int]]) -> list[tuple[int, int]]:
-    """One cycle inside a pruned support, as a closed alternating cell list.
-
-    Cells are edges of the bipartite graph whose nodes are (axis, index):
-    rows are axis 0, columns axis 1.  Every node of a pruned support has at
-    least two cells, so a walk that starts at the first cell's row and
-    leaves each node by its first cell (lexicographic order) other than the
-    one it arrived by must revisit a node; the cells since that node's
-    first visit form the cycle, consecutive cells sharing a node.
-    """
-    adj: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for cell in sorted(cells):
-        for axis in (0, 1):
-            adj.setdefault((axis, cell[axis]), []).append(cell)
-    node, arrival = (0, min(cells)[0]), None
-    visited: dict[tuple[int, int], int] = {}
-    path: list[tuple[int, int]] = []
-    while node not in visited:
-        visited[node] = len(path)
-        arrival = next(cell for cell in adj[node] if cell != arrival)
-        path.append(arrival)
-        node = (1 - node[0], arrival[1 - node[0]])
-    cycle = path[visited[node]:]
-    require(len(cycle) % 2 == 0, "profit", "the support cycle is even")
-    return cycle
-
-
-def _cancel_one_cycle(mat: np.ndarray) -> bool:
-    """If the support has a cycle, push mass around one to empty the
-    smallest-valued cell on it (lexicographic tie-break).  Marginals are
-    untouched.  Returns True if a cancellation happened."""
-    m, n = mat.shape
-    support = {(i, j) for i in range(m) for j in range(n) if mat[i, j] != 0}
-    cyclic = _pruned_support(support)
-    if not cyclic:
-        return False
-    cycle = _extract_cycle(cyclic)
-    target = min(cycle, key=lambda c: (mat[c], c))
-    delta = mat[target]
-    sign = 1 if cycle.index(target) % 2 == 0 else -1
-    for k, cell in enumerate(cycle):
-        step = delta if (k % 2 == 0) else -delta
-        mat[cell] = mat[cell] - sign * step
-    require(mat[target] == 0, "profit", "cycle cancelling empties its target cell")
-    return True
-
-
-def _extreme_point_within_support(r: np.ndarray, scale: Fraction,
-                                  ml, mr) -> np.ndarray:
+def _extreme_point_within_support(r: np.ndarray, ml, mr) -> np.ndarray:
     """An extreme point of the fixed-marginals polytope whose support is
-    contained in support(r): rescale and cancel cycles until acyclic."""
-    p = r / scale
-    while _cancel_one_cycle(p):
-        pass
-    m, n = p.shape
-    require(all(sum(p[i, j] for j in range(n)) == ml[i] for i in range(m)) and
-            all(sum(p[i, j] for i in range(m)) == mr[j] for j in range(n)),
+    contained in support(r): the vertex the engine finds with a zero
+    objective over r's nonzero cells."""
+    cells = [cell for cell in np.ndindex(*r.shape) if r[cell] != 0]
+    p, _ = _transport_vertex(cells, ml, mr, [ZERO] * len(cells))
+    require(arrays_equal(p.sum(axis=1), ml) and arrays_equal(p.sum(axis=0), mr),
             "profit", "the peeled point keeps the marginals")
-    require(all(v >= 0 for row in p for v in row), "profit",
-            "the peeled point is nonnegative")
+    require((p >= 0).all(), "profit", "the peeled point is nonnegative")
     return p
+
+
+def _transport_vertex(cells, ml, mr, objective) -> tuple[np.ndarray, Fraction]:
+    """Maximize objective . p over the transportation polytope with row
+    sums ml and column sums mr, p = 0 off ``cells``: the optimal basic
+    solution ``solve_lp`` returns, as an m x n array, and its value.  A
+    basic solution is an extreme point, so its support is acyclic."""
+    m, n = len(ml), len(mr)
+    keep = [i * n + j for i, j in cells]
+    rows = [[row[k] for k in keep] for row in marginal_rows((m, n))]
+    sol = solve_lp(LinearProgram(objective=objective, a_eq=rows,
+                                 b_eq=[*ml, *mr], upper=[ONE] * len(cells)))
+    p = constant_array((m, n), 0)
+    for cell, value in zip(cells, sol.x):
+        p[cell] = value
+    return p, sol.value
 
 
 def _peel_transport_polytope(d: np.ndarray, ml, mr) -> list[tuple[Fraction, np.ndarray]]:
     """Convex decomposition of d (marginals ml, mr) into extreme points.
 
-    Greedy peeling: build an extreme point inside the current support,
-    remove as much of it as possible, repeat.  Each pass empties at least
-    one support cell, so at most m*n terms appear.
+    Greedy peeling: take the engine's vertex of the polytope restricted
+    to the current support, remove as much of it as possible, repeat.  The
+    vertex's acyclic support is checked independently of the engine.  Each
+    pass empties at least one support cell, so at most m*n terms appear.
     """
     m, n = d.shape
     r = d.copy()
     s = ONE
     terms: list[tuple[Fraction, np.ndarray]] = []
     while any(r[i, j] != 0 for i in range(m) for j in range(n)):
-        p = _extreme_point_within_support(r, s, ml, mr)
+        p = _extreme_point_within_support(r, ml, mr)
         # p is a vertex, and each step removes a positive share of the
         # remaining mass, s, at most.
         require(support_is_acyclic(p), "profit",
@@ -494,14 +465,15 @@ def match_your_opponent(instance: Instance) -> MatchingReport:
 
 def _best_matching_lp(v, ml, mr):
     """Assignment LP: optimum of the weighted matching over the Birkhoff
-    polytope; a basic optimal solution is a permutation."""
+    polytope, the transportation polytope with unit marginals; a basic
+    optimal solution is a permutation."""
     n = v.shape[0]
-    objective = [ml[i] * mr[j] * v[i, j] for i in range(n) for j in range(n)]
-    sol = solve_lp(LinearProgram(objective=objective, a_eq=marginal_rows((n, n)),
-                                 b_eq=[ONE] * (2 * n), upper=[ONE] * (n * n)))
+    cells = list(np.ndindex(n, n))
+    p, value = _transport_vertex(cells, [ONE] * n, [ONE] * n,
+                                 [ml[i] * mr[j] * v[i, j] for i, j in cells])
     perm = []
     for i in range(n):
-        js = [j for j in range(n) if sol.x[i * n + j] == 1]
+        js = [j for j in range(n) if p[i, j] == 1]
         require(len(js) == 1, "profit", "the assignment LP optimum is a permutation")
         perm.append(js[0])
-    return tuple(perm), sol.value
+    return tuple(perm), value

@@ -33,8 +33,8 @@ mechanism's own-type slices, and
 integer one in ``icmech.ic`` must reproduce field by field;
 ``check_ic_n`` is the allocation IC check over Fraction interim win
 probabilities, which ``icmech.nalloc.check_ic_n`` must reproduce; and
-``extract_cycle_dfs`` is the depth-first cycle search that the
-decomposition's walk along a pruned support must reproduce.
+``support_is_acyclic`` is the union-find cycle test whose verdict the
+decomposition's pruning of a support must reproduce.
 ``joint_marginals`` is ``JointDist``'s validation and marginals in
 Fractions, and ``expectation`` the Fraction sum of pi times the values:
 ``icmech.core`` now computes both from pi's integers over one
@@ -43,7 +43,9 @@ denominator.  ``parse_rational`` reads one file entry through
 forms as two ints.
 ``random_transport_extreme`` and ``sample_ic_combination`` sample IC
 mechanisms under independence from transportation-polytope extreme points,
-for the property sweeps.
+``sample_ic_vertex`` samples a vertex of any distribution's IC polytope
+through the oracle's LP, and ``independent_counterpart`` is the product of
+a distribution's marginals, for the property sweeps.
 """
 
 import itertools
@@ -56,6 +58,7 @@ from icmech.core import (Mechanism, PreconditionError, SchemaError, TypeSpace,
                          constant_array, product_dist, two_agent)
 from icmech.ic import ICReport, SpanningVerdict, Violation
 from icmech.numerics import LinearProgram, require
+from icmech.oracle import _ic_optimum, _value
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -455,40 +458,23 @@ def best_matching_enumerate(v, ml, mr):
     return best_perm, best_value
 
 
-def extract_cycle_dfs(cells):
-    """A cycle of the bipartite row/column graph whose edges are ``cells``,
-    by a depth-first search in lexicographic edge order from the first
-    cell's row, as a closed alternating cell list."""
-    adj = {}
-    for cell in sorted(cells):
-        adj.setdefault(("r", cell[0]), []).append(cell)
-        adj.setdefault(("c", cell[1]), []).append(cell)
+def support_is_acyclic(cells):
+    """Union-find over the bipartite row/column graph whose edges are
+    ``cells``: the support holds a cycle iff some cell joins a row and a
+    column that earlier cells already connect."""
+    parent = {}
 
-    def across(cell, node):
-        return ("c", cell[1]) if node[0] == "r" else ("r", cell[0])
+    def root(node):
+        while parent.setdefault(node, node) != node:
+            node = parent[node]
+        return node
 
-    on_path = {}
-    path_cells = []
-    result = []
-
-    def dfs(node, in_cell):
-        on_path[node] = len(path_cells)
-        for cell in adj[node]:
-            if cell == in_cell:
-                continue
-            nxt = across(cell, node)
-            if nxt in on_path:
-                result.extend(path_cells[on_path[nxt]:] + [cell])
-                return True
-            path_cells.append(cell)
-            if dfs(nxt, cell):
-                return True
-            path_cells.pop()
-        del on_path[node]
-        return False
-
-    dfs(("r", min(cells)[0]), None)
-    return result
+    for i, j in cells:
+        a, b = root(("r", i)), root(("c", j))
+        if a == b:
+            return False
+        parent[a] = b
+    return True
 
 
 def enumerate_vertices(lp: LinearProgram) -> list[list[Fraction]]:
@@ -783,3 +769,17 @@ def sample_ic_combination(space: TypeSpace, ml, mr,
     require(check_ic(mech, dist).verdict, "reference",
             "the combination of extreme points is IC")
     return mech
+
+
+def sample_ic_vertex(dist, rng: random.Random) -> Mechanism:
+    """A vertex of the IC polytope: optimize a random objective over it."""
+    [x] = _ic_optimum(dist, [_value(rng) for _ in range(dist.space.n_profiles)])[1]
+    mech = Mechanism(dist.space, x)
+    require(check_ic(mech, dist).verdict, "reference", "the LP optimum is IC")
+    return mech
+
+
+def independent_counterpart(dist):
+    """Product of a two-agent distribution's marginals (same type space)."""
+    two_agent(dist.space)
+    return product_dist(dist.space, dist.marginals())

@@ -19,14 +19,14 @@ from icmech.ic import check_ic, spans
 from icmech.nalloc import (AllocationInstance, add_disposal_agent,
                            check_ic_n, construct_profitable_n,
                            difference_additive, load_allocation)
-from icmech.oracle import (generate, sample_ic_vertex, solve_principal,
-                           solve_principal_alloc)
+from icmech.oracle import generate, solve_principal, solve_principal_alloc
 from icmech.profit import (ConstructionResult, additivity_test,
                            construct_profitable, decompose,
                            match_your_opponent, support_is_acyclic,
                            transport_criterion)
 from tests.conftest import matching_mechanism
-from tests.reference import sample_ic_combination
+from tests.reference import (independent_counterpart, sample_ic_combination,
+                             sample_ic_vertex)
 from tests.test_ic import max_spread
 
 F = Fraction
@@ -102,7 +102,7 @@ def test_criterion_3_spanning_monotonicity_and_collapse():
         for seed in range(25):
             shape = [(2, 3), (3, 3)][seed % 2]
             strong = generate(seed + 2000, shape, "correlated")
-            weak_dist = strong.dist.independent_counterpart()
+            weak_dist = independent_counterpart(strong.dist)
             assert spans(strong.dist, weak_dist).spans
             for _ in range(2):
                 x = sample_ic_vertex(strong.dist, rng)

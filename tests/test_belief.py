@@ -19,9 +19,10 @@ from icmech.nalloc import (DISPOSAL_AGENT, AllocationInstance,
                            difference_additive)
 from icmech.numerics import span_coefficients
 from icmech.oracle import KINDS as ALL_KINDS, generate
-from icmech.profit import _extract_cycle, _pruned_support, transport_criterion
+from icmech.profit import support_is_acyclic, transport_criterion
 
 from . import reference
+from .reference import independent_counterpart
 from .conftest import two_option
 
 KINDS = ("independent", "correlated", "full-rank", "conditionally-independent")
@@ -168,7 +169,7 @@ def same_shape_pairs(draw):
                       sparse_dists(shape))
     first = draw(dists)
     second = draw(st.one_of(
-        dists, st.sampled_from([first, first.independent_counterpart()])))
+        dists, st.sampled_from([first, independent_counterpart(first)])))
     return first, second
 
 
@@ -184,8 +185,8 @@ def test_orthogonality_rows_equal_loop_builder(inst):
 
 @PROPERTY
 @given(same_shape_pairs())
-@example((SHARED_BELIEF.dist, SHARED_BELIEF.dist.independent_counterpart()))
-@example((DIAGONAL.dist.independent_counterpart(), DIAGONAL.dist))
+@example((SHARED_BELIEF.dist, independent_counterpart(SHARED_BELIEF.dist)))
+@example((independent_counterpart(DIAGONAL.dist), DIAGONAL.dist))
 def test_spans_equals_fraction_reference(pair):
     # Solving over pi's integer slices and rescaling gives the verdict,
     # coefficients and witnesses of the Fraction beliefs.
@@ -375,17 +376,21 @@ def test_lift_places_vector_on_own_type_slice():
 
 
 @st.composite
-def pruned_supports(draw):
-    """The cycles of a random support in a grid from 2x2 to 6x6.  The
-    support has at least m + n cells, more than a forest on the m + n rows
-    and columns can have, so it holds a cycle."""
-    m, n = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+def supports(draw):
+    """A random support in a grid from 1x1 to 6x6, as a 0/1 matrix."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     cells = draw(st.sets(st.tuples(st.integers(0, m - 1),
-                                   st.integers(0, n - 1)), min_size=m + n))
-    return _pruned_support(cells)
+                                   st.integers(0, n - 1)), max_size=m * n))
+    mat = np.zeros((m, n), dtype=int)
+    for cell in cells:
+        mat[cell] = 1
+    return mat
 
 
 @PROPERTY
-@given(pruned_supports())
-def test_cycle_walk_equals_depth_first_search(cells):
-    assert _extract_cycle(cells) == reference.extract_cycle_dfs(cells)
+@given(supports())
+@example(np.ones((2, 2), dtype=int))
+@example(np.eye(3, dtype=int))
+def test_pruning_finds_the_cycles_union_find_finds(mat):
+    cells = list(zip(*np.nonzero(mat)))
+    assert support_is_acyclic(mat) == reference.support_is_acyclic(cells)

@@ -12,9 +12,10 @@ from icmech.fixtures import fixture
 from icmech.game import maximin
 from icmech.ic import check_ic, classify_extremes, spans
 from icmech.numerics import LinearProgram, rank, solve_lp
-from icmech.oracle import generate, sample_ic_vertex, solve_principal
+from icmech.oracle import generate, solve_principal
 
 from . import reference
+from .reference import independent_counterpart, sample_ic_vertex
 from .conftest import matching_mechanism, two_option
 from .test_numerics import run_optimized
 
@@ -175,7 +176,7 @@ class TestSpans:
     def test_everything_spans_its_independent_counterpart(self):
         for seed in range(8):
             inst = generate(seed, (2, 3), "correlated")
-            indep = inst.dist.independent_counterpart()
+            indep = independent_counterpart(inst.dist)
             verdict = spans(inst.dist, indep)
             assert verdict.spans
             # Stored coefficients reproduce each target belief exactly.
@@ -246,7 +247,7 @@ class TestMonotonicity:
             pairs += 1
         for seed in range(10):
             strong = generate(seed, (3, 3), "correlated")
-            weak_dist = strong.dist.independent_counterpart()
+            weak_dist = independent_counterpart(strong.dist)
             assert spans(strong.dist, weak_dist).spans
             for _ in range(2):
                 x = sample_ic_vertex(strong.dist, rng)
@@ -259,7 +260,7 @@ class TestMonotonicity:
         for seed in range(10):
             inst = generate(seed, (2, 3), "correlated")
             x = sample_ic_vertex(inst.dist, rng)
-            assert check_ic(x, inst.dist.independent_counterpart()).verdict
+            assert check_ic(x, independent_counterpart(inst.dist)).verdict
 
     def test_full_rank_collapse_spread_zero(self):
         for seed in range(6):

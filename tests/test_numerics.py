@@ -845,7 +845,7 @@ class TestChecksSurviveOptimize:
             "from icmech import profit\n"
             "from icmech.core import Mechanism, TypeSpace, constant_array\n"
             "profit._extreme_point_within_support = "
-            "lambda r, scale, ml, mr: r / scale\n"
+            "lambda r, ml, mr: r\n"
             "space = TypeSpace(('l', 'r'), ((0, 1), (0, 1)))\n"
             "half = [F(1, 2)] * 2\n"
             "try:\n"

@@ -11,11 +11,11 @@ from icmech.core import Mechanism, PreconditionError
 from icmech.ic import check_ic
 from icmech.nalloc import check_ic_n
 from icmech.numerics import LinearProgram, solve_lp
-from icmech.oracle import (generate, sample_ic_vertex, solve_principal,
-                           solve_principal_alloc)
+from icmech.oracle import generate, solve_principal, solve_principal_alloc
 from icmech.profit import support_is_acyclic
 
 from . import reference
+from .reference import sample_ic_vertex
 
 F = Fraction
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,

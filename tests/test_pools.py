@@ -34,7 +34,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # (solve_lp calls, pivots, flips) over one pass of each pool.
 LP_WORK = {"lp-sweep.1": (21, 397, 300), "projection-sweep.1": (0, 0, 0),
-           "small-queries.1": (48, 259, 120)}
+           "small-queries.1": (61, 335, 120)}
 
 
 def load_bench_module(name: str):
