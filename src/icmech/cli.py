@@ -5,6 +5,9 @@ as strings) or as a plain text table.  Every verdict carries a ``basis``
 field naming the mathematical criterion that produced it, so reports can
 be audited.  Exit codes: 0 success, 2 precondition refusal (the input is
 well-formed but outside an operation's regime), 1 I/O or schema error.
+
+Each handler imports the modules it runs, so a command loads only what it
+needs: ``inspect`` on a two-option file loads ``core`` and ``numerics``.
 """
 
 from __future__ import annotations
@@ -23,14 +26,7 @@ from .core import (Instance, Mechanism, NoneCertificate, PreconditionError,
                    SchemaError, TypeSpace, check_profile_count, dumps_canonical,
                    instance_to_dict, load_instance, load_json_dict,
                    load_mechanism, load_mechanism_json, to_nested_strings)
-from .game import maximin, obedience_check
-from .ic import check_ic, classify_extremes, spans
-from .nalloc import (allocation_to_dict, analyze_allocation, check_ic_n,
-                     load_allocation, load_allocation_mechanism)
 from .numerics import require
-from .oracle import generate, solve_principal, solve_principal_alloc
-from .profit import (additivity_test, construct_profitable, decompose,
-                     match_your_opponent, orthogonal, transport_criterion)
 
 
 def jsonable(obj):
@@ -62,6 +58,7 @@ def _load_any(path: str):
     if "vL" in data:
         return load_instance(data)
     if "v" in data:
+        from .nalloc import load_allocation
         return load_allocation(data)
     raise SchemaError("instance file has neither 'vL' (two-option) nor "
                       "'v' (allocation)")
@@ -79,6 +76,7 @@ def _two_option(refusal: str, *paths: str) -> list[Instance]:
 def _instance_dict(inst) -> dict:
     if isinstance(inst, Instance):
         return instance_to_dict(inst)
+    from .nalloc import allocation_to_dict
     return allocation_to_dict(inst)
 
 
@@ -123,6 +121,8 @@ def cmd_inspect(args) -> dict:
 def cmd_check_ic(args) -> dict:
     inst = _load_any(args.instance)
     if isinstance(inst, Instance):
+        from .game import obedience_check
+        from .ic import check_ic
         mech = load_mechanism(args.mechanism, inst.space)
         rep = check_ic(mech, inst.dist)
         obed = obedience_check(mech, inst.dist)
@@ -134,6 +134,7 @@ def cmd_check_ic(args) -> dict:
         basis = ("interim-equality characterization, cross-checked against "
                  "the obedience view of the auxiliary game")
     else:
+        from .nalloc import check_ic_n, load_allocation_mechanism
         mech = load_allocation_mechanism(args.mechanism, inst)
         rep = check_ic_n(mech, inst)
         two_option = {}
@@ -151,6 +152,7 @@ def cmd_check_ic(args) -> dict:
 
 
 def cmd_maximin(args) -> dict:
+    from .game import maximin
     if args.instance is not None:
         [inst] = _two_option("maximin needs a two-option instance", args.instance)
         space = inst.space
@@ -175,6 +177,7 @@ def cmd_maximin(args) -> dict:
 
 
 def cmd_spans(args) -> dict:
+    from .ic import spans
     a, b = _two_option("spanning is defined for two-option instances",
                        args.instance_a, args.instance_b)
     verdict = spans(a.dist, b.dist)
@@ -188,6 +191,7 @@ def cmd_spans(args) -> dict:
 
 
 def cmd_classify(args) -> dict:
+    from .ic import classify_extremes
     [inst] = _two_option("classification is defined for two-option instances",
                          args.instance)
     return {**classify_extremes(inst.dist),
@@ -195,6 +199,7 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_additivity(args) -> dict:
+    from .profit import additivity_test
     [inst] = _two_option("additivity analysis needs a two-option instance",
                          args.instance)
     rep = additivity_test(inst)
@@ -212,6 +217,7 @@ def cmd_additivity(args) -> dict:
 
 
 def cmd_construct(args) -> dict:
+    from .profit import construct_profitable
     [inst] = _two_option("construction needs a two-option instance",
                          args.instance)
     res = construct_profitable(inst)
@@ -228,6 +234,7 @@ def cmd_construct(args) -> dict:
 
 
 def cmd_transport(args) -> dict:
+    from .profit import transport_criterion
     [inst] = _two_option("transport criterion needs a two-option instance",
                          args.instance)
     res = transport_criterion(inst)
@@ -243,6 +250,7 @@ def cmd_transport(args) -> dict:
 
 
 def cmd_orthogonal(args) -> dict:
+    from .profit import orthogonal
     a, b = _two_option("orthogonality is defined for two-option instances",
                        args.instance_a, args.instance_b)
     return {
@@ -252,6 +260,7 @@ def cmd_orthogonal(args) -> dict:
 
 
 def cmd_decompose(args) -> dict:
+    from .profit import decompose
     [inst] = _two_option("decomposition needs a two-option instance",
                          args.instance)
     if not inst.dist.is_independent():
@@ -268,6 +277,7 @@ def cmd_decompose(args) -> dict:
 
 
 def cmd_myo(args) -> dict:
+    from .profit import match_your_opponent
     [inst] = _two_option("matching analysis needs a two-option instance",
                          args.instance)
     rep = match_your_opponent(inst)
@@ -284,6 +294,7 @@ def cmd_myo(args) -> dict:
 
 
 def cmd_alloc_n(args) -> dict:
+    from .nalloc import analyze_allocation
     inst = _load_any(args.instance)
     if isinstance(inst, Instance):
         raise PreconditionError("alloc-n needs an allocation instance")
@@ -294,6 +305,7 @@ def cmd_alloc_n(args) -> dict:
 
 
 def cmd_oracle(args) -> dict:
+    from .oracle import solve_principal, solve_principal_alloc
     inst = _load_any(args.instance)
     if isinstance(inst, Instance):
         res = solve_principal(inst)
@@ -311,6 +323,7 @@ def cmd_oracle(args) -> dict:
 
 
 def cmd_generate(args) -> dict:
+    from .oracle import generate
     return _instance_dict(generate(args.seed, _parse_shape(args.shape), args.kind,
                                    k=args.k, zero_mean=args.zero_mean,
                                    disposal=args.disposal))

@@ -24,7 +24,6 @@ import json
 from importlib import resources
 
 from .core import load_instance
-from .nalloc import load_allocation
 
 FIXTURE_NAMES = ("fx1", "fx2", "fx3", "fx4", "fx5")
 
@@ -35,7 +34,10 @@ def fixture(name: str):
         raise KeyError(f"unknown fixture {name!r}; "
                        f"choose from {FIXTURE_NAMES}")
     data = json.loads(fixture_path(name).read_text())
-    return load_allocation(data) if "v" in data else load_instance(data)
+    if "v" not in data:
+        return load_instance(data)
+    from .nalloc import load_allocation
+    return load_allocation(data)
 
 
 def fixture_path(name: str):

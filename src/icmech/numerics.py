@@ -5,6 +5,10 @@ ints over exact denominators), so feasibility, optimality, rank and
 orthogonality are decided by exact equality, not by tolerances.  One
 fraction-free integer row reduction (``_reduce``) serves ``rank``,
 ``basis_rows`` and ``solve_linear_system`` (and so ``span_coefficients``).
+It and the simplex pivot share one elimination step (``_eliminate``):
+q row - f prow with h = gcd(q, f) cancelled first, the classic
+cancellation of exact rational arithmetic (Henrici, 1956; Knuth, *TAOCP*
+vol. 2, 4.5.1), so the gcd division that follows has less to remove.
 
 The LP solver is one bounded dual simplex on an integer tableau.  Every
 variable is boxed and is exactly one tableau column: x_j = lo_j + span_j
@@ -24,10 +28,12 @@ bound-flipping long step of Fourer (*Notes on the dual simplex method*,
 1994); Koberstein (*The dual simplex method*, 2005) is the reference
 design.  An equality row that earlier rows combine to needs no presolve:
 its artificial stays basic at 0.  Each tableau row holds Python ints over
-its own denominator in lowest terms; a pivot updates only the rows whose
-pivot-column entry is nonzero, and in each it subtracts only the pivot
-row's nonzeros.  The duals are read off the final objective row, where
-the starting unit columns carry B^-1.
+its own denominator in lowest terms; a pivot updates only the rows (and
+the objective row) whose pivot-column entry is nonzero, and in each it
+cancels gcd(q, f) and subtracts only the pivot row's nonzeros.  Lowest
+terms make each row's integers unique, so the cancellation leaves every
+tableau integer as it was.  The duals are read off the final objective
+row, where the starting unit columns carry B^-1.
 
 ``solve_lp`` returns the exact optimum or raises: every LP the package
 builds has one (the principal's problem contains the ex-ante optimal
@@ -38,9 +44,12 @@ optimum is checked exactly before it is returned (primal feasibility,
 strong duality, the signs of the duals and bound multipliers, the
 objective identity), and a failed check raises ``RuntimeError``, also
 under ``python -O``.  The primal rows, the bounds, the objective value
-and the dual fold are checked in integers over the LP's own rows, each
-scaled to integers once, never over the tableau, so the checks stay
-independent of the substitution and the unit columns.
+and the dual fold are checked in integers over the LP's own rows, never
+over the tableau, so the checks stay independent of the substitution and
+the unit columns.  Each row's nonzeros are read and scaled to integers
+once (``_IntegerLP``); the tableau set-up, the primal check and the fold
+share them, and the fold sums A^T dual over them and decides the signs of
+the reduced costs and the dual value in integers.
 
 ``solve_lp`` works in integers from end to end: the bounds over one
 common denominator, each row and the objective over their own.  It makes
@@ -120,25 +129,27 @@ def _reduce(rows: Sequence[Sequence[int]]) -> list[tuple[int, int, list[int]]]:
     earlier rows combine to.
 
     Fraction-free: each row is reduced against the rows kept so far by
-    cross-multiplication, dividing out the gcd after every step, so it is
+    cross-multiplication (``_eliminate``, the pivot's step), dividing out
+    the gcd after every step, so it is
     0 at every earlier kept row's lead and the kept rows' leads are
     distinct.  A row augmented with its rhs that is inconsistent with
     earlier ones (its left side dependent, its rhs not) is kept, leading
     in the rhs column.
     """
     kept: list[tuple[int, int, list[int]]] = []
+    nonzeros: list[list[tuple[int, int]]] = []    # each kept row's (j, a)
     for i, vec in enumerate(rows):
-        for _, lead, prow in kept:
+        for (_, lead, prow), nz in zip(kept, nonzeros):
             f = vec[lead]
             if f:
-                p = prow[lead]
-                vec = [p * a - f * c if c else p * a for a, c in zip(vec, prow)]
+                vec = _eliminate(vec, prow[lead], f, nz)[0]
                 g = math.gcd(*vec)
                 if g > 1:
                     vec = [a // g for a in vec]
         lead = next((c for c, a in enumerate(vec) if a), None)
         if lead is not None:
             kept.append((i, lead, vec))
+            nonzeros.append([(j, a) for j, a in enumerate(vec) if a])
     return kept
 
 
@@ -214,11 +225,15 @@ class _Tableau:
     """Dense bounded dual simplex tableau over Python ints.
 
     Row i is ``rows[i] / dens[i]`` over its own denominator, in lowest
-    terms: a pivot updates only the rows with a nonzero entry in its
-    column, subtracting only at the pivot row's nonzeros, and divides each
-    updated row and its denominator by their gcd, so the integers stay as
-    small as the rational entries allow and every division is exact.  The
-    objective row passed along is ``obj / objden``.  Column j is bounded
+    terms.  A pivot on the entry q of the pivot row (over q, in lowest
+    terms) updates only the rows, the objective row included, with a
+    nonzero entry f in its column: it cancels h = gcd(q, f), so the row
+    becomes (q/h) row - (f/h) prow over dens[i] q/h, subtracting only at
+    the pivot row's nonzeros, and divides the row and its denominator by
+    their remaining gcd.  The integers stay as small as the rational
+    entries allow, every division is exact, and the result is the same
+    lowest-terms row as without the cancellation.  The objective row
+    passed along is ``obj / objden``.  Column j is bounded
     by ``bounds[j]``: 1 for a variable, None for a slack (bounded below
     only) and 0 for an artificial, which is fixed at 0 and never enters.
     A column in ``flipped`` holds the complement bounds[j] - z of its
@@ -249,17 +264,19 @@ class _Tableau:
         self.pivots += 1
         # The pivot row over its own (negative) pivot entry, in lowest terms.
         prow, q = _lowest_terms(self.rows[r], self.rows[r][c])
-        # Each updated row becomes q row - f prow: only the pivot row's
+        # Each updated row becomes (q row - f prow) / h over its
+        # denominator times q / h, h = gcd(q, f): only the pivot row's
         # nonzeros take part in the subtraction.
         nz = [(j, b) for j, b in enumerate(prow) if b]
         dens = self.dens
         for i, row in enumerate(self.rows):
             f = row[c]
             if f and i != r:
-                self.rows[i], dens[i] = _lowest_terms(
-                    _eliminate(row, q, f, nz), dens[i] * q)
-        obj[:], self.objden = _lowest_terms(
-            _eliminate(obj, q, obj[c], nz), self.objden * q)
+                new, k = _eliminate(row, q, f, nz)
+                self.rows[i], dens[i] = _lowest_terms(new, dens[i] * k)
+        if obj[c]:
+            new, k = _eliminate(obj, q, obj[c], nz)
+            obj[:], self.objden = _lowest_terms(new, self.objden * k)
         self.rows[r], dens[r] = prow, q
         self.basis[r] = c
 
@@ -323,12 +340,22 @@ class _Tableau:
 
 
 def _eliminate(row: list[int], q: int, f: int,
-               nz: list[tuple[int, int]]) -> list[int]:
-    """q row - f prow, the pivot row prow given by its nonzeros (j, b)."""
-    new = [q * a for a in row]
+               nz: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """(q row - f prow) / h and q / h, h = gcd(q, f), the row prow given by
+    its nonzeros (j, b).
+
+    Cancelling h first leaves (q / h) row - (f / h) prow: no
+    multiplication where q / h = 1, and a factor less for the caller's gcd
+    division to find.
+    """
+    h = math.gcd(q, f)
+    if h > 1:
+        q //= h
+        f //= h
+    new = list(row) if q == 1 else [q * a for a in row]
     for j, b in nz:
         new[j] -= f * b
-    return new
+    return new, q
 
 
 def _lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:
@@ -356,6 +383,43 @@ def integer_row(vals: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // d) for v, d in zip(vals, dens)]
 
 
+@dataclass
+class _IntegerLP:
+    """An LP's data over integers, each entry read once.
+
+    Row i of ``rows``, equality rows first, is [row | rhs] scaled by s,
+    the lcm of its denominators, and kept as (s, its nonzeros (j, a), the
+    rhs b).  The bounds are ``lower`` and ``upper`` over one denominator
+    ``unit``, and the objective is ``cost`` over ``cscale``.
+    """
+
+    rows: list[tuple[int, list[tuple[int, int]], int]]
+    neq: int
+    unit: int
+    lower: list[int]
+    upper: list[int]
+    cscale: int
+    cost: list[int]
+
+    @classmethod
+    def of(cls, lp: LinearProgram) -> "_IntegerLP":
+        n = lp.n
+        unit, bounds = integer_row([*lp.lower, *lp.upper])
+        cscale, cost = integer_row(lp.objective)
+        rows = [_sparse_row(row, rhs) for row, rhs in
+                zip(lp.a_eq + lp.a_ub, lp.b_eq + lp.b_ub)]
+        return cls(rows, len(lp.a_eq), unit, bounds[:n], bounds[n:], cscale, cost)
+
+
+def _sparse_row(row: Sequence[Fraction], rhs: Fraction):
+    """[row | rhs] scaled to integers by s, the lcm of its denominators:
+    (s, the nonzeros (j, a), the rhs)."""
+    nz = [(j, a) for j, a in enumerate(row) if a]
+    s = math.lcm(rhs.denominator, *(a.denominator for _, a in nz))
+    return (s, [(j, a.numerator * (s // a.denominator)) for j, a in nz],
+            rhs.numerator * (s // rhs.denominator))
+
+
 def solve_lp(lp: LinearProgram) -> LPSolution:
     """The exact rational optimum of an LP; deterministic for a given input.
 
@@ -368,55 +432,50 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     """
     # --- standard form: variable j is column j, x_j = lo_j + span_j z_j ---
     # with span_j = up - lo and 0 <= z_j <= 1 (a fixed variable's column is
-    # zero).  The bounds are integers over one denominator ``unit``.
-    ncols = lp.n
-    unit, ints = int_bounds = integer_row([*lp.lower, *lp.upper])
-    int_lower = ints[:ncols]
-    int_spans = [up - lo for lo, up in zip(int_lower, ints[ncols:])]
-
-    # Each original row [row | rhs] over integers, (s, ints): the tableau
-    # is built from them and the result checks read them.  Row i gets its
-    # own unit column ncols + i, which starts basic: an artificial fixed at
-    # 0 for an equality row (one that earlier rows combine to keeps it
-    # basic at 0), a slack bounded below only for a <= row.  The
-    # substituted row is the original row times s unit.
-    int_rows = {"eq": [integer_row([*row, rhs]) for row, rhs in zip(lp.a_eq, lp.b_eq)],
-                "ub": [integer_row([*row, rhs]) for row, rhs in zip(lp.a_ub, lp.b_ub)]}
-    all_rows = int_rows["eq"] + int_rows["ub"]
-    nrows = len(all_rows)
+    # zero).  The tableau is built from the LP's integer rows, and the
+    # result checks read them too.  Row i gets its own unit column
+    # ncols + i, which starts basic: an artificial fixed at 0 for an
+    # equality row (one that earlier rows combine to keeps it basic at 0),
+    # a slack bounded below only for a <= row.  The substituted row is the
+    # original row times s unit.
+    ilp = _IntegerLP.of(lp)
+    ncols, nrows, unit = lp.n, len(ilp.rows), ilp.unit
+    int_spans = [up - lo for lo, up in zip(ilp.lower, ilp.upper)]
     rows: list[list[int]] = []
-    for i, (_, vec) in enumerate(all_rows):
-        row = [a * k for a, k in zip(vec, int_spans)] + [0] * nrows
+    for i, (_, nz, b) in enumerate(ilp.rows):
+        row = [0] * (ncols + nrows + 1)
+        for j, a in nz:
+            row[j] = a * int_spans[j]
         row[ncols + i] = 1
-        row.append(vec[-1] * unit - sum(a * lo for a, lo in zip(vec, int_lower) if a))
+        row[-1] = b * unit - sum(a * ilp.lower[j] for j, a in nz)
         rows.append(row)
-    bounds = [1] * ncols + [0] * len(lp.a_eq) + [None] * len(lp.a_ub)
-    # The objective is cint / cscale; column j costs c_j span_j times
+    bounds = [1] * ncols + [0] * ilp.neq + [None] * (nrows - ilp.neq)
+    # The objective is cost / cscale; column j costs c_j span_j times
     # cscale unit.
-    cscale, cint = integer_row(lp.objective)
-    cost = [c * k for c, k in zip(cint, int_spans)] + [0] * nrows
+    cost = [c * k for c, k in zip(ilp.cost, int_spans)] + [0] * nrows
 
     point, y, value_std, (pivots, flips) = _simplex(rows, cost, bounds)
     # x_j = (lo_j + span_j z_j) / unit over integers, or the bound itself.
     x = [lo if z == 0 else up if z == 1 else
          Fraction(il * z.denominator + k * z.numerator, unit * z.denominator)
-         for z, lo, up, il, k in zip(point, lp.lower, lp.upper, int_lower, int_spans)]
-    cx, den = _check_primal(int_rows, int_bounds, cint, x)
+         for z, lo, up, il, k in zip(point, lp.lower, lp.upper, ilp.lower, int_spans)]
+    cx, den = _check_primal(ilp, x)
     # c . x is cx / (cscale den), and value_std + c . lo the same over
     # cscale unit.
-    const = sum(c * lo for c, lo in zip(cint, int_lower) if c)
+    const = sum(c * lo for c, lo in zip(ilp.cost, ilp.lower) if c)
     require((value_std + const) * den == cx * unit, "exact LP",
             "objective value identity")
-    value = Fraction(cx, cscale * den)
+    value = Fraction(cx, ilp.cscale * den)
     # Row i of the tableau is its original row times s unit and the cost
     # the objective times cscale unit: the row's dual is y_i s / cscale.
-    duals = [Fraction(yi.numerator * s, yi.denominator * cscale)
-             for yi, (s, _) in zip(y, all_rows)]
-    dual_eq, dual_ub, mu, nu, dual_value = _fold_duals(lp, int_rows, duals)
+    duals = [Fraction(yi.numerator * s, yi.denominator * ilp.cscale)
+             for yi, (s, _, _) in zip(y, ilp.rows)]
+    dual_eq, dual_ub, mu, nu, dual_value = _fold_duals(lp, ilp, duals)
     require(dual_value == value, "exact LP", "strong duality")
+    # One of mu_j and nu_j is 0: the reduced cost is mu_j - nu_j.
     return LPSolution(value=value, x=x,
                       dual_eq=dual_eq, dual_ub=dual_ub,
-                      reduced_costs=[u - d for u, d in zip(mu, nu)],
+                      reduced_costs=[u or -d for u, d in zip(mu, nu)],
                       pivots=pivots, flips=flips)
 
 
@@ -456,31 +515,26 @@ def _simplex(rows: list[list[int]], cost: list[int],
     return point, y, Fraction(-obj[-1], den), (tab.pivots, tab.flips)
 
 
-def _check_primal(int_rows, int_bounds, cint: list[int],
-                  x: list[Fraction]) -> tuple[int, int]:
-    """x meets the LP's integer rows (s, ints) of ``integer_row`` and its
-    bounds (unit, lower + upper ints): over x's common denominator D, sum
-    a X == b D (<= for ``a_ub`` rows) and lo D <= X unit <= up D.  Returns
-    (cint . X, D), the objective's integers cint times x over D."""
+def _check_primal(ilp: _IntegerLP, x: list[Fraction]) -> tuple[int, int]:
+    """x meets the LP's integer rows and bounds: over x's common
+    denominator D, sum a X == b D (<= for the inequality rows) and lo D <=
+    X unit <= up D.  Returns (cost . X, D), the objective's integers times
+    x over D."""
     den = math.lcm(*(v.denominator for v in x))
     nums = [v.numerator * (den // v.denominator) for v in x]
-    xs = [(j, v) for j, v in enumerate(nums) if v]
-
-    def lhs(vec):
-        return sum(vec[j] * v for j, v in xs)
-
-    require(all(lhs(vec) == vec[-1] * den for _, vec in int_rows["eq"]),
+    eq, ub = ilp.rows[:ilp.neq], ilp.rows[ilp.neq:]
+    require(all(sum(a * nums[j] for j, a in nz) == b * den for _, nz, b in eq),
             "exact LP", "primal equality rows")
-    require(all(lhs(vec) <= vec[-1] * den for _, vec in int_rows["ub"]),
+    require(all(sum(a * nums[j] for j, a in nz) <= b * den for _, nz, b in ub),
             "exact LP", "primal inequality rows")
-    unit, ints = int_bounds
+    unit = ilp.unit
     require(all(lo * den <= v * unit <= up * den
-                for v, lo, up in zip(nums, ints, ints[len(x):])),
+                for v, lo, up in zip(nums, ilp.lower, ilp.upper)),
             "exact LP", "primal bounds")
-    return lhs(cint), den
+    return sum(c * v for c, v in zip(ilp.cost, nums) if c), den
 
 
-def _fold_duals(lp, int_rows, duals):
+def _fold_duals(lp: LinearProgram, ilp: _IntegerLP, duals: list[Fraction]):
     """Split the duals of the LP's rows, equality rows first, into
     (dual_eq, dual_ub) and complete them with bound multipliers mu (upper)
     and nu (lower) that absorb what the row duals leave of the objective,
@@ -489,31 +543,37 @@ def _fold_duals(lp, int_rows, duals):
     nu, dual objective value) after checking the inequality duals' signs
     exactly.
 
-    A^T dual and dual . b are summed in integers over the LP's integer
-    rows (s, ints): a row's dual d is the multiplier d / s on its ints,
-    and the multipliers are brought to one common denominator C.
+    Everything is decided in integers over the LP's integer rows: a row's
+    dual d is the multiplier d / s on its nonzeros, and the multipliers
+    are brought to one common denominator C, so A^T dual is g / C, the
+    reduced cost r_j is R_j / (cscale C) and the dual value has the
+    denominator cscale C unit.  ``Fraction``s are made only for mu, nu
+    and the value.
     """
-    dual_eq, dual_ub = duals[:len(lp.a_eq)], duals[len(lp.a_eq):]
-    mults = [(Fraction(d.numerator, d.denominator * s), vec)
-             for d, (s, vec) in zip(duals, int_rows["eq"] + int_rows["ub"]) if d]
-    den = math.lcm(*(m.denominator for m, _ in mults))
-    g = [0] * (lp.n + 1)   # C A^T dual, and C dual . b last
-    for m, vec in mults:
-        f = m.numerator * (den // m.denominator)
-        for j, a in enumerate(vec):
-            if a:
-                g[j] += f * a
+    require(all(d >= 0 for d in duals[ilp.neq:]), "exact LP",
+            "inequality duals are nonnegative")
+    mults = [(d.numerator, d.denominator * s, nz, b)
+             for d, (s, nz, b) in zip(duals, ilp.rows) if d]
+    den = math.lcm(*(e for _, e, _, _ in mults))
+    g = [0] * lp.n     # C A^T dual
+    gb = 0             # C dual . b
+    for d, e, nz, b in mults:
+        f = d * (den // e)
+        for j, a in nz:
+            g[j] += f * a
+        gb += f * b
+    cscale, unit = ilp.cscale, ilp.unit
+    rden = cscale * den
     mu = [ZERO] * lp.n   # upper-bound duals
     nu = [ZERO] * lp.n   # lower-bound duals
-    for j, c in enumerate(lp.objective):
-        r = Fraction(c.numerator * den - g[j] * c.denominator, c.denominator * den)
+    value = gb * cscale * unit
+    for j, (c, gj, lo, up) in enumerate(zip(ilp.cost, g, ilp.lower, ilp.upper)):
+        r = c * den - gj * cscale
         if r > 0:
-            mu[j] = r
-        else:
-            nu[j] = -r
-    require(all(v >= 0 for v in dual_ub), "exact LP",
-            "inequality duals are nonnegative")
-    value = Fraction(g[-1], den) + \
-        sum(m * up for m, up in zip(mu, lp.upper) if m) - \
-        sum(m * lo for m, lo in zip(nu, lp.lower) if m)
-    return dual_eq, dual_ub, mu, nu, value
+            mu[j] = Fraction(r, rden)
+            value += r * up
+        elif r:
+            nu[j] = Fraction(-r, rden)
+            value += r * lo
+    return (duals[:ilp.neq], duals[ilp.neq:], mu, nu,
+            Fraction(value, rden * unit))

@@ -167,8 +167,11 @@ def generate(seed: int, shape, kind: str, *, k: int | None = None,
     Rational entries with small denominators keep exact pivoting fast.
     ``zero_mean`` recenters the objective so the principal is ex-ante
     indifferent.  ``conditionally-independent`` mixes ``k`` product
-    distributions, which caps the matrix rank at k.
+    distributions, which caps the matrix rank at k.  ``disposal`` applies
+    to ``unbiased-n-alloc`` only and is refused for a two-agent kind.
     """
+    if kind not in KINDS:
+        raise PreconditionError(f"unknown kind {kind!r}; choose from {KINDS}")
     shape = tuple(shape)
     rng = random.Random(f"{kind}|{seed}|{shape}|{k}")
     if kind == "unbiased-n-alloc":
@@ -183,6 +186,9 @@ def generate(seed: int, shape, kind: str, *, k: int | None = None,
 
     if len(shape) != 2:
         raise PreconditionError(f"kind {kind!r} generates two-agent instances")
+    if disposal:
+        raise PreconditionError(f"kind {kind!r} has no disposal; "
+                                f"only unbiased-n-alloc allocations do")
     space = _space_for(shape)
     m, n = shape
     if kind == "independent":
@@ -194,7 +200,7 @@ def generate(seed: int, shape, kind: str, *, k: int | None = None,
             pi = _joint(rng, shape)
             if rank([list(row) for row in pi]) == min(shape):
                 break
-    elif kind == "conditionally-independent":
+    else:   # conditionally-independent
         if not k or not 1 <= k <= MAX_PROFILES:
             raise PreconditionError(
                 f"conditionally-independent needs 1 <= k <= {MAX_PROFILES}")
@@ -203,8 +209,6 @@ def generate(seed: int, shape, kind: str, *, k: int | None = None,
         for w in weights:
             pi = pi + np.multiply.outer(_prob_vector(rng, m),
                                         _prob_vector(rng, n)) * w
-    else:
-        raise PreconditionError(f"unknown kind {kind!r}; choose from {KINDS}")
 
     dist = JointDist.from_fractions(space, pi)
     v = _value_array(rng, shape)

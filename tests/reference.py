@@ -718,8 +718,8 @@ def fold_duals(lp, duals):
 def recording_fold(fold, folds: list):
     """Wrap ``icmech.numerics._fold_duals``: each call appends (its result,
     ``fold_duals`` of the same duals) to ``folds``."""
-    def wrapper(lp, int_rows, duals):
-        got = fold(lp, int_rows, duals)
+    def wrapper(lp, ilp, duals):
+        got = fold(lp, ilp, duals)
         folds.append((got, fold_duals(lp, duals)))
         return got
     return wrapper

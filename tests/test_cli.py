@@ -290,6 +290,18 @@ class TestContracts:
         assert captured.err == ("refused: conditionally-independent needs "
                                 f"1 <= k <= {MAX_PROFILES}\n")
 
+    @pytest.mark.parametrize("kind", ["independent", "correlated",
+                                      "full-rank", "conditionally-independent"])
+    def test_disposal_for_a_two_agent_kind_one_line_refusal(self, capsys, kind):
+        # Only an allocation instance has a disposal option; a two-agent
+        # kind must not drop the flag silently.
+        code = main(["generate", "--seed", "1", "--shape", "2x2", "--kind",
+                     kind, "--k", "2", "--disposal"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"refused: kind {kind!r} has no disposal; "
+                                "only unbiased-n-alloc allocations do\n")
+
     def test_too_many_agents_in_shape_one_line_error(self, capsys):
         # Seventy one-type agents make one profile, so only the agent bound
         # stops them before NumPy's dimension limit does.

@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import random
 import subprocess
@@ -423,6 +424,35 @@ class TestReductionMatchesGaussJordan:
         assert solve_linear_system(a, b) == reference.solve_linear_system(a, b)
 
 
+    def test_integer_rows_with_shared_factors(self):
+        # Integer combinations of a few rows whose entries share factors:
+        # the leads of the kept rows and the entries they eliminate often
+        # have a gcd above 1, which the elimination step cancels first.
+        rng = random.Random(11)
+        eliminate = numerics._eliminate
+        steps = {"all": 0, "h > 1": 0}
+
+        def counting(row, q, f, nz):
+            steps["all"] += 1
+            steps["h > 1"] += math.gcd(q, f) > 1
+            return eliminate(row, q, f, nz)
+
+        with mock.patch.object(numerics, "_eliminate", counting):
+            for _ in range(300):
+                width = rng.randint(1, 6)
+                base = [[rng.choice((0, 0, 1, -2, 3, 4, -6)) * rng.choice((1, 2, 6))
+                         for _ in range(width)] for _ in range(rng.randint(1, 4))]
+                a = [[sum(c * b[j] for c, b in zip(coeffs, base))
+                      for j in range(width)]
+                     for coeffs in ([rng.choice((0, 1, -2, 3, 6)) for _ in base]
+                                    for _ in range(rng.randint(1, 6)))]
+                assert rank(a) == reference.rank(a)
+                assert basis_rows(a) == [
+                    i for i in range(len(a))
+                    if reference.rank(a[:i + 1]) > reference.rank(a[:i])]
+        assert steps["h > 1"] >= 100, steps
+
+
 @st.composite
 def mixed_lps(draw):
     """Up to 4 variables, each boxed or fixed; equality and <= rows with
@@ -669,28 +699,45 @@ class TestPivot:
         return new_rows, new_dens, obj, objden
 
     def test_matches_the_dense_update(self):
-        # Random integer tableaus, a third of their entries 0, over
-        # random denominators; the pivot entry is negative, as in the dual
-        # simplex, or positive.
+        # Random integer tableaus, a third of their entries 0, each row in
+        # lowest terms over a random denominator, as the tableau keeps
+        # them; the pivot entry is negative, as in the dual simplex, or
+        # positive.  Entries share small factors, so the pivot entry q and
+        # a row's entry f often have h = gcd(q, f) > 1, h = q as well, and
+        # the objective's pivot-column entry is often 0.
         rng = random.Random(7)
+        cases = {"h > 1": 0, "h = q > 1": 0, "objective entry 0": 0}
 
         def entry():
-            return 0 if rng.random() < 0.35 else rng.randint(-9, 9) * rng.choice((1, 6))
+            return 0 if rng.random() < 0.35 else \
+                rng.randint(-9, 9) * rng.choice((1, 2, 6, 12))
+
+        def lowest(row):
+            return numerics._lowest_terms(row, rng.randint(1, 8))
 
         for trial in range(300):
             nrows, width = rng.randint(1, 5), rng.randint(2, 7)
             rows = [[entry() for _ in range(width + 1)] for _ in range(nrows)]
             r, c = rng.randrange(nrows), rng.randrange(width)
             rows[r][c] = rng.randint(1, 12) * (1 if trial % 4 == 0 else -1)
-            obj = [entry() for _ in range(width + 1)]
+            rows, dens = map(list, zip(*map(lowest, rows)))
+            obj, objden = lowest([entry() for _ in range(width + 1)])
+            q = numerics._lowest_terms(rows[r], rows[r][c])[1]
+            for i, row in enumerate(rows):
+                h = math.gcd(q, row[c])
+                if i != r and row[c] and h > 1:
+                    cases["h > 1"] += 1
+                    cases["h = q > 1"] += h == q
+            cases["objective entry 0"] += obj[c] == 0
             tab = numerics._Tableau([list(row) for row in rows],
                                     list(range(nrows)), [1] * width)
-            tab.dens = [rng.randint(1, 8) for _ in range(nrows)]
-            tab.objden = rng.randint(1, 8)
-            expected = self.dense_pivot(rows, tab.dens, obj, tab.objden, r, c)
+            tab.dens, tab.objden = list(dens), objden
+            expected = self.dense_pivot(rows, dens, obj, objden, r, c)
             tab.pivot(r, c, obj)
             assert (tab.rows, tab.dens, obj, tab.objden) == expected
             assert tab.basis[r] == c
+        assert min(cases.values()) >= 20, cases
+
 
 def run_optimized(script: str) -> str:
     """Run ``script`` under ``python -O`` (asserts stripped); its stdout."""

@@ -18,14 +18,17 @@ separate engine, and must reach the same value.
 """
 
 import contextlib
+import importlib
 import importlib.util
 import io
 import json
+import pkgutil
 import sys
 from pathlib import Path
 
 import pytest
 
+import icmech
 from icmech import cli, numerics
 
 from . import reference
@@ -82,7 +85,12 @@ def run_pool(pool: dict, tmp_path, tracer=None) -> list[tuple[dict, object, str]
 
 def record_lps(monkeypatch, record) -> None:
     """Rebind ``solve_lp`` in every icmech module to a wrapper that passes
-    each call's LinearProgram and LPSolution to ``record``."""
+    each call's LinearProgram and LPSolution to ``record``.  The CLI
+    imports a module only when a command needs it, so every module is
+    imported first."""
+    for info in pkgutil.iter_modules(icmech.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"icmech.{info.name}")
     solve_lp = numerics.solve_lp
 
     def recording_solve_lp(lp):

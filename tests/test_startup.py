@@ -81,3 +81,39 @@ def test_numpy_imported_first_is_left_alone():
 def test_numpy_imported_first_keeps_its_threads():
     assert probe("import numpy; import icmech")["threads"] == \
         probe("import numpy")["threads"]
+
+
+def run_fresh(script: str) -> dict:
+    """Run ``script`` in a fresh interpreter; the JSON it prints."""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_inspect_loads_only_what_it_needs():
+    # Each command imports its own modules: inspecting a two-option
+    # instance runs no analysis, so no analysis module is loaded.
+    found = run_fresh(
+        "import contextlib, io, json, sys\n"
+        "from icmech import cli\n"
+        "from icmech.fixtures import fixture_path\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['inspect', str(fixture_path('fx1'))])\n"
+        "print(json.dumps({'code': code, 'loaded': sorted(sys.modules)}))\n")
+    assert found["code"] == 0
+    for module in ("belief", "game", "ic", "nalloc", "oracle", "profit"):
+        assert f"icmech.{module}" not in found["loaded"]
+
+
+def test_star_import_binds_every_public_name():
+    found = run_fresh(
+        "import importlib, json\n"
+        "import icmech\n"
+        "names = {}\n"
+        "exec('from icmech import *', names)\n"
+        "print(json.dumps({name: names.get(name) is getattr(\n"
+        "    importlib.import_module(f'icmech.{icmech._MODULE_OF[name]}'), name)\n"
+        "    for name in icmech.__all__}))\n")
+    assert len(found) == len(icmech.__all__) and all(found.values())
