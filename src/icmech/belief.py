@@ -134,7 +134,11 @@ def transport_rows(dist: JointDist, bases: tuple[list[int], list[int]]
     sum_s rho(a, s) R_b(s) for a in A and b in T, with L_a and R_b the
     left-hand sides, and pi[A, S] is nonsingular."""
     shape = dist.space.shape
-    rho = dist.p / np.multiply.outer(*dist.marginals())
+    # rho = P D / (P_L (x) P_R) over pi's integers: one Fraction per profile.
+    den = dist.den
+    pl, pr = dist.marginal_nums
+    rho = np.array([[Fraction(v * den, a * b) if v else ZERO for v, b in zip(row, pr)]
+                    for row, a in zip(dist.nums, pl)], dtype=object)
     last = shape[1] - 1
     skip = {last - s for s in basis_rows(list(dist.nums[bases[0], ::-1].T))}
     rows, rhs = [], []

@@ -146,7 +146,9 @@ class JointDist:
 
     pi is kept as ``nums / den``: ``nums`` an int array of pi's shape and
     ``den`` > 0 with no factor common to all of them, so the pair is
-    unique.  ``p`` holds the same entries as Fractions.
+    unique, and ``marginal_nums[i]`` holds agent i's marginal over the same
+    ``den``.  ``p`` and ``marginal(i)`` give the same entries as Fractions,
+    built on first read.
     """
 
     def __init__(self, space: TypeSpace, den: int, nums: np.ndarray):
@@ -171,10 +173,17 @@ class JointDist:
         self.space = space
         self.den = den
         self.nums = nums
-        self.p = np.array([Fraction(v, den) for v in nums.reshape(-1)],
-                          dtype=object).reshape(space.shape)
-        self._marginals = tuple(np.array([Fraction(v, den) for v in sums], dtype=object)
-                                for sums in msums)
+        self.marginal_nums = tuple(msums)
+
+    @functools.cached_property
+    def p(self) -> np.ndarray:
+        return np.array([Fraction(v, self.den) for v in self.nums.reshape(-1)],
+                        dtype=object).reshape(self.space.shape)
+
+    @functools.cached_property
+    def _marginals(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.array([Fraction(v, self.den) for v in sums], dtype=object)
+                     for sums in self.marginal_nums)
 
     @classmethod
     def from_fractions(cls, space: TypeSpace, probabilities: np.ndarray) -> "JointDist":

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import JointDist, Mechanism, PreconditionError, expectation, two_agent
 from .ic import ICReport, Violation
-from .numerics import LinearProgram, require, solve_lp
+from .numerics import LinearProgram, integer_row, require, solve_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -75,18 +75,26 @@ def obedience_check(x: Mechanism, pi: JointDist) -> ICReport:
     equals IC of x under pi; the reported gains are on the joint scale,
     which differs from the interim (conditional) scale by the positive
     factor pi_i(rec).
+
+    In integers, pi as P / D and x as X / d: the gain of reporting dev is
+    M[rec, dev] - M[rec, rec] over D d, with M = P X^T for the row player
+    and M = -P^T X for the column player, whose payoff is 1 - x.
     """
     two_agent(pi.space)
     if x.space != pi.space:
         raise PreconditionError("mechanism and distribution type spaces differ")
     space = pi.space
+    scale, ints = integer_row(x.x.reshape(-1))
+    xs = np.array(ints, dtype=object).reshape(space.shape)
+    den = pi.den * scale
     violations: list[Violation] = []
-    for i, (joint, payoff) in enumerate(((pi.p, x.x), (pi.p.T, 1 - x.x.T))):
+    for i, joint in enumerate((pi.nums.dot(xs.T), -pi.nums.T.dot(xs))):
         for a, rec in enumerate(space.types[i]):
             for b, dev in enumerate(space.types[i]):
-                gain = joint[a].dot(payoff[b] - payoff[a])
+                gain = joint[a, b] - joint[a, a]
                 if gain > 0:
-                    violations.append(Violation(space.agents[i], rec, dev, gain))
+                    violations.append(Violation(space.agents[i], rec, dev,
+                                                Fraction(gain, den)))
     verdict = not violations
     return ICReport(verdict=verdict, violations=violations,
                     common_value=expectation(pi, x.x) if verdict else None)

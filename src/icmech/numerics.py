@@ -10,30 +10,36 @@ q row - f prow with h = gcd(q, f) cancelled first, the classic
 cancellation of exact rational arithmetic (Henrici, 1956; Knuth, *TAOCP*
 vol. 2, 4.5.1), so the gcd division that follows has less to remove.
 
-The LP solver is one bounded dual simplex on an integer tableau.  Every
-variable is boxed and is exactly one tableau column: x_j = lo_j + span_j
-z_j with 0 <= z_j <= 1 and span_j = up - lo.  Each equality row gets an
-artificial column fixed at 0 and each <= row its slack, bounded below
-only; these unit columns are the starting basis, and it is dual feasible
-once every column of positive cost sits at its upper bound, so no phase 1
-is needed.  A variable at its upper bound is complemented (Dantzig's
+The LP solver is one bounded dual simplex on a condensed integer tableau.
+Every variable is boxed and is exactly one tableau column: x_j = lo_j +
+span_j z_j with 0 <= z_j <= 1 and span_j = up - lo.  Each equality row
+gets an artificial column fixed at 0 and each <= row its slack, bounded
+below only; these unit columns are the starting basis, and it is dual
+feasible once every column of positive cost sits at its upper bound, so
+no phase 1 is needed.  The tableau stores only the nonbasic columns (the
+condensed form of Koberstein's bounded dual simplex): a basic column is
+a unit column, and a pivot gives the leaving variable the entering one's
+slot, so a row is as long as the LP has variables, whatever the number
+of rows.  A variable at its upper bound is complemented (Dantzig's
 upper-bounding technique), so every nonbasic column sits at 0.  The
 leaving row is the largest bound violation, and after as many consecutive
 degenerate steps as the tableau has rows, the violated row with the
-lowest basic column (Bland), which rules out cycling and keeps every
+lowest basic variable (Bland), which rules out cycling and keeps every
 answer and every pivot count deterministic.  The ratio test enters the
-least ratio, the lowest index on ties, and flips each boxed column that
-it passes while the slope of the dual objective stays positive: the
-bound-flipping long step of Fourer (*Notes on the dual simplex method*,
-1994); Koberstein (*The dual simplex method*, 2005) is the reference
-design.  An equality row that earlier rows combine to needs no presolve:
+least ratio, the lowest variable index on ties, and flips each boxed
+column that it passes while the slope of the dual objective stays
+positive: the bound-flipping long step of Fourer (*Notes on the dual
+simplex method*, 1994); Koberstein (*The dual simplex method*, 2005) is
+the reference design.  An equality row that earlier rows combine to needs no presolve:
 its artificial stays basic at 0.  Each tableau row holds Python ints over
 its own denominator in lowest terms; a pivot updates only the rows (and
-the objective row) whose pivot-column entry is nonzero, and in each it
+the objective row) whose pivot-slot entry is nonzero, and in each it
 cancels gcd(q, f) and subtracts only the pivot row's nonzeros.  Lowest
-terms make each row's integers unique, so the cancellation leaves every
-tableau integer as it was.  The duals are read off the final objective
-row, where the starting unit columns carry B^-1.
+terms make each row's integers unique, so neither the cancellation nor
+the condensed storage changes a stored integer, a pivot or a flip of the
+dense tableau.  The duals are read off the final objective row, where the
+starting unit columns carry B^-1 (0 where a unit column is basic), as
+integers over the objective row's one denominator.
 
 ``solve_lp`` returns the exact optimum or raises: every LP the package
 builds has one (the principal's problem contains the ex-ante optimal
@@ -48,8 +54,9 @@ and the dual fold are checked in integers over the LP's own rows, never
 over the tableau, so the checks stay independent of the substitution and
 the unit columns.  Each row's nonzeros are read and scaled to integers
 once (``_IntegerLP``); the tableau set-up, the primal check and the fold
-share them, and the fold sums A^T dual over them and decides the signs of
-the reduced costs and the dual value in integers.
+share them, and the fold sums A^T dual over them, over the objective
+row's denominator, and decides the signs of the duals, the reduced costs
+and the dual value in integers.
 
 ``solve_lp`` works in integers from end to end: the bounds over one
 common denominator, each row and the objective over their own.  It makes
@@ -222,81 +229,114 @@ class LPSolution:
 
 
 class _Tableau:
-    """Dense bounded dual simplex tableau over Python ints.
+    """Condensed bounded dual simplex tableau over Python ints.
 
-    Row i is ``rows[i] / dens[i]`` over its own denominator, in lowest
-    terms.  A pivot on the entry q of the pivot row (over q, in lowest
-    terms) updates only the rows, the objective row included, with a
-    nonzero entry f in its column: it cancels h = gcd(q, f), so the row
-    becomes (q/h) row - (f/h) prow over dens[i] q/h, subtracting only at
-    the pivot row's nonzeros, and divides the row and its denominator by
-    their remaining gcd.  The integers stay as small as the rational
-    entries allow, every division is exact, and the result is the same
-    lowest-terms row as without the cancellation.  The objective row
-    passed along is ``obj / objden``.  Column j is bounded
-    by ``bounds[j]``: 1 for a variable, None for a slack (bounded below
-    only) and 0 for an artificial, which is fixed at 0 and never enters.
-    A column in ``flipped`` holds the complement bounds[j] - z of its
-    variable z, so every nonbasic variable sits at 0, and the basis stays
-    dual feasible: no nonbasic column but an artificial has a positive
-    reduced cost.
+    Only the nonbasic columns are stored (the condensed tableau of
+    Koberstein's bounded dual simplex): slot k of every row holds the
+    column of variable ``nonbasic[k]``, and the unit column of row i's
+    basic variable ``basis[i]`` is left out, so each row is ncols + 1
+    integers whatever the number of rows.  Row i is ``rows[i] / dens[i]``
+    over its own denominator, in lowest terms; with its unit entry, which
+    is ``dens[i]``, it is the row of the dense tableau, so every stored
+    integer is the dense tableau's.  A pivot on slot k of row r makes the
+    leaving variable the entering one's slot: row r becomes the row over
+    its pivot entry q, with the leaving variable's unit entry in slot k.
+    Every other row, the objective row included, with a nonzero entry f
+    in slot k takes that slot as 0 (the leaving variable's entry) and
+    becomes (q row - f prow) / h over its denominator times q / h,
+    h = gcd(q, f), subtracting only at the pivot row's nonzeros, and
+    divides the row and its denominator by their remaining gcd.  The
+    integers stay as small as the rational entries allow, every division
+    is exact, and the result is the same lowest-terms row as without the
+    cancellation.  The objective row passed along is ``obj / objden``.
+    Variable j is bounded by ``bounds[j]``: 1 for a structural variable,
+    None for a slack (bounded below only) and 0 for an artificial, which
+    is fixed at 0 and never enters.  A variable in ``flipped`` holds the
+    complement bounds[j] - z of its variable z, so every nonbasic variable
+    sits at 0, and the basis stays dual feasible: no nonbasic column but
+    an artificial has a positive reduced cost.
 
     The leaving row is the one whose basic variable violates its bounds
     most, the lowest row on ties; after as many consecutive degenerate
     steps as there are rows it is the violated row with the lowest basic
-    column (Bland) until the next nondegenerate step, which rules out
-    cycling.
+    variable (Bland) until the next nondegenerate step, which rules out
+    cycling.  Ties in the ratio test go to the lower variable index.
     """
 
-    def __init__(self, rows: list[list[int]], basis: list[int],
+    def __init__(self, rows: list[list[int]], ncols: int,
                  bounds: list[int | None]):
-        self.rows = rows          # each row: coefficients + rhs (last entry)
+        self.rows = rows          # each row: ncols slots + rhs (last entry)
         self.dens = [1] * len(rows)
         self.objden = 1
-        self.basis = basis
+        self.nonbasic = list(range(ncols))
+        self.basis = list(range(ncols, ncols + len(rows)))
         self.bounds = bounds
         self.flipped: set[int] = set()
         self.pivots = 0
         self.flips = 0
 
-    def pivot(self, r: int, c: int, obj: list[int]) -> None:
-        """Pivot on row r, column c, updating ``obj`` too."""
+    def pivot(self, r: int, k: int, obj: list[int]) -> None:
+        """Pivot on row r, slot k, updating ``obj`` too: the slot's
+        variable enters, and row r's basic variable takes the slot."""
         self.pivots += 1
-        # The pivot row over its own (negative) pivot entry, in lowest terms.
-        prow, q = _lowest_terms(self.rows[r], self.rows[r][c])
+        rows, dens = self.rows, self.dens
+        prow, d = rows[r], dens[r]
+        q = prow[k]
+        # Row r over its own pivot entry, the leaving variable's unit entry
+        # in slot k: the dense row has no common factor, so this is in
+        # lowest terms already.
+        if q < 0:
+            prow = [-v for v in prow]
+            q = -q
+            d = -d
+        prow[k] = d
         # Each updated row becomes (q row - f prow) / h over its
-        # denominator times q / h, h = gcd(q, f): only the pivot row's
-        # nonzeros take part in the subtraction.
+        # denominator times q / h, h = gcd(q, f), with its slot k taken as
+        # the leaving variable's 0: only the pivot row's nonzeros take part
+        # in the subtraction.
         nz = [(j, b) for j, b in enumerate(prow) if b]
-        dens = self.dens
-        for i, row in enumerate(self.rows):
-            f = row[c]
+        for i, row in enumerate(rows):
+            f = row[k]
             if f and i != r:
-                new, k = _eliminate(row, q, f, nz)
-                self.rows[i], dens[i] = _lowest_terms(new, dens[i] * k)
-        if obj[c]:
-            new, k = _eliminate(obj, q, obj[c], nz)
-            obj[:], self.objden = _lowest_terms(new, self.objden * k)
-        self.rows[r], dens[r] = prow, q
-        self.basis[r] = c
+                row[k] = 0
+                new, m = _eliminate(row, q, f, nz)
+                rows[i], dens[i] = _lowest_terms(new, dens[i] * m)
+        f = obj[k]
+        if f:
+            obj[k] = 0
+            new, m = _eliminate(obj, q, f, nz)
+            obj[:], self.objden = _lowest_terms(new, self.objden * m)
+        rows[r], dens[r] = prow, q
+        self.basis[r], self.nonbasic[k] = self.nonbasic[k], self.basis[r]
 
-    def flip(self, c: int, obj: list[int]) -> None:
-        """Substitute u - z for the variable z of column c, u its bound:
-        negate the column and subtract u times it from the rhs, in every
-        row and in ``obj``."""
-        u = self.bounds[c]
-        self.flipped ^= {c}
+    def flip(self, k: int, obj: list[int]) -> None:
+        """Substitute u - z for the nonbasic variable z of slot k, u its
+        bound: negate the slot and subtract u times it from the rhs, in
+        every row and in ``obj``."""
+        u = self.bounds[self.nonbasic[k]]
+        self.flipped ^= {self.nonbasic[k]}
         for row in self.rows:
-            a = row[c]
+            a = row[k]
             if a:
                 row[-1] -= u * a
-                row[c] = -a
-        obj[-1] -= u * obj[c]
-        obj[c] = -obj[c]
+                row[k] = -a
+        obj[-1] -= u * obj[k]
+        obj[k] = -obj[k]
+
+    def flip_basic(self, r: int) -> None:
+        """Substitute u - z for the basic variable z of row r, u its bound:
+        the row's rhs loses u times its unit entry, and the row is negated
+        so that the unit entry is the denominator again.  No other row
+        and not ``obj`` has an entry in a basic column."""
+        b = self.basis[r]
+        self.flipped ^= {b}
+        row = self.rows[r]
+        row[-1] -= self.bounds[b] * self.dens[r]
+        self.rows[r] = [-v for v in row]
 
     def leaving(self, bland: bool) -> int | None:
         """The row whose basic variable violates its bounds most (Bland:
-        the violated row with the lowest basic column), or None."""
+        the violated row with the lowest basic variable), or None."""
         leave, most, den = None, 0, 1     # the violation is most / den
         for i, (row, d, b) in enumerate(zip(self.rows, self.dens, self.basis)):
             t, u = row[-1], self.bounds[b]
@@ -311,26 +351,29 @@ class _Tableau:
         violated row that no column can repair raises: the LP is
         infeasible."""
         degenerate = 0
-        bounds = self.bounds
+        bounds, nonbasic = self.bounds, self.nonbasic
         while (r := self.leaving(degenerate >= len(self.rows))) is not None:
-            row = self.rows[r]
-            if row[-1] > 0:
+            if self.rows[r][-1] > 0:
                 # Above its bound: flipped, the basic variable is below 0.
-                self.flip(self.basis[r], obj)
-                row = self.rows[r] = [-v for v in row]
-            # Ratio test: the entering column has the least ratio
-            # obj[j] / row[j] over row[j] < 0, the lowest index on ties.
-            # A boxed column that the row's violation would carry past its
-            # bound is flipped instead (the long step), while the slope of
-            # the dual objective stays positive.
+                self.flip_basic(r)
+            row = self.rows[r]
+            # Ratio test: the entering slot has the least ratio
+            # obj[k] / row[k] over row[k] < 0, the lowest variable on ties.
+            # A boxed variable that the row's violation would carry past
+            # its bound is flipped instead (the long step), while the slope
+            # of the dual objective stays positive.
             while True:
                 enter = None
-                for j, a in enumerate(row[:-1]):
-                    if a < 0 and bounds[j] != 0 and (
-                            enter is None or obj[j] * row[enter] < obj[enter] * a):
-                        enter = j
+                for k, a in enumerate(row[:-1]):
+                    if a < 0 and bounds[nonbasic[k]] != 0:
+                        if enter is None:
+                            enter = k
+                            continue
+                        lhs, rhs = obj[k] * row[enter], obj[enter] * a
+                        if lhs < rhs or lhs == rhs and nonbasic[k] < nonbasic[enter]:
+                            enter = k
                 require(enter is not None, "exact LP", "the LP is feasible")
-                u = bounds[enter]
+                u = bounds[nonbasic[enter]]
                 if u is None or row[-1] - u * row[enter] >= 0:
                     break
                 self.flips += 1
@@ -424,53 +467,48 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     """The exact rational optimum of an LP; deterministic for a given input.
 
     The solve and its checks run in integers: the bounds over one
-    denominator ``unit``, each row and the objective over their own.
-    ``Fraction``s are made only for the returned solution, at most one per
-    entry, and a variable at a bound reuses that bound.  Raises
-    ``RuntimeError`` if the LP is infeasible: every LP the package builds
-    has an optimum.
+    denominator ``unit``, each row and the objective over their own, and
+    the duals over the final objective row's.  ``Fraction``s are made only
+    for the returned solution, at most one per entry, and a variable at a
+    bound reuses that bound.  Raises ``RuntimeError`` if the LP is
+    infeasible: every LP the package builds has an optimum.
     """
     # --- standard form: variable j is column j, x_j = lo_j + span_j z_j ---
     # with span_j = up - lo and 0 <= z_j <= 1 (a fixed variable's column is
     # zero).  The tableau is built from the LP's integer rows, and the
-    # result checks read them too.  Row i gets its own unit column
-    # ncols + i, which starts basic: an artificial fixed at 0 for an
-    # equality row (one that earlier rows combine to keeps it basic at 0),
-    # a slack bounded below only for a <= row.  The substituted row is the
-    # original row times s unit.
+    # result checks read them too.  Row i has its own unit column, variable
+    # ncols + i, which starts basic and is not stored: an artificial fixed
+    # at 0 for an equality row (one that earlier rows combine to keeps it
+    # basic at 0), a slack bounded below only for a <= row.  The
+    # substituted row is the original row times s unit.
     ilp = _IntegerLP.of(lp)
     ncols, nrows, unit = lp.n, len(ilp.rows), ilp.unit
     int_spans = [up - lo for lo, up in zip(ilp.lower, ilp.upper)]
     rows: list[list[int]] = []
-    for i, (_, nz, b) in enumerate(ilp.rows):
-        row = [0] * (ncols + nrows + 1)
+    for _, nz, b in ilp.rows:
+        row = [0] * (ncols + 1)
         for j, a in nz:
             row[j] = a * int_spans[j]
-        row[ncols + i] = 1
         row[-1] = b * unit - sum(a * ilp.lower[j] for j, a in nz)
         rows.append(row)
     bounds = [1] * ncols + [0] * ilp.neq + [None] * (nrows - ilp.neq)
     # The objective is cost / cscale; column j costs c_j span_j times
     # cscale unit.
-    cost = [c * k for c, k in zip(ilp.cost, int_spans)] + [0] * nrows
+    cost = [c * k for c, k in zip(ilp.cost, int_spans)]
 
-    point, y, value_std, (pivots, flips) = _simplex(rows, cost, bounds)
+    point, y, value_std, objden, (pivots, flips) = _simplex(rows, cost, bounds)
     # x_j = (lo_j + span_j z_j) / unit over integers, or the bound itself.
     x = [lo if z == 0 else up if z == 1 else
          Fraction(il * z.denominator + k * z.numerator, unit * z.denominator)
          for z, lo, up, il, k in zip(point, lp.lower, lp.upper, ilp.lower, int_spans)]
     cx, den = _check_primal(ilp, x)
-    # c . x is cx / (cscale den), and value_std + c . lo the same over
-    # cscale unit.
+    # c . x is cx / (cscale den), and the tableau's value plus c . lo is
+    # the same over cscale unit: value_std is over objden.
     const = sum(c * lo for c, lo in zip(ilp.cost, ilp.lower) if c)
-    require((value_std + const) * den == cx * unit, "exact LP",
+    require((value_std + const * objden) * den == cx * unit * objden, "exact LP",
             "objective value identity")
     value = Fraction(cx, ilp.cscale * den)
-    # Row i of the tableau is its original row times s unit and the cost
-    # the objective times cscale unit: the row's dual is y_i s / cscale.
-    duals = [Fraction(yi.numerator * s, yi.denominator * ilp.cscale)
-             for yi, (s, _, _) in zip(y, ilp.rows)]
-    dual_eq, dual_ub, mu, nu, dual_value = _fold_duals(lp, ilp, duals)
+    dual_eq, dual_ub, mu, nu, dual_value = _fold_duals(lp, ilp, y, objden)
     require(dual_value == value, "exact LP", "strong duality")
     # One of mu_j and nu_j is 0: the reduced cost is mu_j - nu_j.
     return LPSolution(value=value, x=x,
@@ -481,38 +519,38 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 
 def _simplex(rows: list[list[int]], cost: list[int],
              bounds: list[int | None]):
-    """Bounded dual simplex: max cost . s  s.t.  rows s = rhs and
-    0 <= s_j <= bounds[j] (no upper bound where None).
+    """Bounded dual simplex: max cost . s  s.t.  [rows | I] (s, t) = rhs,
+    0 <= s_j <= bounds[j] and 0 <= t_i <= bounds[len(cost) + i] (no upper
+    bound where None).
 
     ``rows`` are integer rows over the columns of the integer ``cost``
-    plus the rhs (last entry, of either sign).  The last ``len(rows)``
-    columns are the rows' unit columns, row i's at width - len(rows) + i,
-    each of cost 0: they are the starting basis, which is dual feasible
-    once every column of positive cost sits at its upper bound.  Returns
-    (point, y, value, (pivots, flips)): the optimal vertex on the columns
-    before the unit columns, the duals of ``rows`` and the optimal value,
-    all rational; raises if there is none.
+    plus the rhs (last entry, of either sign).  Row i's unit column t_i,
+    variable len(cost) + i, is implied, not given, and costs 0: the unit
+    columns are the starting basis, which is dual feasible once every
+    column of positive cost sits at its upper bound.  Returns (point, y,
+    value, den, (pivots, flips)): the optimal vertex s, rational, and the
+    duals of ``rows`` and the optimal value as integers over the one
+    denominator den > 0; raises if there is none.
     """
-    width = len(cost)
-    ncols = width - len(rows)
-    start = list(range(ncols, width))   # B^-1 builds up there
-    tab = _Tableau([list(row) for row in rows], list(start), bounds)
+    ncols = len(cost)
+    tab = _Tableau([list(row) for row in rows], ncols, bounds)
     obj = [*cost, 0]
-    for j, c in enumerate(cost):
+    for k, c in enumerate(cost):
         if c > 0:
-            tab.flip(j, obj)
+            tab.flip(k, obj)
     tab.run(obj)
-    # A flipped column holds u - z.  The unit columns are not read.
+    # A flipped variable holds u - z.
     point = [bounds[j] if j in tab.flipped else 0 for j in range(ncols)]
     for row, d, b in zip(tab.rows, tab.dens, tab.basis):
         if b < ncols:
             t = row[-1]
             point[b] = Fraction(bounds[b] * d - t if b in tab.flipped else t, d)
-    # The duals are read off the tableau: column start[i] costs 0 and has
-    # reduced cost -y_i, negated where it is flipped (obj is over objden).
-    den = tab.objden
-    y = [Fraction(obj[j] if j in tab.flipped else -obj[j], den) for j in start]
-    return point, y, Fraction(-obj[-1], den), (tab.pivots, tab.flips)
+    # The duals are read off the objective row: t_i costs 0 and has
+    # reduced cost -y_i (0 while basic), negated where it is flipped.
+    slot = {j: k for k, j in enumerate(tab.nonbasic)}
+    y = [0 if k is None else obj[k] if j in tab.flipped else -obj[k]
+         for j, k in ((j, slot.get(j)) for j in range(ncols, ncols + len(rows)))]
+    return point, y, -obj[-1], tab.objden, (tab.pivots, tab.flips)
 
 
 def _check_primal(ilp: _IntegerLP, x: list[Fraction]) -> tuple[int, int]:
@@ -534,41 +572,40 @@ def _check_primal(ilp: _IntegerLP, x: list[Fraction]) -> tuple[int, int]:
     return sum(c * v for c, v in zip(ilp.cost, nums) if c), den
 
 
-def _fold_duals(lp: LinearProgram, ilp: _IntegerLP, duals: list[Fraction]):
-    """Split the duals of the LP's rows, equality rows first, into
-    (dual_eq, dual_ub) and complete them with bound multipliers mu (upper)
-    and nu (lower) that absorb what the row duals leave of the objective,
-    so that A^T dual + mu - nu = objective: the positive and negative parts
-    of the reduced cost, so never negative.  Returns (dual_eq, dual_ub, mu,
-    nu, dual objective value) after checking the inequality duals' signs
-    exactly.
+def _fold_duals(lp: LinearProgram, ilp: _IntegerLP, y: list[int], den: int):
+    """Turn the tableau duals y / den of the LP's rows, equality rows
+    first, into (dual_eq, dual_ub) and complete them with bound
+    multipliers mu (upper) and nu (lower) that absorb what the row duals
+    leave of the objective, so that A^T dual + mu - nu = objective: the
+    positive and negative parts of the reduced cost, so never negative.
+    Returns (dual_eq, dual_ub, mu, nu, dual objective value) after
+    checking the inequality duals' signs exactly.
 
-    Everything is decided in integers over the LP's integer rows: a row's
-    dual d is the multiplier d / s on its nonzeros, and the multipliers
-    are brought to one common denominator C, so A^T dual is g / C, the
-    reduced cost r_j is R_j / (cscale C) and the dual value has the
-    denominator cscale C unit.  ``Fraction``s are made only for mu, nu
-    and the value.
+    Everything is decided in integers over the LP's integer rows and the
+    one denominator C = den cscale.  Row i of the tableau is its original
+    row times s unit and the cost the objective times cscale unit, so the
+    row's dual is y_i s / C: the multiplier y_i / C on its nonzeros.  So
+    A^T dual is g / C with g = sum y_i a_i, the reduced cost r_j is
+    (c_j den - g_j) / C and the dual value has the denominator C unit.
+    ``Fraction``s are made only for the duals, mu, nu and the value.
     """
-    require(all(d >= 0 for d in duals[ilp.neq:]), "exact LP",
+    require(all(v >= 0 for v in y[ilp.neq:]), "exact LP",
             "inequality duals are nonnegative")
-    mults = [(d.numerator, d.denominator * s, nz, b)
-             for d, (s, nz, b) in zip(duals, ilp.rows) if d]
-    den = math.lcm(*(e for _, e, _, _ in mults))
     g = [0] * lp.n     # C A^T dual
     gb = 0             # C dual . b
-    for d, e, nz, b in mults:
-        f = d * (den // e)
-        for j, a in nz:
-            g[j] += f * a
-        gb += f * b
-    cscale, unit = ilp.cscale, ilp.unit
-    rden = cscale * den
+    for yi, (_, nz, b) in zip(y, ilp.rows):
+        if yi:
+            for j, a in nz:
+                g[j] += yi * a
+            gb += yi * b
+    rden = den * ilp.cscale
+    duals = [Fraction(yi * s, rden) if yi else ZERO
+             for yi, (s, _, _) in zip(y, ilp.rows)]
     mu = [ZERO] * lp.n   # upper-bound duals
     nu = [ZERO] * lp.n   # lower-bound duals
-    value = gb * cscale * unit
+    value = gb * ilp.unit
     for j, (c, gj, lo, up) in enumerate(zip(ilp.cost, g, ilp.lower, ilp.upper)):
-        r = c * den - gj * cscale
+        r = c * den - gj
         if r > 0:
             mu[j] = Fraction(r, rden)
             value += r * up
@@ -576,4 +613,4 @@ def _fold_duals(lp: LinearProgram, ilp: _IntegerLP, duals: list[Fraction]):
             nu[j] = Fraction(-r, rden)
             value += r * lo
     return (duals[:ilp.neq], duals[ilp.neq:], mu, nu,
-            Fraction(value, rden * unit))
+            Fraction(value, rden * ilp.unit))

@@ -30,7 +30,7 @@ from .belief import type_basis, value_rows
 from .ic import ICReport, check_ic
 from .nalloc import (AllocationInstance, AllocationMechanism, check_ic_n,
                      drop_disposal_agent)
-from .numerics import LinearProgram, rank, require, solve_lp
+from .numerics import LinearProgram, integer_row, rank, require, solve_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -55,8 +55,10 @@ def solve_principal(instance: Instance) -> PrincipalSolution:
     profitable iff the optimum exceeds the best constant decision, which is
     0 under the label normalization E[v] <= 0.
     """
-    w = instance.v * instance.dist.p
-    value, [x] = _ic_optimum(instance.dist, list(w.reshape(-1)))
+    dist = instance.dist
+    scale, vals = integer_row(instance.v.reshape(-1))
+    value, [x] = _ic_optimum(dist, [p * v for p, v in zip(dist.nums.flat, vals)],
+                             dist.den * scale)
     mech = Mechanism(instance.space, x)
     icr = check_ic(mech, instance.dist)
     require(icr.verdict, "oracle", "the LP optimum is IC")
@@ -64,10 +66,12 @@ def solve_principal(instance: Instance) -> PrincipalSolution:
                              profitable=value > 0, baseline=ZERO, ic_report=icr)
 
 
-def _ic_optimum(dist: JointDist, objective: list) -> tuple[Fraction, list]:
+def _ic_optimum(dist: JointDist, weights: list[int],
+                scale: int) -> tuple[Fraction, list]:
     """Maximize objective . x over the IC polytope of ``dist``, x the first
-    n - 1 agents' shares, block by block and flat over profiles: the
-    optimal value and an optimal vertex, one array per block.
+    n - 1 agents' shares, block by block and flat over profiles, and the
+    objective the integer ``weights`` over ``scale`` > 0: the optimal value
+    and an optimal vertex, one array per block.
 
     The LP runs over x and one common interim value per block, last, with
     the rows of ``belief.value_rows``; the last agent holds 1 minus the
@@ -82,14 +86,16 @@ def _ic_optimum(dist: JointDist, objective: list) -> tuple[Fraction, list]:
     blocks = space.n_agents - 1
     bases = [type_basis(dist, i) for i in range(space.n_agents)]
     if blocks == 1 and len(bases[0]) == min(space.shape):
-        total = sum(objective, ZERO)
-        level = ONE if total > 0 else ZERO
-        return total * level, [constant_array(space.shape, level)]
+        total = sum(weights)
+        if total > 0:
+            return Fraction(total, scale), [constant_array(space.shape, ONE)]
+        return ZERO, [constant_array(space.shape, ZERO)]
     rows = value_rows(dist, bases)
     nvars = blocks * (size + 1)
     sums = [[int(k % size == flat) for k in range(blocks * size)] + [0] * blocks
             for flat in range(size)] if blocks > 1 else []
-    lp = LinearProgram(objective=list(objective) + [ZERO] * blocks,
+    objective = [Fraction(w, scale) if w else ZERO for w in weights]
+    lp = LinearProgram(objective=objective + [ZERO] * blocks,
                        a_eq=rows, b_eq=[ZERO] * len(rows),
                        a_ub=sums, b_ub=[ONE] * len(sums),
                        lower=[ZERO] * nvars, upper=[ONE] * nvars)
@@ -108,10 +114,15 @@ def solve_principal_alloc(inst: AllocationInstance) -> PrincipalSolution:
     with disposal).
     """
     base = inst.no_disposal
-    last = base.values[-1]
-    objective = [c for v in base.values[:-1]
-                 for c in (base.dist.p * (v - last)).reshape(-1)]
-    value, parts = _ic_optimum(base.dist, objective)
+    dist = base.dist
+    # Every agent's values over one denominator: block k of the objective
+    # is pi (v_k - v_n).
+    scale, vals = integer_row([v for vk in base.values for v in vk.flat])
+    size = base.space.n_profiles
+    last = vals[-size:]
+    weights = [p * (v - u) for k in range(base.n - 1)
+               for p, v, u in zip(dist.nums.flat, vals[k * size:], last)]
+    value, parts = _ic_optimum(dist, weights, dist.den * scale)
     # The last agent's allocation is 1 - the others', so its expected
     # value is a constant term of the objective.
     value += base.expected_values[-1]

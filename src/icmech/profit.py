@@ -39,7 +39,7 @@ from .core import (Instance, JointDist, Mechanism, NoneCertificate,
                    PreconditionError, arrays_equal, constant_array,
                    expectation, product_dist, two_agent)
 from .ic import ICReport, check_ic
-from .numerics import LinearProgram, require, solve_lp
+from .numerics import LinearProgram, integer_row, require, solve_lp
 from .oracle import solve_principal
 
 ZERO = Fraction(0)
@@ -197,30 +197,37 @@ def transport_criterion(instance: Instance) -> TransportResult:
     is the other's.  The update pi(t | s) - pi_i(t) about agent i's type
     t is (D P(t, s) - P_i(t) P_o(s)) / (D P_o(s)), with P = ``dist.nums``
     over D and slice sums P_i, P_o: the denominator is the same for every
-    t, so the distinct nonzero integer rows are counted."""
+    t, so the distinct nonzero integer rows are counted.
+
+    v_hat = v pi / (pi_L (x) pi_R) is V P D / (d P_L P_R) with V the
+    values' integers over d: one Fraction per profile."""
     two_agent(instance.space)
     dist = instance.dist
-    shape = instance.space.shape
-    ml, mr = dist.marginals()
-    v_hat = instance.v * dist.p / np.multiply.outer(ml, mr)
+    space = instance.space
+    den, sums = dist.den, dist.marginal_nums
+    scale, vals = integer_row(instance.v.reshape(-1))
+    weights = (v * p for v, p in zip(vals, dist.nums.flat))
+    v_hat = np.array([Fraction(w * den, scale * a * b) if w else ZERO
+                      for w, (a, b) in zip(weights, itertools.product(*sums))],
+                     dtype=object).reshape(space.shape)
     ortho = 0
-    for i, k in enumerate(shape):
-        nums = slices(dist.nums, i)
-        scaled = dist.den * nums - np.multiply.outer(nums.sum(axis=1), nums.sum(axis=0))
+    for i, k in enumerate(space.shape):
+        scaled = den * slices(dist.nums, i) - np.multiply.outer(sums[i], sums[1 - i])
         ortho += k * len({tuple(row) for row in scaled if any(row)})
 
     row_basis = type_basis(dist, 0)
-    if len(row_basis) == min(shape):
-        q = np.multiply.outer(ml, mr)
-        value = expectation(dist, instance.v)  # sum v_hat * q = E_pi[v]
+    if len(row_basis) == min(space.shape):
+        # q = pi_L (x) pi_R, and sum v_hat q = E_pi[v].
+        optimizer = JointDist(space, den * den, np.multiply.outer(*sums))
+        value = expectation(dist, instance.v)
     else:
         rows, rhs = transport_rows(dist, (row_basis, type_basis(dist, 1)))
         sol = solve_lp(LinearProgram(objective=list(v_hat.reshape(-1)),
                                      a_eq=rows, b_eq=rhs, upper=[ONE] * v_hat.size))
-        q = np.array(sol.x, dtype=object).reshape(shape)
+        optimizer = JointDist.from_fractions(
+            space, np.array(sol.x, dtype=object).reshape(space.shape))
         value = sol.value
-    return TransportResult(value=value,
-                           optimizer=JointDist.from_fractions(instance.space, q),
+    return TransportResult(value=value, optimizer=optimizer,
                            v_hat=v_hat, orthogonality_rows=ortho,
                            independent=dist.is_independent())
 

@@ -49,6 +49,7 @@ a distribution's marginals, for the property sweeps.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -57,7 +58,7 @@ import numpy as np
 from icmech.core import (Mechanism, PreconditionError, SchemaError, TypeSpace,
                          constant_array, product_dist, two_agent)
 from icmech.ic import ICReport, SpanningVerdict, Violation
-from icmech.numerics import LinearProgram, require
+from icmech.numerics import LinearProgram, integer_row, require
 from icmech.oracle import _ic_optimum, _value
 
 ZERO = Fraction(0)
@@ -320,6 +321,17 @@ def orthogonality_rows(pi):
                     seen.add(key)
                     rows.append(row)
     return rows
+
+
+def rho(dist):
+    """pi / (pi_L (x) pi_R), cell by cell in Fractions."""
+    return dist.p / np.multiply.outer(*dist.marginals())
+
+
+def v_hat(inst):
+    """The transport criterion's objective v pi / (pi_L (x) pi_R), cell by
+    cell in Fractions."""
+    return inst.v * rho(inst.dist)
 
 
 def interim_rows_alloc(inst):
@@ -594,13 +606,19 @@ def _basis_duals(a, cost, basis) -> list[Fraction]:
 
 def simplex(rows, cost, bounds):
     """``icmech.numerics._simplex``'s contract over Fractions, solved by a
-    two-phase primal simplex with Bland's rule: the columns fixed at 0 are
-    left out, a row with a negative rhs is negated, and every column j with
-    an upper bound gets an explicit row s_j + t_j = bounds[j], its slack
-    t_j starting basic.  Returns (status, point, y, value, (pivots, 0));
-    only the duals of ``rows`` come back: the caller folds the bound
-    multipliers from the residual."""
-    width, nrows = len(cost), len(rows)
+    two-phase primal simplex with Bland's rule: row i's implied unit
+    column is written out as column len(cost) + i, the columns fixed at 0
+    are left out, a row with a negative rhs is negated, and every column j
+    with an upper bound gets an explicit row s_j + t_j = bounds[j], its
+    slack t_j starting basic.  Returns (status, result), result None or
+    ``_simplex``'s (point, y, value, den, (pivots, 0)), y and value as
+    integers over den; only the duals of ``rows`` come back: the caller
+    folds the bound multipliers from the residual."""
+    nrows = len(rows)
+    rows = [[*row[:-1], *(int(k == i) for k in range(nrows)), row[-1]]
+            for i, row in enumerate(rows)]
+    cost = [*cost, *[0] * nrows]
+    width = len(cost)
     cols = [j for j in range(width) if bounds[j] != 0]
     pos = {j: k for k, j in enumerate(cols)}
     boxed = [j for j in cols if bounds[j] is not None]
@@ -620,10 +638,13 @@ def simplex(rows, cost, bounds):
         crash.append(len(cols) + k)
     status, point, y, value, pivots = _bland_simplex(
         a, rhs, crash, [cost[j] for j in cols] + [ZERO] * len(boxed))
-    if point is not None:
-        point = [point[pos[j]] if j in pos else ZERO for j in range(width)]
-        y = [sign * v for sign, v in zip(signs, y)]
-    return status, point, y, value, (pivots, 0)
+    if point is None:
+        return status, None
+    point = [point[pos[j]] if j in pos else ZERO for j in range(width - nrows)]
+    y = [sign * v for sign, v in zip(signs, y)]
+    den = math.lcm(value.denominator, *(v.denominator for v in y))
+    return status, (point, [v.numerator * (den // v.denominator) for v in y],
+                    value.numerator * (den // value.denominator), den, (pivots, 0))
 
 
 def _bland_simplex(rows, rhs, crash, cost):
@@ -717,9 +738,13 @@ def fold_duals(lp, duals):
 
 def recording_fold(fold, folds: list):
     """Wrap ``icmech.numerics._fold_duals``: each call appends (its result,
-    ``fold_duals`` of the same duals) to ``folds``."""
-    def wrapper(lp, ilp, duals):
-        got = fold(lp, ilp, duals)
+    ``fold_duals`` of the same duals) to ``folds``.  The fold is given the
+    tableau duals y / den; row i of the tableau is the LP's row i times
+    s_i unit and the cost the objective times cscale unit, so the LP
+    row's dual is y_i s_i / (den cscale)."""
+    def wrapper(lp, ilp, y, den):
+        got = fold(lp, ilp, y, den)
+        duals = [Fraction(v * s, den * ilp.cscale) for v, (s, _, _) in zip(y, ilp.rows)]
         folds.append((got, fold_duals(lp, duals)))
         return got
     return wrapper
@@ -773,7 +798,8 @@ def sample_ic_combination(space: TypeSpace, ml, mr,
 
 def sample_ic_vertex(dist, rng: random.Random) -> Mechanism:
     """A vertex of the IC polytope: optimize a random objective over it."""
-    [x] = _ic_optimum(dist, [_value(rng) for _ in range(dist.space.n_profiles)])[1]
+    scale, weights = integer_row([_value(rng) for _ in range(dist.space.n_profiles)])
+    [x] = _ic_optimum(dist, weights, scale)[1]
     mech = Mechanism(dist.space, x)
     require(check_ic(mech, dist).verdict, "reference", "the LP optimum is IC")
     return mech

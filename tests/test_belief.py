@@ -225,8 +225,8 @@ def test_value_rows_are_independent_and_cut_out_the_ic_set(dist):
 def test_transport_rows_are_independent_and_cut_out_the_transport_set(dist):
     m, n = dist.space.shape
     r = reference.rank(dist.p.tolist())
-    rows, rhs = belief.transport_rows(
-        dist, (belief.type_basis(dist, 0), belief.type_basis(dist, 1)))
+    bases = (belief.type_basis(dist, 0), belief.type_basis(dist, 1))
+    rows, rhs = belief.transport_rows(dist, bases)
     assert reference.rank(rows) == len(rows) == len(rhs) == r * (m + n) - r * r
     # With their right-hand sides they span the same rows as the marginal
     # rows and the reference update rows, so both cut out the same q; the
@@ -240,6 +240,18 @@ def test_transport_rows_are_independent_and_cut_out_the_transport_set(dist):
     assert reference.rank(ref) == len(rows) == reference.rank(new + ref)
     coupling = list(np.multiply.outer(ml, mr).reshape(-1))
     assert all(belief.dot(row, coupling) == b for row, b in zip(rows, rhs))
+    # Agent L's rows carry rho = pi / (pi_L (x) pi_R), formed from pi's
+    # integers, on one slice each: its basis type's row of the Fraction
+    # quotient; agent R's rows a column of it.
+    rho = reference.rho(dist)
+    for k, row in enumerate(rows):
+        q = np.array(row, dtype=object).reshape(m, n)
+        if k < r * m:
+            a, t = bases[0][k // m], k % m
+            assert q[t].tolist() == rho[a].tolist()
+        else:
+            t = next(s for s in range(n) if any(q[:, s]))
+            assert any(q[:, t].tolist() == rho[:, b].tolist() for b in bases[1])
     if r == 1:
         assert (rows, rhs) == (belief.marginal_rows((m, n))[:-1],
                                list(ml) + list(mr)[:-1])

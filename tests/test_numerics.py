@@ -489,10 +489,10 @@ def reference_outcome(lp: LinearProgram):
     ``solve_lp``'s standard form in place of the engine: ("optimal", the
     optimum), or ("infeasible", None)."""
     def simplex(*args):
-        status, point, y, value, counts = reference.simplex(*args)
+        status, result = reference.simplex(*args)
         if status != "optimal":
             raise _NoOptimum(status)
-        return point, y, value, counts
+        return result
 
     with mock.patch.object(numerics, "_simplex", simplex):
         try:
@@ -562,20 +562,26 @@ class TestIntegerEngine:
     def test_basic_variable_leaves_at_its_upper_bound(self, monkeypatch):
         # x0 enters on the first row (2 x0 + x1 >= 2) at 1.  The second row
         # (x0 + x1 >= 2) then takes in the first row's slack, which pushes
-        # x0 to 2: x0 leaves the basis at its bound 1, and x1 enters.
-        leaving = []
-        flip = numerics._Tableau.flip
+        # x0 to 2: x0 leaves the basis at its bound 1, and x1 enters.  The
+        # one flip is x0's, while it is basic; no nonbasic slot flips.
+        flips = []
+        flip, flip_basic = numerics._Tableau.flip, numerics._Tableau.flip_basic
 
-        def recording_flip(self, c, obj):
-            leaving.append(c in self.basis)
-            return flip(self, c, obj)
+        def recording_flip(self, k, obj):
+            flips.append(("nonbasic", self.nonbasic[k]))
+            return flip(self, k, obj)
+
+        def recording_flip_basic(self, r):
+            flips.append(("basic", self.basis[r]))
+            return flip_basic(self, r)
 
         monkeypatch.setattr(numerics._Tableau, "flip", recording_flip)
+        monkeypatch.setattr(numerics._Tableau, "flip_basic", recording_flip_basic)
         lp = LinearProgram(objective=fl([-1, -3]), a_ub=[fl([-2, -1]), fl([-1, -1])],
                            b_ub=fl([-2, -2]), lower=fl([0, 0]), upper=fl([1, 1]))
         sol = solve_lp(lp)
         assert (sol.value, sol.x, sol.pivots, sol.flips) == (-4, fl([1, 1]), 3, 0)
-        assert leaving and all(leaving)
+        assert flips == [("basic", 0)]
         assert_certificate(lp, sol)
 
     def test_infeasible_only_by_the_bounds_raises(self):
@@ -679,32 +685,45 @@ class TestFractionalBounds:
 
 class TestPivot:
     @staticmethod
-    def dense_pivot(rows, dens, obj, objden, r, c):
-        """The dense pivot: every updated row and ``obj`` become q row - f
-        prow over all of their entries, in lowest terms."""
-        prow, q = numerics._lowest_terms(rows[r], rows[r][c])
-        new_rows, new_dens = [], []
-        for i, (row, d) in enumerate(zip(rows, dens)):
-            f = row[c]
-            if i == r:
-                row, d = prow, q
-            elif f:
-                row, d = numerics._lowest_terms(
-                    [q * a - f * b for a, b in zip(row, prow)], d * q)
-            new_rows.append(row)
-            new_dens.append(d)
-        f = obj[c]
-        obj, objden = numerics._lowest_terms(
-            [q * a - f * b for a, b in zip(obj, prow)], objden * q)
-        return new_rows, new_dens, obj, objden
+    def dense(tab, obj):
+        """The dense tableau behind a condensed one, in Fractions: row i
+        holds rows[i] / dens[i] at its nonbasic variables, 1 at its basic
+        variable and 0 at the others, and the objective row holds 0 at
+        every basic variable."""
+        width = len(tab.nonbasic) + len(tab.basis)
+        rows = []
+        for i, (row, d) in enumerate(zip(tab.rows, tab.dens)):
+            dense = [F(0)] * width + [F(row[-1], d)]
+            dense[tab.basis[i]] = F(1)
+            for k, j in enumerate(tab.nonbasic):
+                dense[j] = F(row[k], d)
+            rows.append(dense)
+        dense_obj = [F(0)] * width + [F(obj[-1], tab.objden)]
+        for k, j in enumerate(tab.nonbasic):
+            dense_obj[j] = F(obj[k], tab.objden)
+        return rows, dense_obj
+
+    @staticmethod
+    def dense_pivot(rows, obj, r, c):
+        """The dense pivot on row r, column c: the pivot row over its
+        pivot entry, and every other row and ``obj`` minus its column-c
+        entry times it, over all of their entries."""
+        prow = [a / rows[r][c] for a in rows[r]]
+        rows = [prow if i == r else [a - row[c] * b for a, b in zip(row, prow)]
+                for i, row in enumerate(rows)]
+        return rows, [a - obj[c] * b for a, b in zip(obj, prow)]
 
     def test_matches_the_dense_update(self):
-        # Random integer tableaus, a third of their entries 0, each row in
-        # lowest terms over a random denominator, as the tableau keeps
-        # them; the pivot entry is negative, as in the dual simplex, or
-        # positive.  Entries share small factors, so the pivot entry q and
-        # a row's entry f often have h = gcd(q, f) > 1, h = q as well, and
-        # the objective's pivot-column entry is often 0.
+        # Random condensed tableaus over a random split of the variables
+        # into basic and nonbasic ones, a third of their entries 0, each
+        # row in lowest terms over a random denominator, as the tableau
+        # keeps them; the pivot entry is negative, as in the dual simplex,
+        # or positive.  Entries share small factors, so the pivot entry q
+        # and a row's entry f often have h = gcd(q, f) > 1, h = q as well,
+        # and the objective's pivot-slot entry is often 0.  After the
+        # pivot, every nonbasic column of the dense pivot's result is the
+        # condensed one's, and every stored row is in lowest terms over a
+        # positive denominator, so its integers are the unique ones.
         rng = random.Random(7)
         cases = {"h > 1": 0, "h = q > 1": 0, "objective entry 0": 0}
 
@@ -716,26 +735,32 @@ class TestPivot:
             return numerics._lowest_terms(row, rng.randint(1, 8))
 
         for trial in range(300):
-            nrows, width = rng.randint(1, 5), rng.randint(2, 7)
-            rows = [[entry() for _ in range(width + 1)] for _ in range(nrows)]
-            r, c = rng.randrange(nrows), rng.randrange(width)
-            rows[r][c] = rng.randint(1, 12) * (1 if trial % 4 == 0 else -1)
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+            rows = [[entry() for _ in range(ncols + 1)] for _ in range(nrows)]
+            r, k = rng.randrange(nrows), rng.randrange(ncols)
+            rows[r][k] = rng.randint(1, 12) * (1 if trial % 4 == 0 else -1)
             rows, dens = map(list, zip(*map(lowest, rows)))
-            obj, objden = lowest([entry() for _ in range(width + 1)])
-            q = numerics._lowest_terms(rows[r], rows[r][c])[1]
+            obj, objden = lowest([entry() for _ in range(ncols + 1)])
+            order = list(range(ncols + nrows))
+            rng.shuffle(order)
+            tab = numerics._Tableau([list(row) for row in rows], ncols,
+                                    [1] * (ncols + nrows))
+            tab.nonbasic, tab.basis = order[:ncols], order[ncols:]
+            tab.dens, tab.objden = list(dens), objden
+            q = abs(rows[r][k])
             for i, row in enumerate(rows):
-                h = math.gcd(q, row[c])
-                if i != r and row[c] and h > 1:
+                h = math.gcd(q, row[k])
+                if i != r and row[k] and h > 1:
                     cases["h > 1"] += 1
                     cases["h = q > 1"] += h == q
-            cases["objective entry 0"] += obj[c] == 0
-            tab = numerics._Tableau([list(row) for row in rows],
-                                    list(range(nrows)), [1] * width)
-            tab.dens, tab.objden = list(dens), objden
-            expected = self.dense_pivot(rows, dens, obj, objden, r, c)
-            tab.pivot(r, c, obj)
-            assert (tab.rows, tab.dens, obj, tab.objden) == expected
-            assert tab.basis[r] == c
+            cases["objective entry 0"] += obj[k] == 0
+            entering, leaving = tab.nonbasic[k], tab.basis[r]
+            expected = self.dense_pivot(*self.dense(tab, obj), r, entering)
+            tab.pivot(r, k, obj)
+            assert (tab.basis[r], tab.nonbasic[k]) == (entering, leaving)
+            assert self.dense(tab, obj) == expected
+            for row, d in [*zip(tab.rows, tab.dens), (obj, tab.objden)]:
+                assert d > 0 and math.gcd(d, *row) == 1
         assert min(cases.values()) >= 20, cases
 
 
@@ -758,9 +783,9 @@ class TestChecksSurviveOptimize:
             "from icmech import numerics\n"
             "good = numerics._simplex\n"
             "def bad(*args):\n"
-            "    point, y, value, pivots = good(*args)\n"
-            "    y[0] += 1\n"
-            "    return point, y, value, pivots\n"
+            "    point, y, value, den, counts = good(*args)\n"
+            "    y[0] += den\n"
+            "    return point, y, value, den, counts\n"
             "numerics._simplex = bad\n"
             "lp = numerics.LinearProgram(objective=[F(1)], a_ub=[[F(1)]],\n"
             "                            b_ub=[F(3)], upper=[F(5)])\n"
@@ -784,12 +809,41 @@ class TestChecksSurviveOptimize:
             "from icmech import numerics\n"
             "good = numerics._simplex\n"
             "def bad(*args):\n"
-            "    point, y, value, pivots = good(*args)\n"
+            "    point, y, value, den, counts = good(*args)\n"
             "    point[1] += F(1, 10**9)\n"
-            "    return point, y, value, pivots\n"
+            "    return point, y, value, den, counts\n"
             "numerics._simplex = bad\n"
             f"lp = numerics.LinearProgram(objective=[F(1), F(0)], {rows},\n"
             "                            upper=[F(1), F(1)])\n"
+            "try:\n"
+            "    numerics.solve_lp(lp)\n"
+            "except RuntimeError as e:\n"
+            "    print('debug' if __debug__ else 'optimized', e)\n")
+        assert run_optimized(script) == f"optimized exact LP check failed: {what}\n"
+
+    @pytest.mark.parametrize("corrupt, lp_args, what", [
+        # max x with x <= 3 and 0 <= x <= 5: the value moves off c . x.
+        ("value += 1", "a_ub=[[F(1)]], b_ub=[F(3)], upper=[F(5)]",
+         "objective value identity"),
+        # The same LP: the <= row's dual turns negative.
+        ("y[0] = -y[0] or -1", "a_ub=[[F(1)]], b_ub=[F(3)], upper=[F(5)]",
+         "inequality duals are nonnegative"),
+        # max x with 0 <= x <= 1 and no row: x moves past its bound.
+        ("point[0] += F(1, 10**9)", "upper=[F(1)]", "primal bounds"),
+    ])
+    def test_corrupted_result_raises_under_python_o(self, corrupt, lp_args, what):
+        # Each check of solve_lp reads the engine's result exactly and
+        # survives the stripped asserts.
+        script = (
+            "from fractions import Fraction as F\n"
+            "from icmech import numerics\n"
+            "good = numerics._simplex\n"
+            "def bad(*args):\n"
+            "    point, y, value, den, counts = good(*args)\n"
+            f"    {corrupt}\n"
+            "    return point, y, value, den, counts\n"
+            "numerics._simplex = bad\n"
+            f"lp = numerics.LinearProgram(objective=[F(1)], {lp_args})\n"
             "try:\n"
             "    numerics.solve_lp(lp)\n"
             "except RuntimeError as e:\n"

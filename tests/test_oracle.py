@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from icmech import oracle
 from icmech.core import Mechanism, PreconditionError
 from icmech.ic import check_ic
-from icmech.nalloc import check_ic_n
+from icmech.nalloc import AllocationInstance, check_ic_n
 from icmech.numerics import LinearProgram, solve_lp
 from icmech.oracle import generate, solve_principal, solve_principal_alloc
 from icmech.profit import support_is_acyclic
@@ -122,6 +122,28 @@ class TestFullRankShortcut:
         objective = [oracle._value(rng) for _ in range(m * n)]
         x = sample_ic_vertex(dist, random.Random(rng_seed))
         assert list(x.x.reshape(-1)) == reference_optimum(dist, objective).x
+
+
+    def test_two_agent_allocation_equals_the_reference_lp(self):
+        # With one type for one agent, pi has rank 1 = min(m, n): only the
+        # constants are IC and no LP runs.  Uncentred values make the
+        # objective pi (v_1 - v_2) sum to more than 0 in some draws, where
+        # the shortcut gives agent 1 everything, and to less in others.
+        signs = set()
+        for seed in range(12):
+            shape = (1, 2 + seed % 3) if seed % 2 else (2 + seed % 3, 1)
+            base = generate(seed, shape, "unbiased-n-alloc")
+            rng = random.Random(seed)
+            draws = [oracle._value(rng) for _ in range(2 * base.space.n_profiles)]
+            values = tuple(np.array(draws, dtype=object).reshape(2, *shape))
+            inst = AllocationInstance(base.space, base.marginals, values,
+                                      disposal=False)
+            objective = list((inst.dist.p * (values[0] - values[1])).reshape(-1))
+            sol = reference_optimum(inst.dist, objective)
+            res = solve_principal_alloc(inst)
+            assert res.value == sol.value + inst.expected_values[1]
+            signs.add(sum(objective) > 0)
+        assert signs == {False, True}
 
 
 class TestGenerate:

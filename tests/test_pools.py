@@ -18,6 +18,7 @@ separate engine, and must reach the same value.
 """
 
 import contextlib
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -38,6 +39,12 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 # (solve_lp calls, pivots, flips) over one pass of each pool.
 LP_WORK = {"lp-sweep.1": (21, 397, 300), "projection-sweep.1": (0, 0, 0),
            "small-queries.1": (61, 335, 120)}
+
+# sha256 of every solve_lp result (value, x, dual_eq, dual_ub,
+# reduced_costs, pivots, flips), in call order, over one pass of each pool.
+LP_DIGEST = {
+    "lp-sweep.1": "b2cf9eed28747d1df000ea907eb8aa88d8734152eba9948aa2d14624faa570ba",
+    "small-queries.1": "e69357899c262ce44305f1fdf3cb3c6e53bce0725f34be0304269385fe000d22"}
 
 
 def load_bench_module(name: str):
@@ -134,6 +141,25 @@ def test_every_pool_query_checks_out(pool_name, tmp_path, monkeypatch):
     assert tuple(lp_work) == LP_WORK[pool_name]
 
 
+def lp_results(sol) -> str:
+    """One line that spells out every field of an LPSolution."""
+    return ";".join([str(sol.value), *(",".join(map(str, v)) for v in (
+        sol.x, sol.dual_eq, sol.dual_ub, sol.reduced_costs)),
+        str(sol.pivots), str(sol.flips)])
+
+
+@pytest.mark.parametrize("pool_name", ["lp-sweep.1", "small-queries.1"])
+def test_every_lp_result_is_pinned(pool_name, tmp_path, monkeypatch):
+    # The engine's path and every number it returns are pinned, not only
+    # the pivot totals: a change that keeps the values but moves a vertex,
+    # a dual or a reduced cost shows here.
+    digest = hashlib.sha256()
+    record_lps(monkeypatch,
+               lambda lp, sol: digest.update((lp_results(sol) + "\n").encode()))
+    run_pool(load_pool(pool_name), tmp_path)
+    assert digest.hexdigest() == LP_DIGEST[pool_name]
+
+
 def test_every_lp_fold_matches_the_fraction_reference(tmp_path, monkeypatch):
     # The integer dual fold of each LP of an lp-sweep pass equals the
     # Fraction fold of the same duals.
@@ -158,9 +184,9 @@ def test_every_lp_value_matches_the_reference_simplex(tmp_path, monkeypatch):
     assert len(solved) == LP_WORK["lp-sweep.1"][0] + LP_WORK["small-queries.1"][0]
 
     def simplex(*args):
-        status, point, y, value, counts = reference.simplex(*args)
+        status, result = reference.simplex(*args)
         assert status == "optimal"
-        return point, y, value, counts
+        return result
 
     monkeypatch.setattr(numerics, "_simplex", simplex)
     for lp, value in solved:

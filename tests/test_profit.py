@@ -32,7 +32,7 @@ def reference_transport(inst):
     """solve_lp over the marginal rows and the reference update rows."""
     m, n = inst.space.shape
     ml, mr = inst.dist.marginals()
-    v_hat = inst.v * inst.dist.p / np.multiply.outer(ml, mr)
+    v_hat = reference.v_hat(inst)
     ortho = reference.orthogonality_rows(inst.dist)
     return solve_lp(LinearProgram(
         objective=list(v_hat.reshape(-1)),
@@ -130,7 +130,7 @@ class TestTransport:
         """Independent route: enumerate the vertices of the transport LP."""
         m, n = inst.space.shape
         ml, mr = inst.dist.marginals()
-        v_hat = inst.v * inst.dist.p / np.multiply.outer(ml, mr)
+        v_hat = reference.v_hat(inst)
         obj = [v_hat[i, j] for i in range(m) for j in range(n)]
         a_eq = []
         b_eq = []
@@ -199,8 +199,11 @@ class TestTransport:
     @given(st.integers(0, 10**6), st.integers(1, 5), st.integers(1, 5),
            st.sampled_from(KINDS), st.integers(1, 3))
     def test_value_equals_the_reference_lp(self, seed, m, n, kind, k):
+        # v_hat, formed from pi's integers, is the Fraction quotient.
         inst = generate(seed, (m, n), kind, k=k)
-        assert transport_criterion(inst).value == reference_transport(inst).value
+        res = transport_criterion(inst)
+        assert res.value == reference_transport(inst).value
+        assert res.v_hat.tolist() == reference.v_hat(inst).tolist()
 
     @pytest.mark.parametrize("shape, kind, k, rows", [
         ((6, 6), "conditionally-independent", 2, 20),

@@ -117,3 +117,31 @@ def test_star_import_binds_every_public_name():
         "    importlib.import_module(f'icmech.{icmech._MODULE_OF[name]}'), name)\n"
         "    for name in icmech.__all__}))\n")
     assert len(found) == len(icmech.__all__) and all(found.values())
+
+
+def test_lp_queries_leave_pi_as_integers():
+    # The oracle and the transport criterion read pi's integers only: after
+    # both queries on each two-option fixture, below full rank (an LP runs)
+    # and at full rank (none runs), the loaded instance has not built the
+    # Fraction array ``JointDist.p``.
+    found = run_fresh(
+        "import contextlib, io, json\n"
+        "from icmech import cli\n"
+        "from icmech.fixtures import fixture_path\n"
+        "loaded = []\n"
+        "load = cli.load_instance\n"
+        "def recording_load(data):\n"
+        "    loaded.append(load(data))\n"
+        "    return loaded[-1]\n"
+        "cli.load_instance = recording_load\n"
+        "codes = []\n"
+        "for name in ('fx1', 'fx2', 'fx3', 'fx5'):\n"
+        "    for command in ('oracle', 'transport'):\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            codes.append(cli.main([command, str(fixture_path(name))]))\n"
+        "print(json.dumps({'codes': codes,\n"
+        "                  'ranks': [inst.dist.matrix_rank() for inst in loaded],\n"
+        "                  'built': ['p' in vars(inst.dist) for inst in loaded]}))\n")
+    assert found["codes"] == [0] * 8
+    assert found["ranks"] == [1, 1, 2, 2, 1, 1, 1, 1]
+    assert found["built"] == [False] * 8
