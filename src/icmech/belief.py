@@ -6,20 +6,21 @@ slice's sum.  So pi's integer numerators ``dist.nums`` over ``dist.den``,
 read slice by slice (``slices``), are the one belief table: the IC rows,
 the spanning test (``ic.spans``) and the transport criterion's count of
 update rows read them.  ``lift`` places a slice, or a vector over the
-other agents' profiles, on one of an agent's own-type slices as a flat
-row, for any number of agents, and every row family is built from it.
+other agents' profiles, on one of an agent's own-type slices, as the
+nonzeros of a flat row, for any number of agents, and every row family
+is built from it.
 
 The IC rows "interim expectation equals ex-ante value" are read off pi
 itself, for any number of agents: agent i's rows only for the types in an
 echelon basis of its pi-slices (``type_basis``), with one common interim
-value c_k per share block as one more unknown (``value_rows``); they are
-integer rows.  For two agents the rows are independent and there are
+value c_k per share block as one more unknown (``value_rows``).  For two
+agents the rows are independent and there are
 rank(pi) * (m + n) - rank(pi)^2 of them.  ``transport_rows`` are the rows
 of the transport criterion: with q's marginals fixed, q is
 correlation-orthogonal to pi iff every belief update has zero mean on
 every own-type slice of q, which pi's basis types say in fewer rows, the
-marginals included.  The marginal rows of the assignment LP are
-``marginal_rows``.
+marginals included.  Both are ``numerics.LinearProgram`` rows (scale,
+nonzeros, rhs), made from pi's integers with no ``Fraction``.
 
 For two agents the same structure gives the additivity subspace
 U = col(pi) (x) R^n + R^m (x) row(pi), whose orthogonal complement is
@@ -41,10 +42,7 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from .core import JointDist, two_agent
-from .numerics import basis_rows, integer_row
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .numerics import Row, basis_rows, integer_row
 
 
 def slices(arr: np.ndarray, i: int) -> np.ndarray:
@@ -53,19 +51,17 @@ def slices(arr: np.ndarray, i: int) -> np.ndarray:
     return np.moveaxis(arr, i, 0).reshape(arr.shape[i], -1)
 
 
-def lift(shape: tuple[int, ...], i: int, b: int, vec) -> list:
-    """Flat row over profiles (row-major) that carries ``vec`` on the slice
-    where agent i's type is at position b and is zero elsewhere.
+def lift(shape: tuple[int, ...], i: int, b: int, vec) -> list[tuple[int, object]]:
+    """The nonzeros (cell, v), flat over profiles (row-major), of the row
+    that carries ``vec`` on the slice where agent i's type is at position
+    b and is zero elsewhere.
 
     ``vec`` runs over the other agents' type profiles in row-major order.
     """
     inner = prod(shape[i + 1:])
     cells = ((outer * shape[i] + b) * inner + k
              for outer in range(prod(shape[:i])) for k in range(inner))
-    row = [0] * prod(shape)
-    for cell, v in zip(cells, vec):
-        row[cell] = v
-    return row
+    return [(cell, v) for cell, v in zip(cells, vec) if v]
 
 
 def type_basis(dist: JointDist, i: int) -> list[int]:
@@ -76,7 +72,7 @@ def type_basis(dist: JointDist, i: int) -> list[int]:
     return basis_rows(list(slices(dist.nums, i)))
 
 
-def value_rows(dist: JointDist, bases: list[list[int]]) -> list[list[int]]:
+def value_rows(dist: JointDist, bases: list[list[int]]) -> list[Row]:
     """IC rows of n agents over the first n - 1 agents' shares x_k, block by
     block and flat over profiles, then one common interim value c_k per
     block, taken from pi with ``bases`` from ``type_basis``, one per agent.
@@ -93,15 +89,16 @@ def value_rows(dist: JointDist, bases: list[list[int]]) -> list[list[int]]:
     nonsingular, so these r^2 relations give R(t, s) for s in T.  With no
     block (one agent) every row is empty.
 
-    The rows are integers, read off pi's numerators P over D: a row is
-    P's slice at a and minus its sum, divided by their gcd with D, which
-    is the row as rationals scaled by the lcm of its denominators."""
+    The rows are over the scale 1 with rhs 0, read off pi's numerators P
+    over D: a row is P's slice at a and minus its sum, divided by their
+    gcd with D, the row as rationals over the lcm of its denominators."""
     shape = dist.space.shape
     blocks = len(shape) - 1
+    size = prod(shape)
     rows = []
     for i, basis in enumerate(bases):
         lines = slices(dist.nums, i)
-        on = [i in (k, blocks) for k in range(blocks)]
+        on = [k for k in range(blocks) if i in (k, blocks)]
         for a in basis:
             g = gcd(dist.den, *lines[a])
             line = [v // g for v in lines[a]]
@@ -110,59 +107,44 @@ def value_rows(dist: JointDist, bases: list[list[int]]) -> list[list[int]]:
                 if i == blocks == 1 and b in basis:
                     continue
                 share = lift(shape, i, b, line)
-                off = [0] * len(share)
-                rows.append([v for k in on for v in (share if k else off)] +
-                            [-mass if k else 0 for k in on])
+                rows.append((1, [(k * size + j, v) for k in on for j, v in share] +
+                             [(blocks * size + k, -mass) for k in on], 0))
     return rows
 
 
-def transport_rows(dist: JointDist, bases: tuple[list[int], list[int]]
-                   ) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Independent rows, with their right-hand sides, cutting out the q of
-    the transport criterion: pi's marginals, and zero mean of every belief
-    update pi(t | s) - pi_L(t) on every own-type slice.  With
-    rho = pi / (pi_L (x) pi_R) and ``bases`` (A, T) from ``type_basis``:
-    agent L's sum_s rho(a, s) q(t, s) = pi_L(t) for a in A and every t,
-    then agent R's sum_t rho(t, b) q(t, s) = pi_R(s) for b in T and every
-    s outside S, the first r columns from the last with pi[A, S]
-    nonsingular.  At rank 1, rho = 1 and these are the marginal rows
-    without R's last.
+def transport_rows(dist: JointDist, bases: tuple[list[int], list[int]]) -> list[Row]:
+    """Independent rows cutting out the q of the transport criterion: pi's
+    marginals, and zero mean of every belief update pi(t | s) - pi_L(t) on
+    every own-type slice.  With rho = pi / (pi_L (x) pi_R) and ``bases``
+    (A, T) from ``type_basis``: agent L's sum_s rho(a, s) q(t, s) = pi_L(t)
+    for a in A and every t, then agent R's sum_t rho(t, b) q(t, s) =
+    pi_R(s) for b in T and every s outside S, the first r columns from the
+    last with pi[A, S] nonsingular.  At rank 1, rho = 1 and these are the
+    marginal rows without R's last.
 
     Other types' rows combine from the basis types', and L's rows summed
     over all types with weights pi_L give the marginal rows.  R's rows for
     s in S follow from the rest: sum_t rho(t, b) L_a(t) =
     sum_s rho(a, s) R_b(s) for a in A and b in T, with L_a and R_b the
-    left-hand sides, and pi[A, S] is nonsingular."""
+    left-hand sides, and pi[A, S] is nonsingular.  In pi's integers, P over
+    D with slice sums P_i (own) and P_o, rho(a, s) = P(a, s) D / (P_i(a)
+    P_o(s)) and pi_i(t) = P_i(t) / D: a's rows are over P_i(a) lcm(P_o) D."""
     shape = dist.space.shape
-    # rho = P D / (P_L (x) P_R) over pi's integers: one Fraction per profile.
     den = dist.den
-    pl, pr = dist.marginal_nums
-    rho = np.array([[Fraction(v * den, a * b) if v else ZERO for v, b in zip(row, pr)]
-                    for row, a in zip(dist.nums, pl)], dtype=object)
     last = shape[1] - 1
     skip = {last - s for s in basis_rows(list(dist.nums[bases[0], ::-1].T))}
-    rows, rhs = [], []
+    rows = []
     for i, basis in enumerate(bases):
-        lines = np.moveaxis(rho, i, 0)
-        marg = dist.marginal(i)
+        own, other = dist.marginal_nums[i], dist.marginal_nums[1 - i]
+        common = lcm(*other)
+        lines = slices(dist.nums, i)
         for a in basis:
+            scale = own[a] * common * den
+            line = [v * den * den * (common // o) for v, o in zip(lines[a], other)]
             for t in range(shape[i]):
                 if i == 0 or t not in skip:
-                    rows.append(lift(shape, i, t, lines[a]))
-                    rhs.append(marg[t])
-    return rows, rhs
-
-
-def marginal_rows(shape: tuple[int, ...]) -> list[list[Fraction]]:
-    """Row (i, t), agent outer: the indicator of the profiles where agent i
-    has type t, so that its product with a flat q is q's marginal mass there."""
-    return [lift(shape, i, t, [ONE] * (prod(shape) // k))
-            for i, k in enumerate(shape) for t in range(k)]
-
-
-def dot(row, values) -> Fraction:
-    """Exact dot product that skips the row's zero coefficients."""
-    return sum((c * v for c, v in zip(row, values) if c), ZERO)
+                    rows.append((scale, lift(shape, i, t, line), own[t] * own[a] * common))
+    return rows
 
 
 def _orthogonal_basis(vectors) -> list[tuple[np.ndarray, int]]:

@@ -323,7 +323,12 @@ def cmd_oracle(args) -> dict:
 
 
 def cmd_generate(args) -> dict:
-    from .oracle import generate
+    from .oracle import KINDS, generate
+    # Only the mixture reads k; another kind would take it into its seed.
+    if args.k is not None and args.kind in KINDS and \
+            args.kind != "conditionally-independent":
+        raise PreconditionError(f"kind {args.kind!r} has no --k; only "
+                                "conditionally-independent mixtures read it")
     return _instance_dict(generate(args.seed, _parse_shape(args.shape), args.kind,
                                    k=args.k, zero_mean=args.zero_mean,
                                    disposal=args.disposal))

@@ -19,7 +19,6 @@ from .core import JointDist, Mechanism, PreconditionError, expectation, two_agen
 from .ic import ICReport, Violation
 from .numerics import LinearProgram, integer_row, require, solve_lp
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -46,11 +45,14 @@ def maximin(x: Mechanism) -> MaximinSolution:
     nonzero, and the duals would no longer sum to 1.  So v has reduced
     cost 0 and the duals sum to 1, checked here."""
     two_agent(x.space)
-    m, n = x.space.shape
+    m = x.space.shape[0]
+    # Column j's row, v - (s^T x)_j <= 0, over the lcm of its denominators.
+    columns = [integer_row(column) for column in x.x.T]
     sol = solve_lp(LinearProgram(
-        objective=[ZERO] * m + [ONE], a_eq=[[ONE] * m + [ZERO]], b_eq=[ONE],
-        a_ub=[[-v for v in column] + [ONE] for column in x.x.T],
-        b_ub=[ZERO] * n, lower=[ZERO] * m + [-ONE], upper=[ONE] * m + [2 * ONE]))
+        objective=[0] * m + [1], a_eq=[(1, [(i, 1) for i in range(m)], 1)],
+        a_ub=[(s, [(i, -a) for i, a in enumerate(ints) if a] + [(m, s)], 0)
+              for s, ints in columns],
+        lower=[0] * m + [-1], upper=[1] * m + [2]))
     require(sum(sol.dual_ub) == ONE, "maximin",
             "the column player's strategy sums to 1")
     res = MaximinSolution(value=sol.value,

@@ -41,20 +41,37 @@ class Violation:
     gain: Fraction
 
 
+class _BuiltOnRead:
+    """A dataclass field, None by default, that may be given as a function
+    of no arguments: it is called on the first read and its result kept."""
+
+    def __set_name__(self, owner, name):
+        self.name = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is not None and callable(obj.__dict__[self.name]):
+            obj.__dict__[self.name] = obj.__dict__[self.name]()
+        return None if obj is None else obj.__dict__[self.name]
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass
 class ICReport:
     """Verdict plus witnesses for an incentive-compatibility check.
 
     For two-option mechanisms ``interim`` maps (agent, true type, report)
-    to the interim expectation E[x(report, .) | true type].  For
-    allocations (``nalloc.check_ic_n``) it maps (agent, report) to the
-    agent's interim win probability, which independent types make the same
-    for every true type; the other optional fields stay None.
+    to the interim expectation E[x(report, .) | true type]; ``check_ic``
+    builds that table only when it is first read.  For allocations
+    (``nalloc.check_ic_n``) it maps (agent, report) to the agent's interim
+    win probability, which independent types make the same for every true
+    type; the other optional fields stay None.
     """
 
     verdict: bool
     violations: list[Violation] = field(default_factory=list)
-    interim: dict | None = None
+    interim: dict | None = _BuiltOnRead()
     common_value: Fraction | None = None
     ex_ante_indifferent: bool | None = None
     uninformative: bool | None = None
@@ -105,11 +122,14 @@ def check_ic(x: Mechanism, dist: JointDist) -> ICReport:
     split_ok = ex_ante_ok and uninformative_ok
     require(raw_ok == equalities_ok == split_ok, "IC",
             "the three IC routes agree")
-    table = {(agent, types[a], types[b]): Fraction(value, scale[a] * den)
-             for agent, types, tab, scale in zip(space.agents, space.types,
-                                                 tables, scales)
-             for (a, b), value in np.ndenumerate(tab)}
-    return ICReport(verdict=raw_ok, violations=violations, interim=table,
+
+    def interim() -> dict:
+        return {(agent, types[a], types[b]): Fraction(value, scale[a] * den)
+                for agent, types, tab, scale in zip(space.agents, space.types,
+                                                    tables, scales)
+                for (a, b), value in np.ndenumerate(tab)}
+
+    return ICReport(verdict=raw_ok, violations=violations, interim=interim,
                     common_value=Fraction(ev, total * den) if raw_ok else None,
                     ex_ante_indifferent=ex_ante_ok,
                     uninformative=uninformative_ok)

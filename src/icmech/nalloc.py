@@ -92,7 +92,8 @@ class AllocationInstance:
 
 class AllocationMechanism:
     """Per-agent allocation probabilities: x_i >= 0 and the total over
-    agents equals 1 (no disposal) or at most 1 (disposal), exactly."""
+    agents equals 1 (no disposal) or at most 1 (disposal), exactly; both
+    are checked on the shares' integers (``_share_totals``)."""
 
     def __init__(self, space: TypeSpace, parts, disposal: bool):
         parts = tuple(np.asarray(p, dtype=object) for p in parts)
@@ -101,11 +102,13 @@ class AllocationMechanism:
         for p in parts:
             if p.shape != space.shape:
                 raise SchemaError("allocation tensor shape mismatch")
-            for v in p.reshape(-1):
-                if not isinstance(v, Fraction) or v < 0:
-                    raise SchemaError("allocation probabilities must be "
-                                      "nonnegative rationals")
-        _, den, totals = _share_totals(parts)
+            if not all(isinstance(v, Fraction) for v in p.flat):
+                raise SchemaError("allocation probabilities must be "
+                                  "nonnegative rationals")
+        shares, den, totals = _share_totals(parts)
+        if any(v < 0 for _, xs in shares for v in xs):
+            raise SchemaError("allocation probabilities must be "
+                              "nonnegative rationals")
         if disposal and max(totals) > den:
             raise SchemaError("allocation probabilities exceed 1")
         if not disposal and any(t != den for t in totals):

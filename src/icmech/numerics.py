@@ -52,16 +52,15 @@ objective identity), and a failed check raises ``RuntimeError``, also
 under ``python -O``.  The primal rows, the bounds, the objective value
 and the dual fold are checked in integers over the LP's own rows, never
 over the tableau, so the checks stay independent of the substitution and
-the unit columns.  Each row's nonzeros are read and scaled to integers
-once (``_IntegerLP``); the tableau set-up, the primal check and the fold
-share them, and the fold sums A^T dual over them, over the objective
-row's denominator, and decides the signs of the duals, the reduced costs
-and the dual value in integers.
+the unit columns; the fold sums A^T dual over the rows' nonzeros, over
+the objective row's denominator, and decides the signs of the duals, the
+reduced costs and the dual value in integers.
 
-``solve_lp`` works in integers from end to end: the bounds over one
-common denominator, each row and the objective over their own.  It makes
-``Fraction``s only for the ``LPSolution`` it returns, at most one per
-entry, and a variable at a bound gets the LP's own bound back.
+A ``LinearProgram`` is integers, as its builders read them off pi, and
+``solve_lp`` stays in integers: the tableau's point comes back as pairs
+(t, d) and is put over one common denominator (``LPSolution.den`` and
+``.nums``), and ``Fraction``s are made only for the returned
+``LPSolution``, one per entry.
 """
 
 from __future__ import annotations
@@ -164,43 +163,65 @@ def _reduce(rows: Sequence[Sequence[int]]) -> list[tuple[int, int, list[int]]]:
 # Linear programming
 # ---------------------------------------------------------------------------
 
+Row = tuple[int, list[tuple[int, int]], int]
+
+
 @dataclass
 class LinearProgram:
-    """max objective . x  s.t.  a_eq x = b_eq,  a_ub x <= b_ub,  lower <= x <= upper.
+    """max (objective / scale) . x  s.t.  the rows of a_eq (=) and of a_ub
+    (<=),  lower / unit <= x <= upper / unit, all in integers.
 
-    All data rational.  Every variable is boxed: its lower bound (0 by
-    default) and its upper bound are finite.
+    A row is a triple (s, nz, b), the scale s > 0, the nonzeros nz as
+    (column j, a) and the rhs b: the rational row sum_j (a / s) x_j = b / s
+    (or <= b / s).  Every variable is boxed, its lower bound 0 by default.
+    On construction each scale is divided by the gcd it shares with its
+    integers, so s is the lcm of the rational row's denominators and every
+    dual is the rational row's.  ``bench/tracing.py`` reads ``a_eq``,
+    ``a_ub`` (a triple per row), ``lower``, ``upper`` and ``n``.
     """
 
-    objective: list[Fraction]
-    a_eq: list[list[Fraction]] = field(default_factory=list)
-    b_eq: list[Fraction] = field(default_factory=list)
-    a_ub: list[list[Fraction]] = field(default_factory=list)
-    b_ub: list[Fraction] = field(default_factory=list)
-    lower: list[Fraction] | None = None
-    upper: list[Fraction] | None = None
+    objective: list[int]
+    scale: int = 1
+    a_eq: list[Row] = field(default_factory=list)
+    a_ub: list[Row] = field(default_factory=list)
+    lower: list[int] | None = None
+    upper: list[int] | None = None
+    unit: int = 1
 
     def __post_init__(self):
         n = len(self.objective)
         if self.lower is None:
-            self.lower = [ZERO] * n
+            self.lower = [0] * n
         for name, bounds in (("lower", self.lower), ("upper", self.upper)):
             if bounds is None or any(b is None for b in bounds):
                 raise ValueError(f"every variable needs a finite {name} bound")
         if len(self.lower) != n or len(self.upper) != n:
             raise ValueError("bound length mismatch")
-        for row_set, rhs in ((self.a_eq, self.b_eq), (self.a_ub, self.b_ub)):
-            if len(row_set) != len(rhs):
-                raise ValueError("constraint/rhs length mismatch")
-            for row in row_set:
-                if len(row) != n:
-                    raise ValueError("constraint row length mismatch")
         if any(lo > up for lo, up in zip(self.lower, self.upper)):
             raise ValueError("lower bound exceeds upper bound")
+        if self.scale <= 0 or self.unit <= 0:
+            raise ValueError("scales must be positive")
+        self.a_eq, self.a_ub = ([_lowest_row(row, n) for row in rows]
+                                for rows in (self.a_eq, self.a_ub))
+        self.objective, self.scale = _lowest_terms(self.objective, self.scale)
+        bounds, self.unit = _lowest_terms([*self.lower, *self.upper], self.unit)
+        self.lower, self.upper = bounds[:n], bounds[n:]
 
     @property
     def n(self) -> int:
         return len(self.objective)
+
+
+def _lowest_row(row: Row, n: int) -> Row:
+    """A row triple over n columns, checked, with s its lcm of denominators."""
+    s, nz, b = row
+    cols, vals = zip(*nz) if nz else ((), ())
+    if s <= 0:
+        raise ValueError("scales must be positive")
+    if cols and (min(cols) < 0 or max(cols) >= n):
+        raise ValueError("column index out of range")
+    g = math.gcd(s, b, *vals)
+    return row if g == 1 else (s // g, [(j, a // g) for j, a in nz], b // g)
 
 
 @dataclass
@@ -208,7 +229,9 @@ class LPSolution:
     """The exact optimum of an LP.
 
     ``x`` satisfies every constraint exactly and ``value == objective .
-    x``; ``dual_eq``/``dual_ub`` together with the per-variable
+    x``; it is also ``nums`` over the common denominator ``den``, the
+    integers the solver checked, for callers that go on in integers.
+    ``dual_eq``/``dual_ub`` together with the per-variable
     ``reduced_costs`` form a dual solution whose objective equals
     ``value`` (strong duality, verified inside the solver).
 
@@ -226,6 +249,8 @@ class LPSolution:
     reduced_costs: list[Fraction]
     pivots: int
     flips: int
+    den: int
+    nums: list[int]
 
 
 class _Tableau:
@@ -426,95 +451,56 @@ def integer_row(vals: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // d) for v, d in zip(vals, dens)]
 
 
-@dataclass
-class _IntegerLP:
-    """An LP's data over integers, each entry read once.
-
-    Row i of ``rows``, equality rows first, is [row | rhs] scaled by s,
-    the lcm of its denominators, and kept as (s, its nonzeros (j, a), the
-    rhs b).  The bounds are ``lower`` and ``upper`` over one denominator
-    ``unit``, and the objective is ``cost`` over ``cscale``.
-    """
-
-    rows: list[tuple[int, list[tuple[int, int]], int]]
-    neq: int
-    unit: int
-    lower: list[int]
-    upper: list[int]
-    cscale: int
-    cost: list[int]
-
-    @classmethod
-    def of(cls, lp: LinearProgram) -> "_IntegerLP":
-        n = lp.n
-        unit, bounds = integer_row([*lp.lower, *lp.upper])
-        cscale, cost = integer_row(lp.objective)
-        rows = [_sparse_row(row, rhs) for row, rhs in
-                zip(lp.a_eq + lp.a_ub, lp.b_eq + lp.b_ub)]
-        return cls(rows, len(lp.a_eq), unit, bounds[:n], bounds[n:], cscale, cost)
-
-
-def _sparse_row(row: Sequence[Fraction], rhs: Fraction):
-    """[row | rhs] scaled to integers by s, the lcm of its denominators:
-    (s, the nonzeros (j, a), the rhs)."""
-    nz = [(j, a) for j, a in enumerate(row) if a]
-    s = math.lcm(rhs.denominator, *(a.denominator for _, a in nz))
-    return (s, [(j, a.numerator * (s // a.denominator)) for j, a in nz],
-            rhs.numerator * (s // rhs.denominator))
-
-
 def solve_lp(lp: LinearProgram) -> LPSolution:
     """The exact rational optimum of an LP; deterministic for a given input.
 
-    The solve and its checks run in integers: the bounds over one
-    denominator ``unit``, each row and the objective over their own, and
-    the duals over the final objective row's.  ``Fraction``s are made only
-    for the returned solution, at most one per entry, and a variable at a
-    bound reuses that bound.  Raises ``RuntimeError`` if the LP is
-    infeasible: every LP the package builds has an optimum.
+    The solve and its checks run in integers: the bounds over ``unit``,
+    each row and the objective over their own scales, the point over one
+    common denominator and the duals over the final objective row's.
+    ``Fraction``s are made only for the returned solution, one per entry.
+    Raises ``RuntimeError`` if the LP is infeasible: every LP the package
+    builds has an optimum.
     """
     # --- standard form: variable j is column j, x_j = lo_j + span_j z_j ---
     # with span_j = up - lo and 0 <= z_j <= 1 (a fixed variable's column is
-    # zero).  The tableau is built from the LP's integer rows, and the
-    # result checks read them too.  Row i has its own unit column, variable
+    # zero), all over unit.  Row i has its own unit column, variable
     # ncols + i, which starts basic and is not stored: an artificial fixed
     # at 0 for an equality row (one that earlier rows combine to keeps it
     # basic at 0), a slack bounded below only for a <= row.  The
-    # substituted row is the original row times s unit.
-    ilp = _IntegerLP.of(lp)
-    ncols, nrows, unit = lp.n, len(ilp.rows), ilp.unit
-    int_spans = [up - lo for lo, up in zip(ilp.lower, ilp.upper)]
+    # substituted row is the LP's row times s unit.
+    ncols, unit, lower = lp.n, lp.unit, lp.lower
+    spans = [up - lo for lo, up in zip(lower, lp.upper)]
     rows: list[list[int]] = []
-    for _, nz, b in ilp.rows:
-        row = [0] * (ncols + 1)
+    for _, nz, b in lp.a_eq + lp.a_ub:
+        row = [0] * ncols + [b * unit - sum(a * lower[j] for j, a in nz)]
         for j, a in nz:
-            row[j] = a * int_spans[j]
-        row[-1] = b * unit - sum(a * ilp.lower[j] for j, a in nz)
+            row[j] += a * spans[j]
         rows.append(row)
-    bounds = [1] * ncols + [0] * ilp.neq + [None] * (nrows - ilp.neq)
-    # The objective is cost / cscale; column j costs c_j span_j times
-    # cscale unit.
-    cost = [c * k for c, k in zip(ilp.cost, int_spans)]
+    neq = len(lp.a_eq)
+    bounds = [1] * ncols + [0] * neq + [None] * (len(rows) - neq)
+    # The objective is objective / scale; column j costs c_j span_j times
+    # scale unit.
+    cost = [c * k for c, k in zip(lp.objective, spans)]
 
     point, y, value_std, objden, (pivots, flips) = _simplex(rows, cost, bounds)
-    # x_j = (lo_j + span_j z_j) / unit over integers, or the bound itself.
-    x = [lo if z == 0 else up if z == 1 else
-         Fraction(il * z.denominator + k * z.numerator, unit * z.denominator)
-         for z, lo, up, il, k in zip(point, lp.lower, lp.upper, ilp.lower, int_spans)]
-    cx, den = _check_primal(ilp, x)
-    # c . x is cx / (cscale den), and the tableau's value plus c . lo is
-    # the same over cscale unit: value_std is over objden.
-    const = sum(c * lo for c, lo in zip(ilp.cost, ilp.lower) if c)
+    # z_j = t_j / d_j, so x_j is (lo_j D + span_j t_j D / d_j) over unit D,
+    # D the lcm of the d_j.
+    common = math.lcm(*(d for _, d in point))
+    nums = [lo * common + k * t * (common // d)
+            for (t, d), lo, k in zip(point, lower, spans)]
+    den = unit * common
+    cx = _check_primal(lp, nums, den)
+    # c . x is cx / (scale den), and the tableau's value plus c . lo is
+    # the same over scale unit: value_std is over objden.
+    const = sum(c * lo for c, lo in zip(lp.objective, lower) if c)
     require((value_std + const * objden) * den == cx * unit * objden, "exact LP",
             "objective value identity")
-    value = Fraction(cx, ilp.cscale * den)
-    dual_eq, dual_ub, mu, nu, dual_value = _fold_duals(lp, ilp, y, objden)
+    value = Fraction(cx, lp.scale * den)
+    dual_eq, dual_ub, reduced, dual_value = _fold_duals(lp, y, objden)
     require(dual_value == value, "exact LP", "strong duality")
-    # One of mu_j and nu_j is 0: the reduced cost is mu_j - nu_j.
-    return LPSolution(value=value, x=x,
-                      dual_eq=dual_eq, dual_ub=dual_ub,
-                      reduced_costs=[u or -d for u, d in zip(mu, nu)],
-                      pivots=pivots, flips=flips)
+    return LPSolution(value=value, x=[Fraction(v, den) if v else ZERO for v in nums],
+                      dual_eq=dual_eq, dual_ub=dual_ub, reduced_costs=reduced,
+                      pivots=pivots, flips=flips, den=den, nums=nums)
 
 
 def _simplex(rows: list[list[int]], cost: list[int],
@@ -528,9 +514,10 @@ def _simplex(rows: list[list[int]], cost: list[int],
     variable len(cost) + i, is implied, not given, and costs 0: the unit
     columns are the starting basis, which is dual feasible once every
     column of positive cost sits at its upper bound.  Returns (point, y,
-    value, den, (pivots, flips)): the optimal vertex s, rational, and the
-    duals of ``rows`` and the optimal value as integers over the one
-    denominator den > 0; raises if there is none.
+    value, den, (pivots, flips)): the optimal vertex s as integer pairs
+    (t, d), s_j = t / d with d > 0, and the duals of ``rows`` and the
+    optimal value as integers over the one denominator den > 0; raises if
+    there is none.
     """
     ncols = len(cost)
     tab = _Tableau([list(row) for row in rows], ncols, bounds)
@@ -540,11 +527,11 @@ def _simplex(rows: list[list[int]], cost: list[int],
             tab.flip(k, obj)
     tab.run(obj)
     # A flipped variable holds u - z.
-    point = [bounds[j] if j in tab.flipped else 0 for j in range(ncols)]
+    point = [(bounds[j] if j in tab.flipped else 0, 1) for j in range(ncols)]
     for row, d, b in zip(tab.rows, tab.dens, tab.basis):
         if b < ncols:
             t = row[-1]
-            point[b] = Fraction(bounds[b] * d - t if b in tab.flipped else t, d)
+            point[b] = (bounds[b] * d - t if b in tab.flipped else t, d)
     # The duals are read off the objective row: t_i costs 0 and has
     # reduced cost -y_i (0 while basic), negated where it is flipped.
     slot = {j: k for k, j in enumerate(tab.nonbasic)}
@@ -553,64 +540,57 @@ def _simplex(rows: list[list[int]], cost: list[int],
     return point, y, -obj[-1], tab.objden, (tab.pivots, tab.flips)
 
 
-def _check_primal(ilp: _IntegerLP, x: list[Fraction]) -> tuple[int, int]:
-    """x meets the LP's integer rows and bounds: over x's common
-    denominator D, sum a X == b D (<= for the inequality rows) and lo D <=
-    X unit <= up D.  Returns (cost . X, D), the objective's integers times
-    x over D."""
-    den = math.lcm(*(v.denominator for v in x))
-    nums = [v.numerator * (den // v.denominator) for v in x]
-    eq, ub = ilp.rows[:ilp.neq], ilp.rows[ilp.neq:]
-    require(all(sum(a * nums[j] for j, a in nz) == b * den for _, nz, b in eq),
+def _check_primal(lp: LinearProgram, nums: list[int], den: int) -> int:
+    """x = nums / den meets the LP's integer rows and bounds: sum a X ==
+    b den (<= for the inequality rows) and lo den <= X unit <= up den.
+    Returns the objective's integers times X."""
+    require(all(sum(a * nums[j] for j, a in nz) == b * den for _, nz, b in lp.a_eq),
             "exact LP", "primal equality rows")
-    require(all(sum(a * nums[j] for j, a in nz) <= b * den for _, nz, b in ub),
+    require(all(sum(a * nums[j] for j, a in nz) <= b * den for _, nz, b in lp.a_ub),
             "exact LP", "primal inequality rows")
-    unit = ilp.unit
+    unit = lp.unit
     require(all(lo * den <= v * unit <= up * den
-                for v, lo, up in zip(nums, ilp.lower, ilp.upper)),
+                for v, lo, up in zip(nums, lp.lower, lp.upper)),
             "exact LP", "primal bounds")
-    return sum(c * v for c, v in zip(ilp.cost, nums) if c), den
+    return sum(c * v for c, v in zip(lp.objective, nums) if c)
 
 
-def _fold_duals(lp: LinearProgram, ilp: _IntegerLP, y: list[int], den: int):
+def _fold_duals(lp: LinearProgram, y: list[int], den: int):
     """Turn the tableau duals y / den of the LP's rows, equality rows
-    first, into (dual_eq, dual_ub) and complete them with bound
-    multipliers mu (upper) and nu (lower) that absorb what the row duals
-    leave of the objective, so that A^T dual + mu - nu = objective: the
-    positive and negative parts of the reduced cost, so never negative.
-    Returns (dual_eq, dual_ub, mu, nu, dual objective value) after
-    checking the inequality duals' signs exactly.
+    first, into (dual_eq, dual_ub) and the reduced costs r = objective -
+    A^T dual, which the bound multipliers absorb: r_j is the upper bound's
+    where positive and minus the lower bound's where negative.  Returns
+    (dual_eq, dual_ub, reduced costs, dual objective value) after checking
+    the inequality duals' signs exactly.
 
     Everything is decided in integers over the LP's integer rows and the
-    one denominator C = den cscale.  Row i of the tableau is its original
-    row times s unit and the cost the objective times cscale unit, so the
+    one denominator C = den scale.  Row i of the tableau is its LP row
+    times s unit and the cost the objective times scale unit, so the
     row's dual is y_i s / C: the multiplier y_i / C on its nonzeros.  So
     A^T dual is g / C with g = sum y_i a_i, the reduced cost r_j is
     (c_j den - g_j) / C and the dual value has the denominator C unit.
-    ``Fraction``s are made only for the duals, mu, nu and the value.
+    ``Fraction``s are made only for the duals, the reduced costs and the
+    value.
     """
-    require(all(v >= 0 for v in y[ilp.neq:]), "exact LP",
+    neq = len(lp.a_eq)
+    require(all(v >= 0 for v in y[neq:]), "exact LP",
             "inequality duals are nonnegative")
+    rows = lp.a_eq + lp.a_ub
     g = [0] * lp.n     # C A^T dual
     gb = 0             # C dual . b
-    for yi, (_, nz, b) in zip(y, ilp.rows):
+    for yi, (_, nz, b) in zip(y, rows):
         if yi:
             for j, a in nz:
                 g[j] += yi * a
             gb += yi * b
-    rden = den * ilp.cscale
+    rden = den * lp.scale
     duals = [Fraction(yi * s, rden) if yi else ZERO
-             for yi, (s, _, _) in zip(y, ilp.rows)]
-    mu = [ZERO] * lp.n   # upper-bound duals
-    nu = [ZERO] * lp.n   # lower-bound duals
-    value = gb * ilp.unit
-    for j, (c, gj, lo, up) in enumerate(zip(ilp.cost, g, ilp.lower, ilp.upper)):
+             for yi, (s, _, _) in zip(y, rows)]
+    reduced = [ZERO] * lp.n
+    value = gb * lp.unit
+    for j, (c, gj, lo, up) in enumerate(zip(lp.objective, g, lp.lower, lp.upper)):
         r = c * den - gj
-        if r > 0:
-            mu[j] = Fraction(r, rden)
-            value += r * up
-        elif r:
-            nu[j] = Fraction(-r, rden)
-            value += r * lo
-    return (duals[:ilp.neq], duals[ilp.neq:], mu, nu,
-            Fraction(value, rden * ilp.unit))
+        if r:
+            reduced[j] = Fraction(r, rden)
+            value += r * (up if r > 0 else lo)
+    return duals[:neq], duals[neq:], reduced, Fraction(value, rden * lp.unit)

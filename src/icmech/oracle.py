@@ -28,8 +28,7 @@ from .core import (MAX_PROFILES, Instance, JointDist, Mechanism,
                    normalize, product_dist)
 from .belief import type_basis, value_rows
 from .ic import ICReport, check_ic
-from .nalloc import (AllocationInstance, AllocationMechanism, check_ic_n,
-                     drop_disposal_agent)
+from .nalloc import AllocationInstance, AllocationMechanism, check_ic_n
 from .numerics import LinearProgram, integer_row, rank, require, solve_lp
 
 ZERO = Fraction(0)
@@ -57,9 +56,9 @@ def solve_principal(instance: Instance) -> PrincipalSolution:
     """
     dist = instance.dist
     scale, vals = integer_row(instance.v.reshape(-1))
-    value, [x] = _ic_optimum(dist, [p * v for p, v in zip(dist.nums.flat, vals)],
-                             dist.den * scale)
-    mech = Mechanism(instance.space, x)
+    value, x, _, _ = _ic_optimum(dist, [p * v for p, v in zip(dist.nums.flat, vals)],
+                                 dist.den * scale)
+    mech = Mechanism(instance.space, np.array(x, dtype=object).reshape(dist.space.shape))
     icr = check_ic(mech, instance.dist)
     require(icr.verdict, "oracle", "the LP optimum is IC")
     return PrincipalSolution(value=value, mechanism=mech,
@@ -67,11 +66,12 @@ def solve_principal(instance: Instance) -> PrincipalSolution:
 
 
 def _ic_optimum(dist: JointDist, weights: list[int],
-                scale: int) -> tuple[Fraction, list]:
+                scale: int) -> tuple[Fraction, list[Fraction], int, list[int]]:
     """Maximize objective . x over the IC polytope of ``dist``, x the first
     n - 1 agents' shares, block by block and flat over profiles, and the
     objective the integer ``weights`` over ``scale`` > 0: the optimal value
-    and an optimal vertex, one array per block.
+    and an optimal vertex x, flat, as ``Fraction``s and as integers over
+    one denominator: (value, x, den, nums).
 
     The LP runs over x and one common interim value per block, last, with
     the rows of ``belief.value_rows``; the last agent holds 1 minus the
@@ -88,21 +88,16 @@ def _ic_optimum(dist: JointDist, weights: list[int],
     if blocks == 1 and len(bases[0]) == min(space.shape):
         total = sum(weights)
         if total > 0:
-            return Fraction(total, scale), [constant_array(space.shape, ONE)]
-        return ZERO, [constant_array(space.shape, ZERO)]
-    rows = value_rows(dist, bases)
+            return Fraction(total, scale), [ONE] * size, 1, [1] * size
+        return ZERO, [ZERO] * size, 1, [0] * size
     nvars = blocks * (size + 1)
-    sums = [[int(k % size == flat) for k in range(blocks * size)] + [0] * blocks
+    sums = [(1, [(k * size + flat, 1) for k in range(blocks)], 1)
             for flat in range(size)] if blocks > 1 else []
-    objective = [Fraction(w, scale) if w else ZERO for w in weights]
-    lp = LinearProgram(objective=objective + [ZERO] * blocks,
-                       a_eq=rows, b_eq=[ZERO] * len(rows),
-                       a_ub=sums, b_ub=[ONE] * len(sums),
-                       lower=[ZERO] * nvars, upper=[ONE] * nvars)
-    sol = solve_lp(lp)
-    return sol.value, [np.array(sol.x[k * size:(k + 1) * size],
-                                dtype=object).reshape(space.shape)
-                       for k in range(blocks)]
+    sol = solve_lp(LinearProgram(objective=[*weights, *[0] * blocks], scale=scale,
+                                 a_eq=value_rows(dist, bases), a_ub=sums,
+                                 upper=[1] * nvars))
+    shares = blocks * size
+    return sol.value, sol.x[:shares], sol.den, sol.nums[:shares]
 
 
 def solve_principal_alloc(inst: AllocationInstance) -> PrincipalSolution:
@@ -122,14 +117,19 @@ def solve_principal_alloc(inst: AllocationInstance) -> PrincipalSolution:
     last = vals[-size:]
     weights = [p * (v - u) for k in range(base.n - 1)
                for p, v, u in zip(dist.nums.flat, vals[k * size:], last)]
-    value, parts = _ic_optimum(dist, weights, dist.den * scale)
+    value, x, den, nums = _ic_optimum(dist, weights, dist.den * scale)
     # The last agent's allocation is 1 - the others', so its expected
     # value is a constant term of the objective.
     value += base.expected_values[-1]
-    parts.append(constant_array(base.space.shape, 1) - sum(parts))
-    mech = AllocationMechanism(base.space, parts, disposal=False)
-    if inst.disposal:
-        mech = drop_disposal_agent(mech, inst)
+    shape = inst.space.shape
+    parts = [np.array(x[k:k + size], dtype=object).reshape(shape)
+             for k in range(0, len(x), size)]
+    if not inst.disposal:
+        # The last agent holds 1 - the others' shares, over their common
+        # denominator; under disposal it is the dummy, whose share is burnt.
+        parts.append(np.array([Fraction(den - sum(nums[c::size]), den)
+                               for c in range(size)], dtype=object).reshape(shape))
+    mech = AllocationMechanism(inst.space, parts, disposal=inst.disposal)
     icr = check_ic_n(mech, inst)
     require(icr.verdict, "oracle", "the LP optimum is IC")
     # The dummy agent's value is 0: under disposal base.vbar is max(0, vbar).
@@ -178,8 +178,9 @@ def generate(seed: int, shape, kind: str, *, k: int | None = None,
     Rational entries with small denominators keep exact pivoting fast.
     ``zero_mean`` recenters the objective so the principal is ex-ante
     indifferent.  ``conditionally-independent`` mixes ``k`` product
-    distributions, which caps the matrix rank at k.  ``disposal`` applies
-    to ``unbiased-n-alloc`` only and is refused for a two-agent kind.
+    distributions, which caps the matrix rank at k; any other kind takes
+    ``k`` into its seed only.  ``disposal`` applies to ``unbiased-n-alloc``
+    only and is refused for a two-agent kind.
     """
     if kind not in KINDS:
         raise PreconditionError(f"unknown kind {kind!r}; choose from {KINDS}")

@@ -28,13 +28,13 @@ Four complementary tools for the two-option problem:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .belief import (dot, kronecker_residual, marginal_rows, slices,
-                     transport_rows, type_basis)
+from .belief import kronecker_residual, slices, transport_rows, type_basis
 from .core import (Instance, JointDist, Mechanism, NoneCertificate,
                    PreconditionError, arrays_equal, constant_array,
                    expectation, product_dist, two_agent)
@@ -200,15 +200,18 @@ def transport_criterion(instance: Instance) -> TransportResult:
     t, so the distinct nonzero integer rows are counted.
 
     v_hat = v pi / (pi_L (x) pi_R) is V P D / (d P_L P_R) with V the
-    values' integers over d: one Fraction per profile."""
+    values' integers over d, so the LP's objective is integers over
+    d lcm(P_L) lcm(P_R); the optimizer is the LP's point, nums over den."""
     two_agent(instance.space)
     dist = instance.dist
     space = instance.space
     den, sums = dist.den, dist.marginal_nums
     scale, vals = integer_row(instance.v.reshape(-1))
-    weights = (v * p for v, p in zip(vals, dist.nums.flat))
-    v_hat = np.array([Fraction(w * den, scale * a * b) if w else ZERO
-                      for w, (a, b) in zip(weights, itertools.product(*sums))],
+    lcms = [math.lcm(*s) for s in sums]
+    scale *= lcms[0] * lcms[1]
+    weights = [v * p * den * (lcms[0] // a) * (lcms[1] // b)
+               for v, p, (a, b) in zip(vals, dist.nums.flat, itertools.product(*sums))]
+    v_hat = np.array([Fraction(w, scale) if w else ZERO for w in weights],
                      dtype=object).reshape(space.shape)
     ortho = 0
     for i, k in enumerate(space.shape):
@@ -221,11 +224,11 @@ def transport_criterion(instance: Instance) -> TransportResult:
         optimizer = JointDist(space, den * den, np.multiply.outer(*sums))
         value = expectation(dist, instance.v)
     else:
-        rows, rhs = transport_rows(dist, (row_basis, type_basis(dist, 1)))
-        sol = solve_lp(LinearProgram(objective=list(v_hat.reshape(-1)),
-                                     a_eq=rows, b_eq=rhs, upper=[ONE] * v_hat.size))
-        optimizer = JointDist.from_fractions(
-            space, np.array(sol.x, dtype=object).reshape(space.shape))
+        rows = transport_rows(dist, (row_basis, type_basis(dist, 1)))
+        sol = solve_lp(LinearProgram(objective=weights, scale=scale, a_eq=rows,
+                                     upper=[1] * len(weights)))
+        optimizer = JointDist(space, sol.den,
+                              np.array(sol.nums, dtype=object).reshape(space.shape))
         value = sol.value
     return TransportResult(value=value, optimizer=optimizer,
                            v_hat=v_hat, orthogonality_rows=ortho,
@@ -247,9 +250,10 @@ def orthogonal(pi: JointDist, pi_tilde: JointDist) -> bool:
     if not all(arrays_equal(pi.marginal(i), pi_tilde.marginal(i))
                for i in range(2)):
         raise PreconditionError("orthogonality requires equal marginals")
-    rows, rhs = transport_rows(pi, (type_basis(pi, 0), type_basis(pi, 1)))
-    flat = list(pi_tilde.p.reshape(-1))
-    return all(dot(row, flat) == b for row, b in zip(rows, rhs))
+    rows = transport_rows(pi, (type_basis(pi, 0), type_basis(pi, 1)))
+    # q = Q / D meets the row (s, nz, b) iff sum a Q = b D.
+    flat, den = pi_tilde.nums.reshape(-1), pi_tilde.den
+    return all(sum(a * flat[j] for j, a in nz) == b * den for _, nz, b in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +346,14 @@ def _transport_vertex(cells, ml, mr, objective) -> tuple[np.ndarray, Fraction]:
     sums ml and column sums mr, p = 0 off ``cells``: the optimal basic
     solution ``solve_lp`` returns, as an m x n array, and its value.  A
     basic solution is an extreme point, so its support is acyclic."""
-    m, n = len(ml), len(mr)
-    keep = [i * n + j for i, j in cells]
-    rows = [[row[k] for k in keep] for row in marginal_rows((m, n))]
-    sol = solve_lp(LinearProgram(objective=objective, a_eq=rows,
-                                 b_eq=[*ml, *mr], upper=[ONE] * len(cells)))
-    p = constant_array((m, n), 0)
+    # Row (axis, t): the cells where that axis is t sum to p / q = marg.
+    rows = [(marg.denominator, [(c, marg.denominator) for c, cell in enumerate(cells)
+                                if cell[axis] == t], marg.numerator)
+            for axis, margs in enumerate((ml, mr)) for t, marg in enumerate(margs)]
+    scale, cost = integer_row(objective)
+    sol = solve_lp(LinearProgram(objective=cost, scale=scale, a_eq=rows,
+                                 upper=[1] * len(cells)))
+    p = constant_array((len(ml), len(mr)), 0)
     for cell, value in zip(cells, sol.x):
         p[cell] = value
     return p, sol.value

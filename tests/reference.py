@@ -11,6 +11,16 @@ closed-form additivity residuals are checked against.  ``rank`` and
 ``solve_linear_system`` are the Fraction Gauss-Jordan elimination that the
 integer reduction in ``icmech.numerics`` must agree with; the other
 references here use them, so they share no elimination with the library.
+``RationalLP`` is an LP in dense Fraction rows, the rational LP that
+``icmech.numerics.LinearProgram``'s integer rows stand for; the tests
+write their LPs in it, ``integer_lp`` converts one the way the solver
+did before its callers built the integer form themselves, and
+``rational`` reads an integer LP back.  ``ic_lp`` and ``transport_lp``
+are the oracle's and the transport criterion's LPs as the library wrote
+them in Fractions (``value_rows_dense``, ``rho``, ``v_hat``, ``lift`` and
+the Fraction marginals), whose conversion the LPs built from pi's
+integers must equal; ``dense`` spells out integer LP rows, and
+``marginal_rows`` are the marginal indicator rows.
 ``enumerate_vertices`` is a brute-force LP oracle for cross-checking the
 simplex, and ``simplex`` is a two-phase primal Fraction tableau with Bland's
 rule, explicit bound rows and the duals recovered by a second elimination,
@@ -18,7 +28,7 @@ whose status and optimal value the bounded dual simplex in
 ``icmech.numerics`` must reproduce (where the reference finds no optimum,
 the engine raises).  ``fold_duals`` and ``check_primal`` are the result checks of
 ``solve_lp`` redone in Fractions over the LP's rational rows; the integer
-checks over the LP's scaled rows must give the same multipliers, values
+checks over the LP's integer rows must give the same multipliers, values
 and verdicts.  ``best_matching_enumerate`` tries every bijection, the oracle
 for the assignment LP behind ``match_your_opponent``.  ``conditional``
 divides pi by its marginals, independently of ``icmech.belief``, whose
@@ -51,14 +61,17 @@ a distribution's marginals, for the property sweeps.
 import itertools
 import math
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
+from icmech.belief import slices, type_basis
 from icmech.core import (Mechanism, PreconditionError, SchemaError, TypeSpace,
                          constant_array, product_dist, two_agent)
 from icmech.ic import ICReport, SpanningVerdict, Violation
-from icmech.numerics import LinearProgram, integer_row, require
+from icmech.numerics import LinearProgram, basis_rows, integer_row, require
 from icmech.oracle import _ic_optimum, _value
 
 ZERO = Fraction(0)
@@ -334,6 +347,105 @@ def v_hat(inst):
     return inst.v * rho(inst.dist)
 
 
+def lift(shape, i, b, vec):
+    """``icmech.belief.lift`` as a dense flat row: ``vec`` on the profiles
+    where agent i's type is at position b, 0 elsewhere."""
+    row = [0] * prod(shape)
+    inner = prod(shape[i + 1:])
+    cells = [(outer * shape[i] + b) * inner + k
+             for outer in range(prod(shape[:i])) for k in range(inner)]
+    for cell, v in zip(cells, vec):
+        row[cell] = v
+    return row
+
+
+def marginal_rows(shape):
+    """Row (i, t), agent outer: the indicator of the profiles where agent i
+    has type t, so that its product with a flat q is q's marginal mass there."""
+    return [lift(shape, i, t, [ONE] * (prod(shape) // k))
+            for i, k in enumerate(shape) for t in range(k)]
+
+
+def dense(rows, width):
+    """LP rows (s, nonzeros (j, a), b) of ``icmech.numerics.LinearProgram``
+    as dense Fraction rows a / s over ``width`` columns and their
+    right-hand sides b / s: (rows, rhs)."""
+    out = []
+    for s, nz, _ in rows:
+        row = [ZERO] * width
+        for j, a in nz:
+            row[j] += Fraction(a, s)
+        out.append(row)
+    return out, [Fraction(b, s) for s, _, b in rows]
+
+
+def value_rows_dense(dist, bases):
+    """``icmech.belief.value_rows`` as dense integer rows, the builder the
+    library used before it made the LP's nonzeros directly: agent i's row
+    for basis type a and report b is the lifted slice of pi's numerators
+    at a, over their gcd with D, on the blocks the agent's share enters,
+    and minus its sum on those blocks' common values."""
+    shape = dist.space.shape
+    blocks = len(shape) - 1
+    rows = []
+    for i, basis in enumerate(bases):
+        lines = slices(dist.nums, i)
+        on = [i in (k, blocks) for k in range(blocks)]
+        for a in basis:
+            g = math.gcd(dist.den, *lines[a])
+            line = [v // g for v in lines[a]]
+            mass = sum(line)
+            for b in range(shape[i]):
+                if i == blocks == 1 and b in basis:
+                    continue
+                share = lift(shape, i, b, line)
+                off = [0] * len(share)
+                rows.append([v for k in on for v in (share if k else off)] +
+                            [-mass if k else 0 for k in on])
+    return rows
+
+
+def ic_lp(dist, objective):
+    """The oracle's LP over the IC polytope as the library wrote it in
+    Fractions: the dense value rows, = 0, over the first n - 1 agents'
+    shares and one common value per block, the ``objective`` over the
+    shares, and with more than one block one sum row <= 1 per profile."""
+    size = dist.space.n_profiles
+    blocks = dist.space.n_agents - 1
+    rows = value_rows_dense(dist, [type_basis(dist, i)
+                                   for i in range(dist.space.n_agents)])
+    sums = [[int(k % size == flat) for k in range(blocks * size)] + [0] * blocks
+            for flat in range(size)] if blocks > 1 else []
+    nvars = blocks * (size + 1)
+    return RationalLP(objective=list(objective) + [ZERO] * blocks,
+                      a_eq=rows, b_eq=[ZERO] * len(rows),
+                      a_ub=sums, b_ub=[ONE] * len(sums),
+                      lower=[ZERO] * nvars, upper=[ONE] * nvars)
+
+
+def transport_lp(inst):
+    """The transport criterion's LP as the library wrote it in Fractions:
+    the rows of ``icmech.belief.transport_rows``, each a basis type's row
+    of ``rho`` lifted on one slice, with the Fraction marginal as its rhs,
+    and the objective ``v_hat``."""
+    dist = inst.dist
+    shape = dist.space.shape
+    bases = [type_basis(dist, i) for i in range(2)]
+    last = shape[1] - 1
+    skip = {last - s for s in basis_rows(list(dist.nums[bases[0], ::-1].T))}
+    rows, rhs = [], []
+    for i, basis in enumerate(bases):
+        lines = np.moveaxis(rho(dist), i, 0)
+        marg = dist.marginal(i)
+        for a in basis:
+            for t in range(shape[i]):
+                if i == 0 or t not in skip:
+                    rows.append(lift(shape, i, t, lines[a]))
+                    rhs.append(marg[t])
+    return RationalLP(objective=list(v_hat(inst).reshape(-1)), a_eq=rows, b_eq=rhs,
+                      upper=[ONE] * dist.space.n_profiles)
+
+
 def interim_rows_alloc(inst):
     n = inst.n
     shape = inst.space.shape
@@ -489,7 +601,66 @@ def support_is_acyclic(cells):
     return True
 
 
-def enumerate_vertices(lp: LinearProgram) -> list[list[Fraction]]:
+@dataclass
+class RationalLP:
+    """max objective . x  s.t.  a_eq x = b_eq,  a_ub x <= b_ub,  lower <=
+    x <= upper, in dense Fraction rows: the rational LP that
+    ``icmech.numerics.LinearProgram`` stands for, its lower bounds 0 by
+    default.  ``integer_lp`` converts it, and ``rational`` reads a
+    ``LinearProgram`` back."""
+
+    objective: list
+    a_eq: list = field(default_factory=list)
+    b_eq: list = field(default_factory=list)
+    a_ub: list = field(default_factory=list)
+    b_ub: list = field(default_factory=list)
+    lower: list | None = None
+    upper: list | None = None
+
+    def __post_init__(self):
+        if self.lower is None:
+            self.lower = [ZERO] * len(self.objective)
+
+    @property
+    def n(self) -> int:
+        return len(self.objective)
+
+
+def sparse_row(row, rhs):
+    """[row | rhs] scaled to integers by s, the lcm of its denominators:
+    (s, the nonzeros (j, a), the rhs)."""
+    nz = [(j, Fraction(a)) for j, a in enumerate(row) if a]
+    rhs = Fraction(rhs)
+    s = math.lcm(rhs.denominator, *(a.denominator for _, a in nz))
+    return (s, [(j, a.numerator * (s // a.denominator)) for j, a in nz],
+            rhs.numerator * (s // rhs.denominator))
+
+
+def integer_lp(lp: RationalLP) -> LinearProgram:
+    """``lp`` in the integer form, converted the way the solver once did
+    it from the rational rows: each row [row | rhs] over the lcm of its
+    denominators (``sparse_row``), the objective over the lcm of its
+    denominators, and the bounds over the lcm of theirs."""
+    n = lp.n
+    unit, bounds = integer_row([Fraction(v) for v in [*lp.lower, *lp.upper]])
+    scale, cost = integer_row([Fraction(v) for v in lp.objective])
+    return LinearProgram(objective=cost, scale=scale,
+                         a_eq=[sparse_row(*r) for r in zip(lp.a_eq, lp.b_eq)],
+                         a_ub=[sparse_row(*r) for r in zip(lp.a_ub, lp.b_ub)],
+                         lower=bounds[:n], upper=bounds[n:], unit=unit)
+
+
+def rational(lp: LinearProgram) -> RationalLP:
+    """The rational LP that the integer ``lp`` stands for."""
+    a_eq, b_eq = dense(lp.a_eq, lp.n)
+    a_ub, b_ub = dense(lp.a_ub, lp.n)
+    return RationalLP(objective=[Fraction(c, lp.scale) for c in lp.objective],
+                      a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
+                      lower=[Fraction(v, lp.unit) for v in lp.lower],
+                      upper=[Fraction(v, lp.unit) for v in lp.upper])
+
+
+def enumerate_vertices(lp: RationalLP) -> list[list[Fraction]]:
     """Brute-force vertex enumeration for small LPs (test oracle).
 
     Tries every way of making n constraints active among equalities,
@@ -611,9 +782,10 @@ def simplex(rows, cost, bounds):
     are left out, a row with a negative rhs is negated, and every column j
     with an upper bound gets an explicit row s_j + t_j = bounds[j], its
     slack t_j starting basic.  Returns (status, result), result None or
-    ``_simplex``'s (point, y, value, den, (pivots, 0)), y and value as
-    integers over den; only the duals of ``rows`` come back: the caller
-    folds the bound multipliers from the residual."""
+    ``_simplex``'s (point, y, value, den, (pivots, 0)), the point as pairs
+    (t, d) and y and value as integers over den; only the duals of
+    ``rows`` come back: the caller folds the bound multipliers from the
+    residual."""
     nrows = len(rows)
     rows = [[*row[:-1], *(int(k == i) for k in range(nrows)), row[-1]]
             for i, row in enumerate(rows)]
@@ -641,6 +813,7 @@ def simplex(rows, cost, bounds):
     if point is None:
         return status, None
     point = [point[pos[j]] if j in pos else ZERO for j in range(width - nrows)]
+    point = [(v.numerator, v.denominator) for v in point]
     y = [sign * v for sign, v in zip(signs, y)]
     den = math.lcm(value.denominator, *(v.denominator for v in y))
     return status, (point, [v.numerator * (den // v.denominator) for v in y],
@@ -692,7 +865,7 @@ def _bland_simplex(rows, rhs, crash, cost):
     return "optimal", x_std, y, -obj2[-1], tab.pivots
 
 
-def check_primal(lp: LinearProgram, x: list[Fraction]) -> None:
+def check_primal(lp: RationalLP, x: list[Fraction]) -> None:
     """x meets every row and bound of ``lp``, summed in Fractions."""
     require(all(sum(a * v for a, v in zip(row, x) if a and v) == rhs
                 for row, rhs in zip(lp.a_eq, lp.b_eq)), "exact LP",
@@ -738,14 +911,17 @@ def fold_duals(lp, duals):
 
 def recording_fold(fold, folds: list):
     """Wrap ``icmech.numerics._fold_duals``: each call appends (its result,
-    ``fold_duals`` of the same duals) to ``folds``.  The fold is given the
-    tableau duals y / den; row i of the tableau is the LP's row i times
-    s_i unit and the cost the objective times cscale unit, so the LP
-    row's dual is y_i s_i / (den cscale)."""
-    def wrapper(lp, ilp, y, den):
-        got = fold(lp, ilp, y, den)
-        duals = [Fraction(v * s, den * ilp.cscale) for v, (s, _, _) in zip(y, ilp.rows)]
-        folds.append((got, fold_duals(lp, duals)))
+    ``fold_duals`` of the same duals over the rational LP, with mu - nu as
+    the reduced costs) to ``folds``.  The fold is given the tableau duals
+    y / den; row i of the tableau is the LP's row i, (s_i, nonzeros, b_i),
+    times s_i unit and the cost the objective times scale unit, so the
+    rational row's dual is y_i s_i / (den scale)."""
+    def wrapper(lp, y, den):
+        got = fold(lp, y, den)
+        duals = [Fraction(v * s, den * lp.scale)
+                 for v, (s, _, _) in zip(y, lp.a_eq + lp.a_ub)]
+        dual_eq, dual_ub, mu, nu, value = fold_duals(rational(lp), duals)
+        folds.append((got, (dual_eq, dual_ub, [u - d for u, d in zip(mu, nu)], value)))
         return got
     return wrapper
 
@@ -799,8 +975,8 @@ def sample_ic_combination(space: TypeSpace, ml, mr,
 def sample_ic_vertex(dist, rng: random.Random) -> Mechanism:
     """A vertex of the IC polytope: optimize a random objective over it."""
     scale, weights = integer_row([_value(rng) for _ in range(dist.space.n_profiles)])
-    [x] = _ic_optimum(dist, weights, scale)[1]
-    mech = Mechanism(dist.space, x)
+    x = _ic_optimum(dist, weights, scale)[1]
+    mech = Mechanism(dist.space, np.array(x, dtype=object).reshape(dist.space.shape))
     require(check_ic(mech, dist).verdict, "reference", "the LP optimum is IC")
     return mech
 

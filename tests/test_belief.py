@@ -208,7 +208,7 @@ def test_value_rows_are_independent_and_cut_out_the_ic_set(dist):
     r = reference.rank(dist.p.tolist())
     bases = (belief.type_basis(dist, 0), belief.type_basis(dist, 1))
     assert len(bases[0]) == len(bases[1]) == r
-    rows = belief.value_rows(dist, bases)
+    rows = reference.dense(belief.value_rows(dist, bases), m * n + 1)[0]
     assert reference.rank(rows) == len(rows) == m * n - (m - r) * (n - r)
     # Over (x, c) they span the same rows as the reference IC rows with
     # c = E[x], so both cut out the same x, of dimension 1 + (m - r)(n - r).
@@ -226,7 +226,7 @@ def test_transport_rows_are_independent_and_cut_out_the_transport_set(dist):
     m, n = dist.space.shape
     r = reference.rank(dist.p.tolist())
     bases = (belief.type_basis(dist, 0), belief.type_basis(dist, 1))
-    rows, rhs = belief.transport_rows(dist, bases)
+    rows, rhs = reference.dense(belief.transport_rows(dist, bases), m * n)
     assert reference.rank(rows) == len(rows) == len(rhs) == r * (m + n) - r * r
     # With their right-hand sides they span the same rows as the marginal
     # rows and the reference update rows, so both cut out the same q; the
@@ -234,12 +234,13 @@ def test_transport_rows_are_independent_and_cut_out_the_transport_set(dist):
     ml, mr = dist.marginals()
     ortho = reference.orthogonality_rows(dist)
     ref = [row + [rhs_] for row, rhs_ in
-           zip(belief.marginal_rows((m, n)) + ortho,
+           zip(reference.marginal_rows((m, n)) + ortho,
                list(ml) + list(mr) + [Fraction(0)] * len(ortho))]
     new = [row + [rhs_] for row, rhs_ in zip(rows, rhs)]
     assert reference.rank(ref) == len(rows) == reference.rank(new + ref)
     coupling = list(np.multiply.outer(ml, mr).reshape(-1))
-    assert all(belief.dot(row, coupling) == b for row, b in zip(rows, rhs))
+    assert all(sum(c * v for c, v in zip(row, coupling)) == b
+               for row, b in zip(rows, rhs))
     # Agent L's rows carry rho = pi / (pi_L (x) pi_R), formed from pi's
     # integers, on one slice each: its basis type's row of the Fraction
     # quotient; agent R's rows a column of it.
@@ -253,7 +254,7 @@ def test_transport_rows_are_independent_and_cut_out_the_transport_set(dist):
             t = next(s for s in range(n) if any(q[:, s]))
             assert any(q[:, t].tolist() == rho[:, b].tolist() for b in bases[1])
     if r == 1:
-        assert (rows, rhs) == (belief.marginal_rows((m, n))[:-1],
+        assert (rows, rhs) == (reference.marginal_rows((m, n))[:-1],
                                list(ml) + list(mr)[:-1])
 
 
@@ -267,6 +268,7 @@ def test_allocation_rows_equal_loop_builder(inst):
     size = inst.space.n_profiles
     rows = belief.value_rows(dist, [belief.type_basis(dist, i)
                                     for i in range(inst.n)])
+    rows = reference.dense(rows, blocks * (size + 1))[0]
     prob, zero = list(dist.p.reshape(-1)), [Fraction(0)] * size
     ic = [row + [Fraction(0)] * blocks for row in reference.interim_rows_alloc(inst)]
     ic += [[v for j in range(blocks) for v in (prob if j == k else zero)] +
@@ -332,6 +334,7 @@ def test_value_rows_on_basis_types_equal_every_types_rows(dist):
     # of every type's rows under correlated beliefs.
     rows = belief.value_rows(dist, [belief.type_basis(dist, i)
                                     for i in range(dist.space.n_agents)])
+    rows = reference.dense(rows, (dist.space.n_agents - 1) * (dist.space.n_profiles + 1))[0]
     loop = reference.value_rows_loop(dist)
     assert reference.rank(loop) == reference.rank(rows) == reference.rank(rows + loop)
 
@@ -382,9 +385,12 @@ def test_residual_check_raises(inst_fx5, monkeypatch):
 
 def test_lift_places_vector_on_own_type_slice():
     row = belief.lift((2, 3, 2), 1, 2, [Fraction(k + 1) for k in range(4)])
-    # Profiles (a, 2, c) in row-major order carry the vector over (a, c).
-    assert [k for k, v in enumerate(row) if v] == [4, 5, 10, 11]
-    assert [row[k] for k in (4, 5, 10, 11)] == [1, 2, 3, 4]
+    # Profiles (a, 2, c) in row-major order carry the vector over (a, c),
+    # and a zero entry of the vector is no nonzero of the row.
+    assert row == [(4, 1), (5, 2), (10, 3), (11, 4)]
+    assert belief.lift((2, 3, 2), 1, 2, [0, 1, 0, 2]) == [(5, 1), (11, 2)]
+    assert reference.lift((2, 3, 2), 1, 2, [1, 2, 3, 4]) == \
+        [0, 0, 0, 0, 1, 2, 0, 0, 0, 0, 3, 4]
 
 
 @st.composite

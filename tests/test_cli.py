@@ -295,12 +295,27 @@ class TestContracts:
     def test_disposal_for_a_two_agent_kind_one_line_refusal(self, capsys, kind):
         # Only an allocation instance has a disposal option; a two-agent
         # kind must not drop the flag silently.
+        k = ["--k", "2"] if kind == "conditionally-independent" else []
         code = main(["generate", "--seed", "1", "--shape", "2x2", "--kind",
-                     kind, "--k", "2", "--disposal"])
+                     kind, *k, "--disposal"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == (f"refused: kind {kind!r} has no disposal; "
                                 "only unbiased-n-alloc allocations do\n")
+
+    @pytest.mark.parametrize("kind, shape", [
+        ("independent", "4x4"), ("correlated", "4x4"), ("full-rank", "2x3"),
+        ("unbiased-n-alloc", "2x2x2")])
+    def test_k_for_a_kind_without_a_mixture_one_line_refusal(self, capsys, kind, shape):
+        # Only the conditionally-independent mixture reads k; another kind
+        # would take it into its seed alone and print a different instance
+        # of the same kind, whatever rank k asks for.
+        code = main(["generate", "--seed", "1", "--shape", shape, "--kind",
+                     kind, "--k", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"refused: kind {kind!r} has no --k; only "
+                                "conditionally-independent mixtures read it\n")
 
     def test_too_many_agents_in_shape_one_line_error(self, capsys):
         # Seventy one-type agents make one profile, so only the agent bound

@@ -6,16 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icmech import Mechanism, PreconditionError, belief, constant_mechanism
+from icmech import Mechanism, PreconditionError, belief, constant_mechanism, ic
 from icmech.core import JointDist, TypeSpace
 from icmech.fixtures import fixture
 from icmech.game import maximin
 from icmech.ic import check_ic, classify_extremes, spans
-from icmech.numerics import LinearProgram, rank, solve_lp
+from icmech.numerics import rank, solve_lp
 from icmech.oracle import generate, solve_principal
 
 from . import reference
-from .reference import independent_counterpart, sample_ic_vertex
+from .reference import (RationalLP, independent_counterpart, integer_lp,
+                        sample_ic_vertex)
 from .conftest import matching_mechanism, two_option
 from .test_numerics import run_optimized
 
@@ -31,6 +32,18 @@ class TestCheckIC:
         assert rep.verdict
         assert rep.common_value == F(1, 2)
         assert all(v == F(1, 2) for v in rep.interim.values())
+
+    def test_interim_table_is_built_on_first_read(self, xstar, inst_fx1, monkeypatch):
+        # Only check-ic prints the interim table: the check makes its one
+        # Fraction, the common value, and the table's are made when it is
+        # first read, once.
+        made = []
+        monkeypatch.setattr(ic, "Fraction", lambda *args: made.append(args) or F(*args))
+        rep = check_ic(xstar, inst_fx1.dist)
+        assert len(made) == 1
+        table = rep.interim
+        assert len(made) == 1 + len(table) == 9
+        assert rep.interim is table and len(made) == 9
 
     def test_matching_not_ic_under_correlation(self, xstar, inst_fx2):
         rep = check_ic(xstar, inst_fx2.dist)
@@ -125,8 +138,10 @@ def test_integer_check_ic_equals_fraction_reference(case):
 
 
 def value_rows(dist):
-    """belief.value_rows over x and the common interim value c, a last column."""
-    return belief.value_rows(dist, [belief.type_basis(dist, i) for i in range(2)])
+    """belief.value_rows over x and the common interim value c, a last
+    column, as dense rows."""
+    rows = belief.value_rows(dist, [belief.type_basis(dist, i) for i in range(2)])
+    return reference.dense(rows, dist.space.n_profiles + 1)[0]
 
 
 class TestICPolytope:
@@ -164,10 +179,10 @@ def max_spread(dist) -> Fraction:
             obj = [F(0)] * (n + 1)
             obj[k] = F(sign)
             obj[0] = F(-sign)
-            sol = solve_lp(LinearProgram(objective=obj, a_eq=rows,
-                                         b_eq=[F(0)] * len(rows),
-                                         lower=[F(0)] * (n + 1),
-                                         upper=[F(1)] * (n + 1)))
+            sol = solve_lp(integer_lp(RationalLP(objective=obj, a_eq=rows,
+                                                 b_eq=[F(0)] * len(rows),
+                                                 lower=[F(0)] * (n + 1),
+                                                 upper=[F(1)] * (n + 1))))
             spread = max(spread, sol.value)
     return spread
 

@@ -80,6 +80,21 @@ class TestCheckICN:
         with pytest.raises(Exception):
             AllocationMechanism(inst_fx4.space, parts, disposal=False)
 
+    @pytest.mark.parametrize("disposal", [False, True])
+    def test_negative_or_inexact_share_rejected(self, inst_fx4, disposal):
+        # The shares are checked on their integers: a negative share is
+        # refused although every total is 1, and so is a float share.
+        shape = inst_fx4.space.shape
+        parts = [constant_array(shape, F(1, 3)) for _ in range(inst_fx4.n)]
+        first = (0,) * len(shape)
+        parts[0][first], parts[1][first], parts[2][first] = F(-1, 3), F(2, 3), F(2, 3)
+        msg = "^allocation probabilities must be nonnegative rationals$"
+        with pytest.raises(nalloc.SchemaError, match=msg):
+            AllocationMechanism(inst_fx4.space, parts, disposal=disposal)
+        parts[0][first], parts[1][first] = 1 / 3, F(1, 3)
+        with pytest.raises(nalloc.SchemaError, match=msg):
+            AllocationMechanism(inst_fx4.space, parts, disposal=disposal)
+
     def test_disposal_mechanism_total_below_one(self, inst_fx4):
         disp = AllocationInstance(inst_fx4.space, inst_fx4.marginals,
                                   inst_fx4.values, disposal=True)

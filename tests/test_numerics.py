@@ -17,7 +17,7 @@ from icmech.numerics import (LinearProgram, basis_rows, frac, rank,
                              solve_linear_system, solve_lp, span_coefficients)
 
 from . import reference
-from .reference import orthogonal_projection
+from .reference import RationalLP, integer_lp, orthogonal_projection
 
 F = Fraction
 
@@ -29,12 +29,17 @@ def fl(values):
 INFEASIBLE = "exact LP check failed: the LP is feasible"
 
 
-def outcome(lp: LinearProgram):
+def solve(lp: RationalLP):
+    """``solve_lp`` on the integer form of a rational LP."""
+    return solve_lp(integer_lp(lp))
+
+
+def outcome(lp: RationalLP):
     """``solve_lp``'s answer as (status, solution): ("optimal", the
     LPSolution), or ("infeasible", None) where it refuses an LP without a
     feasible point."""
     try:
-        return "optimal", solve_lp(lp)
+        return "optimal", solve(lp)
     except RuntimeError as e:
         if str(e) != INFEASIBLE:
             raise
@@ -156,43 +161,69 @@ class TestProjection:
 
 class TestSolveLP:
     def test_simple_box(self):
-        lp = LinearProgram(objective=fl([1]), a_ub=[fl([1])], b_ub=fl([3]),
+        lp = RationalLP(objective=fl([1]), a_ub=[fl([1])], b_ub=fl([3]),
                            upper=fl([5]))
-        sol = solve_lp(lp)
+        sol = solve(lp)
         assert sol.value == 3
         assert sol.x == [F(3)]
 
     def test_equality_and_bounds(self):
         # max x + y st x + y = 1, 0 <= x, y <= 1
-        lp = LinearProgram(objective=fl([1, 1]), a_eq=[fl([1, 1])], b_eq=fl([1]),
+        lp = RationalLP(objective=fl([1, 1]), a_eq=[fl([1, 1])], b_eq=fl([1]),
                            lower=fl([0, 0]), upper=fl([1, 1]))
-        sol = solve_lp(lp)
+        sol = solve(lp)
         assert sol.value == 1
 
     def test_infeasible_raises(self):
-        lp = LinearProgram(objective=fl([1]),
+        lp = RationalLP(objective=fl([1]),
                            a_eq=[fl([1]), fl([1])], b_eq=fl([0, 1]), upper=fl([1]))
         with pytest.raises(RuntimeError, match=f"^{INFEASIBLE}$"):
-            solve_lp(lp)
+            solve(lp)
 
     def test_unbounded_raises(self):
         # Every variable is boxed; one unbounded above is refused, and so
         # is an LP that states no upper bounds.
         with pytest.raises(ValueError, match="^every variable needs a finite upper bound$"):
-            LinearProgram(objective=fl([1]), lower=[F(0)], upper=[None])
+            LinearProgram(objective=[1], lower=[0], upper=[None])
         with pytest.raises(ValueError, match="finite upper bound"):
-            LinearProgram(objective=fl([1]))
+            LinearProgram(objective=[1])
 
     def test_missing_lower_bound_refused(self):
         # Every variable has a finite lower bound; a free one is refused.
         with pytest.raises(ValueError, match="finite lower bound"):
-            LinearProgram(objective=fl([-1]), lower=[None])
+            LinearProgram(objective=[-1], lower=[None])
+
+    @pytest.mark.parametrize("args, what", [
+        ({"lower": [2], "upper": [1]}, "lower bound exceeds upper bound"),
+        ({"lower": [0, 5], "upper": [5, 4], "unit": 2}, "lower bound exceeds upper bound"),
+        ({"a_eq": [(1, [(1, 1)], 0)]}, "column index out of range"),
+        ({"a_ub": [(1, [(0, 1), (-1, 1)], 0)]}, "column index out of range"),
+        ({"a_ub": [(0, [(0, 1)], 0)]}, "scales must be positive"),
+    ])
+    def test_malformed_lp_refused(self, args, what):
+        # The integer form is checked as it is built: bounds in order,
+        # every nonzero on a column of the LP and every scale positive.
+        n = len(args.get("upper", [1]))
+        with pytest.raises(ValueError, match=f"^{what}$"):
+            LinearProgram(objective=[1] * n, **{"upper": [1] * n, **args})
+
+    def test_rows_objective_and_bounds_come_in_lowest_terms(self):
+        # 2 x0 + 4 x1 = 6 over 4 is x0 / 2 + x1 = 3 / 2: the scale is the
+        # lcm of the rational row's denominators, as in the conversion of
+        # the rational LP.
+        lp = LinearProgram(objective=[2, 6], scale=4, a_eq=[(4, [(0, 2), (1, 4)], 6)],
+                           lower=[0, 3], upper=[9, 6], unit=3)
+        assert (lp.objective, lp.scale, lp.a_eq, lp.lower, lp.upper, lp.unit) == \
+            ([1, 3], 2, [(2, [(0, 1), (1, 2)], 3)], [0, 1], [3, 2], 1)
+        assert lp == integer_lp(RationalLP(
+            objective=fl(["1/2", "3/2"]), a_eq=[fl(["1/2", 1])], b_eq=fl(["3/2"]),
+            lower=fl([0, 1]), upper=fl([3, 2])))
 
     def test_duals_verified(self):
-        lp = LinearProgram(objective=fl([3, 2]),
+        lp = RationalLP(objective=fl([3, 2]),
                            a_ub=[fl([1, 1]), fl([1, 0])], b_ub=fl([4, 2]),
                            lower=fl([0, 0]), upper=fl([5, 5]))
-        sol = solve_lp(lp)
+        sol = solve(lp)
         assert sol.value == 10
         # Strong duality, recomputed here from the reported multipliers.
         dual_val = sum(d * b for d, b in zip(sol.dual_ub, lp.b_ub))
@@ -203,29 +234,29 @@ class TestSolveLP:
 
     def test_degenerate_does_not_cycle(self):
         # Classic degeneracy: many redundant constraints through the origin.
-        lp = LinearProgram(
+        lp = RationalLP(
             objective=fl([1, 1, 1]),
             a_ub=[fl([1, 1, 0]), fl([1, 0, 1]), fl([0, 1, 1]),
                   fl([1, 1, 1]), fl([2, 2, 2])],
             b_ub=fl([1, 1, 1, 1, 2]),
             lower=fl([0, 0, 0]), upper=fl([2, 2, 2]))
-        sol = solve_lp(lp)
+        sol = solve(lp)
         assert sol.value == 1
 
     def test_redundant_equalities(self):
-        lp = LinearProgram(objective=fl([1, 0]),
+        lp = RationalLP(objective=fl([1, 0]),
                            a_eq=[fl([1, 1]), fl([2, 2]), fl([1, 1])],
                            b_eq=fl([1, 2, 1]),
                            lower=fl([0, 0]), upper=fl([1, 1]))
-        sol = solve_lp(lp)
+        sol = solve(lp)
         assert sol.value == 1
 
 
-def random_lp(rng: random.Random, max_vars: int = 4) -> LinearProgram:
+def random_lp(rng: random.Random, max_vars: int = 4) -> RationalLP:
     n = rng.randint(1, max_vars)
     m = rng.randint(0, 3)
     k = rng.randint(0, 2)
-    return LinearProgram(
+    return RationalLP(
         objective=[F(rng.randint(-4, 4)) for _ in range(n)],
         a_ub=[[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)],
         b_ub=[F(rng.randint(-2, 4)) for _ in range(m)],
@@ -290,7 +321,7 @@ def dot(row, x):
     return sum(a * v for a, v in zip(row, x))
 
 
-def assert_dual_certificate(lp: LinearProgram, sol) -> None:
+def assert_dual_certificate(lp: RationalLP, sol) -> None:
     """Recompute dual feasibility and strong duality from the LP data."""
     assert all(d >= 0 for d in sol.dual_ub)
     dual_value = dot(sol.dual_eq, lp.b_eq) + dot(sol.dual_ub, lp.b_ub)
@@ -308,7 +339,7 @@ def assert_dual_certificate(lp: LinearProgram, sol) -> None:
     assert dual_value == sol.value
 
 
-def assert_certificate(lp: LinearProgram, sol) -> None:
+def assert_certificate(lp: RationalLP, sol) -> None:
     """Re-verify an optimum, its point and its duals, from the LP data alone."""
     x = sol.x
     assert all(dot(row, x) == b for row, b in zip(lp.a_eq, lp.b_eq))
@@ -475,7 +506,7 @@ def mixed_lps(draw):
         upper.append(up)
     k, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     b_eq = [draw(st.just(F(0)) | RATIONALS) for _ in range(k)]
-    return LinearProgram(objective=rows(1)[0], a_eq=rows(k), b_eq=b_eq,
+    return RationalLP(objective=rows(1)[0], a_eq=rows(k), b_eq=b_eq,
                          a_ub=rows(m), b_ub=[draw(RATIONALS) for _ in range(m)],
                          lower=lower, upper=upper)
 
@@ -484,7 +515,7 @@ class _NoOptimum(Exception):
     pass
 
 
-def reference_outcome(lp: LinearProgram):
+def reference_outcome(lp: RationalLP):
     """(status, value) of ``lp`` by ``reference.simplex``, run on
     ``solve_lp``'s standard form in place of the engine: ("optimal", the
     optimum), or ("infeasible", None)."""
@@ -496,7 +527,7 @@ def reference_outcome(lp: LinearProgram):
 
     with mock.patch.object(numerics, "_simplex", simplex):
         try:
-            return "optimal", solve_lp(lp).value
+            return "optimal", solve(lp).value
         except _NoOptimum as e:
             return e.args[0], None
 
@@ -507,12 +538,12 @@ class TestIntegerEngine:
     # The second equality row is twice the first.  Its artificial, the
     # larger violation at the start, leaves at its bound 0; the first
     # row's artificial stays basic at 0.
-    @example(LinearProgram(objective=fl([-1, -1]), a_eq=[fl([1, 1]), fl([2, 2])],
+    @example(RationalLP(objective=fl([-1, -1]), a_eq=[fl([1, 1]), fl([2, 2])],
                            b_eq=fl([1, 2]), upper=fl(["1/2", "2/3"])))
-    @example(LinearProgram(objective=fl([1]), a_eq=[fl([2])], b_eq=fl(["-1/3"]),
+    @example(RationalLP(objective=fl([1]), a_eq=[fl([2])], b_eq=fl(["-1/3"]),
                            upper=fl([1])))
     # The long step flips x0 and x1 to their bound 1 before x2 enters.
-    @example(LinearProgram(objective=fl([-1, -1, -1]), a_ub=[fl([-1, -1, -1])],
+    @example(RationalLP(objective=fl([-1, -1, -1]), a_ub=[fl([-1, -1, -1])],
                            b_ub=fl(["-5/2"]), upper=fl([1, 1, 1])))
     def test_matches_the_fraction_reference(self, lp):
         # The dual simplex leaves the reference's primal Bland path, so
@@ -533,7 +564,7 @@ class TestIntegerEngine:
         ([fl([0, 1]), fl([1, 1])], fl([1, 1]), "infeasible", None),
     ])
     def test_fixed_variable_in_an_equality_row(self, a_eq, b_eq, status, value):
-        lp = LinearProgram(objective=fl([1, 2]), a_eq=a_eq, b_eq=b_eq,
+        lp = RationalLP(objective=fl([1, 2]), a_eq=a_eq, b_eq=b_eq,
                            lower=fl([0, "1/2"]), upper=fl([1, "1/2"]))
         got, sol = outcome(lp)
         assert (got, sol.value if sol else None) == (status, value)
@@ -543,18 +574,18 @@ class TestIntegerEngine:
     def test_flip_without_a_pivot(self):
         # Each variable of positive cost starts at its upper bound, where
         # the row already holds: no pivot and no counted flip is needed.
-        lp = LinearProgram(objective=fl([1, 1]), a_ub=[fl([1, 1])], b_ub=fl([3]),
+        lp = RationalLP(objective=fl([1, 1]), a_ub=[fl([1, 1])], b_ub=fl([3]),
                            lower=fl([0, 0]), upper=fl([1, 1]))
-        sol = solve_lp(lp)
+        sol = solve(lp)
         assert (sol.value, sol.x, sol.pivots, sol.flips) == (2, fl([1, 1]), 0, 0)
         assert_certificate(lp, sol)
 
     def test_long_step_flips_before_it_enters(self):
         # x0 + x1 + x2 >= 5/2 at least cost: the ratio test passes x0 and
         # x1, flipping each to its bound 1, and x2 enters at 1/2.
-        lp = LinearProgram(objective=fl([-1, -1, -1]), a_ub=[fl([-1, -1, -1])],
+        lp = RationalLP(objective=fl([-1, -1, -1]), a_ub=[fl([-1, -1, -1])],
                            b_ub=fl(["-5/2"]), upper=fl([1, 1, 1]))
-        sol = solve_lp(lp)
+        sol = solve(lp)
         assert (sol.value, sol.x, sol.pivots, sol.flips) == \
             (F(-5, 2), fl([1, 1, "1/2"]), 1, 2)
         assert_certificate(lp, sol)
@@ -577,9 +608,9 @@ class TestIntegerEngine:
 
         monkeypatch.setattr(numerics._Tableau, "flip", recording_flip)
         monkeypatch.setattr(numerics._Tableau, "flip_basic", recording_flip_basic)
-        lp = LinearProgram(objective=fl([-1, -3]), a_ub=[fl([-2, -1]), fl([-1, -1])],
+        lp = RationalLP(objective=fl([-1, -3]), a_ub=[fl([-2, -1]), fl([-1, -1])],
                            b_ub=fl([-2, -2]), lower=fl([0, 0]), upper=fl([1, 1]))
-        sol = solve_lp(lp)
+        sol = solve(lp)
         assert (sol.value, sol.x, sol.pivots, sol.flips) == (-4, fl([1, 1]), 3, 0)
         assert flips == [("basic", 0)]
         assert_certificate(lp, sol)
@@ -587,10 +618,10 @@ class TestIntegerEngine:
     def test_infeasible_only_by_the_bounds_raises(self):
         # x0 + x1 >= 3 cannot hold in the unit box; only the bounds x <= 1,
         # which have no rows of their own, refute it.
-        lp = LinearProgram(objective=fl([1, 1]), a_ub=[fl([-1, -1])], b_ub=fl([-3]),
+        lp = RationalLP(objective=fl([1, 1]), a_ub=[fl([-1, -1])], b_ub=fl([-3]),
                            lower=fl([0, 0]), upper=fl([1, 1]))
         with pytest.raises(RuntimeError, match=f"^{INFEASIBLE}$"):
-            solve_lp(lp)
+            solve(lp)
 
 
 class TestIntegerChecks:
@@ -598,10 +629,10 @@ class TestIntegerChecks:
     @given(mixed_lps())
     # One optimal LP over every kind of row and bound, one infeasible,
     # which raises before any fold.
-    @example(LinearProgram(objective=fl([1, "1/2"]), a_eq=[fl(["1/3", 1])],
+    @example(RationalLP(objective=fl([1, "1/2"]), a_eq=[fl(["1/3", 1])],
                            b_eq=fl(["1/2"]), a_ub=[fl([1, "-2/5"])], b_ub=fl(["1/6"]),
                            lower=fl([0, "-1/2"]), upper=fl(["5/6", 2])))
-    @example(LinearProgram(objective=fl([1]), a_eq=[fl([2])], b_eq=fl(["-1/3"]),
+    @example(RationalLP(objective=fl([1]), a_eq=[fl([2])], b_eq=fl(["-1/3"]),
                            upper=fl([1])))
     def test_fold_matches_the_fraction_reference(self, lp):
         # The integer checks over the LP's scaled rows give the duals, the
@@ -616,13 +647,11 @@ class TestIntegerChecks:
             return
         [(got, expected)] = folds
         assert got == expected
-        dual_eq, dual_ub, mu, nu, value = expected
-        assert (sol.dual_eq, sol.dual_ub, sol.value) == (dual_eq, dual_ub, value)
-        assert sol.reduced_costs == [u - d for u, d in zip(mu, nu)]
+        assert (sol.dual_eq, sol.dual_ub, sol.reduced_costs, sol.value) == expected
         reference.check_primal(lp, sol.x)
 
 
-def fractional_lp(rng: random.Random) -> LinearProgram:
+def fractional_lp(rng: random.Random) -> RationalLP:
     """``random_lp`` with rational bounds and row entries over mixed
     denominators: the bounds need a common denominator above 1, and some
     variables are fixed."""
@@ -634,7 +663,7 @@ def fractional_lp(rng: random.Random) -> LinearProgram:
     lower = [q(-6, 2) for _ in range(n)]
     upper = [lo + q(0, 8) for lo in lower]
     m, k = rng.randint(0, 3), rng.randint(0, 2)
-    return LinearProgram(
+    return RationalLP(
         objective=[q(-4, 4) for _ in range(n)],
         a_ub=[[q(-3, 3) for _ in range(n)] for _ in range(m)],
         b_ub=[q(-2, 4) for _ in range(m)],
@@ -646,13 +675,12 @@ def fractional_lp(rng: random.Random) -> LinearProgram:
 class TestFractionalBounds:
     def test_example(self):
         # max x0 + x1 with -3/2 <= x0 <= 7/3, 0 <= x1 <= 1/2 and
-        # x0 + 2 x1 <= 5/2: x0 sits at its upper bound, which x returns
-        # as it is, and x1 = 1/12 fills the row.
-        lp = LinearProgram(objective=fl([1, 1]), a_ub=[fl([1, 2])], b_ub=fl(["5/2"]),
+        # x0 + 2 x1 <= 5/2: x0 sits at its upper bound and x1 = 1/12
+        # fills the row.
+        lp = RationalLP(objective=fl([1, 1]), a_ub=[fl([1, 2])], b_ub=fl(["5/2"]),
                            lower=fl(["-3/2", 0]), upper=fl(["7/3", "1/2"]))
-        sol = solve_lp(lp)
+        sol = solve(lp)
         assert (sol.value, sol.x) == (F(29, 12), fl(["7/3", "1/12"]))
-        assert sol.x[0] is lp.upper[0]
         assert_certificate(lp, sol)
 
     def test_matches_vertex_enumeration_and_the_fraction_fold(self, monkeypatch):
@@ -779,7 +807,6 @@ class TestChecksSurviveOptimize:
         # A corrupted dual read off the tableau must fail the
         # strong-duality check even when the interpreter strips asserts.
         script = (
-            "from fractions import Fraction as F\n"
             "from icmech import numerics\n"
             "good = numerics._simplex\n"
             "def bad(*args):\n"
@@ -787,8 +814,8 @@ class TestChecksSurviveOptimize:
             "    y[0] += den\n"
             "    return point, y, value, den, counts\n"
             "numerics._simplex = bad\n"
-            "lp = numerics.LinearProgram(objective=[F(1)], a_ub=[[F(1)]],\n"
-            "                            b_ub=[F(3)], upper=[F(5)])\n"
+            "lp = numerics.LinearProgram(objective=[1], a_ub=[(1, [(0, 1)], 3)],\n"
+            "                            upper=[5])\n"
             "try:\n"
             "    numerics.solve_lp(lp)\n"
             "except RuntimeError as e:\n"
@@ -797,24 +824,24 @@ class TestChecksSurviveOptimize:
             "optimized exact LP check failed: strong duality\n"
 
     @pytest.mark.parametrize("rows, what", [
-        ("a_eq=[[F(1), F(1)]], b_eq=[F(1)]", "primal equality rows"),
-        ("a_ub=[[F(1), F(1)]], b_ub=[F(1)]", "primal inequality rows"),
+        ("a_eq=[(1, [(0, 1), (1, 1)], 1)]", "primal equality rows"),
+        ("a_ub=[(1, [(0, 1), (1, 1)], 1)]", "primal inequality rows"),
     ])
     def test_moved_point_raises_under_python_o(self, rows, what):
         # max x0 with x0 + x1 (=, <=) 1 has its optimum at (1, 0).  Moving
         # x1, which the objective ignores, keeps the value and the duals
         # and breaks only the row.
         script = (
-            "from fractions import Fraction as F\n"
             "from icmech import numerics\n"
             "good = numerics._simplex\n"
             "def bad(*args):\n"
             "    point, y, value, den, counts = good(*args)\n"
-            "    point[1] += F(1, 10**9)\n"
+            "    t, d = point[1]\n"
+            "    point[1] = (t * 10**9 + d, d * 10**9)\n"
             "    return point, y, value, den, counts\n"
             "numerics._simplex = bad\n"
-            f"lp = numerics.LinearProgram(objective=[F(1), F(0)], {rows},\n"
-            "                            upper=[F(1), F(1)])\n"
+            f"lp = numerics.LinearProgram(objective=[1, 0], {rows},\n"
+            "                            upper=[1, 1])\n"
             "try:\n"
             "    numerics.solve_lp(lp)\n"
             "except RuntimeError as e:\n"
@@ -823,19 +850,19 @@ class TestChecksSurviveOptimize:
 
     @pytest.mark.parametrize("corrupt, lp_args, what", [
         # max x with x <= 3 and 0 <= x <= 5: the value moves off c . x.
-        ("value += 1", "a_ub=[[F(1)]], b_ub=[F(3)], upper=[F(5)]",
+        ("value += 1", "a_ub=[(1, [(0, 1)], 3)], upper=[5]",
          "objective value identity"),
         # The same LP: the <= row's dual turns negative.
-        ("y[0] = -y[0] or -1", "a_ub=[[F(1)]], b_ub=[F(3)], upper=[F(5)]",
+        ("y[0] = -y[0] or -1", "a_ub=[(1, [(0, 1)], 3)], upper=[5]",
          "inequality duals are nonnegative"),
         # max x with 0 <= x <= 1 and no row: x moves past its bound.
-        ("point[0] += F(1, 10**9)", "upper=[F(1)]", "primal bounds"),
+        ("point[0] = (point[0][0] * 10**9 + 1, 10**9 * point[0][1])", "upper=[1]",
+         "primal bounds"),
     ])
     def test_corrupted_result_raises_under_python_o(self, corrupt, lp_args, what):
         # Each check of solve_lp reads the engine's result exactly and
         # survives the stripped asserts.
         script = (
-            "from fractions import Fraction as F\n"
             "from icmech import numerics\n"
             "good = numerics._simplex\n"
             "def bad(*args):\n"
@@ -843,7 +870,7 @@ class TestChecksSurviveOptimize:
             f"    {corrupt}\n"
             "    return point, y, value, den, counts\n"
             "numerics._simplex = bad\n"
-            f"lp = numerics.LinearProgram(objective=[F(1)], {lp_args})\n"
+            f"lp = numerics.LinearProgram(objective=[1], {lp_args})\n"
             "try:\n"
             "    numerics.solve_lp(lp)\n"
             "except RuntimeError as e:\n"
@@ -852,9 +879,8 @@ class TestChecksSurviveOptimize:
 
     @staticmethod
     def solve_script(lp_args: str) -> str:
-        return ("from fractions import Fraction as F\n"
-                "from icmech import numerics\n"
-                f"lp = numerics.LinearProgram(objective=[F(1)], {lp_args})\n"
+        return ("from icmech import numerics\n"
+                f"lp = numerics.LinearProgram(objective=[1], {lp_args})\n"
                 "try:\n"
                 "    numerics.solve_lp(lp)\n"
                 "except RuntimeError as e:\n"
@@ -862,15 +888,14 @@ class TestChecksSurviveOptimize:
 
     def test_infeasible_lp_raises_under_python_o(self):
         # x = -1 with 0 <= x <= 1 has no feasible point.
-        script = self.solve_script("a_eq=[[F(1)]], b_eq=[F(-1)], upper=[F(1)]")
+        script = self.solve_script("a_eq=[(1, [(0, 1)], -1)], upper=[1]")
         assert run_optimized(script) == f"optimized {INFEASIBLE}\n"
 
     def test_unbounded_lp_raises_under_python_o(self):
         # max x with x >= 0 and no upper bound is refused when it is built.
-        script = ("from fractions import Fraction as F\n"
-                  "from icmech import numerics\n"
+        script = ("from icmech import numerics\n"
                   "try:\n"
-                  "    numerics.LinearProgram(objective=[F(1)], upper=[None])\n"
+                  "    numerics.LinearProgram(objective=[1], upper=[None])\n"
                   "except ValueError as e:\n"
                   "    print('debug' if __debug__ else 'optimized', e)\n")
         assert run_optimized(script) == \

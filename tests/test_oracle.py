@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,12 +12,12 @@ from icmech import oracle
 from icmech.core import Mechanism, PreconditionError
 from icmech.ic import check_ic
 from icmech.nalloc import AllocationInstance, check_ic_n
-from icmech.numerics import LinearProgram, solve_lp
-from icmech.oracle import generate, solve_principal, solve_principal_alloc
-from icmech.profit import support_is_acyclic
+from icmech.numerics import solve_lp
+from icmech.oracle import KINDS, generate, solve_principal, solve_principal_alloc
+from icmech.profit import support_is_acyclic, transport_criterion
 
 from . import reference
-from .reference import sample_ic_vertex
+from .reference import RationalLP, integer_lp, sample_ic_vertex
 
 F = Fraction
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -26,9 +28,58 @@ def reference_optimum(dist, objective):
     """solve_lp over the reference IC rows and 0 <= x <= 1."""
     rows = reference.ic_polytope(dist)
     size = dist.space.n_profiles
-    return solve_lp(LinearProgram(objective=objective, a_eq=rows,
-                                  b_eq=[F(0)] * len(rows), lower=[F(0)] * size,
-                                  upper=[F(1)] * size))
+    return solve_lp(integer_lp(RationalLP(objective=objective, a_eq=rows,
+                                          b_eq=[F(0)] * len(rows), lower=[F(0)] * size,
+                                          upper=[F(1)] * size)))
+
+
+@st.composite
+def lp_instances(draw):
+    """An instance of every ``generate`` kind: two agents of 2-5 types, or
+    an allocation of 2-3 agents with 1-3 types, with and without disposal."""
+    kind = draw(st.sampled_from(KINDS))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "unbiased-n-alloc":
+        shape = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+        return generate(seed, shape, kind, disposal=draw(st.booleans()))
+    shape = (draw(st.integers(2, 5)), draw(st.integers(2, 5)))
+    return generate(seed, shape, kind, k=draw(st.integers(1, 3)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(lp_instances())
+def test_lps_equal_the_reference_conversion(inst):
+    # The oracle and transport LPs are built from pi's integers; each is
+    # the integer form that the rational LP once written in Fractions
+    # (value rows, reference.rho, the Fraction marginals, objective and
+    # bounds) converts to: row by row the same (s, nonzeros, b), and the
+    # same objective, scale, bounds and unit.
+    lps = []
+
+    def recording_solve_lp(lp):
+        lps.append(lp)
+        return solve_lp(lp)
+
+    with mock.patch("icmech.oracle.solve_lp", recording_solve_lp), \
+            mock.patch("icmech.profit.solve_lp", recording_solve_lp):
+        if isinstance(inst, AllocationInstance):
+            solve_principal_alloc(inst)
+            base = inst.no_disposal
+            last = base.values[-1].reshape(-1)
+            expected = [reference.ic_lp(base.dist, [
+                p * (v - u) for k in range(base.n - 1)
+                for p, v, u in zip(base.dist.p.flat, base.values[k].flat, last)])]
+            full_rank = base.n == 2 and \
+                base.dist.matrix_rank() == min(base.space.shape)
+        else:
+            solve_principal(inst)
+            transport_criterion(inst)
+            expected = [reference.ic_lp(inst.dist, list((inst.v * inst.dist.p).flat)),
+                        reference.transport_lp(inst)]
+            full_rank = inst.dist.matrix_rank() == min(inst.space.shape)
+    expected = [] if full_rank else [integer_lp(lp) for lp in expected]
+    assert [(lp.a_eq, lp.a_ub) for lp in lps] == [(lp.a_eq, lp.a_ub) for lp in expected]
+    assert lps == expected
 
 
 FULL_RANK = st.tuples(st.integers(0, 10**6), st.integers(1, 5), st.integers(1, 5))

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from icmech import (Mechanism, NoneCertificate, PreconditionError,
                     constant_mechanism, expectation)
-from icmech.belief import marginal_rows
 from icmech.core import Instance, JointDist, TypeSpace, constant_array, normalize
 from icmech.ic import check_ic
-from icmech.numerics import LinearProgram, rank, solve_lp
+from icmech.numerics import rank, solve_lp
 from icmech.oracle import generate, solve_principal
 from icmech.profit import (ConstructionResult, _best_matching_lp,
                            additivity_test, construct_profitable, decompose,
@@ -19,7 +18,8 @@ from icmech.profit import (ConstructionResult, _best_matching_lp,
                            support_is_acyclic, transport_criterion)
 
 from . import reference
-from .reference import independent_counterpart, sample_ic_vertex
+from .reference import (RationalLP, independent_counterpart, integer_lp,
+                        sample_ic_vertex)
 from .conftest import two_option
 
 F = Fraction
@@ -34,10 +34,10 @@ def reference_transport(inst):
     ml, mr = inst.dist.marginals()
     v_hat = reference.v_hat(inst)
     ortho = reference.orthogonality_rows(inst.dist)
-    return solve_lp(LinearProgram(
+    return solve_lp(integer_lp(RationalLP(
         objective=list(v_hat.reshape(-1)),
-        a_eq=marginal_rows((m, n)) + ortho,
-        b_eq=list(ml) + list(mr) + [F(0)] * len(ortho), upper=[F(1)] * (m * n)))
+        a_eq=reference.marginal_rows((m, n)) + ortho,
+        b_eq=list(ml) + list(mr) + [F(0)] * len(ortho), upper=[F(1)] * (m * n))))
 
 
 class TestAdditivity:
@@ -150,8 +150,8 @@ class TestTransport:
             extra = reference.orthogonality_rows(inst.dist)
             a_eq.extend(extra)
             b_eq.extend([F(0)] * len(extra))
-        lp = LinearProgram(objective=obj, a_eq=a_eq, b_eq=b_eq,
-                           lower=[F(0)] * (m * n), upper=[F(1)] * (m * n))
+        lp = RationalLP(objective=obj, a_eq=a_eq, b_eq=b_eq,
+                        lower=[F(0)] * (m * n), upper=[F(1)] * (m * n))
         vertices = reference.enumerate_vertices(lp)
         return max(sum(c * x for c, x in zip(obj, v)) for v in vertices)
 
@@ -221,7 +221,7 @@ class TestTransport:
         monkeypatch.setattr("icmech.profit.solve_lp", recording_solve_lp)
         transport_criterion(generate(1001, shape, kind, k=k))
         assert [len(lp.a_eq) for lp in lps] == [rows]
-        assert rank(lps[0].a_eq) == rows
+        assert rank(reference.dense(lps[0].a_eq, lps[0].n)[0]) == rows
 
 
 class TestOrthogonal:
