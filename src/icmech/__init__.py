@@ -39,8 +39,7 @@ _EXPORTS = {
     "nalloc": ("AllocationInstance", "AllocationMechanism", "analyze_allocation",
                "check_ic_n", "construct_profitable_n", "difference_additive",
                "load_allocation"),
-    "numerics": ("LinearProgram", "LPSolution", "rank",
-                 "solve_linear_system", "solve_lp"),
+    "numerics": ("LinearProgram", "LPSolution", "solve_linear_system", "solve_lp"),
     "oracle": ("generate", "solve_principal", "solve_principal_alloc"),
     "profit": ("AdditivityReport", "ConstructionResult", "Decomposition",
                "MatchingReport", "TransportResult", "additivity_test",

@@ -3,18 +3,19 @@
 An agent's belief at type a over the other agents' types is pi's slice
 at a, pi on the profiles where the agent has type a, divided by that
 slice's sum.  So pi's integer numerators ``dist.nums`` over ``dist.den``,
-read slice by slice (``slices``), are the one belief table: the IC rows,
-the spanning test (``ic.spans``) and the transport criterion's count of
-update rows read them.  ``lift`` places a slice, or a vector over the
-other agents' profiles, on one of an agent's own-type slices, as the
-nonzeros of a flat row, for any number of agents, and every row family
-is built from it.
+read slice by slice (``core.slices``), are the one belief table, and
+``JointDist.basis`` reduces it once per agent: the IC rows, the transport
+rows and the spanning test (``ic.spans``) read its basis types, and the
+transport criterion's count of update rows reads the slices.  ``lift``
+places a slice, or a vector over the other agents' profiles, on one of an
+agent's own-type slices, as the nonzeros of a flat row, for any number of
+agents, and every row family is built from it.
 
 The IC rows "interim expectation equals ex-ante value" are read off pi
 itself, for any number of agents: agent i's rows only for the types in an
-echelon basis of its pi-slices (``type_basis``), with one common interim
-value c_k per share block as one more unknown (``value_rows``).  For two
-agents the rows are independent and there are
+echelon basis of its pi-slices (``dist.basis(i)``), with one common
+interim value c_k per share block as one more unknown (``value_rows``).
+For two agents the rows are independent and there are
 rank(pi) * (m + n) - rank(pi)^2 of them.  ``transport_rows`` are the rows
 of the transport criterion: with q's marginals fixed, q is
 correlation-orthogonal to pi iff every belief update has zero mean on
@@ -41,14 +42,8 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from .core import JointDist, two_agent
+from .core import JointDist, slices, two_agent
 from .numerics import Row, basis_rows, integer_row
-
-
-def slices(arr: np.ndarray, i: int) -> np.ndarray:
-    """Row s: ``arr`` on the profiles where agent i has type s, flat over
-    the other agents' profiles in row-major order."""
-    return np.moveaxis(arr, i, 0).reshape(arr.shape[i], -1)
 
 
 def lift(shape: tuple[int, ...], i: int, b: int, vec) -> list[tuple[int, object]]:
@@ -64,18 +59,10 @@ def lift(shape: tuple[int, ...], i: int, b: int, vec) -> list[tuple[int, object]
     return [(cell, v) for cell, v in zip(cells, vec) if v]
 
 
-def type_basis(dist: JointDist, i: int) -> list[int]:
-    """Agent i's types, in increasing order, whose pi-slices (pi on the
-    profiles where agent i has that type, flat) the exact echelon reduction
-    keeps: a basis of those slices and so of agent i's beliefs.  For two
-    agents these are rank(pi) rows (columns for agent R) of pi."""
-    return basis_rows(list(slices(dist.nums, i)))
-
-
-def value_rows(dist: JointDist, bases: list[list[int]]) -> list[Row]:
+def value_rows(dist: JointDist) -> list[Row]:
     """IC rows of n agents over the first n - 1 agents' shares x_k, block by
     block and flat over profiles, then one common interim value c_k per
-    block, taken from pi with ``bases`` from ``type_basis``, one per agent.
+    block, taken from pi and each agent's basis types ``dist.basis(i)``.
     Agent i < n - 1 has sum pi(a, .) x_i(b, .) - pi_i(a) c_i = 0 on its own
     block, for a in its basis and every report b.  The last agent holds
     1 - sum_k x_k, so its value is 1 - sum_k c_k and its rows are the same
@@ -96,7 +83,8 @@ def value_rows(dist: JointDist, bases: list[list[int]]) -> list[Row]:
     blocks = len(shape) - 1
     size = prod(shape)
     rows = []
-    for i, basis in enumerate(bases):
+    for i in range(len(shape)):
+        basis = dist.basis(i)
         lines = slices(dist.nums, i)
         on = [k for k in range(blocks) if i in (k, blocks)]
         for a in basis:
@@ -112,11 +100,12 @@ def value_rows(dist: JointDist, bases: list[list[int]]) -> list[Row]:
     return rows
 
 
-def transport_rows(dist: JointDist, bases: tuple[list[int], list[int]]) -> list[Row]:
+def transport_rows(dist: JointDist) -> list[Row]:
     """Independent rows cutting out the q of the transport criterion: pi's
     marginals, and zero mean of every belief update pi(t | s) - pi_L(t) on
-    every own-type slice.  With rho = pi / (pi_L (x) pi_R) and ``bases``
-    (A, T) from ``type_basis``: agent L's sum_s rho(a, s) q(t, s) = pi_L(t)
+    every own-type slice.  With rho = pi / (pi_L (x) pi_R) and the basis
+    types A = ``dist.basis(0)``, T = ``dist.basis(1)``: agent L's
+    sum_s rho(a, s) q(t, s) = pi_L(t)
     for a in A and every t, then agent R's sum_t rho(t, b) q(t, s) =
     pi_R(s) for b in T and every s outside S, the first r columns from the
     last with pi[A, S] nonsingular.  At rank 1, rho = 1 and these are the
@@ -131,6 +120,7 @@ def transport_rows(dist: JointDist, bases: tuple[list[int], list[int]]) -> list[
     P_o(s)) and pi_i(t) = P_i(t) / D: a's rows are over P_i(a) lcm(P_o) D."""
     shape = dist.space.shape
     den = dist.den
+    bases = (dist.basis(0), dist.basis(1))
     last = shape[1] - 1
     skip = {last - s for s in basis_rows(list(dist.nums[bases[0], ::-1].T))}
     rows = []

@@ -24,8 +24,8 @@ import numpy as np
 from . import fixtures
 from .core import (Instance, Mechanism, NoneCertificate, PreconditionError,
                    SchemaError, TypeSpace, check_profile_count, dumps_canonical,
-                   instance_to_dict, load_instance, load_json_dict,
-                   load_mechanism, load_mechanism_json, to_nested_strings)
+                   instance_to_dict, load_any, load_mechanism,
+                   load_mechanism_json, to_nested_strings)
 from .numerics import require
 
 
@@ -51,23 +51,10 @@ def _key(k) -> str:
     return str(k)
 
 
-def _load_any(path: str):
-    """A two-option ``Instance`` or an ``AllocationInstance``, by the keys
-    the file has."""
-    data = load_json_dict(path)
-    if "vL" in data:
-        return load_instance(data)
-    if "v" in data:
-        from .nalloc import load_allocation
-        return load_allocation(data)
-    raise SchemaError("instance file has neither 'vL' (two-option) nor "
-                      "'v' (allocation)")
-
-
 def _two_option(refusal: str, *paths: str) -> list[Instance]:
     """The two-option instances in ``paths``, all loaded before any is
     refused; an allocation among them is refused with ``refusal``."""
-    insts = [_load_any(path) for path in paths]
+    insts = [load_any(path) for path in paths]
     if not all(isinstance(inst, Instance) for inst in insts):
         raise PreconditionError(refusal)
     return insts
@@ -91,7 +78,7 @@ def _mechanism_json(mech) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_inspect(args) -> dict:
-    inst = _load_any(args.instance)
+    inst = load_any(args.instance)
     if isinstance(inst, Instance):
         dist = inst.dist
         return {
@@ -119,7 +106,7 @@ def cmd_inspect(args) -> dict:
 
 
 def cmd_check_ic(args) -> dict:
-    inst = _load_any(args.instance)
+    inst = load_any(args.instance)
     if isinstance(inst, Instance):
         from .game import obedience_check
         from .ic import check_ic
@@ -295,7 +282,7 @@ def cmd_myo(args) -> dict:
 
 def cmd_alloc_n(args) -> dict:
     from .nalloc import analyze_allocation
-    inst = _load_any(args.instance)
+    inst = load_any(args.instance)
     if isinstance(inst, Instance):
         raise PreconditionError("alloc-n needs an allocation instance")
     report = analyze_allocation(inst)
@@ -306,7 +293,7 @@ def cmd_alloc_n(args) -> dict:
 
 def cmd_oracle(args) -> dict:
     from .oracle import solve_principal, solve_principal_alloc
-    inst = _load_any(args.instance)
+    inst = load_any(args.instance)
     if isinstance(inst, Instance):
         res = solve_principal(inst)
         basis = "direct LP over the interim-equality polytope"

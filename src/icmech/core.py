@@ -11,8 +11,10 @@ in row-major agent order.  A ``JointDist`` also keeps pi over one common
 denominator D, its numerators P an int array (``den``, ``nums``),
 computed once on construction: its checks, its marginals and
 ``expectation`` work on them, as do the kernels in ``belief``, ``ic`` and
-``nalloc``.  The loaders read the plain rational forms ("-3", "7/12")
-straight into ints.
+``nalloc``.  ``JointDist.basis`` is the one reduction of P's slices
+(``slices``), the belief table.  The loaders read the plain rational
+forms ("-3", "7/12") straight into ints and refuse every key and agent
+name they do not read.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import frac, integer_row, rank as matrix_rank_rows
+from .numerics import basis_rows, frac, integer_row
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -126,6 +128,12 @@ def to_nested_strings(arr):
 # Joint distributions
 # ---------------------------------------------------------------------------
 
+def slices(arr: np.ndarray, i: int) -> np.ndarray:
+    """Row s: ``arr`` on the profiles where agent i has type s, flat over
+    the other agents' profiles in row-major order."""
+    return np.moveaxis(arr, i, 0).reshape(arr.shape[i], -1)
+
+
 def axis_marginals(p: np.ndarray) -> list[np.ndarray]:
     """Each agent's marginal of a joint probability array, or of any
     array its sums over the profiles where that agent has each type."""
@@ -148,7 +156,8 @@ class JointDist:
     ``den`` > 0 with no factor common to all of them, so the pair is
     unique, and ``marginal_nums[i]`` holds agent i's marginal over the same
     ``den``.  ``p`` and ``marginal(i)`` give the same entries as Fractions,
-    built on first read.
+    built on first read, and ``basis(i)`` agent i's basis types, reduced on
+    first use.
     """
 
     def __init__(self, space: TypeSpace, den: int, nums: np.ndarray):
@@ -174,6 +183,7 @@ class JointDist:
         self.den = den
         self.nums = nums
         self.marginal_nums = tuple(msums)
+        self._bases: dict[int, list[int]] = {}
 
     @functools.cached_property
     def p(self) -> np.ndarray:
@@ -208,9 +218,18 @@ class JointDist:
         return arrays_equal(self.nums * self.den,
                             np.multiply.outer(*axis_marginals(self.nums)))
 
+    def basis(self, i: int) -> list[int]:
+        """Agent i's types, in increasing order, whose pi-slices the exact
+        echelon reduction keeps: a basis of those slices and so of agent i's
+        beliefs; for two agents, rank(pi) rows (columns for agent R) of pi.
+        Reduced on first use and kept: callers must not change the list."""
+        if i not in self._bases:
+            self._bases[i] = basis_rows(list(slices(self.nums, i)))
+        return self._bases[i]
+
     def matrix_rank(self) -> int:
         two_agent(self.space)
-        return matrix_rank_rows([list(row) for row in self.nums])
+        return len(self.basis(0))
 
     def __eq__(self, other):
         return isinstance(other, JointDist) and self.space == other.space \
@@ -425,6 +444,30 @@ def parse_rational_array(node, shape: tuple[int, ...], where: str) -> np.ndarray
     return arr
 
 
+def check_keys(data: dict, allowed: tuple[str, ...], what: str) -> None:
+    """Refuse every key of ``data`` outside ``allowed``: a misspelt or
+    misplaced key would otherwise be read as an absent one."""
+    unknown = [key for key in data if key not in allowed]
+    if unknown:
+        raise SchemaError(f"{what} has unknown key(s) {unknown}; "
+                          f"it reads only {list(allowed)}")
+
+
+def per_agent(data: dict, key: str, agents: tuple[str, ...]) -> list:
+    """The entries of the map ``data[key]``, one per agent in order;
+    refuses a missing map or agent and a name that is not an agent's."""
+    node = data.get(key)
+    if not isinstance(node, dict):
+        raise SchemaError(f"'{key}' must map each agent to its entry")
+    missing = [a for a in agents if a not in node]
+    if missing:
+        raise SchemaError(f"'{key}' missing entries for agents {missing}")
+    unknown = [a for a in node if a not in agents]
+    if unknown:
+        raise SchemaError(f"'{key}' has entries for names not in 'agents': {unknown}")
+    return [node[a] for a in agents]
+
+
 def parse_type_space(data: dict) -> TypeSpace:
     if "agents" not in data or "types" not in data:
         raise SchemaError("instance requires 'agents' and 'types'")
@@ -433,14 +476,8 @@ def parse_type_space(data: dict) -> TypeSpace:
         raise SchemaError("'agents' must be a list of agent names")
     if not data["agents"]:
         raise SchemaError("'agents' must name at least one agent")
-    if not isinstance(data["types"], dict):
-        raise SchemaError("'types' must map each agent to its type labels")
     agents = tuple(data["agents"])
-    types_map = data["types"]
-    missing = [a for a in agents if a not in types_map]
-    if missing:
-        raise SchemaError(f"'types' missing entries for agents {missing}")
-    types = tuple(_parse_labels(types_map[a]) for a in agents)
+    types = tuple(_parse_labels(raw) for raw in per_agent(data, "types", agents))
     check_profile_count(tuple(len(labels) for labels in types))
     return TypeSpace(agents, types)
 
@@ -449,10 +486,13 @@ def load_instance(source) -> Instance:
     """Parse a two-option instance from a dict, JSON string or file path.
 
     Schema: {"agents": [...], "types": {agent: [labels]}, "pi": [[...]],
-    "vL": [[...]], "vR": [[...]] (optional, defaults to 0)}, all rationals
-    written as exact strings.
+    "vL": [[...]], "vR": [[...]] (optional, defaults to 0), "name",
+    "seed"}, all rationals written as exact strings; any other key is
+    refused.
     """
     data = load_json_dict(source)
+    check_keys(data, ("agents", "types", "pi", "vL", "vR", "name", "seed"),
+               "a two-option instance")
     space = parse_type_space(data)
     if "pi" not in data or "vL" not in data:
         raise SchemaError("two-option instance requires 'pi' and 'vL'")
@@ -468,10 +508,12 @@ def load_instance(source) -> Instance:
 
 def load_mechanism_json(source) -> dict:
     """The JSON object of a mechanism ({"x": ...}): the loaded object
-    itself, or the one a report embeds under "mechanism"."""
+    itself, or the one a report embeds under "mechanism"; a key other than
+    "x" is refused."""
     data = load_json_dict(source)
     if "x" not in data and isinstance(data.get("mechanism"), dict):
-        return data["mechanism"]
+        data = data["mechanism"]
+    check_keys(data, ("x",), "a mechanism")
     return data
 
 
@@ -513,6 +555,20 @@ def load_json_dict(source) -> dict:
     if not isinstance(data, dict):
         raise SchemaError("top-level JSON value must be an object")
     return data
+
+
+def load_any(source):
+    """A two-option ``Instance`` (a file with "vL") or an
+    ``AllocationInstance`` (a file with "v"); ``nalloc`` is imported only
+    for the latter."""
+    data = load_json_dict(source)
+    if "vL" in data:
+        return load_instance(data)
+    if "v" in data:
+        from .nalloc import load_allocation
+        return load_allocation(data)
+    raise SchemaError("instance file has neither 'vL' (two-option) nor "
+                      "'v' (allocation)")
 
 
 def instance_to_dict(inst: Instance) -> dict:

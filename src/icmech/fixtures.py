@@ -23,25 +23,18 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .core import load_instance
+from .core import load_any
 
 FIXTURE_NAMES = ("fx1", "fx2", "fx3", "fx4", "fx5")
 
 
 def fixture(name: str):
     """Load a canonical instance by name ("fx1" .. "fx5")."""
-    if name not in FIXTURE_NAMES:
-        raise KeyError(f"unknown fixture {name!r}; "
-                       f"choose from {FIXTURE_NAMES}")
-    data = json.loads(fixture_path(name).read_text())
-    if "v" not in data:
-        return load_instance(data)
-    from .nalloc import load_allocation
-    return load_allocation(data)
+    return load_any(json.loads(fixture_path(name).read_text()))
 
 
 def fixture_path(name: str):
     """Filesystem path of the shipped JSON file for a fixture."""
     if name not in FIXTURE_NAMES:
-        raise KeyError(f"unknown fixture {name!r}")
+        raise KeyError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")
     return resources.files(__package__) / "fixtures" / f"{name}.json"

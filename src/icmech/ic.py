@@ -14,8 +14,9 @@ agree.  The second route, as LP rows over the shares of any number of
 agents, is the one IC row family ``belief.value_rows``.  The module also
 decides the spanning preorder (can every interim belief under one
 distribution be written as a linear combination of interim beliefs under
-another?) on the two distributions' integer slices ``belief.slices``, and
-classifies its extreme elements.
+another?) on the two distributions' integer slices ``core.slices``, each
+target solved over the spanning distribution's basis slices
+(``JointDist.basis``), and classifies its extreme elements.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .belief import slices
-from .core import JointDist, Mechanism, PreconditionError, two_agent
-from .numerics import integer_row, require, span_coefficients
+from .core import ZERO, JointDist, Mechanism, PreconditionError, slices, two_agent
+from .numerics import integer_row, require, solve_linear_system
 
 
 @dataclass
@@ -161,7 +161,8 @@ def spans(pi: JointDist, pi_tilde: JointDist) -> SpanningVerdict:
     sum_a c'_a P(a, .) = P~(t, .) over the integer slices of pi's and
     pi_tilde's numerators and takes c_a = c'_a P_i(a) / P~_i(t), with
     P_i and P~_i the slice sums: positive scalings of the columns and the
-    target change neither the kept columns nor solvability.
+    target change neither the kept columns nor solvability.  The solve is
+    over the basis slices ``pi.basis(i)``; every other type's c_a is 0.
     """
     two_agent(pi.space)
     if pi.space != pi_tilde.space:
@@ -171,16 +172,17 @@ def spans(pi: JointDist, pi_tilde: JointDist) -> SpanningVerdict:
     witnesses: list = []
     for i, agent in enumerate(space.agents):
         gens, targets = slices(pi.nums, i), slices(pi_tilde.nums, i)
+        basis = pi.basis(i)
         masses = gens.sum(axis=1)
         for t, target in zip(space.types[i], targets):
-            coeffs = span_coefficients(list(target), list(gens))
-            if coeffs is None:
+            solved = solve_linear_system(gens[basis].T.tolist(), list(target))
+            if solved is None:
                 witnesses.append((agent, t))
             else:
-                total = sum(target)
+                coeffs, total = dict(zip(basis, solved)), sum(target)
                 coefficients[(agent, t)] = {
-                    tt: c * mass / total
-                    for tt, c, mass in zip(space.types[i], coeffs, masses)}
+                    tt: coeffs[a] * mass / total if a in coeffs else ZERO
+                    for a, (tt, mass) in enumerate(zip(space.types[i], masses))}
     ok = not witnesses
     return SpanningVerdict(spans=ok,
                            coefficients=coefficients if ok else {},

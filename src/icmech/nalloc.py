@@ -21,11 +21,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .belief import difference_residual, slice_sums, slices
+from .belief import difference_residual, slice_sums
 from .core import (JointDist, NoneCertificate, PreconditionError, SchemaError,
-                   TypeSpace, constant_array, expectation, load_json_dict,
-                   load_mechanism_json, parse_rational_array, parse_type_space,
-                   product_dist, to_nested_strings)
+                   TypeSpace, check_keys, constant_array, expectation,
+                   load_json_dict, load_mechanism_json, parse_rational_array,
+                   parse_type_space, per_agent, product_dist, slices,
+                   to_nested_strings)
 from .ic import ICReport, Violation
 from .numerics import integer_row, require
 
@@ -392,24 +393,22 @@ def load_allocation(source) -> AllocationInstance:
     """Parse an allocation instance.
 
     Schema: {"agents": [...], "types": {agent: [labels]},
-    "marginals": {agent: [...]} or "pi": full product tensor,
-    "v": {agent: tensor}, "disposal": true|false}.
+    "marginals": {agent: [...]} or "pi": full product tensor, not both,
+    "v": {agent: tensor}, "disposal": true|false, "name", "seed"}; any
+    other key, and any name in a map that is not an agent's, is refused.
     """
     data = load_json_dict(source)
+    check_keys(data, ("agents", "types", "marginals", "pi", "v", "disposal",
+                      "name", "seed"), "an allocation instance")
     space = parse_type_space(data)
-    if "v" not in data or not isinstance(data["v"], dict):
-        raise SchemaError("allocation instance requires 'v': {agent: tensor}")
     if "disposal" not in data or not isinstance(data["disposal"], bool):
         raise SchemaError("allocation instance requires boolean 'disposal'")
+    if "marginals" in data and "pi" in data:
+        raise SchemaError("allocation instance takes 'marginals' or 'pi', not both")
     if "marginals" in data:
-        if not isinstance(data["marginals"], dict):
-            raise SchemaError("'marginals' must map each agent to its marginal")
-        margs = []
-        for i, a in enumerate(space.agents):
-            if a not in data["marginals"]:
-                raise SchemaError(f"'marginals' missing agent {a!r}")
-            margs.append(parse_rational_array(data["marginals"][a],
-                                              (space.shape[i],), f"marginals[{a}]"))
+        margs = [parse_rational_array(node, (k,), f"marginals[{a}]")
+                 for a, k, node in zip(space.agents, space.shape,
+                                       per_agent(data, "marginals", space.agents))]
     elif "pi" in data:
         pi = JointDist.from_fractions(
             space, parse_rational_array(data["pi"], space.shape, "pi"))
@@ -419,11 +418,8 @@ def load_allocation(source) -> AllocationInstance:
                               "this analysis assumes independent types")
     else:
         raise SchemaError("allocation instance requires 'marginals' or 'pi'")
-    missing = [a for a in space.agents if a not in data["v"]]
-    if missing:
-        raise SchemaError(f"'v' missing entries for agents {missing}")
-    vals = [parse_rational_array(data["v"][a], space.shape, f"v[{a}]")
-            for a in space.agents]
+    vals = [parse_rational_array(node, space.shape, f"v[{a}]")
+            for a, node in zip(space.agents, per_agent(data, "v", space.agents))]
     return AllocationInstance(space, tuple(margs), tuple(vals),
                               bool(data["disposal"]),
                               name=data.get("name"), seed=data.get("seed"))
@@ -432,13 +428,9 @@ def load_allocation(source) -> AllocationInstance:
 def load_allocation_mechanism(source, inst: AllocationInstance) -> AllocationMechanism:
     """Parse {"x": {agent: tensor}} against an instance."""
     data = load_mechanism_json(source)
-    if "x" not in data or not isinstance(data["x"], dict):
-        raise SchemaError("allocation mechanism requires 'x': {agent: tensor}")
-    missing = [a for a in inst.space.agents if a not in data["x"]]
-    if missing:
-        raise SchemaError(f"'x' missing entries for agents {missing}")
-    parts = [parse_rational_array(data["x"][a], inst.space.shape, f"x[{a}]")
-             for a in inst.space.agents]
+    parts = [parse_rational_array(node, inst.space.shape, f"x[{a}]")
+             for a, node in zip(inst.space.agents,
+                                per_agent(data, "x", inst.space.agents))]
     return AllocationMechanism(inst.space, parts, disposal=inst.disposal)
 
 

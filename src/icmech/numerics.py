@@ -3,8 +3,9 @@
 Everything in this module is exact rational arithmetic (``Fraction``s, or
 ints over exact denominators), so feasibility, optimality, rank and
 orthogonality are decided by exact equality, not by tolerances.  One
-fraction-free integer row reduction (``_reduce``) serves ``rank``,
-``basis_rows`` and ``solve_linear_system`` (and so ``span_coefficients``).
+fraction-free integer row reduction (``_reduce``) serves ``basis_rows``
+(behind ``JointDist.basis``, and so every rank of pi) and
+``solve_linear_system`` (behind ``ic.spans``).
 It and the simplex pivot share one elimination step (``_eliminate``):
 q row - f prow with h = gcd(q, f) cancelled first, the classic
 cancellation of exact rational arithmetic (Henrici, 1956; Knuth, *TAOCP*
@@ -85,13 +86,8 @@ def frac(value) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Exact elimination: rank, linear systems, span tests
+# Exact elimination: row bases and linear systems
 # ---------------------------------------------------------------------------
-
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank of a rational matrix (list of rows)."""
-    return len(basis_rows(rows))
-
 
 def basis_rows(rows: Sequence[Sequence[Fraction]]) -> list[int]:
     """Indices, in order, of the rows that no earlier rows combine to: a
@@ -118,16 +114,6 @@ def solve_linear_system(a: Sequence[Sequence[Fraction]],
         x[lead] = (row[n] - sum(c * v for c, v in zip(row[lead + 1:n], x[lead + 1:])
                                 if c)) / Fraction(row[lead])
     return x
-
-
-def span_coefficients(vector: Sequence[Fraction],
-                      generators: Sequence[Sequence[Fraction]]) -> list[Fraction] | None:
-    """Coefficients c with ``vector = sum c_j * generators[j]``, or None."""
-    if not generators:
-        return [] if all(v == 0 for v in vector) else None
-    a = [[generators[j][i] for j in range(len(generators))]
-         for i in range(len(vector))]
-    return solve_linear_system(a, list(vector))
 
 
 def _reduce(rows: Sequence[Sequence[int]]) -> list[tuple[int, int, list[int]]]:

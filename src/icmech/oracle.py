@@ -26,10 +26,10 @@ import numpy as np
 from .core import (MAX_PROFILES, Instance, JointDist, Mechanism,
                    PreconditionError, TypeSpace, constant_array, expectation,
                    normalize, product_dist)
-from .belief import type_basis, value_rows
+from .belief import value_rows
 from .ic import ICReport, check_ic
 from .nalloc import AllocationInstance, AllocationMechanism, check_ic_n
-from .numerics import LinearProgram, integer_row, rank, require, solve_lp
+from .numerics import LinearProgram, integer_row, require, solve_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -84,8 +84,7 @@ def _ic_optimum(dist: JointDist, weights: list[int],
     space = dist.space
     size = space.n_profiles
     blocks = space.n_agents - 1
-    bases = [type_basis(dist, i) for i in range(space.n_agents)]
-    if blocks == 1 and len(bases[0]) == min(space.shape):
+    if blocks == 1 and dist.matrix_rank() == min(space.shape):
         total = sum(weights)
         if total > 0:
             return Fraction(total, scale), [ONE] * size, 1, [1] * size
@@ -94,7 +93,7 @@ def _ic_optimum(dist: JointDist, weights: list[int],
     sums = [(1, [(k * size + flat, 1) for k in range(blocks)], 1)
             for flat in range(size)] if blocks > 1 else []
     sol = solve_lp(LinearProgram(objective=[*weights, *[0] * blocks], scale=scale,
-                                 a_eq=value_rows(dist, bases), a_ub=sums,
+                                 a_eq=value_rows(dist), a_ub=sums,
                                  upper=[1] * nvars))
     shares = blocks * size
     return sol.value, sol.x[:shares], sol.den, sol.nums[:shares]
@@ -205,13 +204,8 @@ def generate(seed: int, shape, kind: str, *, k: int | None = None,
     m, n = shape
     if kind == "independent":
         pi = np.multiply.outer(_prob_vector(rng, m), _prob_vector(rng, n))
-    elif kind == "correlated":
+    elif kind in ("correlated", "full-rank"):
         pi = _joint(rng, shape)
-    elif kind == "full-rank":
-        while True:
-            pi = _joint(rng, shape)
-            if rank([list(row) for row in pi]) == min(shape):
-                break
     else:   # conditionally-independent
         if not k or not 1 <= k <= MAX_PROFILES:
             raise PreconditionError(
@@ -223,6 +217,8 @@ def generate(seed: int, shape, kind: str, *, k: int | None = None,
                                         _prob_vector(rng, n)) * w
 
     dist = JointDist.from_fractions(space, pi)
+    while kind == "full-rank" and dist.matrix_rank() < min(shape):
+        dist = JointDist.from_fractions(space, _joint(rng, shape))
     v = _value_array(rng, shape)
     if zero_mean:
         v = v - constant_array(shape, expectation(dist, v))

@@ -17,7 +17,7 @@ Four complementary tools for the two-option problem:
   off pi (``belief.transport_rows``), independent, r(m + n) - r^2 of them
   for r = rank(pi); at full rank they leave the one point pi_L (x) pi_R
   and no LP runs.  The count of belief-update rows it reports is read off
-  pi's integer slices ``belief.slices``.
+  pi's integer slices ``core.slices``.
 * ``decompose`` writes any IC mechanism under independence as a nonnegative
   combination of transportation-polytope extreme points, each the vertex
   the exact engine finds inside the support left to peel, and
@@ -34,10 +34,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .belief import kronecker_residual, slices, transport_rows, type_basis
+from .belief import kronecker_residual, transport_rows
 from .core import (Instance, JointDist, Mechanism, NoneCertificate,
                    PreconditionError, arrays_equal, constant_array,
-                   expectation, product_dist, two_agent)
+                   expectation, product_dist, slices, two_agent)
 from .ic import ICReport, check_ic
 from .numerics import LinearProgram, integer_row, require, solve_lp
 from .oracle import solve_principal
@@ -218,15 +218,13 @@ def transport_criterion(instance: Instance) -> TransportResult:
         scaled = den * slices(dist.nums, i) - np.multiply.outer(sums[i], sums[1 - i])
         ortho += k * len({tuple(row) for row in scaled if any(row)})
 
-    row_basis = type_basis(dist, 0)
-    if len(row_basis) == min(space.shape):
+    if dist.matrix_rank() == min(space.shape):
         # q = pi_L (x) pi_R, and sum v_hat q = E_pi[v].
         optimizer = JointDist(space, den * den, np.multiply.outer(*sums))
         value = expectation(dist, instance.v)
     else:
-        rows = transport_rows(dist, (row_basis, type_basis(dist, 1)))
-        sol = solve_lp(LinearProgram(objective=weights, scale=scale, a_eq=rows,
-                                     upper=[1] * len(weights)))
+        sol = solve_lp(LinearProgram(objective=weights, scale=scale,
+                                     a_eq=transport_rows(dist), upper=[1] * len(weights)))
         optimizer = JointDist(space, sol.den,
                               np.array(sol.nums, dtype=object).reshape(space.shape))
         value = sol.value
@@ -250,10 +248,10 @@ def orthogonal(pi: JointDist, pi_tilde: JointDist) -> bool:
     if not all(arrays_equal(pi.marginal(i), pi_tilde.marginal(i))
                for i in range(2)):
         raise PreconditionError("orthogonality requires equal marginals")
-    rows = transport_rows(pi, (type_basis(pi, 0), type_basis(pi, 1)))
     # q = Q / D meets the row (s, nz, b) iff sum a Q = b D.
     flat, den = pi_tilde.nums.reshape(-1), pi_tilde.den
-    return all(sum(a * flat[j] for j, a in nz) == b * den for _, nz, b in rows)
+    return all(sum(a * flat[j] for j, a in nz) == b * den
+               for _, nz, b in transport_rows(pi))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,10 @@ divides pi by its marginals, independently of ``icmech.belief``, whose
 one belief table is pi's integer slices; ``spans`` is the spanning test
 over those Fraction beliefs, whose verdict, coefficients and witnesses
 ``icmech.ic.spans``, solving over the integer slices, must reproduce;
+``spans_all_slices`` is that integer test as the library ran it before
+it solved over pi's basis slices only: each target solved over every
+slice by ``span_coefficients``, with the free variables 0, through
+``icmech.numerics.solve_linear_system``;
 ``orthogonality_rows`` builds the transport criterion's update rows in
 Fractions, whose count ``icmech.profit.transport_criterion`` reads off
 the integer slices; ``interim`` multiplies the beliefs with a
@@ -67,11 +71,11 @@ from math import prod
 
 import numpy as np
 
-from icmech.belief import slices, type_basis
 from icmech.core import (Mechanism, PreconditionError, SchemaError, TypeSpace,
-                         constant_array, product_dist, two_agent)
+                         constant_array, product_dist, slices, two_agent)
 from icmech.ic import ICReport, SpanningVerdict, Violation
-from icmech.numerics import LinearProgram, basis_rows, integer_row, require
+from icmech.numerics import (LinearProgram, basis_rows, integer_row, require,
+                             solve_linear_system as solve_integer_system)
 from icmech.oracle import _ic_optimum, _value
 
 ZERO = Fraction(0)
@@ -190,6 +194,41 @@ def spans(pi, pi_tilde):
                 witnesses.append((agent, t))
             else:
                 coefficients[(agent, t)] = dict(zip(space.types[i], coeffs))
+    ok = not witnesses
+    return SpanningVerdict(spans=ok, coefficients=coefficients if ok else {},
+                           witnesses=witnesses)
+
+
+def span_coefficients(vector, generators):
+    """Coefficients c with ``vector = sum c_j * generators[j]``, or None:
+    the library's exact solve over every generator, free variables 0."""
+    if not generators:
+        return [] if all(v == 0 for v in vector) else None
+    a = [[generators[j][i] for j in range(len(generators))]
+         for i in range(len(vector))]
+    return solve_integer_system(a, list(vector))
+
+
+def spans_all_slices(pi, pi_tilde):
+    """``icmech.ic.spans`` solving each target over all of pi's integer
+    slices, not only its basis slices, and rescaling by the slice sums."""
+    two_agent(pi.space)
+    if pi.space != pi_tilde.space:
+        raise PreconditionError("spanning requires a common type space")
+    space = pi.space
+    coefficients, witnesses = {}, []
+    for i, agent in enumerate(space.agents):
+        gens, targets = slices(pi.nums, i), slices(pi_tilde.nums, i)
+        masses = gens.sum(axis=1)
+        for t, target in zip(space.types[i], targets):
+            coeffs = span_coefficients(list(target), list(gens))
+            if coeffs is None:
+                witnesses.append((agent, t))
+            else:
+                total = sum(target)
+                coefficients[(agent, t)] = {
+                    tt: c * mass / total
+                    for tt, c, mass in zip(space.types[i], coeffs, masses)}
     ok = not witnesses
     return SpanningVerdict(spans=ok, coefficients=coefficients if ok else {},
                            witnesses=witnesses)
@@ -379,16 +418,18 @@ def dense(rows, width):
     return out, [Fraction(b, s) for s, _, b in rows]
 
 
-def value_rows_dense(dist, bases):
+def value_rows_dense(dist):
     """``icmech.belief.value_rows`` as dense integer rows, the builder the
     library used before it made the LP's nonzeros directly: agent i's row
-    for basis type a and report b is the lifted slice of pi's numerators
-    at a, over their gcd with D, on the blocks the agent's share enters,
-    and minus its sum on those blocks' common values."""
+    for basis type a (``dist.basis(i)``) and report b is the lifted slice
+    of pi's numerators at a, over their gcd with D, on the blocks the
+    agent's share enters, and minus its sum on those blocks' common
+    values."""
     shape = dist.space.shape
     blocks = len(shape) - 1
     rows = []
-    for i, basis in enumerate(bases):
+    for i in range(len(shape)):
+        basis = dist.basis(i)
         lines = slices(dist.nums, i)
         on = [i in (k, blocks) for k in range(blocks)]
         for a in basis:
@@ -412,8 +453,7 @@ def ic_lp(dist, objective):
     shares, and with more than one block one sum row <= 1 per profile."""
     size = dist.space.n_profiles
     blocks = dist.space.n_agents - 1
-    rows = value_rows_dense(dist, [type_basis(dist, i)
-                                   for i in range(dist.space.n_agents)])
+    rows = value_rows_dense(dist)
     sums = [[int(k % size == flat) for k in range(blocks * size)] + [0] * blocks
             for flat in range(size)] if blocks > 1 else []
     nvars = blocks * (size + 1)
@@ -430,7 +470,7 @@ def transport_lp(inst):
     and the objective ``v_hat``."""
     dist = inst.dist
     shape = dist.space.shape
-    bases = [type_basis(dist, i) for i in range(2)]
+    bases = [dist.basis(i) for i in range(2)]
     last = shape[1] - 1
     skip = {last - s for s in basis_rows(list(dist.nums[bases[0], ::-1].T))}
     rows, rhs = [], []

@@ -1,6 +1,9 @@
 """Property tests: the belief-space builders against explicit-loop references."""
 
+import contextlib
+import io
 import random
+import sys
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -10,20 +13,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icmech import belief
+from icmech import belief, cli, numerics
 from icmech.belief import difference_residual, kronecker_residual
 from icmech.core import (Instance, JointDist, TypeSpace, constant_array,
-                         expectation, normalize)
+                         expectation, load_any, normalize, slices)
 from icmech.ic import spans
 from icmech.nalloc import (DISPOSAL_AGENT, AllocationInstance,
                            difference_additive)
-from icmech.numerics import span_coefficients
 from icmech.oracle import KINDS as ALL_KINDS, generate
 from icmech.profit import support_is_acyclic, transport_criterion
 
 from . import reference
 from .reference import independent_counterpart
 from .conftest import two_option
+from .test_golden import _path
+from .test_pools import import_every_module
 
 KINDS = ("independent", "correlated", "full-rank", "conditionally-independent")
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
@@ -103,8 +107,8 @@ def test_difference_residual_equals_projection_over_w(inst):
 @given(additive_allocations())
 def test_split_equals_span_coefficients(inst):
     gens, keys = reference.w_generators(inst)
-    coeffs = span_coefficients(list(_weighted_differences(inst).reshape(-1)),
-                               gens)
+    coeffs = reference.span_coefficients(
+        list(_weighted_differences(inst).reshape(-1)), gens)
     rep = difference_additive(inst)
     assert rep.holds and coeffs is not None
     assert [(agent, label, rep.u[agent][label]) for agent, label in keys] == \
@@ -198,6 +202,77 @@ def test_spans_equals_fraction_reference(pair):
     assert got.witnesses == expected.witnesses
 
 
+@st.composite
+def generated_pairs(draw):
+    """Two distributions of one shape, 1x1 to 5x5, from every ``generate``
+    kind, the allocation kind's product pi included; the second is at
+    times the first or its independent counterpart, which the first spans."""
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    dists = st.builds(lambda seed, kind, k: generate(seed, shape, kind, k=k).dist,
+                      st.integers(0, 10**6), st.sampled_from(ALL_KINDS),
+                      st.integers(1, 3))
+    first = draw(dists)
+    second = draw(st.one_of(
+        dists, st.sampled_from([first, independent_counterpart(first)])))
+    return first, second
+
+
+# A square and a rectangular pair that span and a pair that does not.
+CI_3X4 = generate(7, (3, 4), "conditionally-independent", k=2).dist
+GENERATED_PAIRS = [
+    (generate(7, (3, 3), "full-rank").dist, generate(7, (3, 3), "unbiased-n-alloc").dist),
+    (CI_3X4, independent_counterpart(CI_3X4)),
+    (generate(7, (4, 3), "independent").dist, generate(7, (4, 3), "correlated").dist)]
+
+
+def test_generated_pairs_span_and_do_not():
+    assert [spans(*pair).spans for pair in GENERATED_PAIRS] == [True, True, False]
+
+
+@PROPERTY
+@given(generated_pairs())
+@example(GENERATED_PAIRS[0])
+@example(GENERATED_PAIRS[1])
+@example(GENERATED_PAIRS[2])
+def test_spans_over_basis_slices_equals_solve_over_all_slices(pair):
+    # Solving over pi's basis slices only gives the verdict, the
+    # coefficients (0 for every other type, as a Fraction) and the
+    # witnesses of the solve over all of pi's slices.
+    got, expected = spans(*pair), reference.spans_all_slices(*pair)
+    assert got.spans == expected.spans
+    assert got.coefficients == expected.coefficients
+    assert all(type(c) is Fraction for row in got.coefficients.values()
+               for c in row.values())
+    assert got.witnesses == expected.witnesses
+
+
+@pytest.mark.parametrize("command", ["oracle", "transport"])
+@pytest.mark.parametrize("name", ["fx1", "fx2", "fx3", "fx5", "ci-3x4", "ci-3x4-zero"])
+def test_a_query_reduces_each_agents_slices_at_most_once(monkeypatch, command, name):
+    # The LP rows and the full-rank test read the basis types that
+    # JointDist.basis keeps; the transport rows also reduce pi's basis rows
+    # for S, reversed, once.
+    import_every_module()
+    calls, real = [], numerics.basis_rows
+
+    def recording_basis_rows(rows):
+        calls.append([tuple(row) for row in rows])
+        return real(rows)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "basis_rows", None) is real:
+            monkeypatch.setattr(module, "basis_rows", recording_basis_rows)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command, _path(name)]) == 0
+    dist = load_any(_path(name)).dist
+    agents = [[tuple(row) for row in slices(dist.nums, i)] for i in range(2)]
+    # At full rank only agent L's basis is read, to see that it is full.
+    full = reference.rank(dist.nums.tolist()) == min(dist.space.shape)
+    reduced = agents[:1] if full else agents
+    assert sorted(rows for rows in calls if rows in agents) == sorted(reduced)
+    assert len(calls) == len(reduced) + (command == "transport" and not full)
+
+
 @PROPERTY
 @given(st.one_of(two_agent_instances().map(lambda inst: inst.dist),
                  sparse_dists()))
@@ -206,9 +281,8 @@ def test_spans_equals_fraction_reference(pair):
 def test_value_rows_are_independent_and_cut_out_the_ic_set(dist):
     m, n = dist.space.shape
     r = reference.rank(dist.p.tolist())
-    bases = (belief.type_basis(dist, 0), belief.type_basis(dist, 1))
-    assert len(bases[0]) == len(bases[1]) == r
-    rows = reference.dense(belief.value_rows(dist, bases), m * n + 1)[0]
+    assert len(dist.basis(0)) == len(dist.basis(1)) == r
+    rows = reference.dense(belief.value_rows(dist), m * n + 1)[0]
     assert reference.rank(rows) == len(rows) == m * n - (m - r) * (n - r)
     # Over (x, c) they span the same rows as the reference IC rows with
     # c = E[x], so both cut out the same x, of dimension 1 + (m - r)(n - r).
@@ -225,8 +299,8 @@ def test_value_rows_are_independent_and_cut_out_the_ic_set(dist):
 def test_transport_rows_are_independent_and_cut_out_the_transport_set(dist):
     m, n = dist.space.shape
     r = reference.rank(dist.p.tolist())
-    bases = (belief.type_basis(dist, 0), belief.type_basis(dist, 1))
-    rows, rhs = reference.dense(belief.transport_rows(dist, bases), m * n)
+    bases = (dist.basis(0), dist.basis(1))
+    rows, rhs = reference.dense(belief.transport_rows(dist), m * n)
     assert reference.rank(rows) == len(rows) == len(rhs) == r * (m + n) - r * r
     # With their right-hand sides they span the same rows as the marginal
     # rows and the reference update rows, so both cut out the same q; the
@@ -266,8 +340,7 @@ def test_allocation_rows_equal_loop_builder(inst):
     # so both cut out the same shares.
     dist, blocks = inst.dist, inst.n - 1
     size = inst.space.n_profiles
-    rows = belief.value_rows(dist, [belief.type_basis(dist, i)
-                                    for i in range(inst.n)])
+    rows = belief.value_rows(dist)
     rows = reference.dense(rows, blocks * (size + 1))[0]
     prob, zero = list(dist.p.reshape(-1)), [Fraction(0)] * size
     ic = [row + [Fraction(0)] * blocks for row in reference.interim_rows_alloc(inst)]
@@ -332,8 +405,7 @@ def test_value_rows_on_basis_types_equal_every_types_rows(dist):
     # Keeping each agent's rows for its basis types only, and, with two
     # agents, dropping the last agent's basis reports, leaves the row space
     # of every type's rows under correlated beliefs.
-    rows = belief.value_rows(dist, [belief.type_basis(dist, i)
-                                    for i in range(dist.space.n_agents)])
+    rows = belief.value_rows(dist)
     rows = reference.dense(rows, (dist.space.n_agents - 1) * (dist.space.n_profiles + 1))[0]
     loop = reference.value_rows_loop(dist)
     assert reference.rank(loop) == reference.rank(rows) == reference.rank(rows + loop)

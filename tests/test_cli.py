@@ -37,6 +37,17 @@ def run_json(capsys, *argv):
     return code, (json.loads(out) if out else None)
 
 
+# A two-option and a two-agent allocation instance, and an IC allocation
+# mechanism for the latter.
+TWO = {"agents": ["l", "r"], "types": {"l": [0, 1], "r": [0, 1]},
+       "pi": [["1/4", "1/4"], ["1/4", "1/4"]], "vL": [["1", "0"], ["0", "1"]]}
+ALLOC = {"agents": ["1", "2"], "types": {"1": [0, 1], "2": [0, 1]},
+         "marginals": {"1": ["1/2", "1/2"], "2": ["1/2", "1/2"]},
+         "v": {"1": [["1", "0"], ["0", "1"]], "2": [["0", "1"], ["1", "0"]]},
+         "disposal": False}
+HALVES = {"1": [["1/2", "1/2"], ["1/2", "1/2"]], "2": [["1/2", "1/2"], ["1/2", "1/2"]]}
+
+
 @pytest.fixture
 def xstar_file(tmp_path):
     p = tmp_path / "xstar.json"
@@ -463,6 +474,39 @@ class TestContracts:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert message in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["inspect", {**TWO, "VR": TWO["vL"]}], "['VR']"),
+        (["inspect", {**ALLOC, "pi": [["1/2", "0"], ["0", "1/2"]]}],
+         "'marginals' or 'pi', not both"),
+        (["inspect", {**TWO, "v": ALLOC["v"]}], "['v']"),
+        (["inspect", {**TWO, "types": {**TWO["types"], "q": [0]}}], "['q']"),
+        (["inspect", {**ALLOC, "marginals": {**ALLOC["marginals"], "3": ["1"]}}],
+         "'marginals' has entries for names not in 'agents': ['3']"),
+        (["inspect", {**ALLOC, "v": {**ALLOC["v"], "3": [["0", "0"], ["0", "0"]]}}],
+         "'v' has entries for names not in 'agents': ['3']"),
+        (["check-ic", ALLOC, {"x": {**HALVES, "3": [["0", "0"], ["0", "0"]]}}],
+         "'x' has entries for names not in 'agents': ['3']"),
+        (["check-ic", TWO, {"x": [["1", "0"], ["0", "1"]], "y": "1"}], "['y']"),
+        (["check-ic", TWO, {"ic": True,
+                            "mechanism": {"x": [["1", "0"], ["0", "1"]], "note": ""}}],
+         "['note']"),
+    ], ids=["misspelt-vR", "marginals-and-pi", "vL-and-v", "types-name", "marginals-name",
+            "v-name", "x-name", "mechanism-key", "report-mechanism-key"])
+    def test_unread_keys_refused(self, capsys, tmp_path, argv, message):
+        # Each of these was read with the key or name ignored, and exited 0.
+        def written(k, arg):
+            if not isinstance(arg, dict):
+                return arg
+            path = tmp_path / f"{k}.json"
+            path.write_text(json.dumps(arg))
+            return str(path)
+
+        code = main([written(k, arg) for k, arg in enumerate(argv)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
 
     def test_report_mechanism_round_trip(self, capsys, tmp_path):
         # Feed the construct report's mechanism back into check-ic.

@@ -11,7 +11,7 @@ from icmech.core import JointDist, TypeSpace
 from icmech.fixtures import fixture
 from icmech.game import maximin
 from icmech.ic import check_ic, classify_extremes, spans
-from icmech.numerics import rank, solve_lp
+from icmech.numerics import solve_lp
 from icmech.oracle import generate, solve_principal
 
 from . import reference
@@ -140,7 +140,7 @@ def test_integer_check_ic_equals_fraction_reference(case):
 def value_rows(dist):
     """belief.value_rows over x and the common interim value c, a last
     column, as dense rows."""
-    rows = belief.value_rows(dist, [belief.type_basis(dist, i) for i in range(2)])
+    rows = belief.value_rows(dist)
     return reference.dense(rows, dist.space.n_profiles + 1)[0]
 
 
@@ -156,7 +156,7 @@ class TestICPolytope:
         rows = value_rows(inst_fx2.dist)
         # The solution space of the homogeneous rows is exactly x = c J.
         n = inst_fx2.space.n_profiles
-        assert rank(rows) == n
+        assert reference.rank(rows) == n
         ones = [F(1)] * (n + 1)
         for row in rows:
             assert sum(c * v for c, v in zip(row, ones)) == 0

@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icmech import numerics
-from icmech.numerics import (LinearProgram, basis_rows, frac, rank,
-                             solve_linear_system, solve_lp, span_coefficients)
+from icmech.numerics import (LinearProgram, basis_rows, frac,
+                             solve_linear_system, solve_lp)
 
 from . import reference
 from .reference import RationalLP, integer_lp, orthogonal_projection
@@ -63,9 +63,9 @@ class TestFrac:
 
 class TestLinearAlgebra:
     def test_rank_examples(self):
-        assert rank([fl([1, 0]), fl([0, 1])]) == 2
-        assert rank([fl([1, 2]), fl([2, 4])]) == 1
-        assert rank([fl([0, 0])]) == 0
+        assert len(basis_rows([fl([1, 0]), fl([0, 1])])) == 2
+        assert len(basis_rows([fl([1, 2]), fl([2, 4])])) == 1
+        assert len(basis_rows([fl([0, 0])])) == 0
 
     def test_solve_unique(self):
         x = solve_linear_system([fl([2, 0]), fl([0, 4])], fl([6, 8]))
@@ -80,10 +80,12 @@ class TestLinearAlgebra:
         assert x[0] + x[1] == 5
 
     def test_in_span_unit_vectors(self):
-        assert span_coefficients(fl([1, 1]), [fl([1, 0]), fl([0, 1])]) is not None
+        assert reference.span_coefficients(fl([1, 1]),
+                                           [fl([1, 0]), fl([0, 1])]) is not None
 
     def test_in_span_false(self):
-        assert span_coefficients(fl([0, 0, 1]), [fl([1, 0, 0]), fl([0, 1, 0])]) is None
+        assert reference.span_coefficients(fl([0, 0, 1]),
+                                           [fl([1, 0, 0]), fl([0, 1, 0])]) is None
 
     def test_marginal_in_span_of_conditionals(self):
         # Mixing a distribution's conditional beliefs with the other
@@ -93,19 +95,19 @@ class TestLinearAlgebra:
         conditionals = [[pi[a][s] / row_marg[a] for s in range(2)]
                         for a in range(2)]
         col_marg = [sum(pi[a][s] for a in range(2)) for s in range(2)]
-        assert span_coefficients(col_marg, conditionals) is not None
+        assert reference.span_coefficients(col_marg, conditionals) is not None
 
     def test_flat_conditionals_cannot_reach_correlated_belief(self):
         # An independent distribution's conditionals are all the same
         # vector; a genuinely updated belief lies outside their span.
         flat = [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]]
         target = [F(1, 4), F(3, 4)]
-        assert span_coefficients(target, flat) is None
+        assert reference.span_coefficients(target, flat) is None
 
     def test_span_coefficients_reproduce(self):
         gens = [fl([1, 2, 0]), fl([0, 1, 1])]
         target = [F(2), F(5), F(1)]
-        coeffs = span_coefficients(target, gens)
+        coeffs = reference.span_coefficients(target, gens)
         assert coeffs is not None
         for i in range(3):
             assert sum(c * g[i] for c, g in zip(coeffs, gens)) == target[i]
@@ -446,7 +448,7 @@ class TestReductionMatchesGaussJordan:
     @example(([fl([1, 2, 3]), fl([2, 4, 6]), fl([0, 1, 1])], fl([1, 2, 5])))
     def test_rank_and_solution_equal_the_fraction_reference(self, system):
         a, b = system
-        assert rank(a) == reference.rank(a)
+        assert len(basis_rows(a)) == reference.rank(a)
         # basis_rows keeps exactly the rows that raise the rank of those
         # before them.
         kept = basis_rows(a)
@@ -477,7 +479,7 @@ class TestReductionMatchesGaussJordan:
                       for j in range(width)]
                      for coeffs in ([rng.choice((0, 1, -2, 3, 6)) for _ in base]
                                     for _ in range(rng.randint(1, 6)))]
-                assert rank(a) == reference.rank(a)
+                assert len(basis_rows(a)) == reference.rank(a)
                 assert basis_rows(a) == [
                     i for i in range(len(a))
                     if reference.rank(a[:i + 1]) > reference.rank(a[:i])]

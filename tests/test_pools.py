@@ -54,6 +54,27 @@ def load_bench_module(name: str):
     return module
 
 
+def import_every_module() -> None:
+    """Import every icmech module; the CLI imports a module only when a
+    command needs it."""
+    for info in pkgutil.iter_modules(icmech.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"icmech.{info.name}")
+
+
+def test_stale_tracer_layers_are_pinned():
+    # ``Tracer.install`` skips a ``LAYERS`` entry that names no function of
+    # the package, and its metrics then read 0.  The stale entries are
+    # pinned here, so a rename or removal shows up as a change to this set.
+    import_every_module()
+    stale = {f"{module}.{function}"
+             for module, function, *_ in load_bench_module("tracing").LAYERS
+             if getattr(sys.modules[f"icmech.{module}"], function, None) is None}
+    assert stale == {"numerics.orthogonal_projection", "numerics.rank",
+                     "numerics.span_coefficients", "ic.ic_polytope",
+                     "profit.conditional_section_basis", "profit.orthogonality_rows"}
+
+
 def load_checker_class():
     return load_bench_module("checks").Checker
 
@@ -92,12 +113,9 @@ def run_pool(pool: dict, tmp_path, tracer=None) -> list[tuple[dict, object, str]
 
 def record_lps(monkeypatch, record) -> None:
     """Rebind ``solve_lp`` in every icmech module to a wrapper that passes
-    each call's LinearProgram and LPSolution to ``record``.  The CLI
-    imports a module only when a command needs it, so every module is
-    imported first."""
-    for info in pkgutil.iter_modules(icmech.__path__):
-        if info.name != "__main__":
-            importlib.import_module(f"icmech.{info.name}")
+    each call's LinearProgram and LPSolution to ``record``; every module
+    is imported first."""
+    import_every_module()
     solve_lp = numerics.solve_lp
 
     def recording_solve_lp(lp):

@@ -10,7 +10,7 @@ from icmech import (Mechanism, NoneCertificate, PreconditionError,
                     constant_mechanism, expectation)
 from icmech.core import Instance, JointDist, TypeSpace, constant_array, normalize
 from icmech.ic import check_ic
-from icmech.numerics import rank, solve_lp
+from icmech.numerics import solve_lp
 from icmech.oracle import generate, solve_principal
 from icmech.profit import (ConstructionResult, _best_matching_lp,
                            additivity_test, construct_profitable, decompose,
@@ -221,7 +221,7 @@ class TestTransport:
         monkeypatch.setattr("icmech.profit.solve_lp", recording_solve_lp)
         transport_criterion(generate(1001, shape, kind, k=k))
         assert [len(lp.a_eq) for lp in lps] == [rows]
-        assert rank(reference.dense(lps[0].a_eq, lps[0].n)[0]) == rows
+        assert reference.rank(reference.dense(lps[0].a_eq, lps[0].n)[0]) == rows
 
 
 class TestOrthogonal:

@@ -126,14 +126,14 @@ def test_lp_queries_leave_pi_as_integers():
     # Fraction array ``JointDist.p``.
     found = run_fresh(
         "import contextlib, io, json\n"
-        "from icmech import cli\n"
+        "from icmech import cli, core\n"
         "from icmech.fixtures import fixture_path\n"
         "loaded = []\n"
-        "load = cli.load_instance\n"
+        "load = core.load_instance\n"
         "def recording_load(data):\n"
         "    loaded.append(load(data))\n"
         "    return loaded[-1]\n"
-        "cli.load_instance = recording_load\n"
+        "core.load_instance = recording_load\n"
         "codes = []\n"
         "for name in ('fx1', 'fx2', 'fx3', 'fx5'):\n"
         "    for command in ('oracle', 'transport'):\n"
